@@ -1,6 +1,6 @@
 # Local development targets; see docs/DEVELOPING.md.
 
-.PHONY: lint typecheck test coverage check bench-history
+.PHONY: lint typecheck test coverage check
 
 lint:
 	python -m tools.lint src/ tools/ benchmarks/ scripts/
@@ -23,6 +23,3 @@ coverage:
 
 check:
 	sh scripts/check.sh
-
-bench-history:
-	PYTHONPATH=src python -m tools.bench.history --dir .

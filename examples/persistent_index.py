@@ -5,11 +5,11 @@ index scales past memory and survives restarts.  This example shows
 the library's persistence story:
 
 * ``WalrusDatabase.create(directory)`` — the managed on-disk layout: a
-  checksummed, crash-safe page file for the R*-tree plus
-  commit-coupled metadata.  ``checkpoint()`` commits, ``open()``
+  checksummed, crash-safe page file for the R*-tree with the image
+  catalog committed inside it.  ``checkpoint()`` commits, ``open()``
   reattaches, and the database doubles as a context manager (leaving
   the ``with`` block checkpoints and closes);
-* a raw :class:`FilePageStore` under an in-memory-managed database,
+* a raw :class:`MmapPageStore` under an in-memory-managed database,
   for callers who want to own the file layout themselves;
 
 plus incremental maintenance — adding and removing images after the
@@ -25,7 +25,7 @@ import tempfile
 
 from repro import ExtractionParameters, QueryParameters, WalrusDatabase
 from repro.datasets import render_scene
-from repro.index import FilePageStore
+from repro.index import MmapPageStore
 
 PARAMS = ExtractionParameters(window_min=16, window_max=64, stride=8)
 EPSILON = QueryParameters(epsilon=0.085)
@@ -72,7 +72,7 @@ def main() -> None:
 
     print("\nbring-your-own page store (caller owns the file layout)")
     page_file = os.path.join(workdir, "custom.pages")
-    store = FilePageStore(page_file, buffer_pages=64)
+    store = MmapPageStore(page_file, buffer_pages=64)
     database = WalrusDatabase.create(params=PARAMS, store=store)
     database.add_images(scenes)
     store.sync()

@@ -6,10 +6,10 @@ Commands
     Render the synthetic collection to a directory of PPM files plus a
     ``labels.txt`` ground-truth file.
 ``index``
-    Build a WALRUS database from a directory of images and save it.
+    Build a WALRUS database directory from a directory of images.
 ``query``
-    Query a saved database with an image file (``--explain`` prints the
-    EXPLAIN-style query report).
+    Query a database directory with an image file (``--explain`` prints
+    the EXPLAIN-style query report).
 ``stats``
     Run a query with the metrics registry enabled and print every
     instrument the library recorded (``--format=prometheus`` emits
@@ -35,9 +35,9 @@ Commands
     health, and R*-tree structural integrity.  Exits non-zero when
     damage is found.
 ``migrate``
-    Convert a database directory's page file between on-disk formats
-    (v2 pickle ↔ v3 zero-copy), atomically, preserving pages,
-    metadata and commit generation; re-verifies with fsck afterwards.
+    Upgrade a database directory written by 1.x (v2 pickled pages) to
+    the v3 zero-copy page format, atomically, preserving pages,
+    catalog and commit generation; re-verifies with fsck afterwards.
 ``trace``
     Inspect flight-recorder traces from a running daemon
     (``--server``) or a saved dump file (``--input``): ``list`` the
@@ -142,7 +142,6 @@ def _cmd_generate_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    database = WalrusDatabase(_extraction_params(args))
     names = sorted(
         entry for entry in os.listdir(args.images)
         if entry.lower().endswith((".ppm", ".pgm", ".pnm", ".bmp"))
@@ -152,17 +151,18 @@ def _cmd_index(args: argparse.Namespace) -> int:
         return 1
     images = (read_image(os.path.join(args.images, entry))
               for entry in names)
-    database.add_images(images, bulk=args.bulk or None,
-                        workers=args.workers)
-    database._write_snapshot(args.output)
-    print(f"indexed {len(database)} images "
-          f"({database.region_count} regions) -> {args.output}")
+    with WalrusDatabase.create(
+            args.output, params=_extraction_params(args)) as database:
+        database.add_images(images, bulk=args.bulk or None,
+                            workers=args.workers)
+        print(f"indexed {len(database)} images "
+              f"({database.region_count} regions) -> {args.output}")
     return 0
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    database = WalrusDatabase.open(args.database)
-    info = database.describe()
+    with WalrusDatabase.open(args.database, readonly=True) as database:
+        info = database.describe()
     parameters = info.pop("parameters")
     for key, value in info.items():
         print(f"{key}: {value}")
@@ -173,19 +173,20 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     if args.server is not None:
         return _cmd_query_remote(args)
-    database = WalrusDatabase.open(args.database)
     query_image = read_image(args.image)
     params = QueryParameters(
         epsilon=args.epsilon, tau=args.tau, matching=args.matching,
         max_results=args.top,
     )
-    if args.scene is not None:
-        top, left, height, width = args.scene
-        result = database.query_scene(query_image, top, left, height,
-                                      width, params, explain=args.explain)
-    else:
-        result = database.query(query_image, params,
-                                explain=args.explain)
+    with WalrusDatabase.open(args.database, readonly=True) as database:
+        if args.scene is not None:
+            top, left, height, width = args.scene
+            result = database.query_scene(query_image, top, left, height,
+                                          width, params,
+                                          explain=args.explain)
+        else:
+            result = database.query(query_image, params,
+                                    explain=args.explain)
     stats = result.stats
     print(f"query regions: {stats.query_regions}  "
           f"regions retrieved: {stats.regions_retrieved}  "
@@ -238,13 +239,14 @@ def _format_metric(value: object) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    database = WalrusDatabase.open(args.database)
     query_image = read_image(args.image)
     params = QueryParameters(epsilon=args.epsilon, tau=args.tau)
     registry = enable_metrics()
     registry.reset()
     try:
-        result = database.query(query_image, params, explain=True)
+        with WalrusDatabase.open(args.database,
+                                 readonly=True) as database:
+            result = database.query(query_image, params, explain=True)
     finally:
         disable_metrics()
     report = result.report
@@ -271,7 +273,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     store_factory = None
     if args.fault_read_delay_rate > 0 or args.fault_read_error_rate > 0:
-        from repro.index.faults import FaultPlan, fault_injecting_store
+        from repro.index.faults import (FaultInjectingMmapPageStore,
+                                        FaultPlan)
         plan = FaultPlan(seed=args.fault_seed,
                          read_error_rate=args.fault_read_error_rate,
                          read_delay_seconds=args.fault_read_delay,
@@ -279,10 +282,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         def store_factory(page_path: str,
                           _plan: FaultPlan = plan) -> object:
-            # Sniffs the on-disk format, so chaos runs work over both
-            # v2 and v3 page files.
-            return fault_injecting_store(page_path, plan=_plan,
-                                         readonly=True)
+            return FaultInjectingMmapPageStore(page_path, plan=_plan,
+                                               readonly=True)
 
     was_enabled = get_metrics().enabled
     enable_metrics()
@@ -346,9 +347,10 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     if args.database is not None and args.image is not None:
         # Warm the registry with one real query so the endpoint shows
         # every instrumented name immediately.
-        database = WalrusDatabase.open(args.database)
-        database.query(read_image(args.image),
-                       QueryParameters(epsilon=args.epsilon))
+        with WalrusDatabase.open(args.database,
+                                 readonly=True) as database:
+            database.query(read_image(args.image),
+                           QueryParameters(epsilon=args.epsilon))
     server = MetricsServer(registry, host=args.host, port=args.port)
     server.start()
     host, port = server.address
@@ -422,7 +424,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
     from repro.core.migrate import migrate_database
-    summary = migrate_database(args.directory, to_format=args.to_format,
+    summary = migrate_database(args.directory,
                                keep_backup=args.keep_backup,
                                check=not args.no_check)
     if args.json:
@@ -562,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     index = commands.add_parser("index", help="index a directory of images")
     index.add_argument("images", help="directory of .ppm/.pgm/.bmp files")
-    index.add_argument("output", help="database file to write")
+    index.add_argument("output", help="database directory to create")
     index.add_argument("--bulk-load", "--bulk", dest="bulk",
                        action="store_true",
                        help="build the R*-tree with STR bulk loading "
@@ -575,11 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     describe = commands.add_parser("describe",
                                    help="print statistics of a database")
-    describe.add_argument("database", help="database file from 'index'")
+    describe.add_argument("database",
+                          help="database directory from 'index'")
     describe.set_defaults(handler=_cmd_describe)
 
-    query = commands.add_parser("query", help="query a saved database")
-    query.add_argument("database", help="database file from 'index'")
+    query = commands.add_parser("query", help="query a database directory")
+    query.add_argument("database", help="database directory from 'index'")
     query.add_argument("image", help="query image file")
     query.add_argument("--epsilon", type=float, default=0.085)
     query.add_argument("--tau", type=float, default=0.0)
@@ -606,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser(
         "stats", help="query with metrics enabled and dump every "
                       "recorded instrument")
-    stats.add_argument("database", help="database file from 'index'")
+    stats.add_argument("database", help="database directory from 'index'")
     stats.add_argument("image", help="query image file")
     stats.add_argument("--epsilon", type=float, default=0.085)
     stats.add_argument("--tau", type=float, default=0.0)
@@ -622,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the query daemon over a database directory "
              "(POST /query + /query/batch, /healthz, /metrics, /stats)")
     daemon.add_argument("database",
-                        help="directory from WalrusDatabase.create(path)")
+                        help="database directory from 'index'")
     daemon.add_argument("--host", default="127.0.0.1")
     daemon.add_argument("--port", type=int, default=8963,
                         help="bind port (0 asks the kernel for a free "
@@ -696,8 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve for this many seconds then exit "
                             "(default: until interrupted)")
     serve.add_argument("--database", default=None,
-                       help="optional database to warm the registry "
-                            "with one query (requires --image)")
+                       help="optional database directory to warm the "
+                            "registry with one query (requires --image)")
     serve.add_argument("--image", default=None,
                        help="query image for the warm-up query")
     serve.add_argument("--epsilon", type=float, default=0.085)
@@ -717,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsck = commands.add_parser(
         "fsck", help="verify an on-disk database directory for corruption")
     fsck.add_argument("directory",
-                      help="directory from WalrusDatabase.create(path)")
+                      help="database directory from 'index'")
     fsck.add_argument("--json", action="store_true",
                       help="print the machine-readable summary dict "
                            "instead of per-issue lines")
@@ -725,17 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     migrate = commands.add_parser(
         "migrate",
-        help="convert a database directory between page-file formats "
-             "(v2 pickle <-> v3 zero-copy)")
-    migrate.add_argument("directory",
-                         help="directory from WalrusDatabase.create(path)")
-    migrate.add_argument("--to-format", type=int, default=None,
-                         choices=[2, 3],
-                         help="target page-file format (default: the "
-                              "current default, v3)")
+        help="upgrade a database directory written by 1.x (v2 pickled "
+             "pages) to the v3 page format")
+    migrate.add_argument("directory", help="database directory to upgrade")
     migrate.add_argument("--keep-backup", action="store_true",
                          help="keep the original next to the migrated "
-                              "file as <page-file>.v<N>.bak")
+                              "file as <page-file>.v2.bak")
     migrate.add_argument("--no-check", action="store_true",
                          help="skip the post-migration fsck pass")
     migrate.add_argument("--json", action="store_true",

@@ -15,14 +15,11 @@ Ties the whole system together (Section 5.1's overview):
   returns images whose similarity clears ``tau``, ranked.
 
 Lifecycle: :meth:`WalrusDatabase.create` builds a database — in memory
-with ``path=None``, or over a durable directory layout — and
-:meth:`WalrusDatabase.open` reattaches to anything previously
-persisted (a checkpoint directory or a legacy pickle snapshot).  The
+with ``path=None``, or over a durable checkpoint directory (v3 index
+pages plus one commit-coupled catalog record) — and
+:meth:`WalrusDatabase.open` reattaches to such a directory.  The
 database is a context manager; leaving the ``with`` block checkpoints
-(when disk-backed) and closes the page store.  The pre-1.0 entry
-points ``create_on_disk`` / ``open_on_disk`` / ``save`` / ``load``
-remain as deprecated shims scheduled for removal in 2.0 (see the
-API.md migration guide).
+(when disk-backed) and closes the page store.
 
 The query path keeps two small LRU caches: extracted query-region sets
 (keyed by image content) and per-region index probes (keyed by
@@ -35,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import warnings
 from typing import Any, Iterable, Sequence
 
 from repro.core.cache import CacheStats, LRUCache
@@ -53,7 +49,7 @@ from repro.index.geometry import Rect
 from repro.index.pagestore import (PageStore, create_page_store,
                                    open_page_store)
 from repro.index.rstar import RStarTree
-from repro.index.storage import PageFileBase, fsync_directory
+from repro.index.storage import fsync_directory
 from repro.observability import (NULL_TRACE, Deadline, ProbeCounts,
                                  QueryReport, SpanStageTrace, StageTrace,
                                  Stopwatch, current_span, get_events,
@@ -110,6 +106,12 @@ class WalrusDatabase:
     #: File names used by the directory-based on-disk layout.
     PAGE_FILE = "regions.pages"
     META_FILE = "walrus.meta"
+    #: What :meth:`create` writes to ``META_FILE``, once: the file only
+    #: marks the directory as a database (the catalog itself is a
+    #: record in ``PAGE_FILE``); its existence is checked, its content
+    #: never read.
+    META_MARKER = (b"walrus database directory: the catalog is a record "
+                   b"in regions.pages\n")
 
     #: Default LRU capacities for the query path.
     SIGNATURE_CACHE_SIZE = 8
@@ -133,15 +135,12 @@ class WalrusDatabase:
 
     def _init_caches(self, signature_cache: int | None,
                      probe_cache: int | None) -> None:
-        self._signature_cache_size = (self.SIGNATURE_CACHE_SIZE
-                                      if signature_cache is None
-                                      else signature_cache)
-        self._probe_cache_size = (self.PROBE_CACHE_SIZE
-                                  if probe_cache is None else probe_cache)
-        self._signature_cache = LRUCache(self._signature_cache_size,
-                                         metrics_name="signatures")
-        self._probe_cache = LRUCache(self._probe_cache_size,
-                                     metrics_name="probes")
+        self._signature_cache = LRUCache(
+            self.SIGNATURE_CACHE_SIZE if signature_cache is None
+            else signature_cache, metrics_name="signatures")
+        self._probe_cache = LRUCache(
+            self.PROBE_CACHE_SIZE if probe_cache is None else probe_cache,
+            metrics_name="probes")
         self._generation = 0
 
     # ------------------------------------------------------------------
@@ -152,42 +151,26 @@ class WalrusDatabase:
                params: ExtractionParameters | None = None,
                max_entries: int = 32,
                buffer_pages: int = 256,
-               page_format: int | None = None,
                store: PageStore | None = None,
                signature_cache: int | None = None,
                probe_cache: int | None = None) -> "WalrusDatabase":
         """Create a database.
 
-        With ``path=None`` the database lives in memory (persist later
-        with :meth:`open`-able snapshots if desired).  With a ``path``
-        the R*-tree pages live in that directory and the database is
-        durable: an initial checkpoint is written immediately, so
-        :meth:`open` works even before the first explicit
-        :meth:`checkpoint`.  If creation fails partway, the files
-        written so far are removed so a retry is not blocked by
+        With ``path=None`` the database lives in memory.  With a
+        ``path`` the R*-tree pages live in that directory and the
+        database is durable: an initial checkpoint is written
+        immediately, so :meth:`open` works even before the first
+        explicit :meth:`checkpoint`.  If creation fails partway, the
+        files written so far are removed so a retry is not blocked by
         "directory already contains a database".
 
-        ``page_format`` picks the on-disk page-file format: ``3`` (the
-        default — zero-copy ``mmap`` reads) or ``2`` (pickled pages).
-        Existing databases keep whatever format they were created
-        with until ``walrus migrate`` upgrades them; :meth:`open`
-        detects the format automatically.
-
         ``store`` substitutes a caller-provided page store for the
-        default (memory, or the page-format-selected store over
-        ``regions.pages`` when ``path`` is given — used by the
-        fault-injection tests and custom storage wrappers); a
-        disk-backed substitute must persist to the same file for
-        :meth:`open` to reattach.
+        default (memory, or the mmap store over ``regions.pages`` when
+        ``path`` is given — used by the fault-injection tests and
+        custom storage wrappers); a disk-backed substitute must
+        persist to the same file for :meth:`open` to reattach.
         """
-        if page_format is not None and store is not None:
-            raise InvalidParameterError(
-                "page_format= and store= are mutually exclusive; the "
-                "injected store already fixes the format")
         if path is None:
-            if page_format is not None:
-                raise InvalidParameterError(
-                    "page_format= applies to on-disk databases only")
             return cls(params, store=store, max_entries=max_entries,
                        signature_cache=signature_cache,
                        probe_cache=probe_cache)
@@ -198,34 +181,31 @@ class WalrusDatabase:
         # the caller takes responsibility for the existence check.
         if store is None and os.path.exists(page_path):
             raise DatabaseError(
-                f"{path} already contains a database; use open()"
-            )
-        database = None
+                f"{path} already contains a database; use open()")
         try:
+            with open(meta_path, "wb") as stream:
+                stream.write(cls.META_MARKER)
             if store is None:
                 store = create_page_store(page_path,
-                                          format_version=page_format,
                                           buffer_pages=buffer_pages)
             database = cls(params, store=store, max_entries=max_entries,
                            signature_cache=signature_cache,
                            probe_cache=probe_cache)
             database._directory = path
             database.checkpoint()
+            fsync_directory(path)  # both files' directory entries
             return database
         except Exception:
-            if database is not None:
-                database._closed = True  # skip the checkpoint in close()
             if store is not None:
                 try:
                     store.close()
                 except Exception:
                     pass
-            for leftover in (page_path, meta_path, meta_path + ".tmp"):
-                if os.path.exists(leftover):
-                    try:
-                        os.unlink(leftover)
-                    except OSError:
-                        pass
+            for leftover in (page_path, meta_path):
+                try:
+                    os.unlink(leftover)
+                except OSError:
+                    pass
             raise
 
     @classmethod
@@ -233,12 +213,12 @@ class WalrusDatabase:
              buffer_pages: int = 256,
              store: PageStore | None = None,
              readonly: bool = False) -> "WalrusDatabase":
-        """Reattach to a previously persisted database.
+        """Reattach to the checkpoint directory ``path`` (the layout
+        written by :meth:`create` with a path).
 
-        ``path`` may be a checkpoint directory (the layout written by
-        :meth:`create` with a path) or a legacy pickle snapshot file.
-        ``store`` substitutes a caller-provided page store over a
-        directory's page file (see :meth:`create`).
+        ``store`` substitutes a caller-provided page store over the
+        directory's page file (see :meth:`create`); the database owns
+        it from here on and closes it, also when the open fails.
 
         ``readonly=True`` opens the page file without write access and
         pins this handle to the commit that was current at open time:
@@ -248,44 +228,28 @@ class WalrusDatabase:
         :meth:`close` — this is the session primitive ``walrus serve``
         builds its concurrent snapshot readers on.
         """
-        if os.path.isdir(path):
-            return cls._open_directory(path, buffer_pages=buffer_pages,
-                                       store=store, readonly=readonly)
-        if store is not None:
-            raise InvalidParameterError(
-                "store= only applies to a checkpoint directory, "
-                f"not the snapshot file {path!r}")
-        if readonly:
-            raise InvalidParameterError(
-                "readonly= only applies to a checkpoint directory, "
-                f"not the snapshot file {path!r}")
-        return cls._read_snapshot(path)
-
-    @classmethod
-    def _open_directory(cls, directory: str, *, buffer_pages: int,
-                        store: PageStore | None,
-                        readonly: bool = False) -> "WalrusDatabase":
-        meta_path = os.path.join(directory, cls.META_FILE)
-        page_path = os.path.join(directory, cls.PAGE_FILE)
-        if not os.path.exists(meta_path) or not os.path.exists(page_path):
-            raise DatabaseError(f"{directory} is not a WALRUS database")
-        if store is None:
-            store = open_page_store(page_path, buffer_pages=buffer_pages,
-                                    readonly=readonly)
-        blob = store.metadata if hasattr(store, "metadata") else None
-        if blob is not None:
-            meta = cls._parse_meta(blob, page_path)
-        else:
-            # Store without commit-coupled metadata: fall back to the
-            # sidecar file.
-            meta = cls._load_meta(meta_path)
+        page_path = os.path.join(path, cls.PAGE_FILE)
+        try:
+            if not (os.path.exists(os.path.join(path, cls.META_FILE))
+                    and os.path.exists(page_path)):
+                raise DatabaseError(f"{path} is not a WALRUS database")
+            if store is None:
+                store = open_page_store(page_path,
+                                        buffer_pages=buffer_pages,
+                                        readonly=readonly)
+            meta = cls._parse_meta(store.metadata, page_path)
+            index = RStarTree.from_state(meta["index_state"], store)
+        except Exception:
+            if store is not None:
+                store.abandon()
+            raise
         database = cls.__new__(cls)
         database.params = meta["params"]
         database.extractor = RegionExtractor(database.params)
         database.images = meta["images"]
         database._next_id = meta["next_id"]
-        database.index = RStarTree.from_state(meta["index_state"], store)
-        database._directory = directory
+        database.index = index
+        database._directory = path
         database._closed = False
         database._readonly = readonly
         database._init_caches(None, None)
@@ -294,7 +258,7 @@ class WalrusDatabase:
     @property
     def readonly(self) -> bool:
         """Whether this handle was opened with ``readonly=True``."""
-        return getattr(self, "_readonly", False)
+        return self._readonly
 
     def close(self) -> None:
         """Checkpoint (when disk-backed and writable) and release the
@@ -304,11 +268,10 @@ class WalrusDatabase:
         Readonly handles never checkpoint — they own a snapshot, not
         the database.
         """
-        if getattr(self, "_closed", False):
+        if self._closed:
             return
         self._closed = True
-        if getattr(self, "_directory", None) is not None \
-                and not self.readonly:
+        if self._directory is not None and not self._readonly:
             self.checkpoint(_force=True)
         self.index.store.close()
 
@@ -887,24 +850,21 @@ class WalrusDatabase:
     # Persistence
     # ------------------------------------------------------------------
     def checkpoint(self, *, _force: bool = False) -> None:
-        """Durably commit index pages and metadata to the directory.
+        """Durably commit index pages and the catalog to the directory.
 
-        The metadata (image catalog, parameters, index root) is staged
-        into the page store and committed by the store's single atomic
+        The catalog (images, parameters, index root) is staged into
+        the page store and committed by the store's single atomic
         header flip *together with* the pages — a crash at any byte
-        boundary reopens to the previous checkpoint, and metadata can
-        never disagree with the page table it describes.  A human- and
-        fsck-readable copy is additionally mirrored to ``walrus.meta``
-        via temp file + ``os.replace`` + directory fsync; the mirror is
-        advisory (the store's copy is authoritative).
+        boundary reopens to the previous checkpoint, and the catalog
+        can never disagree with the page table it describes.  Nothing
+        else in the directory is written.
         """
         if not _force:
             self._check_open()
-        if self.readonly:
+        if self._readonly:
             raise DatabaseError(
                 "checkpoint on a readonly database handle")
-        directory = getattr(self, "_directory", None)
-        if directory is None:
+        if self._directory is None:
             raise DatabaseError(
                 "checkpoint requires a database created with "
                 "WalrusDatabase.create(path=...)"
@@ -915,34 +875,19 @@ class WalrusDatabase:
             "next_id": self._next_id,
             "index_state": self.index.state(),
         }
-        blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
         store = self.index.store
-        if hasattr(store, "set_metadata"):
-            store.set_metadata(blob)
+        store.set_metadata(
+            pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL))
         store.sync()
-        meta_path = os.path.join(directory, self.META_FILE)
-        with open(meta_path + ".tmp", "wb") as stream:
-            stream.write(blob)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(meta_path + ".tmp", meta_path)
-        fsync_directory(directory)
 
     @classmethod
-    def _load_meta(cls, meta_path: str) -> dict[str, Any]:
-        """Load a metadata pickle file, wrapping corruption in
-        :class:`DatabaseError` instead of leaking ``UnpicklingError``."""
-        try:
-            with open(meta_path, "rb") as stream:
-                blob = stream.read()
-        except OSError as error:
+    def _parse_meta(cls, blob: bytes | None,
+                    source: str) -> dict[str, Any]:
+        """Unpickle and validate a checkpoint's catalog record."""
+        if blob is None:
             raise DatabaseError(
-                f"{meta_path}: cannot read metadata: {error}") from error
-        return cls._parse_meta(blob, meta_path)
-
-    @classmethod
-    def _parse_meta(cls, blob: bytes, source: str) -> dict[str, Any]:
-        """Unpickle and validate a checkpoint metadata blob."""
+                f"{source}: page file carries no catalog record "
+                "(no checkpoint was ever committed)")
         try:
             meta = pickle.loads(blob)
         except Exception as error:
@@ -953,108 +898,3 @@ class WalrusDatabase:
             raise DatabaseError(
                 f"{source}: metadata is not a WALRUS checkpoint")
         return meta
-
-    def _write_snapshot(self, path: str) -> None:
-        """Pickle the entire database (index pages included) to ``path``.
-
-        Only supported with the in-memory page store; a disk-backed
-        database is already durable — use :meth:`checkpoint` /
-        :meth:`open` instead.
-        """
-        self._check_open()
-        if isinstance(self.index.store, PageFileBase):
-            raise DatabaseError(
-                "snapshots work with the in-memory store only; "
-                "disk-backed databases persist via checkpoint()"
-            )
-        with open(path, "wb") as stream:
-            pickle.dump(self, stream, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def _read_snapshot(cls, path: str) -> "WalrusDatabase":
-        try:
-            with open(path, "rb") as stream:
-                database = pickle.load(stream)
-        except OSError as error:
-            raise DatabaseError(
-                f"{path} is not a WALRUS database: {error}") from error
-        except Exception as error:
-            raise DatabaseError(
-                f"{path}: snapshot is corrupt: {error}") from error
-        if not isinstance(database, cls):
-            raise DatabaseError(f"{path} does not contain a WalrusDatabase")
-        return database
-
-    # Caches hold derived data keyed partly by runtime state; snapshots
-    # persist without them and rebuild empty ones on load (which also
-    # upgrades pre-cache pickles).
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        state.pop("_signature_cache", None)
-        state.pop("_probe_cache", None)
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._directory = state.get("_directory")
-        self._closed = state.get("_closed", False)
-        self._readonly = state.get("_readonly", False)
-        self._init_caches(state.get("_signature_cache_size"),
-                          state.get("_probe_cache_size"))
-
-    # ------------------------------------------------------------------
-    # Deprecated 0.x entry points (removal scheduled: see API.md)
-    # ------------------------------------------------------------------
-    #: Release in which the 0.x shims below stop existing.
-    DEPRECATED_REMOVAL_VERSION = "2.0"
-
-    @classmethod
-    def create_on_disk(cls, directory: str,
-                       params: ExtractionParameters | None = None, *,
-                       buffer_pages: int = 256,
-                       max_entries: int = 32,
-                       store: PageStore | None = None) -> "WalrusDatabase":
-        """Deprecated: use :meth:`create` with a ``path``."""
-        warnings.warn(
-            "WalrusDatabase.create_on_disk() is deprecated and will be "
-            f"removed in {cls.DEPRECATED_REMOVAL_VERSION}; use "
-            "WalrusDatabase.create(path, ...) (see the API.md migration "
-            "guide)",
-            DeprecationWarning, stacklevel=2)
-        return cls.create(directory, params=params,
-                          buffer_pages=buffer_pages,
-                          max_entries=max_entries, store=store)
-
-    @classmethod
-    def open_on_disk(cls, directory: str, *,
-                     buffer_pages: int = 256,
-                     store: PageStore | None = None) -> "WalrusDatabase":
-        """Deprecated: use :meth:`open`."""
-        warnings.warn(
-            "WalrusDatabase.open_on_disk() is deprecated and will be "
-            f"removed in {cls.DEPRECATED_REMOVAL_VERSION}; use "
-            "WalrusDatabase.open(path) (see the API.md migration guide)",
-            DeprecationWarning, stacklevel=2)
-        return cls._open_directory(directory, buffer_pages=buffer_pages,
-                                   store=store)
-
-    def save(self, path: str) -> None:
-        """Deprecated: snapshotting is superseded by
-        :meth:`create` with a ``path`` (durable checkpoints)."""
-        warnings.warn(
-            "WalrusDatabase.save() is deprecated and will be removed in "
-            f"{self.DEPRECATED_REMOVAL_VERSION}; create the database "
-            "with WalrusDatabase.create(path) for durability (see the "
-            "API.md migration guide)",
-            DeprecationWarning, stacklevel=2)
-        self._write_snapshot(path)
-
-    @classmethod
-    def load(cls, path: str) -> "WalrusDatabase":
-        """Deprecated: use :meth:`open`."""
-        warnings.warn(
-            "WalrusDatabase.load() is deprecated and will be removed in "
-            f"{cls.DEPRECATED_REMOVAL_VERSION}; use "
-            "WalrusDatabase.open(path) (see the API.md migration guide)",
-            DeprecationWarning, stacklevel=2)
-        return cls._read_snapshot(path)

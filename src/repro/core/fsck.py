@@ -2,10 +2,9 @@
 
 :func:`fsck_database` verifies an on-disk database directory — page
 checksums and page-table health via
-:meth:`~repro.index.pagestore.PageStore.scan` (on either on-disk
-format — the store is opened through
-:func:`~repro.index.pagestore.open_page_store`), metadata integrity,
-and R*-tree structure via
+:meth:`~repro.index.pagestore.PageStore.scan` (the store is opened
+through :func:`~repro.index.pagestore.open_page_store`), the catalog
+record's integrity, and R*-tree structure via
 :meth:`~repro.index.rstar.RStarTree.verify_summary` — and returns a
 machine-readable summary dict instead of printing.  The CLI renders
 the dict; CI and the structured event log consume it directly (when
@@ -28,8 +27,8 @@ Summary keys
     The R*-tree :meth:`verify_summary` dict, or ``None`` when the
     walk could not run (unusable store or metadata).
 ``format_version``
-    The page file's on-disk format (2 or 3), or ``None`` when the
-    store could not be opened.
+    The page file's on-disk format (3), or ``None`` when the
+    superblock could not be read.
 ``ok``
     ``is_database and not issues``.
 """
@@ -41,8 +40,10 @@ from typing import Any
 
 from repro.core.database import WalrusDatabase
 from repro.exceptions import StorageError, WalrusError
-from repro.index.rstar import RStarTree
 from repro.index.pagestore import open_page_store
+from repro.index.rstar import RStarTree
+from repro.index.storage import page_file_version
+from repro.index.storage_v3 import MmapPageStore
 from repro.observability.events import get_events
 
 
@@ -50,8 +51,11 @@ def fsck_database(directory: str) -> dict[str, Any]:
     """Check ``directory`` for corruption; returns the summary dict.
 
     Never raises for damage it was built to detect — missing files,
-    checksum failures, corrupt metadata and structural index damage
-    all land in ``issues``.
+    checksum failures, a corrupt catalog record and structural index
+    damage all land in ``issues``.  An intact v2 (1.x) page file is not
+    damage but a database this build cannot check at all: that raises
+    :func:`open_page_store`'s ``StorageError`` naming ``walrus
+    migrate``.
     """
     page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
     meta_path = os.path.join(directory, WalrusDatabase.META_FILE)
@@ -73,23 +77,27 @@ def fsck_database(directory: str) -> dict[str, Any]:
                     f"missing {label} {os.path.basename(path)}")
 
     if is_database:
-        store = None
+        try:
+            format_version = page_file_version(page_path)
+        except StorageError as error:
+            issues.append(f"page file unusable: {error}")
+    store = None
+    if format_version is not None:
         try:
             store = open_page_store(page_path, readonly=True)
         except StorageError as error:
+            if format_version != MmapPageStore.FORMAT_VERSION:
+                raise  # an intact v2 file, not damage
             issues.append(f"page file unusable: {error}")
-        if store is not None:
-            format_version = store.FORMAT_VERSION
+    if store is not None:
+        try:
             report = store.scan()
             pages_checked = len(report.pages)
             issues.extend(f"page file: {issue}" for issue in report.issues)
             meta = None
             try:
-                blob = store.metadata
-                if blob is not None:
-                    meta = WalrusDatabase._parse_meta(blob, page_path)
-                else:
-                    meta = WalrusDatabase._load_meta(meta_path)
+                meta = WalrusDatabase._parse_meta(store.metadata,
+                                                  page_path)
             except StorageError as error:
                 if not any("metadata record" in issue for issue in issues):
                     issues.append(f"page file: {error}")
@@ -104,6 +112,7 @@ def fsck_database(directory: str) -> dict[str, Any]:
                 except (KeyError, TypeError) as error:
                     issues.append(
                         f"metadata: malformed index state: {error!r}")
+        finally:
             store.close()
 
     summary: dict[str, Any] = {

@@ -26,17 +26,16 @@ from repro.exceptions import StorageError
 from repro.index.migrate import migrate_page_file
 
 
-def migrate_database(directory: str, *, to_format: int | None = None,
-                     keep_backup: bool = False,
+def migrate_database(directory: str, *, keep_backup: bool = False,
                      check: bool = True) -> dict[str, Any]:
-    """Convert the page file under ``directory`` to ``to_format``.
+    """Upgrade the v2 (1.x) page file under ``directory`` to v3.
 
     Returns a summary dict: the
     :meth:`~repro.index.migrate.MigrationReport.to_dict` payload plus
     ``directory``, ``checked`` and ``ok`` (``False`` only when the
     post-migration fsck found issues).  Raises :class:`StorageError`
-    when the directory is not a database or the page file already has
-    the target format.
+    when the directory is not a database or the page file is already
+    v3.
     """
     page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
     meta_path = os.path.join(directory, WalrusDatabase.META_FILE)
@@ -48,8 +47,7 @@ def migrate_database(directory: str, *, to_format: int | None = None,
             raise StorageError(
                 f"{directory} is not a walrus database: missing {label} "
                 f"{os.path.basename(path)}")
-    report = migrate_page_file(page_path, to_format=to_format,
-                               keep_backup=keep_backup)
+    report = migrate_page_file(page_path, keep_backup=keep_backup)
     summary: dict[str, Any] = report.to_dict()
     summary["directory"] = directory
     summary["checked"] = check

@@ -2,25 +2,21 @@
 
 from repro.index.faults import (
     FaultInjectingMmapPageStore,
-    FaultInjectingPageStore,
     FaultPlan,
     SimulatedCrash,
     corrupt_page,
-    fault_injecting_store,
 )
 from repro.index.geometry import Rect
 from repro.index.gist import BTreeKey, GiST, KeyClass, RTreeKey
 from repro.index.migrate import MigrationReport, migrate_page_file
 from repro.index.node import Entry, Node
 from repro.index.pagestore import (
-    DEFAULT_PAGE_FORMAT,
     MemoryPageStore,
     PageInfo,
     PageStore,
     StoreReport,
     create_page_store,
     open_page_store,
-    sniff_page_format,
 )
 from repro.index.rstar import RStarTree
 from repro.index.storage import (
@@ -28,15 +24,14 @@ from repro.index.storage import (
     PageFileBase,
     committed_generation,
     fsync_directory,
+    page_file_version,
 )
 from repro.index.storage_v3 import MmapPageStore
 
 __all__ = [
     "BTreeKey",
-    "DEFAULT_PAGE_FORMAT",
     "Entry",
     "FaultInjectingMmapPageStore",
-    "FaultInjectingPageStore",
     "FaultPlan",
     "GiST",
     "KeyClass",
@@ -56,9 +51,8 @@ __all__ = [
     "committed_generation",
     "corrupt_page",
     "create_page_store",
-    "fault_injecting_store",
     "fsync_directory",
     "migrate_page_file",
     "open_page_store",
-    "sniff_page_format",
+    "page_file_version",
 ]

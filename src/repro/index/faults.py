@@ -1,4 +1,4 @@
-"""Fault injection for the file-backed page stores.
+"""Fault injection for the file-backed page store.
 
 Crash-safety claims are only as good as the tests that attack them, so
 this module provides a deterministic fault harness used by the
@@ -9,21 +9,16 @@ crash-consistency suite (and available for ad-hoc torture runs):
   *torn* final write that persists only a prefix), transient
   ``OSError`` s on scheduled or random reads, and in-flight bit flips
   on read payloads.
-* :class:`FaultInjectingPageStore` — a v2
-  :class:`~repro.index.storage.FilePageStore` whose underlying file
-  handle is wrapped by :class:`FaultyFile`, which executes the plan.
-* :class:`FaultInjectingMmapPageStore` — the v3 twin: writes still go
-  through :class:`FaultyFile` (mutation counting, torn writes,
-  crashes), while ``mmap``-served reads run the same read-fault
-  schedule through :func:`inject_read_faults`.
-* :func:`fault_injecting_store` — sniffs an existing file's format and
-  mounts the matching fault-injecting store, the way
-  :func:`~repro.index.pagestore.open_page_store` does for clean opens.
+* :class:`FaultInjectingMmapPageStore` — a
+  :class:`~repro.index.storage_v3.MmapPageStore` whose file handle is
+  wrapped by :class:`FaultyFile`, which executes the plan for writes
+  (mutation counting, torn writes, crashes), while ``mmap``-served
+  reads run the read-fault schedule at the mapped-read hook.
 * :func:`corrupt_page` — at-rest corruption: flip one bit inside a
   committed page record on disk, returning the flipped offset.
 
-Both fault stores are byte-for-byte format compatible with their clean
-counterparts, so after a simulated crash a test reopens the same path
+The fault store is byte-for-byte format compatible with its clean
+counterpart, so after a simulated crash a test reopens the same path
 with a plain store, exactly like a restarted process.
 
 A simulated crash raises :class:`SimulatedCrash`, which deliberately
@@ -40,11 +35,11 @@ import os
 import random
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 from repro.exceptions import InvalidParameterError, StorageError
-from repro.index.pagestore import open_page_store, sniff_page_format
-from repro.index.storage import _RECORD, FilePageStore, PageFileBase
+from repro.index.pagestore import open_page_store
+from repro.index.storage import _RECORD
 from repro.index.storage_v3 import MmapPageStore
 from repro.observability.events import get_events
 
@@ -134,62 +129,13 @@ class FaultPlan:
         self.lock = threading.Lock()
 
 
-def inject_read_faults(plan: FaultPlan,
-                       fetch: Callable[[], Any]) -> Any:
-    """Run one read operation under ``plan``'s read-fault schedule.
-
-    Counts the read, raises a transient ``OSError`` when the schedule
-    or rate says so, injects the optional slow-read delay, calls
-    ``fetch`` for the actual bytes, and applies the bit-flip lottery
-    to the result.  Shared by :class:`FaultyFile` (v2 file reads) and
-    :class:`FaultInjectingMmapPageStore` (v3 mapped reads) so both
-    formats consume the plan's RNG in exactly the same order — the
-    crash-consistency sweep depends on that determinism.
-
-    A bit flip copies the payload (the on-disk/mapped bytes stay
-    intact); a clean read returns ``fetch``'s result untouched, so
-    zero-copy views stay zero-copy.
-    """
-    with plan.lock:
-        plan.read_ops += 1
-        read_ops = plan.read_ops
-        fail = read_ops in plan.read_error_schedule \
-            or (plan.read_error_rate
-                and plan.rng.random() < plan.read_error_rate)
-    if fail:
-        _emit_fault("read_error", read_ops=read_ops)
-        raise OSError("injected transient read error "
-                      f"(read op {read_ops})")
-    if plan.read_delay_rate:
-        with plan.lock:
-            delayed = plan.rng.random() < plan.read_delay_rate
-        if delayed:
-            _emit_fault("slow_read", read_ops=read_ops,
-                        seconds=plan.read_delay_seconds)
-            # Sleep outside the lock: a slow read stalls one
-            # reader session, not every store sharing the plan.
-            time.sleep(plan.read_delay_seconds)
-    data = fetch()
-    if len(data) and plan.bitflip_rate:
-        with plan.lock:
-            flip = plan.rng.random() < plan.bitflip_rate
-            if flip:
-                index = plan.rng.randrange(len(data))
-                bit = 1 << plan.rng.randrange(8)
-        if flip:
-            flipped = bytearray(data)
-            flipped[index] ^= bit
-            data = bytes(flipped)
-            _emit_fault("bit_flip", read_ops=read_ops)
-    return data
-
-
 class FaultyFile:
     """A binary file wrapper that executes a :class:`FaultPlan`.
 
     Mutating operations (``write``, ``fsync``) advance the plan's
-    mutation counter and may trigger the scheduled crash; reads advance
-    the read counter and may raise transient errors or flip bits.
+    mutation counter and may trigger the scheduled crash.  (Reads are
+    served from the store's mapping, not this handle; see
+    :meth:`FaultInjectingMmapPageStore._mapped_read`.)
     """
 
     def __init__(self, raw: Any, plan: FaultPlan) -> None:
@@ -241,20 +187,6 @@ class FaultyFile:
         self._raw.flush()
         os.fsync(self._raw.fileno())
 
-    def truncate(self, size: int | None = None) -> int:
-        if self._count_mutation():
-            _emit_fault("crash", operation="truncate",
-                        mutation_ops=self.plan.mutation_ops)
-            raise SimulatedCrash("crash during truncate")
-        return self._raw.truncate(size)
-
-    # -- reads -----------------------------------------------------------
-    def read(self, size: int = -1) -> bytes:
-        self._check_alive()
-        data: bytes = inject_read_faults(self.plan,
-                                         lambda: self._raw.read(size))
-        return data
-
     # -- passthrough ------------------------------------------------------
     def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
         self._check_alive()
@@ -278,9 +210,16 @@ class FaultyFile:
         return self._raw.closed
 
 
-class FaultInjectingPageStore(FilePageStore):
-    """A :class:`FilePageStore` whose file IO runs through a
+class FaultInjectingMmapPageStore(MmapPageStore):
+    """A :class:`MmapPageStore` whose IO runs through a
     :class:`FaultPlan`.
+
+    Writes (and the fsync commit barrier) go through
+    :class:`FaultyFile`, so crash points land on the plan's mutation
+    schedule.  Reads are served from the mapping, not the file
+    handle, so the read-fault schedule is applied at the
+    :meth:`_mapped_read` hook instead — transient errors, slow reads,
+    and bit flips all hit the zero-copy path.
 
     Construction itself performs file operations (header reads or the
     initial superblock write), so an aggressive enough plan can crash
@@ -296,59 +235,61 @@ class FaultInjectingPageStore(FilePageStore):
     def _wrap_file(self, stream: Any) -> Any:
         return FaultyFile(stream, self.plan)
 
-
-class FaultInjectingMmapPageStore(MmapPageStore):
-    """A v3 :class:`MmapPageStore` whose IO runs through a
-    :class:`FaultPlan`.
-
-    Writes (and the fsync commit barrier) go through
-    :class:`FaultyFile` exactly as in the v2 store, so crash points
-    land on the same mutation schedule.  Reads are served from the
-    mapping, not the file handle, so the read-fault schedule is
-    applied at the :meth:`_mapped_read` hook instead — transient
-    errors, slow reads, and bit flips all hit the zero-copy path.
-    """
-
-    def __init__(self, path: str | os.PathLike, buffer_pages: int = 256,
-                 *, plan: FaultPlan | None = None,
-                 readonly: bool = False) -> None:
-        self.plan = plan if plan is not None else FaultPlan()
-        super().__init__(path, buffer_pages, readonly=readonly)
-
-    def _wrap_file(self, stream: Any) -> Any:
-        return FaultyFile(stream, self.plan)
-
     def _mapped_read(self, offset: int, size: int) -> bytes | memoryview:
-        if self.plan.crashed:
+        """One mapped read under the plan's read-fault schedule.
+
+        Counts the read, raises a transient ``OSError`` when the
+        schedule or rate says so, injects the optional slow-read
+        delay, fetches the bytes, and applies the bit-flip lottery —
+        consuming the plan's RNG in a fixed order (the
+        crash-consistency sweep depends on that determinism).  A bit
+        flip copies the payload (the mapped bytes stay intact); a
+        clean read returns the zero-copy view untouched.
+        """
+        plan = self.plan
+        if plan.crashed:
             raise SimulatedCrash("process already crashed")
-        result: bytes | memoryview = inject_read_faults(
-            self.plan,
-            lambda: MmapPageStore._mapped_read(self, offset, size))
-        return result
-
-
-def fault_injecting_store(path: str | os.PathLike, *,
-                          plan: FaultPlan | None = None,
-                          buffer_pages: int = 256,
-                          readonly: bool = False) -> PageFileBase:
-    """Open an existing page file of either format with fault injection
-    mounted — the chaos-harness counterpart of
-    :func:`~repro.index.pagestore.open_page_store`."""
-    version = sniff_page_format(path)
-    if version == 2:
-        return FaultInjectingPageStore(path, buffer_pages, plan=plan,
-                                       readonly=readonly)
-    return FaultInjectingMmapPageStore(path, buffer_pages, plan=plan,
-                                       readonly=readonly)
+        with plan.lock:
+            plan.read_ops += 1
+            read_ops = plan.read_ops
+            fail = read_ops in plan.read_error_schedule \
+                or (plan.read_error_rate
+                    and plan.rng.random() < plan.read_error_rate)
+        if fail:
+            _emit_fault("read_error", read_ops=read_ops)
+            raise OSError("injected transient read error "
+                          f"(read op {read_ops})")
+        if plan.read_delay_rate:
+            with plan.lock:
+                delayed = plan.rng.random() < plan.read_delay_rate
+            if delayed:
+                _emit_fault("slow_read", read_ops=read_ops,
+                            seconds=plan.read_delay_seconds)
+                # Sleep outside the lock: a slow read stalls one
+                # reader session, not every store sharing the plan.
+                time.sleep(plan.read_delay_seconds)
+        data = super()._mapped_read(offset, size)
+        if len(data) and plan.bitflip_rate:
+            with plan.lock:
+                flip = plan.rng.random() < plan.bitflip_rate
+                if flip:
+                    index = plan.rng.randrange(len(data))
+                    bit = 1 << plan.rng.randrange(8)
+            if flip:
+                flipped = bytearray(data)
+                flipped[index] ^= bit
+                data = bytes(flipped)
+                _emit_fault("bit_flip", read_ops=read_ops)
+        return data
 
 
 def corrupt_page(path: str | os.PathLike, page_id: int, *,
                  seed: int = 0) -> int:
     """Flip one bit inside the committed record of ``page_id``.
 
-    Opens the page file read-only (either format) to find the record,
-    then flips a random bit of its payload in place.  Returns the
-    absolute file offset of the corrupted byte.  Raises
+    Opens the page file read-only to find the record, then flips a
+    random bit of its payload in place.  Returns the absolute file
+    offset of the corrupted byte.  Raises
     :class:`StorageError` when the page has no committed record.
     """
     store = open_page_store(path, readonly=True)

@@ -1,16 +1,17 @@
-"""Offline page-file format migration (v2 ↔ v3).
+"""Offline page-file format migration (v2 → v3).
 
-:func:`migrate_page_file` rewrites a page file into another format the
-same way ``compact()`` rewrites within one: build the replacement in a
+:func:`migrate_page_file` upgrades a page file written by 1.x (v2,
+pickled pages) to the one format 2.0 reads and writes (v3), the same
+way ``compact()`` rewrites within a format: build the replacement in a
 side file, then swap it into place with ``os.replace`` + directory
 fsync.  A crash at any point leaves either the intact original or the
 complete replacement — never a hybrid.
 
 The migrated file preserves everything a reader can observe:
 
-* every live page (decoded with the source codec, re-encoded with the
-  target codec — queries return bit-identical results because the v3
-  layout stores the exact float64/int64 values the pickles held),
+* every live page (decoded with the v2 codec, re-encoded with the v3
+  codec — queries return bit-identical results because the v3 layout
+  stores the exact float64/int64 values the pickles held),
 * the application metadata blob,
 * the allocation cursor (``next_id``), and
 * the commit **generation** — the replacement's single closing commit
@@ -31,12 +32,9 @@ import shutil
 from dataclasses import dataclass
 
 from repro.exceptions import StorageError
-from repro.index.pagestore import (
-    DEFAULT_PAGE_FORMAT,
-    open_page_store,
-    page_store_class,
-)
-from repro.index.storage import fsync_directory
+from repro.index.storage import (FilePageStore, fsync_directory,
+                                 page_file_version)
+from repro.index.storage_v3 import MmapPageStore
 
 
 @dataclass(frozen=True)
@@ -62,30 +60,26 @@ class MigrationReport:
 
 
 def migrate_page_file(path: str | os.PathLike[str], *,
-                      to_format: int | None = None,
                       keep_backup: bool = False) -> MigrationReport:
-    """Rewrite the page file at ``path`` into ``to_format`` (default
-    :data:`~repro.index.pagestore.DEFAULT_PAGE_FORMAT`).
+    """Rewrite the v2 page file at ``path`` as v3.
 
     With ``keep_backup`` the original survives next to the migrated
-    file as ``<path>.v<source_format>.bak``.  Raises
-    :class:`StorageError` when the file already has the target format
-    or holds pages the target codec cannot represent (e.g. non-node
-    pages moving to v3).
+    file as ``<path>.v2.bak``.  Raises :class:`StorageError` when the
+    file is already v3 or holds pages the v3 codec cannot represent
+    (anything but R*-tree nodes).
     """
     spath = os.fspath(path)
-    target = DEFAULT_PAGE_FORMAT if to_format is None else to_format
-    target_class = page_store_class(target)
+    source_format = FilePageStore.FORMAT_VERSION
+    target_format = MmapPageStore.FORMAT_VERSION
+    if page_file_version(spath) == target_format:
+        raise StorageError(
+            f"{spath}: already a v{target_format} page file")
     side_path = spath + ".migrate"
-    source = open_page_store(spath, readonly=True)
+    source = FilePageStore(spath, readonly=True)
     try:
-        source_format = source.FORMAT_VERSION
-        if source_format == target:
-            raise StorageError(
-                f"{spath}: already a v{target} page file")
         if os.path.exists(side_path):
             os.unlink(side_path)
-        replacement = target_class(side_path, buffer_pages=1)
+        replacement = MmapPageStore(side_path, buffer_pages=1)
         try:
             replacement._next_id = source._next_id
             # close() commits exactly once, so priming one generation
@@ -124,5 +118,5 @@ def migrate_page_file(path: str | os.PathLike[str], *,
     os.replace(side_path, spath)
     fsync_directory(os.path.dirname(os.path.abspath(spath)))
     return MigrationReport(path=spath, source_format=source_format,
-                           target_format=target, pages=pages,
+                           target_format=target_format, pages=pages,
                            generation=generation, backup_path=backup_path)

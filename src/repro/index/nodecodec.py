@@ -57,13 +57,12 @@ def encode_node(node: object) -> bytes:
     Leaf items must be ``(image_id, region_index)`` pairs of Python
     ints — the only item shape the database writes — because the
     layout stores them as two ``int64`` columns.  Anything else raises
-    :class:`StorageError` (use the v2 format for arbitrary payloads).
+    :class:`StorageError`.
     """
     if not isinstance(node, Node):
         raise StorageError(
             "v3 page files store R*-tree nodes only, got "
-            f"{type(node).__name__}; use the v2 format for arbitrary "
-            "picklable pages"
+            f"{type(node).__name__}"
         )
     entries = node.entries
     count = len(entries)

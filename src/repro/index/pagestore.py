@@ -5,22 +5,21 @@ GiST C++ library).  To keep that property honest, the tree never holds
 object references between nodes — it addresses children by integer
 page id through a :class:`PageStore`.  This module defines the
 protocol every backend implements, the in-memory reference backend,
-and the factory functions that pick an on-disk implementation by
-format version:
+and the factory functions for the on-disk one:
 
 * :class:`MemoryPageStore` — a dict; zero overhead, the default for
   in-process indexes.
-* :class:`~repro.index.storage.FilePageStore` — the v2 on-disk format
-  (pickled page payloads in a crash-safe heap file).
-* :class:`~repro.index.storage_v3.MmapPageStore` — the v3 on-disk
-  format (fixed-layout binary nodes read zero-copy through ``mmap``).
+* :class:`~repro.index.storage_v3.MmapPageStore` — the on-disk format
+  (v3: fixed-layout binary nodes in a crash-safe heap file, read
+  zero-copy through ``mmap``).
 
-:func:`open_page_store` sniffs an existing file's superblock magic and
-returns the matching implementation; :func:`create_page_store` lays
-out a fresh file in an explicit (or the default) format.  Callers that
-accept "any page file" — ``WalrusDatabase.open``, ``walrus fsck``, the
-server's snapshot readers — go through these instead of naming a
-concrete class.
+:func:`open_page_store` checks an existing file's superblock and opens
+it — a legacy v2 file (1.x, pickled pages) is a structured
+:class:`StorageError` naming ``walrus migrate``;
+:func:`create_page_store` lays out a fresh file.  Callers that accept
+"the page file of a database" — ``WalrusDatabase.open``, ``walrus
+fsck``, the server's snapshot readers — go through these instead of
+naming a concrete class.
 
 The protocol
 ------------
@@ -48,10 +47,7 @@ from typing import TYPE_CHECKING, Any
 from repro.exceptions import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.index.storage import PageFileBase
-
-#: Format version used for newly created on-disk page files.
-DEFAULT_PAGE_FORMAT = 3
+    from repro.index.storage_v3 import MmapPageStore
 
 
 class PageInfo:
@@ -144,6 +140,13 @@ class PageStore:
     def close(self) -> None:
         """Release resources; the store must not be used afterwards."""
 
+    def abandon(self) -> None:
+        """Release resources *without* committing anything — for the
+        caller whose open failed after the store was mounted, which
+        must not leave a new commit behind.  Same as :meth:`close`
+        for a store whose ``close`` does not commit."""
+        self.close()
+
     @property
     def generation(self) -> int:
         """The commit generation this store currently reads from.
@@ -215,87 +218,39 @@ class MemoryPageStore(PageStore):
         return len(self._pages)
 
 
-def sniff_page_format(path: str | os.PathLike[str]) -> int:
-    """Read the superblock of the page file at ``path`` and return its
-    format version (2 or 3).
-
-    Raises :class:`StorageError` when the file cannot be read, is not
-    a WALRUS page file, is the long-dead v1 format, or carries a
-    magic/version mismatch.
-    """
-    from repro.index.storage import _MAGIC_V1, _SUPER, KNOWN_FORMATS
-
-    spath = os.fspath(path)
-    try:
-        with open(spath, "rb") as stream:
-            raw = stream.read(_SUPER.size)
-    except OSError as error:
-        raise StorageError(
-            f"{spath}: cannot read page-file superblock: {error}"
-        ) from error
-    if len(raw) < _SUPER.size:
-        raise StorageError(f"{spath}: truncated superblock")
-    magic, version = _SUPER.unpack(raw)
-    if magic == _MAGIC_V1:
-        raise StorageError(
-            f"{spath}: old-format (v1) WALRUS page file without "
-            "checksums; rebuild the index to migrate"
-        )
-    expected = KNOWN_FORMATS.get(magic)
-    if expected is None:
-        raise StorageError(f"{spath}: not a WALRUS page file")
-    if version != expected:
-        raise StorageError(
-            f"{spath}: superblock claims format version {version} but "
-            f"carries the v{expected} magic"
-        )
-    return expected
-
-
-def page_store_class(format_version: int) -> "type[PageFileBase]":
-    """The on-disk :class:`PageStore` implementation for a format
-    version."""
-    if format_version == 2:
-        from repro.index.storage import FilePageStore
-        return FilePageStore
-    if format_version == 3:
-        from repro.index.storage_v3 import MmapPageStore
-        return MmapPageStore
-    raise StorageError(
-        f"unsupported page-file format version {format_version} "
-        "(supported: 2, 3)"
-    )
-
-
 def open_page_store(path: str | os.PathLike[str], *,
                     buffer_pages: int = 256,
-                    readonly: bool = False) -> "PageFileBase":
-    """Open an existing page file, dispatching on its superblock magic.
+                    readonly: bool = False) -> "MmapPageStore":
+    """Open the existing page file at ``path``.
 
-    This is how every "open whatever is on disk" path — database open,
-    fsck, snapshot readers — stays format-agnostic: v2 files come back
-    as :class:`~repro.index.storage.FilePageStore`, v3 files as
-    :class:`~repro.index.storage_v3.MmapPageStore`.
+    This is how every "open what is on disk" path — database open,
+    fsck, snapshot readers — reaches the store.  A v2 file (written by
+    1.x) raises a :class:`StorageError` naming ``walrus migrate``, the
+    one tool that still reads that format.
     """
-    store_class = page_store_class(sniff_page_format(path))
-    return store_class(path, buffer_pages=buffer_pages, readonly=readonly)
+    from repro.index.storage_v3 import MmapPageStore
+
+    spath = os.fspath(path)
+    if not os.path.exists(spath) or os.path.getsize(spath) == 0:
+        raise StorageError(
+            f"{spath}: no page file to open; create one with "
+            "create_page_store()")
+    return MmapPageStore(spath, buffer_pages=buffer_pages, readonly=readonly)
 
 
 def create_page_store(path: str | os.PathLike[str], *,
-                      format_version: int | None = None,
-                      buffer_pages: int = 256) -> "PageFileBase":
-    """Create a fresh page file at ``path`` in ``format_version``
-    (default :data:`DEFAULT_PAGE_FORMAT`).
+                      buffer_pages: int = 256) -> "MmapPageStore":
+    """Create a fresh (v3) page file at ``path``.
 
     Refuses to overwrite an existing non-empty file — reopening goes
-    through :func:`open_page_store`, and changing an existing file's
-    format goes through ``walrus migrate``.
+    through :func:`open_page_store`.
     """
+    from repro.index.storage_v3 import MmapPageStore
+
     spath = os.fspath(path)
     if os.path.exists(spath) and os.path.getsize(spath) > 0:
         raise StorageError(
             f"{spath}: page file already exists; open it with "
-            "open_page_store() or convert it with 'walrus migrate'"
+            "open_page_store()"
         )
-    version = DEFAULT_PAGE_FORMAT if format_version is None else format_version
-    return page_store_class(version)(spath, buffer_pages=buffer_pages)
+    return MmapPageStore(spath, buffer_pages=buffer_pages)

@@ -1,15 +1,15 @@
-"""Crash-safe paged file storage for the R*-tree (the v2 format).
+"""Crash-safe paged file storage for the R*-tree.
 
 The protocol the R*-tree programs against lives in
 :mod:`repro.index.pagestore` (:class:`PageStore`,
 :class:`MemoryPageStore`, and the :func:`~repro.index.pagestore.\
 open_page_store` / :func:`~repro.index.pagestore.create_page_store`
-factories); those names are re-exported here for compatibility.  This
-module holds the shared on-disk machinery — superblock, dual header
-slots, checksummed records, atomic commit — as :class:`PageFileBase`,
-plus the v2 implementation :class:`FilePageStore` whose page payloads
-are pickles.  The zero-copy v3 format builds on the same base in
-:mod:`repro.index.storage_v3`.
+factories).  This module holds the on-disk machinery — superblock,
+dual header slots, checksummed records, atomic commit — as
+:class:`PageFileBase`, which the v3 format
+(:mod:`repro.index.storage_v3`, the only one written) builds on, plus
+:class:`FilePageStore`, the read-only decoder of the legacy v2 format
+(pickled page payloads) that ``walrus migrate`` upgrades from.
 
 On-disk format (shared by v2 and v3)
 ------------------------------------
@@ -49,10 +49,11 @@ The file is crash-safe and self-verifying:
 
 What differs between v2 and v3 is only the *payload encoding* — the
 codec hooks ``_encode_page`` / ``_decode_page`` / ``_encode_table`` /
-``_decode_table`` — and how reads are served (buffered file reads in
-v2, ``mmap`` views in v3).  Version 1 files (no checksums, single
-header) are detected and rejected with a clear "old format" error.
-Space from rewritten pages is reclaimed only by :meth:`compact`.
+``_decode_table``, of which the v2 decoder keeps the two ``_decode``
+ones — and how reads are served (buffered file reads in v2, ``mmap``
+views in v3).  Version 1 files (no checksums, single header) are
+detected and rejected with a clear "old format" error.  Space from
+rewritten pages is reclaimed only by :meth:`compact`.
 """
 
 from __future__ import annotations
@@ -65,10 +66,7 @@ from collections import OrderedDict
 from typing import Any, TypeVar
 
 from repro.exceptions import PageCorruptionError, StorageError
-from repro.index.pagestore import MemoryPageStore as MemoryPageStore
-from repro.index.pagestore import PageInfo as PageInfo
-from repro.index.pagestore import PageStore as PageStore
-from repro.index.pagestore import StoreReport as StoreReport
+from repro.index.pagestore import PageInfo, PageStore, StoreReport
 
 _MAGIC_V1 = b"WALRUSPG"
 _MAGIC = b"WALRUSP2"
@@ -138,6 +136,47 @@ def _record_crc(page_id: int, payload: bytes | bytearray | memoryview) -> int:
         _RECORD_BODY.pack(page_id, len(payload))))
 
 
+def _superblock_version(raw: bytes | memoryview, spath: str) -> int:
+    """The format version (2 or 3) the superblock bytes ``raw`` declare.
+
+    The one place a superblock is validated: raises
+    :class:`StorageError` when it is truncated, not a WALRUS page
+    file, the long-dead v1 format, or carries a magic/version mismatch
+    (a stitched-together file).
+    """
+    if len(raw) < _SUPER.size:
+        raise StorageError(f"{spath}: truncated superblock")
+    magic, version = _SUPER.unpack(raw)
+    if magic == _MAGIC_V1:
+        raise StorageError(
+            f"{spath}: old-format (v1) WALRUS page file without "
+            "checksums; rebuild the index")
+    expected = KNOWN_FORMATS.get(magic)
+    if expected is None:
+        raise StorageError(f"{spath}: not a WALRUS page file")
+    if version != expected:
+        raise StorageError(
+            f"{spath}: superblock claims format version {version} but "
+            f"carries the v{expected} magic")
+    return expected
+
+
+def page_file_version(path: str | os.PathLike[str]) -> int:
+    """The format version (2 or 3) of the page file at ``path``, read
+    from its superblock without opening a store.  Raises
+    :class:`StorageError` when the file cannot be read or its
+    superblock is invalid."""
+    spath = os.fspath(path)
+    try:
+        with open(spath, "rb") as stream:
+            raw = stream.read(_SUPER.size)
+    except OSError as error:
+        raise StorageError(
+            f"{spath}: cannot read page-file superblock: {error}"
+        ) from error
+    return _superblock_version(raw, spath)
+
+
 def committed_generation(path: str | os.PathLike[str]) -> int:
     """The newest committed generation number of the page file at
     ``path``, read from the dual header slots without opening a store.
@@ -151,16 +190,10 @@ def committed_generation(path: str | os.PathLike[str]) -> int:
     missing or not a WALRUS page file,
     :class:`PageCorruptionError` when both header slots are corrupt.
     """
+    spath = os.fspath(path)
     try:
-        with open(os.fspath(path), "rb") as stream:
-            raw = stream.read(_SUPER.size)
-            if len(raw) < _SUPER.size:
-                raise StorageError(f"{os.fspath(path)}: truncated superblock")
-            magic, version = _SUPER.unpack(raw)
-            if KNOWN_FORMATS.get(magic) != version:
-                raise StorageError(
-                    f"{os.fspath(path)}: not a v{_FORMAT_VERSION} or v3 "
-                    "WALRUS page file")
+        with open(spath, "rb") as stream:
+            _superblock_version(stream.read(_SUPER.size), spath)
             generations = []
             for index in range(2):
                 blob = stream.read(_SLOT.size)
@@ -172,10 +205,10 @@ def committed_generation(path: str | os.PathLike[str]) -> int:
                 generations.append(fields[0])
     except OSError as error:
         raise StorageError(
-            f"{os.fspath(path)}: cannot read header: {error}") from error
+            f"{spath}: cannot read header: {error}") from error
     if not generations:
         raise PageCorruptionError(
-            f"{os.fspath(path)}: both header slots are corrupt", offset=0)
+            f"{spath}: both header slots are corrupt", offset=0)
     return max(generations)
 
 
@@ -186,7 +219,7 @@ class PageFileBase(PageStore):
     and implement the codec hooks:
 
     * :meth:`_encode_page` / :meth:`_decode_page` — page payloads
-      (pickle in v2, fixed binary node layout in v3).
+      (fixed binary node layout in v3, pickle in the legacy v2).
     * :meth:`_encode_table` / :meth:`_decode_table` — the committed
       offset table.
 
@@ -212,6 +245,8 @@ class PageFileBase(PageStore):
 
     MAGIC: bytes
     FORMAT_VERSION: int
+    #: Records start at multiples of this (v3 aligns; v2 did not).
+    RECORD_ALIGN = 1
 
     def __init__(self, path: str | os.PathLike[str], buffer_pages: int = 256,
                  *, readonly: bool = False) -> None:
@@ -302,32 +337,14 @@ class PageFileBase(PageStore):
                                          meta_size, self._next_id))
         _fsync_stream(self._file)
 
-    def _check_magic(self, magic: bytes, version: int) -> None:
-        """Validate a superblock against this store's format."""
-        if magic == self.MAGIC:
-            if version != self.FORMAT_VERSION:
-                raise StorageError(
-                    f"{self.path}: unsupported page-file format version "
-                    f"{version} (this build reads version "
-                    f"{self.FORMAT_VERSION})"
-                )
-            return
-        other = KNOWN_FORMATS.get(magic)
-        if other is not None:
-            raise StorageError(
-                f"{self.path}: this is a v{other} WALRUS page file, not "
-                f"v{self.FORMAT_VERSION}; open it with "
-                "repro.index.pagestore.open_page_store() or convert it "
-                "with 'walrus migrate'"
-            )
-        raise StorageError(f"{self.path}: not a WALRUS page file")
-
     def _load_header(self) -> None:
-        raw = self._read_at(0, _SUPER.size, "superblock")
-        if len(raw) < _SUPER.size:
-            raise StorageError(f"{self.path}: truncated superblock")
-        magic, version = _SUPER.unpack(raw)
-        self._check_magic(bytes(magic), version)
+        version = _superblock_version(
+            self._read_at(0, _SUPER.size, "superblock"), self.path)
+        if version != self.FORMAT_VERSION:
+            raise StorageError(
+                f"{self.path}: this is a v{version} WALRUS page file, not "
+                f"v{self.FORMAT_VERSION}; v2 database directories are "
+                "upgraded to v3 with 'walrus migrate'")
         slots = []
         for index in range(2):
             offset = _SUPER.size + index * _SLOT.size
@@ -428,14 +445,21 @@ class PageFileBase(PageStore):
         return payload
 
     def _append_record(self, page_id: int, payload: bytes) -> tuple[int, int]:
-        """Append one checksummed record; return ``(offset, size)``."""
+        """Append one checksummed record at the next ``RECORD_ALIGN``
+        boundary; return ``(offset, size)``.
+
+        Padding and record go down in a single ``write`` call so fault
+        injection sees one mutation per append and a torn write cannot
+        split the pad from its record.
+        """
         header = _RECORD.pack(page_id, len(payload),
                               _record_crc(page_id, payload))
         self._file.seek(0, os.SEEK_END)
-        offset = max(self._file.tell(), _DATA_START)
-        self._file.seek(offset)
-        self._file.write(header + payload)
-        return offset, _RECORD.size + len(payload)
+        end = max(self._file.tell(), _DATA_START)
+        padding = (-end) % self.RECORD_ALIGN
+        self._file.seek(end)
+        self._file.write(b"\0" * padding + header + payload)
+        return end + padding, _RECORD.size + len(payload)
 
     def _check_open(self) -> None:
         if self._closed or self._file.closed:
@@ -558,6 +582,10 @@ class PageFileBase(PageStore):
         finally:
             self._closed = True
             self._file.close()
+
+    def abandon(self) -> None:
+        self.readonly = True  # close() then skips its commit
+        self.close()
 
     def __len__(self) -> int:
         return len(self.page_ids())
@@ -682,28 +710,26 @@ class PageFileBase(PageStore):
 
 
 class FilePageStore(PageFileBase):
-    """The v2 on-disk format: page payloads are pickles.
+    """Read-only decoder of the legacy v2 format (pickled payloads).
 
-    General-purpose — any picklable object can be a page — at the cost
-    of a full deserialization per cold read.  New databases default to
-    the v3 format (:class:`~repro.index.storage_v3.MmapPageStore`),
-    which reads R*-tree nodes zero-copy; v2 remains fully supported
-    for existing files and as the fallback for non-node pages.
+    2.0 writes v3 only (:class:`~repro.index.storage_v3.MmapPageStore`);
+    this class exists so :func:`~repro.index.migrate.migrate_page_file`
+    can read a 1.x file once.  It has no encode hooks, and a writable
+    open is rejected with the same "run 'walrus migrate'" error every
+    other open of a v2 file gets.
     """
 
     MAGIC = _MAGIC
     FORMAT_VERSION = _FORMAT_VERSION
 
-    def _check_magic(self, magic: bytes, version: int) -> None:
-        if magic == _MAGIC_V1:
+    def __init__(self, path: str | os.PathLike[str], buffer_pages: int = 256,
+                 *, readonly: bool = False) -> None:
+        if not readonly:
             raise StorageError(
-                f"{self.path}: old-format (v1) WALRUS page file without "
-                "checksums; rebuild the index to migrate to format v2"
-            )
-        super()._check_magic(magic, version)
-
-    def _encode_page(self, page_id: int, page: Any) -> bytes:
-        return pickle.dumps(page, protocol=pickle.HIGHEST_PROTOCOL)
+                f"{os.fspath(path)}: v2 page files are read-only in "
+                "2.0; upgrade the database directory with 'walrus "
+                "migrate'")
+        super().__init__(path, buffer_pages, readonly=True)
 
     def _decode_page(self, page_id: int, payload: bytes | memoryview,
                      offset: int) -> Any:
@@ -716,10 +742,6 @@ class FilePageStore(PageFileBase):
                 f"{self.path}: page {page_id} at offset {offset} does "
                 f"not unpickle: {error}"
             ) from error
-
-    def _encode_table(self) -> bytes:
-        return self._stamp_table(
-            pickle.dumps(self._offsets, protocol=pickle.HIGHEST_PROTOCOL))
 
     def _decode_table(self, payload: bytes | memoryview,
                       offset: int) -> dict[int, tuple[int, int]]:

@@ -1,14 +1,15 @@
 """Zero-copy v3 page format: ``mmap`` reads over fixed binary nodes.
 
-:class:`MmapPageStore` shares every durability property of the v2
-format — superblock, dual header slots, CRC32-per-record, atomic
-commit, crash-safe compaction; see :mod:`repro.index.storage` — and
-changes only how payloads are encoded and served:
+:class:`MmapPageStore` is the on-disk page store.  The durability
+machinery — superblock, dual header slots, CRC32-per-record, atomic
+commit, crash-safe compaction — is :class:`~repro.index.storage.\
+PageFileBase`'s (shared with the legacy v2 decoder); this module adds
+how payloads are encoded and served:
 
 * Page payloads are the fixed binary node layout of
-  :mod:`repro.index.nodecodec` instead of pickles, so a cold node
-  read performs **zero** ``pickle.loads`` calls and reconstructs
-  bounding rectangles as ``np.frombuffer`` views.
+  :mod:`repro.index.nodecodec`, so a cold node read performs **zero**
+  ``pickle.loads`` calls and reconstructs bounding rectangles as
+  ``np.frombuffer`` views.
 * Reads come from a shared read-only ``mmap`` of the heap file, so a
   verified record's payload is never copied — the decoded node's
   arrays alias the page cache directly.
@@ -36,14 +37,7 @@ from typing import Any
 
 from repro.exceptions import StorageError
 from repro.index.nodecodec import decode_node, encode_node
-from repro.index.storage import (
-    _DATA_START,
-    _MAGIC_V3,
-    _READ_RETRIES,
-    _RECORD,
-    PageFileBase,
-    _record_crc,
-)
+from repro.index.storage import _MAGIC_V3, _READ_RETRIES, PageFileBase
 
 #: Offset-table framing: entry count, then (page_id, offset, size) each.
 _TABLE_COUNT = struct.Struct("<Q")
@@ -67,6 +61,7 @@ class MmapPageStore(PageFileBase):
 
     MAGIC = _MAGIC_V3
     FORMAT_VERSION = 3
+    RECORD_ALIGN = _RECORD_ALIGN
 
     def __init__(self, path: str | os.PathLike[str], buffer_pages: int = 256,
                  *, readonly: bool = False) -> None:
@@ -112,8 +107,7 @@ class MmapPageStore(PageFileBase):
     def _mapped_read(self, offset: int, size: int) -> bytes | memoryview:
         """Serve one read from the mapping.
 
-        The single override point for fault injection, mirroring what
-        the file wrapper is for v2 reads.
+        The single override point for read-fault injection.
         """
         return self._view(offset, size)
 
@@ -151,22 +145,6 @@ class MmapPageStore(PageFileBase):
             f"{self.path}: reading {what} at offset {offset} failed "
             f"after {_READ_RETRIES} attempts: {last_error}"
         ) from last_error
-
-    def _append_record(self, page_id: int, payload: bytes) -> tuple[int, int]:
-        """Append one checksummed record at the next 8-byte boundary.
-
-        Padding and record go down in a single ``write`` call so fault
-        injection still sees one mutation per append and a torn write
-        cannot split the pad from its record.
-        """
-        header = _RECORD.pack(page_id, len(payload),
-                              _record_crc(page_id, payload))
-        self._file.seek(0, os.SEEK_END)
-        end = max(self._file.tell(), _DATA_START)
-        padding = (-end) % _RECORD_ALIGN
-        self._file.seek(end)
-        self._file.write(b"\0" * padding + header + payload)
-        return end + padding, _RECORD.size + len(payload)
 
     # -- codecs ---------------------------------------------------------
     def _encode_page(self, page_id: int, page: Any) -> bytes:

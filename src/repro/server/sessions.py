@@ -41,8 +41,8 @@ from repro.index.storage import committed_generation
 from repro.observability import Deadline, get_tracer
 
 #: A callable building a (readonly) page store over the page file —
-#: how the chaos harness mounts :class:`FaultInjectingPageStore` under
-#: a live server.
+#: how the chaos harness mounts :class:`FaultInjectingMmapPageStore`
+#: under a live server.
 StoreFactory = Callable[[str], PageStore]
 
 
@@ -93,9 +93,15 @@ class ReaderSession:
             return False
 
     def refresh(self) -> None:
-        """Re-open at the latest committed generation."""
-        self.database.close()
-        self.database = self._open()
+        """Re-open at the latest committed generation.
+
+        The new handle is opened *before* the pinned one is released,
+        so a refresh that raises (a damaged newest commit) leaves the
+        session serving its pinned snapshot.
+        """
+        fresh = self._open()
+        pinned, self.database = self.database, fresh
+        pinned.close()
 
     def query(self, image: Image,
               query_params: QueryParameters | None = None, *,
@@ -170,9 +176,11 @@ class SessionPool:
 
         The session is refreshed first when the database has committed
         past its pinned generation, so the query observes the commit
-        current at arrival.  Raises :class:`ServerError` on timeout or
-        after :meth:`close` — with admission control sized to the
-        pool, a timeout indicates a configuration bug, not load.
+        current at arrival; when that commit cannot be opened the
+        session is handed out at its pinned generation.  Raises
+        :class:`ServerError` on timeout or after :meth:`close` — with
+        admission control sized to the pool, a timeout indicates a
+        configuration bug, not load.
 
         Runs under a ``session.acquire`` span when the process tracer
         is on: the span's duration is the wait for an idle reader plus
@@ -194,9 +202,20 @@ class SessionPool:
                 if span.recording:
                     span.add_event("refresh",
                                    from_generation=session.generation)
-                session.refresh()
-                with self._condition:
-                    self._refreshes += 1
+                try:
+                    session.refresh()
+                except Exception as error:
+                    # The newest commit cannot be opened — whatever the
+                    # reason, the pinned snapshot remains serviceable
+                    # (see ReaderSession.stale) and the pool keeps its
+                    # session.
+                    if span.recording:
+                        span.add_event("refresh_failed",
+                                       error_type=type(error).__name__,
+                                       error=str(error))
+                else:
+                    with self._condition:
+                        self._refreshes += 1
             if span.recording:
                 span.set_attribute("generation", session.generation)
             return session

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.parameters import ExtractionParameters
 from repro.imaging.draw import Canvas, draw_flower
 from repro.imaging.image import Image
+from repro.index.pagestore import open_page_store
 
 
 @pytest.fixture
@@ -40,6 +43,18 @@ def make_flower_image(height: int = 64, width: int = 64, *,
                 cx if cx is not None else width / 2,
                 radius, (0.85, 0.1, 0.1), (0.9, 0.8, 0.2))
     return canvas.to_image(name=name)
+
+
+def corrupt_catalog_record(page_path: str | os.PathLike[str]) -> None:
+    """Flip three bytes inside the newest committed catalog record of
+    the page file at ``page_path`` (its CRC no longer matches)."""
+    with open_page_store(page_path, readonly=True) as store:
+        offset, size = store._meta_location
+    with open(page_path, "r+b") as stream:
+        stream.seek(offset + size // 2)
+        damaged = bytes(byte ^ 0xFF for byte in stream.read(3))
+        stream.seek(offset + size // 2)
+        stream.write(damaged)
 
 
 @pytest.fixture

@@ -134,16 +134,19 @@ class TestDatabaseCaches:
         assert stats["signatures"].hits == 0
         assert stats["probes"].hits == 0
 
-    def test_snapshot_drops_cache_contents(self, tmp_path, database,
-                                           query_image):
-        database.query(query_image)
-        snapshot = str(tmp_path / "snap.pickle")
-        database._write_snapshot(snapshot)
-        restored = WalrusDatabase.open(snapshot)
-        stats = restored.cache_stats()
-        assert stats["signatures"].size == 0
-        assert stats["probes"].size == 0
-        # ... but caching still works after the round-trip.
-        restored.query(query_image)
-        restored.query(query_image)
-        assert restored.cache_stats()["signatures"].hits == 1
+    def test_snapshot_drops_cache_contents(self, tmp_path, query_image):
+        """Caches are per-handle: a checkpoint persists none of them."""
+        directory = str(tmp_path / "db")
+        with WalrusDatabase.create(directory, params=PARAMS) as database:
+            database.add_images([render_scene("flowers", seed=1,
+                                              name="flowers-1")])
+            database.query(query_image)
+            assert database.cache_stats()["signatures"].size == 1
+        with WalrusDatabase.open(directory, readonly=True) as restored:
+            stats = restored.cache_stats()
+            assert stats["signatures"].size == 0
+            assert stats["probes"].size == 0
+            # ... but caching still works after the round-trip.
+            restored.query(query_image)
+            restored.query(query_image)
+            assert restored.cache_stats()["signatures"].hits == 1

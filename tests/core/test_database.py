@@ -9,7 +9,7 @@ from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.exceptions import DatabaseError
 from repro.imaging.image import Image
-from repro.index.storage import FilePageStore
+from repro.index.storage_v3 import MmapPageStore
 
 
 @pytest.fixture
@@ -23,17 +23,21 @@ def solid(color, name: str, size=(64, 64)) -> Image:
     return Image(pixels, "rgb", name)
 
 
-@pytest.fixture
-def small_db(params, flower_factory) -> WalrusDatabase:
-    database = WalrusDatabase(params)
-    database.add_images([
+def small_images(flower_factory) -> list[Image]:
+    return [
         flower_factory(64, 64, cy=32, cx=32, radius=18,
                        name="flower-center"),
         flower_factory(64, 96, cy=24, cx=70, radius=12,
                        name="flower-off"),
         solid((0.1, 0.2, 0.9), "blue"),
         solid((0.9, 0.8, 0.1), "yellow"),
-    ])
+    ]
+
+
+@pytest.fixture
+def small_db(params, flower_factory) -> WalrusDatabase:
+    database = WalrusDatabase(params)
+    database.add_images(small_images(flower_factory))
     return database
 
 
@@ -164,26 +168,37 @@ class TestQuerying:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, small_db, flower_factory, tmp_path):
+    def test_save_load_roundtrip(self, params, small_db, flower_factory,
+                                 tmp_path):
+        """The same images through a database directory answer exactly
+        like the in-memory database, across close and reopen."""
         path = str(tmp_path / "walrus.db")
         query = flower_factory(64, 64, radius=16)
         expected = small_db.query(query).names()
-        small_db.save(path)
-        loaded = WalrusDatabase.load(path)
-        assert len(loaded) == len(small_db)
-        assert loaded.query(query).names() == expected
+        with WalrusDatabase.create(path, params=params) as saved:
+            saved.add_images(small_images(flower_factory))
+        with WalrusDatabase.open(path) as loaded:
+            assert len(loaded) == len(small_db)
+            assert loaded.query(query).names() == expected
 
     def test_load_rejects_other_pickles(self, tmp_path):
+        """A pickle *file* — what 1.x ``save()`` wrote — is not a
+        database, and nothing in it is unpickled on the way to saying
+        so."""
         import pickle
+
+        class Tripwire:
+            def __reduce__(self):
+                return (pytest.fail, ("open() unpickled a snapshot file",))
 
         path = tmp_path / "junk.db"
         with open(path, "wb") as stream:
-            pickle.dump({"not": "a database"}, stream)
-        with pytest.raises(DatabaseError):
-            WalrusDatabase.load(str(path))
+            pickle.dump(Tripwire(), stream)
+        with pytest.raises(DatabaseError, match="not a WALRUS database"):
+            WalrusDatabase.open(str(path))
 
     def test_file_backed_index(self, params, flower_factory, tmp_path):
-        store = FilePageStore(tmp_path / "pages.db", buffer_pages=16)
+        store = MmapPageStore(tmp_path / "pages.db", buffer_pages=16)
         database = WalrusDatabase(params, store=store)
         database.add_images([
             flower_factory(64, 64, radius=18, name="flower"),

@@ -1,22 +1,30 @@
 """The redesigned WalrusDatabase lifecycle API.
 
-Covers create/open round-trips (memory, directory, legacy snapshot),
-context-manager close, the DatabaseClosedError guard, and the four
-deprecated 0.x shims.
+Covers create/open round-trips (memory, directory), what open() does
+with everything that is not a 2.0 database directory, context-manager
+close and the DatabaseClosedError guard.
 """
 
 from __future__ import annotations
 
+import ast
+import gc
+import os
+import pathlib
+import pickle
 import warnings
 
 import pytest
 
+import repro
 from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.core.results import QueryResult, RegionMatch
 from repro.datasets.generator import render_scene
 from repro.exceptions import (DatabaseClosedError, DatabaseError,
-                              InvalidParameterError)
+                              InvalidParameterError, PageCorruptionError)
+from repro.index.pagestore import create_page_store, open_page_store
+from tests.conftest import corrupt_catalog_record
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
 
@@ -67,22 +75,107 @@ class TestCreate:
         with pytest.raises(DatabaseError):
             WalrusDatabase.open(str(tmp_path / "nothing"))
 
-    def test_open_snapshot_file(self, tmp_path, scenes, query_image):
-        snapshot = str(tmp_path / "snap.pickle")
-        database = WalrusDatabase.create(params=PARAMS)
-        database.add_images(scenes)
-        before = database.query(query_image).names()
-        database._write_snapshot(snapshot)
-        restored = WalrusDatabase.open(snapshot)
-        assert restored.query(query_image).names() == before
+    def test_open_snapshot_file(self, tmp_path):
+        # What 1.x save() wrote: one pickle file.  2.0 has no reader
+        # for it (re-index the images); it is just "not a database".
+        snapshot = tmp_path / "snap.pickle"
+        snapshot.write_bytes(pickle.dumps({"a 1.x": "snapshot"}))
+        for readonly in (False, True):
+            with pytest.raises(DatabaseError,
+                               match="not a WALRUS database"):
+                WalrusDatabase.open(str(snapshot), readonly=readonly)
 
-    def test_open_snapshot_rejects_store(self, tmp_path, scenes):
-        snapshot = str(tmp_path / "snap.pickle")
-        database = WalrusDatabase.create(params=PARAMS)
-        database.add_images(scenes[:1])
-        database._write_snapshot(snapshot)
-        with pytest.raises(InvalidParameterError):
-            WalrusDatabase.open(snapshot, store=object())
+    def test_marker_file_is_checked_not_read(self, tmp_path, scenes,
+                                             query_image):
+        directory = tmp_path / "db"
+        with WalrusDatabase.create(str(directory),
+                                   params=PARAMS) as database:
+            database.add_images(scenes)
+            before = database.query(query_image).names()
+        marker = directory / WalrusDatabase.META_FILE
+        marker.write_bytes(b"junk, e.g. a 1.x pickle mirror")
+        with WalrusDatabase.open(str(directory), readonly=True) as reopened:
+            assert reopened.query(query_image).names() == before
+        marker.unlink()
+        with pytest.raises(DatabaseError, match="not a WALRUS database"):
+            WalrusDatabase.open(str(directory))
+
+    def test_page_file_without_catalog_record(self, tmp_path):
+        directory = tmp_path / "db"
+        WalrusDatabase.create(str(directory), params=PARAMS).close()
+        page_path = directory / WalrusDatabase.PAGE_FILE
+        page_path.unlink()
+        # A committed page file that never saw checkpoint().
+        create_page_store(page_path).close()
+        with pytest.raises(DatabaseError, match="no catalog record"):
+            WalrusDatabase.open(str(directory), readonly=True)
+
+
+class SpyStore:
+    """Delegates to a real store and records how it was released."""
+
+    def __init__(self, store):
+        self._store = store
+        self.released = []
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def close(self):
+        self.released.append("close")
+        self._store.close()
+
+    def abandon(self):
+        self.released.append("abandon")
+        self._store.abandon()
+
+
+class TestFailedOpenReleasesStore:
+    """A failed open closes what it mounted — without committing."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path, scenes):
+        """A database whose newest catalog record fails its CRC."""
+        directory = str(tmp_path / "db")
+        with WalrusDatabase.create(directory, params=PARAMS) as database:
+            database.add_images(scenes[:2])
+        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+        corrupt_catalog_record(page_path)
+        return directory, page_path
+
+    @pytest.mark.parametrize("readonly", [True, False])
+    def test_corrupt_catalog_record(self, damaged, readonly):
+        directory, page_path = damaged
+        before = pathlib.Path(page_path).read_bytes()
+        spy = SpyStore(open_page_store(page_path, readonly=readonly))
+        with pytest.raises(PageCorruptionError, match="metadata record"):
+            WalrusDatabase.open(directory, store=spy, readonly=readonly)
+        assert spy.released == ["abandon"]
+        assert spy._closed
+        # Not even a writable handle left a commit behind.
+        assert pathlib.Path(page_path).read_bytes() == before
+
+    def test_unparsable_catalog_record(self, tmp_path):
+        directory = tmp_path / "db"
+        WalrusDatabase.create(str(directory), params=PARAMS).close()
+        page_path = directory / WalrusDatabase.PAGE_FILE
+        with open_page_store(page_path) as store:
+            store.set_metadata(b"not a pickle")
+        spy = SpyStore(open_page_store(page_path, readonly=True))
+        with pytest.raises(DatabaseError, match="metadata is corrupt"):
+            WalrusDatabase.open(str(directory), store=spy, readonly=True)
+        assert spy.released == ["abandon"] and spy._closed
+
+    def test_no_resource_warning(self, damaged):
+        directory, _ = damaged
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for readonly in (True, False):
+                with pytest.raises(PageCorruptionError):
+                    WalrusDatabase.open(directory, readonly=readonly)
+            gc.collect()  # an unclosed file warns when finalized
+        assert [str(warning.message) for warning in caught
+                if issubclass(warning.category, ResourceWarning)] == []
 
 
 class TestContextManager:
@@ -123,31 +216,29 @@ class TestContextManager:
 
 
 class TestDeprecatedShims:
-    def test_create_on_disk_warns_and_works(self, tmp_path):
-        directory = str(tmp_path / "db")
-        with pytest.warns(DeprecationWarning, match="create_on_disk"):
-            database = WalrusDatabase.create_on_disk(directory, PARAMS)
-        database.close()
-        assert WalrusDatabase.open(directory).closed is False
+    """The four 0.x shims and the snapshot pickling are gone in 2.0."""
 
-    def test_open_on_disk_warns_and_works(self, tmp_path):
-        directory = str(tmp_path / "db")
-        WalrusDatabase.create(directory, params=PARAMS).close()
-        with pytest.warns(DeprecationWarning, match="open_on_disk"):
-            database = WalrusDatabase.open_on_disk(directory)
-        database.close()
-
-    def test_save_load_warn_and_roundtrip(self, tmp_path, scenes,
-                                          query_image):
-        snapshot = str(tmp_path / "snap.pickle")
-        database = WalrusDatabase.create(params=PARAMS)
-        database.add_images(scenes)
-        before = database.query(query_image).names()
-        with pytest.warns(DeprecationWarning, match="save"):
-            database.save(snapshot)
-        with pytest.warns(DeprecationWarning, match="load"):
-            restored = WalrusDatabase.load(snapshot)
-        assert restored.query(query_image).names() == before
+    def test_removed_names_and_pickle_stay_removed(self):
+        removed = ["save", "load", "__getstate__"] + [
+            f"{verb}_on_disk" for verb in ("create", "open")]
+        assert [name for name in removed
+                if name in vars(WalrusDatabase)] == []
+        # The catalog record (core/database.py) and the v2 decoder
+        # that ``walrus migrate`` reads 1.x files with
+        # (index/storage.py) are the only users of pickle.
+        package = pathlib.Path(repro.__file__).parent
+        importers = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module]
+                else:
+                    continue
+                if "pickle" in modules:
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"core/database.py", "index/storage.py"}
 
     def test_new_entry_points_do_not_warn(self, tmp_path):
         directory = str(tmp_path / "db")

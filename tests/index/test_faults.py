@@ -8,21 +8,24 @@ import pytest
 
 from repro.exceptions import PageCorruptionError, StorageError
 from repro.index.faults import (
-    FaultInjectingPageStore,
+    FaultInjectingMmapPageStore,
     FaultPlan,
     SimulatedCrash,
     corrupt_page,
 )
-from repro.index.storage import FilePageStore
+from repro.index.pagestore import open_page_store
+from repro.index.storage_v3 import MmapPageStore
+from tests.nodepages import node_page, page_value
 
 pytestmark = pytest.mark.faults
 
 
 def populated(path, pages=5, buffer_pages=256):
-    store = FilePageStore(path, buffer_pages=buffer_pages)
+    """``pages`` committed node pages, each carrying its own id."""
+    store = MmapPageStore(path, buffer_pages=buffer_pages)
     for index in range(pages):
         page_id = store.allocate()
-        store.write(page_id, {"page": page_id, "blob": "x" * 64})
+        store.write(page_id, node_page(page_id, page_id))
     store.sync()
     return store
 
@@ -33,14 +36,14 @@ class TestChecksums:
         populated(path).close()
         offset = corrupt_page(path, 3)
         assert offset > 0
-        store = FilePageStore(path)
+        store = MmapPageStore(path)
         with pytest.raises(PageCorruptionError) as excinfo:
             store.read(3)
         assert excinfo.value.page_id == 3
         assert excinfo.value.offset is not None
         # The other pages are untouched.
         for page_id in (0, 1, 2, 4):
-            assert store.read(page_id)["page"] == page_id
+            assert page_value(store.read(page_id)) == page_id
         store.close()
 
     def test_corrupt_page_needs_committed_record(self, tmp_path):
@@ -54,7 +57,7 @@ class TestChecksums:
         populated(path, pages=20).close()
         # Enable flips only after construction so the header loads.
         plan = FaultPlan(seed=7)
-        store = FaultInjectingPageStore(path, plan=plan)
+        store = FaultInjectingMmapPageStore(path, plan=plan)
         plan.bitflip_rate = 1.0
         with pytest.raises(StorageError):
             for page_id in range(20):
@@ -64,7 +67,7 @@ class TestChecksums:
         path = tmp_path / "pages.db"
         populated(path).close()
         corrupt_page(path, 2)
-        store = FilePageStore(path, readonly=True)
+        store = MmapPageStore(path, readonly=True)
         report = store.scan()
         store.close()
         assert not report.ok
@@ -87,20 +90,17 @@ class TestTransientErrors:
         populated(path).close()
         # Fail the first read attempt; the bounded retry recovers.
         plan = FaultPlan(read_error_schedule=(1,))
-        store = FaultInjectingPageStore(path, plan=plan)
-        assert store.read(0)["page"] == 0
+        store = FaultInjectingMmapPageStore(path, plan=plan)
+        assert page_value(store.read(0)) == 0
         store.close()
 
     def test_persistent_read_errors_become_storage_error(self, tmp_path):
         path = tmp_path / "pages.db"
         populated(path).close()
-        store = FilePageStore(path)
-        # Every subsequent read fails: schedule far exceeds the retry
-        # budget starting from the next read op.
+        # Every read fails: the schedule far exceeds the retry budget.
         plan = FaultPlan(read_error_schedule=tuple(range(1, 50)))
-        store.close()
         with pytest.raises(StorageError) as excinfo:
-            FaultInjectingPageStore(path, plan=plan)
+            FaultInjectingMmapPageStore(path, plan=plan)
         assert "after" in str(excinfo.value)  # bounded retries exhausted
         assert not isinstance(excinfo.value, PageCorruptionError)
 
@@ -109,16 +109,17 @@ class TestCrashDuringSync:
     def workload(self, path, plan=None):
         """Create, commit a baseline, mutate, and re-sync under faults."""
         if plan is None:
-            store = FilePageStore(path, buffer_pages=4)
+            store = MmapPageStore(path, buffer_pages=4)
         else:
-            store = FaultInjectingPageStore(path, buffer_pages=4, plan=plan)
+            store = FaultInjectingMmapPageStore(path, buffer_pages=4,
+                                                plan=plan)
         ids = [store.allocate() for _ in range(8)]
         for page_id in ids:
-            store.write(page_id, ("v1", page_id))
+            store.write(page_id, node_page(page_id, 1))
         store.sync()
         baseline_ops = store.plan.mutation_ops if plan is not None else None
         for page_id in ids[:4]:
-            store.write(page_id, ("v2", page_id))
+            store.write(page_id, node_page(page_id, 2))
         store.free(ids[7])
         store.sync()
         return store, baseline_ops
@@ -139,21 +140,21 @@ class TestCrashDuringSync:
                 self.workload(path, plan)
             # "Restart the process": reopen with a plain store.  The
             # second sync either committed fully or not at all.
-            reopened = FilePageStore(path)
+            reopened = MmapPageStore(path)
             live = reopened.page_ids()
             if 7 in live:  # pre-crash generation
                 assert live == set(range(8))
-                expected_version = "v1"
+                expected_version = 1
             else:  # post-crash generation
                 assert live == set(range(7))
-                expected_version = "v2"
+                expected_version = 2
             for page_id in sorted(live):
-                version, payload = reopened.read(page_id)
-                assert payload == page_id
+                node = reopened.read(page_id)
+                assert node.page_id == page_id
                 if page_id < 4:
-                    assert version == expected_version
+                    assert page_value(node) == expected_version
                 else:
-                    assert version == "v1"
+                    assert page_value(node) == 1
             assert reopened.scan().ok
             reopened.close()
 
@@ -163,14 +164,14 @@ class TestCrashDuringSync:
         store.close()
         # Manually tear the most recent header slot: zero half of it.
         from repro.index.storage import _SLOT, _SUPER
-        store = FilePageStore(path, readonly=True)
+        store = MmapPageStore(path, readonly=True)
         generation = store._generation
         store.close()
         slot_offset = _SUPER.size + (generation % 2) * _SLOT.size
         with open(path, "r+b") as stream:
             stream.seek(slot_offset)
             stream.write(b"\0" * (_SLOT.size // 2))
-        reopened = FilePageStore(path)
+        reopened = MmapPageStore(path)
         assert reopened._generation == generation - 1
         reopened.close()
 
@@ -182,7 +183,7 @@ class TestCrashDuringSync:
             stream.seek(_SUPER.size)
             stream.write(b"\xff" * (2 * _SLOT.size))
         with pytest.raises(PageCorruptionError):
-            FilePageStore(path)
+            MmapPageStore(path)
 
 
 class TestStructuredLoadErrors:
@@ -191,15 +192,15 @@ class TestStructuredLoadErrors:
         header = struct.Struct("<8sQQ")
         path.write_bytes(header.pack(b"WALRUSPG", 0, 0))
         with pytest.raises(StorageError) as excinfo:
-            FilePageStore(path)
+            open_page_store(path)
         assert "old-format" in str(excinfo.value)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "pages.db"
         from repro.index.storage import _SUPER
-        path.write_bytes(_SUPER.pack(b"WALRUSP2", 99) + b"\0" * 128)
+        path.write_bytes(_SUPER.pack(b"WALRUSP3", 99) + b"\0" * 128)
         with pytest.raises(StorageError) as excinfo:
-            FilePageStore(path)
+            MmapPageStore(path)
         assert "version 99" in str(excinfo.value)
 
     def test_truncated_table_is_storage_error(self, tmp_path):
@@ -210,23 +211,21 @@ class TestStructuredLoadErrors:
         with open(path, "r+b") as stream:
             stream.truncate(table_offset + 4)
         with pytest.raises(StorageError) as excinfo:
-            FilePageStore(path)
-        assert not str(excinfo.value).startswith("invalid load key")
+            MmapPageStore(path)
+        assert "page table" in str(excinfo.value)
 
     def test_garbage_table_payload_is_storage_error(self, tmp_path):
         # A table record whose checksum passes but whose payload is not
-        # a pickled dict must still come back as StorageError.
-        import pickle
-
+        # an offset table must still come back as StorageError.
         from repro.index.storage import (_RECORD, _SLOT, _SUPER,
                                          _TABLE_ID, _record_crc)
         path = tmp_path / "pages.db"
         populated(path).close()
-        store = FilePageStore(path, readonly=True)
+        store = MmapPageStore(path, readonly=True)
         generation = store._generation
         store.close()
-        # Forge a newer commit whose table is a pickled list.
-        payload = pickle.dumps([1, 2, 3])
+        # Forge a newer commit whose table is three stray bytes.
+        payload = b"\x01\x02\x03"
         forged_generation = generation + 1
         slot_offset = _SUPER.size + (forged_generation % 2) * _SLOT.size
         with open(path, "r+b") as stream:
@@ -236,11 +235,11 @@ class TestStructuredLoadErrors:
                                       _record_crc(_TABLE_ID, payload))
                          + payload)
             stream.seek(slot_offset)
-            stream.write(FilePageStore._pack_slot(
+            stream.write(MmapPageStore._pack_slot(
                 forged_generation, table_offset,
                 _RECORD.size + len(payload), 0, 0, 5))
         with pytest.raises(StorageError) as excinfo:
-            FilePageStore(path)
+            MmapPageStore(path)
         assert "page table" in str(excinfo.value)
 
 
@@ -268,8 +267,8 @@ class TestReadonly:
     def test_readonly_store_rejects_mutation(self, tmp_path):
         path = tmp_path / "pages.db"
         populated(path).close()
-        store = FilePageStore(path, readonly=True)
-        assert store.read(0)["page"] == 0
+        store = MmapPageStore(path, readonly=True)
+        assert page_value(store.read(0)) == 0
         for operation in (lambda: store.write(0, "x"),
                           lambda: store.allocate(),
                           lambda: store.free(0),
@@ -281,13 +280,13 @@ class TestReadonly:
 
     def test_readonly_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
-            FilePageStore(tmp_path / "absent.db", readonly=True)
+            MmapPageStore(tmp_path / "absent.db", readonly=True)
 
     def test_readonly_close_does_not_write(self, tmp_path):
         path = tmp_path / "pages.db"
         populated(path).close()
         before = path.read_bytes()
-        store = FilePageStore(path, readonly=True)
+        store = MmapPageStore(path, readonly=True)
         store.read(1)
         store.close()
         assert path.read_bytes() == before
@@ -298,12 +297,12 @@ class TestCompactCrashSafety:
         path = tmp_path / "pages.db"
         store = populated(path, pages=6, buffer_pages=2)
         for _ in range(10):  # accumulate dead versions
-            store.write(0, {"page": 0, "blob": "y" * 512})
+            store.write(0, node_page(0, 0, entries=16))
             store.sync()
         store.close()
 
         # Find how many mutating ops a full compact takes.
-        probe = FaultInjectingPageStore(path, plan=FaultPlan())
+        probe = FaultInjectingMmapPageStore(path, plan=FaultPlan())
         start_ops = probe.plan.mutation_ops
         probe.compact()
         total = probe.plan.mutation_ops
@@ -316,12 +315,12 @@ class TestCompactCrashSafety:
         original = populated(victim_path, pages=6, buffer_pages=2)
         original.close()
         plan = FaultPlan(crash_after_ops=start_ops + 1, torn_writes=False)
-        victim = FaultInjectingPageStore(victim_path, plan=plan)
+        victim = FaultInjectingMmapPageStore(victim_path, plan=plan)
         try:
             victim.compact()
         except SimulatedCrash:
             pass
-        reopened = FilePageStore(victim_path)
+        reopened = MmapPageStore(victim_path)
         assert reopened.page_ids() == set(range(6))
         assert reopened.scan().ok
         reopened.close()
@@ -338,7 +337,7 @@ class TestTreeVerify:
         rng = __import__("random").Random(3)
         for index in range(40):
             low = np.array([rng.random(), rng.random()])
-            tree.insert(Rect(low, low + 0.05), index)
+            tree.insert(Rect(low, low + 0.05), (index, 0))
         return tree
 
     def test_healthy_tree_has_no_issues(self):
@@ -361,7 +360,7 @@ class TestTreeVerify:
         assert any("dangling" in issue for issue in issues)
 
     def test_corrupt_page_reported_not_raised(self, tmp_path):
-        store = FilePageStore(tmp_path / "tree.db", buffer_pages=1)
+        store = MmapPageStore(tmp_path / "tree.db", buffer_pages=1)
         tree = self.build_tree(store)
         store.sync()
         victim = next(iter(store.page_ids() - {tree.root_id}))

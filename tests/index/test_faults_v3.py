@@ -1,9 +1,10 @@
-"""Crash-consistency and read-fault sweeps over the v3 mmap store.
-
-The v2 suite (``test_faults.py``) proves the commit protocol; this one
-proves the v3 store inherits it unchanged — same dual-header flip,
-same CRC detection — while its reads run zero-copy through ``mmap``
+"""Crash-consistency and read-fault sweeps over the v3 mmap store,
 with the read-fault schedule applied at the mapping hook.
+
+The crash sweep and the first three read-fault cases overlap
+``test_faults.py`` (same store, one-page buffer and ``(version,
+page_id)`` items here); ``test_reads_after_crash_raise_simulated_crash``
+is only here.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ import pytest
 from repro.exceptions import PageCorruptionError, StorageError
 from repro.index.faults import (
     FaultInjectingMmapPageStore,
-    FaultInjectingPageStore,
     FaultPlan,
     SimulatedCrash,
-    fault_injecting_store,
 )
 from repro.index.geometry import Rect
 from repro.index.node import Entry, Node
-from repro.index.storage import FilePageStore
 from repro.index.storage_v3 import MmapPageStore
 
 pytestmark = pytest.mark.faults
@@ -129,32 +127,3 @@ class TestMappedReadFaults:
         with pytest.raises(SimulatedCrash):
             store.read(0)
 
-
-class TestSniffingFactory:
-    def test_mounts_matching_store_per_format(self, tmp_path):
-        v3 = tmp_path / "v3.db"
-        populated(v3, pages=1).close()
-        v2 = tmp_path / "v2.db"
-        with FilePageStore(v2) as store:
-            store.write(store.allocate(), "pickled payload")
-        mounted_v3 = fault_injecting_store(v3, readonly=True)
-        mounted_v2 = fault_injecting_store(v2, readonly=True)
-        try:
-            assert type(mounted_v3) is FaultInjectingMmapPageStore
-            assert type(mounted_v2) is FaultInjectingPageStore
-            assert mounted_v3.read(0).entries[0].item == (1, 0)
-            assert mounted_v2.read(0) == "pickled payload"
-        finally:
-            mounted_v3.close()
-            mounted_v2.close()
-
-    def test_shared_plan_counts_both_stores(self, tmp_path):
-        v3 = tmp_path / "v3.db"
-        populated(v3, pages=2).close()
-        plan = FaultPlan()
-        store = fault_injecting_store(v3, plan=plan, readonly=True)
-        before = plan.read_ops
-        store.read(0)
-        store.read(1)
-        assert plan.read_ops > before  # mapped reads hit the schedule
-        store.close()

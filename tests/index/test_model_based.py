@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from repro.exceptions import StorageError
 from repro.index.geometry import Rect
 from repro.index.rstar import RStarTree
-from repro.index.storage import FilePageStore, MemoryPageStore
+from repro.index.pagestore import MemoryPageStore
+from repro.index.storage_v3 import MmapPageStore
+from tests.nodepages import node_page, page_value
 
 
 class TestStorageModel:
@@ -30,9 +32,9 @@ class TestStorageModel:
     @settings(max_examples=40, deadline=None)
     def test_file_store_matches_dict_model(self, operations,
                                            buffer_pages, tmp_path_factory):
-        """Random op sequences on FilePageStore behave like a dict."""
+        """Random op sequences on MmapPageStore behave like a dict."""
         directory = tmp_path_factory.mktemp("store")
-        store = FilePageStore(directory / "pages.db",
+        store = MmapPageStore(directory / "pages.db",
                               buffer_pages=buffer_pages)
         model: dict[int, int] = {}
         allocated = 0
@@ -42,11 +44,11 @@ class TestStorageModel:
                     while allocated <= slot:
                         store.allocate()
                         allocated += 1
-                    store.write(slot, value)
+                    store.write(slot, node_page(slot, value))
                     model[slot] = value
                 elif op == "read":
                     if slot in model:
-                        assert store.read(slot) == model[slot]
+                        assert page_value(store.read(slot)) == model[slot]
                     else:
                         with pytest.raises(StorageError):
                             store.read(slot)
@@ -62,7 +64,7 @@ class TestStorageModel:
             # Every live page is still readable after a final sync.
             store.sync()
             for slot, value in model.items():
-                assert store.read(slot) == value
+                assert page_value(store.read(slot)) == value
         finally:
             store.close()
 

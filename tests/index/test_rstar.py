@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.exceptions import SpatialIndexError
 from repro.index.geometry import Rect
 from repro.index.rstar import RStarTree
-from repro.index.storage import FilePageStore
+from repro.index.storage_v3 import MmapPageStore
 
 
 def build_point_tree(points: np.ndarray, **kwargs) -> RStarTree:
@@ -208,30 +208,30 @@ class TestDelete:
 class TestFileBacked:
     def test_tree_over_file_store(self, rng, tmp_path):
         points = rng.uniform(size=(300, 3))
-        with FilePageStore(tmp_path / "tree.db", buffer_pages=8) as store:
+        with MmapPageStore(tmp_path / "tree.db", buffer_pages=8) as store:
             tree = RStarTree(3, store=store, max_entries=8)
             for index, point in enumerate(points):
-                tree.insert_point(point, index)
+                tree.insert_point(point, (index, 0))
             tree.check_invariants()
             hits = sorted(item for _, item in
                           tree.search_within(points[0], 0.2))
-            brute = sorted(i for i in range(300)
+            brute = sorted((i, 0) for i in range(300)
                            if np.linalg.norm(points[i] - points[0]) <= 0.2)
             assert hits == brute
 
     def test_reopen_via_state(self, rng, tmp_path):
         points = rng.uniform(size=(150, 2))
         path = tmp_path / "tree.db"
-        store = FilePageStore(path, buffer_pages=8)
+        store = MmapPageStore(path, buffer_pages=8)
         tree = RStarTree(2, store=store, max_entries=8)
         for index, point in enumerate(points):
-            tree.insert_point(point, index)
+            tree.insert_point(point, (index, 0))
         state = tree.state()
         expected = sorted(item for _, item in
                           tree.search_within(points[3], 0.3))
         store.close()
 
-        with FilePageStore(path) as reopened_store:
+        with MmapPageStore(path) as reopened_store:
             reopened = RStarTree.from_state(state, reopened_store)
             hits = sorted(item for _, item in
                           reopened.search_within(points[3], 0.3))

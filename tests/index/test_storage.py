@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import StorageError
-from repro.index.storage import FilePageStore, MemoryPageStore
+from repro.index.pagestore import MemoryPageStore
+from repro.index.storage import FilePageStore
+from repro.index.storage_v3 import MmapPageStore
+from tests.nodepages import node_page, page_value
+from tests.v2store import WritableV2PageStore
 
 
 class TestMemoryPageStore:
@@ -45,50 +49,53 @@ class TestMemoryPageStore:
 
 
 class TestFilePageStore:
+    """The on-disk store (``MmapPageStore``) as a page-id → page map."""
+
     def test_write_read(self, tmp_path):
-        with FilePageStore(tmp_path / "pages.db") as store:
+        with MmapPageStore(tmp_path / "pages.db") as store:
             page_id = store.allocate()
-            store.write(page_id, ["a", 1, (2, 3)])
-            assert store.read(page_id) == ["a", 1, (2, 3)]
+            store.write(page_id, node_page(page_id, 123, entries=3))
+            assert store.read(page_id).entries \
+                == node_page(page_id, 123, entries=3).entries
 
     def test_eviction_spills_and_reloads(self, tmp_path):
-        with FilePageStore(tmp_path / "pages.db", buffer_pages=2) as store:
+        with MmapPageStore(tmp_path / "pages.db", buffer_pages=2) as store:
             ids = [store.allocate() for _ in range(10)]
             for page_id in ids:
-                store.write(page_id, f"page-{page_id}")
+                store.write(page_id, node_page(page_id, page_id + 100))
             # Everything readable despite a 2-page pool.
             for page_id in ids:
-                assert store.read(page_id) == f"page-{page_id}"
+                assert page_value(store.read(page_id)) == page_id + 100
 
     def test_persistence_across_reopen(self, tmp_path):
         path = tmp_path / "pages.db"
-        store = FilePageStore(path, buffer_pages=4)
+        store = MmapPageStore(path, buffer_pages=4)
         ids = [store.allocate() for _ in range(5)]
         for page_id in ids:
-            store.write(page_id, page_id * 7)
+            store.write(page_id, node_page(page_id, page_id * 7))
         store.close()
 
-        reopened = FilePageStore(path)
+        reopened = MmapPageStore(path)
         for page_id in ids:
-            assert reopened.read(page_id) == page_id * 7
+            assert page_value(reopened.read(page_id)) == page_id * 7
         # Fresh allocations never collide with existing pages.
         assert reopened.allocate() == 5
         reopened.close()
 
     def test_overwrite_returns_latest(self, tmp_path):
-        with FilePageStore(tmp_path / "pages.db", buffer_pages=1) as store:
+        with MmapPageStore(tmp_path / "pages.db", buffer_pages=1) as store:
             a = store.allocate()
             b = store.allocate()
-            store.write(a, "v1")
-            store.write(b, "other")  # evicts a
-            store.write(a, "v2")
-            store.write(b, "other2")  # evicts a again
-            assert store.read(a) == "v2"
+            store.write(a, node_page(a, 1))
+            store.write(b, node_page(b, 10))  # evicts a
+            store.write(a, node_page(a, 2))
+            store.write(b, node_page(b, 20))  # evicts a again
+            assert page_value(store.read(a)) == 2
 
     def test_free_then_read_fails(self, tmp_path):
-        with FilePageStore(tmp_path / "pages.db") as store:
+        with MmapPageStore(tmp_path / "pages.db") as store:
             page_id = store.allocate()
-            store.write(page_id, "x")
+            store.write(page_id, node_page(page_id))
             store.sync()
             store.free(page_id)
             with pytest.raises(StorageError):
@@ -98,27 +105,64 @@ class TestFilePageStore:
         path = tmp_path / "junk.db"
         path.write_bytes(b"this is not a page file" * 10)
         with pytest.raises(StorageError):
-            FilePageStore(path)
+            MmapPageStore(path)
 
     def test_rejects_zero_buffer(self, tmp_path):
         with pytest.raises(StorageError):
-            FilePageStore(tmp_path / "pages.db", buffer_pages=0)
+            MmapPageStore(tmp_path / "pages.db", buffer_pages=0)
 
     def test_compact_reclaims_space(self, tmp_path):
         path = tmp_path / "pages.db"
-        store = FilePageStore(path, buffer_pages=1)
+        store = MmapPageStore(path, buffer_pages=1)
         page_id = store.allocate()
         for version in range(50):
-            store.write(page_id, "x" * 1000 + str(version))
+            store.write(page_id, node_page(page_id, version, entries=16))
             store.sync()
         before = path.stat().st_size
         store.compact()
         after = path.stat().st_size
         assert after < before
-        assert store.read(page_id).endswith("49")
+        assert page_value(store.read(page_id)) == 49
         store.close()
 
     def test_close_is_idempotent(self, tmp_path):
-        store = FilePageStore(tmp_path / "pages.db")
+        store = MmapPageStore(tmp_path / "pages.db")
         store.close()
         store.close()
+
+
+class TestLegacyV2Decoder:
+    """``FilePageStore`` after 2.0: reads a 1.x file, writes nothing."""
+
+    @pytest.fixture
+    def v2_file(self, tmp_path):
+        path = tmp_path / "v2.db"
+        with WritableV2PageStore(path) as store:
+            store.write(store.allocate(), {"any": "picklable page"})
+            store.set_metadata(b"catalog")
+        return path
+
+    def test_writable_open_names_walrus_migrate(self, v2_file, tmp_path):
+        for path in (v2_file, tmp_path / "absent.db"):
+            with pytest.raises(StorageError, match="walrus migrate"):
+                FilePageStore(path)
+        assert not (tmp_path / "absent.db").exists()
+
+    def test_readonly_open_decodes_and_rejects_mutation(self, v2_file):
+        before = v2_file.read_bytes()
+        with FilePageStore(v2_file, readonly=True) as store:
+            assert store.read(0) == {"any": "picklable page"}
+            assert store.metadata == b"catalog"
+            assert store.scan().ok
+            for operation in (lambda: store.write(0, "x"),
+                              lambda: store.allocate(),
+                              lambda: store.sync(),
+                              lambda: store.compact()):
+                with pytest.raises(StorageError, match="readonly"):
+                    operation()
+        assert v2_file.read_bytes() == before
+
+    def test_has_no_encode_hooks(self):
+        from repro.index.storage import PageFileBase
+        assert FilePageStore._encode_page is PageFileBase._encode_page
+        assert FilePageStore._encode_table is PageFileBase._encode_table

@@ -1,4 +1,5 @@
-"""The v3 mmap page store and the format-dispatching factories."""
+"""The v3 mmap page store, the factories, and how every open of a
+legacy v2 file is turned away."""
 
 from __future__ import annotations
 
@@ -11,20 +12,11 @@ from repro.exceptions import PageCorruptionError, StorageError
 from repro.index.faults import corrupt_page
 from repro.index.geometry import Rect
 from repro.index.node import Entry, Node
-from repro.index.pagestore import (
-    DEFAULT_PAGE_FORMAT,
-    create_page_store,
-    open_page_store,
-    page_store_class,
-    sniff_page_format,
-)
-from repro.index.storage import (
-    _SUPER,
-    _TABLE_STAMP,
-    FilePageStore,
-    committed_generation,
-)
+from repro.index.pagestore import create_page_store, open_page_store
+from repro.index.storage import (_SUPER, FilePageStore, committed_generation,
+                                 page_file_version)
 from repro.index.storage_v3 import MmapPageStore
+from tests.v2store import WritableV2PageStore
 
 
 def make_node(page_id, level=0, count=4, dims=4):
@@ -167,11 +159,11 @@ class TestCrossVersionOpens:
         path = tmp_path / "pages.db"
         populated(path).close()
         with pytest.raises(StorageError, match="walrus migrate"):
-            FilePageStore(path)
+            FilePageStore(path, readonly=True)
 
     def test_v3_class_refuses_v2_file(self, tmp_path):
         path = tmp_path / "pages.db"
-        with FilePageStore(path) as store:
+        with WritableV2PageStore(path) as store:
             store.write(store.allocate(), "any pickle")
         with pytest.raises(StorageError, match="walrus migrate"):
             MmapPageStore(path)
@@ -180,7 +172,7 @@ class TestCrossVersionOpens:
         # Stitch a v3 superblock onto a file whose committed table is
         # stamped v2: the two disagree and the open must say so.
         path = tmp_path / "pages.db"
-        with FilePageStore(path) as store:
+        with WritableV2PageStore(path) as store:
             store.write(store.allocate(), "payload")
         with open(path, "r+b") as stream:
             stream.write(_SUPER.pack(MmapPageStore.MAGIC, 3))
@@ -191,9 +183,9 @@ class TestCrossVersionOpens:
         # A v2 file written before table stamping: strip the stamp off
         # the committed table in place; the v2 decoder must fall back.
         path = tmp_path / "pages.db"
-        with FilePageStore(path) as store:
+        with WritableV2PageStore(path) as store:
             store.write(store.allocate(), {"legacy": True})
-        store = FilePageStore(path)
+        store = FilePageStore(path, readonly=True)
         table = dict(store._offsets)
         store.close()
         import os
@@ -213,57 +205,52 @@ class TestCrossVersionOpens:
                 generation, offset, _RECORD.size + len(legacy), 0, 0, 1)
             stream.seek(SUPER.size + (generation % 2) * _SLOT.size)
             stream.write(slot)
-        with FilePageStore(path) as reopened:
+        with FilePageStore(path, readonly=True) as reopened:
             assert reopened.read(0) == {"legacy": True}
 
 
 class TestFactories:
     def test_sniff_both_formats(self, tmp_path):
         v2, v3 = tmp_path / "v2.db", tmp_path / "v3.db"
-        with FilePageStore(v2) as store:
+        with WritableV2PageStore(v2) as store:
             store.write(store.allocate(), "x")
         populated(v3, pages=1).close()
-        assert sniff_page_format(v2) == 2
-        assert sniff_page_format(v3) == 3
+        assert page_file_version(v2) == 2
+        assert page_file_version(v3) == 3
 
     def test_sniff_rejects_junk_and_mismatch(self, tmp_path):
         junk = tmp_path / "junk.db"
         junk.write_bytes(b"gibberish" * 20)
         with pytest.raises(StorageError, match="not a WALRUS page file"):
-            sniff_page_format(junk)
+            page_file_version(junk)
         lying = tmp_path / "lying.db"
         lying.write_bytes(_SUPER.pack(b"WALRUSP3", 2) + b"\0" * 112)
         with pytest.raises(StorageError, match="carries the v3 magic"):
-            sniff_page_format(lying)
+            page_file_version(lying)
 
     def test_open_dispatches_on_magic(self, tmp_path):
         v2, v3 = tmp_path / "v2.db", tmp_path / "v3.db"
-        with FilePageStore(v2) as store:
+        with WritableV2PageStore(v2) as store:
             store.write(store.allocate(), "x")
         populated(v3, pages=1).close()
-        opened_v2 = open_page_store(v2, readonly=True)
-        opened_v3 = open_page_store(v3, readonly=True)
-        try:
-            assert type(opened_v2) is FilePageStore
+        with open_page_store(v3, readonly=True) as opened_v3:
             assert type(opened_v3) is MmapPageStore
-        finally:
-            opened_v2.close()
-            opened_v3.close()
+        before = v2.read_bytes()
+        for readonly in (True, False):
+            with pytest.raises(StorageError, match="walrus migrate"):
+                open_page_store(v2, readonly=readonly)
+        assert v2.read_bytes() == before
 
     def test_create_defaults_to_v3(self, tmp_path):
         store = create_page_store(tmp_path / "new.db")
         try:
-            assert store.FORMAT_VERSION == DEFAULT_PAGE_FORMAT == 3
+            assert type(store) is MmapPageStore
         finally:
             store.close()
-        assert sniff_page_format(tmp_path / "new.db") == 3
+        assert page_file_version(tmp_path / "new.db") == 3
 
     def test_create_refuses_existing_file(self, tmp_path):
         path = tmp_path / "pages.db"
         populated(path, pages=1).close()
         with pytest.raises(StorageError, match="already exists"):
             create_page_store(path)
-
-    def test_unsupported_version_named(self):
-        with pytest.raises(StorageError, match="supported: 2, 3"):
-            page_store_class(9)

@@ -3,7 +3,7 @@ the database reopens to the last consistent state.
 
 The workload commits a baseline checkpoint, then mutates the database
 (add + remove images) and checkpoints again while a
-:class:`FaultInjectingPageStore` crashes the process at the Nth
+:class:`FaultInjectingMmapPageStore` crashes the process at the Nth
 mutating file operation.  For *every* N the reopened database must
 answer queries identically to either the baseline or the completed
 second checkpoint — never raise ``UnpicklingError``, never return
@@ -21,10 +21,11 @@ from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.datasets.generator import render_scene
 from repro.exceptions import StorageError, WalrusError
 from repro.index.faults import (
-    FaultInjectingPageStore,
+    FaultInjectingMmapPageStore,
     FaultPlan,
     SimulatedCrash,
 )
+from tests.conftest import corrupt_catalog_record
 
 pytestmark = pytest.mark.faults
 
@@ -51,8 +52,9 @@ def run_workload(directory, plan, query_image):
     """
     os.makedirs(directory, exist_ok=True)
     page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
-    store = FaultInjectingPageStore(page_path, buffer_pages=8, plan=plan)
-    database = WalrusDatabase.create_on_disk(directory, PARAMS, store=store)
+    store = FaultInjectingMmapPageStore(page_path, buffer_pages=8,
+                                        plan=plan)
+    database = WalrusDatabase.create(directory, params=PARAMS, store=store)
     database.add_images(scenes())
     database.checkpoint()
     baseline_ops = plan.mutation_ops
@@ -82,7 +84,7 @@ class TestCheckpointCrashes:
                 run_workload(directory, plan, query_image)
 
             # Restarted process: plain stores, no faults.
-            reopened = WalrusDatabase.open_on_disk(directory)
+            reopened = WalrusDatabase.open(directory)
             names = set(record.name for record in reopened.images.values())
             answered = reopened.query(query_image, QP).names()
             if "late" in names:
@@ -96,18 +98,19 @@ class TestCheckpointCrashes:
             reopened.index.check_invariants()
             reopened.close()
         # The sweep must observe recovery to the *old* state at least
-        # once (early crashes); late crash points may or may not reach
-        # the new state depending on where the meta swap lands.
+        # once (early crashes) and to the *new* state at least once
+        # (a crash after the header flip, e.g. inside close()).
         assert outcomes["baseline"] > 0
+        assert outcomes["final"] > 0
 
     def test_crash_before_first_checkpoint_cleans_up(self, tmp_path,
                                                      query_image):
-        # Crash inside create_on_disk's initial commit: the directory
-        # must be retriable rather than poisoned by a half-written
-        # page file.
+        # Crash inside create()'s initial commit: the directory must
+        # be retriable rather than poisoned by a half-written page
+        # file.
         probe_dir = str(tmp_path / "probe")
         os.makedirs(probe_dir)
-        probe = FaultInjectingPageStore(
+        probe = FaultInjectingMmapPageStore(
             os.path.join(probe_dir, WalrusDatabase.PAGE_FILE),
             buffer_pages=8, plan=FaultPlan())
         construction_ops = probe.plan.mutation_ops
@@ -116,67 +119,61 @@ class TestCheckpointCrashes:
         directory = str(tmp_path / "db")
         os.makedirs(directory)
         page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
-        store = FaultInjectingPageStore(
+        store = FaultInjectingMmapPageStore(
             page_path, buffer_pages=8,
             plan=FaultPlan(crash_after_ops=construction_ops + 2))
         with pytest.raises(SimulatedCrash):
-            WalrusDatabase.create_on_disk(directory, PARAMS, store=store)
-        assert not os.path.exists(page_path)
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+            WalrusDatabase.create(directory, params=PARAMS, store=store)
+        assert os.listdir(directory) == []
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_images(scenes())
         database.close()
-        reopened = WalrusDatabase.open_on_disk(directory)
+        reopened = WalrusDatabase.open(directory)
         assert len(reopened) == 4
         reopened.close()
 
     def test_torn_meta_write_keeps_previous_checkpoint(self, tmp_path,
                                                        query_image):
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_images(scenes())
+        expected = database.query(query_image, QP).names()
         database.close()
-        expected = None
-        # Simulate a crash that left a torn metadata temp file: the
-        # committed meta must win and the leftover must not break open.
-        meta_tmp = os.path.join(directory,
-                                WalrusDatabase.META_FILE + ".tmp")
-        with open(meta_tmp, "wb") as stream:
-            stream.write(b"\x80\x05garbage")
-        reopened = WalrusDatabase.open_on_disk(directory)
+        # What a 1.x crash could leave in walrus.meta (a torn pickle
+        # mirror) and beside it (the mirror's temp file): the catalog
+        # record committed in the page file is the only copy read.
+        meta_path = os.path.join(directory, WalrusDatabase.META_FILE)
+        for leftover in (meta_path, meta_path + ".tmp"):
+            with open(leftover, "wb") as stream:
+                stream.write(b"\x80\x05garbage")
+        reopened = WalrusDatabase.open(directory)
         assert len(reopened) == 4
-        expected = reopened.query(query_image, QP).names()
+        assert reopened.query(query_image, QP).names() == expected
         reopened.close()
-        assert expected is not None
 
     def test_corrupt_meta_record_is_structured_error(self, tmp_path):
         # Flip bytes inside the store's committed metadata record: the
         # checksum must catch it and open must fail with a structured
         # error, not an UnpicklingError or a silently stale catalog.
-        from repro.index.pagestore import open_page_store
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_images(scenes()[:2])
         database.close()
-        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
-        store = open_page_store(page_path, readonly=True)
-        meta_offset, meta_size = store._meta_location
-        store.close()
-        with open(page_path, "r+b") as stream:
-            stream.seek(meta_offset + meta_size // 2)
-            stream.write(b"\xff\xfe\xfd")
+        corrupt_catalog_record(
+            os.path.join(directory, WalrusDatabase.PAGE_FILE))
         with pytest.raises(WalrusError) as excinfo:
-            WalrusDatabase.open_on_disk(directory)
+            WalrusDatabase.open(directory)
         assert "metadata" in str(excinfo.value)
 
     def test_truncated_page_file_is_structured_error(self, tmp_path):
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_images(scenes()[:2])
         database.close()
         page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
         with open(page_path, "r+b") as stream:
             stream.truncate(os.path.getsize(page_path) // 2)
         with pytest.raises(StorageError):
-            store = WalrusDatabase.open_on_disk(directory)
+            store = WalrusDatabase.open(directory)
             # Truncation may only bite when pages are faulted in.
             list(store.index.items())

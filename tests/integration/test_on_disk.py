@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pathlib
 
 import pytest
 
@@ -23,14 +24,14 @@ def scenes():
 class TestLifecycle:
     def test_create_checkpoint_open(self, tmp_path):
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_images(scenes())
         query = render_scene("flowers", seed=42)
         expected = database.query(query,
                                   QueryParameters(epsilon=0.085)).names()
         database.close()
 
-        reopened = WalrusDatabase.open_on_disk(directory)
+        reopened = WalrusDatabase.open(directory)
         assert len(reopened) == 5
         actual = reopened.query(query,
                                 QueryParameters(epsilon=0.085)).names()
@@ -40,13 +41,13 @@ class TestLifecycle:
 
     def test_updates_survive_reopen(self, tmp_path):
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_images(scenes())
         database.remove_image(0)
         database.add_image(render_scene("desert", seed=9, name="late"))
         database.close()
 
-        reopened = WalrusDatabase.open_on_disk(directory)
+        reopened = WalrusDatabase.open(directory)
         assert len(reopened) == 5
         names = {record.name for record in reopened.images.values()}
         assert "late" in names
@@ -55,44 +56,50 @@ class TestLifecycle:
 
     def test_bulk_load_on_disk(self, tmp_path):
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_images(scenes(), bulk=True)
         database.close()
-        reopened = WalrusDatabase.open_on_disk(directory)
+        reopened = WalrusDatabase.open(directory)
         reopened.index.check_invariants()
         assert reopened.region_count > 0
         reopened.close()
 
     def test_create_twice_rejected(self, tmp_path):
         directory = str(tmp_path / "db")
-        WalrusDatabase.create_on_disk(directory, PARAMS).close()
+        WalrusDatabase.create(directory, params=PARAMS).close()
         with pytest.raises(DatabaseError):
-            WalrusDatabase.create_on_disk(directory, PARAMS)
+            WalrusDatabase.create(directory, params=PARAMS)
 
     def test_open_missing_rejected(self, tmp_path):
         with pytest.raises(DatabaseError):
-            WalrusDatabase.open_on_disk(str(tmp_path / "nothing"))
+            WalrusDatabase.open(str(tmp_path / "nothing"))
 
     def test_checkpoint_requires_directory(self):
         database = WalrusDatabase(PARAMS)
         with pytest.raises(DatabaseError):
             database.checkpoint()
 
-    def test_checkpoint_is_atomic_file_swap(self, tmp_path):
-        directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
-        database.add_image(scenes()[0])
-        database.checkpoint()
-        first = os.path.getmtime(
-            os.path.join(directory, WalrusDatabase.META_FILE))
-        database.add_image(scenes()[1])
-        database.checkpoint()
-        assert os.path.exists(
-            os.path.join(directory, WalrusDatabase.META_FILE))
-        # No stray temp file left behind.
-        assert not any(name.endswith(".tmp")
-                       for name in os.listdir(directory))
+    def test_checkpoints_write_the_page_file_only(self, tmp_path):
+        directory = tmp_path / "db"
+        meta_path = directory / WalrusDatabase.META_FILE
+        database = WalrusDatabase.create(str(directory), params=PARAMS)
+        assert meta_path.read_bytes() == WalrusDatabase.META_MARKER
+        for scene in scenes()[:3]:
+            database.add_image(scene)
+            database.checkpoint()
+        database.index.store.compact()
         database.close()
+        # One catalog copy, committed inside regions.pages: no mirror,
+        # no temp file, and the marker is never rewritten.
+        assert sorted(os.listdir(directory)) == [WalrusDatabase.PAGE_FILE,
+                                                 WalrusDatabase.META_FILE]
+        assert meta_path.read_bytes() == WalrusDatabase.META_MARKER
+        with WalrusDatabase.open(str(directory), readonly=True) as reopened:
+            assert len(reopened) == 3
+        # ... and is the line docs/FORMAT.md specifies.
+        spec = pathlib.Path(__file__).parents[2] / "docs" / "FORMAT.md"
+        assert WalrusDatabase.META_MARKER.decode("ascii").rstrip("\n") \
+            in spec.read_text(encoding="utf-8")
 
     def test_close_in_memory_database_is_safe(self):
         database = WalrusDatabase(PARAMS)
@@ -102,7 +109,7 @@ class TestLifecycle:
         """create → add → checkpoint → remove → checkpoint → reopen
         answers queries identically to the pre-close database."""
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_images(scenes())
         database.checkpoint()
         database.remove_image(1)
@@ -115,7 +122,7 @@ class TestLifecycle:
         expected_ids = sorted(database.images)
         database.close()
 
-        reopened = WalrusDatabase.open_on_disk(directory)
+        reopened = WalrusDatabase.open(directory)
         assert sorted(reopened.images) == expected_ids
         assert reopened.query(query,
                               QueryParameters(epsilon=0.085)).names() \
@@ -126,8 +133,8 @@ class TestLifecycle:
 
     def test_compact_preserves_contents_and_shrinks(self, tmp_path):
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS,
-                                                 buffer_pages=4)
+        database = WalrusDatabase.create(directory, params=PARAMS,
+                                         buffer_pages=4)
         database.add_images(scenes())
         # Churn: repeated checkpoints append dead page/table versions.
         for image_id in (0, 1):
@@ -146,7 +153,7 @@ class TestLifecycle:
             == expected
         database.close()
 
-        reopened = WalrusDatabase.open_on_disk(directory)
+        reopened = WalrusDatabase.open(directory)
         assert reopened.query(query,
                               QueryParameters(epsilon=0.085)).names() \
             == expected
@@ -154,7 +161,7 @@ class TestLifecycle:
 
     def test_database_close_is_idempotent(self, tmp_path):
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_image(scenes()[0])
         database.close()
         database.close()  # second close is a no-op, not a StorageError
@@ -167,19 +174,11 @@ class TestLifecycle:
 
         monkeypatch.setattr(WalrusDatabase, "checkpoint", explode)
         with pytest.raises(RuntimeError):
-            WalrusDatabase.create_on_disk(directory, PARAMS)
+            WalrusDatabase.create(directory, params=PARAMS)
         monkeypatch.undo()
         assert not os.path.exists(
             os.path.join(directory, WalrusDatabase.PAGE_FILE))
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
+        database = WalrusDatabase.create(directory, params=PARAMS)
         database.add_image(scenes()[0])
         database.close()
-        assert len(WalrusDatabase.open_on_disk(directory)) == 1
-
-    def test_save_rejected_for_disk_backed(self, tmp_path):
-        directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(directory, PARAMS)
-        database.add_image(scenes()[0])
-        with pytest.raises(DatabaseError):
-            database.save(str(tmp_path / "snap.pickle"))
-        database.close()
+        assert len(WalrusDatabase.open(directory)) == 1

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.database import WalrusDatabase
-from repro.exceptions import DatabaseError, ServerError
+from repro.exceptions import (DatabaseError, PageCorruptionError,
+                              ServerError, StorageError)
+from repro.observability import disable_tracing, enable_tracing
 from repro.server import ReaderSession, SessionPool
-from tests.conftest import make_flower_image
+from tests.conftest import corrupt_catalog_record, make_flower_image
+from tests.v2store import WritableV2PageStore
 
 
 @pytest.fixture
@@ -78,7 +83,86 @@ class TestReaderSession:
             session.close()
 
 
+    def test_failed_refresh_keeps_the_pinned_snapshot(self, db_dir):
+        session = ReaderSession(db_dir)
+        try:
+            pinned = session.generation
+            _commit_then_damage(db_dir)
+            assert session.stale()
+            with pytest.raises(PageCorruptionError):
+                session.refresh()
+            assert not session.database.closed
+            assert session.generation == pinned
+            assert _names(session.query(make_flower_image(name="q")))
+        finally:
+            session.close()
+
+    def test_v2_directory_names_walrus_migrate(self, tmp_path, fast_params):
+        directory = str(tmp_path / "v2")
+        os.makedirs(directory)
+        store = WritableV2PageStore(
+            os.path.join(directory, WalrusDatabase.PAGE_FILE))
+        WalrusDatabase.create(directory, params=fast_params,
+                              store=store).close()
+        with pytest.raises(StorageError, match="walrus migrate"):
+            ReaderSession(directory)
+
+
+def _commit_then_damage(directory) -> None:
+    """A writer commits a new generation whose catalog record is then
+    damaged on disk: the newest commit cannot be opened."""
+    with WalrusDatabase.open(directory) as writer:
+        writer.add_image(make_flower_image(name="late", cx=20))
+    corrupt_catalog_record(
+        os.path.join(directory, WalrusDatabase.PAGE_FILE))
+
+
 class TestSessionPool:
+    def test_failed_refresh_does_not_poison_the_pool(self, db_dir):
+        query = make_flower_image(name="q", cx=20)
+        with SessionPool(db_dir, size=2) as pool:
+            pinned = pool.generations()
+            session = pool.acquire(timeout=1.0)
+            expected = _names(session.query(query))
+            pool.release(session)
+            _commit_then_damage(db_dir)
+            tracer = enable_tracing(sample_rate=1.0, seed=0)
+            try:
+                # More acquires than sessions: a session lost to a
+                # failed refresh would exhaust the pool here.
+                for _ in range(5):
+                    session = pool.acquire(timeout=0.5)
+                    try:
+                        assert _names(session.query(query)) == expected
+                    finally:
+                        pool.release(session)
+                dump = tracer.recorder.dump()
+            finally:
+                disable_tracing()
+            assert pool.idle == pool.size == 2
+            assert pool.generations() == pinned
+            assert pool.refreshes == 0
+        events = [event["name"]
+                  for trace in dump["traces"] for span in trace["spans"]
+                  if span["name"] == "session.acquire"
+                  for event in span["events"]]
+        assert events.count("refresh_failed") == 5
+
+    def test_any_refresh_error_keeps_the_session(self, db_dir,
+                                                 monkeypatch):
+        with SessionPool(db_dir, size=1) as pool:
+            with WalrusDatabase.open(db_dir) as writer:
+                writer.add_image(make_flower_image(name="late", cx=20))
+
+            def explode(self):
+                raise KeyError("not a WalrusError")
+
+            monkeypatch.setattr(ReaderSession, "refresh", explode)
+            session = pool.acquire(timeout=0.5)
+            assert _names(session.query(make_flower_image(name="q")))
+            pool.release(session)
+            assert pool.idle == 1 and pool.refreshes == 0
+
     def test_acquire_release_cycle(self, db_dir):
         with SessionPool(db_dir, size=2) as pool:
             first = pool.acquire(timeout=1.0)

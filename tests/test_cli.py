@@ -47,7 +47,11 @@ class TestIndexAndQuery:
         status = main(["index", str(image_dir), str(db_path),
                        "--window-min", "16", "--window-max", "32"])
         assert status == 0
-        assert db_path.exists()
+        assert sorted(os.listdir(db_path)) == ["regions.pages",
+                                               "walrus.meta"]
+        capsys.readouterr()
+        # What 'index' writes is what fsck (and serve) accept.
+        assert main(["fsck", str(db_path)]) == 0
         capsys.readouterr()
 
         query_file = next(str(image_dir / f) for f in os.listdir(image_dir)
@@ -61,6 +65,23 @@ class TestIndexAndQuery:
         first_result = output.splitlines()[1]
         assert os.path.basename(query_file).removesuffix(".ppm") \
             in first_result
+        # Read commands open readonly: querying commits nothing.
+        page_file = db_path / "regions.pages"
+        before = page_file.read_bytes()
+        assert main(["query", str(db_path), query_file]) == 0
+        assert main(["describe", str(db_path)]) == 0
+        assert main(["stats", str(db_path), query_file]) == 0
+        assert page_file.read_bytes() == before
+
+    def test_index_onto_existing_database_fails(self, tmp_path, image_dir,
+                                                capsys):
+        db_path = tmp_path / "walrus.db"
+        arguments = ["index", str(image_dir), str(db_path),
+                     "--window-min", "16", "--window-max", "32"]
+        assert main(arguments) == 0
+        capsys.readouterr()
+        assert main(arguments) == 1
+        assert "already contains a database" in capsys.readouterr().err
 
     def test_index_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -70,7 +91,7 @@ class TestIndexAndQuery:
         assert "no supported images" in capsys.readouterr().err
 
     def test_walrus_error_reported(self, tmp_path, image_dir, capsys):
-        # Query against a database file that isn't one.
+        # Query against a database that isn't one (a 1.x snapshot file).
         junk = tmp_path / "junk.db"
         junk.write_bytes(b"\x80\x04N.")  # pickled None
         query_file = str(image_dir / os.listdir(image_dir)[0])
@@ -129,9 +150,9 @@ class TestFsck:
         from repro.datasets.generator import render_scene
 
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create_on_disk(
-            directory, ExtractionParameters(window_min=16, window_max=32,
-                                            stride=8))
+        database = WalrusDatabase.create(
+            directory, params=ExtractionParameters(
+                window_min=16, window_max=32, stride=8))
         database.add_images([
             render_scene(label, seed=seed, name=f"{label}-{seed}")
             for seed, label in enumerate(["flowers", "ocean", "sunset"])])
