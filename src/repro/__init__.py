@@ -47,10 +47,10 @@ from repro.exceptions import (
 )
 from repro.imaging.image import Image
 from repro.observability import (MetricsRegistry, ProbeCounts, QueryReport,
-                                 StageTrace, Stopwatch, disable_metrics,
-                                 enable_metrics, get_metrics)
+                                 Stopwatch, disable_metrics, enable_metrics,
+                                 get_metrics)
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "CacheStats",
@@ -80,7 +80,6 @@ __all__ = [
     "RegionMatch",
     "RegionSignature",
     "SpatialIndexError",
-    "StageTrace",
     "Stopwatch",
     "StorageError",
     "WalrusDatabase",

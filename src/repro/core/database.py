@@ -50,10 +50,10 @@ from repro.index.pagestore import (PageStore, create_page_store,
                                    open_page_store)
 from repro.index.rstar import RStarTree
 from repro.index.storage import fsync_directory
-from repro.observability import (NULL_TRACE, Deadline, ProbeCounts,
-                                 QueryReport, SpanStageTrace, StageTrace,
-                                 Stopwatch, current_span, get_events,
-                                 get_metrics, get_tracer)
+from repro.observability import (Deadline, ProbeCounts, QueryReport,
+                                 StageTiming, Stopwatch, current_span,
+                                 get_events, get_metrics, get_tracer)
+from repro.observability.report import CANONICAL_STAGES
 
 
 class IndexedImage:
@@ -628,22 +628,16 @@ class WalrusDatabase:
         events = get_events()
         tracer = get_tracer()
         # The event log wants the same funnel the EXPLAIN report
-        # carries, so an enabled log forces the per-stage trace on.
-        # With the tracer on, stage blocks additionally open spans
-        # (SpanStageTrace); with it off this line is byte-for-byte the
-        # old behavior, so EXPLAIN output cannot drift.
+        # carries, so an enabled log also asks for the stage timings:
+        # one clock read as each stage closes, none otherwise.
         want_report = explain or events.enabled
-        trace: StageTrace
-        if tracer.enabled:
-            trace = SpanStageTrace(tracer, keep_timings=want_report)
-        elif want_report:
-            trace = StageTrace()
-        else:
-            trace = NULL_TRACE
+        marks = [0.0]
         watch = Stopwatch()
-        with trace.stage("extract"):
+        with tracer.span("extract"):
             query_regions, signature_hit = self._query_regions(
                 image, deadline=deadline)
+        if want_report:
+            marks.append(watch.elapsed)
         if max_regions is not None and len(query_regions) > max_regions:
             ranked = sorted(range(len(query_regions)),
                             key=lambda i: (-query_regions[i].covered_pixels,
@@ -652,15 +646,17 @@ class WalrusDatabase:
             query_regions = [query_regions[i] for i in keep]
         if deadline is not None:
             deadline.check("query.extract")
-        with trace.stage("probe"):
+        with tracer.span("probe"):
             pairs_by_image, probe_counts = self._probe(
                 query_regions, qp, deadline=deadline,
                 shared=shared_probes)
+        if want_report:
+            marks.append(watch.elapsed)
         retrieved = sum(len(pairs) for pairs in pairs_by_image.values())
 
         matcher = MATCHERS[qp.matching]
         matches: list[ImageMatch] = []
-        with trace.stage("match"):
+        with tracer.span("match"):
             for image_id, pairs in pairs_by_image.items():
                 if deadline is not None:
                     deadline.check("query.match")
@@ -670,7 +666,9 @@ class WalrusDatabase:
                 if outcome.similarity >= qp.tau and outcome.similarity > 0:
                     matches.append(ImageMatch(image_id, record.name,
                                               outcome.similarity, outcome))
-        with trace.stage("rank"):
+        if want_report:
+            marks.append(watch.elapsed)
+        with tracer.span("rank"):
             matches.sort(
                 key=lambda match: (-match.similarity, match.image_id))
             matched = len(matches)
@@ -701,7 +699,9 @@ class WalrusDatabase:
                 candidate_images=len(pairs_by_image),
                 matched_images=matched,
                 returned_images=len(matches),
-                stages=tuple(trace.stages),
+                stages=tuple(
+                    StageTiming(name, end - start) for name, start, end
+                    in zip(CANONICAL_STAGES, marks, marks[1:] + [elapsed])),
                 total_seconds=elapsed,
             )
             if events.enabled:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import BinaryIO
+from contextlib import contextmanager
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -21,6 +22,23 @@ from repro.imaging.image import Image
 
 _PNM_MAGICS = {b"P2": ("ascii", 1), b"P3": ("ascii", 3),
                b"P5": ("binary", 1), b"P6": ("binary", 3)}
+
+#: What the readers decode: a file path, or an open binary stream
+#: (bytes already in memory, e.g. ``io.BytesIO``).
+Source = str | os.PathLike | BinaryIO
+
+
+@contextmanager
+def _opened(source: Source) -> Iterator[tuple[BinaryIO, str]]:
+    """``source`` as ``(stream, image name)``: a path is opened for the
+    block and names the image after the file; a stream is read where
+    it stands, left open, and names nothing."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as stream:
+            yield stream, os.path.splitext(
+                os.path.basename(os.fspath(source)))[0]
+    else:
+        yield source, ""
 
 
 # ----------------------------------------------------------------------
@@ -50,12 +68,13 @@ def _read_pnm_tokens(stream: BinaryIO, count: int) -> list[int]:
     return tokens
 
 
-def read_pnm(path: str | os.PathLike) -> Image:
-    """Read a PGM (P2/P5) or PPM (P3/P6) file into an :class:`Image`.
+def read_pnm(source: Source) -> Image:
+    """Read a PGM (P2/P5) or PPM (P3/P6) file or stream into an
+    :class:`Image`.
 
     PGM files produce ``gray`` images, PPM files produce ``rgb`` images.
     """
-    with open(path, "rb") as stream:
+    with _opened(source) as (stream, name):
         magic = stream.read(2)
         if magic not in _PNM_MAGICS:
             raise CodecError(f"not a supported PNM file (magic {magic!r})")
@@ -80,7 +99,6 @@ def read_pnm(path: str | os.PathLike) -> Image:
             values = np.array([int(t) for t in text[:n]], dtype=np.float64)
     pixels = (values / maxval).reshape(height, width, channels)
     space = "gray" if channels == 1 else "rgb"
-    name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return Image(pixels, space, name)
 
 
@@ -111,9 +129,10 @@ def write_pnm(image: Image, path: str | os.PathLike, *,
 # ----------------------------------------------------------------------
 # BMP (24-bit uncompressed, BITMAPINFOHEADER)
 # ----------------------------------------------------------------------
-def read_bmp(path: str | os.PathLike) -> Image:
-    """Read an uncompressed 24-bit BMP file into an RGB :class:`Image`."""
-    with open(path, "rb") as stream:
+def read_bmp(source: Source) -> Image:
+    """Read an uncompressed 24-bit BMP file or stream into an RGB
+    :class:`Image`."""
+    with _opened(source) as (stream, name):
         header = stream.read(14)
         if len(header) != 14 or header[:2] != b"BM":
             raise CodecError("not a BMP file")
@@ -145,7 +164,6 @@ def read_bmp(path: str | os.PathLike) -> Image:
     rgb = bgr[:, :, ::-1]
     if flipped:
         rgb = rgb[::-1]
-    name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return Image(np.ascontiguousarray(rgb), "rgb", name)
 
 
@@ -178,16 +196,22 @@ _READERS = {".ppm": read_pnm, ".pgm": read_pnm, ".pnm": read_pnm,
             ".bmp": read_bmp}
 
 
-def read_image(path: str | os.PathLike) -> Image:
-    """Read an image file, dispatching on its extension."""
-    ext = os.path.splitext(os.fspath(path))[1].lower()
+def read_image(source: Source, suffix: str | None = None) -> Image:
+    """Read an image, dispatching on its extension: ``suffix`` when
+    given (a stream has no other), else the path's own."""
+    if suffix is None:
+        if not isinstance(source, (str, os.PathLike)):
+            raise CodecError("reading an image from a stream needs its "
+                             "format suffix")
+        suffix = os.path.splitext(os.fspath(source))[1]
+    ext = suffix.lower()
     reader = _READERS.get(ext)
     if reader is None:
         raise CodecError(
             f"unsupported image extension {ext!r}; "
             f"supported: {sorted(_READERS)}"
         )
-    return reader(path)
+    return reader(source)
 
 
 def write_image(image: Image, path: str | os.PathLike) -> None:

@@ -28,8 +28,8 @@ Beyond the core integer addressing (``allocate`` / ``read`` /
 covers the whole storage lifecycle so callers never need
 ``isinstance`` checks:
 
-* :meth:`PageStore.commit` / :meth:`PageStore.sync` — atomically
-  persist all state (one commit generation).
+* :meth:`PageStore.sync` — atomically persist all state (one commit
+  generation).
 * :meth:`PageStore.scan` / :meth:`PageStore.verify` — integrity walk
   over every live page.
 * :meth:`PageStore.set_metadata` / :attr:`PageStore.metadata` — an
@@ -126,16 +126,9 @@ class PageStore:
         raise NotImplementedError
 
     # -- durability and lifecycle --------------------------------------
-    def commit(self) -> None:
-        """Atomically persist all pages, the page table, and metadata.
-
-        Alias of :meth:`sync`; ``commit`` is the protocol-level name,
-        ``sync`` the historical one — both remain supported.
-        """
-        self.sync()
-
     def sync(self) -> None:
-        """Flush everything to durable storage (no-op in memory)."""
+        """Atomically persist all pages, the page table, and metadata
+        — one commit (no-op in memory)."""
 
     def close(self) -> None:
         """Release resources; the store must not be used afterwards."""
@@ -152,14 +145,16 @@ class PageStore:
         """The commit generation this store currently reads from.
 
         Ephemeral stores report 0; durable stores advance it on every
-        :meth:`commit`.
+        :meth:`sync`.
         """
         return 0
 
     # -- commit-coupled application metadata ---------------------------
+    _app_metadata: bytes | None = None
+
     def set_metadata(self, blob: bytes) -> None:
         """Stage an opaque metadata blob to commit with the next
-        :meth:`commit`.
+        :meth:`sync`.
 
         The default keeps the blob in memory only; durable stores
         persist it atomically with the page table.
@@ -172,7 +167,7 @@ class PageStore:
     @property
     def metadata(self) -> bytes | None:
         """The committed (or staged) metadata blob, or ``None``."""
-        return getattr(self, "_app_metadata", None)
+        return self._app_metadata
 
     # -- integrity ------------------------------------------------------
     def scan(self) -> StoreReport:

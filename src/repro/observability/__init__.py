@@ -1,7 +1,7 @@
-"""Observability: metrics, stage tracing and query reports.
+"""Observability: metrics, span tracing and query reports.
 
 This package is the single place the WALRUS system accounts for where
-its time and I/O go.  It is dependency-free and has three layers:
+its time and I/O go.  It is dependency-free:
 
 * :mod:`repro.observability.registry` — a process-wide
   :class:`MetricsRegistry` of named counters, gauges, histograms and
@@ -11,16 +11,11 @@ its time and I/O go.  It is dependency-free and has three layers:
   the sanctioned way to measure wall-clock time inside ``src/repro``
   (lint rule R006 forbids calling ``time.time()`` and friends
   directly).
-* :mod:`repro.observability.tracing` — :class:`StageTrace`, a
-  per-operation recorder of named stage timings and counts.  The
-  query path threads a trace through its stages when ``explain=True``
-  and the shared no-op :data:`NULL_TRACE` otherwise;
-  :class:`SpanStageTrace` bridges the stage blocks onto the span
-  layer when the tracer is on.
 * :mod:`repro.observability.spans` /
-  :mod:`repro.observability.flightrecorder` — distributed tracing:
-  hierarchical :class:`Span` trees with W3C ``traceparent``
-  propagation (:func:`parse_traceparent` /
+  :mod:`repro.observability.flightrecorder` — tracing, the one trace
+  model: hierarchical :class:`Span` trees (a request, its admission
+  and session waits, the query and its four stages) with W3C
+  ``traceparent`` propagation (:func:`parse_traceparent` /
   :func:`format_traceparent`), a process-wide seeded
   :class:`Tracer` with head sampling (:func:`enable_tracing`), and
   the always-on tail-sampling :class:`FlightRecorder` ring that
@@ -41,8 +36,9 @@ its time and I/O go.  It is dependency-free and has three layers:
 * :mod:`repro.observability.export` /
   :mod:`repro.observability.server` — external telemetry surfaces:
   Prometheus text-format 0.0.4 rendering, JSON snapshots, and the
-  daemon-threaded :class:`MetricsServer` behind
-  ``walrus serve-metrics`` (``/metrics`` + ``/healthz``).
+  one HTTP listener: :class:`MetricsServer` behind ``walrus
+  serve-metrics`` (``/metrics``, ``/healthz``, ``/debug/traces``),
+  which the query daemon extends with its own routes.
 
 Every *count* the layer emits is deterministic under fixed seeds (the
 paper's own evaluation tables are built on these observables); only
@@ -79,7 +75,8 @@ from repro.observability.registry import (
     get_metrics,
     set_metrics,
 )
-from repro.observability.report import ProbeCounts, QueryReport
+from repro.observability.report import (ProbeCounts, QueryReport,
+                                        StageTiming)
 from repro.observability.server import MetricsServer
 from repro.observability.spans import (
     NULL_SPAN,
@@ -96,8 +93,6 @@ from repro.observability.spans import (
     parse_traceparent,
     set_tracer,
 )
-from repro.observability.tracing import (NULL_TRACE, SpanStageTrace,
-                                         StageTiming, StageTrace)
 from repro.observability.traceview import (
     find_traces,
     parse_prometheus_text,
@@ -120,14 +115,11 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "NULL_SPAN",
-    "NULL_TRACE",
     "ProbeCounts",
     "QueryReport",
     "Span",
     "SpanContext",
-    "SpanStageTrace",
     "StageTiming",
-    "StageTrace",
     "Stopwatch",
     "TraceSegment",
     "Tracer",

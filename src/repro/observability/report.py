@@ -15,12 +15,19 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.exceptions import ObservabilityError
-from repro.observability.tracing import StageTiming
 
 #: Canonical stage names in execution order.  ``render`` and event
 #: consumers use this order; a report may carry any subset (e.g. an
 #: event-log row for a failed or partially traced query).
 CANONICAL_STAGES = ("extract", "probe", "match", "rank")
+
+
+@dataclass(frozen=True)
+class StageTiming:
+    """One completed stage: its name and wall-clock seconds."""
+
+    name: str
+    seconds: float
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,6 @@
 """Hierarchical span-based tracing with W3C ``traceparent`` propagation.
 
-Where :class:`~repro.observability.tracing.StageTrace` records a flat
-list of stage timings for *one* operation inside *one* process, a
-:class:`Span` tree explains a whole request: the client's HTTP call,
+A :class:`Span` tree explains a whole request: the client's HTTP call,
 the server's admission wait, the session acquire, and every query
 stage hang off one ``trace_id`` with parent links, so a slow answer is
 attributable to a specific stage of a specific request across the

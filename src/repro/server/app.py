@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import base64
 import binascii
+import io
 import json
-import os
 import signal
-import tempfile
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, NamedTuple
+from contextlib import contextmanager
+from email.message import Message
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple
 
 from repro.core.parameters import QueryParameters
 from repro.core.results import QueryResult
@@ -62,13 +62,10 @@ from repro.imaging.codecs import read_image
 from repro.imaging.image import Image
 from repro.observability import (Deadline, SpanContext, Stopwatch,
                                  get_events, get_metrics, get_tracer,
-                                 parse_traceparent, render_prometheus)
+                                 parse_traceparent)
+from repro.observability.server import Listener, Reply, json_reply
 from repro.server.admission import AdmissionController, DegradationPolicy
 from repro.server.sessions import SessionPool, StoreFactory
-
-#: Per-connection socket timeout: a stalled peer must not pin a
-#: handler thread past this.
-SOCKET_TIMEOUT = 30.0
 
 #: Image formats accepted in request bodies (codec dispatch suffixes).
 ACCEPTED_FORMATS = (".ppm", ".pgm", ".pnm", ".bmp")
@@ -92,141 +89,71 @@ class _PreparedQuery(NamedTuple):
     degraded: bool
 
 
-class _DrainingHTTPServer(ThreadingHTTPServer):
-    """The daemon's listener: ``SO_REUSEADDR`` so restarts do not trip
-    over TIME_WAIT, and *non*-daemonic handler threads so
-    ``server_close`` joins every in-flight request — that join is the
-    drain.  Per-connection socket timeouts bound how long the join can
-    take."""
-
-    allow_reuse_address = True
-    daemon_threads = False
-    block_on_close = True
-
-
-class _QueryHandler(BaseHTTPRequestHandler):
-    """Request handler bound (by subclassing) to one WalrusServer."""
-
-    #: Set on the per-server subclass by :meth:`WalrusServer.start`.
-    walrus: "WalrusServer"
-
-    #: Applied by BaseHTTPRequestHandler to the connection socket.
-    timeout = SOCKET_TIMEOUT
-
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args: object) -> None:
-        return None  # structured events replace stderr chatter
-
-    # -- plumbing --------------------------------------------------------
-    def _send_json(self, status: int, payload: dict[str, Any],
-                   headers: dict[str, str] | None = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, error: str,
-                         detail: dict[str, Any] | None = None,
-                         retry_after: float | None = None) -> None:
-        payload: dict[str, Any] = {"error": error}
-        payload.update(detail or {})
-        headers = {}
-        if retry_after is not None:
-            headers["Retry-After"] = f"{retry_after:.3f}"
-            payload["retry_after_seconds"] = retry_after
-        self._send_json(status, payload, headers)
-
-    def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise _BadRequest("request body required")
-        if length > MAX_BODY_BYTES:
-            raise _BadRequest(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES} byte limit")
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise _BadRequest(f"request body is not JSON: {error}") \
-                from error
-        if not isinstance(body, dict):
-            raise _BadRequest("request body must be a JSON object")
-        return body
-
-    # -- routes ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        if path == "/healthz":
-            status = "draining" if self.walrus.draining else "ok"
-            self._send_json(200 if status == "ok" else 503,
-                            {"status": status})
-        elif path == "/metrics":
-            body = render_prometheus(get_metrics()).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        elif path == "/stats":
-            self._send_json(200, self.walrus.stats())
-        elif path == "/debug/traces":
-            self._send_json(200, self.walrus.debug_traces())
-        else:
-            self._send_error_json(404, "not_found", {"path": path})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        if path not in ("/query", "/query/batch"):
-            self._send_error_json(404, "not_found", {"path": path})
-            return
-        if self.walrus.draining:
-            self._send_error_json(503, "draining", retry_after=1.0)
-            return
-        # A malformed header is dropped, not rejected: tracing must
-        # never fail a request.
-        parent = parse_traceparent(self.headers.get("traceparent"))
-        try:
-            body = self._read_body()
-        except _BadRequest as error:
-            self._send_error_json(400, "bad_request",
-                                  {"detail": str(error)})
-            return
-        try:
-            if path == "/query":
-                self._send_json(200, self.walrus.handle_query(
-                    body, parent=parent))
-            else:
-                self._send_json(200, self.walrus.handle_batch(
-                    body, parent=parent))
-        except _BadRequest as error:
-            self._send_error_json(400, "bad_request",
-                                  {"detail": str(error)})
-        except OverloadedError as error:
-            self._send_error_json(
-                503, "overloaded", {"detail": str(error)},
-                retry_after=error.retry_after_seconds)
-        except DeadlineExceededError as error:
-            self._send_error_json(504, "deadline_exceeded", {
-                "detail": str(error),
-                "budget_seconds": error.budget_seconds,
-                "elapsed_seconds": error.elapsed_seconds,
-                "context": error.context,
-            })
-        except WalrusError as error:
-            self._send_error_json(
-                500, "internal", {"detail": str(error),
-                                  "kind": type(error).__name__})
+#: The one place an exception becomes an answer: ``(class, status
+#: label, HTTP code, error name, extra payload fields)``, first match
+#: wins.  The last row catches everything, so no failure — whatever
+#: its type — leaves a request without a JSON reply.
+_ERRORS: tuple[tuple[type[Exception], str, int, str,
+                     Callable[[Any], dict[str, Any]]], ...] = (
+    (_BadRequest, "bad_request", 400, "bad_request", lambda error: {}),
+    (OverloadedError, "overloaded", 503, "overloaded", lambda error: {
+        "retry_after_seconds": error.retry_after_seconds}),
+    (DeadlineExceededError, "deadline_exceeded", 504, "deadline_exceeded",
+     lambda error: {"budget_seconds": error.budget_seconds,
+                    "elapsed_seconds": error.elapsed_seconds,
+                    "context": error.context}),
+    (Exception, "error", 500, "internal", lambda error: {
+        "kind": type(error).__name__}),
+)
 
 
-class WalrusServer:
-    """The query daemon over one checkpoint directory.
+def _classify(error: Exception) -> tuple[str, int, dict[str, Any]]:
+    """``error`` as ``(status label, HTTP code, JSON payload)``."""
+    label, code, name, extra = next(
+        row[1:] for row in _ERRORS if isinstance(error, row[0]))
+    return label, code, {"error": name, "detail": str(error),
+                         **extra(error)}
+
+
+def _error_reply(code: int, payload: dict[str, Any]) -> Reply:
+    """An error payload as a reply, its ``retry_after_seconds`` (if
+    any) mirrored into a ``Retry-After`` header."""
+    headers = None
+    if "retry_after_seconds" in payload:
+        headers = {"Retry-After": f"{payload['retry_after_seconds']:.3f}"}
+    return json_reply(code, payload, headers)
+
+
+def _read_body(headers: Message, stream: BinaryIO) -> dict[str, Any]:
+    """The request's JSON object body, or :class:`_BadRequest`."""
+    declared = headers.get("Content-Length", "0")
+    try:
+        length = int(declared)
+    except ValueError:
+        raise _BadRequest(
+            f"Content-Length must be an integer, got {declared!r}") \
+            from None
+    if length <= 0:
+        raise _BadRequest("request body required")
+    if length > MAX_BODY_BYTES:
+        raise _BadRequest(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES} byte limit")
+    raw = stream.read(length)
+    try:
+        body = json.loads(raw)
+    except ValueError as error:
+        raise _BadRequest(f"request body is not JSON: {error}") from error
+    if not isinstance(body, dict):
+        raise _BadRequest("request body must be a JSON object")
+    return body
+
+
+class WalrusServer(Listener):
+    """The query daemon over one checkpoint directory: the shared
+    :class:`~repro.observability.server.Listener` plus the ``POST``
+    routes, ``/stats``, a ``/healthz`` that reports draining, and a
+    :meth:`stop` that joins the in-flight requests.
 
     Parameters
     ----------
@@ -254,6 +181,8 @@ class WalrusServer:
         serve``) writes the flight-recorder dump to this JSON file.
     """
 
+    joins_requests = True
+
     def __init__(self, path: str, *, host: str = "127.0.0.1",
                  port: int = 8963, sessions: int = 4, max_queue: int = 16,
                  queue_timeout_seconds: float = 0.5,
@@ -267,9 +196,8 @@ class WalrusServer:
         if max_budget_seconds <= 0:
             raise ServerError(
                 f"max_budget_seconds must be > 0, got {max_budget_seconds}")
+        super().__init__(host, port)
         self.path = path
-        self.host = host
-        self.port = port
         self.default_budget_seconds = default_budget_seconds
         self.max_budget_seconds = max_budget_seconds
         self.pool = SessionPool(path, sessions, buffer_pages=buffer_pages,
@@ -283,31 +211,20 @@ class WalrusServer:
             degraded_max_regions=degraded_max_regions)
         self.trace_dump_path = trace_dump_path
         self.draining = False
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        self.get_routes["/healthz"] = self._healthz
+        self.get_routes["/stats"] = lambda: json_reply(200, self.stats())
+        # The handlers are looked up per request, so a wrapper installed
+        # on the class (the ledger's tracer) sees every call.
+        self.post_routes["/query"] = lambda headers, stream: self._post(
+            self.handle_query, headers, stream)
+        self.post_routes["/query/batch"] = lambda headers, stream: \
+            self._post(self.handle_batch, headers, stream)
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "WalrusServer":
-        """Bind and serve in a background thread.
-
-        Bind failures surface as :class:`ServerError` naming the
-        address.  Starting a started server is an error.
-        """
-        if self._server is not None:
-            raise ServerError("server is already running")
-        handler = type("_BoundQueryHandler", (_QueryHandler,),
-                       {"walrus": self})
-        try:
-            self._server = _DrainingHTTPServer((self.host, self.port),
-                                               handler)
-        except OSError as error:
-            raise ServerError(
-                f"query server cannot bind {self.host}:{self.port}: "
-                f"{error}") from error
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="walrus-query-server", daemon=True)
-        self._thread.start()
+        """Bind and serve in a background thread; a bind failure or a
+        second start is a :class:`ServerError`."""
+        super().start()
         events = get_events()
         if events.enabled:
             events.emit("server_start", {
@@ -316,24 +233,6 @@ class WalrusServer:
                 "max_queue": self.admission.max_queue,
             })
         return self
-
-    @property
-    def running(self) -> bool:
-        """Whether the serve thread is active."""
-        return self._thread is not None and self._thread.is_alive()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)``."""
-        if self._server is None:
-            raise ServerError("server is not running")
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    def url(self, path: str = "") -> str:
-        """Absolute URL of ``path`` on the bound address."""
-        host, port = self.address
-        return f"http://{host}:{port}{path}"
 
     def stop(self) -> None:
         """Drain and shut down (idempotent).
@@ -344,15 +243,10 @@ class WalrusServer:
         close.
         """
         self.draining = True
-        server, thread = self._server, self._thread
-        self._server, self._thread = None, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()  # joins in-flight handler threads
-        if thread is not None:
-            thread.join(timeout=SOCKET_TIMEOUT)
+        was_running = self._server is not None
+        super().stop()
         self.pool.close()
-        if server is not None:
+        if was_running:
             events = get_events()
             if events.enabled:
                 events.emit("server_stop", {
@@ -392,20 +286,34 @@ class WalrusServer:
         self.stop()
         return received[0] if received else "unknown"
 
-    def __enter__(self) -> "WalrusServer":
-        return self.start()
+    # -- routes ----------------------------------------------------------
+    def not_found(self, path: str) -> Reply:
+        return json_reply(404, {"error": "not_found", "path": path})
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def _healthz(self) -> Reply:
+        if self.draining:
+            return json_reply(503, {"status": "draining"})
+        return json_reply(200, {"status": "ok"})
+
+    def _post(self, handle: Callable[..., dict[str, Any]],
+              headers: Message, stream: BinaryIO) -> Reply:
+        """One ``POST`` exchange: read the body, run ``handle``, and
+        answer — with its result, or with whatever was raised on the
+        way turned into a reply by :data:`_ERRORS`."""
+        if self.draining:
+            return _error_reply(503, {"error": "draining",
+                                      "retry_after_seconds": 1.0})
+        try:
+            body = _read_body(headers, stream)
+            # A malformed header is dropped, not rejected: tracing
+            # must never fail a request.
+            parent = parse_traceparent(headers.get("traceparent"))
+            return json_reply(200, handle(body, parent=parent))
+        except Exception as error:
+            _, code, payload = _classify(error)
+            return _error_reply(code, payload)
 
     # -- request handling ------------------------------------------------
-    def debug_traces(self) -> dict[str, Any]:
-        """The ``/debug/traces`` payload: the process tracer's
-        flight-recorder dump (always-on tail sampling — retained
-        traces survive even at a 0.0 head-sampling rate when they were
-        slow, deadline-exceeded or errored)."""
-        return get_tracer().recorder.dump()
-
     def write_trace_dump(self) -> str | None:
         """Write the flight-recorder dump to :attr:`trace_dump_path`.
 
@@ -496,35 +404,31 @@ class WalrusServer:
                 from error
         return blob, suffix
 
-    def _prepare_query(self, body: dict[str, Any]) -> _PreparedQuery:
+    def _prepare_query(self, body: dict[str, Any],
+                       load_cap: int | None) -> _PreparedQuery:
         """Decode and admit-adjust one query body: base64 → codec →
-        :class:`Image`, parameter overrides, and the degradation cap.
-        Raises :class:`_BadRequest` on any malformed field."""
+        :class:`Image`, parameter overrides, and the tighter of the
+        request's own ``max_regions`` and ``load_cap`` (the degradation
+        cap decided when the request arrived).  Raises
+        :class:`_BadRequest` on any malformed field."""
         blob, suffix = self._decode_image(body)
         query_params = self._query_parameters(body)
         explain = bool(body.get("explain", False))
         requested_cap = self._requested_max_regions(body)
-        cap = self.policy.max_regions(self.admission, requested_cap)
-        degraded = cap is not None and cap != requested_cap
-
-        descriptor, image_path = tempfile.mkstemp(suffix=suffix,
-                                                  prefix="walrus-query-")
+        cap = min((value for value in (requested_cap, load_cap)
+                   if value is not None), default=None)
         try:
-            with os.fdopen(descriptor, "wb") as stream:
-                stream.write(blob)
-            try:
-                image = read_image(image_path)
-            except CodecError as error:
-                raise _BadRequest(f"undecodable image: {error}") from error
-        finally:
-            os.unlink(image_path)
-        return _PreparedQuery(image, query_params, explain, cap, degraded)
+            image = read_image(io.BytesIO(blob), suffix)
+        except CodecError as error:
+            raise _BadRequest(f"undecodable image: {error}") from error
+        return _PreparedQuery(image, query_params, explain, cap,
+                              degraded=cap != requested_cap)
 
-    def _run_query(self, body: dict[str, Any],
-                   deadline: Deadline | None) -> dict[str, Any]:
+    def _run_query(self, body: dict[str, Any], deadline: Deadline | None,
+                   load_cap: int | None) -> dict[str, Any]:
         """Decode, admit-adjust and execute one query body (the caller
         already holds the admission slot)."""
-        prepared = self._prepare_query(body)
+        prepared = self._prepare_query(body, load_cap)
         watch = Stopwatch()
         session = self.pool.acquire(timeout=self.max_budget_seconds)
         try:
@@ -565,7 +469,8 @@ class WalrusServer:
             payload["report"] = result.report.to_dict()
         return payload
 
-    def _render_outcome(self, outcome: Any, item: _PreparedQuery, *,
+    def _render_outcome(self, outcome: QueryResult | WalrusError,
+                        item: _PreparedQuery, *,
                         generation: int) -> dict[str, Any]:
         """Render one ``query_batch`` outcome — a result payload or an
         in-place error object (``return_exceptions=True`` hands back
@@ -575,16 +480,7 @@ class WalrusServer:
                 outcome, generation=generation, degraded=item.degraded,
                 cap=item.cap, elapsed=outcome.stats.elapsed_seconds,
                 explain=item.explain)
-        if isinstance(outcome, DeadlineExceededError):
-            return {
-                "error": "deadline_exceeded",
-                "detail": str(outcome),
-                "budget_seconds": outcome.budget_seconds,
-                "elapsed_seconds": outcome.elapsed_seconds,
-                "context": outcome.context,
-            }
-        return {"error": "internal", "detail": str(outcome),
-                "kind": type(outcome).__name__}
+        return _classify(outcome)[2]
 
     def _observe(self, endpoint: str, status: str, seconds: float) -> None:
         metrics = get_metrics()
@@ -600,41 +496,48 @@ class WalrusServer:
                 "waiting": self.admission.waiting,
             })
 
-    def handle_query(self, body: dict[str, Any], *,
-                     parent: SpanContext | None = None) -> dict[str, Any]:
-        """Execute ``POST /query``: admit, budget, run, observe.
-
-        ``parent`` is the caller's parsed ``traceparent`` context (or
-        ``None``); the whole request runs under a ``server.request``
-        span so errors and deadline overruns stamp the span status —
-        which is what the flight recorder's force-retention keys on.
+    @contextmanager
+    def _admitted(self, endpoint: str, body: dict[str, Any],
+                  parent: SpanContext | None, **attributes: Any
+                  ) -> Iterator[tuple[Stopwatch, Deadline | None,
+                                      int | None]]:
+        """The envelope every admitted request runs in: a
+        ``server.request`` span (continuing ``parent``, the caller's
+        parsed ``traceparent`` context, if any), the budget, the
+        degradation cap, an admission slot, and — however the block
+        ends — the status label on the span, the metrics and the
+        event log.  Errors and deadline overruns also stamp the span
+        status, which is what the flight recorder's force-retention
+        keys on.  Yields ``(watch, deadline, load_cap)``.
         """
         watch = Stopwatch()
         status = "ok"
         with get_tracer().span("server.request", parent=parent) as span:
-            if span.recording:
-                span.set_attribute("endpoint", "/query")
+            span.set_attribute("endpoint", endpoint)
+            for key, value in attributes.items():
+                span.set_attribute(key, value)
             try:
                 budget = self._budget(body)
+                # Decided before this request takes its own slot, so
+                # the load it sees is everyone else's.
+                load_cap = self.policy.max_regions(self.admission)
                 with self.admission.slot():
-                    deadline = (Deadline(budget) if budget is not None
-                                else None)
-                    return self._run_query(body, deadline)
-            except _BadRequest:
-                status = "bad_request"
-                raise
-            except OverloadedError:
-                status = "overloaded"
-                raise
-            except DeadlineExceededError:
-                status = "deadline_exceeded"
-                raise
-            except WalrusError:
-                status = "error"
+                    yield (watch,
+                           Deadline(budget) if budget is not None else None,
+                           load_cap)
+            except Exception as error:
+                status = _classify(error)[0]
                 raise
             finally:
                 span.set_attribute("request.status", status)
-                self._observe("/query", status, watch.elapsed)
+                self._observe(endpoint, status, watch.elapsed)
+
+    def handle_query(self, body: dict[str, Any], *,
+                     parent: SpanContext | None = None) -> dict[str, Any]:
+        """Execute ``POST /query``: admit, budget, run, observe."""
+        with self._admitted("/query", body, parent) \
+                as (_, deadline, load_cap):
+            return self._run_query(body, deadline, load_cap)
 
     def handle_batch(self, body: dict[str, Any], *,
                      parent: SpanContext | None = None) -> dict[str, Any]:
@@ -658,63 +561,34 @@ class WalrusServer:
         if len(queries) > 64:
             raise _BadRequest(
                 f"batch of {len(queries)} exceeds the 64-query limit")
-        watch = Stopwatch()
-        status = "ok"
-        with get_tracer().span("server.request", parent=parent) as span:
-            if span.recording:
-                span.set_attribute("endpoint", "/query/batch")
-                span.set_attribute("queries", len(queries))
-            try:
-                budget = self._budget(body)
-                with self.admission.slot():
-                    deadline = (Deadline(budget) if budget is not None
-                                else None)
-                    results: list[dict[str, Any]] = []
-                    runnable: list[tuple[int, _PreparedQuery]] = []
-                    for index, item in enumerate(queries):
-                        if not isinstance(item, dict):
-                            results.append(
-                                {"error": "bad_request",
-                                 "detail": "query must be an object"})
-                            continue
-                        try:
-                            runnable.append((index,
-                                             self._prepare_query(item)))
-                            results.append({})  # placeholder, filled below
-                        except _BadRequest as error:
-                            results.append({"error": "bad_request",
-                                            "detail": str(error)})
-                    if runnable:
-                        session = self.pool.acquire(
-                            timeout=self.max_budget_seconds)
-                        try:
-                            outcomes = session.query_batch(
-                                [item.image for _, item in runnable],
-                                [item.query_params for _, item in runnable],
-                                explain=[item.explain
-                                         for _, item in runnable],
-                                deadline=deadline,
-                                max_regions=[item.cap
-                                             for _, item in runnable],
-                                return_exceptions=True)
-                            generation = session.generation
-                        finally:
-                            self.pool.release(session)
-                        for (index, item), outcome in zip(runnable,
-                                                          outcomes):
-                            results[index] = self._render_outcome(
-                                outcome, item, generation=generation)
-                    return {"results": results,
-                            "elapsed_seconds": watch.elapsed}
-            except _BadRequest:
-                status = "bad_request"
-                raise
-            except OverloadedError:
-                status = "overloaded"
-                raise
-            except WalrusError:
-                status = "error"
-                raise
-            finally:
-                span.set_attribute("request.status", status)
-                self._observe("/query/batch", status, watch.elapsed)
+        with self._admitted("/query/batch", body, parent,
+                            queries=len(queries)) \
+                as (watch, deadline, load_cap):
+            results: list[dict[str, Any]] = []
+            runnable: list[tuple[int, _PreparedQuery]] = []
+            for index, item in enumerate(queries):
+                try:
+                    if not isinstance(item, dict):
+                        raise _BadRequest("query must be an object")
+                    runnable.append(
+                        (index, self._prepare_query(item, load_cap)))
+                    results.append({})  # placeholder, filled below
+                except _BadRequest as error:
+                    results.append(_classify(error)[2])
+            if runnable:
+                session = self.pool.acquire(timeout=self.max_budget_seconds)
+                try:
+                    outcomes = session.query_batch(
+                        [item.image for _, item in runnable],
+                        [item.query_params for _, item in runnable],
+                        explain=[item.explain for _, item in runnable],
+                        deadline=deadline,
+                        max_regions=[item.cap for _, item in runnable],
+                        return_exceptions=True)
+                    generation = session.generation
+                finally:
+                    self.pool.release(session)
+                for (index, item), outcome in zip(runnable, outcomes):
+                    results[index] = self._render_outcome(
+                        outcome, item, generation=generation)
+            return {"results": results, "elapsed_seconds": watch.elapsed}

@@ -80,7 +80,7 @@ class ReaderSession:
     @property
     def generation(self) -> int:
         """The commit generation this session is pinned to."""
-        return int(getattr(self.database.index.store, "generation", 0))
+        return self.database.index.store.generation
 
     def stale(self) -> bool:
         """Whether the on-disk committed generation has moved past this

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import ast
 import gc
+import importlib.util
 import os
 import pathlib
 import pickle
+import re
 import warnings
 
 import pytest
 
 import repro
+import repro.observability
 from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.core.results import QueryResult, RegionMatch
@@ -239,6 +242,19 @@ class TestDeprecatedShims:
                 if "pickle" in modules:
                     importers.add(path.relative_to(package).as_posix())
         assert importers == {"core/database.py", "index/storage.py"}
+        # 2.1: spans are the only trace model, and one module owns the
+        # stdlib HTTP server every listener is built on.
+        for module in (repro, repro.observability):
+            assert [name for name in ("StageTrace", "NULL_TRACE",
+                                      "SpanStageTrace")
+                    if hasattr(module, name)] == []
+        assert importlib.util.find_spec(
+            "repro.observability.tracing") is None
+        assert [path.relative_to(package).as_posix()
+                for path in sorted(package.rglob("*.py"))
+                if re.search("BaseHTTPRequestHandler|ThreadingHTTPServer",
+                             path.read_text("utf-8"))] \
+            == ["observability/server.py"]
 
     def test_new_entry_points_do_not_warn(self, tmp_path):
         directory = str(tmp_path / "db")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,8 @@ class TestPnm:
         path.write_bytes(b"P6\n4 4\n255\n\x00\x01")
         with pytest.raises(CodecError):
             read_pnm(path)
+        with pytest.raises(CodecError):
+            read_pnm(io.BytesIO(path.read_bytes()))
 
     def test_rejects_garbage_header(self, tmp_path):
         path = tmp_path / "garbage.ppm"
@@ -137,12 +141,17 @@ class TestDispatch:
         for ext in (".ppm", ".bmp"):
             path = tmp_path / f"d{ext}"
             write_image(image, path)
-            np.testing.assert_allclose(read_image(path).pixels,
-                                       image.pixels, atol=1e-9)
+            stream = io.BytesIO(path.read_bytes())
+            for loaded in (read_image(path), read_image(stream, ext)):
+                np.testing.assert_allclose(loaded.pixels, image.pixels,
+                                           atol=1e-9)
+            assert not stream.closed
 
     def test_unknown_extension(self, rng, tmp_path):
         with pytest.raises(CodecError):
             read_image(tmp_path / "x.jpeg")
+        with pytest.raises(CodecError):
+            read_image(io.BytesIO(b"P6\n1 1\n255\n\x00\x00\x00"))
         with pytest.raises(CodecError):
             write_image(Image(rng.uniform(size=(2, 2, 3))),
                         tmp_path / "x.tiff")

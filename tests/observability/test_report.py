@@ -14,8 +14,7 @@ import pytest
 
 from repro.exceptions import ObservabilityError
 from repro.observability.report import (CANONICAL_STAGES, ProbeCounts,
-                                        QueryReport)
-from repro.observability.tracing import StageTiming
+                                        QueryReport, StageTiming)
 
 
 def make_report(stages=None) -> QueryReport:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -178,6 +180,37 @@ class TestErrors:
             assert float(retry_after) == pytest.approx(0.2)
 
 
+    def test_bad_content_length_is_400_not_a_dropped_socket(self, db_dir):
+        with WalrusServer(db_dir, port=0) as server:
+            connection = http.client.HTTPConnection(*server.address,
+                                                    timeout=10.0)
+            connection.putrequest("POST", "/query")
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            connection.close()
+        assert response.status == 400
+        assert body["error"] == "bad_request"
+        assert "Content-Length" in body["detail"]
+        # The body was never framed, so the connection cannot go on.
+        assert response.getheader("Connection") == "close"
+
+    def test_unclassified_failure_is_500_internal(self, db_dir, query_body,
+                                                  monkeypatch):
+        def boom(timeout: float) -> None:
+            raise RuntimeError("not a WalrusError")
+
+        with WalrusServer(db_dir, port=0) as server:
+            monkeypatch.setattr(server.pool, "acquire", boom)
+            status, body, _ = self._status_and_body(
+                lambda: _post(server.url("/query"), query_body))
+            assert server.admission.active == 0
+        assert status == 500
+        assert body == {"error": "internal", "kind": "RuntimeError",
+                        "detail": "not a WalrusError"}
+
+
 class TestLifecycle:
     def test_bind_conflict_is_server_error(self, db_dir):
         with WalrusServer(db_dir, port=0) as server:
@@ -206,12 +239,34 @@ class TestLifecycle:
             _post(url, query_body, timeout=0.5)
 
     def test_degraded_queries_marked(self, db_dir, query_body):
-        # degrade_at=0.5 with one session: the handler itself holds the
-        # only slot, so load is 1.0 >= 0.5 while it runs -> degraded.
+        # One session, default degrade_at=1.0: a request is capped when
+        # it arrives behind another one — never for the slot it takes
+        # itself.
+        query = make_flower_image(name="q", cx=20)
+        with WalrusDatabase.open(db_dir, readonly=True) as database:
+            regions = database.query(query).stats.query_regions
+        assert regions > 1
+        queued: list[dict] = []
         with WalrusServer(db_dir, port=0, sessions=1,
-                          degrade_at=0.5,
-                          degraded_max_regions=1) as server:
-            payload = _post(server.url("/query"), query_body)
-        assert payload["degraded"] is True
-        assert payload["max_regions"] == 1
-        assert payload["stats"]["query_regions"] <= 1
+                          degraded_max_regions=1,
+                          queue_timeout_seconds=30.0) as server:
+            url = server.url("/query")
+            alone = _post(url, query_body)
+            server.admission.try_acquire()  # someone else holds the slot
+            try:
+                thread = threading.Thread(
+                    target=lambda: queued.append(_post(url, query_body)))
+                thread.start()
+                patience = time.monotonic() + 10.0
+                while not server.admission.waiting \
+                        and time.monotonic() < patience:
+                    time.sleep(0.005)
+            finally:
+                server.admission.release()
+            thread.join(timeout=30.0)
+        assert alone["degraded"] is False
+        assert alone["max_regions"] is None
+        assert alone["stats"]["query_regions"] == regions
+        assert queued[0]["degraded"] is True
+        assert queued[0]["max_regions"] == 1
+        assert queued[0]["stats"]["query_regions"] == 1

@@ -18,8 +18,10 @@ import pytest
 from repro.core.database import WalrusDatabase
 from repro.exceptions import DeadlineExceededError
 from repro.imaging.codecs import write_image
-from repro.observability import (FlightRecorder, Tracer, get_tracer,
+from repro.observability import (EventLog, FlightRecorder, Stopwatch,
+                                 Tracer, get_events, get_tracer, set_events,
                                  set_tracer)
+from repro.observability.report import CANONICAL_STAGES
 from repro.server import WalrusClient, WalrusServer
 from tests.conftest import make_flower_image
 
@@ -190,3 +192,74 @@ class TestExplainParity:
         assert _strip_timings(traced["report"]) \
             == _strip_timings(baseline["report"])
         assert traced["matches"] == baseline["matches"]
+
+    @pytest.mark.parametrize("surface, stage_parent", [
+        ("query", "query"),
+        ("query_batch", "query_batch.item"),
+        ("POST /query", "query"),
+    ])
+    def test_one_report_under_every_tracing_mode(self, db_dir, query_body,
+                                                 surface, stage_parent):
+        """Stage spans and EXPLAIN stage rows come out of the same four
+        blocks: the report is the same with the tracer off, on, and on
+        beside the event log, and a traced run holds each stage span
+        once, under the query that ran it."""
+        image = make_flower_image(name="q", cx=20)
+
+        def run() -> dict:
+            if surface == "POST /query":
+                with WalrusServer(db_dir, port=0) as server:
+                    return WalrusClient(server.url("")).query_body(
+                        dict(query_body, explain=True))["report"]
+            with WalrusDatabase.open(db_dir, readonly=True) as database:
+                if surface == "query":
+                    result = database.query(image, explain=True)
+                else:
+                    result, = database.query_batch([image], explain=True)
+                return result.report.to_dict()
+
+        assert not get_tracer().enabled and not get_events().enabled
+        reports = [run()]
+        tracer = Tracer(enabled=True, sample_rate=1.0, seed=7,
+                        recorder=FlightRecorder(capacity=8,
+                                                slow_seconds=60.0))
+        previous_tracer = set_tracer(tracer)
+        try:
+            reports.append(run())
+            spans = one_trace(tracer)["spans"]
+            previous_events = set_events(EventLog(enabled=True))
+            try:
+                reports.append(run())
+            finally:
+                set_events(previous_events).close()
+        finally:
+            set_tracer(previous_tracer)
+
+        for report in reports:
+            assert [row["name"] for row in report["stages"]] \
+                == list(CANONICAL_STAGES) \
+                == ["extract", "probe", "match", "rank"]
+            assert _strip_timings(report) == _strip_timings(reports[0])
+        parent, = [span for span in spans if span["name"] == stage_parent]
+        assert [span["name"] for span in spans
+                if span["parent_id"] == parent["span_id"]] \
+            == list(CANONICAL_STAGES)
+        assert sum(span["name"] in CANONICAL_STAGES for span in spans) == 4
+
+    def test_unexplained_query_reads_no_stage_clock(self, db_dir,
+                                                    monkeypatch):
+        """With tracer, EXPLAIN and event log all off, a query builds
+        the one stopwatch it built before stages were spans."""
+        built: list[Stopwatch] = []
+        construct = Stopwatch.__init__
+
+        def spy(self: Stopwatch) -> None:
+            built.append(self)
+            construct(self)
+
+        image = make_flower_image(name="q", cx=20)
+        with WalrusDatabase.open(db_dir, readonly=True) as database:
+            assert not get_tracer().enabled and not get_events().enabled
+            monkeypatch.setattr(Stopwatch, "__init__", spy)
+            database.query(image)
+        assert len(built) == 1

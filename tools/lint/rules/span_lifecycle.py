@@ -21,10 +21,8 @@ Allowed::
     with tracer.span("probe") as span: ...
     with get_tracer().span("probe", parent=remote) as span: ...
 
-The two lifecycle owners are exempt: ``observability/spans.py``
-(defines the handles) and ``observability/tracing.py`` (the
-``SpanStageTrace`` adapter enters/exits handles manually to bridge
-the stage-block protocol).
+The lifecycle owner is exempt: ``observability/spans.py`` defines the
+handles.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from tools.lint.engine import (Finding, Rule, SourceFile, path_segments,
                                register)
 
 #: Files that own the handle lifecycle and may manage it manually.
-_EXEMPT_FILES = frozenset({"spans.py", "tracing.py"})
+_EXEMPT_FILES = frozenset({"spans.py"})
 
 
 def _is_span_call(node: ast.Call) -> bool:
