@@ -9,10 +9,11 @@ Ties the whole system together (Section 5.1's overview):
   fresh database the tree is packed bottom-up with one
   Sort-Tile-Recursive pass instead of repeated insertion.
 * :meth:`WalrusDatabase.query` extracts the query's regions the same
-  way, probes the index within ``epsilon`` per query region
-  (Section 5.4), groups the matching pairs per target image, scores
-  each target with the configured matching algorithm (Section 5.5) and
-  returns images whose similarity clears ``tau``, ranked.
+  way, probes the index within ``epsilon`` of every query region in
+  one walk of the tree (Section 5.4), groups the matching pairs per
+  target image, scores each target with the configured matching
+  algorithm (Section 5.5) and returns images whose similarity clears
+  ``tau``, ranked.
 
 Lifecycle: :meth:`WalrusDatabase.create` builds a database — in memory
 with ``path=None``, or over a durable checkpoint directory (v3 index
@@ -32,7 +33,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, cast
+
+import numpy as np
 
 from repro.core.cache import CacheStats, LRUCache
 from repro.core.extraction import RegionExtractor
@@ -48,7 +51,7 @@ from repro.imaging.image import Image
 from repro.index.geometry import Rect
 from repro.index.pagestore import (PageStore, create_page_store,
                                    open_page_store)
-from repro.index.rstar import RStarTree
+from repro.index.rstar import Hits, RStarTree
 from repro.index.storage import fsync_directory
 from repro.observability import (Deadline, ProbeCounts, QueryReport,
                                  StageTiming, Stopwatch, current_span,
@@ -550,8 +553,9 @@ class WalrusDatabase:
         — and their per-region probes are then identical.  All items
         share a batch-scoped probe table keyed exactly like the probe
         LRU (signature, ``epsilon``, metric, index generation), so a
-        probe any earlier item executed is reused instead of walking
-        the tree again, even when the per-item probe cache is disabled.
+        probe any earlier item executed is reused instead of joining
+        this item's walk of the tree, even when the probe cache is
+        disabled.
         Reuse is exact, never approximate: items with different
         ``epsilon`` or ``metric`` never share entries.  The per-item
         EXPLAIN report counts reuse in ``probes_shared``.
@@ -769,12 +773,18 @@ class WalrusDatabase:
         Per-region probe results are memoized in an LRU keyed by
         ``(signature, epsilon, metric)`` plus the index generation, so
         re-running a query (or sweeping ``tau``/``refine_epsilon``,
-        which act downstream of the probe) skips the tree walks.
+        which act downstream of the probe) skips the tree.
 
         ``shared`` is :meth:`query_batch`'s batch-scoped probe table,
         keyed identically; it is consulted before the LRU and filled
         by every probe this call resolves, so later batch items reuse
-        earlier items' tree walks (counted as ``probes_shared``).
+        earlier items' results (counted as ``probes_shared``).
+
+        Every region is looked up first; the point signatures that
+        missed then go to the R*-tree together, as the rows of one
+        ``search_within`` matrix — one walk of the tree per query, each
+        node read once however many regions reach it.  (A bounding-box
+        signature is one ``search`` walk of its own.)
 
         With ``qp.refine_epsilon`` set, surviving pairs additionally
         pass the Section 5.5 refined check on the detailed signatures
@@ -791,35 +801,58 @@ class WalrusDatabase:
         cache_hits = 0
         cache_misses = 0
         shared_hits = 0
+        resolved: list[list[tuple[int, int]]] = []
+        # Point signatures that missed, each with the (still empty)
+        # list already filed under its key: a signature repeated later
+        # in this query finds that list, as it found the finished one
+        # when every region walked the tree by itself.
+        pending: list[tuple[np.ndarray, list[tuple[int, int]]]] = []
+        try:
+            for region in query_regions:
+                if deadline is not None:
+                    deadline.check("query.probe")
+                signature = region.signature
+                cache_key = (self._generation, signature.lower.tobytes(),
+                             signature.upper.tobytes(), qp.epsilon,
+                             qp.metric)
+                found = shared.get(cache_key) if shared is not None else None
+                if found is not None:
+                    shared_hits += 1
+                else:
+                    found = self._probe_cache.get(cache_key)
+                    if found is None:
+                        cache_misses += 1
+                        if signature.is_point:
+                            found = []
+                            pending.append((signature.centroid, found))
+                        else:
+                            probe = signature.to_rect().expand(qp.epsilon)
+                            found = self.index.search(probe,
+                                                      deadline=deadline)
+                        self._probe_cache.put(cache_key, found)
+                    else:
+                        cache_hits += 1
+                    if shared is not None:
+                        shared[cache_key] = found
+                resolved.append(found)
+            if pending:
+                # A matrix in, one hit list per row out.
+                batches = cast("list[Hits]", self.index.search_within(
+                    np.stack([point for point, _ in pending]), qp.epsilon,
+                    metric=qp.metric, deadline=deadline))
+                for (_, found), hits in zip(pending, batches):
+                    found.extend(item for _, item in hits)
+        except BaseException:
+            if pending:
+                # The lists filed above were never filled; retire them
+                # (and ``shared``'s copies, through the generation).
+                self._invalidate_probes()
+            raise
         pairs_probed = 0
         refined_out = 0
         pairs_by_image: dict[int, list[tuple[int, int]]] = {}
-        for q_index, region in enumerate(query_regions):
-            if deadline is not None:
-                deadline.check("query.probe")
-            signature = region.signature
-            cache_key = (self._generation, signature.lower.tobytes(),
-                         signature.upper.tobytes(), qp.epsilon, qp.metric)
-            found = shared.get(cache_key) if shared is not None else None
-            if found is not None:
-                shared_hits += 1
-            else:
-                found = self._probe_cache.get(cache_key)
-                if found is None:
-                    cache_misses += 1
-                    if signature.is_point:
-                        hits = self.index.search_within(
-                            signature.centroid, qp.epsilon, metric=qp.metric,
-                            deadline=deadline)
-                        found = [item for _, item in hits]
-                    else:
-                        probe = signature.to_rect().expand(qp.epsilon)
-                        found = self.index.search(probe, deadline=deadline)
-                    self._probe_cache.put(cache_key, found)
-                else:
-                    cache_hits += 1
-                if shared is not None:
-                    shared[cache_key] = found
+        for q_index, (region, found) in enumerate(
+                zip(query_regions, resolved)):
             pairs_probed += len(found)
             for image_id, t_index in found:
                 if qp.refine_epsilon is not None:

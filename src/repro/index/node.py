@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.exceptions import SpatialIndexError
 from repro.index.geometry import Rect
 
@@ -52,14 +54,23 @@ class Entry:
 class Node:
     """An R*-tree node: ``level`` 0 is a leaf, the root has the highest
     level.  The node's own MBR is maintained by its parent entry; the
-    root's MBR is tracked by the tree."""
+    root's MBR is tracked by the tree.
 
-    __slots__ = ("page_id", "level", "entries")
+    ``bounds`` caches the entries' rectangles as one stacked
+    ``(n, d)`` lower/upper pair — what the search kernels test instead
+    of ``n`` :class:`Rect` objects.  It is derived state: the v3
+    decoder attaches the arrays it read, :meth:`stacked_bounds` builds
+    them on demand otherwise, and ``RStarTree._write`` drops them, so
+    a node whose entries changed is never searched through old arrays.
+    """
+
+    __slots__ = ("page_id", "level", "entries", "bounds")
 
     def __init__(self, page_id: int, level: int) -> None:
         self.page_id = page_id
         self.level = level
         self.entries: list[Entry] = []
+        self.bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -73,11 +84,27 @@ class Node:
             )
         return Rect.union_of([e.rect for e in self.entries])
 
+    def fresh_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries' bounds stacked into ``(n, d)`` lower and upper
+        matrices, row ``i`` being entry ``i`` (shape ``(0, 0)`` for an
+        empty node, whose dimensionality is unknown)."""
+        if not self.entries:
+            return np.empty((0, 0)), np.empty((0, 0))
+        return (np.stack([e.rect.lower for e in self.entries]),
+                np.stack([e.rect.upper for e in self.entries]))
+
+    def stacked_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`fresh_bounds`, stacked once and kept in ``bounds``."""
+        if self.bounds is None:
+            self.bounds = self.fresh_bounds()
+        return self.bounds
+
     def __getstate__(self) -> tuple[int, int, list[Entry]]:
         return (self.page_id, self.level, self.entries)
 
     def __setstate__(self, state: tuple[int, int, list[Entry]]) -> None:
         self.page_id, self.level, self.entries = state
+        self.bounds = None
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -116,9 +116,10 @@ def decode_node(page_id: int, payload: bytes | memoryview) -> Node:
     """Rebuild a :class:`Node` from a v3 payload, zero-copy.
 
     Every entry's :class:`Rect` bounds are read-only ``frombuffer``
-    views of ``payload``; nothing numeric is copied.  Leaf items come
-    back as plain Python-int tuples, bit-identical to what
-    :func:`encode_node` consumed.
+    views of ``payload``, and ``node.bounds`` holds the two ``(count,
+    dims)`` matrices they are rows of; nothing numeric is copied.
+    Leaf items come back as plain Python-int tuples, bit-identical to
+    what :func:`encode_node` consumed.
     """
     if len(payload) < _NODE_HEADER.size:
         raise StorageError(
@@ -152,6 +153,9 @@ def decode_node(page_id: int, payload: bytes | memoryview) -> Node:
     uppers = np.frombuffer(payload, dtype=_BOUND_DTYPE, count=bounds,
                            offset=offset).reshape(count, dims)
     offset += bounds * _BOUND_DTYPE.itemsize
+    # The search kernels test these two matrices whole; the per-entry
+    # rectangles below are row views of the same memory.
+    node.bounds = (lowers, uppers)
     entries = node.entries
     if level == 0:
         items = np.frombuffer(payload, dtype=_ITEM_DTYPE, count=count * 2,

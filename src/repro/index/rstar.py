@@ -32,18 +32,24 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.exceptions import SpatialIndexError, StorageError
-from repro.index.geometry import Rect
+from repro.index.geometry import Rect, min_distances
 from repro.index.node import Entry, Node
 from repro.index.pagestore import MemoryPageStore, PageStore
 from repro.observability.deadline import Deadline
 from repro.observability.events import get_events
+
+#: ``(distance, item)`` pairs, nearest first.
+Hits = list[tuple[float, Any]]
 
 
 class IndexCounters:
     """Exact I/O and maintenance accounting for one R*-tree.
 
     Always on: each field costs one integer add on its event, which is
-    noise next to the page (un)pickling the event performs anyway.
+    noise next to the page decode or encode the event performs anyway.
+    ``node_reads`` counts nodes actually read: a batched
+    :meth:`RStarTree.search_within` reads a node once for all its
+    probes, while ``probes`` counts every probe point.
     The observability layer snapshots these around a probe to report
     per-query node accesses and fan-out; cumulative values feed the
     process-wide metrics registry.
@@ -139,6 +145,9 @@ class RStarTree:
 
     def _write(self, node: Node) -> None:
         self.counters.node_writes += 1
+        # Every entry mutation ends in a write: retire the stacked
+        # search arrays with it.
+        node.bounds = None
         self.store.write(node.page_id, node)
 
     def _new_node(self, level: int) -> Node:
@@ -446,6 +455,45 @@ class RStarTree:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _traverse(self, lower: np.ndarray, upper: np.ndarray,
+                  deadline: Deadline | None
+                  ) -> Iterator[tuple[Node, np.ndarray, np.ndarray]]:
+        """The range-search loop: one depth-first walk for Q probe boxes.
+
+        ``lower`` / ``upper`` are ``(Q, d)`` box bounds.  Every stack
+        frame carries the indices of the probes still alive below that
+        node; a node is read once, its ``n`` entries are tested against
+        its alive probes in one ``(alive, n, d)`` comparison, and a
+        child is entered once for all probes whose box meets its
+        rectangle.  Yields ``(leaf, alive, mask)`` per leaf reached,
+        ``mask[a, i]`` saying probe ``alive[a]`` meets entry ``i``.
+
+        Children are pushed in entry order, so the walk restricted to
+        one probe's nodes is that probe's solo walk: each probe sees
+        its leaves, and its entries within a leaf, in the same order
+        whatever else is in the batch.  ``deadline`` is checked before
+        every node read, so an expired budget aborts mid-traversal
+        with :class:`~repro.exceptions.DeadlineExceededError`.
+        """
+        self.counters.probes += len(lower)
+        stack = [(self.root_id, np.arange(len(lower)))]
+        while stack:
+            if deadline is not None:
+                deadline.check("rstar.search")
+            page_id, alive = stack.pop()
+            node = self._read(page_id)
+            if not node.entries:
+                continue
+            node_lower, node_upper = node.stacked_bounds()
+            mask = ((node_lower <= upper[alive, None])
+                    & (lower[alive, None] <= node_upper)).all(axis=2)
+            if node.is_leaf:
+                yield node, alive, mask
+                continue
+            for column in np.flatnonzero(mask.any(axis=0)):
+                stack.append((node.entries[column].child_id,
+                              alive[mask[:, column]]))
+
     def search(self, rect: Rect, *,
                deadline: Deadline | None = None) -> list[Any]:
         """Items whose rectangles intersect ``rect``."""
@@ -457,31 +505,21 @@ class RStarTree:
                        ) -> Iterator[tuple[Rect, Any]]:
         """Yield ``(rect, item)`` pairs intersecting ``rect``.
 
-        ``deadline`` is checked before every node read, so an expired
-        budget aborts mid-traversal with
-        :class:`~repro.exceptions.DeadlineExceededError` instead of
-        finishing the probe.
+        ``deadline`` is checked before every node read (see
+        :meth:`_traverse`).
         """
         if rect.dimensions != self.dimensions:
             raise SpatialIndexError("query dimensionality mismatch")
-        self.counters.probes += 1
-        stack = [self.root_id]
-        while stack:
-            if deadline is not None:
-                deadline.check("rstar.search_entries")
-            node = self._read(stack.pop())
-            for entry in node.entries:
-                if not entry.rect.intersects(rect):
-                    continue
-                if node.is_leaf:
-                    yield entry.rect, entry.item
-                else:
-                    stack.append(entry.child_id)
+        for leaf, _, mask in self._traverse(rect.lower[None], rect.upper[None],
+                                            deadline):
+            for column in np.flatnonzero(mask[0]):
+                entry = leaf.entries[column]
+                yield entry.rect, entry.item
 
     def search_within(self, point: np.ndarray, epsilon: float,
                       *, metric: str = "l2",
                       deadline: Deadline | None = None
-                      ) -> list[tuple[float, Any]]:
+                      ) -> Hits | list[Hits]:
         """Items whose rectangles lie within ``epsilon`` of ``point``.
 
         This is the Section 5.4 region probe: signatures (points or
@@ -489,32 +527,46 @@ class RStarTree:
         ``metric`` is ``"l2"`` (euclidean, the paper's experiments) or
         ``"linf"`` (the envelope of Definition 4.1).  Returns
         ``(distance, item)`` pairs sorted by distance.
+
+        ``point`` may also be a ``(Q, d)`` matrix of Q probe points
+        (scipy ``query_ball_point``'s point-or-points convention); the
+        result is then a list of Q such hit lists, row ``q`` equal to
+        what ``search_within(point[q], ...)`` returns, found in one
+        walk of the tree that reads each node at most once.
         """
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.dimensions,):
+        points = np.asarray(point, dtype=np.float64)
+        if points.ndim not in (1, 2) or points.shape[-1] != self.dimensions:
             raise SpatialIndexError("query dimensionality mismatch")
         if epsilon < 0:
             raise SpatialIndexError(f"epsilon must be >= 0, got {epsilon}")
-        probe = Rect(point - epsilon, point + epsilon)
-        hits: list[tuple[float, Any]] = []
-        for rect, item in self.search_entries(probe, deadline=deadline):
+        if metric not in ("l2", "linf"):
+            raise SpatialIndexError(f"unknown metric {metric!r}")
+        matrix = np.atleast_2d(points)
+        hits: list[Hits] = [[] for _ in matrix]
+        for leaf, alive, mask in self._traverse(matrix - epsilon,
+                                                matrix + epsilon, deadline):
+            rows, columns = np.nonzero(mask)
+            if not rows.size:
+                continue
+            owners = alive[rows]
+            leaf_lower, leaf_upper = leaf.stacked_bounds()
+            distances = min_distances(leaf_lower[columns],
+                                      leaf_upper[columns], matrix[owners],
+                                      metric)
             if metric == "l2":
-                distance = rect.min_distance_to_point(point)
-                if distance <= epsilon:
-                    hits.append((distance, item))
-            elif metric == "linf":
-                deltas = np.maximum(rect.lower - point, 0.0)
-                deltas = np.maximum(deltas, point - rect.upper)
-                distance = float(deltas.max(initial=0.0))
-                hits.append((distance, item))
-            else:
-                raise SpatialIndexError(f"unknown metric {metric!r}")
-        hits.sort(key=lambda pair: pair[0])
-        return hits
+                # The probe box is the ball's bounding box: cut corners.
+                near = distances <= epsilon
+                owners, columns, distances = (owners[near], columns[near],
+                                              distances[near])
+            for owner, column, distance in zip(
+                    owners.tolist(), columns.tolist(), distances.tolist()):
+                hits[owner].append((distance, leaf.entries[column].item))
+        for found in hits:
+            found.sort(key=lambda pair: pair[0])
+        return hits[0] if points.ndim == 1 else hits
 
     def nearest(self, point: np.ndarray, k: int = 1, *,
-                deadline: Deadline | None = None
-                ) -> list[tuple[float, Any]]:
+                deadline: Deadline | None = None) -> Hits:
         """Best-first k-nearest-neighbor search by min-distance."""
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (self.dimensions,):
@@ -526,7 +578,7 @@ class RStarTree:
         heap: list[tuple[float, int, bool, Any]] = [
             (0.0, next(counter), False, self.root_id)
         ]
-        results: list[tuple[float, Any]] = []
+        results: Hits = []
         while heap and len(results) < k:
             if deadline is not None:
                 deadline.check("rstar.nearest")
@@ -535,13 +587,13 @@ class RStarTree:
                 results.append((distance, payload))
                 continue
             node = self._read(payload)
-            for entry in node.entries:
-                d = entry.rect.min_distance_to_point(point)
-                if node.is_leaf:
-                    heapq.heappush(heap, (d, next(counter), True, entry.item))
-                else:
-                    heapq.heappush(heap,
-                                   (d, next(counter), False, entry.child_id))
+            if not node.entries:
+                continue
+            distances = min_distances(*node.stacked_bounds(), point, "l2")
+            for d, entry in zip(distances.tolist(), node.entries):
+                heapq.heappush(heap, (
+                    d, next(counter), node.is_leaf,
+                    entry.item if node.is_leaf else entry.child_id))
         return results
 
     # ------------------------------------------------------------------
@@ -666,7 +718,9 @@ class RStarTree:
         (checksum failures surface as :class:`StorageError` from the
         page store) become issues instead of exceptions, and the walk
         continues to report dangling child ids, duplicate references,
-        orphan pages, leaf-depth violations, and a size mismatch.
+        orphan pages, leaf-depth violations, stacked search bounds
+        that no longer equal the entries they were built from, and a
+        size mismatch.
         An empty list means the index is healthy.
 
         :meth:`verify_summary` wraps the same walk in a
@@ -708,6 +762,12 @@ class RStarTree:
                 issues.append(
                     f"node {page_id}: level {node.level} != expected "
                     f"{expect_level}")
+            if node.bounds is not None and not all(
+                    np.array_equal(cached, fresh) for cached, fresh
+                    in zip(node.bounds, node.fresh_bounds())):
+                issues.append(
+                    f"node {page_id}: cached search bounds differ from "
+                    "its entries' rectangles")
             if node.is_leaf:
                 counted += len(node.entries)
                 continue

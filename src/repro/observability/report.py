@@ -42,8 +42,10 @@ class ProbeCounts:
     probe_cache_hits, probe_cache_misses:
         Probe-cache outcomes across the query's regions.
     node_reads:
-        R*-tree nodes read by the executed probes (0 when every region
-        hit the cache).
+        R*-tree nodes read by the query's walk of the tree, which
+        carries all executed probes at once: each node counts once
+        however many regions reach it (0 when every region hit the
+        cache).
     pairs_probed:
         Region pairs returned by the coarse ``epsilon`` probe, before
         the refined check.

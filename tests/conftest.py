@@ -11,6 +11,7 @@ from repro.core.parameters import ExtractionParameters
 from repro.imaging.draw import Canvas, draw_flower
 from repro.imaging.image import Image
 from repro.index.pagestore import open_page_store
+from repro.observability import Deadline
 
 
 @pytest.fixture
@@ -43,6 +44,23 @@ def make_flower_image(height: int = 64, width: int = 64, *,
                 cx if cx is not None else width / 2,
                 radius, (0.85, 0.1, 0.1), (0.9, 0.8, 0.2))
     return canvas.to_image(name=name)
+
+
+def ticking_deadline(checks: int) -> Deadline:
+    """A deadline whose clock advances one second per reading, so it
+    passes exactly ``checks`` calls of ``check()`` and raises on the
+    next — expiry at a chosen checkpoint instead of a chosen time."""
+    class TickingWatch:
+        readings = 0
+
+        @property
+        def elapsed(self) -> int:
+            self.readings += 1
+            return self.readings
+
+    deadline = Deadline(checks + 0.5)
+    deadline._watch = TickingWatch()
+    return deadline
 
 
 def corrupt_catalog_record(page_path: str | os.PathLike[str]) -> None:

@@ -256,6 +256,31 @@ class TestDeprecatedShims:
                              path.read_text("utf-8"))] \
             == ["observability/server.py"]
 
+    def test_per_entry_search_loop_stays_deleted(self):
+        """The R*-tree's searches test a node's entries as two stacked
+        arrays: no ``Rect`` method per entry, and one traversal loop
+        (``_traverse``) for every range search."""
+        package = pathlib.Path(repro.__file__).parent
+        tree = ast.parse((package / "index/rstar.py").read_text("utf-8"))
+        methods = {node.name: node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        offences = []
+        for name in ("search", "search_entries", "search_within", "nearest",
+                     "_traverse"):
+            body = list(ast.walk(methods[name]))
+            attributes = {node.attr for node in body
+                          if isinstance(node, ast.Attribute)}
+            offences += [f"{name} calls .{attr}()" for attr in sorted(
+                attributes & {"intersects", "min_distance_to_point"})]
+            if "rect" in attributes and any(
+                    "entries" in ast.unparse(node.iter) for node in body
+                    if isinstance(node, (ast.For, ast.comprehension))):
+                offences.append(f"{name} loops over entries' rects")
+            if name.startswith("search") and any(
+                    isinstance(node, ast.While) for node in body):
+                offences.append(f"{name} has a traversal loop of its own")
+        assert offences == []
+
     def test_new_entry_points_do_not_warn(self, tmp_path):
         directory = str(tmp_path / "db")
         with warnings.catch_warnings():
