@@ -72,21 +72,6 @@ def test_rstar_bulk_load(benchmark: Any, points: np.ndarray) -> None:
     benchmark.extra_info["height"] = tree.height()
 
 
-def test_gist_rtree_insert(benchmark: Any, points: np.ndarray) -> None:
-    from repro.index.geometry import Rect
-    from repro.index.gist import GiST, RTreeKey
-
-    def build():
-        tree = GiST(RTreeKey(), max_entries=16)
-        for index, point in enumerate(points[:1000]):
-            tree.insert(Rect.from_point(point), index)
-        return tree
-
-    tree = benchmark.pedantic(build, rounds=2, iterations=1,
-                              warmup_rounds=0)
-    benchmark.extra_info["height"] = tree.height()
-
-
 def test_haar_2d_full_image(benchmark: Any,
                             bench_channel: np.ndarray) -> None:
     benchmark.pedantic(haar_2d, args=(bench_channel,),

@@ -49,10 +49,10 @@ from repro.exceptions import (DatabaseClosedError, DatabaseError,
                               InvalidParameterError, WalrusError)
 from repro.imaging.image import Image
 from repro.index.geometry import Rect
-from repro.index.pagestore import (PageStore, create_page_store,
-                                   open_page_store)
+from repro.index.pagestore import PageStore
 from repro.index.rstar import Hits, RStarTree
-from repro.index.storage import fsync_directory
+from repro.index.storage import (create_page_store, fsync_directory,
+                                 open_page_store)
 from repro.observability import (Deadline, ProbeCounts, QueryReport,
                                  StageTiming, Stopwatch, current_span,
                                  get_events, get_metrics, get_tracer)

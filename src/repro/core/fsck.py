@@ -3,7 +3,7 @@
 :func:`fsck_database` verifies an on-disk database directory — page
 checksums and page-table health via
 :meth:`~repro.index.pagestore.PageStore.scan` (the store is opened
-through :func:`~repro.index.pagestore.open_page_store`), the catalog
+through :func:`~repro.index.storage.open_page_store`), the catalog
 record's integrity, and R*-tree structure via
 :meth:`~repro.index.rstar.RStarTree.verify_summary` — and returns a
 machine-readable summary dict instead of printing.  The CLI renders
@@ -40,10 +40,9 @@ from typing import Any
 
 from repro.core.database import WalrusDatabase
 from repro.exceptions import StorageError, WalrusError
-from repro.index.pagestore import open_page_store
 from repro.index.rstar import RStarTree
-from repro.index.storage import page_file_version
-from repro.index.storage_v3 import MmapPageStore
+from repro.index.storage import (FORMAT_VERSION, open_page_store,
+                                 page_file_version)
 from repro.observability.events import get_events
 
 
@@ -86,7 +85,7 @@ def fsck_database(directory: str) -> dict[str, Any]:
         try:
             store = open_page_store(page_path, readonly=True)
         except StorageError as error:
-            if format_version != MmapPageStore.FORMAT_VERSION:
+            if format_version != FORMAT_VERSION:
                 raise  # an intact v2 file, not damage
             issues.append(f"page file unusable: {error}")
     if store is not None:

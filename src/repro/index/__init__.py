@@ -7,7 +7,6 @@ from repro.index.faults import (
     corrupt_page,
 )
 from repro.index.geometry import Rect
-from repro.index.gist import BTreeKey, GiST, KeyClass, RTreeKey
 from repro.index.migrate import MigrationReport, migrate_page_file
 from repro.index.node import Entry, Node
 from repro.index.pagestore import (
@@ -15,33 +14,25 @@ from repro.index.pagestore import (
     PageInfo,
     PageStore,
     StoreReport,
-    create_page_store,
-    open_page_store,
 )
 from repro.index.rstar import RStarTree
 from repro.index.storage import (
-    FilePageStore,
-    PageFileBase,
+    MmapPageStore,
     committed_generation,
+    create_page_store,
     fsync_directory,
+    open_page_store,
     page_file_version,
 )
-from repro.index.storage_v3 import MmapPageStore
 
 __all__ = [
-    "BTreeKey",
     "Entry",
     "FaultInjectingMmapPageStore",
     "FaultPlan",
-    "GiST",
-    "KeyClass",
     "MigrationReport",
     "MmapPageStore",
-    "RTreeKey",
-    "FilePageStore",
     "MemoryPageStore",
     "Node",
-    "PageFileBase",
     "PageInfo",
     "PageStore",
     "RStarTree",

@@ -10,7 +10,7 @@ crash-consistency suite (and available for ad-hoc torture runs):
   ``OSError`` s on scheduled or random reads, and in-flight bit flips
   on read payloads.
 * :class:`FaultInjectingMmapPageStore` — a
-  :class:`~repro.index.storage_v3.MmapPageStore` whose file handle is
+  :class:`~repro.index.storage.MmapPageStore` whose file handle is
   wrapped by :class:`FaultyFile`, which executes the plan for writes
   (mutation counting, torn writes, crashes), while ``mmap``-served
   reads run the read-fault schedule at the mapped-read hook.
@@ -38,9 +38,7 @@ import time
 from typing import Any
 
 from repro.exceptions import InvalidParameterError, StorageError
-from repro.index.pagestore import open_page_store
-from repro.index.storage import _RECORD
-from repro.index.storage_v3 import MmapPageStore
+from repro.index.storage import _RECORD, MmapPageStore, open_page_store
 from repro.observability.events import get_events
 
 

@@ -4,22 +4,15 @@ The paper stores region signatures in a *disk-based* R*-tree (via the
 GiST C++ library).  To keep that property honest, the tree never holds
 object references between nodes — it addresses children by integer
 page id through a :class:`PageStore`.  This module defines the
-protocol every backend implements, the in-memory reference backend,
-and the factory functions for the on-disk one:
+protocol every backend implements and the in-memory reference backend:
 
 * :class:`MemoryPageStore` — a dict; zero overhead, the default for
   in-process indexes.
-* :class:`~repro.index.storage_v3.MmapPageStore` — the on-disk format
-  (v3: fixed-layout binary nodes in a crash-safe heap file, read
-  zero-copy through ``mmap``).
-
-:func:`open_page_store` checks an existing file's superblock and opens
-it — a legacy v2 file (1.x, pickled pages) is a structured
-:class:`StorageError` naming ``walrus migrate``;
-:func:`create_page_store` lays out a fresh file.  Callers that accept
-"the page file of a database" — ``WalrusDatabase.open``, ``walrus
-fsck``, the server's snapshot readers — go through these instead of
-naming a concrete class.
+* :class:`~repro.index.storage.MmapPageStore` — the on-disk store
+  (fixed-layout binary nodes in a crash-safe heap file, read zero-copy
+  through ``mmap``), which lives with its file format and its
+  ``open_page_store`` / ``create_page_store`` factories in
+  :mod:`repro.index.storage`.
 
 The protocol
 ------------
@@ -41,13 +34,9 @@ covers the whole storage lifecycle so callers never need
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.exceptions import StorageError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.index.storage_v3 import MmapPageStore
 
 
 class PageInfo:
@@ -212,40 +201,3 @@ class MemoryPageStore(PageStore):
     def __len__(self) -> int:
         return len(self._pages)
 
-
-def open_page_store(path: str | os.PathLike[str], *,
-                    buffer_pages: int = 256,
-                    readonly: bool = False) -> "MmapPageStore":
-    """Open the existing page file at ``path``.
-
-    This is how every "open what is on disk" path — database open,
-    fsck, snapshot readers — reaches the store.  A v2 file (written by
-    1.x) raises a :class:`StorageError` naming ``walrus migrate``, the
-    one tool that still reads that format.
-    """
-    from repro.index.storage_v3 import MmapPageStore
-
-    spath = os.fspath(path)
-    if not os.path.exists(spath) or os.path.getsize(spath) == 0:
-        raise StorageError(
-            f"{spath}: no page file to open; create one with "
-            "create_page_store()")
-    return MmapPageStore(spath, buffer_pages=buffer_pages, readonly=readonly)
-
-
-def create_page_store(path: str | os.PathLike[str], *,
-                      buffer_pages: int = 256) -> "MmapPageStore":
-    """Create a fresh (v3) page file at ``path``.
-
-    Refuses to overwrite an existing non-empty file — reopening goes
-    through :func:`open_page_store`.
-    """
-    from repro.index.storage_v3 import MmapPageStore
-
-    spath = os.fspath(path)
-    if os.path.exists(spath) and os.path.getsize(spath) > 0:
-        raise StorageError(
-            f"{spath}: page file already exists; open it with "
-            "open_page_store()"
-        )
-    return MmapPageStore(spath, buffer_pages=buffer_pages)

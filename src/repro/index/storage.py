@@ -1,19 +1,20 @@
-"""Crash-safe paged file storage for the R*-tree.
+"""The on-disk page store: a crash-safe heap file read through ``mmap``.
 
 The protocol the R*-tree programs against lives in
 :mod:`repro.index.pagestore` (:class:`PageStore`,
-:class:`MemoryPageStore`, and the :func:`~repro.index.pagestore.\
-open_page_store` / :func:`~repro.index.pagestore.create_page_store`
-factories).  This module holds the on-disk machinery — superblock,
-dual header slots, checksummed records, atomic commit — as
-:class:`PageFileBase`, which the v3 format
-(:mod:`repro.index.storage_v3`, the only one written) builds on, plus
-:class:`FilePageStore`, the read-only decoder of the legacy v2 format
-(pickled page payloads) that ``walrus migrate`` upgrades from.
+:class:`MemoryPageStore`).  This module is everything that touches the
+page *file*: :class:`MmapPageStore`, the one on-disk store (format v3,
+the only format read or written by a live database), the
+:func:`open_page_store` / :func:`create_page_store` factories every
+"open what is on disk" path goes through, and the module-level framing
+helpers (superblock, header slots, record verification, table stamp)
+that :mod:`repro.index.migrate` reuses to decode a legacy v2 file once.
+Nothing here unpickles file bytes.
 
-On-disk format (shared by v2 and v3)
-------------------------------------
-The file is crash-safe and self-verifying:
+On-disk format
+--------------
+The file is crash-safe and self-verifying (byte-level spec:
+``docs/FORMAT.md``):
 
 * A 16-byte superblock (magic + format version) followed by **two
   fixed-size header slots**.  Each slot carries a monotonically
@@ -29,52 +30,66 @@ The file is crash-safe and self-verifying:
   versions fails verification.  A failed check raises
   :class:`~repro.exceptions.PageCorruptionError` carrying the page id
   and file offset.
-* The committed page table is **stamped** with a 4-byte magic and the
-  writing store's format version, so opening a file whose table was
-  written by a different format fails fast with a structured
-  :class:`StorageError` instead of decoding garbage.  (v2 files
-  written before the stamp existed still open: an unstamped pickled
-  table is accepted by the v2 decoder.)
-* An optional **application metadata blob** (see :meth:`set_metadata`)
-  is stored as a record and referenced from the header slot, so it
-  commits atomically with the page table — the database keeps its
-  image catalog here, eliminating the torn-commit window between two
-  separate files.
+* Page payloads are the fixed binary node layout of
+  :mod:`repro.index.nodecodec`, and records are padded to 8-byte
+  alignment, so a cold node read reconstructs bounding rectangles as
+  aligned ``np.frombuffer`` views over the mapping — no copy, no
+  ``pickle``.  Only R*-tree nodes fit that layout.
+* The committed page table is a flat binary array (count +
+  ``(page_id, offset, size)`` triples) **stamped** with a 4-byte magic
+  and the format version, so a file whose superblock and table
+  disagree (stitched together, or rewritten by the wrong tool) fails
+  fast with a structured :class:`StorageError` instead of decoding
+  garbage.
+* An optional **application metadata blob** (see
+  :meth:`MmapPageStore.set_metadata`) is stored as a record and
+  referenced from the header slot, so it commits atomically with the
+  page table — the database keeps its image catalog here, eliminating
+  the torn-commit window between two separate files.
 * ``sync()`` is an atomic commit: spill dirty pages, append the page
   table record and any staged metadata, ``fsync``, then write the
   *inactive* header slot and ``fsync`` again.  A crash at any byte
   boundary reopens to the previous committed generation.
 * ``compact()`` rewrites into a side file and ``os.replace``\\ s it into
   place (plus a directory fsync), so compaction is also crash-safe.
+  Space from rewritten pages is reclaimed only there.
 
-What differs between v2 and v3 is only the *payload encoding* — the
-codec hooks ``_encode_page`` / ``_decode_page`` / ``_encode_table`` /
-``_decode_table``, of which the v2 decoder keeps the two ``_decode``
-ones — and how reads are served (buffered file reads in v2, ``mmap``
-views in v3).  Version 1 files (no checksums, single header) are
-detected and rejected with a clear "old format" error.  Space from
-rewritten pages is reclaimed only by :meth:`compact`.
+The legacy v2 format (1.x: same framing, pickled payloads, no
+alignment) is recognised by its superblock and turned away with an
+error naming ``walrus migrate``; version 1 files (no checksums, single
+header) are rejected as "old format".
+
+Mapping lifecycle
+-----------------
+Writes append through the ordinary (fault-injectable) file handle, and
+the read-only mapping is refreshed lazily whenever a read lands past
+its end.  Superseded mappings are *retired*, not closed, while decoded
+nodes may still hold views into them — a ``mmap`` with exported buffers
+refuses to close — and are released on :meth:`MmapPageStore.close`
+once nothing references them.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
-import pickle
 import struct
 import zlib
 from collections import OrderedDict
-from typing import Any, TypeVar
+from typing import Any, Iterable, TypeVar
 
 from repro.exceptions import PageCorruptionError, StorageError
+from repro.index.nodecodec import decode_node, encode_node
 from repro.index.pagestore import PageInfo, PageStore, StoreReport
 
 _MAGIC_V1 = b"WALRUSPG"
-_MAGIC = b"WALRUSP2"
+_MAGIC_V2 = b"WALRUSP2"
 _MAGIC_V3 = b"WALRUSP3"
-_FORMAT_VERSION = 2
 
+#: The format :class:`MmapPageStore` reads and writes.
+FORMAT_VERSION = 3
 #: Superblock magic -> the format version it must carry.
-KNOWN_FORMATS = {_MAGIC: 2, _MAGIC_V3: 3}
+KNOWN_FORMATS = {_MAGIC_V2: 2, _MAGIC_V3: FORMAT_VERSION}
 
 #: Superblock: magic, format version, padding (16 bytes).
 _SUPER = struct.Struct("<8sI4x")
@@ -89,6 +104,13 @@ _RECORD_BODY = struct.Struct("<QI")
 #: Page-table stamp: magic + the writing store's format version.
 _TABLE_MAGIC = b"WPTB"
 _TABLE_STAMP = struct.Struct("<4sI")
+#: Offset-table framing: entry count, then (page_id, offset, size) each.
+_TABLE_COUNT = struct.Struct("<Q")
+_TABLE_ENTRY = struct.Struct("<QQQ")
+
+#: Records are padded so every payload starts 8-byte aligned
+#: (record header is 16 bytes, so aligning the record aligns the payload).
+_RECORD_ALIGN = 8
 
 _DATA_START = _SUPER.size + 2 * _SLOT.size
 #: Reserved page id marking a page-table record.
@@ -98,7 +120,7 @@ _META_ID = 2 ** 64 - 2
 #: Attempts for transient-IO-error read retries.
 _READ_RETRIES = 3
 
-_SelfT = TypeVar("_SelfT", bound="PageFileBase")
+_SelfT = TypeVar("_SelfT", bound="MmapPageStore")
 
 
 def fsync_directory(directory: str) -> None:
@@ -131,11 +153,7 @@ def _fsync_stream(stream: Any) -> None:
     os.fsync(stream.fileno())
 
 
-def _record_crc(page_id: int, payload: bytes | bytearray | memoryview) -> int:
-    return zlib.crc32(payload, zlib.crc32(
-        _RECORD_BODY.pack(page_id, len(payload))))
-
-
+# -- framing shared with the v2 reader in repro.index.migrate -----------
 def _superblock_version(raw: bytes | memoryview, spath: str) -> int:
     """The format version (2 or 3) the superblock bytes ``raw`` declare.
 
@@ -161,6 +179,93 @@ def _superblock_version(raw: bytes | memoryview, spath: str) -> int:
     return expected
 
 
+def _pack_slot(generation: int, table_offset: int, table_size: int,
+               meta_offset: int, meta_size: int, next_id: int) -> bytes:
+    body = _SLOT_BODY.pack(generation, table_offset, table_size,
+                           meta_offset, meta_size, next_id)
+    return _SLOT.pack(generation, table_offset, table_size,
+                      meta_offset, meta_size, next_id, zlib.crc32(body))
+
+
+def _newest_slot(blobs: Iterable[bytes | memoryview],
+                 spath: str) -> tuple[int, ...]:
+    """The committed header: of the two slot images ``blobs``, the six
+    fields before the CRC (generation first) of the one with the
+    highest generation whose CRC passes.
+
+    Raises :class:`PageCorruptionError` when neither slot verifies.
+    """
+    slots = []
+    for blob in blobs:
+        if len(blob) < _SLOT.size:
+            continue
+        fields = _SLOT.unpack(blob)
+        if fields[-1] != zlib.crc32(_SLOT_BODY.pack(*fields[:-1])):
+            continue  # torn/corrupt slot; the other one commits
+        slots.append(fields[:-1])
+    if not slots:
+        raise PageCorruptionError(
+            f"{spath}: both header slots are corrupt", offset=0)
+    return max(slots)
+
+
+def _record_crc(page_id: int, payload: bytes | bytearray | memoryview) -> int:
+    return zlib.crc32(payload, zlib.crc32(
+        _RECORD_BODY.pack(page_id, len(payload))))
+
+
+def _verify_record(spath: str, blob: bytes | memoryview, page_id: int,
+                   offset: int, size: int,
+                   what: str) -> bytes | memoryview:
+    """Check the ``size`` bytes ``blob`` read at ``offset`` as the
+    record of ``page_id`` (truncation, id/size header, CRC); return
+    the payload."""
+    corrupt_id = None if page_id in (_TABLE_ID, _META_ID) else page_id
+    if len(blob) < size:
+        raise PageCorruptionError(
+            f"{spath}: {what} at offset {offset} is truncated "
+            f"({len(blob)} of {size} bytes)",
+            page_id=corrupt_id, offset=offset)
+    stored_id, payload_size, crc = _RECORD.unpack_from(blob)
+    payload = blob[_RECORD.size:]
+    if stored_id != page_id or payload_size != len(payload):
+        raise PageCorruptionError(
+            f"{spath}: {what} at offset {offset} has a "
+            f"mismatched record header (id {stored_id}, "
+            f"size {payload_size})",
+            page_id=corrupt_id, offset=offset)
+    if _record_crc(stored_id, payload) != crc:
+        raise PageCorruptionError(
+            f"{spath}: {what} at offset {offset} failed its "
+            "checksum", page_id=corrupt_id, offset=offset)
+    return payload
+
+
+def _unstamp_table(spath: str, payload: bytes | memoryview, offset: int,
+                   format_version: int) -> bytes | memoryview | None:
+    """Split the version stamp off a table payload.
+
+    Returns the table body, or ``None`` when the payload carries no
+    stamp (a v2 file written before stamping existed; v3 tables must
+    have one).  Raises :class:`StorageError` when the stamp names a
+    format other than ``format_version``: that means the superblock
+    and the committed table disagree, i.e. the file was stitched
+    together or rewritten by the wrong tool.
+    """
+    if len(payload) >= _TABLE_STAMP.size:
+        magic, version = _TABLE_STAMP.unpack_from(payload)
+        if magic == _TABLE_MAGIC:
+            if version != format_version:
+                raise StorageError(
+                    f"{spath}: page table at offset {offset} was "
+                    f"written by format v{version} but this is a "
+                    f"v{format_version} store; run 'walrus "
+                    "migrate' instead of mixing formats"
+                )
+            return payload[_TABLE_STAMP.size:]
+    return None
+
+
 def page_file_version(path: str | os.PathLike[str]) -> int:
     """The format version (2 or 3) of the page file at ``path``, read
     from its superblock without opening a store.  Raises
@@ -181,51 +286,37 @@ def committed_generation(path: str | os.PathLike[str]) -> int:
     """The newest committed generation number of the page file at
     ``path``, read from the dual header slots without opening a store.
 
-    Works on any supported format (v2 or v3) — the superblock and
-    header-slot layout are shared.  This is the cheap staleness probe
-    the query server's snapshot reader sessions use: a reader pinned
-    to generation G can compare against the current commit with two
-    fixed-size reads and reopen only when a writer has actually
-    committed since.  Raises :class:`StorageError` when the file is
-    missing or not a WALRUS page file,
-    :class:`PageCorruptionError` when both header slots are corrupt.
+    Works on either format — the superblock and header-slot layout are
+    shared.  This is the cheap staleness probe the query server's
+    snapshot reader sessions use: a reader pinned to generation G can
+    compare against the current commit with two fixed-size reads and
+    reopen only when a writer has actually committed since.  Raises
+    :class:`StorageError` when the file is missing or not a WALRUS
+    page file, :class:`PageCorruptionError` when both header slots are
+    corrupt.
     """
     spath = os.fspath(path)
     try:
         with open(spath, "rb") as stream:
             _superblock_version(stream.read(_SUPER.size), spath)
-            generations = []
-            for index in range(2):
-                blob = stream.read(_SLOT.size)
-                if len(blob) < _SLOT.size:
-                    continue
-                fields = _SLOT.unpack(blob)
-                if fields[-1] != zlib.crc32(_SLOT_BODY.pack(*fields[:-1])):
-                    continue
-                generations.append(fields[0])
+            return _newest_slot(
+                (stream.read(_SLOT.size) for _ in range(2)), spath)[0]
     except OSError as error:
         raise StorageError(
             f"{spath}: cannot read header: {error}") from error
-    if not generations:
-        raise PageCorruptionError(
-            f"{spath}: both header slots are corrupt", offset=0)
-    return max(generations)
 
 
-class PageFileBase(PageStore):
-    """Shared machinery of the on-disk page formats.
+class MmapPageStore(PageStore):
+    """The on-disk page store: checksummed binary node records in an
+    append-only heap file, read zero-copy through ``mmap``.
 
-    Subclasses pin the class attributes ``MAGIC`` / ``FORMAT_VERSION``
-    and implement the codec hooks:
-
-    * :meth:`_encode_page` / :meth:`_decode_page` — page payloads
-      (fixed binary node layout in v3, pickle in the legacy v2).
-    * :meth:`_encode_table` / :meth:`_decode_table` — the committed
-      offset table.
-
-    Everything else — superblock, dual-slot atomic commit, record
-    framing, CRCs, the LRU write-back buffer pool, compaction, and the
-    integrity scan — is format-independent and lives here.
+    Superblock, dual-slot atomic commit, record framing and CRCs, the
+    LRU write-back buffer pool, compaction and the integrity scan all
+    live here.  Only R*-tree :class:`~repro.index.node.Node` pages can
+    be stored (the fixed layout is what buys the zero-copy read);
+    storing anything else raises :class:`StorageError`.  The database
+    keeps its catalog in the metadata blob, which is opaque bytes, so
+    this restriction is invisible above the index layer.
 
     Parameters
     ----------
@@ -243,11 +334,6 @@ class PageFileBase(PageStore):
         integrity tooling (``walrus fsck``).
     """
 
-    MAGIC: bytes
-    FORMAT_VERSION: int
-    #: Records start at multiples of this (v3 aligns; v2 did not).
-    RECORD_ALIGN = 1
-
     def __init__(self, path: str | os.PathLike[str], buffer_pages: int = 256,
                  *, readonly: bool = False) -> None:
         if buffer_pages < 1:
@@ -264,6 +350,8 @@ class PageFileBase(PageStore):
         self._meta_location: tuple[int, int] | None = None
         self._meta_blob: bytes | None = None
         self._meta_dirty = False
+        self._map: mmap.mmap | None = None
+        self._retired_maps: list[mmap.mmap] = []
         exists = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         if readonly and not exists:
             raise StorageError(f"{self.path}: no page file to open readonly")
@@ -286,44 +374,17 @@ class PageFileBase(PageStore):
             raise
 
     def _wrap_file(self, stream: Any) -> Any:
-        """Hook for subclasses (fault injection) to intercept file IO."""
+        """Seam for the fault-injection store to intercept file IO."""
         return stream
-
-    # -- codec hooks ----------------------------------------------------
-    def _encode_page(self, page_id: int, page: Any) -> bytes:
-        """Serialize ``page`` into this format's record payload."""
-        raise NotImplementedError
-
-    def _decode_page(self, page_id: int, payload: bytes | memoryview,
-                     offset: int) -> Any:
-        """Deserialize a checksum-verified record payload."""
-        raise NotImplementedError
-
-    def _encode_table(self) -> bytes:
-        """Serialize ``self._offsets`` (stamped; see ``_stamp_table``)."""
-        raise NotImplementedError
-
-    def _decode_table(self, payload: bytes | memoryview,
-                      offset: int) -> dict[int, tuple[int, int]]:
-        """Deserialize a committed offset table."""
-        raise NotImplementedError
 
     # -- superblock / header slots -------------------------------------
     def _init_file(self) -> None:
         """Lay out superblock + both header slots for a fresh file."""
         self._file.seek(0)
-        self._file.write(_SUPER.pack(self.MAGIC, self.FORMAT_VERSION))
-        self._file.write(self._pack_slot(0, 0, 0, 0, 0, 0))
-        self._file.write(self._pack_slot(0, 0, 0, 0, 0, 0))
+        self._file.write(_SUPER.pack(_MAGIC_V3, FORMAT_VERSION))
+        self._file.write(_pack_slot(0, 0, 0, 0, 0, 0))
+        self._file.write(_pack_slot(0, 0, 0, 0, 0, 0))
         _fsync_stream(self._file)
-
-    @staticmethod
-    def _pack_slot(generation: int, table_offset: int, table_size: int,
-                   meta_offset: int, meta_size: int, next_id: int) -> bytes:
-        body = _SLOT_BODY.pack(generation, table_offset, table_size,
-                               meta_offset, meta_size, next_id)
-        return _SLOT.pack(generation, table_offset, table_size,
-                          meta_offset, meta_size, next_id, zlib.crc32(body))
 
     def _write_slot(self, generation: int, table_offset: int,
                     table_size: int) -> None:
@@ -332,86 +393,79 @@ class PageFileBase(PageStore):
         meta_offset, meta_size = self._meta_location or (0, 0)
         slot_index = generation % 2
         self._file.seek(_SUPER.size + slot_index * _SLOT.size)
-        self._file.write(self._pack_slot(generation, table_offset,
-                                         table_size, meta_offset,
-                                         meta_size, self._next_id))
+        self._file.write(_pack_slot(generation, table_offset, table_size,
+                                    meta_offset, meta_size, self._next_id))
         _fsync_stream(self._file)
 
     def _load_header(self) -> None:
         version = _superblock_version(
             self._read_at(0, _SUPER.size, "superblock"), self.path)
-        if version != self.FORMAT_VERSION:
+        if version != FORMAT_VERSION:
             raise StorageError(
                 f"{self.path}: this is a v{version} WALRUS page file, not "
-                f"v{self.FORMAT_VERSION}; v2 database directories are "
+                f"v{FORMAT_VERSION}; v2 database directories are "
                 "upgraded to v3 with 'walrus migrate'")
-        slots = []
-        for index in range(2):
-            offset = _SUPER.size + index * _SLOT.size
-            blob = self._read_at(offset, _SLOT.size, f"header slot {index}")
-            if len(blob) < _SLOT.size:
-                continue
-            fields = _SLOT.unpack(blob)
-            if fields[-1] != zlib.crc32(_SLOT_BODY.pack(*fields[:-1])):
-                continue  # torn/corrupt slot; the other one commits
-            slots.append(fields[:-1])
-        if not slots:
-            raise PageCorruptionError(
-                f"{self.path}: both header slots are corrupt", offset=0)
         (generation, table_offset, table_size,
-         meta_offset, meta_size, next_id) = max(slots)
+         meta_offset, meta_size, next_id) = _newest_slot(
+            (self._read_at(_SUPER.size + index * _SLOT.size, _SLOT.size,
+                           f"header slot {index}") for index in range(2)),
+            self.path)
         self._generation = generation
         self._next_id = next_id
         self._meta_location = (meta_offset, meta_size) if meta_offset else None
         self._meta_blob = None
         self._meta_dirty = False
-        self._offsets = (self._load_table(table_offset, table_size)
-                         if table_offset else {})
+        self._offsets = (self._decode_table(
+            self._read_record(_TABLE_ID, table_offset, table_size,
+                              what="page table"), table_offset)
+            if table_offset else {})
 
-    def _load_table(self, offset: int,
-                    size: int) -> dict[int, tuple[int, int]]:
-        payload = self._read_record(_TABLE_ID, offset, size,
-                                    what="page table")
-        return self._decode_table(payload, offset)
+    # -- mmap lifecycle -------------------------------------------------
+    def _remap(self) -> None:
+        """(Re)map the current extent of the heap file.
 
-    def _stamp_table(self, body: bytes) -> bytes:
-        """Prefix a serialized table with this format's version stamp."""
-        return _TABLE_STAMP.pack(_TABLE_MAGIC, self.FORMAT_VERSION) + body
-
-    def _unstamp_table(self, payload: bytes | memoryview,
-                       offset: int) -> bytes | memoryview | None:
-        """Split the version stamp off a table payload.
-
-        Returns the table body, or ``None`` when the payload carries no
-        stamp (a v2 file written before stamping existed — the v2
-        decoder falls back to the legacy bare pickle).  Raises
-        :class:`StorageError` when the stamp names another format:
-        that means the superblock and the committed table disagree,
-        i.e. the file was stitched together or rewritten by the wrong
-        tool.
+        Pending writes are flushed first so the mapping sees them; the
+        superseded mapping is retired because decoded nodes may still
+        hold views into it.
         """
-        if len(payload) >= _TABLE_STAMP.size:
-            magic, version = _TABLE_STAMP.unpack_from(payload)
-            if magic == _TABLE_MAGIC:
-                if version != self.FORMAT_VERSION:
-                    raise StorageError(
-                        f"{self.path}: page table at offset {offset} was "
-                        f"written by format v{version} but this is a "
-                        f"v{self.FORMAT_VERSION} store; run 'walrus "
-                        "migrate' instead of mixing formats"
-                    )
-                return payload[_TABLE_STAMP.size:]
-        return None
+        if not self.readonly:
+            self._file.flush()
+        size = os.fstat(self._file.fileno()).st_size
+        if size <= 0:
+            return
+        mapped = mmap.mmap(self._file.fileno(), size, access=mmap.ACCESS_READ)
+        self._retire_map()
+        self._map = mapped
+
+    def _retire_map(self) -> None:
+        if self._map is not None:
+            self._retired_maps.append(self._map)
+            self._map = None
+
+    def _mapped_read(self, offset: int, size: int) -> bytes | memoryview:
+        """A zero-copy view of ``size`` bytes at ``offset`` of the
+        mapping — the seam for read-fault injection.
+
+        Like ``file.read``, the view is silently short when the range
+        extends past end-of-file — record verification turns that into
+        a structured truncation error.
+        """
+        mapped = self._map
+        if mapped is None or offset + size > len(mapped):
+            self._remap()
+            mapped = self._map
+        if mapped is None:
+            return memoryview(b"")
+        return memoryview(mapped)[offset:offset + size]
 
     # -- record IO ------------------------------------------------------
     def _read_at(self, offset: int, size: int,
                  what: str) -> bytes | memoryview:
-        """Positioned read with bounded retry on transient ``OSError``."""
+        """Mapped read with bounded retry on transient ``OSError``."""
         last_error: OSError | None = None
         for _ in range(_READ_RETRIES):
             try:
-                self._file.seek(offset)
-                return self._file.read(size)
+                return self._mapped_read(offset, size)
             except OSError as error:
                 last_error = error
         raise StorageError(
@@ -423,29 +477,11 @@ class PageFileBase(PageStore):
                      *, what: str | None = None) -> bytes | memoryview:
         """Read and verify one record; return its payload."""
         what = what or f"page {page_id}"
-        corrupt_id = None if page_id in (_TABLE_ID, _META_ID) else page_id
-        blob = self._read_at(offset, size, what)
-        if len(blob) < size:
-            raise PageCorruptionError(
-                f"{self.path}: {what} at offset {offset} is truncated "
-                f"({len(blob)} of {size} bytes)",
-                page_id=corrupt_id, offset=offset)
-        stored_id, payload_size, crc = _RECORD.unpack_from(blob)
-        payload = blob[_RECORD.size:]
-        if stored_id != page_id or payload_size != len(payload):
-            raise PageCorruptionError(
-                f"{self.path}: {what} at offset {offset} has a "
-                f"mismatched record header (id {stored_id}, "
-                f"size {payload_size})",
-                page_id=corrupt_id, offset=offset)
-        if _record_crc(stored_id, payload) != crc:
-            raise PageCorruptionError(
-                f"{self.path}: {what} at offset {offset} failed its "
-                "checksum", page_id=corrupt_id, offset=offset)
-        return payload
+        return _verify_record(self.path, self._read_at(offset, size, what),
+                              page_id, offset, size, what)
 
     def _append_record(self, page_id: int, payload: bytes) -> tuple[int, int]:
-        """Append one checksummed record at the next ``RECORD_ALIGN``
+        """Append one checksummed record at the next ``_RECORD_ALIGN``
         boundary; return ``(offset, size)``.
 
         Padding and record go down in a single ``write`` call so fault
@@ -456,10 +492,49 @@ class PageFileBase(PageStore):
                               _record_crc(page_id, payload))
         self._file.seek(0, os.SEEK_END)
         end = max(self._file.tell(), _DATA_START)
-        padding = (-end) % self.RECORD_ALIGN
+        padding = (-end) % _RECORD_ALIGN
         self._file.seek(end)
         self._file.write(b"\0" * padding + header + payload)
         return end + padding, _RECORD.size + len(payload)
+
+    def _encode_table(self) -> bytes:
+        parts = [_TABLE_STAMP.pack(_TABLE_MAGIC, FORMAT_VERSION),
+                 _TABLE_COUNT.pack(len(self._offsets))]
+        for page_id in sorted(self._offsets):
+            record_offset, record_size = self._offsets[page_id]
+            parts.append(_TABLE_ENTRY.pack(page_id, record_offset,
+                                           record_size))
+        return b"".join(parts)
+
+    def _decode_table(self, payload: bytes | memoryview,
+                      offset: int) -> dict[int, tuple[int, int]]:
+        body = _unstamp_table(self.path, payload, offset, FORMAT_VERSION)
+        if body is None:
+            raise StorageError(
+                f"{self.path}: page table at offset {offset} has no "
+                "format-version stamp"
+            )
+        if len(body) < _TABLE_COUNT.size:
+            raise StorageError(
+                f"{self.path}: page table at offset {offset} is shorter "
+                "than its entry count"
+            )
+        (count,) = _TABLE_COUNT.unpack_from(body)
+        expected = _TABLE_COUNT.size + count * _TABLE_ENTRY.size
+        if len(body) != expected:
+            raise StorageError(
+                f"{self.path}: page table at offset {offset} has "
+                f"{len(body)} bytes, expected {expected} for {count} "
+                "entries"
+            )
+        table: dict[int, tuple[int, int]] = {}
+        position = _TABLE_COUNT.size
+        for _ in range(count):
+            page_id, record_offset, record_size = _TABLE_ENTRY.unpack_from(
+                body, position)
+            table[page_id] = (record_offset, record_size)
+            position += _TABLE_ENTRY.size
+        return table
 
     def _check_open(self) -> None:
         if self._closed or self._file.closed:
@@ -487,7 +562,13 @@ class PageFileBase(PageStore):
             raise StorageError(f"page {page_id} does not exist")
         offset, size = location
         payload = self._read_record(page_id, offset, size)
-        page = self._decode_page(page_id, payload, offset)
+        try:
+            page = decode_node(page_id, payload)
+        except StorageError as error:
+            # The checksum passed, so a decode failure is format skew —
+            # add where it happened.
+            raise StorageError(f"{self.path}: offset {offset}: {error}")\
+                from error
         self._cache(page_id, page, dirty=False)
         return page
 
@@ -559,10 +640,10 @@ class PageFileBase(PageStore):
         """
         self._check_writable()
         for page_id in sorted(self._dirty):
-            self._spill(page_id)
+            self._spill(page_id, self._buffer[page_id])
         self._dirty.clear()
-        table_blob = self._encode_table()
-        table_offset, table_size = self._append_record(_TABLE_ID, table_blob)
+        table_offset, table_size = self._append_record(
+            _TABLE_ID, self._encode_table())
         if self._meta_dirty:
             assert self._meta_blob is not None
             self._meta_location = self._append_record(_META_ID,
@@ -573,15 +654,23 @@ class PageFileBase(PageStore):
         self._generation += 1
 
     def close(self) -> None:
-        if self._closed or self._file.closed:
-            self._closed = True
-            return
         try:
-            if not self.readonly:
+            if not (self._closed or self._file.closed or self.readonly):
                 self.sync()
         finally:
             self._closed = True
             self._file.close()
+            self._retire_map()
+            still_referenced = []
+            for mapped in self._retired_maps:
+                try:
+                    mapped.close()
+                except BufferError:
+                    # Live node views still alias this mapping; closing
+                    # it would invalidate them.  Keep it; the GC frees
+                    # it when the last view dies.
+                    still_referenced.append(mapped)
+            self._retired_maps = still_referenced
 
     def abandon(self) -> None:
         self.readonly = True  # close() then skips its commit
@@ -608,19 +697,9 @@ class PageFileBase(PageStore):
                 self._spill(victim, victim_page)
                 self._dirty.discard(victim)
 
-    def _spill(self, page_id: int, page: Any | None = None) -> None:
-        if page is None:
-            page = self._buffer[page_id]
-        blob = self._encode_page(page_id, page)
-        self._offsets[page_id] = self._append_record(page_id, blob)
-
-    def _replacement_store(self, side_path: str) -> "PageFileBase":
-        """A fresh same-format store for :meth:`compact` to fill."""
-        return type(self)(side_path, buffer_pages=1)
-
-    def _discard_maps(self) -> None:
-        """Drop any OS-level read mappings before the backing file is
-        swapped out (no-op for plain file IO; v3 overrides)."""
+    def _spill(self, page_id: int, page: Any) -> None:
+        self._offsets[page_id] = self._append_record(page_id,
+                                                     encode_node(page))
 
     def compact(self) -> None:
         """Rewrite the heap file, dropping dead page versions.
@@ -629,37 +708,22 @@ class PageFileBase(PageStore):
         ``os.replace`` + directory fsync, so a crash mid-compaction
         leaves the original file untouched.
 
-        The replacement inherits this store's commit generation so the
-        counter stays monotonic across the swap — a snapshot reader
-        pinned at generation N must never see a later, different
-        commit also numbered N (the ABA case for
-        :func:`committed_generation` staleness probes).
+        The replacement's one commit lands on the generation after
+        this store's, so the counter stays strictly monotonic across
+        the swap — a snapshot reader pinned at generation N must never
+        see a later, different commit also numbered N (the ABA case
+        for :func:`committed_generation` staleness probes).
         """
         self._check_writable()
         self.sync()
-        pages = {pid: self.read(pid) for pid in sorted(self._offsets)}
         side_path = self.path + ".compact"
-        if os.path.exists(side_path):
-            os.unlink(side_path)
-        replacement = self._replacement_store(side_path)
-        try:
-            replacement._next_id = self._next_id
-            replacement._generation = self._generation
-            if self.metadata is not None:
-                replacement.set_metadata(self.metadata)
-            for page_id, page in pages.items():
-                replacement._spill(page_id, page)
-            replacement.sync()
-            replacement.close()
-        except Exception:
-            try:
-                replacement.close()
-            except Exception:
-                pass
-            if os.path.exists(side_path):
-                os.unlink(side_path)
-            raise
-        self._discard_maps()
+        write_page_file(
+            side_path,
+            ((page_id, self.read(page_id))
+             for page_id in sorted(self._offsets)),
+            next_id=self._next_id, generation=self._generation + 1,
+            metadata=self.metadata)
+        self._retire_map()
         self._file.close()
         os.replace(side_path, self.path)
         fsync_directory(os.path.dirname(os.path.abspath(self.path)))
@@ -709,55 +773,72 @@ class PageFileBase(PageStore):
         return StoreReport(pages, issues)
 
 
-class FilePageStore(PageFileBase):
-    """Read-only decoder of the legacy v2 format (pickled payloads).
+#: Imported by ``benchmarks/ledger/tracing.py`` (frozen), which wraps
+#: ``PageFileBase.__dict__["read"]`` / ``["compact"]``; goes when
+#: ROADMAP item 5(a) re-points the ledger.  Not public API.
+PageFileBase = MmapPageStore
 
-    2.0 writes v3 only (:class:`~repro.index.storage_v3.MmapPageStore`);
-    this class exists so :func:`~repro.index.migrate.migrate_page_file`
-    can read a 1.x file once.  It has no encode hooks, and a writable
-    open is rejected with the same "run 'walrus migrate'" error every
-    other open of a v2 file gets.
+
+def write_page_file(path: str, pages: Iterable[tuple[int, Any]], *,
+                    next_id: int, generation: int,
+                    metadata: bytes | None) -> None:
+    """Build a complete page file at ``path`` holding ``pages`` (as
+    ``(page_id, node)`` pairs), committed exactly once.
+
+    What :meth:`MmapPageStore.compact` and ``walrus migrate`` fill
+    their side files with.  That one commit is numbered ``generation``
+    — the caller picks it so the counter snapshot readers compare
+    against never moves backwards across the ``os.replace`` that
+    follows.  Nothing is left at ``path`` when a page fails to encode
+    or the write fails.
     """
+    if os.path.exists(path):
+        os.unlink(path)
+    store = MmapPageStore(path, buffer_pages=1)
+    try:
+        store._next_id = next_id
+        store._generation = generation - 1  # close() is the one commit
+        if metadata is not None:
+            store.set_metadata(metadata)
+        for page_id, page in pages:
+            store._spill(page_id, page)
+        store.close()
+    except BaseException:
+        store.abandon()
+        if os.path.exists(path):
+            os.unlink(path)
+        raise
 
-    MAGIC = _MAGIC
-    FORMAT_VERSION = _FORMAT_VERSION
 
-    def __init__(self, path: str | os.PathLike[str], buffer_pages: int = 256,
-                 *, readonly: bool = False) -> None:
-        if not readonly:
-            raise StorageError(
-                f"{os.fspath(path)}: v2 page files are read-only in "
-                "2.0; upgrade the database directory with 'walrus "
-                "migrate'")
-        super().__init__(path, buffer_pages, readonly=True)
+def open_page_store(path: str | os.PathLike[str], *,
+                    buffer_pages: int = 256,
+                    readonly: bool = False) -> MmapPageStore:
+    """Open the existing page file at ``path``.
 
-    def _decode_page(self, page_id: int, payload: bytes | memoryview,
-                     offset: int) -> Any:
-        try:
-            return pickle.loads(payload)
-        except Exception as error:
-            # The checksum passed, so this is our bug or a format skew —
-            # still surface it as a structured storage error.
-            raise StorageError(
-                f"{self.path}: page {page_id} at offset {offset} does "
-                f"not unpickle: {error}"
-            ) from error
+    This is how every "open what is on disk" path — database open,
+    fsck, snapshot readers — reaches the store.  A v2 file (written by
+    1.x) raises a :class:`StorageError` naming ``walrus migrate``, the
+    one tool that still reads that format.
+    """
+    spath = os.fspath(path)
+    if not os.path.exists(spath) or os.path.getsize(spath) == 0:
+        raise StorageError(
+            f"{spath}: no page file to open; create one with "
+            "create_page_store()")
+    return MmapPageStore(spath, buffer_pages=buffer_pages, readonly=readonly)
 
-    def _decode_table(self, payload: bytes | memoryview,
-                      offset: int) -> dict[int, tuple[int, int]]:
-        body = self._unstamp_table(payload, offset)
-        if body is None:
-            body = payload  # a v2 file from before table stamping
-        try:
-            table = pickle.loads(body)
-        except Exception as error:
-            raise StorageError(
-                f"{self.path}: page table at offset {offset} does not "
-                f"unpickle: {error}"
-            ) from error
-        if not isinstance(table, dict):
-            raise StorageError(
-                f"{self.path}: page table at offset {offset} has type "
-                f"{type(table).__name__}, expected dict"
-            )
-        return table
+
+def create_page_store(path: str | os.PathLike[str], *,
+                      buffer_pages: int = 256) -> MmapPageStore:
+    """Create a fresh page file at ``path``.
+
+    Refuses to overwrite an existing non-empty file — reopening goes
+    through :func:`open_page_store`.
+    """
+    spath = os.fspath(path)
+    if os.path.exists(spath) and os.path.getsize(spath) > 0:
+        raise StorageError(
+            f"{spath}: page file already exists; open it with "
+            "open_page_store()"
+        )
+    return MmapPageStore(spath, buffer_pages=buffer_pages)

@@ -10,7 +10,7 @@ import pytest
 from repro.core.parameters import ExtractionParameters
 from repro.imaging.draw import Canvas, draw_flower
 from repro.imaging.image import Image
-from repro.index.pagestore import open_page_store
+from repro.index.storage import open_page_store
 from repro.observability import Deadline
 
 

@@ -9,7 +9,7 @@ from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.exceptions import DatabaseError
 from repro.imaging.image import Image
-from repro.index.storage_v3 import MmapPageStore
+from repro.index.storage import MmapPageStore
 
 
 @pytest.fixture

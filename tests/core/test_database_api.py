@@ -26,7 +26,11 @@ from repro.core.results import QueryResult, RegionMatch
 from repro.datasets.generator import render_scene
 from repro.exceptions import (DatabaseClosedError, DatabaseError,
                               InvalidParameterError, PageCorruptionError)
-from repro.index.pagestore import create_page_store, open_page_store
+from repro.index import storage
+from repro.index.faults import FaultInjectingMmapPageStore
+from repro.index.pagestore import PageStore
+from repro.index.storage import (MmapPageStore, create_page_store,
+                                 open_page_store)
 from tests.conftest import corrupt_catalog_record
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
@@ -226,13 +230,18 @@ class TestDeprecatedShims:
             f"{verb}_on_disk" for verb in ("create", "open")]
         assert [name for name in removed
                 if name in vars(WalrusDatabase)] == []
-        # The catalog record (core/database.py) and the v2 decoder
-        # that ``walrus migrate`` reads 1.x files with
-        # (index/storage.py) are the only users of pickle.
+        # The catalog record (core/database.py) and the v2 reader
+        # inside ``walrus migrate`` (index/migrate.py) are the only
+        # users of pickle; the module that opens live page files is not.
         package = pathlib.Path(repro.__file__).parent
-        importers = set()
+        importers, store_subclasses = set(), []
         for path in package.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.ClassDef) and any(
+                        isinstance(base, ast.Name) and base.id in (
+                            "MmapPageStore", "PageFileBase")
+                        for base in node.bases):
+                    store_subclasses.append(node.name)
                 if isinstance(node, ast.Import):
                     modules = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
@@ -241,7 +250,20 @@ class TestDeprecatedShims:
                     continue
                 if "pickle" in modules:
                     importers.add(path.relative_to(package).as_posix())
-        assert importers == {"core/database.py", "index/storage.py"}
+        assert importers == {"core/database.py", "index/migrate.py"}
+        # 2.2: one page-store class below the tree, no second tree.
+        for module in ("repro.index.storage_v3", "repro.index.gist"):
+            assert importlib.util.find_spec(module) is None
+        assert [name for name in ("FilePageStore", "PageFileBase", "GiST")
+                if hasattr(repro.index, name)] == []
+        assert storage.PageFileBase is MmapPageStore  # the ledger's name
+        assert MmapPageStore.__mro__ == (MmapPageStore, PageStore, object)
+        assert "NotImplementedError" not in (
+            package / "index/storage.py").read_text("utf-8")
+        assert store_subclasses == ["FaultInjectingMmapPageStore"]
+        assert set(vars(FaultInjectingMmapPageStore)) - {
+            "__module__", "__doc__"} \
+            == {"__init__", "_wrap_file", "_mapped_read"}
         # 2.1: spans are the only trace model, and one module owns the
         # stdlib HTTP server every listener is built on.
         for module in (repro, repro.observability):

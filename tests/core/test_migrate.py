@@ -8,8 +8,9 @@ says "run 'walrus migrate'" and leaves the file alone.  The migrated
 database must also answer cold queries without a single
 ``pickle.loads`` — the acceptance criterion the v3 format exists for.
 
-2.0 cannot write v2, so the inputs come from ``tests/v2store.py``'s
-test-only writer mounted under ``WalrusDatabase.create(store=...)``.
+2.0 cannot write v2, so the input is a database built on the real
+store whose page file ``tests/v2store.py``'s test-only writer then
+re-lays as the v2 file 1.x would hold for the same commit.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from repro.datasets.generator import render_scene
 from repro.exceptions import StorageError
 from repro.index.faults import (FaultInjectingMmapPageStore, FaultPlan,
                                 SimulatedCrash)
-from repro.index.pagestore import open_page_store
-from repro.index.storage import committed_generation, page_file_version
-from tests.v2store import WritableV2PageStore
+from repro.index.migrate import read_v2_page_file
+from repro.index.storage import (committed_generation, open_page_store,
+                                 page_file_version)
+from tests.v2store import rewrite_as_v2, write_v2_page_file
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
 QUERY = render_scene("flowers", seed=123, name="probe")
@@ -59,17 +61,16 @@ def v2_db(tmp_path):
     answered (exact match tuples, commit generation) while it was
     still open under the writer."""
     directory = str(tmp_path / "db")
-    os.makedirs(directory)
-    store = WritableV2PageStore(page_path(directory))
-    database = WalrusDatabase.create(directory, params=PARAMS, store=store)
+    database = WalrusDatabase.create(directory, params=PARAMS)
     database.add_images([
         render_scene(label, seed=seed, name=f"{label}-{seed}")
         for seed, label in enumerate(["flowers", "ocean", "sunset"])])
     answered = matches(database)
     assert answered  # a vacuous fingerprint proves nothing
     database.checkpoint()
-    mirror = store.metadata
+    mirror = database.index.store.metadata
     database.close()
+    rewrite_as_v2(page_path(directory))
     pathlib.Path(directory, WalrusDatabase.META_FILE).write_bytes(mirror)
     return directory, (answered, committed_generation(page_path(directory)))
 
@@ -173,8 +174,11 @@ class TestErrors:
         # node) fails the rewrite partway: no side file survives and
         # the original is byte-for-byte what it was.
         directory, _ = v2_db
-        with WritableV2PageStore(page_path(directory)) as store:
-            store.write(store.allocate(), {"not": "a node"})
+        source = read_v2_page_file(page_path(directory))
+        write_v2_page_file(
+            page_path(directory),
+            {**source.pages, source.next_id: {"not": "a node"}},
+            metadata=source.metadata, generation=source.generation)
         original = page_bytes(directory)
         with pytest.raises(StorageError, match="nodes only"):
             migrate_database(directory)

@@ -13,8 +13,7 @@ from repro.index.faults import (
     SimulatedCrash,
     corrupt_page,
 )
-from repro.index.pagestore import open_page_store
-from repro.index.storage_v3 import MmapPageStore
+from repro.index.storage import MmapPageStore, open_page_store
 from tests.nodepages import node_page, page_value
 
 pytestmark = pytest.mark.faults
@@ -103,6 +102,15 @@ class TestTransientErrors:
             FaultInjectingMmapPageStore(path, plan=plan)
         assert "after" in str(excinfo.value)  # bounded retries exhausted
         assert not isinstance(excinfo.value, PageCorruptionError)
+
+    def test_reads_after_crash_raise_simulated_crash(self, tmp_path):
+        path = tmp_path / "pages.db"
+        populated(path).close()
+        plan = FaultPlan()
+        store = FaultInjectingMmapPageStore(path, 1, plan=plan)
+        plan.crashed = True  # the process "died" elsewhere
+        with pytest.raises(SimulatedCrash):
+            store.read(0)
 
 
 class TestCrashDuringSync:
@@ -218,7 +226,8 @@ class TestStructuredLoadErrors:
         # A table record whose checksum passes but whose payload is not
         # an offset table must still come back as StorageError.
         from repro.index.storage import (_RECORD, _SLOT, _SUPER,
-                                         _TABLE_ID, _record_crc)
+                                         _TABLE_ID, _pack_slot,
+                                         _record_crc)
         path = tmp_path / "pages.db"
         populated(path).close()
         store = MmapPageStore(path, readonly=True)
@@ -235,7 +244,7 @@ class TestStructuredLoadErrors:
                                       _record_crc(_TABLE_ID, payload))
                          + payload)
             stream.seek(slot_offset)
-            stream.write(MmapPageStore._pack_slot(
+            stream.write(_pack_slot(
                 forged_generation, table_offset,
                 _RECORD.size + len(payload), 0, 0, 5))
         with pytest.raises(StorageError) as excinfo:

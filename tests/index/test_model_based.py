@@ -16,7 +16,7 @@ from repro.exceptions import StorageError
 from repro.index.geometry import Rect
 from repro.index.rstar import RStarTree
 from repro.index.pagestore import MemoryPageStore
-from repro.index.storage_v3 import MmapPageStore
+from repro.index.storage import MmapPageStore
 from tests.nodepages import node_page, page_value
 
 

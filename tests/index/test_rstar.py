@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.exceptions import SpatialIndexError
 from repro.index.geometry import Rect
 from repro.index.rstar import RStarTree
-from repro.index.storage_v3 import MmapPageStore
+from repro.index.storage import MmapPageStore
 
 
 def build_point_tree(points: np.ndarray, **kwargs) -> RStarTree:

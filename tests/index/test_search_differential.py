@@ -15,7 +15,7 @@ from repro.exceptions import DeadlineExceededError, SpatialIndexError
 from repro.index.geometry import Rect
 from repro.index.pagestore import MemoryPageStore
 from repro.index.rstar import RStarTree
-from repro.index.storage_v3 import MmapPageStore
+from repro.index.storage import MmapPageStore
 from tests import oracle
 from tests.conftest import ticking_deadline
 

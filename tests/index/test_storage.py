@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.exceptions import StorageError
+from repro.exceptions import PageCorruptionError, StorageError
+from repro.index.migrate import read_v2_page_file
 from repro.index.pagestore import MemoryPageStore
-from repro.index.storage import FilePageStore
-from repro.index.storage_v3 import MmapPageStore
+from repro.index.storage import (_DATA_START, _RECORD, _SUPER, _TABLE_ID,
+                                 MmapPageStore, _pack_slot, open_page_store)
 from tests.nodepages import node_page, page_value
-from tests.v2store import WritableV2PageStore
+from tests.v2store import record_bytes, write_v2_page_file
 
 
 class TestMemoryPageStore:
@@ -132,37 +135,67 @@ class TestFilePageStore:
 
 
 class TestLegacyV2Decoder:
-    """``FilePageStore`` after 2.0: reads a 1.x file, writes nothing."""
+    """v2 after 2.2: one function reads a 1.x file; nothing opens or
+    writes it."""
 
     @pytest.fixture
     def v2_file(self, tmp_path):
         path = tmp_path / "v2.db"
-        with WritableV2PageStore(path) as store:
-            store.write(store.allocate(), {"any": "picklable page"})
-            store.set_metadata(b"catalog")
+        write_v2_page_file(path, {0: {"any": "picklable page"}},
+                           metadata=b"catalog", generation=3)
         return path
 
-    def test_writable_open_names_walrus_migrate(self, v2_file, tmp_path):
-        for path in (v2_file, tmp_path / "absent.db"):
+    def test_writable_open_names_walrus_migrate(self, v2_file):
+        before = v2_file.read_bytes()
+        for attempt in (lambda: MmapPageStore(v2_file),
+                        lambda: open_page_store(v2_file)):
             with pytest.raises(StorageError, match="walrus migrate"):
-                FilePageStore(path)
-        assert not (tmp_path / "absent.db").exists()
+                attempt()
+        assert v2_file.read_bytes() == before
 
     def test_readonly_open_decodes_and_rejects_mutation(self, v2_file):
         before = v2_file.read_bytes()
-        with FilePageStore(v2_file, readonly=True) as store:
-            assert store.read(0) == {"any": "picklable page"}
-            assert store.metadata == b"catalog"
-            assert store.scan().ok
-            for operation in (lambda: store.write(0, "x"),
-                              lambda: store.allocate(),
-                              lambda: store.sync(),
-                              lambda: store.compact()):
-                with pytest.raises(StorageError, match="readonly"):
-                    operation()
+        decoded = read_v2_page_file(v2_file)
+        assert decoded.pages == {0: {"any": "picklable page"}}
+        assert decoded.metadata == b"catalog"
+        assert (decoded.next_id, decoded.generation) == (1, 3)
         assert v2_file.read_bytes() == before
 
-    def test_has_no_encode_hooks(self):
-        from repro.index.storage import PageFileBase
-        assert FilePageStore._encode_page is PageFileBase._encode_page
-        assert FilePageStore._encode_table is PageFileBase._encode_table
+    def test_damage_is_structured(self, v2_file, tmp_path):
+        """Every check the v2 store class made, the function makes."""
+        def damaged(edit):
+            data = bytearray(v2_file.read_bytes())
+            edit(data)
+            path = tmp_path / "damaged.db"
+            path.write_bytes(bytes(data))
+            return path
+
+        def flip_payload_bit(data):
+            data[_DATA_START + _RECORD.size + 2] ^= 0x40
+
+        def change_record_id(data):
+            data[_DATA_START] ^= 0x01
+
+        def drop_tail(data):
+            del data[-5:]
+
+        for edit, message in ((flip_payload_bit, "checksum"),
+                              (change_record_id, "mismatched record"),
+                              (drop_tail, "truncated")):
+            with pytest.raises(PageCorruptionError, match=message):
+                read_v2_page_file(damaged(edit))
+
+    @pytest.mark.parametrize("body, message", [
+        (pickle.dumps([1, 2]), "expected dict"),
+        (b"\x80not a pickle", "does not unpickle")])
+    def test_checksummed_garbage_table_is_structured(self, v2_file, body,
+                                                     message):
+        # Forge a newer commit whose table record passes its CRC.
+        record = record_bytes(_TABLE_ID, body)
+        with open(v2_file, "r+b") as stream:
+            offset = stream.seek(0, 2)
+            stream.write(record)
+            stream.seek(_SUPER.size)
+            stream.write(_pack_slot(4, offset, len(record), 0, 0, 1))
+        with pytest.raises(StorageError, match=message):
+            read_v2_page_file(v2_file)

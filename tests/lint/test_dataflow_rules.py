@@ -454,7 +454,6 @@ class TestR012ViewEscape:
     def test_lifecycle_owners_exempt(self):
         rule = ViewEscapeRule()
         assert not rule.applies_to("src/repro/index/nodecodec.py")
-        assert not rule.applies_to("src/repro/index/storage_v3.py")
         assert rule.applies_to("src/repro/index/storage.py")
 
     def test_allow_comment_suppresses(self):

@@ -12,7 +12,7 @@ from repro.exceptions import (DatabaseError, PageCorruptionError,
 from repro.observability import disable_tracing, enable_tracing
 from repro.server import ReaderSession, SessionPool
 from tests.conftest import corrupt_catalog_record, make_flower_image
-from tests.v2store import WritableV2PageStore
+from tests.v2store import rewrite_as_v2
 
 
 @pytest.fixture
@@ -70,6 +70,24 @@ class TestReaderSession:
         finally:
             session.close()
 
+    def test_session_pinned_before_compaction_refreshes(self, db_dir):
+        query = make_flower_image(name="q", cx=20)
+        session = ReaderSession(db_dir)
+        try:
+            pinned, before = session.generation, _names(session.query(query))
+            with WalrusDatabase.open(db_dir) as writer:
+                writer.index.store.compact()
+                assert writer.index.store.generation > pinned
+            # The old inode keeps answering; the swap is visible as a
+            # newer generation, never as the pinned one reused.
+            assert _names(session.query(query)) == before
+            assert session.stale()
+            session.refresh()
+            assert session.generation > pinned
+            assert _names(session.query(query)) == before
+        finally:
+            session.close()
+
     def test_generation_advances_on_refresh(self, db_dir):
         session = ReaderSession(db_dir)
         try:
@@ -99,11 +117,8 @@ class TestReaderSession:
 
     def test_v2_directory_names_walrus_migrate(self, tmp_path, fast_params):
         directory = str(tmp_path / "v2")
-        os.makedirs(directory)
-        store = WritableV2PageStore(
-            os.path.join(directory, WalrusDatabase.PAGE_FILE))
-        WalrusDatabase.create(directory, params=fast_params,
-                              store=store).close()
+        WalrusDatabase.create(directory, params=fast_params).close()
+        rewrite_as_v2(os.path.join(directory, WalrusDatabase.PAGE_FILE))
         with pytest.raises(StorageError, match="walrus migrate"):
             ReaderSession(directory)
 

@@ -2,13 +2,13 @@
 
 docs/FORMAT.md is the byte-level contract for the v2/v3 page files:
 magic strings, struct format codes, field offsets, alignment.  Nothing
-executable ties it to ``storage.py`` / ``storage_v3.py`` /
-``nodecodec.py``, so a layout change that forgets the doc (or a doc
-edit that forgets the code) ships a spec that lies.  This project rule
-closes the loop: during the per-file pass it collects the module-level
-struct constants from the storage modules (``struct.Struct`` format
-strings, magic byte literals, derived offsets like ``_DATA_START =
-_SUPER.size + 2 * _SLOT.size`` via a tiny constant evaluator); in the
+executable ties it to ``storage.py`` / ``nodecodec.py``, so a layout
+change that forgets the doc (or a doc edit that forgets the code) ships
+a spec that lies.  This project rule closes the loop: during the
+per-file pass it collects the module-level struct constants from the
+storage modules (``struct.Struct`` format strings, magic byte
+literals, derived offsets like ``_DATA_START = _SUPER.size + 2 *
+_SLOT.size`` via a tiny constant evaluator); in the
 finish pass it parses the layout anchors out of docs/FORMAT.md and
 cross-checks every pair.  A mismatch is a finding on the constant's
 line; a *missing* anchor is also a finding, so rewording the doc out
@@ -30,8 +30,7 @@ from typing import Iterator
 from tools.lint.engine import Finding, Rule, SourceFile, register
 
 #: Storage modules whose constants define the on-disk layout.
-_LAYOUT_MODULES = frozenset({"storage.py", "storage_v3.py",
-                             "nodecodec.py"})
+_LAYOUT_MODULES = frozenset({"storage.py", "nodecodec.py"})
 
 
 def _norm(fmt: str) -> str:
@@ -154,8 +153,7 @@ class FormatSpecRule(Rule):
     name = "format-spec-conformance"
     rationale = ("docs/FORMAT.md is the on-disk contract; magic "
                  "strings, struct format codes and offsets must match "
-                 "the constants in storage.py/storage_v3.py/"
-                 "nodecodec.py exactly")
+                 "the constants in storage.py/nodecodec.py exactly")
     project = True
 
     def __init__(self, doc_path: str | None = None) -> None:
@@ -285,8 +283,6 @@ class FormatSpecRule(Rule):
              "table-stamp magic"),
             ("int", "_TABLE_ID", spec.table_id, "page-table record id"),
             ("int", "_META_ID", spec.meta_id, "metadata record id"),
-        ]
-        yield "storage_v3.py", [
             ("fmt", "_TABLE_COUNT", spec.count_fmt,
              "v3 table entry count layout"),
             ("fmt", "_TABLE_ENTRY", spec.entry_fmt,

@@ -2,7 +2,7 @@
 
 v3 reads are zero-copy: ``np.frombuffer`` over the store's shared
 ``mmap`` returns views that alias the mapping.  The retired-mapping
-lifecycle in ``storage_v3``/``nodecodec`` keeps superseded mappings
+lifecycle in ``storage``/``nodecodec`` keeps superseded mappings
 alive while decoded nodes still reference them — but only for views
 *it* handed out.  A view stashed anywhere else (an instance attribute,
 a module-level cache, a container that outlives the call) dangles the
@@ -16,8 +16,8 @@ the taint through view-preserving operations (``reshape``, ``view``,
 arithmetic), and flags tainted values stored into attributes,
 subscripted containers, or via mutating container methods.  Returning
 a view is allowed — ownership transfers to the caller, which this
-rule checks in turn.  ``nodecodec.py`` and ``storage_v3.py`` are
-exempt: they are the lifecycle.
+rule checks in turn.  ``nodecodec.py`` is exempt: it makes the views
+the lifecycle hands out.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _STORING_METHODS = frozenset({"append", "add", "insert", "extend",
                               "appendleft", "setdefault", "update"})
 
 #: Files that own the retired-mapping lifecycle.
-_LIFECYCLE_OWNERS = frozenset({"nodecodec.py", "storage_v3.py"})
+_LIFECYCLE_OWNERS = frozenset({"nodecodec.py"})
 
 
 def _is_frombuffer(node: ast.AST) -> bool:
@@ -54,7 +54,7 @@ class ViewEscapeRule(Rule):
     name = "mmap-view-escape"
     rationale = ("np.frombuffer views alias the shared mmap and are "
                  "only kept valid by the retired-mapping lifecycle in "
-                 "storage_v3/nodecodec; copy() before storing them "
+                 "storage/nodecodec; copy() before storing them "
                  "anywhere long-lived")
 
     def applies_to(self, path: str) -> bool:
