@@ -1,7 +1,8 @@
 """WALRUS core: region extraction, matching and the image database."""
 
 from repro.core.bitmap import CoverageBitmap
-from repro.core.database import IndexedImage, WalrusDatabase
+from repro.core.catalog import IndexedImage
+from repro.core.database import WalrusDatabase
 from repro.core.extraction import RegionExtractor, extract_regions
 from repro.core.matching import (
     MATCHERS,

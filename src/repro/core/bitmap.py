@@ -12,6 +12,12 @@ The similarity measure of Definition 4.3 needs the *pixel* area covered
 by unions of such bitmaps; :meth:`CoverageBitmap.covered_pixels` maps
 set blocks back to their true pixel counts (edge blocks are smaller
 when the image side is not divisible by ``G``).
+
+Rasterization is batched: :meth:`CoverageBitmap.from_window_groups`
+paints every region of an image and :meth:`CoverageBitmap.from_masks`
+downsamples the stack in one pass; the one-region forms
+(:meth:`~CoverageBitmap.from_windows`, :meth:`~CoverageBitmap.from_mask`)
+are their batch-of-one cases.
 """
 
 from __future__ import annotations
@@ -57,20 +63,14 @@ class CoverageBitmap:
     def from_windows(cls, height: int, width: int, grid: int,
                      windows: list[tuple[int, int, int]],
                      *, threshold: float = 0.5) -> "CoverageBitmap":
-        """Rasterize ``(row, col, size)`` windows into a coverage bitmap.
+        """Rasterize ``(row, col, size)`` windows into a coverage bitmap
+        — :meth:`from_window_groups` for one group.
 
         A block is set when the union of the windows covers at least
         ``threshold`` of its pixels.
         """
-        mask = np.zeros((height, width), dtype=bool)
-        for row, col, size in windows:
-            if row < 0 or col < 0 or row + size > height or col + size > width:
-                raise ParameterError(
-                    f"window {size}@({row},{col}) exceeds image "
-                    f"{height}x{width}"
-                )
-            mask[row:row + size, col:col + size] = True
-        return cls.from_mask(mask, grid, threshold=threshold)
+        return cls.from_window_groups(height, width, grid, [windows],
+                                      threshold=threshold)[0]
 
     @classmethod
     def from_mask(cls, mask: np.ndarray, grid: int,
@@ -120,10 +120,10 @@ class CoverageBitmap:
                            window_groups: list[list[tuple[int, int, int]]],
                            *, threshold: float = 0.5
                            ) -> list["CoverageBitmap"]:
-        """Rasterize several window groups (one bitmap each) in a batch.
-
-        Equivalent to calling :meth:`from_windows` per group, but the
-        coarse downsampling runs once over the whole stack.
+        """Rasterize several window groups (one bitmap each) in a batch:
+        every ``(row, col, size)`` window is painted into its group's
+        exact mask, then the coarse downsampling runs once over the
+        whole stack (:meth:`from_masks`).
         """
         masks = np.zeros((len(window_groups), height, width), dtype=bool)
         for index, windows in enumerate(window_groups):

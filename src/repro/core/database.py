@@ -7,7 +7,8 @@ Ties the whole system together (Section 5.1's overview):
   indexes their signatures in an R*-tree, keyed by centroid point or
   bounding box, with ``(image_id, region_index)`` as the payload.  On a
   fresh database the tree is packed bottom-up with one
-  Sort-Tile-Recursive pass instead of repeated insertion.
+  Sort-Tile-Recursive pass instead of repeated insertion.  It is the
+  one ingest path: :meth:`WalrusDatabase.add_image` is a batch of one.
 * :meth:`WalrusDatabase.query` extracts the query's regions the same
   way, probes the index within ``epsilon`` of every query region in
   one walk of the tree (Section 5.4), groups the matching pairs per
@@ -18,9 +19,12 @@ Ties the whole system together (Section 5.1's overview):
 Lifecycle: :meth:`WalrusDatabase.create` builds a database — in memory
 with ``path=None``, or over a durable checkpoint directory (v3 index
 pages plus one commit-coupled catalog record) — and
-:meth:`WalrusDatabase.open` reattaches to such a directory.  The
-database is a context manager; leaving the ``with`` block checkpoints
-(when disk-backed) and closes the page store.
+:meth:`WalrusDatabase.open` reattaches to such a directory.  What a
+database directory is and what its catalog record says belong to
+:mod:`repro.core.catalog`; this module only asks it.  The database is
+a context manager; leaving the ``with`` block closes it, which on a
+writable disk-backed database is exactly one commit — the final
+checkpoint — and then a release of the page store.
 
 The query path keeps two small LRU caches: extracted query-region sets
 (keyed by image content) and per-region index probes (keyed by
@@ -32,12 +36,15 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from typing import Any, Iterable, Sequence, cast
 
 import numpy as np
 
+from repro.core import catalog
 from repro.core.cache import CacheStats, LRUCache
+# ``IndexedImage`` stays importable from this module: catalog records
+# written by 2.2 pickle it as ``repro.core.database.IndexedImage``.
+from repro.core.catalog import Catalog, IndexedImage
 from repro.core.extraction import RegionExtractor
 from repro.core.matching import MATCHERS
 from repro.core.parameters import ExtractionParameters, QueryParameters
@@ -57,33 +64,6 @@ from repro.observability import (Deadline, ProbeCounts, QueryReport,
                                  StageTiming, Stopwatch, current_span,
                                  get_events, get_metrics, get_tracer)
 from repro.observability.report import CANONICAL_STAGES
-
-
-class IndexedImage:
-    """Book-keeping for one database image."""
-
-    __slots__ = ("image_id", "name", "height", "width", "regions")
-
-    def __init__(self, image_id: int, name: str, height: int, width: int,
-                 regions: list[Region]) -> None:
-        self.image_id = image_id
-        self.name = name
-        self.height = height
-        self.width = width
-        self.regions = regions
-
-    @property
-    def area(self) -> int:
-        return self.height * self.width
-
-    def __getstate__(self) -> tuple[int, str, int, int, list[Region]]:
-        return (self.image_id, self.name, self.height, self.width,
-                self.regions)
-
-    def __setstate__(
-            self, state: tuple[int, str, int, int, list[Region]]) -> None:
-        (self.image_id, self.name, self.height, self.width,
-         self.regions) = state
 
 
 class WalrusDatabase:
@@ -106,15 +86,10 @@ class WalrusDatabase:
         Capacities of the query-path LRU caches (0 disables).
     """
 
-    #: File names used by the directory-based on-disk layout.
-    PAGE_FILE = "regions.pages"
-    META_FILE = "walrus.meta"
-    #: What :meth:`create` writes to ``META_FILE``, once: the file only
-    #: marks the directory as a database (the catalog itself is a
-    #: record in ``PAGE_FILE``); its existence is checked, its content
-    #: never read.
-    META_MARKER = (b"walrus database directory: the catalog is a record "
-                   b"in regions.pages\n")
+    #: The directory layout's names (owned by :mod:`repro.core.catalog`).
+    PAGE_FILE = catalog.PAGE_FILE
+    META_FILE = catalog.META_FILE
+    META_MARKER = catalog.META_MARKER
 
     #: Default LRU capacities for the query path.
     SIGNATURE_CACHE_SIZE = 8
@@ -124,20 +99,27 @@ class WalrusDatabase:
                  store: PageStore | None = None,
                  max_entries: int = 32,
                  signature_cache: int | None = None,
-                 probe_cache: int | None = None) -> None:
-        self.params = params if params is not None else ExtractionParameters()
+                 probe_cache: int | None = None,
+                 _catalog: Catalog | None = None) -> None:
+        if _catalog is None:
+            # A fresh database: an empty tree over ``store``.
+            self.params = (params if params is not None
+                           else ExtractionParameters())
+            self.index = RStarTree(self.params.feature_dimensions,
+                                   store=store, max_entries=max_entries)
+            self.images: dict[int, IndexedImage] = {}
+            self._next_id = 0
+        else:
+            # open(): the tree ``store`` already holds, as catalogued.
+            assert store is not None
+            self.params = _catalog.params
+            self.index = RStarTree.from_state(_catalog.index_state, store)
+            self.images = _catalog.images
+            self._next_id = _catalog.next_id
         self.extractor = RegionExtractor(self.params)
-        self.index = RStarTree(self.params.feature_dimensions, store=store,
-                               max_entries=max_entries)
-        self.images: dict[int, IndexedImage] = {}
-        self._next_id = 0
         self._directory: str | None = None
         self._closed = False
         self._readonly = False
-        self._init_caches(signature_cache, probe_cache)
-
-    def _init_caches(self, signature_cache: int | None,
-                     probe_cache: int | None) -> None:
         self._signature_cache = LRUCache(
             self.SIGNATURE_CACHE_SIZE if signature_cache is None
             else signature_cache, metrics_name="signatures")
@@ -153,7 +135,6 @@ class WalrusDatabase:
     def create(cls, path: str | None = None, *,
                params: ExtractionParameters | None = None,
                max_entries: int = 32,
-               buffer_pages: int = 256,
                store: PageStore | None = None,
                signature_cache: int | None = None,
                probe_cache: int | None = None) -> "WalrusDatabase":
@@ -170,16 +151,16 @@ class WalrusDatabase:
         ``store`` substitutes a caller-provided page store for the
         default (memory, or the mmap store over ``regions.pages`` when
         ``path`` is given — used by the fault-injection tests and
-        custom storage wrappers); a disk-backed substitute must
-        persist to the same file for :meth:`open` to reattach.
+        custom storage wrappers, and the way to a non-default
+        ``buffer_pages``); a disk-backed substitute must persist to
+        the same file for :meth:`open` to reattach.
         """
         if path is None:
             return cls(params, store=store, max_entries=max_entries,
                        signature_cache=signature_cache,
                        probe_cache=probe_cache)
         os.makedirs(path, exist_ok=True)
-        page_path = os.path.join(path, cls.PAGE_FILE)
-        meta_path = os.path.join(path, cls.META_FILE)
+        page_path, meta_path = catalog.directory_files(path)
         # An injected store has already created/opened its own file, so
         # the caller takes responsibility for the existence check.
         if store is None and os.path.exists(page_path):
@@ -189,8 +170,7 @@ class WalrusDatabase:
             with open(meta_path, "wb") as stream:
                 stream.write(cls.META_MARKER)
             if store is None:
-                store = create_page_store(page_path,
-                                          buffer_pages=buffer_pages)
+                store = create_page_store(page_path)
             database = cls(params, store=store, max_entries=max_entries,
                            signature_cache=signature_cache,
                            probe_cache=probe_cache)
@@ -200,10 +180,7 @@ class WalrusDatabase:
             return database
         except Exception:
             if store is not None:
-                try:
-                    store.close()
-                except Exception:
-                    pass
+                store.abandon()
             for leftover in (page_path, meta_path):
                 try:
                     os.unlink(leftover)
@@ -213,7 +190,6 @@ class WalrusDatabase:
 
     @classmethod
     def open(cls, path: str, *,
-             buffer_pages: int = 256,
              store: PageStore | None = None,
              readonly: bool = False) -> "WalrusDatabase":
         """Reattach to the checkpoint directory ``path`` (the layout
@@ -231,31 +207,18 @@ class WalrusDatabase:
         :meth:`close` — this is the session primitive ``walrus serve``
         builds its concurrent snapshot readers on.
         """
-        page_path = os.path.join(path, cls.PAGE_FILE)
         try:
-            if not (os.path.exists(os.path.join(path, cls.META_FILE))
-                    and os.path.exists(page_path)):
-                raise DatabaseError(f"{path} is not a WALRUS database")
+            page_path = catalog.database_page_file(path)
             if store is None:
-                store = open_page_store(page_path,
-                                        buffer_pages=buffer_pages,
-                                        readonly=readonly)
-            meta = cls._parse_meta(store.metadata, page_path)
-            index = RStarTree.from_state(meta["index_state"], store)
+                store = open_page_store(page_path, readonly=readonly)
+            database = cls(store=store, _catalog=Catalog.decode(
+                store.metadata, page_path))
         except Exception:
             if store is not None:
                 store.abandon()
             raise
-        database = cls.__new__(cls)
-        database.params = meta["params"]
-        database.extractor = RegionExtractor(database.params)
-        database.images = meta["images"]
-        database._next_id = meta["next_id"]
-        database.index = index
         database._directory = path
-        database._closed = False
         database._readonly = readonly
-        database._init_caches(None, None)
         return database
 
     @property
@@ -267,16 +230,27 @@ class WalrusDatabase:
         """Checkpoint (when disk-backed and writable) and release the
         page store.
 
+        A writable close is exactly one commit: the final checkpoint.
+        If that checkpoint raises, the store is still released —
+        without committing, so the directory reopens at the previous
+        commit — and the error propagates.
+
         Idempotent: closing an already-closed database is a no-op.
         Readonly handles never checkpoint — they own a snapshot, not
         the database.
         """
         if self._closed:
             return
-        self._closed = True
-        if self._directory is not None and not self._readonly:
-            self.checkpoint(_force=True)
-        self.index.store.close()
+        store = self.index.store
+        if self._directory is None or self._readonly:
+            self._closed = True
+            store.close()
+            return
+        try:
+            self.checkpoint()
+        finally:
+            self._closed = True
+            store.abandon()  # the checkpoint was the commit
 
     def __enter__(self) -> "WalrusDatabase":
         return self
@@ -298,27 +272,12 @@ class WalrusDatabase:
     # Indexing
     # ------------------------------------------------------------------
     def add_image(self, image: Image) -> int:
-        """Extract and index ``image``'s regions; returns its image id."""
-        self._check_open()
-        events = get_events()
-        watch = Stopwatch() if events.enabled else None
-        regions = self.extractor.extract(image)
-        image_id = self._register(image, regions)
-        for region_index, region in enumerate(regions):
-            self.index.insert(region.signature.to_rect(),
-                              (image_id, region_index))
-        self._invalidate_probes()
-        if watch is not None:
-            events.emit("ingest", {
-                "images": 1,
-                "regions": len(regions),
-                "bulk": False,
-                "workers": 1,
-                "seconds": watch.elapsed,
-                "total_images": len(self.images),
-                "total_regions": self.region_count,
-            })
-        return image_id
+        """Extract and index ``image``'s regions; returns its image id.
+
+        The batch-of-one case of :meth:`add_images` with per-region
+        insertion.
+        """
+        return self.add_images([image], bulk=False)[0]
 
     def add_images(self, images: Iterable[Image], *,
                    bulk: bool | None = None,
@@ -882,7 +841,7 @@ class WalrusDatabase:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def checkpoint(self, *, _force: bool = False) -> None:
+    def checkpoint(self) -> None:
         """Durably commit index pages and the catalog to the directory.
 
         The catalog (images, parameters, index root) is staged into
@@ -892,8 +851,7 @@ class WalrusDatabase:
         can never disagree with the page table it describes.  Nothing
         else in the directory is written.
         """
-        if not _force:
-            self._check_open()
+        self._check_open()
         if self._readonly:
             raise DatabaseError(
                 "checkpoint on a readonly database handle")
@@ -902,32 +860,7 @@ class WalrusDatabase:
                 "checkpoint requires a database created with "
                 "WalrusDatabase.create(path=...)"
             )
-        meta = {
-            "params": self.params,
-            "images": self.images,
-            "next_id": self._next_id,
-            "index_state": self.index.state(),
-        }
         store = self.index.store
-        store.set_metadata(
-            pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL))
+        store.set_metadata(Catalog(self.params, self.images, self._next_id,
+                                   self.index.state()).encode())
         store.sync()
-
-    @classmethod
-    def _parse_meta(cls, blob: bytes | None,
-                    source: str) -> dict[str, Any]:
-        """Unpickle and validate a checkpoint's catalog record."""
-        if blob is None:
-            raise DatabaseError(
-                f"{source}: page file carries no catalog record "
-                "(no checkpoint was ever committed)")
-        try:
-            meta = pickle.loads(blob)
-        except Exception as error:
-            raise DatabaseError(
-                f"{source}: metadata is corrupt: {error}") from error
-        if not isinstance(meta, dict) or not {
-                "params", "images", "next_id", "index_state"} <= set(meta):
-            raise DatabaseError(
-                f"{source}: metadata is not a WALRUS checkpoint")
-        return meta

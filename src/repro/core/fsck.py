@@ -35,11 +35,10 @@ Summary keys
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
-from repro.core.database import WalrusDatabase
-from repro.exceptions import StorageError, WalrusError
+from repro.core.catalog import Catalog, database_page_file
+from repro.exceptions import DatabaseError, StorageError, WalrusError
 from repro.index.rstar import RStarTree
 from repro.index.storage import (FORMAT_VERSION, open_page_store,
                                  page_file_version)
@@ -56,30 +55,19 @@ def fsck_database(directory: str) -> dict[str, Any]:
     :func:`open_page_store`'s ``StorageError`` naming ``walrus
     migrate``.
     """
-    page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
-    meta_path = os.path.join(directory, WalrusDatabase.META_FILE)
     issues: list[str] = []
     index_summary: dict[str, Any] | None = None
     format_version: int | None = None
     pages_checked = 0
     is_database = True
-
-    if not os.path.isdir(directory):
+    try:
+        page_path = database_page_file(directory)
+        format_version = page_file_version(page_path)
+    except DatabaseError as error:
         is_database = False
-        issues.append(f"{directory} is not a directory")
-    else:
-        for path, label in ((page_path, "page file"),
-                            (meta_path, "metadata file")):
-            if not os.path.exists(path):
-                is_database = False
-                issues.append(
-                    f"missing {label} {os.path.basename(path)}")
-
-    if is_database:
-        try:
-            format_version = page_file_version(page_path)
-        except StorageError as error:
-            issues.append(f"page file unusable: {error}")
+        issues.append(str(error))
+    except StorageError as error:
+        issues.append(f"page file unusable: {error}")
     store = None
     if format_version is not None:
         try:
@@ -93,18 +81,17 @@ def fsck_database(directory: str) -> dict[str, Any]:
             report = store.scan()
             pages_checked = len(report.pages)
             issues.extend(f"page file: {issue}" for issue in report.issues)
-            meta = None
+            catalog = None
             try:
-                meta = WalrusDatabase._parse_meta(store.metadata,
-                                                  page_path)
+                catalog = Catalog.decode(store.metadata, page_path)
             except StorageError as error:
                 if not any("metadata record" in issue for issue in issues):
                     issues.append(f"page file: {error}")
             except WalrusError as error:
                 issues.append(str(error))
-            if meta is not None:
+            if catalog is not None:
                 try:
-                    tree = RStarTree.from_state(meta["index_state"], store)
+                    tree = RStarTree.from_state(catalog.index_state, store)
                     index_summary = tree.verify_summary()
                     issues.extend(f"index: {issue}"
                                   for issue in index_summary["issues"])

@@ -2,12 +2,12 @@
 
 :func:`migrate_database` wraps
 :func:`~repro.index.migrate.migrate_page_file` with the database
-directory layout checks the CLI needs — the directory must look like a
-checkpoint (page file + metadata file), and after the rewrite the
-whole database is optionally re-verified with
-:func:`~repro.core.fsck.fsck_database` so a migration that produced an
-unreadable file fails loudly instead of being discovered at the next
-query.
+directory layout check the CLI needs — the directory must be a
+database directory (:func:`~repro.core.catalog.database_page_file`) —
+and after the rewrite the whole database is optionally re-verified
+with :func:`~repro.core.fsck.fsck_database` so a migration that
+produced an unreadable file fails loudly instead of being discovered
+at the next query.
 
 Migration is offline: close every writer and reader over the directory
 first.  Readers that stay open keep serving their pinned snapshot from
@@ -17,12 +17,10 @@ when they reopen.
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
-from repro.core.database import WalrusDatabase
+from repro.core.catalog import database_page_file
 from repro.core.fsck import fsck_database
-from repro.exceptions import StorageError
 from repro.index.migrate import migrate_page_file
 
 
@@ -33,21 +31,13 @@ def migrate_database(directory: str, *, keep_backup: bool = False,
     Returns a summary dict: the
     :meth:`~repro.index.migrate.MigrationReport.to_dict` payload plus
     ``directory``, ``checked`` and ``ok`` (``False`` only when the
-    post-migration fsck found issues).  Raises :class:`StorageError`
-    when the directory is not a database or the page file is already
-    v3.
+    post-migration fsck found issues).  Raises
+    :class:`~repro.exceptions.DatabaseError` when the directory is not
+    a database and :class:`~repro.exceptions.StorageError` when the
+    page file is already v3.
     """
-    page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
-    meta_path = os.path.join(directory, WalrusDatabase.META_FILE)
-    if not os.path.isdir(directory):
-        raise StorageError(f"{directory} is not a directory")
-    for path, label in ((page_path, "page file"),
-                        (meta_path, "metadata file")):
-        if not os.path.exists(path):
-            raise StorageError(
-                f"{directory} is not a walrus database: missing {label} "
-                f"{os.path.basename(path)}")
-    report = migrate_page_file(page_path, keep_backup=keep_backup)
+    report = migrate_page_file(database_page_file(directory),
+                               keep_backup=keep_backup)
     summary: dict[str, Any] = report.to_dict()
     summary["directory"] = directory
     summary["checked"] = check

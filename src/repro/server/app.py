@@ -172,9 +172,9 @@ class WalrusServer(Listener):
         runs unbudgeted unless the request asks.
     degrade_at, degraded_max_regions:
         Degradation policy (see :class:`DegradationPolicy`).
-    buffer_pages, store_factory:
-        Forwarded to the session pool; ``store_factory`` is how the
-        chaos harness mounts a fault-injecting page store.
+    store_factory:
+        Forwarded to the session pool: how the chaos harness mounts a
+        fault-injecting page store.
     trace_dump_path:
         When set, :meth:`write_trace_dump` (wired to SIGUSR2 by
         :meth:`serve_until_signal`, and to shutdown by ``walrus
@@ -190,7 +190,6 @@ class WalrusServer(Listener):
                  default_budget_seconds: float | None = None,
                  max_budget_seconds: float = 30.0,
                  degrade_at: float = 1.0, degraded_max_regions: int = 4,
-                 buffer_pages: int = 256,
                  store_factory: StoreFactory | None = None,
                  trace_dump_path: str | None = None) -> None:
         if max_budget_seconds <= 0:
@@ -200,7 +199,7 @@ class WalrusServer(Listener):
         self.path = path
         self.default_budget_seconds = default_budget_seconds
         self.max_budget_seconds = max_budget_seconds
-        self.pool = SessionPool(path, sessions, buffer_pages=buffer_pages,
+        self.pool = SessionPool(path, sessions,
                                 store_factory=store_factory)
         self.admission = AdmissionController(
             max_concurrency=sessions, max_queue=max_queue,

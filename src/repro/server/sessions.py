@@ -27,10 +27,10 @@ in step with.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any, Callable
 
+from repro.core.catalog import database_page_file
 from repro.core.database import WalrusDatabase
 from repro.core.parameters import QueryParameters
 from repro.core.results import QueryResult
@@ -54,28 +54,23 @@ class ReaderSession:
     path:
         The checkpoint directory (as given to
         :meth:`WalrusDatabase.create`).
-    buffer_pages:
-        Page-buffer capacity of the session's store.
     store_factory:
         Optional callable mapping the page-file path to a
         :class:`~repro.index.storage.PageStore`; used to substitute a
         fault-injecting store.  Must open the file readonly.
     """
 
-    def __init__(self, path: str, *, buffer_pages: int = 256,
+    def __init__(self, path: str, *,
                  store_factory: StoreFactory | None = None) -> None:
         self.path = path
-        self.buffer_pages = buffer_pages
         self.store_factory = store_factory
-        self.page_path = os.path.join(path, WalrusDatabase.PAGE_FILE)
+        self.page_path = database_page_file(path)
         self.database = self._open()
 
     def _open(self) -> WalrusDatabase:
         store = (self.store_factory(self.page_path)
                  if self.store_factory is not None else None)
-        return WalrusDatabase.open(self.path,
-                                   buffer_pages=self.buffer_pages,
-                                   store=store, readonly=True)
+        return WalrusDatabase.open(self.path, store=store, readonly=True)
 
     @property
     def generation(self) -> int:
@@ -143,13 +138,11 @@ class SessionPool:
     """
 
     def __init__(self, path: str, size: int = 4, *,
-                 buffer_pages: int = 256,
                  store_factory: StoreFactory | None = None) -> None:
         if size < 1:
             raise ServerError(f"session pool size must be >= 1, got {size}")
         self.size = size
-        self._sessions = [ReaderSession(path, buffer_pages=buffer_pages,
-                                        store_factory=store_factory)
+        self._sessions = [ReaderSession(path, store_factory=store_factory)
                           for _ in range(size)]
         self._idle = list(self._sessions)  # guarded-by: _condition
         self._condition = threading.Condition()

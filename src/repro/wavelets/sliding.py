@@ -11,11 +11,13 @@ signature of every ``w x w`` window (for all powers of two ``w`` up to
 * :func:`naive_sliding_signatures` recomputes a full ``O(w^2)`` wavelet
   transform per window — the baseline whose cost the paper's Figure 6
   plots; total ``O(N * w_max^2)``.
-* :func:`dp_sliding_signatures` implements the paper's dynamic program
-  (Figures 3-5): the signature of a ``w x w`` window is assembled from
-  the already-computed signatures of its four ``w/2 x w/2`` quadrant
-  sub-windows by :func:`combine_signatures` (``computeSingleWindow`` +
-  ``copyBlocks``), giving ``O(N * S * log2 w_max)`` with ``S = s^2``.
+* :func:`dp_sliding_signatures_stack` implements the paper's dynamic
+  program (Figures 3-5), once, over a stack of channels: the signature
+  of a ``w x w`` window is assembled from the already-computed
+  signatures of its four ``w/2 x w/2`` quadrant sub-windows by
+  :func:`combine_signatures` (``computeSingleWindow`` + ``copyBlocks``),
+  giving ``O(N * S * log2 w_max)`` with ``S = s^2``.
+  :func:`dp_sliding_signatures` is its one-channel case.
 
 The two must agree coefficient-for-coefficient; a property test enforces
 this.
@@ -218,100 +220,24 @@ def _combine_into(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray,
     _combine_into(c1, c2, c3, c4, h, out[..., :h, :h])
 
 
-def dp_sliding_signatures(channel: np.ndarray, s: int, w_max: int,
-                          stride: int, *, w_min: int = 2
-                          ) -> dict[int, SignatureGrid]:
-    """``computeSlidingWindows`` (Figure 5): DP over dyadic window sizes.
+def dp_sliding_signatures_stack(channels: np.ndarray, s: int, w_max: int,
+                                stride: int, *, w_min: int = 2
+                                ) -> dict[int, np.ndarray]:
+    """``computeSlidingWindows`` (Figure 5): DP over dyadic window
+    sizes, for a *stack* of equally-sized channels at once.
 
     Level 1 signatures are the raw pixels; every level-``w`` signature is
     assembled from four level-``w/2`` signatures in ``O(min(w, s)^2)``
     regardless of ``w``, for a total of ``O(N * s^2 * log2 w_max)``.
-
-    Parameters
-    ----------
-    channel:
-        2-D float array (one color channel).
-    s:
-        Signature side (power of two).
-    w_max, w_min:
-        Largest / smallest window size to report (powers of two).
-    stride:
-        Requested slide distance ``t``; the effective per-level stride is
-        ``min(w, t)`` as required for sub-window alignment.  Levels below
-        ``w_min`` are still computed (the DP needs them) but omitted from
-        the result.
-
-    Returns
-    -------
-    dict mapping window size ``w`` to its :class:`SignatureGrid`, for
-    every power of two ``w`` in ``[w_min, w_max]``.
-    """
-    channel = np.asarray(channel, dtype=np.float64)
-    if channel.ndim != 2:
-        raise WaveletError(f"expected 2-D channel, got {channel.ndim}-D")
-    height, width = channel.shape
-    _validate_params(height, width, s, w_max, stride)
-    if not is_power_of_two(w_min):
-        raise WaveletError(f"w_min must be a power of two, got {w_min}")
-
-    # Level 1: each pixel is its own 1x1 window signature.
-    previous = SignatureGrid(1, 1, channel[:, :, np.newaxis, np.newaxis])
-    results: dict[int, SignatureGrid] = {}
-    w = 2
-    while w <= w_max:
-        dist = min(w, stride)
-        ny = _level_positions(height, w, dist)
-        nx = _level_positions(width, w, dist)
-        m = min(w, s)
-        half = w // 2
-        child = previous.signatures
-        cdist = previous.stride
-        step = dist // cdist        # child-grid index step between windows
-        off = half // cdist         # child-grid offset of the far quadrant
-        # Strided views (no copies): quadrant k of parent (i, j) is the
-        # child at grid position (i*step + dy*off, j*step + dx*off).
-        def quadrant(dy: int, dx: int) -> np.ndarray:
-            rows = slice(dy * off, dy * off + (ny - 1) * step + 1, step)
-            cols = slice(dx * off, dx * off + (nx - 1) * step + 1, step)
-            return child[rows, cols]
-
-        c1 = quadrant(0, 0)
-        c2 = quadrant(0, 1)
-        c3 = quadrant(1, 0)
-        c4 = quadrant(1, 1)
-        grid = SignatureGrid(w, dist, combine_signatures(c1, c2, c3, c4, m))
-        if w >= w_min:
-            results[w] = grid
-        previous = grid
-        w *= 2
-    metrics = get_metrics()
-    metrics.counter("wavelets.dp_calls").inc()
-    metrics.counter("wavelets.dp_windows").inc(sum(
-        grid.signatures.shape[0] * grid.signatures.shape[1]
-        for grid in results.values()))
-    return results
-
-
-def dp_window_signatures(channel: np.ndarray, w: int, s: int,
-                         stride: int) -> SignatureGrid:
-    """Signatures for a single window size ``w`` via the DP algorithm."""
-    return dp_sliding_signatures(channel, s, w, stride, w_min=w)[w]
-
-
-# ----------------------------------------------------------------------
-# Batched (chunk) API
-# ----------------------------------------------------------------------
-def dp_sliding_signatures_stack(channels: np.ndarray, s: int, w_max: int,
-                                stride: int, *, w_min: int = 2
-                                ) -> dict[int, np.ndarray]:
-    """The Figure 5 DP over a *stack* of equally-sized channels at once.
+    Levels below ``w_min`` are still computed (the DP needs them) but
+    omitted from the result.
 
     ``channels`` is a ``(B, H, W)`` array — e.g. the color channels of
     one image, or all channels of a whole chunk of same-sized images.
-    Returns ``{w: array (B, ny, nx, m, m)}`` where slice ``[b]`` is
-    bit-identical to ``dp_sliding_signatures(channels[b], ...)[w]``
-    (every coefficient is an elementwise combination of the same
-    inputs, so batching changes nothing numerically).
+    Returns ``{w: array (B, ny, nx, m, m)}``; slice ``[b]`` depends on
+    ``channels[b]`` alone (every coefficient is an elementwise
+    combination of the same inputs, so batching changes nothing
+    numerically).
 
     This is the chunk-friendly entry point for batch ingest: each DP
     level is a handful of large elementwise numpy operations, which
@@ -330,9 +256,10 @@ def dp_sliding_signatures_stack(channels: np.ndarray, s: int, w_max: int,
     if not is_power_of_two(w_min):
         raise WaveletError(f"w_min must be a power of two, got {w_min}")
 
-    # Internal layout (ny, nx, B, m, m): the window grid stays on the
-    # two leading axes (so the strided quadrant views below work
-    # unchanged) and combine_signatures broadcasts over (ny, nx, B).
+    # Level 1: each pixel is its own 1x1 window signature.  Internal
+    # layout (ny, nx, B, m, m): the window grid stays on the two
+    # leading axes for the strided quadrant views below, and
+    # combine_signatures broadcasts over (ny, nx, B).
     previous = np.moveaxis(channels, 0, -1)[:, :, :, np.newaxis, np.newaxis]
     previous_stride = 1
     results: dict[int, np.ndarray] = {}
@@ -343,10 +270,14 @@ def dp_sliding_signatures_stack(channels: np.ndarray, s: int, w_max: int,
         nx = _level_positions(width, w, dist)
         m = min(w, s)
         half = w // 2
+        # In child-grid positions: the step between adjacent windows
+        # and the offset of a window's far quadrants.
         step = dist // previous_stride
         off = half // previous_stride
         child = previous
 
+        # Strided views (no copies): quadrant k of parent (i, j) is the
+        # child at grid position (i*step + dy*off, j*step + dx*off).
         def quadrant(dy: int, dx: int) -> np.ndarray:
             rows = slice(dy * off, dy * off + (ny - 1) * step + 1, step)
             cols = slice(dx * off, dx * off + (nx - 1) * step + 1, step)
@@ -365,3 +296,44 @@ def dp_sliding_signatures_stack(channels: np.ndarray, s: int, w_max: int,
         level.shape[0] * level.shape[1] * level.shape[2]
         for level in results.values()))
     return results
+
+
+def dp_sliding_signatures(channel: np.ndarray, s: int, w_max: int,
+                          stride: int, *, w_min: int = 2
+                          ) -> dict[int, SignatureGrid]:
+    """``computeSlidingWindows`` (Figure 5) for one channel.
+
+    The stack-of-one case of :func:`dp_sliding_signatures_stack`, which
+    holds the dynamic program; each level comes back as a
+    :class:`SignatureGrid`.
+
+    Parameters
+    ----------
+    channel:
+        2-D float array (one color channel).
+    s:
+        Signature side (power of two).
+    w_max, w_min:
+        Largest / smallest window size to report (powers of two).
+    stride:
+        Requested slide distance ``t``; the effective per-level stride is
+        ``min(w, t)`` as required for sub-window alignment.
+
+    Returns
+    -------
+    dict mapping window size ``w`` to its :class:`SignatureGrid`, for
+    every power of two ``w`` in ``[w_min, w_max]``.
+    """
+    channel = np.asarray(channel, dtype=np.float64)
+    if channel.ndim != 2:
+        raise WaveletError(f"expected 2-D channel, got {channel.ndim}-D")
+    levels = dp_sliding_signatures_stack(channel[np.newaxis], s, w_max,
+                                         stride, w_min=w_min)
+    return {w: SignatureGrid(w, min(w, stride), level[0])
+            for w, level in levels.items()}
+
+
+def dp_window_signatures(channel: np.ndarray, w: int, s: int,
+                         stride: int) -> SignatureGrid:
+    """Signatures for a single window size ``w`` via the DP algorithm."""
+    return dp_sliding_signatures(channel, s, w, stride, w_min=w)[w]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.core.parameters import ExtractionParameters
 from repro.imaging.draw import Canvas, draw_flower
 from repro.imaging.image import Image
-from repro.index.storage import open_page_store
+from repro.index.storage import _DATA_START, _RECORD, open_page_store
 from repro.observability import Deadline
 
 
@@ -73,6 +74,19 @@ def corrupt_catalog_record(page_path: str | os.PathLike[str]) -> None:
         damaged = bytes(byte ^ 0xFF for byte in stream.read(3))
         stream.seek(offset + size // 2)
         stream.write(damaged)
+
+
+def heap_record_ids(page_path: str | os.PathLike[str]) -> list[int]:
+    """Page ids of the records in a heap with no torn tail, in file
+    order (records start at 8-byte boundaries)."""
+    data = pathlib.Path(page_path).read_bytes()
+    ids, position = [], _DATA_START
+    while position < len(data):
+        page_id, payload_size, _crc = _RECORD.unpack_from(data, position)
+        ids.append(page_id)
+        position += _RECORD.size + payload_size
+        position += -position % 8
+    return ids
 
 
 @pytest.fixture

@@ -10,10 +10,12 @@ from __future__ import annotations
 import ast
 import gc
 import importlib.util
+import logging
 import os
 import pathlib
 import pickle
 import re
+import shutil
 import warnings
 
 import pytest
@@ -21,6 +23,7 @@ import pytest
 import repro
 import repro.observability
 from repro.core.database import WalrusDatabase
+from repro.core.fsck import fsck_database
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.core.results import QueryResult, RegionMatch
 from repro.datasets.generator import render_scene
@@ -31,9 +34,12 @@ from repro.index.faults import FaultInjectingMmapPageStore
 from repro.index.pagestore import PageStore
 from repro.index.storage import (MmapPageStore, create_page_store,
                                  open_page_store)
+from repro.observability.events import EventLog, parse_event_line, set_events
+from tests import oracle
 from tests.conftest import corrupt_catalog_record
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
+FIXTURE_2_2 = pathlib.Path(__file__).parent.parent / "fixtures/db_2_2"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +122,40 @@ class TestCreate:
         create_page_store(page_path).close()
         with pytest.raises(DatabaseError, match="no catalog record"):
             WalrusDatabase.open(str(directory), readonly=True)
+
+
+class TestDirectoryWrittenBy22:
+    """``tests/fixtures/db_2_2`` was written by 2.2.0 (three 64x64
+    scenes, ``max_entries=8``, a bulk load, a checkpoint, an insert, a
+    close): its catalog record pickles ``IndexedImage`` under its old
+    module, ``repro.core.database``."""
+
+    def test_opens_checks_and_answers(self, tmp_path):
+        directory = str(tmp_path / "db")
+        shutil.copytree(FIXTURE_2_2, directory)
+        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+        with open_page_store(page_path, readonly=True) as store:
+            assert b"repro.core.database" in store.metadata
+        query = render_scene("flowers", seed=7, size=(64, 64))
+        qp = QueryParameters(epsilon=0.085)
+        # Readonly first; the writable handle's close then commits the
+        # record again as 2.3 encodes it, and that reopens the same.
+        for readonly in (True, False, True):
+            assert fsck_database(directory)["ok"]
+            with WalrusDatabase.open(directory,
+                                     readonly=readonly) as database:
+                assert [record.name for record in database.images.values()] \
+                    == ["flowers-0", "ocean-1", "sunset-2"]
+                expected = oracle.answer(
+                    {image_id: record.regions
+                     for image_id, record in database.images.items()},
+                    database.extractor.extract(query), qp)
+                assert expected["ranked"]
+                assert [(match.image_id, match.similarity)
+                        for match in database.query(query, qp).matches] \
+                    == expected["ranked"]
+        with open_page_store(page_path, readonly=True) as store:
+            assert b"repro.core.database" not in store.metadata
 
 
 class SpyStore:
@@ -222,6 +262,47 @@ class TestContextManager:
         assert issubclass(DatabaseClosedError, DatabaseError)
 
 
+class TestAddImage:
+    def test_add_image_is_add_images_of_one(self, scenes):
+        """Insert-grown trees, page by page, and the ``ingest`` events."""
+        class Spy(logging.Handler):
+            def __init__(self):
+                super().__init__()
+                self.rows = []
+
+            def emit(self, record):
+                row = parse_event_line(record.getMessage())
+                del row["seconds"], row["ts"], row["seq"]
+                self.rows.append(row)
+
+        trees, events = [], []
+        for one_by_one in (True, False):
+            spy, log = Spy(), EventLog(enabled=True)
+            log.attach_handler(spy)
+            previous = set_events(log)
+            try:
+                database = WalrusDatabase.create(params=PARAMS,
+                                                 max_entries=8)
+                ids = [database.add_image(scene) if one_by_one
+                       else database.add_images([scene], bulk=False)[0]
+                       for scene in scenes]
+            finally:
+                set_events(previous)
+                log.close()
+            index = database.index
+            assert ids == list(range(len(scenes))) and index.height() > 1
+            events.append(spy.rows)
+            trees.append((index.state(), index.counters.snapshot(), [
+                (node.page_id, node.level, node.entries)
+                for node in map(index.store.read,
+                                sorted(index.store.page_ids()))]))
+        assert trees[0] == trees[1]
+        assert events[0] == events[1]
+        assert [row["event"] for row in events[0]] \
+            == ["ingest"] * len(scenes)
+        assert events[0][0]["bulk"] is False and events[0][0]["images"] == 1
+
+
 class TestDeprecatedShims:
     """The four 0.x shims and the snapshot pickling are gone in 2.0."""
 
@@ -230,7 +311,7 @@ class TestDeprecatedShims:
             f"{verb}_on_disk" for verb in ("create", "open")]
         assert [name for name in removed
                 if name in vars(WalrusDatabase)] == []
-        # The catalog record (core/database.py) and the v2 reader
+        # The catalog record (core/catalog.py) and the v2 reader
         # inside ``walrus migrate`` (index/migrate.py) are the only
         # users of pickle; the module that opens live page files is not.
         package = pathlib.Path(repro.__file__).parent
@@ -250,7 +331,29 @@ class TestDeprecatedShims:
                     continue
                 if "pickle" in modules:
                     importers.add(path.relative_to(package).as_posix())
-        assert importers == {"core/database.py", "index/migrate.py"}
+        assert importers == {"core/catalog.py", "index/migrate.py"}
+        # 2.3: the catalog record and the directory layout have one
+        # owner, and each scalar twin is the batch form's one-item case.
+        sources = {path.relative_to(package).as_posix():
+                   path.read_text("utf-8") for path in package.rglob("*.py")}
+        assert sorted(name for name, text in sources.items()
+                      if re.search("PAGE_FILE|META_FILE", text)) \
+            == ["core/catalog.py", "core/database.py"]
+        assert [name for name in ("core/fsck.py", "core/migrate.py")
+                if "WalrusDatabase" in sources[name]] == []
+        database_source = sources["core/database.py"]
+        assert "__new__" not in database_source
+        assert "buffer_pages=" not in database_source
+        assert database_source.count("self.index.insert(") == 1
+        assert database_source.count('emit("ingest"') == 1
+        dp_loops = [function.name for function in ast.walk(
+                        ast.parse(sources["wavelets/sliding.py"]))
+                    if isinstance(function, ast.FunctionDef)
+                    and function.name.startswith("dp_")
+                    for node in ast.walk(function)
+                    if isinstance(node, (ast.While, ast.For))]
+        assert dp_loops == ["dp_sliding_signatures_stack"]
+        assert sources["core/bitmap.py"].count("exceeds image") == 1
         # 2.2: one page-store class below the tree, no second tree.
         for module in ("repro.index.storage_v3", "repro.index.gist"):
             assert importlib.util.find_spec(module) is None

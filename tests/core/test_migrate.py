@@ -28,7 +28,7 @@ from repro.core.fsck import fsck_database
 from repro.core.migrate import migrate_database
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.datasets.generator import render_scene
-from repro.exceptions import StorageError
+from repro.exceptions import DatabaseError, StorageError
 from repro.index.faults import (FaultInjectingMmapPageStore, FaultPlan,
                                 SimulatedCrash)
 from repro.index.migrate import read_v2_page_file
@@ -160,13 +160,13 @@ class TestErrors:
         assert fingerprint(directory) == reference
 
     def test_not_a_directory(self, tmp_path):
-        with pytest.raises(StorageError, match="not a directory"):
+        with pytest.raises(DatabaseError, match="not a directory"):
             migrate_database(str(tmp_path / "nope"))
 
     def test_directory_without_database(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
-        with pytest.raises(StorageError, match="missing page file"):
+        with pytest.raises(DatabaseError, match="missing page file"):
             migrate_database(str(empty))
 
     def test_failed_migration_leaves_original_intact(self, v2_db):
@@ -209,8 +209,10 @@ class TestMigratedV3:
         assert main(["fsck", directory]) == 0
         # buffer_pages=1 keeps every node read cold; open() itself
         # unpickles the catalog, so the tripwire arms only afterwards.
-        database = WalrusDatabase.open(directory, buffer_pages=1,
-                                       readonly=True)
+        database = WalrusDatabase.open(
+            directory, readonly=True,
+            store=open_page_store(page_path(directory), buffer_pages=1,
+                                  readonly=True))
         try:
             def forbidden(*args, **kwargs):  # pragma: no cover
                 raise AssertionError("v3 query path called pickle.loads")

@@ -15,10 +15,11 @@ from repro.index.faults import corrupt_page
 from repro.index.geometry import Rect
 from repro.index.node import Entry, Node
 from repro.index.migrate import read_v2_page_file
-from repro.index.storage import (_DATA_START, _MAGIC_V3, _RECORD, _SUPER,
+from repro.index.storage import (_MAGIC_V3, _SUPER,
                                  _TABLE_ID, MmapPageStore,
                                  committed_generation, create_page_store,
                                  open_page_store, page_file_version)
+from tests.conftest import heap_record_ids
 from tests.nodepages import node_page
 from tests.v2store import write_v2_page_file
 
@@ -60,19 +61,6 @@ def write_golden(path):
         store.sync()
         store.write(1, node_page(1, 99, entries=4))
         store.free(3)
-
-
-def heap_record_ids(path):
-    """Page ids of the records in a heap with no torn tail, in file
-    order (records start at 8-byte boundaries)."""
-    data = pathlib.Path(path).read_bytes()
-    ids, position = [], _DATA_START
-    while position < len(data):
-        page_id, payload_size, _crc = _RECORD.unpack_from(data, position)
-        ids.append(page_id)
-        position += _RECORD.size + payload_size
-        position += -position % 8
-    return ids
 
 
 class TestGoldenFile:

@@ -11,6 +11,9 @@ from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.datasets.generator import render_scene
 from repro.exceptions import DatabaseError
+from repro.index.storage import (_TABLE_ID, committed_generation,
+                                 create_page_store)
+from tests.conftest import heap_record_ids
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
 
@@ -133,8 +136,13 @@ class TestLifecycle:
 
     def test_compact_preserves_contents_and_shrinks(self, tmp_path):
         directory = str(tmp_path / "db")
-        database = WalrusDatabase.create(directory, params=PARAMS,
-                                         buffer_pages=4)
+        os.makedirs(directory)
+        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+        # A four-page buffer, through the store seam: pages spill
+        # between checkpoints.
+        database = WalrusDatabase.create(
+            directory, params=PARAMS,
+            store=create_page_store(page_path, buffer_pages=4))
         database.add_images(scenes())
         # Churn: repeated checkpoints append dead page/table versions.
         for image_id in (0, 1):
@@ -143,7 +151,6 @@ class TestLifecycle:
         query = render_scene("flowers", seed=42)
         expected = database.query(query,
                                   QueryParameters(epsilon=0.085)).names()
-        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
         before = os.path.getsize(page_path)
         database.index.store.compact()
         after = os.path.getsize(page_path)
@@ -165,6 +172,48 @@ class TestLifecycle:
         database.add_image(scenes()[0])
         database.close()
         database.close()  # second close is a no-op, not a StorageError
+
+    def test_close_is_exactly_one_commit(self, tmp_path):
+        directory = str(tmp_path / "db")
+        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+        database = WalrusDatabase.create(directory, params=PARAMS)
+        database.add_image(scenes()[0])
+        for reopen in (False, True):  # with and without anything to save
+            if reopen:
+                database = WalrusDatabase.open(directory)
+            generation = database.index.store.generation
+            tables = heap_record_ids(page_path).count(_TABLE_ID)
+            database.close()
+            assert committed_generation(page_path) == generation + 1
+            assert heap_record_ids(page_path).count(_TABLE_ID) == tables + 1
+
+    def test_close_whose_checkpoint_fails_releases_the_store(
+            self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "db")
+        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+        database = WalrusDatabase.create(directory, params=PARAMS)
+        database.add_image(scenes()[0])
+        database.checkpoint()
+        committed = pathlib.Path(page_path).read_bytes()
+        database.add_image(scenes()[1])
+        store = database.index.store
+
+        def disk_full():
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "sync", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            database.close()
+        assert database.closed
+        assert store._file.closed and store._map is None
+        database.close()  # already closed: a no-op
+        # Released without committing: nothing past the last checkpoint
+        # is reachable, and that checkpoint still opens.
+        assert pathlib.Path(page_path).read_bytes()[:len(committed)] \
+            == committed
+        with WalrusDatabase.open(directory, readonly=True) as reopened:
+            assert [record.name for record in reopened.images.values()] \
+                == [scenes()[0].name]
 
     def test_failed_create_allows_retry(self, tmp_path, monkeypatch):
         directory = str(tmp_path / "db")

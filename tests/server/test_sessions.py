@@ -9,6 +9,7 @@ import pytest
 from repro.core.database import WalrusDatabase
 from repro.exceptions import (DatabaseError, PageCorruptionError,
                               ServerError, StorageError)
+from repro.index.storage import committed_generation
 from repro.observability import disable_tracing, enable_tracing
 from repro.server import ReaderSession, SessionPool
 from tests.conftest import corrupt_catalog_record, make_flower_image
@@ -100,6 +101,15 @@ class TestReaderSession:
         finally:
             session.close()
 
+    def test_writer_close_alone_makes_the_session_stale(self, db_dir):
+        session = ReaderSession(db_dir)
+        try:
+            pinned = session.generation
+            WalrusDatabase.open(db_dir).close()  # one commit, no more
+            assert committed_generation(session.page_path) == pinned + 1
+            assert session.stale()
+        finally:
+            session.close()
 
     def test_failed_refresh_keeps_the_pinned_snapshot(self, db_dir):
         session = ReaderSession(db_dir)
