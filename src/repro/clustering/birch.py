@@ -80,10 +80,14 @@ def precluster(points: np.ndarray, threshold: float, *,
         raise ClusteringError("cannot cluster an empty point set")
     tree = CFTree(d, threshold, branching_factor=branching_factor,
                   max_leaf_entries=max_leaf_entries, track_members=True)
+    # Point i is the CF (0.0 + p, p . p, 1), as CFTree.insert makes it;
+    # a stack of (1, d) @ (d, 1) products is ``p @ p``'s BLAS dot per row.
+    linear_sums = points + 0.0
+    square_sums = (points[:, None, :] @ points[:, :, None]).ravel().tolist()
     for i in range(n):
         if deadline is not None and i % 64 == 0:
             deadline.check("birch.precluster")
-        tree.insert(points[i], point_id=i)
+        tree.insert_cf(linear_sums[i], square_sums[i], 1, [i])
 
     metrics = get_metrics()
     metrics.counter("birch.points").inc(n)
@@ -92,16 +96,17 @@ def precluster(points: np.ndarray, threshold: float, *,
     metrics.counter("birch.clusters").inc(tree.leaf_entry_count)
 
     clusters: list[Cluster] = []
-    for cf in tree.leaf_entries():
-        ids = tuple(cf.member_ids or ())
+    for count, linear_sum, square_sum, ids in tree.subclusters():
         if not ids:
             raise ClusteringError("leaf subcluster lost its member ids")
-        members = points[list(ids)]
+        centroid = linear_sum / count
+        r2 = square_sum / count - float(centroid @ centroid)
+        members = points[ids]
         clusters.append(Cluster(
-            centroid=cf.centroid,
-            radius=cf.radius,
-            count=cf.count,
-            member_ids=ids,
+            centroid=centroid,
+            radius=float(np.sqrt(max(r2, 0.0))),
+            count=count,
+            member_ids=tuple(ids),
             lower=members.min(axis=0),
             upper=members.max(axis=0),
         ))

@@ -14,10 +14,30 @@ phase of BIRCH [ZRL96].  When the leaf count exceeds ``max_leaf_entries``
 the tree is rebuilt with a larger threshold by reinserting the existing
 subclusters — BIRCH's threshold-escalation loop — so memory stays
 bounded on adversarial inputs.
+
+Entries are rows, not objects.  A node keeps its entries' counts and
+square sums in two lists and their linear sums and centroids in two
+``(B + 1, d)`` arrays allocated with the node (``B + 1`` entries is the
+most a node ever holds: the moment before it splits), plus each leaf
+entry's member ids.  Every insertion — a point, or a subcluster a
+rebuild reinserts — is one call of :meth:`CFTree.insert_cf` with the
+triple ``(LS, SS, N)``: per level one distance kernel over the node's
+centroid rows and an argmin, then at the leaf the radius-if-merged test
+on the winning row, which on absorb stores the linear sum and centroid
+it just computed.  No :class:`~repro.clustering.feature.ClusteringFeature`
+is made on that path; :attr:`CFNode.entries` and
+:meth:`CFTree.leaf_entries` build them as snapshots when asked.
+
+The arithmetic is the per-object tree's, operation for operation — the
+``einsum`` row kernel, the ``c @ c`` dot, :data:`RADIUS_SLACK`, and
+split summaries summed one entry after another in entry order (a
+pairwise ``np.sum`` changes the last bit) — so the subclusters, and
+every region WALRUS extracts from them, are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -33,89 +53,80 @@ from repro.exceptions import ClusteringError
 #: refuse exact duplicates.
 RADIUS_SLACK = 1e-7
 
+#: One subcluster as :meth:`CFTree.subclusters` yields it:
+#: ``(count, linear_sum, square_sum, member_ids)``.
+Subcluster = tuple[int, np.ndarray, float, list[int] | None]
+
 
 class CFNode:
-    """One node of the CF-tree.
+    """One node of the CF-tree, its entries stored as rows.
 
-    ``entries`` is a list of :class:`ClusteringFeature`; for internal
-    nodes ``children[i]`` is the subtree summarized by ``entries[i]``.
-
-    The node keeps its entries' centroids mirrored in a preallocated
-    ``(capacity, d)`` array so :meth:`closest_entry_index` — the hot
-    path of every insertion — is one vectorized distance computation
-    instead of a per-entry ``np.stack``.  The mirror is maintained by
-    the mutator methods (:meth:`append_entry`, :meth:`refresh_entry`,
-    ...); code that only reads ``entries`` is unaffected.
+    Entry ``k`` is ``counts[k]``, ``linear_sums[k]``, ``square_sums[k]``
+    and ``centroids[k]`` (always ``linear_sums[k] / counts[k]``); a
+    leaf entry also has ``members[k]`` (its point ids, or ``None`` when
+    the tree does not track members), an internal entry the subtree
+    ``children[k]`` it summarizes.  Rows from ``size`` on are unused.
     """
 
-    __slots__ = ("entries", "children", "is_leaf", "_centroids")
+    __slots__ = ("is_leaf", "size", "counts", "square_sums", "linear_sums",
+                 "centroids", "members", "children")
 
-    def __init__(self, is_leaf: bool) -> None:
+    def __init__(self, is_leaf: bool, capacity: int, dimensions: int) -> None:
         self.is_leaf = is_leaf
-        self.entries: list[ClusteringFeature] = []
-        self.children: list["CFNode"] = []
-        self._centroids: np.ndarray | None = None
+        self.size = 0
+        self.counts: list[int] = []
+        self.square_sums: list[float] = []
+        self.linear_sums = np.empty((capacity, dimensions), dtype=np.float64)
+        self.centroids = np.empty((capacity, dimensions), dtype=np.float64)
+        self.members: list[list[int] | None] = []
+        self.children: list[CFNode] = []
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.size
 
-    # ------------------------------------------------------------------
-    # Centroid-mirror maintenance
-    # ------------------------------------------------------------------
-    def _ensure_capacity(self, rows: int, dimensions: int) -> None:
-        if self._centroids is None:
-            self._centroids = np.empty((max(8, rows), dimensions),
-                                       dtype=np.float64)
-        elif self._centroids.shape[0] < rows:
-            grown = np.empty((max(2 * self._centroids.shape[0], rows),
-                              dimensions), dtype=np.float64)
-            grown[:self._centroids.shape[0]] = self._centroids
-            self._centroids = grown
+    @property
+    def entries(self) -> list[ClusteringFeature]:
+        """The entries as :class:`ClusteringFeature` snapshots, built on
+        demand (changing one does not change the tree)."""
+        members = self.members if self.is_leaf else [None] * self.size
+        return [_snapshot(*row) for row in zip(
+            self.counts, self.linear_sums, self.square_sums, members)]
 
-    def append_entry(self, cf: ClusteringFeature,
-                     child: "CFNode" | None = None) -> None:
-        """Append an entry (and its child, for internal nodes)."""
-        index = len(self.entries)
-        self.entries.append(cf)
-        if child is not None:
-            self.children.append(child)
-        self._ensure_capacity(index + 1, cf.linear_sum.shape[0])
-        self._centroids[index] = cf.centroid
-
-    def set_entry(self, index: int, cf: ClusteringFeature,
-                  child: "CFNode" | None = None) -> None:
-        """Replace the entry (and child) at ``index``."""
-        self.entries[index] = cf
-        if child is not None:
-            self.children[index] = child
-        self._centroids[index] = cf.centroid
-
-    def insert_entry(self, index: int, cf: ClusteringFeature,
-                     child: "CFNode" | None = None) -> None:
-        """Insert an entry (and child) at ``index``, shifting the rest."""
-        count = len(self.entries)
-        self.entries.insert(index, cf)
-        if child is not None:
+    def insert(self, index: int, count: int, linear_sum: np.ndarray,
+               square_sum: float, centroid: np.ndarray, *,
+               members: list[int] | None = None,
+               child: "CFNode | None" = None) -> None:
+        """Put an entry at ``index`` (``size`` appends), moving the
+        entries from ``index`` on one row down."""
+        size = self.size
+        if index < size:
+            self.linear_sums[index + 1:size + 1] = self.linear_sums[index:size]
+            self.centroids[index + 1:size + 1] = self.centroids[index:size]
+        self.linear_sums[index] = linear_sum
+        self.centroids[index] = centroid
+        self.counts.insert(index, count)
+        self.square_sums.insert(index, square_sum)
+        if child is None:
+            self.members.insert(index, members)
+        else:
             self.children.insert(index, child)
-        self._ensure_capacity(count + 1, cf.linear_sum.shape[0])
-        self._centroids[index + 1:count + 1] = self._centroids[index:count]
-        self._centroids[index] = cf.centroid
+        self.size = size + 1
 
-    def refresh_entry(self, index: int) -> None:
-        """Re-mirror the centroid of entry ``index`` after a merge."""
-        self._centroids[index] = self.entries[index].centroid
 
-    def closest_entry_index(self, point: np.ndarray) -> int:
-        """Index of the entry whose centroid is nearest to ``point``."""
-        if not self.entries:
-            raise ClusteringError("closest_entry_index on an empty node")
-        if self._centroids is None or \
-                self._centroids.shape[0] < len(self.entries):
-            # Entries were appended directly (external callers); fall
-            # back to a full rebuild of the mirror.
-            self._centroids = np.stack([cf.centroid for cf in self.entries])
-        deltas = self._centroids[:len(self.entries)] - point
-        return int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
+def _closest(centroids: np.ndarray, point: np.ndarray) -> int:
+    """Row of ``centroids`` nearest to ``point`` (first on ties)."""
+    deltas = centroids - point
+    return int(np.einsum("ij,ij->i", deltas, deltas).argmin())
+
+
+def _snapshot(count: int, linear_sum: np.ndarray, square_sum: float,
+              member_ids: list[int] | None) -> ClusteringFeature:
+    cf = ClusteringFeature(linear_sum.shape[0])
+    cf.count = count
+    cf.linear_sum = linear_sum.copy()
+    cf.square_sum = square_sum
+    cf.member_ids = None if member_ids is None else list(member_ids)
+    return cf
 
 
 class CFTree:
@@ -160,10 +171,13 @@ class CFTree:
         self.max_leaf_entries = max_leaf_entries
         self.track_members = track_members
         self.growth = growth
-        self.root = CFNode(is_leaf=True)
+        self.root = self._node(is_leaf=True)
         self.leaf_entry_count = 0
         self.rebuild_count = 0
         self.split_count = 0
+
+    def _node(self, is_leaf: bool) -> CFNode:
+        return CFNode(is_leaf, self.branching_factor + 1, self.dimensions)
 
     # ------------------------------------------------------------------
     # Insertion
@@ -176,94 +190,140 @@ class CFTree:
                 f"expected point of dimension {self.dimensions}, "
                 f"got shape {point.shape}"
             )
-        cf = ClusteringFeature.from_point(
-            point, point_id if self.track_members else None
-        )
-        if self.track_members and cf.member_ids is None:
-            cf.member_ids = []
-        self._insert_cf(cf)
+        members = None
+        if self.track_members:
+            members = [] if point_id is None else [point_id]
+        # A point is the CF (0.0 + p, p . p, 1): the sums a zeroed CF
+        # holds after absorbing it (the addition turns -0.0 into 0.0).
+        self.insert_cf(point + 0.0, float(point @ point), 1, members)
+
+    def insert_cf(self, linear_sum: np.ndarray, square_sum: float,
+                  count: int, member_ids: list[int] | None) -> None:
+        """Insert the CF ``(linear_sum, square_sum, count)`` with its
+        member ids, splitting and rebuilding as needed.
+
+        The one insertion routine: :meth:`insert` passes a point,
+        :func:`~repro.clustering.birch.precluster` every row of its
+        matrix, a rebuild every old subcluster.  Nothing is validated —
+        ``linear_sum`` must be a float64 ``d``-vector and ``count >= 1``
+        — and the tree keeps no reference to ``linear_sum`` (it may be a
+        row of the caller's matrix); ``member_ids`` it keeps.
+        """
+        centroid = linear_sum if count == 1 else linear_sum / count
+        path: list[tuple[CFNode, int]] = []
+        node = self.root
+        while not node.is_leaf:
+            index = _closest(node.centroids[:node.size], centroid)
+            path.append((node, index))
+            node = node.children[index]
+        split = self._insert_leaf(node, linear_sum, square_sum, count,
+                                  member_ids, centroid)
+        for node, index in reversed(path):
+            if split is None:
+                node.counts[index] += count
+                row = node.linear_sums[index]
+                row += linear_sum
+                node.square_sums[index] += square_sum
+                node.centroids[index] = row / node.counts[index]
+            else:
+                split = self._replace_child(node, index, *split)
+        if split is not None:
+            # Root split: grow the tree by one level.
+            self.root = self._node(is_leaf=False)
+            for half in split:
+                self._attach(self.root, self.root.size, half)
         if (self.max_leaf_entries is not None
                 and self.leaf_entry_count > self.max_leaf_entries):
             self._rebuild()
 
-    def _insert_cf(self, cf: ClusteringFeature) -> None:
-        split = self._insert_into(self.root, cf)
-        if split is not None:
-            # Root split: grow the tree by one level.
-            left_cf, left, right_cf, right = split
-            new_root = CFNode(is_leaf=False)
-            new_root.append_entry(left_cf, left)
-            new_root.append_entry(right_cf, right)
-            self.root = new_root
-
-    def _insert_into(self, node: CFNode, cf: ClusteringFeature
-                     ) -> tuple[ClusteringFeature, CFNode,
-                                ClusteringFeature, CFNode] | None:
-        """Insert ``cf`` under ``node``; return split halves on overflow.
-
-        ``cf`` may be a single point or a whole subcluster (during a
-        rebuild); either way it is absorbed into the closest leaf
-        subcluster only if the merged radius stays within the threshold.
-        """
-        if node.is_leaf:
-            if node.entries:
-                centroid = cf.centroid
-                index = node.closest_entry_index(centroid)
-                closest = node.entries[index]
-                if closest.radius_if_merged(cf) <= self.threshold + RADIUS_SLACK:
-                    closest.merge(cf)
-                    node.refresh_entry(index)
-                    return None
-            node.append_entry(cf)
-            self.leaf_entry_count += 1
-            if len(node) > self.branching_factor:
-                return self._split(node)
-            return None
-
-        index = node.closest_entry_index(cf.centroid)
-        child = node.children[index]
-        split = self._insert_into(child, cf)
-        node.entries[index].merge(cf)
-        node.refresh_entry(index)
-        if split is None:
-            return None
-        left_cf, left, right_cf, right = split
-        # Replace the split child with its two halves.
-        node.set_entry(index, left_cf, left)
-        node.insert_entry(index + 1, right_cf, right)
-        if len(node) > self.branching_factor:
+    def _insert_leaf(self, node: CFNode, linear_sum: np.ndarray,
+                     square_sum: float, count: int,
+                     member_ids: list[int] | None, centroid: np.ndarray
+                     ) -> tuple[CFNode, CFNode] | None:
+        """Absorb into the closest subcluster of ``node`` if the merged
+        radius stays within the threshold, else append a subcluster;
+        return the two halves if ``node`` overflows."""
+        size = node.size
+        if size:
+            index = _closest(node.centroids[:size], centroid)
+            merged_count = node.counts[index] + count
+            merged_linear = node.linear_sums[index] + linear_sum
+            merged_square = node.square_sums[index] + square_sum
+            merged_centroid = merged_linear / merged_count
+            # ``c.dot(c)`` is the BLAS dot ``c @ c`` calls, minus the
+            # ufunc dispatch.
+            r2 = merged_square / merged_count \
+                - merged_centroid.dot(merged_centroid)
+            if math.sqrt(max(r2, 0.0)) <= self.threshold + RADIUS_SLACK:
+                node.counts[index] = merged_count
+                node.linear_sums[index] = merged_linear
+                node.square_sums[index] = merged_square
+                node.centroids[index] = merged_centroid
+                members = node.members[index]
+                if members is not None and member_ids is not None:
+                    members.extend(member_ids)
+                return None
+        node.insert(size, count, linear_sum, square_sum, centroid,
+                    members=member_ids)
+        self.leaf_entry_count += 1
+        if node.size > self.branching_factor:
             return self._split(node)
         return None
 
-    def _split(self, node: CFNode) -> tuple[ClusteringFeature, CFNode,
-                                            ClusteringFeature, CFNode]:
+    def _replace_child(self, node: CFNode, index: int, left: CFNode,
+                       right: CFNode) -> tuple[CFNode, CFNode] | None:
+        """Entry ``index`` of ``node`` split: it becomes ``left``'s
+        summary and ``right``'s follows it."""
+        node.children[index] = left
+        count, linear_sum, square_sum = self._summarize(left)
+        node.counts[index] = count
+        node.linear_sums[index] = linear_sum
+        node.square_sums[index] = square_sum
+        node.centroids[index] = linear_sum / count
+        self._attach(node, index + 1, right)
+        if node.size > self.branching_factor:
+            return self._split(node)
+        return None
+
+    def _attach(self, node: CFNode, index: int, child: CFNode) -> None:
+        count, linear_sum, square_sum = self._summarize(child)
+        node.insert(index, count, linear_sum, square_sum, linear_sum / count,
+                    child=child)
+
+    def _split(self, node: CFNode) -> tuple[CFNode, CFNode]:
         """Split an overflowing node around its two farthest entries."""
         self.split_count += 1
-        centroids = np.stack([cf.centroid for cf in node.entries])
+        centroids = node.centroids[:node.size]
         # Pairwise squared distances; pick the farthest pair as seeds.
         sq = np.einsum("ij,ij->i", centroids, centroids)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (centroids @ centroids.T)
         seed_a, seed_b = np.unravel_index(int(np.argmax(d2)), d2.shape)
-        left = CFNode(node.is_leaf)
-        right = CFNode(node.is_leaf)
         to_a = d2[:, seed_a] <= d2[:, seed_b]
         to_a[seed_a] = True
         to_a[seed_b] = False
-        for i, cf in enumerate(node.entries):
-            target = left if to_a[i] else right
-            target.append_entry(
-                cf, node.children[i] if not node.is_leaf else None)
-        return (self._summarize(left), left, self._summarize(right), right)
+        return self._take(node, to_a), self._take(node, ~to_a)
 
-    def _summarize(self, node: CFNode) -> ClusteringFeature:
-        """CF summarizing all entries of ``node`` (members not tracked —
-        summaries only matter for routing, never for output)."""
-        summary = ClusteringFeature(self.dimensions)
-        for cf in node.entries:
-            summary.count += cf.count
-            summary.linear_sum += cf.linear_sum
-            summary.square_sum += cf.square_sum
-        return summary
+    def _take(self, node: CFNode, chosen: np.ndarray) -> CFNode:
+        """A new node holding the ``chosen`` entries of ``node``, in order."""
+        part = self._node(node.is_leaf)
+        for i in np.flatnonzero(chosen):
+            part.insert(part.size, node.counts[i], node.linear_sums[i],
+                        node.square_sums[i], node.centroids[i],
+                        members=node.members[i] if node.is_leaf else None,
+                        child=None if node.is_leaf else node.children[i])
+        return part
+
+    def _summarize(self, node: CFNode) -> tuple[int, np.ndarray, float]:
+        """``(N, LS, SS)`` of all entries of ``node``, each sum taken
+        one entry after another in entry order (the summary only routes
+        insertions; it tracks no members)."""
+        linear_sum = np.zeros(self.dimensions, dtype=np.float64)
+        square_sum = 0.0
+        for row, value in zip(node.linear_sums[:node.size],
+                              node.square_sums):
+            linear_sum += row
+            square_sum += value
+        return sum(node.counts), linear_sum, square_sum
 
     # ------------------------------------------------------------------
     # Rebuild (threshold escalation)
@@ -271,26 +331,42 @@ class CFTree:
     def _rebuild(self) -> None:
         """Reinsert all leaf subclusters into a fresh tree with a larger
         threshold, shrinking the leaf count under memory pressure."""
-        subclusters = list(self.leaf_entries())
-        self.threshold = max(self.threshold * self.growth, 1e-12)
-        self.root = CFNode(is_leaf=True)
-        self.leaf_entry_count = 0
+        fresh = CFTree(self.dimensions,
+                       max(self.threshold * self.growth, 1e-12),
+                       branching_factor=self.branching_factor,
+                       track_members=self.track_members, growth=self.growth)
+        for count, linear_sum, square_sum, members in self.subclusters():
+            fresh.insert_cf(linear_sum, square_sum, count, members)
+        self.root = fresh.root
+        self.threshold = fresh.threshold
+        self.leaf_entry_count = fresh.leaf_entry_count
+        self.split_count += fresh.split_count
         self.rebuild_count += 1
-        for cf in subclusters:
-            self._insert_cf(cf)
 
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def leaf_entries(self) -> Iterator[ClusteringFeature]:
-        """Yield every leaf subcluster CF (the pre-clustering output)."""
+    def subclusters(self) -> Iterator[Subcluster]:
+        """Yield every leaf subcluster as ``(count, linear_sum,
+        square_sum, member_ids)`` — the pre-clustering output.
+
+        ``linear_sum`` is a view of the leaf's row and ``member_ids``
+        the tree's own list: both are valid until the next insertion.
+        """
         stack = [self.root]
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                yield from node.entries
+                yield from zip(node.counts, node.linear_sums,
+                               node.square_sums, node.members)
             else:
                 stack.extend(node.children)
+
+    def leaf_entries(self) -> Iterator[ClusteringFeature]:
+        """Yield every leaf subcluster as a :class:`ClusteringFeature`
+        snapshot, in :meth:`subclusters` order."""
+        for row in self.subclusters():
+            yield _snapshot(*row)
 
     def height(self) -> int:
         """Tree height (1 for a lone leaf root)."""

@@ -57,6 +57,10 @@ _SPLIT_STAGES = frozenset(
     {"extract", "probe", "match", "rank",
      "admission_acquire", "session_acquire"})
 
+#: Region extraction's three timed stages, in pipeline order: the
+#: ``extraction.<stage>_seconds`` timers of ``RegionExtractor.extract``.
+_EXTRACTION_STAGES = ("window", "cluster", "rasterize")
+
 
 # ---------------------------------------------------------------------------
 # flight-recorder dump rendering
@@ -356,4 +360,12 @@ def render_top(current: Mapping[str, float],
             for name, seconds in sorted(stages.items(),
                                         key=lambda item: -item[1]))
         lines.append(f"stages    {split}")
+
+    extraction = {stage: delta(f"walrus_extraction_{stage}_seconds_sum")
+                  for stage in _EXTRACTION_STAGES}
+    extraction_total = sum(extraction.values())
+    if extraction_total > 0:
+        lines.append("extract   " + " | ".join(
+            f"{stage} {100.0 * seconds / extraction_total:.0f}%"
+            for stage, seconds in extraction.items()))
     return "\n".join(lines)

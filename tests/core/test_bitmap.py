@@ -62,6 +62,14 @@ class TestFromWindows:
         with pytest.raises(ParameterError):
             CoverageBitmap.from_windows(32, 32, 8, [(20, 20, 16)])
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_rejects_windows_smaller_than_one_pixel(self, size):
+        with pytest.raises(ParameterError, match="exceeds image"):
+            CoverageBitmap.from_windows(32, 32, 4, [(10, 10, size)])
+        with pytest.raises(ParameterError, match=f"window {size}@"):
+            CoverageBitmap.from_window_groups(
+                32, 32, 4, [[(0, 0, 4)], [(1, 1, 2), (10, 10, size)]])
+
     def test_non_divisible_image_sizes(self):
         # The paper's 85x128 images: edge blocks are smaller.
         bitmap = CoverageBitmap.full(85, 128, 16)
@@ -131,16 +139,36 @@ class TestPacking:
         assert CoverageBitmap.unpack(bitmap.pack(), 96, 128, grid) == bitmap
 
 
+    def test_unpack_rejects_wrong_length_payloads(self):
+        packed = CoverageBitmap.full(85, 128, 16).pack()
+        for payload in (b"", packed[:-1], packed + b"\0", bytes(40)):
+            with pytest.raises(ParameterError, match="32 bytes"):
+                CoverageBitmap.unpack(payload, 85, 128, 16)
+        # ceil(G*G / 8): a 5x5 grid packs into 4 bytes.
+        bitmap = CoverageBitmap(10, 10, 5, np.eye(5, dtype=bool))
+        assert len(bitmap.pack()) == 4
+        assert CoverageBitmap.unpack(bitmap.pack(), 10, 10, 5) == bitmap
+        with pytest.raises(ParameterError, match="4 bytes"):
+            CoverageBitmap.unpack(bytes(3), 10, 10, 5)
+
+
 class TestMaskAgreement:
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=25, deadline=None)
-    def test_from_mask_matches_naive_property(self, seed):
-        """Vectorized block coverage == per-block mean thresholding."""
+    def test_from_windows_matches_naive_property(self, seed):
+        """Block coverage == per-block mean of the painted pixel mask."""
         rng = np.random.default_rng(seed)
         height = int(rng.integers(17, 100))
         width = int(rng.integers(17, 100))
-        mask = rng.uniform(size=(height, width)) < 0.4
-        bitmap = CoverageBitmap.from_mask(mask, 16)
+        windows = []
+        for _ in range(int(rng.integers(1, 12))):
+            size = int(rng.integers(1, min(height, width) + 1))
+            windows.append((int(rng.integers(0, height - size + 1)),
+                            int(rng.integers(0, width - size + 1)), size))
+        mask = np.zeros((height, width), dtype=bool)
+        for row, col, size in windows:
+            mask[row:row + size, col:col + size] = True
+        bitmap = CoverageBitmap.from_windows(height, width, 16, windows)
         row_edges = np.linspace(0, height, 17).round().astype(int)
         col_edges = np.linspace(0, width, 17).round().astype(int)
         for i in range(16):
@@ -152,15 +180,8 @@ class TestMaskAgreement:
 
 
 class TestBatchedConstruction:
-    """from_masks / from_window_groups must equal the scalar paths —
-    batched extraction relies on it."""
-
-    def test_from_masks_equals_from_mask(self, rng):
-        masks = rng.uniform(size=(5, 48, 64)) > 0.6
-        batched = CoverageBitmap.from_masks(masks, 16)
-        for mask, bitmap in zip(masks, batched):
-            single = CoverageBitmap.from_mask(mask, 16)
-            assert np.array_equal(bitmap.blocks, single.blocks)
+    """from_window_groups must equal the one-group path — batched
+    extraction relies on it."""
 
     def test_from_window_groups_equals_from_windows(self, rng):
         groups = []
@@ -177,3 +198,13 @@ class TestBatchedConstruction:
 
     def test_from_window_groups_empty(self):
         assert CoverageBitmap.from_window_groups(32, 32, 16, []) == []
+
+    def test_groups_may_be_geometry_arrays(self, rng):
+        groups = [[(0, 0, 16), (8, 16, 32)], [], [(40, 40, 8)] * 2]
+        arrays = [np.array(group, dtype=np.int64).reshape(-1, 3)
+                  for group in groups]
+        assert CoverageBitmap.from_window_groups(48, 64, 16, arrays) \
+            == CoverageBitmap.from_window_groups(48, 64, 16, groups)
+        with pytest.raises(ParameterError, match="triples"):
+            CoverageBitmap.from_window_groups(48, 64, 16,
+                                              [np.zeros((2, 2), int)])

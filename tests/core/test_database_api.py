@@ -22,6 +22,8 @@ import pytest
 
 import repro
 import repro.observability
+from repro.clustering.cftree import CFNode
+from repro.core.bitmap import CoverageBitmap
 from repro.core.database import WalrusDatabase
 from repro.core.fsck import fsck_database
 from repro.core.parameters import ExtractionParameters, QueryParameters
@@ -354,6 +356,17 @@ class TestDeprecatedShims:
                     if isinstance(node, (ast.While, ast.For))]
         assert dp_loops == ["dp_sliding_signatures_stack"]
         assert sources["core/bitmap.py"].count("exceeds image") == 1
+        # 2.4: no pixel-mask rasterizer, no per-object CF-tree storage;
+        # ClusteringFeature is built only as a snapshot.
+        assert [name for name in ("from_mask", "from_masks")
+                if hasattr(CoverageBitmap, name)] == []
+        assert [name for name in ("append_entry", "set_entry",
+                                  "insert_entry", "refresh_entry",
+                                  "closest_entry_index")
+                if hasattr(CFNode, name)] == []
+        assert sources["clustering/cftree.py"].count(
+            "ClusteringFeature(") == 1
+        assert ".leaf_entries()" not in sources["clustering/birch.py"]
         # 2.2: one page-store class below the tree, no second tree.
         for module in ("repro.index.storage_v3", "repro.index.gist"):
             assert importlib.util.find_spec(module) is None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.clustering.birch import precluster
 from repro.core.cache import LRUCache
 from repro.core.extraction import extract_regions
 from repro.core.parameters import ExtractionParameters
@@ -173,9 +174,21 @@ class TestExtractionInstrumentation:
         # exactly once by the wavelet layer too.
         assert registry.counter("wavelets.dp_windows").value > 0
         assert registry.counter("wavelets.dp_calls").value == 1
-        summary = registry.histogram(
-            "extraction.window_seconds").summary()
-        assert summary.count == 1
+        # One sample per image for each of the three stages.
+        for stage in ("window", "cluster", "rasterize"):
+            summary = registry.histogram(
+                f"extraction.{stage}_seconds").summary()
+            assert summary.count == 1, stage
+
+    def test_birch_counters_keep_their_values(self, registry):
+        """A fixed input that splits and rebuilds the CF-tree reports
+        the counts the per-object tree reported for it."""
+        points = np.random.default_rng(29).uniform(size=(300, 3))
+        precluster(points, 0.02, branching_factor=4, max_leaf_entries=60)
+        assert {name: registry.counter(f"birch.{name}").value
+                for name in ("points", "cf_splits", "rebuilds", "clusters")} \
+            == {"points": 300, "cf_splits": 166, "rebuilds": 5,
+                "clusters": 56}
 
     def test_extraction_counts_are_deterministic(self, registry):
         image = make_flower_image(64, 64)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.core.extraction import extract_regions
+from repro.core.parameters import ExtractionParameters
 from repro.exceptions import ObservabilityError
+from repro.observability import MetricsRegistry, set_metrics
+from repro.observability.export import render_prometheus
 from repro.observability.traceview import (bucket_pairs, delta_buckets,
                                            find_traces,
                                            parse_prometheus_text,
@@ -12,6 +18,7 @@ from repro.observability.traceview import (bucket_pairs, delta_buckets,
                                            render_span_tree, render_top,
                                            render_trace_list,
                                            trace_summaries)
+from tests.conftest import make_flower_image
 
 
 def make_dump() -> dict:
@@ -210,6 +217,24 @@ class TestTop:
         assert "extract 75%" in body
         assert "probe 25%" in body
         assert "query" not in body.splitlines()[-1]
+
+    def test_extraction_stage_split(self):
+        """The three timers ``RegionExtractor.extract`` feeds reach the
+        dashboard through a real ``/metrics`` rendering."""
+        registry = MetricsRegistry(enabled=True)
+        previous = set_metrics(registry)
+        try:
+            extract_regions(make_flower_image(64, 64), ExtractionParameters(
+                window_min=16, window_max=32, stride=8))
+        finally:
+            set_metrics(previous)
+        body = render_top(parse_prometheus_text(render_prometheus(registry)),
+                          None, 2.0)
+        line = body.splitlines()[-1]
+        assert re.fullmatch(
+            r"extract   window \d+% \| cluster \d+% \| rasterize \d+%", line)
+        assert not any(line.startswith("extract") for line in render_top(
+            parse_prometheus_text(SCRAPE_AFTER), None, 2.0).splitlines())
 
     def test_no_traffic_renders_dashes(self):
         body = render_top({}, {}, 2.0)
