@@ -187,7 +187,7 @@ class QueryParameters:
     refine_epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN too
             raise ParameterError("epsilon must be >= 0")
         if not 0.0 <= self.tau <= 1.0:
             raise ParameterError("tau must lie in [0, 1]")
@@ -205,7 +205,7 @@ class QueryParameters:
             raise ParameterError("max_results must be >= 1 or None")
         if self.metric not in ("l2", "linf"):
             raise ParameterError(f"metric must be l2 or linf, got {self.metric!r}")
-        if self.refine_epsilon is not None and self.refine_epsilon < 0:
+        if self.refine_epsilon is not None and not self.refine_epsilon >= 0:
             raise ParameterError("refine_epsilon must be >= 0 or None")
 
     def with_(self, **changes: object) -> "QueryParameters":

@@ -8,7 +8,7 @@ from repro.index.faults import (
 )
 from repro.index.geometry import Rect
 from repro.index.migrate import MigrationReport, migrate_page_file
-from repro.index.node import Entry, Node
+from repro.index.node import Node
 from repro.index.pagestore import (
     MemoryPageStore,
     PageInfo,
@@ -26,7 +26,6 @@ from repro.index.storage import (
 )
 
 __all__ = [
-    "Entry",
     "FaultInjectingMmapPageStore",
     "FaultPlan",
     "MigrationReport",

@@ -64,22 +64,6 @@ class Rect:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def _trusted(cls, lower: np.ndarray, upper: np.ndarray) -> "Rect":
-        """Wrap bounds without validating or copying them.
-
-        The zero-copy storage decode path
-        (:func:`repro.index.nodecodec.decode_node`) calls this with
-        float64 row views of a checksum-verified, read-only buffer —
-        every ``__init__`` invariant already holds by construction, and
-        re-validating each rectangle of every decoded node would
-        dominate the read cost the binary format exists to remove.
-        """
-        rect = cls.__new__(cls)
-        rect.lower = lower
-        rect.upper = upper
-        return rect
-
-    @classmethod
     def from_point(cls, point: np.ndarray) -> "Rect":
         """Degenerate box around a single point."""
         point = np.asarray(point, dtype=np.float64)

@@ -12,8 +12,13 @@ read-only pass over the file, on the framing helpers of
 :mod:`repro.index.storage` (superblock, header slots, record CRCs,
 table stamp — v2 shares them with v3), that unpickles the offset
 table and the live pages.  This is the only module under
-``repro.index`` that unpickles file bytes, and it runs only when an
-operator asks for ``walrus migrate``.
+``repro.index`` that unpickles file bytes, it runs only when an
+operator asks for ``walrus migrate``, and it never runs a global a
+1.x page could not hold: the unpickler admits only what 1.x pickled a
+node with — its ``Node`` / ``Entry`` / ``Rect`` classes, loaded as the
+private record below, and numpy's array reconstructors — and refuses
+anything else by name before it is called.  Only this module still
+knows those three 1.x class names.
 
 The migrated file preserves everything a reader can observe:
 
@@ -35,13 +40,17 @@ until they reopen, exactly as with compaction.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import shutil
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from repro.exceptions import StorageError
+from repro.index.node import Node
 from repro.index.storage import (_META_ID, _SLOT, _SUPER, _TABLE_ID,
                                  FORMAT_VERSION, _newest_slot,
                                  _superblock_version, _unstamp_table,
@@ -49,6 +58,52 @@ from repro.index.storage import (_META_ID, _SLOT, _SUPER, _TABLE_ID,
                                  write_page_file)
 
 _V2 = 2
+
+
+class _Pickled1x:
+    """A 1.x ``Node``, ``Entry`` or ``Rect`` as its pickle left it: the
+    state it was saved with — ``(page_id, level, entries)``, ``(rect,
+    child_id, item)`` and ``(None, {"lower": ..., "upper": ...})``."""
+
+    __slots__ = ("state",)
+
+    def __setstate__(self, state: Any) -> None:
+        self.state = state
+
+    def to_node(self) -> Node:
+        """This 1.x node page in the 2.x layout."""
+        page_id, level, entries = self.state
+        if not entries:
+            return Node(page_id, level)
+        rows = [entry.state for entry in entries]
+        bounds = [rect.state[1] for rect, _, _ in rows]
+        return Node(page_id, level,
+                    np.stack([bound["lower"] for bound in bounds]),
+                    np.stack([bound["upper"] for bound in bounds]),
+                    [child_id if level else item
+                     for _, child_id, item in rows])
+
+
+#: The globals a 1.x page names: its three node classes, and numpy's
+#: array reconstructors under their numpy 1.x and 2.x module names.
+_CLASSES_1X = {("repro.index.node", "Node"), ("repro.index.node", "Entry"),
+               ("repro.index.geometry", "Rect")}
+_NUMPY_GLOBALS = {("numpy", "dtype"), ("numpy", "ndarray")} | {
+    (f"numpy.{core}.{module}", name) for core in ("core", "_core")
+    for module, name in (("multiarray", "_reconstruct"),
+                         ("numeric", "_frombuffer"))}
+
+
+class _Unpickler1x(pickle.Unpickler):
+    """Loads 1.x pages and tables, and calls nothing else."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) in _CLASSES_1X:
+            return _Pickled1x
+        if (module, name) in _NUMPY_GLOBALS:
+            return super().find_class(module, name)
+        raise StorageError(f"names the global {module}.{name}, which no "
+                           "1.x page holds; refusing to load it")
 
 
 class V2PageFile(NamedTuple):
@@ -68,9 +123,11 @@ def read_v2_page_file(path: str | os.PathLike[str]) -> V2PageFile:
     table's version stamp (tables written before stamping existed are
     accepted unstamped) — and raises :class:`StorageError` /
     :class:`~repro.exceptions.PageCorruptionError` the same way.  A
-    record that passes its checksum but does not unpickle, or a table
-    that is not a dict, is a :class:`StorageError` too.  The file is
-    only read.
+    record that passes its checksum but does not unpickle, names a
+    global no 1.x page holds, or a table that is not a dict, is a
+    :class:`StorageError` too.  1.x nodes come back as
+    :class:`~repro.index.node.Node`; any other page as unpickled.  The
+    file is only read.
     """
     spath = os.fspath(path)
     try:
@@ -94,7 +151,8 @@ def read_v2_page_file(path: str | os.PathLike[str]) -> V2PageFile:
 
     def unpickle(payload: bytes | memoryview, what: str, offset: int) -> Any:
         try:
-            return pickle.loads(payload)
+            page = _Unpickler1x(io.BytesIO(payload)).load()
+            return page.to_node() if isinstance(page, _Pickled1x) else page
         except Exception as error:
             # The checksum passed, so this is format skew — still
             # surface it as a structured storage error.

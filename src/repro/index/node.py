@@ -1,8 +1,22 @@
-"""Node and entry records for the paged R*-tree.
+"""The R*-tree node: one page, held in memory in its on-disk layout.
 
-Nodes are plain picklable records addressed by page id; they never hold
-Python references to other nodes, only child page ids, so the same code
-runs over the in-memory and the file-backed page stores.
+A node is its ``level`` (0 for a leaf) and three parallel columns, row
+``i`` of each being entry ``i``:
+
+* ``lower`` / ``upper`` — the ``(n, d)`` float64 bounds of the entries'
+  rectangles (a point key is the row ``lower == upper``);
+* ``refs`` — what each entry points at: a child page id in an internal
+  node, an ``(image_id, region_index)`` item in a leaf.
+
+That is exactly what a v3 page stores (:mod:`repro.index.nodecodec`),
+so a read attaches the page's arrays and a write dumps them, with no
+per-entry object either way, and the search kernels test the two
+matrices whole.  Nodes hold child page ids, never other nodes, so the
+same tree code runs over the in-memory and the file-backed stores.
+
+A decoded node's matrices are read-only views of the page file's
+mapping: the tree never writes into a node's arrays, it gives the node
+new ones.
 """
 
 from __future__ import annotations
@@ -12,103 +26,66 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import SpatialIndexError
-from repro.index.geometry import Rect
 
-
-class Entry:
-    """One slot of a node: a rectangle plus either a child page id
-    (internal nodes) or an opaque item (leaf nodes)."""
-
-    __slots__ = ("rect", "child_id", "item")
-
-    def __init__(self, rect: Rect, *, child_id: int | None = None,
-                 item: Any = None) -> None:
-        if (child_id is None) == (item is None):
-            raise SpatialIndexError(
-                "entry needs exactly one of child_id / item"
-            )
-        self.rect = rect
-        self.child_id = child_id
-        self.item = item
-
-    def __getstate__(self) -> tuple[Rect, int | None, Any]:
-        return (self.rect, self.child_id, self.item)
-
-    def __setstate__(self, state: tuple[Rect, int | None, Any]) -> None:
-        self.rect, self.child_id, self.item = state
-
-    def __eq__(self, other: object) -> bool:
-        """Structural equality (used by tree-comparison tests)."""
-        if not isinstance(other, Entry):
-            return NotImplemented
-        return (self.rect == other.rect
-                and self.child_id == other.child_id
-                and self.item == other.item)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        target = (f"child={self.child_id}" if self.child_id is not None
-                  else f"item={self.item!r}")
-        return f"Entry({target})"
+#: The bounds of a node without entries (whose dimensionality is unknown).
+_NO_BOUNDS = np.empty((0, 0))
+_NO_BOUNDS.setflags(write=False)
 
 
 class Node:
     """An R*-tree node: ``level`` 0 is a leaf, the root has the highest
-    level.  The node's own MBR is maintained by its parent entry; the
-    root's MBR is tracked by the tree.
+    level.  The node's own MBR is stored as its row in the parent; the
+    root's is :meth:`mbr`."""
 
-    ``bounds`` caches the entries' rectangles as one stacked
-    ``(n, d)`` lower/upper pair — what the search kernels test instead
-    of ``n`` :class:`Rect` objects.  It is derived state: the v3
-    decoder attaches the arrays it read, :meth:`stacked_bounds` builds
-    them on demand otherwise, and ``RStarTree._write`` drops them, so
-    a node whose entries changed is never searched through old arrays.
-    """
+    __slots__ = ("page_id", "level", "lower", "upper", "refs")
 
-    __slots__ = ("page_id", "level", "entries", "bounds")
-
-    def __init__(self, page_id: int, level: int) -> None:
+    def __init__(self, page_id: int, level: int,
+                 lower: np.ndarray | None = None,
+                 upper: np.ndarray | None = None,
+                 refs: list[Any] | None = None) -> None:
         self.page_id = page_id
         self.level = level
-        self.entries: list[Entry] = []
-        self.bounds: tuple[np.ndarray, np.ndarray] | None = None
+        self.lower = _NO_BOUNDS if lower is None else lower
+        self.upper = _NO_BOUNDS if upper is None else upper
+        self.refs: list[Any] = [] if refs is None else refs
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 0
 
-    def mbr(self) -> Rect:
-        """Minimum bounding rectangle of all entries."""
-        if not self.entries:
+    def mbr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum bounding rectangle of all entries, as ``(lower,
+        upper)`` vectors."""
+        if not self.refs:
             raise SpatialIndexError(
                 f"node {self.page_id} has no entries; its MBR is undefined"
             )
-        return Rect.union_of([e.rect for e in self.entries])
+        return self.lower.min(axis=0), self.upper.max(axis=0)
 
-    def fresh_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The entries' bounds stacked into ``(n, d)`` lower and upper
-        matrices, row ``i`` being entry ``i`` (shape ``(0, 0)`` for an
-        empty node, whose dimensionality is unknown)."""
-        if not self.entries:
-            return np.empty((0, 0)), np.empty((0, 0))
-        return (np.stack([e.rect.lower for e in self.entries]),
-                np.stack([e.rect.upper for e in self.entries]))
+    def take(self, rows: list[int]) -> tuple[np.ndarray, np.ndarray,
+                                             list[Any]]:
+        """Entries ``rows``, in that order, as new columns."""
+        return self.lower[rows], self.upper[rows], [self.refs[row]
+                                                    for row in rows]
 
-    def stacked_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`fresh_bounds`, stacked once and kept in ``bounds``."""
-        if self.bounds is None:
-            self.bounds = self.fresh_bounds()
-        return self.bounds
+    def append(self, lower: np.ndarray, upper: np.ndarray,
+               ref: Any) -> None:
+        """Add one entry as the last row."""
+        # Gives an entry-less node's (0, 0) bounds the entry's width.
+        shape = (len(self.refs), len(lower))
+        self.lower = np.vstack((self.lower.reshape(shape), lower))
+        self.upper = np.vstack((self.upper.reshape(shape), upper))
+        self.refs.append(ref)
 
-    def __getstate__(self) -> tuple[int, int, list[Entry]]:
-        return (self.page_id, self.level, self.entries)
-
-    def __setstate__(self, state: tuple[int, int, list[Entry]]) -> None:
-        self.page_id, self.level, self.entries = state
-        self.bounds = None
+    def set_row(self, row: int, lower: np.ndarray,
+                upper: np.ndarray) -> None:
+        """Replace entry ``row``'s bounds."""
+        self.lower, self.upper = self.lower.copy(), self.upper.copy()
+        self.lower[row], self.upper[row] = lower, upper
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.refs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "leaf" if self.is_leaf else f"level-{self.level}"
-        return f"<Node {self.page_id} {kind} n={len(self.entries)}>"
+        return f"<Node {self.page_id} {kind} n={len(self.refs)}>"

@@ -21,6 +21,10 @@ region-matching probe of Section 5.4), and best-first k-nearest-neighbor
 (used by the single-signature baselines).  Deletion with the classic
 condense-tree/reinsert pass is included so the index supports database
 updates ("when new images are added" — and removed).
+
+Every operation works on a node's page layout (:mod:`repro.index.node`):
+``(n, d)`` bound matrices tested whole, entries addressed by row index;
+:class:`~repro.index.geometry.Rect` exists only at the API.
 """
 
 from __future__ import annotations
@@ -33,13 +37,16 @@ import numpy as np
 
 from repro.exceptions import SpatialIndexError, StorageError
 from repro.index.geometry import Rect, min_distances
-from repro.index.node import Entry, Node
+from repro.index.node import Node
 from repro.index.pagestore import MemoryPageStore, PageStore
 from repro.observability.deadline import Deadline
 from repro.observability.events import get_events
 
 #: ``(distance, item)`` pairs, nearest first.
 Hits = list[tuple[float, Any]]
+
+#: One entry on its way into a node: ``(lower, upper, ref)``.
+Row = tuple[np.ndarray, np.ndarray, Any]
 
 
 class IndexCounters:
@@ -90,6 +97,18 @@ class IndexCounters:
         inner = " ".join(f"{name}={getattr(self, name)}"
                          for name in self._FIELDS)
         return f"<IndexCounters {inner}>"
+
+
+class _Insertion:
+    """One insertion's state, shared with the reinserts it triggers:
+    levels whose forced reinsert is spent, and the node now holding
+    each internal row a reinsert or split moved out of its parent."""
+
+    __slots__ = ("reinserted", "holders")
+
+    def __init__(self) -> None:
+        self.reinserted: set[int] = set()
+        self.holders: dict[int, Node] = {}
 
 
 class RStarTree:
@@ -145,14 +164,10 @@ class RStarTree:
 
     def _write(self, node: Node) -> None:
         self.counters.node_writes += 1
-        # Every entry mutation ends in a write: retire the stacked
-        # search arrays with it.
-        node.bounds = None
         self.store.write(node.page_id, node)
 
     def _new_node(self, level: int) -> Node:
-        node = Node(self.store.allocate(), level)
-        return node
+        return Node(self.store.allocate(), level)
 
     def height(self) -> int:
         """Number of levels (1 for a lone leaf root)."""
@@ -160,6 +175,13 @@ class RStarTree:
 
     def __len__(self) -> int:
         return self.size
+
+    def _check_rect(self, rect: Rect) -> None:
+        if rect.dimensions != self.dimensions:
+            raise SpatialIndexError(
+                f"rect has {rect.dimensions} dimensions, index has "
+                f"{self.dimensions}"
+            )
 
     # ------------------------------------------------------------------
     # Bulk loading (Sort-Tile-Recursive)
@@ -199,7 +221,7 @@ class RStarTree:
         while stack:
             node = self._read(stack.pop())
             if not node.is_leaf:
-                stack.extend(entry.child_id for entry in node.entries)
+                stack.extend(node.refs)
             self.store.free(node.page_id)
         root = Node(self.store.allocate(), level=0)
         self.root_id = root.page_id
@@ -216,67 +238,71 @@ class RStarTree:
         if not items:
             return
         for rect, _ in items:
-            if rect.dimensions != self.dimensions:
-                raise SpatialIndexError(
-                    f"rect has {rect.dimensions} dimensions, index has "
-                    f"{self.dimensions}"
-                )
+            self._check_rect(rect)
         capacity = max(self.min_entries,
                        int(round(fill_ratio * self.max_entries)))
-        entries = [Entry(rect, item=item) for rect, item in items]
+        lower = np.stack([rect.lower for rect, _ in items])
+        upper = np.stack([rect.upper for rect, _ in items])
+        refs = [item for _, item in items]
         level = 0
-        while len(entries) > self.max_entries:
-            entries = self._pack_level(entries, level, capacity)
+        while len(refs) > self.max_entries:
+            lower, upper, refs = self._pack_level(lower, upper, refs, level,
+                                                  capacity)
             level += 1
         root = self._read(self.root_id)
         root.level = level
-        root.entries = entries
+        root.lower, root.upper, root.refs = lower, upper, refs
         self._write(root)
         self.size = len(items)
 
-    def _pack_level(self, entries: list[Entry], level: int,
-                    capacity: int) -> list[Entry]:
-        """Pack ``entries`` into nodes of ``capacity``; return the
+    def _pack_level(self, lower: np.ndarray, upper: np.ndarray,
+                    refs: list[Any], level: int, capacity: int
+                    ) -> tuple[np.ndarray, np.ndarray, list[Any]]:
+        """Pack the entries into nodes of ``capacity``; return the
         parent entries referencing them."""
-        groups = self._str_tile(entries, axis=0, capacity=capacity)
-        parents: list[Entry] = []
-        for group in groups:
+        centers = (lower + upper) / 2.0
+        bounds: list[tuple[np.ndarray, np.ndarray]] = []
+        children: list[Any] = []
+        for group in self._str_tile(centers, np.arange(len(refs)), 0,
+                                    capacity):
             node = self._new_node(level)
-            node.entries = group
+            node.lower, node.upper = lower[group], upper[group]
+            node.refs = [refs[row] for row in group.tolist()]
             self._write(node)
-            parents.append(Entry(node.mbr(), child_id=node.page_id))
-        return parents
+            bounds.append(node.mbr())
+            children.append(node.page_id)
+        lowers, uppers = zip(*bounds)
+        return np.stack(lowers), np.stack(uppers), children
 
-    def _str_tile(self, entries: list[Entry], axis: int,
-                  capacity: int) -> list[list[Entry]]:
-        """Recursive STR tiling along ``axis``."""
-        n = len(entries)
+    def _str_tile(self, centers: np.ndarray, rows: np.ndarray, axis: int,
+                  capacity: int) -> list[np.ndarray]:
+        """Recursive STR tiling of ``rows`` along ``axis``; stable
+        sorts keep equal centers in their incoming order."""
+        n = len(rows)
         pages = -(-n // capacity)  # ceil
+        ordered = rows[np.argsort(centers[rows, axis], kind="stable")]
         if pages <= 1 or axis >= self.dimensions - 1:
-            ordered = sorted(entries,
-                             key=lambda e: e.rect.center[axis])
-            groups = [ordered[i:i + capacity]
-                      for i in range(0, n, capacity)]
+            groups = [ordered[i:i + capacity] for i in range(0, n, capacity)]
             # Keep every node at or above the min-fill invariant: top up
             # an undersized trailing group from its predecessor.
             if len(groups) > 1 and len(groups[-1]) < self.min_entries:
                 deficit = self.min_entries - len(groups[-1])
-                groups[-1] = groups[-2][-deficit:] + groups[-1]
+                groups[-1] = np.concatenate((groups[-2][-deficit:],
+                                             groups[-1]))
                 groups[-2] = groups[-2][:-deficit]
             return groups
         # Number of slabs along this axis: pages^(1/remaining_dims),
         # with the classic 2-level approximation sqrt(pages).
         slabs = max(1, int(np.ceil(np.sqrt(pages))))
         per_slab = -(-n // slabs)
-        ordered = sorted(entries, key=lambda e: e.rect.center[axis])
         chunks = [ordered[start:start + per_slab]
                   for start in range(0, n, per_slab)]
         if len(chunks) > 1 and len(chunks[-1]) < self.min_entries:
-            chunks[-2].extend(chunks[-1])
-            chunks.pop()
-        groups: list[list[Entry]] = []
+            tail = chunks.pop()
+            chunks[-1] = np.concatenate((chunks[-1], tail))
+        groups: list[np.ndarray] = []
         for slab in chunks:
-            groups.extend(self._str_tile(slab, axis + 1, capacity))
+            groups.extend(self._str_tile(centers, slab, axis + 1, capacity))
         return groups
 
     # ------------------------------------------------------------------
@@ -284,60 +310,58 @@ class RStarTree:
     # ------------------------------------------------------------------
     def insert(self, rect: Rect, item: Any) -> None:
         """Insert one ``(rect, item)`` pair."""
-        if rect.dimensions != self.dimensions:
-            raise SpatialIndexError(
-                f"rect has {rect.dimensions} dimensions, index has "
-                f"{self.dimensions}"
-            )
-        self._insert_entry(Entry(rect, item=item), target_level=0,
-                           reinserted_levels=set())
+        self._check_rect(rect)
+        self._insert_row((rect.lower, rect.upper, item), 0, _Insertion())
         self.size += 1
 
     def insert_point(self, point: np.ndarray, item: Any) -> None:
         """Insert a degenerate (point) rectangle."""
         self.insert(Rect.from_point(point), item)
 
-    def _insert_entry(self, entry: Entry, target_level: int,
-                      reinserted_levels: set[int]) -> None:
-        split = self._insert_recursive(self.root_id, entry, target_level,
-                                       reinserted_levels)
+    def _insert_row(self, row: Row, target_level: int,
+                    insertion: _Insertion) -> None:
+        split = self._insert_recursive(self.root_id, row, target_level,
+                                       insertion)
         if split is not None:
             old_root = self._read(self.root_id)
             new_root = self._new_node(old_root.level + 1)
-            new_root.entries = [
-                Entry(old_root.mbr(), child_id=old_root.page_id),
-                Entry(self._read(split).mbr(), child_id=split),
-            ]
+            (old_lower, old_upper), (new_lower, new_upper) = (
+                old_root.mbr(), self._read(split).mbr())
+            new_root.lower = np.stack((old_lower, new_lower))
+            new_root.upper = np.stack((old_upper, new_upper))
+            new_root.refs = [old_root.page_id, split]
             self._write(new_root)
             self.root_id = new_root.page_id
 
-    def _insert_recursive(self, page_id: int, entry: Entry,
-                          target_level: int,
-                          reinserted_levels: set[int]) -> int | None:
-        """Insert ``entry`` below ``page_id``; return new sibling page id
+    def _insert_recursive(self, page_id: int, row: Row, target_level: int,
+                          insertion: _Insertion) -> int | None:
+        """Insert ``row`` below ``page_id``; return new sibling page id
         if this node split."""
         node = self._read(page_id)
         if node.level == target_level:
-            node.entries.append(entry)
-            return self._overflow(node, reinserted_levels)
+            node.append(*row)
+            if target_level:
+                insertion.holders[row[2]] = node
+            return self._overflow(node, insertion)
 
-        index = self._choose_subtree(node, entry.rect)
-        child_entry = node.entries[index]
-        split = self._insert_recursive(child_entry.child_id, entry,
-                                       target_level, reinserted_levels)
-        # Refresh the child MBR (it may have both grown and shrunk —
-        # forced reinserts can shrink it).
-        child_entry.rect = self._read(child_entry.child_id).mbr()
+        child_id = node.refs[self._choose_subtree(node, row[0], row[1])]
+        split = self._insert_recursive(child_id, row, target_level,
+                                       insertion)
+        # Refresh the child's row (it may have both grown and shrunk —
+        # forced reinserts can shrink it) wherever that row is now.
+        holder = node if child_id in node.refs \
+            else insertion.holders[child_id]
+        holder.set_row(holder.refs.index(child_id),
+                       *self._read(child_id).mbr())
         if split is not None:
-            node.entries.append(Entry(self._read(split).mbr(),
-                                      child_id=split))
-            result = self._overflow(node, reinserted_levels)
+            node.append(*self._read(split).mbr(), split)
+            result = self._overflow(node, insertion)
             self._write(node)
             return result
         self._write(node)
         return None
 
-    def _overflow(self, node: Node, reinserted_levels: set[int]) -> int | None:
+    def _overflow(self, node: Node, insertion: _Insertion) -> int | None:
         """Handle a possibly overflowing node: reinsert once per level,
         otherwise split.  Returns the new sibling's page id on split."""
         if len(node) <= self.max_entries:
@@ -345,38 +369,39 @@ class RStarTree:
             return None
         is_root = node.page_id == self.root_id
         if (self.reinsert_count and not is_root
-                and node.level not in reinserted_levels):
-            reinserted_levels.add(node.level)
-            self._force_reinsert(node, reinserted_levels)
+                and node.level not in insertion.reinserted):
+            insertion.reinserted.add(node.level)
+            self._force_reinsert(node, insertion)
             return None
-        return self._split_node(node)
+        return self._split_node(node, insertion)
 
-    def _force_reinsert(self, node: Node,
-                        reinserted_levels: set[int]) -> None:
+    def _force_reinsert(self, node: Node, insertion: _Insertion) -> None:
         """Evict the entries farthest from the MBR center and reinsert."""
-        center = node.mbr().center
-        distances = [float(np.linalg.norm(e.rect.center - center))
-                     for e in node.entries]
-        order = np.argsort(distances)  # close ... far
-        keep_count = len(node.entries) - self.reinsert_count
-        keep = [node.entries[i] for i in order[:keep_count]]
-        evicted = [node.entries[i] for i in order[keep_count:]]
+        mbr_lower, mbr_upper = node.mbr()
+        centers = (node.lower + node.upper) / 2.0
+        # Each center's distance from the MBR's, as a point box's:
+        # min_distances' per-row dot equals np.linalg.norm bit for bit.
+        distances = min_distances(centers, centers,
+                                  (mbr_lower + mbr_upper) / 2.0, "l2")
+        order = np.argsort(distances).tolist()  # close ... far
+        keep_count = len(node) - self.reinsert_count
+        evicted = list(zip(*node.take(order[keep_count:])))
+        node.lower, node.upper, node.refs = node.take(order[:keep_count])
         self.counters.reinsert_ops += 1
         self.counters.reinserted_entries += len(evicted)
-        node.entries = keep
         self._write(node)
-        for entry in evicted:
-            self._insert_entry(entry, target_level=node.level,
-                               reinserted_levels=reinserted_levels)
+        for row in evicted:
+            self._insert_row(row, node.level, insertion)
 
-    def _choose_subtree(self, node: Node, rect: Rect) -> int:
-        """R* ChooseSubtree: overlap-based just above leaves, area-based
-        higher up.  Vectorized over the node's entries (hot path)."""
-        lowers = np.stack([e.rect.lower for e in node.entries])
-        uppers = np.stack([e.rect.upper for e in node.entries])
+    def _choose_subtree(self, node: Node, lower: np.ndarray,
+                        upper: np.ndarray) -> int:
+        """R* ChooseSubtree for the box ``[lower, upper]``: overlap-based
+        just above leaves, area-based higher up.  Vectorized over the
+        node's entries (hot path)."""
+        lowers, uppers = node.lower, node.upper
         areas = np.prod(uppers - lowers, axis=1)
-        enlarged_lowers = np.minimum(lowers, rect.lower)
-        enlarged_uppers = np.maximum(uppers, rect.upper)
+        enlarged_lowers = np.minimum(lowers, lower)
+        enlarged_uppers = np.maximum(uppers, upper)
         enlargements = np.prod(enlarged_uppers - enlarged_lowers,
                                axis=1) - areas
 
@@ -402,55 +427,62 @@ class RStarTree:
     # ------------------------------------------------------------------
     # R* split
     # ------------------------------------------------------------------
-    def _split_node(self, node: Node) -> int:
+    def _split_node(self, node: Node, insertion: _Insertion) -> int:
         """Split ``node`` in place; return the new sibling's page id."""
         self.counters.splits += 1
-        first, second = self._choose_split(node.entries)
-        node.entries = first
+        first, second = self._choose_split(node)
         sibling = self._new_node(node.level)
-        sibling.entries = second
+        sibling.lower, sibling.upper, sibling.refs = node.take(second)
+        node.lower, node.upper, node.refs = node.take(first)
+        if node.level:
+            insertion.holders.update(dict.fromkeys(sibling.refs, sibling))
         self._write(node)
         self._write(sibling)
         return sibling.page_id
 
-    def _choose_split(self, entries: list[Entry]
-                      ) -> tuple[list[Entry], list[Entry]]:
-        """R* ChooseSplitAxis + ChooseSplitIndex."""
-        m = self.min_entries
-        count = len(entries)
-        # dimensions >= 1, so the loop always runs; axis 0 with an
-        # infinite sentinel margin keeps best_axis a plain int.
-        best_axis = 0
-        best_axis_margin = float("inf")
-        for axis in range(self.dimensions):
-            margin_total = 0.0
-            for axis_key in (
-                    lambda e, a=axis: (e.rect.lower[a], e.rect.upper[a]),
-                    lambda e, a=axis: (e.rect.upper[a], e.rect.lower[a])):
-                ordered = sorted(entries, key=axis_key)
-                for k in range(m, count - m + 1):
-                    left = Rect.union_of([e.rect for e in ordered[:k]])
-                    right = Rect.union_of([e.rect for e in ordered[k:]])
-                    margin_total += left.margin + right.margin
-            if margin_total < best_axis_margin:
-                best_axis_margin = margin_total
-                best_axis = axis
+    def _choose_split(self, node: Node) -> tuple[list[int], list[int]]:
+        """R* ChooseSplitAxis + ChooseSplitIndex over ``node``'s rows.
 
-        best_key: tuple[float, float] | None = None
-        best_split: tuple[list[Entry], list[Entry]] | None = None
-        for key in (lambda e: (e.rect.lower[best_axis], e.rect.upper[best_axis]),
-                    lambda e: (e.rect.upper[best_axis], e.rect.lower[best_axis])):
-            ordered = sorted(entries, key=key)
-            for k in range(m, count - m + 1):
-                left_rect = Rect.union_of([e.rect for e in ordered[:k]])
-                right_rect = Rect.union_of([e.rect for e in ordered[k:]])
-                candidate_key = (left_rect.intersection_area(right_rect),
-                                 left_rect.area + right_rect.area)
-                if best_key is None or candidate_key < best_key:
-                    best_key = candidate_key
-                    best_split = (list(ordered[:k]), list(ordered[k:]))
-        assert best_split is not None
-        return best_split
+        A distribution sorts the rows by one axis' ``(lower, upper)``
+        or ``(upper, lower)`` bounds — stably, as ``sorted`` does — and
+        cuts after ``k`` rows for every allowed ``k``; its two groups'
+        boxes are prefix and suffix unions of the sorted rows.  The
+        first axis with the least margin sum (added up in loop order)
+        wins, then its first distribution with the least (overlap,
+        area).
+        """
+        m = self.min_entries
+        cuts = np.arange(m, len(node) - m + 1)
+        best_axis, best_axis_margin, per_axis = 0, float("inf"), []
+        for axis in range(self.dimensions):
+            margin_total, candidates = 0.0, []
+            for first_key, second_key in ((node.lower, node.upper),
+                                          (node.upper, node.lower)):
+                order = np.lexsort((second_key[:, axis], first_key[:, axis]))
+                lower, upper = node.lower[order], node.upper[order]
+                left_lo = np.minimum.accumulate(lower)[cuts - 1]
+                left_up = np.maximum.accumulate(upper)[cuts - 1]
+                right_lo = np.minimum.accumulate(lower[::-1])[::-1][cuts]
+                right_up = np.maximum.accumulate(upper[::-1])[::-1][cuts]
+                for margin in ((left_up - left_lo).sum(axis=1)
+                               + (right_up - right_lo).sum(axis=1)).tolist():
+                    margin_total += margin
+                sides = np.minimum(left_up, right_up) - np.maximum(left_lo,
+                                                                   right_lo)
+                candidates.append((
+                    order,
+                    np.where((sides < 0).any(axis=1), 0.0, sides.prod(axis=1)),
+                    (left_up - left_lo).prod(axis=1)
+                    + (right_up - right_lo).prod(axis=1)))
+            per_axis.append(candidates)
+            if margin_total < best_axis_margin:
+                best_axis, best_axis_margin = axis, margin_total
+        orders, overlaps, areas = zip(*per_axis[best_axis])
+        best = int(np.lexsort((np.concatenate(areas),
+                               np.concatenate(overlaps)))[0])
+        order = orders[best // len(cuts)].tolist()
+        k = int(cuts[best % len(cuts)])
+        return order[:k], order[k:]
 
     # ------------------------------------------------------------------
     # Queries
@@ -482,17 +514,15 @@ class RStarTree:
                 deadline.check("rstar.search")
             page_id, alive = stack.pop()
             node = self._read(page_id)
-            if not node.entries:
+            if not node.refs:
                 continue
-            node_lower, node_upper = node.stacked_bounds()
-            mask = ((node_lower <= upper[alive, None])
-                    & (lower[alive, None] <= node_upper)).all(axis=2)
+            mask = ((node.lower <= upper[alive, None])
+                    & (lower[alive, None] <= node.upper)).all(axis=2)
             if node.is_leaf:
                 yield node, alive, mask
                 continue
             for column in np.flatnonzero(mask.any(axis=0)):
-                stack.append((node.entries[column].child_id,
-                              alive[mask[:, column]]))
+                stack.append((node.refs[column], alive[mask[:, column]]))
 
     def search(self, rect: Rect, *,
                deadline: Deadline | None = None) -> list[Any]:
@@ -512,9 +542,8 @@ class RStarTree:
             raise SpatialIndexError("query dimensionality mismatch")
         for leaf, _, mask in self._traverse(rect.lower[None], rect.upper[None],
                                             deadline):
-            for column in np.flatnonzero(mask[0]):
-                entry = leaf.entries[column]
-                yield entry.rect, entry.item
+            for row in np.flatnonzero(mask[0]).tolist():
+                yield Rect(leaf.lower[row], leaf.upper[row]), leaf.refs[row]
 
     def search_within(self, point: np.ndarray, epsilon: float,
                       *, metric: str = "l2",
@@ -537,7 +566,7 @@ class RStarTree:
         points = np.asarray(point, dtype=np.float64)
         if points.ndim not in (1, 2) or points.shape[-1] != self.dimensions:
             raise SpatialIndexError("query dimensionality mismatch")
-        if epsilon < 0:
+        if not epsilon >= 0:  # NaN too
             raise SpatialIndexError(f"epsilon must be >= 0, got {epsilon}")
         if metric not in ("l2", "linf"):
             raise SpatialIndexError(f"unknown metric {metric!r}")
@@ -549,9 +578,8 @@ class RStarTree:
             if not rows.size:
                 continue
             owners = alive[rows]
-            leaf_lower, leaf_upper = leaf.stacked_bounds()
-            distances = min_distances(leaf_lower[columns],
-                                      leaf_upper[columns], matrix[owners],
+            distances = min_distances(leaf.lower[columns],
+                                      leaf.upper[columns], matrix[owners],
                                       metric)
             if metric == "l2":
                 # The probe box is the ball's bounding box: cut corners.
@@ -560,7 +588,7 @@ class RStarTree:
                                               distances[near])
             for owner, column, distance in zip(
                     owners.tolist(), columns.tolist(), distances.tolist()):
-                hits[owner].append((distance, leaf.entries[column].item))
+                hits[owner].append((distance, leaf.refs[column]))
         for found in hits:
             found.sort(key=lambda pair: pair[0])
         return hits[0] if points.ndim == 1 else hits
@@ -587,13 +615,11 @@ class RStarTree:
                 results.append((distance, payload))
                 continue
             node = self._read(payload)
-            if not node.entries:
+            if not node.refs:
                 continue
-            distances = min_distances(*node.stacked_bounds(), point, "l2")
-            for d, entry in zip(distances.tolist(), node.entries):
-                heapq.heappush(heap, (
-                    d, next(counter), node.is_leaf,
-                    entry.item if node.is_leaf else entry.child_id))
+            distances = min_distances(node.lower, node.upper, point, "l2")
+            for d, ref in zip(distances.tolist(), node.refs):
+                heapq.heappush(heap, (d, next(counter), node.is_leaf, ref))
         return results
 
     # ------------------------------------------------------------------
@@ -602,65 +628,69 @@ class RStarTree:
     def delete(self, rect: Rect, match: Callable[[Any], bool]) -> int:
         """Delete all leaf entries with rectangle ``rect`` whose item
         satisfies ``match``.  Returns the number of entries removed."""
-        removed: list[Entry] = []
-        orphans: list[tuple[int, Entry]] = []  # (level, entry)
+        self._check_rect(rect)
+        removed: list[Any] = []
+        orphans: list[tuple[int, Row]] = []  # (level, entry)
         self._delete_recursive(self.root_id, rect, match, removed, orphans)
         root = self._read(self.root_id)
         if not root.is_leaf and len(root) == 1:
             # Shrink the tree: the lone child becomes the root.
             old_root_id = self.root_id
-            self.root_id = root.entries[0].child_id
+            self.root_id = root.refs[0]
             self.store.free(old_root_id)
-        for level, entry in orphans:
-            self._insert_entry(entry, target_level=level,
-                               reinserted_levels=set())
+        for level, row in orphans:
+            self._insert_row(row, level, _Insertion())
         self.size -= len(removed)
         return len(removed)
 
     def _delete_recursive(self, page_id: int, rect: Rect,
                           match: Callable[[Any], bool],
-                          removed: list[Entry],
-                          orphans: list[tuple[int, Entry]]) -> bool:
+                          removed: list[Any],
+                          orphans: list[tuple[int, Row]]) -> bool:
         """Returns True if the child at ``page_id`` should be dropped."""
         node = self._read(page_id)
         if node.is_leaf:
+            same = ((node.lower == rect.lower)
+                    & (node.upper == rect.upper)).all(axis=1) \
+                if node.refs else []
             kept = []
-            for entry in node.entries:
-                if entry.rect == rect and match(entry.item):
-                    removed.append(entry)
+            for row, item in enumerate(node.refs):
+                if same[row] and match(item):
+                    removed.append(item)
                 else:
-                    kept.append(entry)
-            node.entries = kept
+                    kept.append(row)
+            node.lower, node.upper, node.refs = node.take(kept)
             self._write(node)
             underfull = (len(kept) < self.min_entries
                          and page_id != self.root_id)
             if underfull:
-                orphans.extend((0, entry) for entry in kept)
+                orphans.extend((0, row) for row in zip(
+                    node.lower, node.upper, node.refs))
                 self.store.free(page_id)
             return underfull
 
+        meets = ((node.lower <= rect.upper)
+                 & (rect.lower <= node.upper)).all(axis=1)
         surviving = []
         changed = False
-        for entry in node.entries:
-            if entry.rect.intersects(rect):
-                drop = self._delete_recursive(entry.child_id, rect, match,
+        for row, child_id in enumerate(node.refs):
+            if meets[row]:
+                drop = self._delete_recursive(child_id, rect, match,
                                               removed, orphans)
                 changed = True
                 if drop:
                     continue
-                entry.rect = self._read(entry.child_id).mbr()
-            surviving.append(entry)
-        node.entries = surviving
+                node.set_row(row, *self._read(child_id).mbr())
+            surviving.append(row)
+        node.lower, node.upper, node.refs = node.take(surviving)
         self._write(node)
         if changed and len(surviving) < self.min_entries \
                 and page_id != self.root_id:
-            for entry in surviving:
-                child = self._read(entry.child_id)
-                orphans.extend(
-                    (node.level - 1, child_entry)
-                    for child_entry in child.entries
-                )
-                self.store.free(entry.child_id)
+            for child_id in node.refs:
+                child = self._read(child_id)
+                orphans.extend((node.level - 1, row) for row in zip(
+                    child.lower, child.upper, child.refs))
+                self.store.free(child_id)
             self.store.free(page_id)
             return True
         return False
@@ -703,29 +733,25 @@ class RStarTree:
         stack = [self.root_id]
         while stack:
             node = self._read(stack.pop())
-            for entry in node.entries:
-                if node.is_leaf:
-                    yield entry.rect, entry.item
-                else:
-                    stack.append(entry.child_id)
+            if not node.is_leaf:
+                stack.extend(node.refs)
+                continue
+            for lower, upper, item in zip(node.lower, node.upper,
+                                          node.refs):
+                yield Rect(lower, upper), item
 
     def verify(self) -> list[str]:
         """Non-throwing integrity walk; returns a list of issues.
 
-        Unlike :meth:`check_invariants` (which raises on the first
-        structural violation and assumes every page is readable), this
-        walk is built for damaged stores: unreadable or corrupt pages
+        Built for damaged stores: unreadable or corrupt pages
         (checksum failures surface as :class:`StorageError` from the
         page store) become issues instead of exceptions, and the walk
         continues to report dangling child ids, duplicate references,
-        orphan pages, leaf-depth violations, stacked search bounds
-        that no longer equal the entries they were built from, and a
-        size mismatch.
-        An empty list means the index is healthy.
-
-        :meth:`verify_summary` wraps the same walk in a
-        machine-readable dict and reports the outcome to the
-        structured event log.
+        orphan pages, leaf-depth violations, nodes over capacity or
+        under the minimum fill, parent rows that differ from their
+        child's MBR, and a size mismatch.  An empty list means the
+        index is healthy.  :meth:`verify_summary` is the same walk as a
+        dict; :meth:`check_invariants` raises its first issue.
         """
         return list(self.verify_summary()["issues"])
 
@@ -744,9 +770,11 @@ class RStarTree:
         reachable: set[int] = set()
         counted = 0
         unreadable = 0
-        stack: list[tuple[int, int | None]] = [(self.root_id, None)]
+        # (page id, expected level, parent node, the parent's row for it)
+        stack: list[tuple[int, int | None, Node | None, int]] = [
+            (self.root_id, None, None, 0)]
         while stack:
-            page_id, expect_level = stack.pop()
+            page_id, expect_level, parent, row = stack.pop()
             if page_id in reachable:
                 issues.append(f"node {page_id} is referenced more "
                               "than once")
@@ -762,21 +790,23 @@ class RStarTree:
                 issues.append(
                     f"node {page_id}: level {node.level} != expected "
                     f"{expect_level}")
-            if node.bounds is not None and not all(
-                    np.array_equal(cached, fresh) for cached, fresh
-                    in zip(node.bounds, node.fresh_bounds())):
-                issues.append(
-                    f"node {page_id}: cached search bounds differ from "
-                    "its entries' rectangles")
+            if len(node) > self.max_entries:
+                issues.append(f"node {page_id} overflows ({len(node)} > "
+                              f"{self.max_entries})")
+            elif (parent is not None and self.size > 0
+                  and len(node) < self.min_entries):
+                issues.append(f"node {page_id} underfull ({len(node)} < "
+                              f"{self.min_entries})")
+            if parent is not None and not (node.refs and all(
+                    np.array_equal(bounds[row], own) for bounds, own
+                    in zip((parent.lower, parent.upper), node.mbr()))):
+                issues.append(f"node {parent.page_id}: stale MBR for "
+                              f"child {page_id}")
             if node.is_leaf:
-                counted += len(node.entries)
+                counted += len(node)
                 continue
-            for entry in node.entries:
-                if entry.child_id is None:
-                    issues.append(f"node {page_id}: internal entry "
-                                  "without a child id")
-                    continue
-                stack.append((entry.child_id, node.level - 1))
+            stack.extend((child_id, node.level - 1, node, index)
+                         for index, child_id in enumerate(node.refs))
         try:
             stored = self.store.page_ids()
         except NotImplementedError:  # pragma: no cover - custom stores
@@ -808,40 +838,11 @@ class RStarTree:
         return summary
 
     def check_invariants(self) -> None:
-        """Verify structural invariants; raises on violation.
-
-        Checks: entry counts within bounds (root exempt), parent MBRs
-        contain child MBRs exactly, uniform leaf depth, and that the
-        recorded size matches the leaf entry count.
-        """
-        counted = self._check_node(self.root_id, expect_level=None)
-        if counted != self.size:
-            raise SpatialIndexError(
-                f"size mismatch: counted {counted}, recorded {self.size}"
-            )
-
-    def _check_node(self, page_id: int, expect_level: int | None) -> int:
-        node = self._read(page_id)
-        if expect_level is not None and node.level != expect_level:
-            raise SpatialIndexError(
-                f"node {page_id}: level {node.level} != expected {expect_level}"
-            )
-        is_root = page_id == self.root_id
-        if len(node) > self.max_entries:
-            raise SpatialIndexError(f"node {page_id} overflows")
-        if not is_root and self.size > 0 and len(node) < self.min_entries:
-            raise SpatialIndexError(
-                f"node {page_id} underfull ({len(node)} < {self.min_entries})"
-            )
-        if node.is_leaf:
-            return len(node)
-        total = 0
-        for entry in node.entries:
-            child = self._read(entry.child_id)
-            child_mbr = child.mbr()
-            if entry.rect != child_mbr:
-                raise SpatialIndexError(
-                    f"node {page_id}: stale MBR for child {entry.child_id}"
-                )
-            total += self._check_node(entry.child_id, node.level - 1)
-        return total
+        """Raise :class:`SpatialIndexError` with the first issue
+        :meth:`verify` finds: entry counts within bounds (root exempt),
+        parent rows equal to their child's MBR, uniform leaf depth, no
+        orphan, dangling or shared pages, and a recorded size that
+        matches the leaf entry count."""
+        issues = self.verify()
+        if issues:
+            raise SpatialIndexError(issues[0])

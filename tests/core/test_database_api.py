@@ -39,6 +39,7 @@ from repro.index.storage import (MmapPageStore, create_page_store,
 from repro.observability.events import EventLog, parse_event_line, set_events
 from tests import oracle
 from tests.conftest import corrupt_catalog_record
+from tests.nodepages import node_contents
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
 FIXTURE_2_2 = pathlib.Path(__file__).parent.parent / "fixtures/db_2_2"
@@ -295,7 +296,7 @@ class TestAddImage:
             assert ids == list(range(len(scenes))) and index.height() > 1
             events.append(spy.rows)
             trees.append((index.state(), index.counters.snapshot(), [
-                (node.page_id, node.level, node.entries)
+                (node.page_id, node_contents(node))
                 for node in map(index.store.read,
                                 sorted(index.store.page_ids()))]))
         assert trees[0] == trees[1]
@@ -367,6 +368,24 @@ class TestDeprecatedShims:
         assert sources["clustering/cftree.py"].count(
             "ClusteringFeature(") == 1
         assert ".leaf_entries()" not in sources["clustering/birch.py"]
+        # 2.5: a node is its page layout — no Entry, no per-entry Rect,
+        # no second copy of the bounds, no per-entry loop in the codec.
+        node_module = importlib.import_module("repro.index.node")
+        assert [name for name in ("Entry",)
+                if hasattr(repro.index, name)
+                or hasattr(node_module, name)] == []
+        assert [name for name in ("bounds", "stacked_bounds",
+                                  "fresh_bounds", "entries",
+                                  "__getstate__", "__setstate__")
+                if name in vars(node_module.Node)] == []
+        assert not hasattr(repro.index.Rect, "_trusted")
+        codec_loops = [function.name for function in ast.walk(
+                           ast.parse(sources["index/nodecodec.py"]))
+                       if isinstance(function, ast.FunctionDef)
+                       and function.name in ("encode_node", "decode_node")
+                       for node in ast.walk(function)
+                       if isinstance(node, ast.For)]
+        assert codec_loops == []
         # 2.2: one page-store class below the tree, no second tree.
         for module in ("repro.index.storage_v3", "repro.index.gist"):
             assert importlib.util.find_spec(module) is None
@@ -395,9 +414,9 @@ class TestDeprecatedShims:
             == ["observability/server.py"]
 
     def test_per_entry_search_loop_stays_deleted(self):
-        """The R*-tree's searches test a node's entries as two stacked
-        arrays: no ``Rect`` method per entry, and one traversal loop
-        (``_traverse``) for every range search."""
+        """The R*-tree's searches test a node's ``lower`` / ``upper``
+        matrices whole: no ``Rect`` method per entry, and one
+        traversal loop (``_traverse``) for every range search."""
         package = pathlib.Path(repro.__file__).parent
         tree = ast.parse((package / "index/rstar.py").read_text("utf-8"))
         methods = {node.name: node for node in ast.walk(tree)
@@ -410,13 +429,18 @@ class TestDeprecatedShims:
                           if isinstance(node, ast.Attribute)}
             offences += [f"{name} calls .{attr}()" for attr in sorted(
                 attributes & {"intersects", "min_distance_to_point"})]
-            if "rect" in attributes and any(
-                    "entries" in ast.unparse(node.iter) for node in body
-                    if isinstance(node, (ast.For, ast.comprehension))):
-                offences.append(f"{name} loops over entries' rects")
+            if any(re.search(r"\b(node|leaf)\.(lower|upper|entries)\b",
+                             ast.unparse(node.iter)) for node in body
+                   if isinstance(node, (ast.For, ast.comprehension))):
+                offences.append(f"{name} loops over entries' bounds")
             if name.startswith("search") and any(
                     isinstance(node, ast.While) for node in body):
                 offences.append(f"{name} has a traversal loop of its own")
+        for name in ("search_within", "nearest", "_traverse"):
+            attributes = {node.attr for node in ast.walk(methods[name])
+                          if isinstance(node, ast.Attribute)}
+            if not {"lower", "upper"} <= attributes:
+                offences.append(f"{name} does not test the bound matrices")
         assert offences == []
 
     def test_new_entry_points_do_not_warn(self, tmp_path):

@@ -20,6 +20,7 @@ from repro.core.fsck import fsck_database
 from repro.core.parameters import ExtractionParameters
 from repro.datasets.generator import render_scene
 from repro.index.faults import corrupt_page
+from repro.index.storage import open_page_store
 from repro.observability.events import EventLog, parse_event_line, set_events
 
 
@@ -63,6 +64,27 @@ class TestSummaryDict:
         assert summary["ok"] is False
         assert summary["is_database"] is True
         assert any(f"page {root_id}" in issue for issue in summary["issues"])
+
+    def test_parent_row_not_covering_its_child_reported(self, tmp_path):
+        directory = str(tmp_path / "db")
+        with WalrusDatabase.create(
+                directory, max_entries=4,
+                params=ExtractionParameters(window_min=16, window_max=32,
+                                            stride=8)) as database:
+            database.add_images([render_scene("flowers", seed=1)])
+            root_id = database.index.root_id
+        assert fsck_database(directory)["ok"] is True
+        path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+        with open_page_store(path) as store:
+            root = store.read(root_id)
+            child_id = root.refs[0]
+            _, corner = store.read(child_id).mbr()
+            root.set_row(0, corner, corner)
+            store.write(root_id, root)
+        summary = fsck_database(directory)
+        assert summary["ok"] is False
+        assert summary["issues"] == [
+            f"index: node {root_id}: stale MBR for child {child_id}"]
 
     def test_missing_files(self, tmp_path):
         directory = tmp_path / "empty"

@@ -19,6 +19,7 @@ import json
 import os
 import pathlib
 import pickle
+import shutil
 
 import pytest
 
@@ -31,12 +32,13 @@ from repro.datasets.generator import render_scene
 from repro.exceptions import DatabaseError, StorageError
 from repro.index.faults import (FaultInjectingMmapPageStore, FaultPlan,
                                 SimulatedCrash)
-from repro.index.migrate import read_v2_page_file
+from repro.index.migrate import migrate_page_file, read_v2_page_file
 from repro.index.storage import (committed_generation, open_page_store,
                                  page_file_version)
 from tests.v2store import rewrite_as_v2, write_v2_page_file
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 QUERY = render_scene("flowers", seed=123, name="probe")
 
 
@@ -251,3 +253,38 @@ class TestMigratedV3:
         finally:
             crash_plan.crashed = False
             database.close()
+
+
+class TestV2Fixture:
+    """``tests/fixtures/v2_tree.pages`` is the v2 file 1.x holds for an
+    R*-tree of 90 12-d point and box keys (120 inserts, 30 deletes,
+    ``max_entries=8``), laid down by :func:`rewrite_as_v2` in 2.4;
+    ``v2_tree_migrated.pages`` is what 2.4's ``migrate_page_file`` made
+    of it."""
+
+    def test_migration_output_is_byte_identical(self, tmp_path):
+        path = tmp_path / "regions.pages"
+        shutil.copy(FIXTURES / "v2_tree.pages", path)
+        report = migrate_page_file(path)
+        assert (report.pages, report.generation) == (21, 1)
+        assert path.read_bytes() \
+            == (FIXTURES / "v2_tree_migrated.pages").read_bytes()
+
+    def test_test_writer_still_pickles_as_1x(self, tmp_path):
+        path = tmp_path / "regions.pages"
+        shutil.copy(FIXTURES / "v2_tree_migrated.pages", path)
+        rewrite_as_v2(path)
+        assert path.read_bytes() == (FIXTURES / "v2_tree.pages").read_bytes()
+
+    def test_page_naming_another_global_is_refused_uncalled(
+            self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "system", lambda *args: calls.append(args))
+        path = tmp_path / "regions.pages"
+        # A protocol-0 pickle of os.system("echo pwned").
+        write_v2_page_file(path, {0: b"cos\nsystem\n(S'echo pwned'\ntR."})
+        for attempt in (read_v2_page_file, migrate_page_file):
+            with pytest.raises(StorageError, match="global os.system"):
+                attempt(path)
+        assert calls == []
+        assert page_file_version(path) == 2

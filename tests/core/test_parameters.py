@@ -81,6 +81,11 @@ class TestQueryParameters:
         with pytest.raises(ParameterError):
             QueryParameters(epsilon=-0.1)
 
+    @pytest.mark.parametrize("field", ["epsilon", "refine_epsilon"])
+    def test_rejects_nan_epsilon(self, field):
+        with pytest.raises(ParameterError, match=field):
+            QueryParameters(**{field: float("nan")})
+
     def test_rejects_bad_tau(self):
         with pytest.raises(ParameterError):
             QueryParameters(tau=1.5)

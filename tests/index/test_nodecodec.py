@@ -8,29 +8,21 @@ import numpy as np
 import pytest
 
 from repro.exceptions import StorageError
-from repro.index.geometry import Rect
-from repro.index.node import Entry, Node
+from repro.index.node import Node
 from repro.index.nodecodec import _NODE_HEADER, decode_node, encode_node
+from tests.nodepages import node_contents
 
 
 def leaf_node(page_id=7, count=5, dims=4):
-    node = Node(page_id, 0)
-    rng = np.random.default_rng(page_id)
-    for index in range(count):
-        low = rng.random(dims)
-        node.entries.append(Entry(Rect(low, low + 0.25),
-                                  item=(1000 + index, index)))
-    return node
+    lower = np.random.default_rng(page_id).random((count, dims))
+    return Node(page_id, 0, lower, lower + 0.25,
+                [(1000 + index, index) for index in range(count)])
 
 
 def internal_node(page_id=9, count=4, dims=4):
-    node = Node(page_id, 2)
-    rng = np.random.default_rng(page_id)
-    for index in range(count):
-        low = rng.random(dims)
-        node.entries.append(Entry(Rect(low, low + 0.5),
-                                  child_id=50 + index))
-    return node
+    lower = np.random.default_rng(page_id).random((count, dims))
+    return Node(page_id, 2, lower, lower + 0.5,
+                [50 + index for index in range(count)])
 
 
 class TestRoundTrip:
@@ -38,40 +30,37 @@ class TestRoundTrip:
         node = leaf_node()
         rebuilt = decode_node(node.page_id, encode_node(node))
         assert (rebuilt.page_id, rebuilt.level) == (node.page_id, 0)
-        assert rebuilt.entries == node.entries  # Entry.__eq__ is structural
+        assert node_contents(rebuilt) == node_contents(node)
 
     def test_internal_round_trips_exactly(self):
         node = internal_node()
         rebuilt = decode_node(node.page_id, encode_node(node))
         assert (rebuilt.page_id, rebuilt.level) == (node.page_id, 2)
-        assert rebuilt.entries == node.entries
+        assert node_contents(rebuilt) == node_contents(node)
 
     def test_empty_node_round_trips(self):
         node = Node(3, 0)
         payload = encode_node(node)
         assert len(payload) == _NODE_HEADER.size
         rebuilt = decode_node(3, payload)
-        assert rebuilt.entries == [] and rebuilt.level == 0
+        assert rebuilt.refs == [] and rebuilt.level == 0
 
     def test_bounds_are_bit_identical(self):
         node = leaf_node(count=8)
         rebuilt = decode_node(node.page_id, encode_node(node))
-        for original, copy in zip(node.entries, rebuilt.entries):
-            assert original.rect.lower.tobytes() == \
-                copy.rect.lower.tobytes()
-            assert original.rect.upper.tobytes() == \
-                copy.rect.upper.tobytes()
+        assert rebuilt.lower.shape == (8, 4)
+        assert rebuilt.lower.tobytes() == node.lower.tobytes()
+        assert rebuilt.upper.tobytes() == node.upper.tobytes()
 
     def test_leaf_items_are_python_int_tuples(self):
         rebuilt = decode_node(7, encode_node(leaf_node()))
-        for entry in rebuilt.entries:
-            assert type(entry.item) is tuple
-            assert all(type(part) is int for part in entry.item)
+        for item in rebuilt.refs:
+            assert type(item) is tuple
+            assert all(type(part) is int for part in item)
 
     def test_child_ids_are_python_ints(self):
         rebuilt = decode_node(9, encode_node(internal_node()))
-        assert all(type(entry.child_id) is int
-                   for entry in rebuilt.entries)
+        assert all(type(child_id) is int for child_id in rebuilt.refs)
 
 
 class TestZeroCopy:
@@ -79,13 +68,13 @@ class TestZeroCopy:
         node = leaf_node(count=3)
         payload = bytearray(encode_node(node))  # writable backing store
         rebuilt = decode_node(node.page_id, memoryview(payload))
-        lower = rebuilt.entries[0].rect.lower
+        lower = rebuilt.lower
         assert lower.base is not None  # a view, not a copy
-        before = lower[0]
+        before = lower[0, 0]
         # Flip one byte inside the first lower bound: the decoded
         # array must observe it, proving it aliases the buffer.
         payload[_NODE_HEADER.size] ^= 0xFF
-        assert rebuilt.entries[0].rect.lower[0] != before
+        assert rebuilt.lower[0, 0] != before
 
     def test_decode_runs_no_pickle(self, monkeypatch):
         payload = encode_node(leaf_node())
@@ -104,22 +93,19 @@ class TestRejection:
 
     def test_mixed_dims_rejected(self):
         node = leaf_node(dims=4)
-        low = np.zeros(3)
-        node.entries.append(Entry(Rect(low, low + 1.0), item=(1, 2)))
+        node.upper = node.upper[:, :3]
         with pytest.raises(StorageError, match="dimensions"):
             encode_node(node)
 
     def test_non_pair_leaf_item_rejected(self):
-        node = Node(1, 0)
-        low = np.zeros(2)
-        node.entries.append(Entry(Rect(low, low + 1.0), item=(1, 2, 3)))
+        low = np.zeros((1, 2))
+        node = Node(1, 0, low, low + 1.0, [(1, 2, 3)])
         with pytest.raises(StorageError, match="pair of ints"):
             encode_node(node)
 
     def test_non_int_leaf_item_rejected(self):
-        node = Node(1, 0)
-        low = np.zeros(2)
-        node.entries.append(Entry(Rect(low, low + 1.0), item=(1.5, 2)))
+        low = np.zeros((1, 2))
+        node = Node(1, 0, low, low + 1.0, [(1.5, 2)])
         with pytest.raises(StorageError, match="pair of ints"):
             encode_node(node)
 

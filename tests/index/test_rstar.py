@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,53 @@ from repro.exceptions import SpatialIndexError
 from repro.index.geometry import Rect
 from repro.index.rstar import RStarTree
 from repro.index.storage import MmapPageStore
+
+GOLDEN_TREE = pathlib.Path(__file__).parent.parent / "fixtures/golden_rstar.pages"
+
+#: ``IndexCounters`` after :func:`write_golden_tree`, taken together
+#: with ``tests/fixtures/golden_rstar.pages``.
+GOLDEN_TREE_COUNTERS = {
+    "node_reads": 12678, "node_writes": 6946, "splits": 61,
+    "reinsert_ops": 73, "reinserted_entries": 146, "probes": 0,
+    "knn_searches": 0}
+
+
+def write_golden_tree(path) -> RStarTree:
+    """The deterministic script ``tests/fixtures/golden_rstar.pages``
+    was written with: an STR bulk load, inserts that force reinserts
+    and splits on two levels — and move a parent row out of the node
+    whose insertion is still under way — then deletes that reinsert
+    orphans and shrink the root: point and box keys, a third of them on
+    a coarse grid, 12 dimensions, a commit after each phase."""
+    rng = np.random.default_rng(1999)
+    dims = 12
+
+    def keys(count: int, first: int) -> list[tuple[Rect, tuple[int, int]]]:
+        lower = rng.uniform(size=(count, dims))
+        lower[::3] = lower[::3].round(1)  # ties for every sort to break
+        sides = np.where(rng.uniform(size=(count, 1)) < 0.5, 0.0,
+                         rng.uniform(0.0, 0.05, size=(count, dims)))
+        return [(Rect(low, low + side), (first + index, index % 7))
+                for index, (low, side) in enumerate(zip(lower, sides))]
+
+    store = MmapPageStore(path)
+    tree = RStarTree.bulk_load(dims, keys(320, 0), store=store,
+                               max_entries=8)
+    store.sync()
+    grown = keys(440, 1000)
+    for rect, item in grown:
+        tree.insert(rect, item)
+    store.sync()
+    height = tree.height()
+    victims = list(tree.items())
+    order = rng.permutation(len(victims))
+    for index in order[:684]:
+        rect, item = victims[index]
+        assert tree.delete(rect, lambda found, gone=item: found == gone) == 1
+    assert tree.height() < height
+    store.set_metadata(json.dumps(tree.state(), sort_keys=True).encode())
+    store.close()
+    return tree
 
 
 def build_point_tree(points: np.ndarray, **kwargs) -> RStarTree:
@@ -67,6 +117,19 @@ class TestStructure:
         tree.check_invariants()
         hits = tree.search_within(np.array([0.5, 0.5]), 0.0)
         assert len(hits) == 20
+
+    def test_parent_rows_stay_exact_through_every_insert(self):
+        """A reinsert or split below can move a child's row out of the
+        parent whose insertion is still under way, before that parent
+        refreshes it (here: insert 114); the row must be refreshed
+        where it went."""
+        rng = np.random.default_rng(43)
+        lows = rng.uniform(size=(150, 1))
+        sides = rng.uniform(0, 0.3, size=(150, 1))
+        tree = RStarTree(1, max_entries=6)
+        for index, (low, side) in enumerate(zip(lows[:115], sides)):
+            tree.insert(Rect(low, low + side), (index, 0))
+            assert tree.verify() == [], index
 
     def test_no_reinsert_variant(self, rng):
         tree = build_point_tree(rng.uniform(size=(300, 2)),
@@ -237,3 +300,21 @@ class TestFileBacked:
                           reopened.search_within(points[3], 0.3))
             assert hits == expected
             reopened.check_invariants()
+
+
+class TestGoldenTree:
+    """Insert, split, forced reinsert, delete/condense and STR packing
+    write the same pages, in the same order, as the per-entry tree
+    they replaced — and count the same work."""
+
+    def test_replay_is_byte_identical(self, tmp_path):
+        path = tmp_path / "replay.pages"
+        tree = write_golden_tree(path)
+        assert tree.counters.snapshot() == GOLDEN_TREE_COUNTERS
+        assert path.read_bytes() == GOLDEN_TREE.read_bytes()
+
+    def test_golden_tree_is_healthy(self):
+        with MmapPageStore(GOLDEN_TREE, readonly=True) as store:
+            tree = RStarTree.from_state(json.loads(store.metadata), store)
+            assert tree.verify() == []
+            assert len(tree) == 76

@@ -214,17 +214,49 @@ class TestValidationBeforeTraversal:
                 with pytest.raises(SpatialIndexError, match="dimension"):
                     tree.search_within(point, 0.1)
 
+    @pytest.mark.parametrize("point", [np.zeros(2), np.zeros((3, 2))],
+                             ids=["point", "matrix"])
+    def test_nan_epsilon(self, point):
+        for tree in self.trees():
+            with pytest.raises(SpatialIndexError, match="epsilon"):
+                tree.search_within(point, float("nan"))
 
-class TestVerifySeesStaleBounds:
-    def test_mutation_without_write_is_reported(self):
-        tree = RStarTree(2)
-        for x in range(3):
-            tree.insert_point(np.array([float(x), 0.0]), x)
-        tree.search_within(np.zeros(2), 0.5)   # stacks the root's bounds
+    def test_delete_with_wrong_dimensions(self):
+        deep = RStarTree(2, max_entries=4)
+        for x in range(20):
+            deep.insert_point(np.array([float(x), 0.0]), x)
+        for tree in self.trees() + [deep]:
+            with pytest.raises(SpatialIndexError, match="dimensions"):
+                tree.delete(Rect.from_point(np.zeros(3)), lambda item: True)
+
+
+class TestVerifySeesStaleParentRows:
+    def test_parent_row_that_misses_its_child_is_reported(self):
+        rng = np.random.default_rng(30)
+        tree = RStarTree(2, max_entries=4)
+        for index, point in enumerate(rng.uniform(size=(200, 2))):
+            tree.insert_point(point, (index, 0))
+        stored = list(tree.items())
         assert tree.verify() == []
         root = tree.store.read(tree.root_id)
-        root.entries[0].rect = Rect.from_point(np.array([9.0, 9.0]))
-        assert any("cached search bounds" in issue
-                   for issue in tree.verify())
-        tree._write(root)
-        assert tree.verify() == []
+        child_id = root.refs[0]
+        _, corner = tree.store.read(child_id).mbr()
+        root.set_row(0, corner, corner)  # shrink it to its upper corner
+        # The damage is real: searches no longer reach the child ...
+        assert [item for rect, item in stored
+                if item not in tree.search(rect)]
+        # ... and the integrity walk says where.
+        assert tree.verify() == [
+            f"node {root.page_id}: stale MBR for child {child_id}"]
+        with pytest.raises(SpatialIndexError, match="stale MBR"):
+            tree.check_invariants()
+
+    def test_fill_bounds_are_checked(self):
+        tree = RStarTree(2, max_entries=4)
+        for x in range(20):
+            tree.insert_point(np.array([float(x), 0.0]), (x, 0))
+        root = tree.store.read(tree.root_id)
+        leaf = tree.store.read(root.refs[0])
+        leaf.lower, leaf.upper, leaf.refs = leaf.take([0])
+        issues = tree.verify()
+        assert f"node {leaf.page_id} underfull (1 < 2)" in issues

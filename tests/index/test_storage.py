@@ -11,7 +11,7 @@ from repro.index.migrate import read_v2_page_file
 from repro.index.pagestore import MemoryPageStore
 from repro.index.storage import (_DATA_START, _RECORD, _SUPER, _TABLE_ID,
                                  MmapPageStore, _pack_slot, open_page_store)
-from tests.nodepages import node_page, page_value
+from tests.nodepages import node_contents, node_page, page_value
 from tests.v2store import record_bytes, write_v2_page_file
 
 
@@ -58,8 +58,8 @@ class TestFilePageStore:
         with MmapPageStore(tmp_path / "pages.db") as store:
             page_id = store.allocate()
             store.write(page_id, node_page(page_id, 123, entries=3))
-            assert store.read(page_id).entries \
-                == node_page(page_id, 123, entries=3).entries
+            assert node_contents(store.read(page_id)) \
+                == node_contents(node_page(page_id, 123, entries=3))
 
     def test_eviction_spills_and_reloads(self, tmp_path):
         with MmapPageStore(tmp_path / "pages.db", buffer_pages=2) as store:

@@ -12,32 +12,24 @@ import pytest
 
 from repro.exceptions import PageCorruptionError, StorageError
 from repro.index.faults import corrupt_page
-from repro.index.geometry import Rect
-from repro.index.node import Entry, Node
+from repro.index.node import Node
 from repro.index.migrate import read_v2_page_file
 from repro.index.storage import (_MAGIC_V3, _SUPER,
                                  _TABLE_ID, MmapPageStore,
                                  committed_generation, create_page_store,
                                  open_page_store, page_file_version)
 from tests.conftest import heap_record_ids
-from tests.nodepages import node_page
+from tests.nodepages import node_contents, node_page
 from tests.v2store import write_v2_page_file
 
 GOLDEN = pathlib.Path(__file__).parent.parent / "fixtures/golden_v3.pages"
 
 
 def make_node(page_id, level=0, count=4, dims=4):
-    node = Node(page_id, level)
-    rng = np.random.default_rng(page_id + 1)
-    for index in range(count):
-        low = rng.random(dims)
-        if level == 0:
-            node.entries.append(Entry(Rect(low, low + 0.2),
-                                      item=(page_id * 100 + index, index)))
-        else:
-            node.entries.append(Entry(Rect(low, low + 0.2),
-                                      child_id=page_id * 100 + index))
-    return node
+    lower = np.random.default_rng(page_id + 1).random((count, dims))
+    refs = [(page_id * 100 + index, index) if level == 0
+            else page_id * 100 + index for index in range(count)]
+    return Node(page_id, level, lower, lower + 0.2, refs)
 
 
 def populated(path, pages=5, buffer_pages=256):
@@ -74,10 +66,11 @@ class TestGoldenFile:
             assert store.metadata == b"golden catalog \x00\xff"
             assert store.page_ids() == {0, 1, 2, 4}
             for page_id in (0, 2, 4):
-                assert store.read(page_id).entries == node_page(
-                    page_id, page_id + 10, entries=page_id + 1).entries
-            assert store.read(1).entries \
-                == node_page(1, 99, entries=4).entries
+                assert node_contents(store.read(page_id)) \
+                    == node_contents(node_page(page_id, page_id + 10,
+                                               entries=page_id + 1))
+            assert node_contents(store.read(1)) \
+                == node_contents(node_page(1, 99, entries=4))
 
     def test_replay_is_byte_identical(self, tmp_path):
         write_golden(tmp_path / "replay.pages")
@@ -91,18 +84,19 @@ class TestMmapPageStore:
             page_id = store.allocate()
             node = make_node(page_id)
             store.write(page_id, node)
-            assert store.read(page_id).entries == node.entries
+            assert node_contents(store.read(page_id)) \
+                == node_contents(node)
 
     def test_persistence_across_reopen(self, tmp_path):
         path = tmp_path / "pages.db"
         originals = {}
         store = populated(path)
         for page_id in sorted(store.page_ids()):
-            originals[page_id] = store.read(page_id).entries
+            originals[page_id] = node_contents(store.read(page_id))
         store.close()
         with MmapPageStore(path, buffer_pages=1) as reopened:
-            for page_id, entries in originals.items():
-                assert reopened.read(page_id).entries == entries
+            for page_id, contents in originals.items():
+                assert node_contents(reopened.read(page_id)) == contents
             assert reopened.allocate() == len(originals)
 
     def test_cold_read_is_pickle_free(self, tmp_path, monkeypatch):
@@ -115,7 +109,7 @@ class TestMmapPageStore:
 
         monkeypatch.setattr(pickle, "loads", forbidden)
         for page_id in sorted(store.page_ids()):
-            assert store.read(page_id).entries
+            assert store.read(page_id).refs
         store.close()
 
     def test_reads_are_zero_copy_views(self, tmp_path):
@@ -123,13 +117,13 @@ class TestMmapPageStore:
         populated(path).close()
         store = MmapPageStore(path, buffer_pages=1, readonly=True)
         node = store.read(0)
-        lower = node.entries[0].rect.lower
+        lower = node.lower
         assert lower.base is not None  # aliases the mapping, no copy
         assert not lower.flags.writeable
         store.close()
         # The store keeps a still-referenced mapping alive past close:
         # the view must stay readable.
-        assert float(lower[0]) == lower[0]
+        assert float(lower[0, 0]) == lower[0, 0]
 
     def test_rejects_non_node_payload(self, tmp_path):
         store = MmapPageStore(tmp_path / "pages.db")
@@ -175,7 +169,8 @@ class TestMmapPageStore:
         assert path.stat().st_size < before
         assert store.generation >= generation  # monotonic across the swap
         assert store.page_ids() == set(range(5))
-        assert store.read(0).entries == make_node(0, count=6).entries
+        assert node_contents(store.read(0)) \
+            == node_contents(make_node(0, count=6))
         final = store.generation
         store.close()
         assert committed_generation(path) >= final
@@ -192,7 +187,8 @@ class TestMmapPageStore:
         assert record_ids[:4] == [0, 1, 2, 3]
         assert store.generation == committed_generation(path) > before
         assert store.metadata == b"catalog"
-        assert store.read(0).entries == make_node(0, count=6).entries
+        assert node_contents(store.read(0)) \
+            == node_contents(make_node(0, count=6))
         store.close()
 
     def test_metadata_round_trip(self, tmp_path):

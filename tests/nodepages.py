@@ -2,29 +2,33 @@
 
 The on-disk page store holds :class:`~repro.index.node.Node` pages
 only, so the tests that exercise it as a plain key → value store wrap
-their values in one-entry leaves.
+their values in leaves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.index.geometry import Rect
-from repro.index.node import Entry, Node
+from repro.index.node import Node
 
 
 def node_page(page_id: int, value: int = 0, *, entries: int = 1,
               dims: int = 3) -> Node:
     """A leaf page carrying the integer ``value`` in every item
     (``entries`` sets how many, i.e. how large the record is)."""
-    node = Node(page_id, 0)
-    for index in range(entries):
-        low = np.full(dims, float(page_id + index))
-        node.entries.append(Entry(Rect(low, low + 1.0),
-                                  item=(value, index)))
-    return node
+    lower = page_id + np.arange(entries, dtype=np.float64)[:, None] \
+        + np.zeros(dims)
+    return Node(page_id, 0, lower, lower + 1.0,
+                [(value, index) for index in range(entries)])
 
 
 def page_value(node: Node) -> int:
     """The value :func:`node_page` stored."""
-    return node.entries[0].item[0]
+    return node.refs[0][0]
+
+
+def node_contents(node: Node) -> tuple:
+    """Everything a page stores, bounds as raw bytes: equal for two
+    nodes exactly when they encode to the same page."""
+    return (node.level, node.lower.tobytes(), node.upper.tobytes(),
+            node.refs)

@@ -54,7 +54,7 @@ def _node_count(tree: RStarTree) -> int:
         node = tree.store.read(pending.pop())
         count += 1
         if not node.is_leaf:
-            pending.extend(entry.child_id for entry in node.entries)
+            pending.extend(node.refs)
     return count
 
 

@@ -124,6 +124,15 @@ class TestErrors:
         assert status == 400
         assert body["error"] == "bad_request"
 
+    def test_nan_epsilon_is_400(self, db_dir, query_body):
+        # Python's json writes and reads the NaN literal.
+        bad = dict(query_body, params={"epsilon": float("nan")})
+        with WalrusServer(db_dir, port=0) as server:
+            status, body, _ = self._status_and_body(
+                lambda: _post(server.url("/query"), bad))
+        assert status == 400
+        assert body["error"] == "bad_request"
+
     def test_bad_format_is_400(self, db_dir, query_body):
         bad = dict(query_body, format=".exe")
         with WalrusServer(db_dir, port=0) as server:
