@@ -28,6 +28,7 @@ counts, to which the threshold applies.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Union
 
 import numpy as np
@@ -42,6 +43,17 @@ Windows = Union[Sequence[tuple[int, int, int]], np.ndarray]
 def _block_edges(extent: int, grid: int) -> np.ndarray:
     """Pixel boundaries of the ``grid`` blocks along one axis."""
     return np.linspace(0, extent, grid + 1).round().astype(int)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_sizes(height: int, width: int, grid: int) -> np.ndarray:
+    """Read-only pixel count of each block of a ``height x width``
+    image's ``grid x grid`` bitmap.  Kept per geometry: matching asks
+    it for every union it measures, over a handful of image sizes."""
+    sizes = np.outer(np.diff(_block_edges(height, grid)),
+                     np.diff(_block_edges(width, grid)))
+    sizes.setflags(write=False)
+    return sizes
 
 
 def _cell_extents(lines: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -161,6 +173,17 @@ class CoverageBitmap:
         return [cls(height, width, grid, block) for block in blocks]
 
     @classmethod
+    def _trusted(cls, height: int, width: int, grid: int,
+                 blocks: np.ndarray) -> "CoverageBitmap":
+        """A bitmap over a ``(grid, grid)`` bool array and a geometry
+        already checked (a catalog decode checks its columns whole),
+        without re-checking them."""
+        bitmap = object.__new__(cls)
+        bitmap.height, bitmap.width, bitmap.grid = height, width, grid
+        bitmap.blocks = blocks
+        return bitmap
+
+    @classmethod
     def full(cls, height: int, width: int, grid: int) -> "CoverageBitmap":
         """Bitmap covering the whole image."""
         return cls(height, width, grid, np.ones((grid, grid), dtype=bool))
@@ -202,12 +225,9 @@ class CoverageBitmap:
     # Measures
     # ------------------------------------------------------------------
     def block_pixel_counts(self) -> np.ndarray:
-        """Pixel count of each block (edge blocks may be smaller)."""
-        row_edges = _block_edges(self.height, self.grid)
-        col_edges = _block_edges(self.width, self.grid)
-        rows = np.diff(row_edges)
-        cols = np.diff(col_edges)
-        return rows[:, None] * cols[None, :]
+        """Pixel count of each block (edge blocks may be smaller), as a
+        read-only array."""
+        return _block_sizes(self.height, self.width, self.grid)
 
     @property
     def covered_pixels(self) -> int:

@@ -42,8 +42,6 @@ import numpy as np
 
 from repro.core import catalog
 from repro.core.cache import CacheStats, LRUCache
-# ``IndexedImage`` stays importable from this module: catalog records
-# written by 2.2 pickle it as ``repro.core.database.IndexedImage``.
 from repro.core.catalog import Catalog, IndexedImage
 from repro.core.extraction import RegionExtractor
 from repro.core.matching import MATCHERS
@@ -848,8 +846,9 @@ class WalrusDatabase:
         the page store and committed by the store's single atomic
         header flip *together with* the pages — a crash at any byte
         boundary reopens to the previous checkpoint, and the catalog
-        can never disagree with the page table it describes.  Nothing
-        else in the directory is written.
+        can never disagree with the page table it describes.  A
+        catalog whose record is byte-identical to the committed one is
+        not appended again.  Nothing else in the directory is written.
         """
         self._check_open()
         if self._readonly:
@@ -861,6 +860,8 @@ class WalrusDatabase:
                 "WalrusDatabase.create(path=...)"
             )
         store = self.index.store
-        store.set_metadata(Catalog(self.params, self.images, self._next_id,
-                                   self.index.state()).encode())
+        record = Catalog(self.params, self.images, self._next_id,
+                         self.index.state()).encode()
+        if record != store.metadata:
+            store.set_metadata(record)
         store.sync()

@@ -4,8 +4,10 @@
 checksums and page-table health via
 :meth:`~repro.index.pagestore.PageStore.scan` (the store is opened
 through :func:`~repro.index.storage.open_page_store`), the catalog
-record's integrity, and R*-tree structure via
-:meth:`~repro.index.rstar.RStarTree.verify_summary` — and returns a
+record's integrity, R*-tree structure via
+:meth:`~repro.index.rstar.RStarTree.verify_summary`, and that the
+catalog's region rows are exactly the tree's leaf items, each keyed by
+its row's signature — and returns a
 machine-readable summary dict instead of printing.  The CLI renders
 the dict; CI and the structured event log consume it directly (when
 the event log is enabled, the summary is also emitted as an ``fsck``
@@ -35,7 +37,10 @@ Summary keys
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
+
+import numpy as np
 
 from repro.core.catalog import Catalog, database_page_file
 from repro.exceptions import DatabaseError, StorageError, WalrusError
@@ -90,14 +95,13 @@ def fsck_database(directory: str) -> dict[str, Any]:
             except WalrusError as error:
                 issues.append(str(error))
             if catalog is not None:
-                try:
-                    tree = RStarTree.from_state(catalog.index_state, store)
-                    index_summary = tree.verify_summary()
-                    issues.extend(f"index: {issue}"
-                                  for issue in index_summary["issues"])
-                except (KeyError, TypeError) as error:
-                    issues.append(
-                        f"metadata: malformed index state: {error!r}")
+                tree = RStarTree.from_state(catalog.index_state, store)
+                index_summary = tree.verify_summary()
+                issues.extend(f"index: {issue}"
+                              for issue in index_summary["issues"])
+                if not index_summary["issues"]:
+                    issues.extend(f"catalog: {issue}" for issue
+                                  in _catalog_disagreements(catalog, tree))
         finally:
             store.close()
 
@@ -114,3 +118,48 @@ def fsck_database(directory: str) -> dict[str, Any]:
     if events.enabled:
         events.emit("fsck", summary)
     return summary
+
+
+def _listed(what: str, items: list[tuple[int, ...]]) -> list[str]:
+    """One issue naming the first few of ``items``, or none."""
+    if not items:
+        return []
+    shown = ", ".join(map(str, items[:5])) + (", ..." if len(items) > 5
+                                               else "")
+    return [f"{len(items)} {what}: {shown}"]
+
+
+def _catalog_disagreements(catalog: Catalog, tree: RStarTree) -> list[str]:
+    """How the catalog's region rows and the index's leaves disagree.
+
+    Every row ``(image_id, region_index)`` must be a leaf item exactly
+    once, keyed by that row's signature.  (That the index's recorded
+    size is the row count, the decode checked; that it is the leaf
+    count, ``verify_summary``.)  Both sides are sorted by item and
+    compared whole.  ``tree`` must have verified clean, so that its
+    walk ends.
+    """
+    table = catalog.region_table()
+    rows = catalog.region_items()
+    leaves = list(tree.items())
+    items = np.array([item for _, item in leaves],
+                     dtype=np.int64).reshape(-1, 2)
+    mine = np.lexsort(rows.T[::-1])
+    theirs = np.lexsort(items.T[::-1])
+    if np.array_equal(rows[mine], items[theirs]):
+        shape = (len(leaves), table.lower.shape[1])
+        lower = np.array([rect.lower for rect, _ in leaves]).reshape(shape)
+        upper = np.array([rect.upper for rect, _ in leaves]).reshape(shape)
+        moved = ~((table.lower[mine] == lower[theirs])
+                  & (table.upper[mine] == upper[theirs])).all(axis=1)
+        return _listed("index keys are not their catalog row's signature",
+                       [tuple(item) for item in rows[mine][moved].tolist()])
+    catalog_rows = set(map(tuple, rows.tolist()))
+    index_items = Counter(map(tuple, items.tolist()))
+    return (_listed("catalog rows are not index items",
+                    sorted(catalog_rows - index_items.keys()))
+            + _listed("index items have no catalog row",
+                      sorted(index_items.keys() - catalog_rows))
+            + _listed("index items appear more than once",
+                      sorted(item for item, count in index_items.items()
+                             if count > 1)))

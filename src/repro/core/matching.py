@@ -25,6 +25,7 @@ variations).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.bitmap import CoverageBitmap
 from repro.core.regions import Region
@@ -64,12 +65,13 @@ def _similarity(query_covered: int, target_covered: int, query_area: int,
     raise ParameterError(f"unknown area_mode {area_mode!r}")
 
 
-def _empty_like(regions: list[Region]) -> CoverageBitmap:
+def _empty_like(regions: Sequence[Region]) -> CoverageBitmap:
     bitmap = regions[0].bitmap
     return CoverageBitmap(bitmap.height, bitmap.width, bitmap.grid)
 
 
-def quick_match(query_regions: list[Region], target_regions: list[Region],
+def quick_match(query_regions: list[Region],
+                target_regions: Sequence[Region],
                 pairs: list[tuple[int, int]], *,
                 area_mode: str = "both",
                 deadline: Deadline | None = None) -> MatchOutcome:
@@ -94,7 +96,8 @@ def quick_match(query_regions: list[Region], target_regions: list[Region],
     )
 
 
-def greedy_match(query_regions: list[Region], target_regions: list[Region],
+def greedy_match(query_regions: list[Region],
+                 target_regions: Sequence[Region],
                  pairs: list[tuple[int, int]], *,
                  area_mode: str = "both",
                  deadline: Deadline | None = None) -> MatchOutcome:
@@ -146,7 +149,8 @@ def greedy_match(query_regions: list[Region], target_regions: list[Region],
     )
 
 
-def exact_match(query_regions: list[Region], target_regions: list[Region],
+def exact_match(query_regions: list[Region],
+                target_regions: Sequence[Region],
                 pairs: list[tuple[int, int]], *, area_mode: str = "both",
                 max_pairs: int = 20,
                 deadline: Deadline | None = None) -> MatchOutcome:

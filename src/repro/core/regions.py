@@ -52,6 +52,17 @@ class RegionSignature:
         return cls(np.asarray(lower, dtype=np.float64),
                    np.asarray(upper, dtype=np.float64))
 
+    @classmethod
+    def _trusted(cls, lower: np.ndarray,
+                 upper: np.ndarray) -> "RegionSignature":
+        """A signature over float64 rows already known to satisfy
+        ``lower <= upper`` (a catalog decode checks its columns whole),
+        without re-checking them."""
+        signature = object.__new__(cls)
+        object.__setattr__(signature, "lower", lower)
+        object.__setattr__(signature, "upper", upper)
+        return signature
+
     @property
     def is_point(self) -> bool:
         return bool(np.array_equal(self.lower, self.upper))

@@ -88,7 +88,7 @@ class _Pickled1x:
 #: array reconstructors under their numpy 1.x and 2.x module names.
 _CLASSES_1X = {("repro.index.node", "Node"), ("repro.index.node", "Entry"),
                ("repro.index.geometry", "Rect")}
-_NUMPY_GLOBALS = {("numpy", "dtype"), ("numpy", "ndarray")} | {
+NUMPY_GLOBALS = {("numpy", "dtype"), ("numpy", "ndarray")} | {
     (f"numpy.{core}.{module}", name) for core in ("core", "_core")
     for module, name in (("multiarray", "_reconstruct"),
                          ("numeric", "_frombuffer"))}
@@ -100,7 +100,7 @@ class _Unpickler1x(pickle.Unpickler):
     def find_class(self, module: str, name: str) -> Any:
         if (module, name) in _CLASSES_1X:
             return _Pickled1x
-        if (module, name) in _NUMPY_GLOBALS:
+        if (module, name) in NUMPY_GLOBALS:
             return super().find_class(module, name)
         raise StorageError(f"names the global {module}.{name}, which no "
                            "1.x page holds; refusing to load it")

@@ -24,6 +24,7 @@ import repro
 import repro.observability
 from repro.clustering.cftree import CFNode
 from repro.core.bitmap import CoverageBitmap
+from repro.core.catalog import IndexedImage
 from repro.core.database import WalrusDatabase
 from repro.core.fsck import fsck_database
 from repro.core.parameters import ExtractionParameters, QueryParameters
@@ -314,9 +315,10 @@ class TestDeprecatedShims:
             f"{verb}_on_disk" for verb in ("create", "open")]
         assert [name for name in removed
                 if name in vars(WalrusDatabase)] == []
-        # The catalog record (core/catalog.py) and the v2 reader
-        # inside ``walrus migrate`` (index/migrate.py) are the only
-        # users of pickle; the module that opens live page files is not.
+        # The allow-listed readers of 2.x catalog records
+        # (core/migrate.py) and of v2 pages (index/migrate.py) are the
+        # only users of pickle; the catalog and the module that opens
+        # live page files are not.
         package = pathlib.Path(repro.__file__).parent
         importers, store_subclasses = set(), []
         for path in package.rglob("*.py"):
@@ -334,7 +336,7 @@ class TestDeprecatedShims:
                     continue
                 if "pickle" in modules:
                     importers.add(path.relative_to(package).as_posix())
-        assert importers == {"core/catalog.py", "index/migrate.py"}
+        assert importers == {"core/migrate.py", "index/migrate.py"}
         # 2.3: the catalog record and the directory layout have one
         # owner, and each scalar twin is the batch form's one-item case.
         sources = {path.relative_to(package).as_posix():
@@ -386,6 +388,9 @@ class TestDeprecatedShims:
                        for node in ast.walk(function)
                        if isinstance(node, ast.For)]
         assert codec_loops == []
+        # 2.6: the catalog record is columns; an image is never pickled.
+        assert [name for name in ("__getstate__", "__setstate__")
+                if name in vars(IndexedImage)] == []
         # 2.2: one page-store class below the tree, no second tree.
         for module in ("repro.index.storage_v3", "repro.index.gist"):
             assert importlib.util.find_spec(module) is None

@@ -16,6 +16,7 @@ from tools.lint.rules.format_spec import FormatSpecRule
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 INDEX_DIR = os.path.join(REPO_ROOT, "src", "repro", "index")
+CATALOG = os.path.join(REPO_ROOT, "src", "repro", "core", "catalog.py")
 DOC_PATH = os.path.join(REPO_ROOT, "docs", "FORMAT.md")
 
 
@@ -29,7 +30,7 @@ def run_against_doc(doc_path, paths=(INDEX_DIR,)):
 
 
 def test_real_tree_conforms():
-    findings = run_paths([INDEX_DIR], [FormatSpecRule()])
+    findings = run_paths([INDEX_DIR, CATALOG], [FormatSpecRule()])
     assert findings == [], "\n" + "\n".join(f.render() for f in findings)
 
 
@@ -60,6 +61,19 @@ def test_code_drift_is_caught(tmp_path):
     assert all(f.code == "R013" for f in findings)
     assert any("_RECORD" in f.message and "'<QQI'" in f.message
                for f in findings)
+
+
+def test_catalog_drift_is_caught(tmp_path):
+    text = read_doc()
+    assert "(`<4sIqqIIqq>`), magic `WCAT`, record version 1" in text
+    tampered = tmp_path / "FORMAT.md"
+    tampered.write_text(text.replace("`<4sIqqIIqq>`", "`<4sIqqIIq>`")
+                            .replace("record version 1", "record version 2"))
+    findings = run_against_doc(str(tampered), paths=[CATALOG])
+    assert len(findings) == 2, "\n".join(f.render() for f in findings)
+    assert all(f.path.endswith("catalog.py") for f in findings)
+    messages = " | ".join(f.message for f in findings)
+    assert "_HEADER" in messages and "_VERSION" in messages
 
 
 def test_reworded_anchor_fails_loudly(tmp_path):
@@ -106,3 +120,4 @@ def test_rule_ignores_non_layout_modules():
     assert not rule.applies_to("src/repro/index/storage_v3.py")
     assert rule.applies_to("src/repro/index/storage.py")
     assert rule.applies_to("src/repro/index/nodecodec.py")
+    assert rule.applies_to("src/repro/core/catalog.py")

@@ -1,8 +1,9 @@
 """R013 — docs/FORMAT.md and the struct constants cannot drift.
 
-docs/FORMAT.md is the byte-level contract for the v2/v3 page files:
-magic strings, struct format codes, field offsets, alignment.  Nothing
-executable ties it to ``storage.py`` / ``nodecodec.py``, so a layout
+docs/FORMAT.md is the byte-level contract for the v2/v3 page files
+and the catalog record inside them: magic strings, struct format codes,
+field offsets, alignment, record versions.  Nothing executable ties it
+to ``storage.py`` / ``nodecodec.py`` / ``catalog.py``, so a layout
 change that forgets the doc (or a doc edit that forgets the code) ships
 a spec that lies.  This project rule closes the loop: during the
 per-file pass it collects the module-level struct constants from the
@@ -29,8 +30,8 @@ from typing import Iterator
 
 from tools.lint.engine import Finding, Rule, SourceFile, register
 
-#: Storage modules whose constants define the on-disk layout.
-_LAYOUT_MODULES = frozenset({"storage.py", "nodecodec.py"})
+#: Modules whose constants define the on-disk layout.
+_LAYOUT_MODULES = frozenset({"storage.py", "nodecodec.py", "catalog.py"})
 
 
 def _norm(fmt: str) -> str:
@@ -88,6 +89,10 @@ class _DocSpec:
     align: int | None = None
     table_id: int | None = None
     meta_id: int | None = None
+    catalog_size: int | None = None
+    catalog_fmt: str | None = None
+    catalog_magic: str | None = None
+    catalog_version: int | None = None
     magic_strings: frozenset[str] = frozenset()
 
     @classmethod
@@ -142,6 +147,13 @@ class _DocSpec:
                           text, re.DOTALL)
         if match:
             spec.meta_id = 2 ** 64 - int(match.group(1))
+        match = re.search(r"Catalog header — (\d+) bytes \(`([^`]+)`\), "
+                          r"magic `(\w+)`, record version (\d+)", text)
+        if match:
+            spec.catalog_size = int(match.group(1))
+            spec.catalog_fmt = _norm(match.group(2))
+            spec.catalog_magic = match.group(3)
+            spec.catalog_version = int(match.group(4))
         spec.magic_strings = frozenset(
             re.findall(r"`(WALRUS\w+)`", text))
         return spec
@@ -153,7 +165,8 @@ class FormatSpecRule(Rule):
     name = "format-spec-conformance"
     rationale = ("docs/FORMAT.md is the on-disk contract; magic "
                  "strings, struct format codes and offsets must match "
-                 "the constants in storage.py/nodecodec.py exactly")
+                 "the constants in storage.py/nodecodec.py/catalog.py "
+                 "exactly")
     project = True
 
     def __init__(self, doc_path: str | None = None) -> None:
@@ -292,6 +305,13 @@ class FormatSpecRule(Rule):
         yield "nodecodec.py", [
             ("fmt", "_NODE_HEADER", spec.node_fmt, "node-header layout"),
             ("size", "_NODE_HEADER", spec.node_size, "node-header size"),
+        ]
+        yield "catalog.py", [
+            ("fmt", "_HEADER", spec.catalog_fmt, "catalog-header layout"),
+            ("size", "_HEADER", spec.catalog_size, "catalog-header size"),
+            ("magic", "_MAGIC", spec.catalog_magic, "catalog magic"),
+            ("int", "_VERSION", spec.catalog_version,
+             "catalog record version"),
         ]
 
     def _compare(self, constants: _Constants, kind: str, name: str,
