@@ -165,7 +165,7 @@ class CoverageBitmap:
         # as rows @ cells @ cols.T (exact: integer sums far below 2**53).
         covered = _cell_extents(ys, row_edges) @ cells \
             @ _cell_extents(xs, col_edges).T
-        block_sizes = np.outer(np.diff(row_edges), np.diff(col_edges))
+        block_sizes = _block_sizes(height, width, grid)
         nonempty = block_sizes > 0
         blocks = np.zeros((len(groups), grid, grid), dtype=bool)
         blocks[:, nonempty] = covered[:, nonempty] \

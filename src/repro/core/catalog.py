@@ -385,17 +385,6 @@ class Catalog:
         return RegionTable.concat(
             parts or [RegionTable.from_regions([], self.params, 1, 1)])
 
-    def region_items(self) -> np.ndarray:
-        """``(image_id, region_index)`` of each :meth:`region_table`
-        row, as an ``(N, 2)`` int64 array."""
-        records = self._records()
-        counts = [len(record.regions) for record in records]
-        starts = np.repeat(np.cumsum([0] + counts[:-1]), counts)
-        return np.column_stack((
-            np.repeat([record.image_id for record in records],
-                      counts).astype(np.int64),
-            np.arange(sum(counts), dtype=np.int64) - starts))
-
     def encode(self) -> bytes:
         """The record's bytes, as handed to ``store.set_metadata``."""
         params = self.params

@@ -140,7 +140,14 @@ def _catalog_disagreements(catalog: Catalog, tree: RStarTree) -> list[str]:
     walk ends.
     """
     table = catalog.region_table()
-    rows = catalog.region_items()
+    # Row r of the table is (image_id, region_index): images by id,
+    # each image's regions in order.
+    ids = np.array(sorted(catalog.images), dtype=np.int64)
+    counts = np.array([len(catalog.images[image_id].regions)
+                       for image_id in ids.tolist()], dtype=np.int64)
+    firsts = np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.column_stack((np.repeat(ids, counts),
+                            np.arange(len(firsts), dtype=np.int64) - firsts))
     leaves = list(tree.items())
     items = np.array([item for _, item in leaves],
                      dtype=np.int64).reshape(-1, 2)

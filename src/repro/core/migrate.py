@@ -126,6 +126,6 @@ def upgrade_catalog_record(blob: bytes, source: str) -> bytes:
         return Catalog(meta["params"], images, meta["next_id"],
                        meta["index_state"]).encode()
     except (AttributeError, KeyError, TypeError, ValueError,
-            DatabaseError) as error:
+            RecursionError, DatabaseError) as error:
         raise DatabaseError(f"{source}: metadata is not a WALRUS "
                             f"checkpoint: {error!r}") from None

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
+import struct
 from collections.abc import Sequence
 
 import numpy as np
@@ -239,6 +241,32 @@ class TestLegacyRecords:
         with pytest.raises(DatabaseError, match="metadata is corrupt"):
             WalrusDatabase.open(directory, readonly=True)
 
+    def test_too_deeply_nested_field_is_a_database_error(self, tmp_path,
+                                                         scenes):
+        """Unpickling restores a dataclass without running its checks,
+        so an unused field can hold a list nested past the recursion
+        limit; re-encoding it must fail as a bad record."""
+        directory = str(tmp_path / "db")
+        build(directory, PARAMS, scenes[:1])
+        placeholder = 1234.5678
+        record = pickle.dumps(
+            {"params": PARAMS.with_(merge_factor=placeholder), "images": {},
+             "next_id": 0, "index_state": WalrusDatabase.create(
+                 params=PARAMS).index.state()},
+            protocol=2)
+        float_op = b"G" + struct.pack(">d", placeholder)
+        assert record.count(float_op) == 1
+        # EMPTY_LIST n times, then APPEND n - 1 times: n nested lists.
+        depth = 100_000
+        record = record.replace(float_op,
+                                b"]" * depth + b"a" * (depth - 1))
+        with open_page_store(page_path(directory)) as store:
+            store.set_metadata(record)
+        with pytest.raises(DatabaseError, match="not a WALRUS checkpoint"):
+            WalrusDatabase.open(directory, readonly=True)
+        summary = fsck_database(directory)
+        assert not summary["ok"]
+
 
 def commit_edited_catalog(directory, edit):
     """Commit the directory's catalog after ``edit(catalog)``."""
@@ -271,6 +299,18 @@ class TestFsckChecksCatalogAgainstIndex:
                 database.query(render_scene("flowers", seed=7,
                                             size=(64, 64)))
         return summary["issues"]
+
+    def test_empty_catalog(self, tmp_path):
+        directory = str(tmp_path / "empty")
+        WalrusDatabase.create(directory, params=PARAMS).close()
+        assert fsck_database(directory)["ok"]
+
+    def test_catalog_emptied_by_removals(self, directory):
+        with WalrusDatabase.open(directory) as database:
+            for image_id in list(database.images):
+                database.remove_image(image_id)
+        summary = fsck_database(directory)
+        assert summary["ok"], summary["issues"]
 
     def test_missing_row(self, directory):
         def drop_last(catalog):
