@@ -72,7 +72,7 @@ def main() -> None:
 
     print("\nbring-your-own page store (caller owns the file layout)")
     page_file = os.path.join(workdir, "custom.pages")
-    store = MmapPageStore(page_file, buffer_pages=64)
+    store = MmapPageStore(page_file)
     database = WalrusDatabase.create(params=PARAMS, store=store)
     database.add_images(scenes)
     store.sync()

@@ -149,9 +149,8 @@ class WalrusDatabase:
         ``store`` substitutes a caller-provided page store for the
         default (memory, or the mmap store over ``regions.pages`` when
         ``path`` is given — used by the fault-injection tests and
-        custom storage wrappers, and the way to a non-default
-        ``buffer_pages``); a disk-backed substitute must persist to
-        the same file for :meth:`open` to reattach.
+        custom storage wrappers); a disk-backed substitute must
+        persist to the same file for :meth:`open` to reattach.
         """
         if path is None:
             return cls(params, store=store, max_entries=max_entries,

@@ -224,11 +224,11 @@ class FaultInjectingMmapPageStore(MmapPageStore):
     the store before it is ever usable — exactly like a real process.
     """
 
-    def __init__(self, path: str | os.PathLike, buffer_pages: int = 256,
-                 *, plan: FaultPlan | None = None,
+    def __init__(self, path: str | os.PathLike, *,
+                 plan: FaultPlan | None = None,
                  readonly: bool = False) -> None:
         self.plan = plan if plan is not None else FaultPlan()
-        super().__init__(path, buffer_pages, readonly=readonly)
+        super().__init__(path, readonly=readonly)
 
     def _wrap_file(self, stream: Any) -> Any:
         return FaultyFile(stream, self.plan)

@@ -87,6 +87,14 @@ class PageStore:
     lifecycle and integrity methods have safe defaults matching an
     ephemeral in-memory store (nothing durable, generation 0, an empty
     scan), so simple backends stay simple.
+
+    **One object per page id:** once read or written, a page's ``read``
+    returns that same object (across :meth:`sync` too) until it is
+    freed or rewritten.  An :class:`~repro.index.rstar.RStarTree`
+    insert edits nodes held by outer frames while nested calls re-read
+    those pages, so a store that hands out a second copy (evicting a
+    page, or decoding clean pages afresh) loses edits and corrupts the
+    tree.  Only between tree operations may a store start afresh.
     """
 
     # -- core addressing -----------------------------------------------

@@ -99,6 +99,13 @@ class IndexCounters:
         return f"<IndexCounters {inner}>"
 
 
+def _row_is(node: Node, index: int, lower: np.ndarray,
+            upper: np.ndarray) -> bool:
+    """Whether ``node``'s row ``index`` holds exactly these bounds."""
+    return bool(np.array_equal(node.lower[index], lower)
+                and np.array_equal(node.upper[index], upper))
+
+
 class _Insertion:
     """One insertion's state, shared with the reinserts it triggers:
     levels whose forced reinsert is spent, and the node now holding
@@ -320,9 +327,18 @@ class RStarTree:
 
     def _insert_row(self, row: Row, target_level: int,
                     insertion: _Insertion) -> None:
-        split = self._insert_recursive(self.root_id, row, target_level,
-                                       insertion)
-        if split is not None:
+        root_id = self.root_id
+        split = self._insert_recursive(root_id, row, target_level, insertion)
+        if self.root_id != root_id:
+            # A reinsert below split ``root_id`` and grew the tree above
+            # it while this walk still held it: nothing above refreshed
+            # its row, and its own split belongs one level up.
+            level = self._read(root_id).level
+            self._refresh_above(level)
+            if split is not None:
+                self._insert_row((*self._read(split).mbr(), split),
+                                 level + 1, insertion)
+        elif split is not None:
             old_root = self._read(self.root_id)
             new_root = self._new_node(old_root.level + 1)
             (old_lower, old_upper), (new_lower, new_upper) = (
@@ -351,8 +367,11 @@ class RStarTree:
         # forced reinserts can shrink it) wherever that row is now.
         holder = node if child_id in node.refs \
             else insertion.holders[child_id]
-        holder.set_row(holder.refs.index(child_id),
-                       *self._read(child_id).mbr())
+        index, bounds = holder.refs.index(child_id), self._read(child_id).mbr()
+        stale = holder is not node and not _row_is(holder, index, *bounds)
+        holder.set_row(index, *bounds)
+        if stale:  # no frame above refreshes a moved holder's own row
+            self._refresh_above(holder.level)
         if split is not None:
             node.append(*self._read(split).mbr(), split)
             result = self._overflow(node, insertion)
@@ -360,6 +379,24 @@ class RStarTree:
             return result
         self._write(node)
         return None
+
+    def _refresh_above(self, level: int) -> None:
+        """Reset every row of every node above ``level`` to its child's
+        MBR, bottom up, writing the nodes that change."""
+        def refresh(node: Node) -> None:
+            changed = False
+            for index, child_id in enumerate(node.refs):
+                child = self._read(child_id)
+                if child.level > level:
+                    refresh(child)
+                bounds = child.mbr()
+                if not _row_is(node, index, *bounds):
+                    node.set_row(index, *bounds)
+                    changed = True
+            if changed:
+                self._write(node)
+
+        refresh(self._read(self.root_id))
 
     def _overflow(self, node: Node, insertion: _Insertion) -> int | None:
         """Handle a possibly overflowing node: reinsert once per level,
@@ -797,9 +834,8 @@ class RStarTree:
                   and len(node) < self.min_entries):
                 issues.append(f"node {page_id} underfull ({len(node)} < "
                               f"{self.min_entries})")
-            if parent is not None and not (node.refs and all(
-                    np.array_equal(bounds[row], own) for bounds, own
-                    in zip((parent.lower, parent.upper), node.mbr()))):
+            if parent is not None and not (
+                    node.refs and _row_is(parent, row, *node.mbr())):
                 issues.append(f"node {parent.page_id}: stale MBR for "
                               f"child {page_id}")
             if node.is_leaf:

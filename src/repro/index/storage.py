@@ -46,10 +46,10 @@ The file is crash-safe and self-verifying (byte-level spec:
   referenced from the header slot, so it commits atomically with the
   page table — the database keeps its image catalog here, eliminating
   the torn-commit window between two separate files.
-* ``sync()`` is an atomic commit: spill dirty pages, append the page
-  table record and any staged metadata, ``fsync``, then write the
-  *inactive* header slot and ``fsync`` again.  A crash at any byte
-  boundary reopens to the previous committed generation.
+* ``sync()`` is an atomic commit: append each page written since the
+  last one once, the page table record and any staged metadata,
+  ``fsync``, then write the *inactive* header slot and ``fsync``
+  again.  A crash at any byte boundary reopens to the previous commit.
 * ``compact()`` rewrites into a side file and ``os.replace``\\ s it into
   place (plus a directory fsync), so compaction is also crash-safe.
   Space from rewritten pages is reclaimed only there.
@@ -75,7 +75,6 @@ import mmap
 import os
 import struct
 import zlib
-from collections import OrderedDict
 from typing import Any, Iterable, TypeVar
 
 from repro.exceptions import PageCorruptionError, StorageError
@@ -311,12 +310,16 @@ class MmapPageStore(PageStore):
     append-only heap file, read zero-copy through ``mmap``.
 
     Superblock, dual-slot atomic commit, record framing and CRCs, the
-    LRU write-back buffer pool, compaction and the integrity scan all
-    live here.  Only R*-tree :class:`~repro.index.node.Node` pages can
-    be stored (the fixed layout is what buys the zero-copy read);
-    storing anything else raises :class:`StorageError`.  The database
-    keeps its catalog in the metadata blob, which is opaque bytes, so
-    this restriction is invisible above the index layer.
+    page map, compaction and the integrity scan all live here.  Only
+    R*-tree :class:`~repro.index.node.Node` pages can be stored (the
+    fixed layout is what buys the zero-copy read); storing anything
+    else raises :class:`StorageError`.  The database keeps its catalog
+    in the metadata blob, which is opaque bytes, so this restriction
+    is invisible above the index layer.
+
+    The page map keeps every page read or written since open (or the
+    last :meth:`compact`) and evicts nothing: one object per page id,
+    as :class:`~repro.index.pagestore.PageStore` requires.
 
     Parameters
     ----------
@@ -324,9 +327,6 @@ class MmapPageStore(PageStore):
         Heap file location.  An existing file is reopened (its page
         table is read from the newest valid header slot); a missing
         file is created.
-    buffer_pages:
-        Capacity of the write-back LRU buffer pool.  Dirty pages are
-        spilled to the file on eviction and on :meth:`sync`.
     readonly:
         Open an existing file without write access: ``allocate`` /
         ``write`` / ``free`` / ``sync`` / ``compact`` raise
@@ -334,14 +334,11 @@ class MmapPageStore(PageStore):
         integrity tooling (``walrus fsck``).
     """
 
-    def __init__(self, path: str | os.PathLike[str], buffer_pages: int = 256,
-                 *, readonly: bool = False) -> None:
-        if buffer_pages < 1:
-            raise StorageError("buffer pool needs at least one page")
+    def __init__(self, path: str | os.PathLike[str], *,
+                 readonly: bool = False) -> None:
         self.path = os.fspath(path)
-        self.buffer_pages = buffer_pages
         self.readonly = readonly
-        self._buffer: OrderedDict[int, Any] = OrderedDict()
+        self._pages: dict[int, Any] = {}
         self._dirty: set[int] = set()
         self._offsets: dict[int, tuple[int, int]] = {}  # id -> (offset, size)
         self._next_id = 0
@@ -497,6 +494,10 @@ class MmapPageStore(PageStore):
         self._file.write(b"\0" * padding + header + payload)
         return end + padding, _RECORD.size + len(payload)
 
+    def _append_page(self, page_id: int, page: Any) -> None:
+        self._offsets[page_id] = self._append_record(page_id,
+                                                     encode_node(page))
+
     def _encode_table(self) -> bytes:
         parts = [_TABLE_STAMP.pack(_TABLE_MAGIC, FORMAT_VERSION),
                  _TABLE_COUNT.pack(len(self._offsets))]
@@ -554,9 +555,9 @@ class MmapPageStore(PageStore):
 
     def read(self, page_id: int) -> Any:
         self._check_open()
-        if page_id in self._buffer:
-            self._buffer.move_to_end(page_id)
-            return self._buffer[page_id]
+        page = self._pages.get(page_id)
+        if page is not None:
+            return page
         location = self._offsets.get(page_id)
         if location is None:
             raise StorageError(f"page {page_id} does not exist")
@@ -569,25 +570,26 @@ class MmapPageStore(PageStore):
             # add where it happened.
             raise StorageError(f"{self.path}: offset {offset}: {error}")\
                 from error
-        self._cache(page_id, page, dirty=False)
+        self._pages[page_id] = page
         return page
 
     def write(self, page_id: int, page: Any) -> None:
         self._check_writable()
         if not 0 <= page_id < self._next_id:
             raise StorageError(f"page {page_id} was never allocated")
-        self._cache(page_id, page, dirty=True)
+        self._pages[page_id] = page
+        self._dirty.add(page_id)
 
     def free(self, page_id: int) -> None:
         self._check_writable()
-        in_buffer = self._buffer.pop(page_id, None) is not None
+        in_memory = self._pages.pop(page_id, None) is not None
         self._dirty.discard(page_id)
         on_disk = self._offsets.pop(page_id, None) is not None
-        if not in_buffer and not on_disk:
+        if not in_memory and not on_disk:
             raise StorageError(f"page {page_id} does not exist")
 
     def page_ids(self) -> set[int]:
-        return set(self._offsets) | set(self._buffer)
+        return self._offsets.keys() | self._dirty
 
     @property
     def generation(self) -> int:
@@ -632,15 +634,16 @@ class MmapPageStore(PageStore):
     def sync(self) -> None:
         """Atomically commit all pages, the page table, and metadata.
 
-        Order matters: spill dirty pages, append the table record and
-        any staged metadata, fsync so the data is durable, then flip
-        the header (write the inactive slot, fsync).  A crash before
-        the header flip reopens to the previous generation; the flip
-        itself is protected by the dual slots' generation + CRC scheme.
+        Order matters: append each page written since the last commit
+        once (in id order), the table record and any staged metadata,
+        fsync so the data is durable, then flip the header (write the
+        inactive slot, fsync).  A crash before the flip reopens to the
+        previous generation; the flip itself is protected by the dual
+        slots' generation + CRC scheme.
         """
         self._check_writable()
         for page_id in sorted(self._dirty):
-            self._spill(page_id, self._buffer[page_id])
+            self._append_page(page_id, self._pages[page_id])
         self._dirty.clear()
         table_offset, table_size = self._append_record(
             _TABLE_ID, self._encode_table())
@@ -659,6 +662,7 @@ class MmapPageStore(PageStore):
                 self.sync()
         finally:
             self._closed = True
+            self._pages.clear()  # drop this store's views of the mapping
             self._file.close()
             self._retire_map()
             still_referenced = []
@@ -684,22 +688,6 @@ class MmapPageStore(PageStore):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # -- buffer pool ----------------------------------------------------
-    def _cache(self, page_id: int, page: Any, *, dirty: bool) -> None:
-        self._buffer[page_id] = page
-        self._buffer.move_to_end(page_id)
-        if dirty:
-            self._dirty.add(page_id)
-        while len(self._buffer) > self.buffer_pages:
-            victim, victim_page = self._buffer.popitem(last=False)
-            if victim in self._dirty:
-                self._spill(victim, victim_page)
-                self._dirty.discard(victim)
-
-    def _spill(self, page_id: int, page: Any) -> None:
-        self._offsets[page_id] = self._append_record(page_id,
-                                                     encode_node(page))
 
     def compact(self) -> None:
         """Rewrite the heap file, dropping dead page versions.
@@ -727,7 +715,7 @@ class MmapPageStore(PageStore):
         self._file.close()
         os.replace(side_path, self.path)
         fsync_directory(os.path.dirname(os.path.abspath(self.path)))
-        self._buffer.clear()
+        self._pages.clear()
         self._dirty.clear()
         self._offsets.clear()
         self._file = self._wrap_file(open(self.path, "r+b"))
@@ -739,8 +727,8 @@ class MmapPageStore(PageStore):
 
         Returns a :class:`StoreReport`; issues include checksum
         failures, truncated records, and table entries pointing past
-        the end of the file.  Buffered-but-unsynced pages are skipped
-        (they have no on-disk record yet).
+        the end of the file.  Pages written since the last :meth:`sync`
+        are skipped (they have no on-disk record yet).
         """
         self._check_open()
         self._file.seek(0, os.SEEK_END)
@@ -794,14 +782,14 @@ def write_page_file(path: str, pages: Iterable[tuple[int, Any]], *,
     """
     if os.path.exists(path):
         os.unlink(path)
-    store = MmapPageStore(path, buffer_pages=1)
+    store = MmapPageStore(path)
     try:
         store._next_id = next_id
         store._generation = generation - 1  # close() is the one commit
         if metadata is not None:
             store.set_metadata(metadata)
         for page_id, page in pages:
-            store._spill(page_id, page)
+            store._append_page(page_id, page)
         store.close()
     except BaseException:
         store.abandon()
@@ -811,7 +799,6 @@ def write_page_file(path: str, pages: Iterable[tuple[int, Any]], *,
 
 
 def open_page_store(path: str | os.PathLike[str], *,
-                    buffer_pages: int = 256,
                     readonly: bool = False) -> MmapPageStore:
     """Open the existing page file at ``path``.
 
@@ -825,11 +812,10 @@ def open_page_store(path: str | os.PathLike[str], *,
         raise StorageError(
             f"{spath}: no page file to open; create one with "
             "create_page_store()")
-    return MmapPageStore(spath, buffer_pages=buffer_pages, readonly=readonly)
+    return MmapPageStore(spath, readonly=readonly)
 
 
-def create_page_store(path: str | os.PathLike[str], *,
-                      buffer_pages: int = 256) -> MmapPageStore:
+def create_page_store(path: str | os.PathLike[str]) -> MmapPageStore:
     """Create a fresh page file at ``path``.
 
     Refuses to overwrite an existing non-empty file — reopening goes
@@ -841,4 +827,4 @@ def create_page_store(path: str | os.PathLike[str], *,
             f"{spath}: page file already exists; open it with "
             "open_page_store()"
         )
-    return MmapPageStore(spath, buffer_pages=buffer_pages)
+    return MmapPageStore(spath)

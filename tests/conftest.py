@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from typing import Any
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ def heap_record_ids(page_path: str | os.PathLike[str]) -> list[int]:
         position += _RECORD.size + payload_size
         position += -position % 8
     return ids
+
+
+def record_writes(store: Any, monkeypatch: pytest.MonkeyPatch) -> set[int]:
+    """A set that collects the id of every page written to ``store``
+    from now on."""
+    written: set[int] = set()
+    write = store.write
+
+    def recording_write(page_id: int, page: Any) -> None:
+        written.add(page_id)
+        write(page_id, page)
+
+    monkeypatch.setattr(store, "write", recording_write)
+    return written
 
 
 @pytest.fixture

@@ -198,7 +198,7 @@ class TestPersistence:
             WalrusDatabase.open(str(path))
 
     def test_file_backed_index(self, params, flower_factory, tmp_path):
-        store = MmapPageStore(tmp_path / "pages.db", buffer_pages=16)
+        store = MmapPageStore(tmp_path / "pages.db")
         database = WalrusDatabase(params, store=store)
         database.add_images([
             flower_factory(64, 64, radius=18, name="flower"),

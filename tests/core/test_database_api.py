@@ -348,7 +348,6 @@ class TestDeprecatedShims:
                 if "WalrusDatabase" in sources[name]] == []
         database_source = sources["core/database.py"]
         assert "__new__" not in database_source
-        assert "buffer_pages=" not in database_source
         assert database_source.count("self.index.insert(") == 1
         assert database_source.count('emit("ingest"') == 1
         dp_loops = [function.name for function in ast.walk(
@@ -391,6 +390,16 @@ class TestDeprecatedShims:
         # 2.6: the catalog record is columns; an image is never pickled.
         assert [name for name in ("__getstate__", "__setstate__")
                 if name in vars(IndexedImage)] == []
+        # 2.7: no page buffer pool and no option to size one; the
+        # frozen ledger still wraps the alias's own read / compact.
+        examples = pathlib.Path(__file__).parents[2] / "examples"
+        assert [name for name, text in sources.items()
+                if "buffer_pages" in text] == []
+        assert [path.name for path in examples.glob("*.py")
+                if "buffer_pages" in path.read_text("utf-8")] == []
+        assert [name for name in ("OrderedDict", "popitem")
+                if name in sources["index/storage.py"]] == []
+        assert {"read", "compact"} <= set(vars(storage.PageFileBase))
         # 2.2: one page-store class below the tree, no second tree.
         for module in ("repro.index.storage_v3", "repro.index.gist"):
             assert importlib.util.find_spec(module) is None

@@ -209,12 +209,11 @@ class TestMigratedV3:
         directory, _ = v2_db
         migrate_database(directory)
         assert main(["fsck", directory]) == 0
-        # buffer_pages=1 keeps every node read cold; open() itself
-        # unpickles the catalog, so the tripwire arms only afterwards.
+        # A fresh store decodes every node on its first read; open()
+        # itself reads the catalog, so the tripwire arms only afterwards.
         database = WalrusDatabase.open(
             directory, readonly=True,
-            store=open_page_store(page_path(directory), buffer_pages=1,
-                                  readonly=True))
+            store=open_page_store(page_path(directory), readonly=True))
         try:
             def forbidden(*args, **kwargs):  # pragma: no cover
                 raise AssertionError("v3 query path called pickle.loads")

@@ -19,9 +19,9 @@ from tests.nodepages import node_page, page_value
 pytestmark = pytest.mark.faults
 
 
-def populated(path, pages=5, buffer_pages=256):
+def populated(path, pages=5):
     """``pages`` committed node pages, each carrying its own id."""
-    store = MmapPageStore(path, buffer_pages=buffer_pages)
+    store = MmapPageStore(path)
     for index in range(pages):
         page_id = store.allocate()
         store.write(page_id, node_page(page_id, page_id))
@@ -107,7 +107,7 @@ class TestTransientErrors:
         path = tmp_path / "pages.db"
         populated(path).close()
         plan = FaultPlan()
-        store = FaultInjectingMmapPageStore(path, 1, plan=plan)
+        store = FaultInjectingMmapPageStore(path, plan=plan)
         plan.crashed = True  # the process "died" elsewhere
         with pytest.raises(SimulatedCrash):
             store.read(0)
@@ -117,10 +117,9 @@ class TestCrashDuringSync:
     def workload(self, path, plan=None):
         """Create, commit a baseline, mutate, and re-sync under faults."""
         if plan is None:
-            store = MmapPageStore(path, buffer_pages=4)
+            store = MmapPageStore(path)
         else:
-            store = FaultInjectingMmapPageStore(path, buffer_pages=4,
-                                                plan=plan)
+            store = FaultInjectingMmapPageStore(path, plan=plan)
         ids = [store.allocate() for _ in range(8)]
         for page_id in ids:
             store.write(page_id, node_page(page_id, 1))
@@ -304,7 +303,7 @@ class TestReadonly:
 class TestCompactCrashSafety:
     def test_compact_under_crash_leaves_original(self, tmp_path):
         path = tmp_path / "pages.db"
-        store = populated(path, pages=6, buffer_pages=2)
+        store = populated(path, pages=6)
         for _ in range(10):  # accumulate dead versions
             store.write(0, node_page(0, 0, entries=16))
             store.sync()
@@ -321,7 +320,7 @@ class TestCompactCrashSafety:
         # side-file phase uses a plain store, so only the post-replace
         # reopen runs through the plan — crash the first op after it.
         victim_path = tmp_path / "victim.db"
-        original = populated(victim_path, pages=6, buffer_pages=2)
+        original = populated(victim_path, pages=6)
         original.close()
         plan = FaultPlan(crash_after_ops=start_ops + 1, torn_writes=False)
         victim = FaultInjectingMmapPageStore(victim_path, plan=plan)
@@ -369,12 +368,14 @@ class TestTreeVerify:
         assert any("dangling" in issue for issue in issues)
 
     def test_corrupt_page_reported_not_raised(self, tmp_path):
-        store = MmapPageStore(tmp_path / "tree.db", buffer_pages=1)
+        from repro.index.rstar import RStarTree
+        path = tmp_path / "tree.db"
+        store = MmapPageStore(path)
         tree = self.build_tree(store)
-        store.sync()
         victim = next(iter(store.page_ids() - {tree.root_id}))
-        store._buffer.clear()  # force the next read from disk
-        corrupt_page(tmp_path / "tree.db", victim)
-        issues = tree.verify()
-        assert any("checksum" in issue for issue in issues)
         store.close()
+        corrupt_page(path, victim)
+        # A reopened store reads every page from disk.
+        with MmapPageStore(path, readonly=True) as reopened:
+            issues = RStarTree.from_state(tree.state(), reopened).verify()
+        assert any("checksum" in issue for issue in issues)

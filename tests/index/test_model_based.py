@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import StorageError
 from repro.index.geometry import Rect
+from repro.index.node import Node
 from repro.index.rstar import RStarTree
 from repro.index.pagestore import MemoryPageStore
 from repro.index.storage import MmapPageStore
@@ -27,16 +28,15 @@ class TestStorageModel:
                       st.integers(0, 14), st.integers(0, 10_000)),
             min_size=1, max_size=60,
         ),
-        buffer_pages=st.sampled_from([1, 2, 8]),
     )
     @settings(max_examples=40, deadline=None)
     def test_file_store_matches_dict_model(self, operations,
-                                           buffer_pages, tmp_path_factory):
-        """Random op sequences on MmapPageStore behave like a dict."""
+                                           tmp_path_factory):
+        """Random op sequences on MmapPageStore behave like a dict whose
+        values are the very objects written, syncs or not."""
         directory = tmp_path_factory.mktemp("store")
-        store = MmapPageStore(directory / "pages.db",
-                              buffer_pages=buffer_pages)
-        model: dict[int, int] = {}
+        store = MmapPageStore(directory / "pages.db")
+        model: dict[int, Node] = {}
         allocated = 0
         try:
             for op, slot, value in operations:
@@ -44,11 +44,11 @@ class TestStorageModel:
                     while allocated <= slot:
                         store.allocate()
                         allocated += 1
-                    store.write(slot, node_page(slot, value))
-                    model[slot] = value
+                    model[slot] = node_page(slot, value)
+                    store.write(slot, model[slot])
                 elif op == "read":
                     if slot in model:
-                        assert page_value(store.read(slot)) == model[slot]
+                        assert store.read(slot) is model[slot]
                     else:
                         with pytest.raises(StorageError):
                             store.read(slot)
@@ -61,12 +61,16 @@ class TestStorageModel:
                             store.free(slot)
                 else:
                     store.sync()
-            # Every live page is still readable after a final sync.
             store.sync()
-            for slot, value in model.items():
-                assert page_value(store.read(slot)) == value
+            for slot, page in model.items():
+                assert store.read(slot) is page
         finally:
             store.close()
+        # Every live page, and nothing else, reads back after a reopen.
+        with MmapPageStore(directory / "pages.db", readonly=True) as reopened:
+            assert {slot: page_value(reopened.read(slot))
+                    for slot in reopened.page_ids()} \
+                == {slot: page_value(page) for slot, page in model.items()}
 
     @given(
         operations=st.lists(

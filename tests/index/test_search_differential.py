@@ -64,7 +64,7 @@ def assert_equals_oracle(tree: RStarTree, boxes, rng) -> None:
 def test_tree_equals_scan_across_mutations(kind, on_disk, tmp_path):
     rng = np.random.default_rng(26)
     path = tmp_path / "tree.pages"
-    store = MmapPageStore(path, buffer_pages=16) if on_disk \
+    store = MmapPageStore(path) if on_disk \
         else MemoryPageStore()
     tree = RStarTree(DIMS, store=store, max_entries=8)
     assert_equals_oracle(tree, [], rng)

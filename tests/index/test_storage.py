@@ -61,18 +61,27 @@ class TestFilePageStore:
             assert node_contents(store.read(page_id)) \
                 == node_contents(node_page(page_id, 123, entries=3))
 
-    def test_eviction_spills_and_reloads(self, tmp_path):
-        with MmapPageStore(tmp_path / "pages.db", buffer_pages=2) as store:
-            ids = [store.allocate() for _ in range(10)]
-            for page_id in ids:
-                store.write(page_id, node_page(page_id, page_id + 100))
-            # Everything readable despite a 2-page pool.
-            for page_id in ids:
-                assert page_value(store.read(page_id)) == page_id + 100
+    def test_read_returns_written_object_across_sync(self, tmp_path):
+        path = tmp_path / "pages.db"
+        with MmapPageStore(path) as store:
+            pages = {}
+            for _ in range(10):
+                page_id = store.allocate()
+                pages[page_id] = node_page(page_id, page_id + 100)
+                store.write(page_id, pages[page_id])
+            store.sync()
+            for page_id, page in pages.items():
+                assert store.read(page_id) is page
+        # A clean page is decoded once and then stays the same object.
+        with MmapPageStore(path) as store:
+            first = store.read(3)
+            store.sync()
+            assert store.read(3) is first
+            assert page_value(first) == 103
 
     def test_persistence_across_reopen(self, tmp_path):
         path = tmp_path / "pages.db"
-        store = MmapPageStore(path, buffer_pages=4)
+        store = MmapPageStore(path)
         ids = [store.allocate() for _ in range(5)]
         for page_id in ids:
             store.write(page_id, node_page(page_id, page_id * 7))
@@ -86,13 +95,14 @@ class TestFilePageStore:
         reopened.close()
 
     def test_overwrite_returns_latest(self, tmp_path):
-        with MmapPageStore(tmp_path / "pages.db", buffer_pages=1) as store:
+        with MmapPageStore(tmp_path / "pages.db") as store:
             a = store.allocate()
             b = store.allocate()
             store.write(a, node_page(a, 1))
-            store.write(b, node_page(b, 10))  # evicts a
-            store.write(a, node_page(a, 2))
-            store.write(b, node_page(b, 20))  # evicts a again
+            store.write(b, node_page(b, 10))
+            store.sync()
+            store.write(a, node_page(a, 2))  # over a committed version
+            store.write(b, node_page(b, 20))
             assert page_value(store.read(a)) == 2
 
     def test_free_then_read_fails(self, tmp_path):
@@ -110,13 +120,9 @@ class TestFilePageStore:
         with pytest.raises(StorageError):
             MmapPageStore(path)
 
-    def test_rejects_zero_buffer(self, tmp_path):
-        with pytest.raises(StorageError):
-            MmapPageStore(tmp_path / "pages.db", buffer_pages=0)
-
     def test_compact_reclaims_space(self, tmp_path):
         path = tmp_path / "pages.db"
-        store = MmapPageStore(path, buffer_pages=1)
+        store = MmapPageStore(path)
         page_id = store.allocate()
         for version in range(50):
             store.write(page_id, node_page(page_id, version, entries=16))

@@ -12,13 +12,17 @@ import pytest
 
 from repro.exceptions import PageCorruptionError, StorageError
 from repro.index.faults import corrupt_page
+from repro.index.geometry import Rect
 from repro.index.node import Node
 from repro.index.migrate import read_v2_page_file
-from repro.index.storage import (_MAGIC_V3, _SUPER,
-                                 _TABLE_ID, MmapPageStore,
-                                 committed_generation, create_page_store,
-                                 open_page_store, page_file_version)
-from tests.conftest import heap_record_ids
+from repro.index.nodecodec import encode_node
+from repro.index.rstar import RStarTree
+from repro.index.storage import (_MAGIC_V3, _RECORD, _SUPER, _TABLE_COUNT,
+                                 _TABLE_ENTRY, _TABLE_ID, _TABLE_STAMP,
+                                 MmapPageStore, committed_generation,
+                                 create_page_store, open_page_store,
+                                 page_file_version)
+from tests.conftest import heap_record_ids, record_writes
 from tests.nodepages import node_contents, node_page
 from tests.v2store import write_v2_page_file
 
@@ -32,8 +36,8 @@ def make_node(page_id, level=0, count=4, dims=4):
     return Node(page_id, level, lower, lower + 0.2, refs)
 
 
-def populated(path, pages=5, buffer_pages=256):
-    store = MmapPageStore(path, buffer_pages=buffer_pages)
+def populated(path, pages=5):
+    store = MmapPageStore(path)
     for _ in range(pages):
         page_id = store.allocate()
         store.write(page_id, make_node(page_id))
@@ -43,8 +47,10 @@ def populated(path, pages=5, buffer_pages=256):
 
 def write_golden(path):
     """The calls ``tests/fixtures/golden_v3.pages`` was written with,
-    at the commit before ``MmapPageStore`` absorbed its base class."""
-    with MmapPageStore(path, buffer_pages=2) as store:
+    at the commit before ``MmapPageStore`` absorbed its base class
+    (then with a two-page buffer pool, whose evictions happened to
+    append the pages in the id order a commit appends them in)."""
+    with MmapPageStore(path) as store:
         for _ in range(5):
             page_id = store.allocate()
             store.write(page_id, node_page(page_id, page_id + 10,
@@ -94,7 +100,7 @@ class TestMmapPageStore:
         for page_id in sorted(store.page_ids()):
             originals[page_id] = node_contents(store.read(page_id))
         store.close()
-        with MmapPageStore(path, buffer_pages=1) as reopened:
+        with MmapPageStore(path) as reopened:
             for page_id, contents in originals.items():
                 assert node_contents(reopened.read(page_id)) == contents
             assert reopened.allocate() == len(originals)
@@ -102,7 +108,7 @@ class TestMmapPageStore:
     def test_cold_read_is_pickle_free(self, tmp_path, monkeypatch):
         path = tmp_path / "pages.db"
         populated(path).close()
-        store = MmapPageStore(path, buffer_pages=1, readonly=True)
+        store = MmapPageStore(path, readonly=True)
 
         def forbidden(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("v3 read path called pickle.loads")
@@ -115,7 +121,7 @@ class TestMmapPageStore:
     def test_reads_are_zero_copy_views(self, tmp_path):
         path = tmp_path / "pages.db"
         populated(path).close()
-        store = MmapPageStore(path, buffer_pages=1, readonly=True)
+        store = MmapPageStore(path, readonly=True)
         node = store.read(0)
         lower = node.lower
         assert lower.base is not None  # aliases the mapping, no copy
@@ -157,7 +163,7 @@ class TestMmapPageStore:
 
     def test_free_compact_generation(self, tmp_path):
         path = tmp_path / "pages.db"
-        store = populated(path, pages=6, buffer_pages=2)
+        store = populated(path, pages=6)
         for _ in range(10):  # pile up dead versions
             store.write(0, make_node(0, count=6))
             store.sync()
@@ -189,6 +195,42 @@ class TestMmapPageStore:
         assert store.metadata == b"catalog"
         assert node_contents(store.read(0)) \
             == node_contents(make_node(0, count=6))
+        store.close()
+
+    def test_sync_appends_each_written_page_once(self, tmp_path,
+                                                 monkeypatch):
+        """Work gate: a commit appends the pages written since the last
+        one, once each however often they were rewritten, then one
+        table record — byte for byte, nothing else."""
+        def aligned(size):
+            return size + -size % 8
+
+        path = tmp_path / "pages.db"
+        store = MmapPageStore(path)
+        tree = RStarTree(3, store=store, max_entries=4)
+        rng = np.random.default_rng(32)
+        points = rng.uniform(size=(80, 3))
+        for index, point in enumerate(points[:60]):
+            tree.insert_point(point, (index, 0))
+        store.sync()
+        written = record_writes(store, monkeypatch)
+        writes_before = tree.counters.node_writes
+        for index, point in enumerate(points[60:], start=60):
+            tree.insert_point(point, (index, 0))
+        for index in range(0, 60, 4):
+            tree.delete(Rect.from_point(points[index]),
+                        lambda item, gone=(index, 0): item == gone)
+        assert tree.counters.node_writes - writes_before > len(written)
+        live = sorted(written & store.page_ids())
+        records_before = len(heap_record_ids(path))
+        size_before = path.stat().st_size
+        store.sync()
+        assert heap_record_ids(path)[records_before:] == live + [_TABLE_ID]
+        table = (_TABLE_STAMP.size + _TABLE_COUNT.size
+                 + len(store.page_ids()) * _TABLE_ENTRY.size)
+        assert aligned(path.stat().st_size) - aligned(size_before) == sum(
+            aligned(_RECORD.size + len(encode_node(store.read(page_id))))
+            for page_id in live) + aligned(_RECORD.size + table)
         store.close()
 
     def test_metadata_round_trip(self, tmp_path):

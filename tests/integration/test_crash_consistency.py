@@ -52,8 +52,7 @@ def run_workload(directory, plan, query_image):
     """
     os.makedirs(directory, exist_ok=True)
     page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
-    store = FaultInjectingMmapPageStore(page_path, buffer_pages=8,
-                                        plan=plan)
+    store = FaultInjectingMmapPageStore(page_path, plan=plan)
     database = WalrusDatabase.create(directory, params=PARAMS, store=store)
     database.add_images(scenes())
     database.checkpoint()
@@ -112,7 +111,7 @@ class TestCheckpointCrashes:
         os.makedirs(probe_dir)
         probe = FaultInjectingMmapPageStore(
             os.path.join(probe_dir, WalrusDatabase.PAGE_FILE),
-            buffer_pages=8, plan=FaultPlan())
+            plan=FaultPlan())
         construction_ops = probe.plan.mutation_ops
         probe.close()
 
@@ -120,8 +119,7 @@ class TestCheckpointCrashes:
         os.makedirs(directory)
         page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
         store = FaultInjectingMmapPageStore(
-            page_path, buffer_pages=8,
-            plan=FaultPlan(crash_after_ops=construction_ops + 2))
+            page_path, plan=FaultPlan(crash_after_ops=construction_ops + 2))
         with pytest.raises(SimulatedCrash):
             WalrusDatabase.create(directory, params=PARAMS, store=store)
         assert os.listdir(directory) == []

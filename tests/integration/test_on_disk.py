@@ -11,9 +11,9 @@ from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.datasets.generator import render_scene
 from repro.exceptions import DatabaseError
-from repro.index.storage import (_TABLE_ID, committed_generation,
+from repro.index.storage import (_META_ID, _TABLE_ID, committed_generation,
                                  create_page_store)
-from tests.conftest import heap_record_ids
+from tests.conftest import heap_record_ids, record_writes
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
 
@@ -138,11 +138,8 @@ class TestLifecycle:
         directory = str(tmp_path / "db")
         os.makedirs(directory)
         page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
-        # A four-page buffer, through the store seam: pages spill
-        # between checkpoints.
         database = WalrusDatabase.create(
-            directory, params=PARAMS,
-            store=create_page_store(page_path, buffer_pages=4))
+            directory, params=PARAMS, store=create_page_store(page_path))
         database.add_images(scenes())
         # Churn: repeated checkpoints append dead page/table versions.
         for image_id in (0, 1):
@@ -186,6 +183,29 @@ class TestLifecycle:
             database.close()
             assert committed_generation(page_path) == generation + 1
             assert heap_record_ids(page_path).count(_TABLE_ID) == tables + 1
+
+    def test_checkpoint_appends_written_pages_and_changed_catalog(
+            self, tmp_path, monkeypatch):
+        """Work gate: an unchanged checkpoint appends the table record
+        only; a changed one, each page written since the last commit
+        once, the table and the catalog."""
+        directory = str(tmp_path / "db")
+        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+        database = WalrusDatabase.create(directory, params=PARAMS)
+        database.add_images(scenes())
+        database.checkpoint()
+        before = heap_record_ids(page_path)
+        database.checkpoint()
+        assert heap_record_ids(page_path)[len(before):] == [_TABLE_ID]
+        store = database.index.store
+        written = record_writes(store, monkeypatch)
+        database.remove_image(0)
+        database.add_image(render_scene("desert", seed=9, name="late"))
+        before = heap_record_ids(page_path)
+        database.checkpoint()
+        assert heap_record_ids(page_path)[len(before):] \
+            == sorted(written & store.page_ids()) + [_TABLE_ID, _META_ID]
+        database.close()
 
     def test_close_whose_checkpoint_fails_releases_the_store(
             self, tmp_path, monkeypatch):
