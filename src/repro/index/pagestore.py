@@ -91,10 +91,10 @@ class PageStore:
     **One object per page id:** once read or written, a page's ``read``
     returns that same object (across :meth:`sync` too) until it is
     freed or rewritten.  An :class:`~repro.index.rstar.RStarTree`
-    insert edits nodes held by outer frames while nested calls re-read
-    those pages, so a store that hands out a second copy (evicting a
-    page, or decoding clean pages afresh) loses edits and corrupts the
-    tree.  Only between tree operations may a store start afresh.
+    operation writes back every node it edits and never re-reads a page
+    an outer frame of the same walk holds, so the tree would also run
+    on a store that kept every write but handed out a fresh copy per
+    read.
     """
 
     # -- core addressing -----------------------------------------------

@@ -9,8 +9,9 @@ implementation follows the original R*-tree design:
   area enlargement.
 * **Forced reinsert** — the first overflow at each level per insertion
   evicts the ``reinsert_fraction`` of entries whose centers lie farthest
-  from the node's MBR center and reinserts them, which re-packs the tree
-  and defers splits.
+  from the node's MBR center, which re-packs the tree and defers splits.
+  The evicted entries go back in from the root once the walk that
+  evicted them has adjusted its path (ReInsert's RI3 before RI4).
 * **R\\* split** — choose the split axis by minimal total margin over all
   allowed distributions of the entries sorted by lower/upper bounds;
   choose the distribution with minimal overlap (ties: minimal combined
@@ -99,23 +100,16 @@ class IndexCounters:
         return f"<IndexCounters {inner}>"
 
 
-def _row_is(node: Node, index: int, lower: np.ndarray,
-            upper: np.ndarray) -> bool:
-    """Whether ``node``'s row ``index`` holds exactly these bounds."""
-    return bool(np.array_equal(node.lower[index], lower)
-                and np.array_equal(node.upper[index], upper))
-
-
 class _Insertion:
-    """One insertion's state, shared with the reinserts it triggers:
-    levels whose forced reinsert is spent, and the node now holding
-    each internal row a reinsert or split moved out of its parent."""
+    """One insertion's state: levels whose forced reinsert is spent,
+    and the ``(level, row)`` entries still to insert — the original
+    one, then those the reinserts evict, in eviction order."""
 
-    __slots__ = ("reinserted", "holders")
+    __slots__ = ("reinserted", "pending")
 
-    def __init__(self) -> None:
+    def __init__(self, level: int, row: Row) -> None:
         self.reinserted: set[int] = set()
-        self.holders: dict[int, Node] = {}
+        self.pending: list[tuple[int, Row]] = [(level, row)]
 
 
 class RStarTree:
@@ -224,12 +218,7 @@ class RStarTree:
         ``WalrusDatabase.add_images`` uses to pack a fresh database
         bottom-up while keeping its (possibly disk-backed) store.
         """
-        stack = [self.root_id]
-        while stack:
-            node = self._read(stack.pop())
-            if not node.is_leaf:
-                stack.extend(node.refs)
-            self.store.free(node.page_id)
+        self._free_subtree(self.root_id)
         root = Node(self.store.allocate(), level=0)
         self.root_id = root.page_id
         self.store.write(root.page_id, root)
@@ -318,36 +307,29 @@ class RStarTree:
     def insert(self, rect: Rect, item: Any) -> None:
         """Insert one ``(rect, item)`` pair."""
         self._check_rect(rect)
-        self._insert_row((rect.lower, rect.upper, item), 0, _Insertion())
+        self._insert(0, (rect.lower, rect.upper, item))
         self.size += 1
 
     def insert_point(self, point: np.ndarray, item: Any) -> None:
         """Insert a degenerate (point) rectangle."""
         self.insert(Rect.from_point(point), item)
 
-    def _insert_row(self, row: Row, target_level: int,
-                    insertion: _Insertion) -> None:
-        root_id = self.root_id
-        split = self._insert_recursive(root_id, row, target_level, insertion)
-        if self.root_id != root_id:
-            # A reinsert below split ``root_id`` and grew the tree above
-            # it while this walk still held it: nothing above refreshed
-            # its row, and its own split belongs one level up.
-            level = self._read(root_id).level
-            self._refresh_above(level)
+    def _insert(self, level: int, row: Row) -> None:
+        """Put ``row`` into a node at ``level``, then every entry its
+        forced reinserts evict, each after the walk that evicted it has
+        adjusted its path: every walk starts from an exact tree."""
+        insertion = _Insertion(level, row)
+        while insertion.pending:
+            level, row = insertion.pending.pop(0)
+            split = self._insert_recursive(self.root_id, row, level,
+                                           insertion)
             if split is not None:
-                self._insert_row((*self._read(split).mbr(), split),
-                                 level + 1, insertion)
-        elif split is not None:
-            old_root = self._read(self.root_id)
-            new_root = self._new_node(old_root.level + 1)
-            (old_lower, old_upper), (new_lower, new_upper) = (
-                old_root.mbr(), self._read(split).mbr())
-            new_root.lower = np.stack((old_lower, new_lower))
-            new_root.upper = np.stack((old_upper, new_upper))
-            new_root.refs = [old_root.page_id, split]
-            self._write(new_root)
-            self.root_id = new_root.page_id
+                old_root = self._read(self.root_id)
+                new_root = self._new_node(old_root.level + 1)
+                new_root.append(*old_root.mbr(), old_root.page_id)
+                new_root.append(*self._read(split).mbr(), split)
+                self._write(new_root)
+                self.root_id = new_root.page_id
 
     def _insert_recursive(self, page_id: int, row: Row, target_level: int,
                           insertion: _Insertion) -> int | None:
@@ -356,47 +338,19 @@ class RStarTree:
         node = self._read(page_id)
         if node.level == target_level:
             node.append(*row)
-            if target_level:
-                insertion.holders[row[2]] = node
             return self._overflow(node, insertion)
 
-        child_id = node.refs[self._choose_subtree(node, row[0], row[1])]
+        index = self._choose_subtree(node, row[0], row[1])
+        child_id = node.refs[index]
         split = self._insert_recursive(child_id, row, target_level,
                                        insertion)
-        # Refresh the child's row (it may have both grown and shrunk —
-        # forced reinserts can shrink it) wherever that row is now.
-        holder = node if child_id in node.refs \
-            else insertion.holders[child_id]
-        index, bounds = holder.refs.index(child_id), self._read(child_id).mbr()
-        stale = holder is not node and not _row_is(holder, index, *bounds)
-        holder.set_row(index, *bounds)
-        if stale:  # no frame above refreshes a moved holder's own row
-            self._refresh_above(holder.level)
+        # The child may have grown, or shrunk by a forced reinsert.
+        node.set_row(index, *self._read(child_id).mbr())
         if split is not None:
             node.append(*self._read(split).mbr(), split)
-            result = self._overflow(node, insertion)
-            self._write(node)
-            return result
+            return self._overflow(node, insertion)
         self._write(node)
         return None
-
-    def _refresh_above(self, level: int) -> None:
-        """Reset every row of every node above ``level`` to its child's
-        MBR, bottom up, writing the nodes that change."""
-        def refresh(node: Node) -> None:
-            changed = False
-            for index, child_id in enumerate(node.refs):
-                child = self._read(child_id)
-                if child.level > level:
-                    refresh(child)
-                bounds = child.mbr()
-                if not _row_is(node, index, *bounds):
-                    node.set_row(index, *bounds)
-                    changed = True
-            if changed:
-                self._write(node)
-
-        refresh(self._read(self.root_id))
 
     def _overflow(self, node: Node, insertion: _Insertion) -> int | None:
         """Handle a possibly overflowing node: reinsert once per level,
@@ -404,16 +358,15 @@ class RStarTree:
         if len(node) <= self.max_entries:
             self._write(node)
             return None
-        is_root = node.page_id == self.root_id
-        if (self.reinsert_count and not is_root
+        if (self.reinsert_count and node.page_id != self.root_id
                 and node.level not in insertion.reinserted):
             insertion.reinserted.add(node.level)
             self._force_reinsert(node, insertion)
             return None
-        return self._split_node(node, insertion)
+        return self._split_node(node)
 
     def _force_reinsert(self, node: Node, insertion: _Insertion) -> None:
-        """Evict the entries farthest from the MBR center and reinsert."""
+        """Move the entries farthest from the MBR center to ``pending``."""
         mbr_lower, mbr_upper = node.mbr()
         centers = (node.lower + node.upper) / 2.0
         # Each center's distance from the MBR's, as a point box's:
@@ -427,8 +380,7 @@ class RStarTree:
         self.counters.reinsert_ops += 1
         self.counters.reinserted_entries += len(evicted)
         self._write(node)
-        for row in evicted:
-            self._insert_row(row, node.level, insertion)
+        insertion.pending.extend((node.level, row) for row in evicted)
 
     def _choose_subtree(self, node: Node, lower: np.ndarray,
                         upper: np.ndarray) -> int:
@@ -464,15 +416,13 @@ class RStarTree:
     # ------------------------------------------------------------------
     # R* split
     # ------------------------------------------------------------------
-    def _split_node(self, node: Node, insertion: _Insertion) -> int:
+    def _split_node(self, node: Node) -> int:
         """Split ``node`` in place; return the new sibling's page id."""
         self.counters.splits += 1
         first, second = self._choose_split(node)
         sibling = self._new_node(node.level)
         sibling.lower, sibling.upper, sibling.refs = node.take(second)
         node.lower, node.upper, node.refs = node.take(first)
-        if node.level:
-            insertion.holders.update(dict.fromkeys(sibling.refs, sibling))
         self._write(node)
         self._write(sibling)
         return sibling.page_id
@@ -670,15 +620,35 @@ class RStarTree:
         orphans: list[tuple[int, Row]] = []  # (level, entry)
         self._delete_recursive(self.root_id, rect, match, removed, orphans)
         root = self._read(self.root_id)
-        if not root.is_leaf and len(root) == 1:
-            # Shrink the tree: the lone child becomes the root.
-            old_root_id = self.root_id
-            self.root_id = root.refs[0]
-            self.store.free(old_root_id)
+        while not root.is_leaf and len(root) <= 1:
+            if root.refs:  # shrink the tree: the lone child is the root
+                self.store.free(root.page_id)
+                self.root_id = root.refs[0]
+                root = self._read(self.root_id)
+            else:  # every child was dropped
+                root.level = 0
+                self._write(root)
         for level, row in orphans:
-            self._insert_row(row, level, _Insertion())
+            if level > root.level:  # too tall for the shrunk tree
+                for leaf_row in self._free_subtree(row[2]):
+                    self._insert(0, leaf_row)
+            else:
+                self._insert(level, row)
         self.size -= len(removed)
         return len(removed)
+
+    def _free_subtree(self, page_id: int) -> list[Row]:
+        """Free the subtree at ``page_id``; return its leaf entries."""
+        rows: list[Row] = []
+        stack = [page_id]
+        while stack:
+            node = self._read(stack.pop())
+            if node.is_leaf:
+                rows.extend(zip(node.lower, node.upper, node.refs))
+            else:
+                stack.extend(node.refs)
+            self.store.free(node.page_id)
+        return rows
 
     def _delete_recursive(self, page_id: int, rect: Rect,
                           match: Callable[[Any], bool],
@@ -784,11 +754,12 @@ class RStarTree:
         (checksum failures surface as :class:`StorageError` from the
         page store) become issues instead of exceptions, and the walk
         continues to report dangling child ids, duplicate references,
-        orphan pages, leaf-depth violations, nodes over capacity or
-        under the minimum fill, parent rows that differ from their
-        child's MBR, and a size mismatch.  An empty list means the
-        index is healthy.  :meth:`verify_summary` is the same walk as a
-        dict; :meth:`check_invariants` raises its first issue.
+        orphan pages, leaf-depth violations, internal nodes with no
+        entries, nodes over capacity or under the minimum fill, parent
+        rows that differ from their child's MBR, and a size mismatch.
+        An empty list means the index is healthy.  :meth:`verify_summary`
+        is the same walk as a dict; :meth:`check_invariants` raises its
+        first issue.
         """
         return list(self.verify_summary()["issues"])
 
@@ -827,6 +798,8 @@ class RStarTree:
                 issues.append(
                     f"node {page_id}: level {node.level} != expected "
                     f"{expect_level}")
+            if not (node.refs or node.is_leaf):
+                issues.append(f"internal node {page_id} has no entries")
             if len(node) > self.max_entries:
                 issues.append(f"node {page_id} overflows ({len(node)} > "
                               f"{self.max_entries})")
@@ -834,8 +807,9 @@ class RStarTree:
                   and len(node) < self.min_entries):
                 issues.append(f"node {page_id} underfull ({len(node)} < "
                               f"{self.min_entries})")
-            if parent is not None and not (
-                    node.refs and _row_is(parent, row, *node.mbr())):
+            if parent is not None and not (node.refs and all(
+                    np.array_equal(bounds[row], own) for bounds, own
+                    in zip((parent.lower, parent.upper), node.mbr()))):
                 issues.append(f"node {parent.page_id}: stale MBR for "
                               f"child {page_id}")
             if node.is_leaf:

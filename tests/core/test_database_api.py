@@ -400,6 +400,19 @@ class TestDeprecatedShims:
         assert [name for name in ("OrderedDict", "popitem")
                 if name in sources["index/storage.py"]] == []
         assert {"read", "compact"} <= set(vars(storage.PageFileBase))
+        # 2.8: entries a forced reinsert evicts go back from the root
+        # after the walk; nothing tracks rows moved under an outer frame.
+        rstar_source = sources["index/rstar.py"]
+        assert [name for name in ("_refresh_above", "_insert_row", "holders")
+                if name in rstar_source] == []
+        force_reinsert = next(
+            function for function in ast.walk(ast.parse(rstar_source))
+            if isinstance(function, ast.FunctionDef)
+            and function.name == "_force_reinsert")
+        assert [call.func.attr for call in ast.walk(force_reinsert)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and "insert" in call.func.attr] == []
         # 2.2: one page-store class below the tree, no second tree.
         for module in ("repro.index.storage_v3", "repro.index.gist"):
             assert importlib.util.find_spec(module) is None

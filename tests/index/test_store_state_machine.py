@@ -1,6 +1,7 @@
 """An R*-tree on the on-disk page store, driven as a state machine.
 
-Hypothesis interleaves inserts (point and box keys), deletes,
+Hypothesis interleaves inserts (point and box keys, and runs of copies
+of one key), deletes of one key or of every key at one rectangle,
 re-inserts of removed keys, commits, compactions and readonly reopens;
 after every step the tree must be sound, must answer what a scan of
 the live keys answers (``tests/oracle.py``), and the store must hand
@@ -92,6 +93,14 @@ class TreeOnDisk(RuleBasedStateMachine):
             self.add(self.new_key(),
                      Rect(lower, lower + np.array(side, dtype=float) / GRID))
 
+    @rule(cell=CELLS, side=SIDES, copies=st.integers(2, 8))
+    def insert_copies(self, cell: tuple[int, ...], side: tuple[int, ...],
+                      copies: int) -> None:
+        lower = np.array(cell, dtype=float) / GRID
+        rect = Rect(lower, lower + np.array(side, dtype=float) / GRID)
+        for _ in range(copies):
+            self.add(self.new_key(), rect)
+
     @precondition(lambda self: self.alive)
     @rule(pick=PICKS)
     def delete(self, pick: int) -> None:
@@ -99,6 +108,15 @@ class TreeOnDisk(RuleBasedStateMachine):
         rect = self.alive.pop(key)
         assert self.tree.delete(rect, lambda item: item == (key, 0)) == 1
         self.removed[key] = rect
+
+    @precondition(lambda self: self.alive)
+    @rule(pick=PICKS)
+    def delete_every_key_at_one_rect(self, pick: int) -> None:
+        rect = self.alive[sorted(self.alive)[pick % len(self.alive)]]
+        keys = [key for key, other in self.alive.items() if other == rect]
+        assert self.tree.delete(rect, lambda item: True) == len(keys)
+        for key in keys:
+            self.removed[key] = self.alive.pop(key)
 
     @precondition(lambda self: self.removed)
     @rule(pick=PICKS)
