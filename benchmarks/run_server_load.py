@@ -16,8 +16,12 @@ contract end to end:
 * **Structured overload** — a burst beyond the admission capacity
   must shed with JSON ``503`` + ``Retry-After``, never by hanging or
   crashing.
+* **Connection reuse** — each load client keeps one connection
+  alive, so the correctness phase must open fewer connections (the
+  daemon's ``server.connections`` counter) than half its requests.
 * **Clean drain** — SIGTERM must exit ``0`` after printing the
-  ``drained`` summary line; the process must never die on its own.
+  ``drained`` summary line, within 5 s even while a client holds an
+  idle kept-alive connection; the process must never die on its own.
 
 Run ``--smoke --faults`` for the CI-sized chaos pass; a JSON summary
 is printed either way and the exit status is non-zero on any
@@ -173,6 +177,17 @@ class ServerProcess:
             self.process.communicate()
 
 
+def accepted_connections(url: str) -> int:
+    """The daemon's ``server.connections`` counter, from ``/metrics``
+    (this scrape's own connection included)."""
+    with urllib.request.urlopen(url + "/metrics", timeout=10.0) as response:
+        for line in response.read().decode("utf-8").splitlines():
+            name, _, value = line.partition(" ")
+            if name == "walrus_server_connections":
+                return int(float(value))
+    return 0
+
+
 def correctness_phase(url: str, probe_paths: list[str],
                       expected: list[list], *, queries: int,
                       threads: int) -> dict:
@@ -182,39 +197,43 @@ def correctness_phase(url: str, probe_paths: list[str],
     lock = threading.Lock()
 
     def worker(worker_index: int) -> None:
-        client = WalrusClient(url, retry=RetryPolicy(
-            attempts=8, base_delay_seconds=0.05, max_delay_seconds=0.5,
-            budget_seconds=60.0, seed=worker_index))
-        for step in range(queries // threads):
-            probe = (worker_index + step) % len(probe_paths)
-            started = time.perf_counter()
-            try:
-                payload = client.query(probe_paths[probe])
-            except ServerError:
+        with WalrusClient(url, retry=RetryPolicy(
+                attempts=8, base_delay_seconds=0.05, max_delay_seconds=0.5,
+                budget_seconds=60.0, seed=worker_index)) as client:
+            for step in range(queries // threads):
+                probe = (worker_index + step) % len(probe_paths)
+                started = time.perf_counter()
+                try:
+                    payload = client.query(probe_paths[probe])
+                except ServerError:
+                    with lock:
+                        counters["failed"] += 1
+                    continue
+                elapsed = time.perf_counter() - started
+                answer = [[m["image_id"], m["name"],
+                           round(m["similarity"], 9)]
+                          for m in payload["matches"]]
                 with lock:
-                    counters["failed"] += 1
-                continue
-            elapsed = time.perf_counter() - started
-            answer = [[m["image_id"], m["name"],
-                       round(m["similarity"], 9)]
-                      for m in payload["matches"]]
-            with lock:
-                latencies.append(elapsed)
-                if payload.get("degraded"):
-                    counters["degraded"] += 1  # capped: not comparable
-                elif answer != expected[probe]:
-                    counters["wrong"] += 1
-                else:
-                    counters["ok"] += 1
+                    latencies.append(elapsed)
+                    if payload.get("degraded"):
+                        counters["degraded"] += 1  # capped: not comparable
+                    elif answer != expected[probe]:
+                        counters["wrong"] += 1
+                    else:
+                        counters["ok"] += 1
 
     pool = [threading.Thread(target=worker, args=(i,))
             for i in range(threads)]
+    before = accepted_connections(url)
     for thread in pool:
         thread.start()
     for thread in pool:
         thread.join()
     latencies.sort()
-    summary = dict(counters)
+    summary: dict = dict(counters)
+    summary["requests"] = queries // threads * threads
+    # Less the second scrape's own connection.
+    summary["connections"] = accepted_connections(url) - before - 1
     if latencies:
         summary["p50_seconds"] = round(statistics.median(latencies), 4)
         summary["p99_seconds"] = round(
@@ -232,25 +251,25 @@ def deadline_phase(url: str, fresh_paths: list[str],
     the budget at a fraction of the measured uncached latency.
     """
     budget = min(5.0, max(0.02, 0.4 * uncached_seconds))
-    client = WalrusClient(url, retry=RetryPolicy(
-        attempts=1, base_delay_seconds=0.05, max_delay_seconds=0.1,
-        budget_seconds=30.0, seed=0))
     summary = {"budget_seconds": round(budget, 4), "aborted": 0,
                "completed": 0, "late_aborts": 0, "failed": 0,
                "worst_abort_seconds": 0.0}
-    for path in fresh_paths:
-        try:
-            client.query(path, budget_seconds=budget)
-            summary["completed"] += 1
-        except DeadlineExceededError as error:
-            summary["aborted"] += 1
-            summary["worst_abort_seconds"] = round(
-                max(summary["worst_abort_seconds"],
-                    error.elapsed_seconds), 4)
-            if error.elapsed_seconds > 2.0 * budget:
-                summary["late_aborts"] += 1
-        except ServerError:
-            summary["failed"] += 1
+    with WalrusClient(url, retry=RetryPolicy(
+            attempts=1, base_delay_seconds=0.05, max_delay_seconds=0.1,
+            budget_seconds=30.0, seed=0)) as client:
+        for path in fresh_paths:
+            try:
+                client.query(path, budget_seconds=budget)
+                summary["completed"] += 1
+            except DeadlineExceededError as error:
+                summary["aborted"] += 1
+                summary["worst_abort_seconds"] = round(
+                    max(summary["worst_abort_seconds"],
+                        error.elapsed_seconds), 4)
+                if error.elapsed_seconds > 2.0 * budget:
+                    summary["late_aborts"] += 1
+            except ServerError:
+                summary["failed"] += 1
     return summary
 
 
@@ -266,11 +285,15 @@ def overload_phase(url: str, probe_path: str, *, threads: int) -> dict:
     summary = {"ok": 0, "shed_503": 0, "retry_after_present": 0,
                "other_errors": 0}
     lock = threading.Lock()
+    # Released together, so the burst arrives at once rather than as
+    # fast as the threads happen to start.
+    burst = threading.Barrier(threads)
 
     def worker(index: int) -> None:
         request = urllib.request.Request(
             url + "/query/batch", data=envelope,
             headers={"Content-Type": "application/json"}, method="POST")
+        burst.wait()
         try:
             with urllib.request.urlopen(request, timeout=30.0):
                 with lock:
@@ -323,8 +346,11 @@ def main(argv: list[str] | None = None) -> int:
             probe_paths.append(path)
         # A second, differently-seeded collection: images the server
         # has never seen, so deadline-phase extractions are uncached.
+        # They are larger than the collection's, so that their
+        # extraction outlasts the deadline phase's 20 ms budget floor.
         fresh = generate_dataset(DatasetSpec(
-            images_per_class=1, seed=args.seed + 1)).images[:6]
+            images_per_class=1, sizes=((384, 384),),
+            seed=args.seed + 1)).images[:6]
         fresh_paths = []
         for index, image in enumerate(fresh):
             path = os.path.join(workdir, f"fresh{index}.ppm")
@@ -351,7 +377,12 @@ def main(argv: list[str] | None = None) -> int:
                                       threads=max(8, 4 * args.sessions))
             if not server.alive():
                 violations.append("server died during the chaos phases")
-            returncode, tail = server.drain()
+            # The drain must not wait on a connection kept alive and idle.
+            with WalrusClient(server.url) as idle:
+                idle.healthz()
+                started = time.monotonic()
+                returncode, tail = server.drain()
+                drain_seconds = time.monotonic() - started
         finally:
             server.kill()
 
@@ -361,6 +392,11 @@ def main(argv: list[str] | None = None) -> int:
             f"unfaulted reference")
     if correctness["ok"] == 0:
         violations.append("no query succeeded in the load phase")
+    if correctness["connections"] >= correctness["requests"] / 2:
+        violations.append(
+            f"{correctness['connections']} connections for "
+            f"{correctness['requests']} requests: clients did not keep "
+            f"their connections alive")
     p99 = correctness.get("p99_seconds")
     if p99 is not None and p99 > args.p99_limit:
         violations.append(
@@ -378,6 +414,10 @@ def main(argv: list[str] | None = None) -> int:
     if returncode != 0:
         violations.append(
             f"SIGTERM drain exited {returncode}, want 0")
+    if drain_seconds > 5.0:
+        violations.append(
+            f"SIGTERM drain took {drain_seconds:.1f}s with an idle "
+            f"kept-alive connection open (limit 5s)")
     if "drained" not in tail:
         violations.append("drain summary line missing from stdout")
 
@@ -388,6 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         "deadline": deadline,
         "overload": overload,
         "drain": {"returncode": returncode,
+                  "seconds": round(drain_seconds, 3),
                   "summary_line": next(
                       (line for line in tail.splitlines()
                        if "drained" in line), None)},

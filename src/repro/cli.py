@@ -207,12 +207,12 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
         print("query: --scene is not supported with --server",
               file=sys.stderr)
         return 2
-    client = WalrusClient(args.server)
-    response = client.query(
-        args.image,
-        params={"epsilon": args.epsilon, "tau": args.tau,
-                "matching": args.matching, "max_results": args.top},
-        budget_seconds=args.budget, explain=args.explain)
+    with WalrusClient(args.server) as client:
+        response = client.query(
+            args.image,
+            params={"epsilon": args.epsilon, "tau": args.tau,
+                    "matching": args.matching, "max_results": args.top},
+            budget_seconds=args.budget, explain=args.explain)
     stats = response["stats"]
     print(f"query regions: {stats['query_regions']}  "
           f"regions retrieved: {stats['regions_retrieved']}  "

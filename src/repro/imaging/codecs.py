@@ -73,6 +73,7 @@ def read_pnm(source: Source) -> Image:
     :class:`Image`.
 
     PGM files produce ``gray`` images, PPM files produce ``rgb`` images.
+    A sample outside ``[0, maxval]`` is a :class:`CodecError`.
     """
     with _opened(source) as (stream, name):
         magic = stream.read(2)
@@ -91,15 +92,24 @@ def read_pnm(source: Source) -> Image:
             if len(payload) != n * bytes_per:
                 raise CodecError("truncated PNM payload")
             dtype = ">u2" if bytes_per == 2 else np.uint8
-            values = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+            samples = np.frombuffer(payload, dtype=dtype)
         else:
             text = stream.read().split()
             if len(text) < n:
                 raise CodecError("truncated ASCII PNM payload")
-            values = np.array([int(t) for t in text[:n]], dtype=np.float64)
-    pixels = (values / maxval).reshape(height, width, channels)
-    space = "gray" if channels == 1 else "rgb"
-    return Image(pixels, space, name)
+            try:
+                samples = np.array([int(t) for t in text[:n]],
+                                   dtype=np.int64)
+            except ValueError as error:
+                raise CodecError(f"bad ASCII PNM sample: {error}") from None
+            if samples.min() < 0:
+                raise CodecError("negative ASCII PNM sample")
+    if samples.max() > maxval:
+        raise CodecError(f"PNM sample {samples.max()} exceeds maxval {maxval}")
+    # Every sample in [0, maxval] puts every pixel in [0, 1], all that
+    # Image() would check, so the quotient is the image as it stands.
+    pixels = (samples / maxval).reshape(height, width, channels)
+    return Image._trusted(pixels, "gray" if channels == 1 else "rgb", name)
 
 
 def write_pnm(image: Image, path: str | os.PathLike, *,

@@ -94,6 +94,20 @@ class Image:
         self.color_space = color_space
         self.name = name
 
+    @classmethod
+    def _trusted(cls, pixels: np.ndarray, color_space: str,
+                 name: str = "") -> "Image":
+        """An image over an ``(H, W, C)`` float64 array already known to
+        lie in ``[0, 1]`` with the channels ``color_space`` needs (a
+        codec checks its samples against ``maxval``), without
+        re-checking it."""
+        pixels.setflags(write=False)
+        image = object.__new__(cls)
+        image.pixels = pixels
+        image.color_space = color_space
+        image.name = name
+        return image
+
     # ------------------------------------------------------------------
     # Basic geometry
     # ------------------------------------------------------------------

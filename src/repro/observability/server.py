@@ -2,9 +2,12 @@
 
 :class:`Listener` owns what every HTTP surface of this library needs:
 the threaded server and its request handler (silent, with a socket
-timeout), "send these bytes with a type and a length", bind failure →
-:class:`~repro.exceptions.ServerError`, the serve thread and its
-lifecycle, and the two routes both surfaces serve:
+timeout, keep-alive with ``TCP_NODELAY``, counting accepted
+connections as ``server.connections``), "send these bytes with a type
+and a length", bind failure → :class:`~repro.exceptions.ServerError`,
+the serve thread and its lifecycle (a stop that closes idle
+connections rather than wait on them), and the two routes both
+surfaces serve:
 
 * ``GET /metrics`` — a registry rendered by
   :func:`~repro.observability.export.render_prometheus`, served as
@@ -22,6 +25,7 @@ lifecycle, and the two routes both surfaces serve:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -71,10 +75,37 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
 
+    #: A reply goes out as two writes, headers then body.  With Nagle's
+    #: algorithm on, the body waits for the client's delayed ACK of the
+    #: headers: ~40 ms an exchange on a kept-alive connection.
+    disable_nagle_algorithm = True
+
     # BaseHTTPRequestHandler logs every request to stderr by default;
     # a scrape target hit every few seconds must stay silent.
     def log_message(self, format: str, *args: object) -> None:
         return None
+
+    def setup(self) -> None:
+        super().setup()
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.counter("server.connections").inc()
+
+    def handle_one_request(self) -> None:
+        # Until its next request line arrives a kept-alive connection
+        # is idle, and stop() closes it rather than wait on the read.
+        if not self.listener._await_request(self.connection):
+            self.close_connection = True
+            return
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        self.listener._leave_idle(self.connection)
+        return super().parse_request()
+
+    def finish(self) -> None:
+        self.listener._leave_idle(self.connection)
+        super().finish()
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._answer(self.listener.get_routes)
@@ -91,9 +122,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(reply.status)
         self.send_header("Content-Type", reply.content_type)
         self.send_header("Content-Length", str(len(reply.body)))
-        if reply.status >= 400:
+        if reply.status >= 400 or self.listener._closing:
             # The request body may have gone unread, and then the next
-            # request on this connection could not be framed.
+            # request on this connection could not be framed; a
+            # stopping listener takes no next request.
             self.send_header("Connection", "close")
         for name, value in (reply.headers or {}).items():
             self.send_header(name, value)
@@ -138,6 +170,11 @@ class Listener:
             str, Callable[[Message, BinaryIO], Reply]] = {}
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
+        # Kept-alive connections waiting for their next request, and
+        # whether stop() has begun closing them.
+        self._idle: set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
+        self._closing = False
 
     # -- routes ----------------------------------------------------------
     def _metrics(self) -> Reply:
@@ -170,6 +207,7 @@ class Listener:
         if self._server is not None:
             raise ServerError(f"{type(self).__name__} is already running")
         handler = type("_BoundHandler", (_Handler,), {"listener": self})
+        self._closing = False
         try:
             self._server = ThreadingHTTPServer((self.host, self.port),
                                                handler)
@@ -204,16 +242,40 @@ class Listener:
 
     def stop(self) -> None:
         """Stop serving, close the socket and join the serve thread
-        (idempotent).  With :attr:`joins_requests` the in-flight
-        handler threads are joined too; their sockets carry timeouts,
-        so the join is bounded."""
+        (idempotent).  Idle kept-alive connections are closed at once;
+        a request in flight finishes, its reply says ``Connection:
+        close``, and with :attr:`joins_requests` its handler thread is
+        joined (its socket carries a timeout, so the join is
+        bounded)."""
         server, thread = self._server, self._thread
         self._server, self._thread = None, None
         if server is not None:
             server.shutdown()
+            with self._idle_lock:
+                self._closing = True
+                idle, self._idle = self._idle, set()
+            for connection in idle:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already closed, by the peer or its handler
             server.server_close()
         if thread is not None:
             thread.join(timeout=SOCKET_TIMEOUT)
+
+    def _await_request(self, connection: socket.socket) -> bool:
+        """Mark ``connection`` idle; ``False`` once :meth:`stop` has
+        begun, when it must close instead."""
+        with self._idle_lock:
+            if self._closing:
+                return False
+            self._idle.add(connection)
+            return True
+
+    def _leave_idle(self, connection: socket.socket) -> None:
+        """``connection`` has a request to answer, or is closing."""
+        with self._idle_lock:
+            self._idle.discard(connection)
 
     def __enter__(self: _L) -> _L:
         return self.start()

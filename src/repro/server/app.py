@@ -35,10 +35,11 @@ readonly handles, time-bounded by a
 node reads, and degraded (``max_regions``) before they are shed.
 
 Lifecycle: :meth:`start` binds eagerly (``port=0`` supported),
-:meth:`stop` drains — the accept loop halts, queued-but-unserved
-requests get ``503 draining``, in-flight handler threads are joined —
-and is idempotent.  :meth:`serve_until_signal` wires SIGTERM/SIGINT
-to a clean drain for foreground use by the CLI.
+:meth:`stop` drains — the accept loop halts, idle kept-alive
+connections are closed, queued-but-unserved requests get ``503
+draining``, in-flight handler threads are joined — and is idempotent.
+:meth:`serve_until_signal` wires SIGTERM/SIGINT to a clean drain for
+foreground use by the CLI.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Any, BinaryIO, Callable, Iterator, NamedTuple
 
 from repro.core.parameters import QueryParameters
 from repro.core.results import QueryResult
-from repro.exceptions import (CodecError, DeadlineExceededError,
+from repro.exceptions import (DeadlineExceededError, ImageFormatError,
                               OverloadedError, ParameterError, ServerError,
                               WalrusError)
 from repro.imaging.codecs import read_image
@@ -237,9 +238,9 @@ class WalrusServer(Listener):
         """Drain and shut down (idempotent).
 
         New work is refused (``503 draining``), the accept loop halts,
-        in-flight handler threads are joined (their sockets carry
-        timeouts, so the join is bounded), then the reader sessions
-        close.
+        idle kept-alive connections are closed, in-flight handler
+        threads are joined (their sockets carry timeouts, so the join
+        is bounded), then the reader sessions close.
         """
         self.draining = True
         was_running = self._server is not None
@@ -418,7 +419,9 @@ class WalrusServer(Listener):
                    if value is not None), default=None)
         try:
             image = read_image(io.BytesIO(blob), suffix)
-        except CodecError as error:
+        except ImageFormatError as error:
+            # A codec error, or bytes that decode to no valid image: the
+            # request is wrong either way.
             raise _BadRequest(f"undecodable image: {error}") from error
         return _PreparedQuery(image, query_params, explain, cap,
                               degraded=cap != requested_cap)

@@ -15,6 +15,15 @@ treats an overloaded or flaky server:
 * The whole retry loop is capped by a wall-clock **budget**, so a
   dead server costs a bounded wait, not ``attempts x timeout``.
 
+Each client keeps one HTTP/1.1 connection alive and sends every
+request over it, so a hot query pays for no TCP handshake and no
+server handler thread.  It reconnects whenever the server closed the
+socket (every reply ``>= 400`` says ``Connection: close``).  A request
+that fails on a *reused* socket before its status line — the server
+closed the socket while it sat idle — goes once more on a fresh one
+without spending a retry attempt: every request the client sends is
+read-only.  A client is not thread-safe; give each thread its own.
+
 Jitter comes from a seeded ``random.Random`` (determinism rule R002):
 two clients with different seeds desynchronize their retries, one
 client replays identically.
@@ -29,12 +38,12 @@ the R*-tree probes.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import os
 import random
 import time
-import urllib.error
-import urllib.request
+from email.message import Message
 from typing import Any
 
 from repro.exceptions import (DeadlineExceededError, OverloadedError,
@@ -114,6 +123,13 @@ class RetriesExhausted(ServerError):
         self.last_error = last_error
 
 
+#: How a kept-alive socket the server has closed fails a request before
+#: its status line: a reset or broken pipe on send, or end-of-file
+#: where the status line should be (``RemoteDisconnected`` is a
+#: ``ConnectionResetError``).
+_STALE = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
+
+
 def _decode_payload(body: bytes) -> dict[str, Any]:
     try:
         payload = json.loads(body)
@@ -123,7 +139,12 @@ def _decode_payload(body: bytes) -> dict[str, Any]:
 
 
 class WalrusClient:
-    """JSON client for one daemon, with retry/backoff built in.
+    """JSON client for one daemon, with retry/backoff built in, over
+    one kept-alive connection.
+
+    Not thread-safe: use one client per thread.  :meth:`close` (or a
+    ``with`` block) releases the connection; a closed client reconnects
+    on its next request.
 
     Parameters
     ----------
@@ -143,8 +164,57 @@ class WalrusClient:
         self.base_url = base_url.rstrip("/")
         self.timeout_seconds = timeout_seconds
         self.retry = retry if retry is not None else RetryPolicy()
+        scheme, separator, rest = self.base_url.partition("://")
+        host, _, prefix = rest.partition("/")
+        if scheme.lower() != "http" or not separator or not host:
+            raise ServerError(f"base_url must be an http://host[:port] "
+                              f"URL, got {base_url!r}")
+        self._prefix = f"/{prefix}" if prefix else ""
+        try:
+            self._connection = http.client.HTTPConnection(
+                host, timeout=timeout_seconds)
+        except http.client.InvalidURL as error:
+            raise ServerError(f"bad base_url {base_url!r}: {error}") \
+                from error
+
+    def close(self) -> None:
+        """Close the kept-alive connection (idempotent)."""
+        self._connection.close()
+
+    def __enter__(self) -> "WalrusClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------
+    def _send(self, method: str, target: str, data: bytes | None,
+              headers: dict[str, str]) -> http.client.HTTPResponse:
+        connection = self._connection
+        try:
+            connection.request(method, target, data, headers)
+            return connection.getresponse()
+        except BaseException:
+            connection.close()
+            raise
+
+    def _exchange(self, method: str, target: str, data: bytes | None,
+                  headers: dict[str, str]) -> tuple[int, Message, bytes]:
+        """One request and its whole response, as ``(status, headers,
+        body)``; a stale kept-alive socket gets one fresh retry."""
+        reused = self._connection.sock is not None
+        try:
+            response = self._send(method, target, data, headers)
+        except _STALE:
+            if not reused:
+                raise
+            response = self._send(method, target, data, headers)
+        try:
+            return response.status, response.headers, response.read()
+        except BaseException:
+            self._connection.close()
+            raise
+
     def _once(self, path: str,
               payload: dict[str, Any] | None) -> dict[str, Any]:
         """One HTTP exchange; raises per the retry taxonomy."""
@@ -157,37 +227,34 @@ class WalrusClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json; charset=utf-8"
-        request = urllib.request.Request(url, data=data, headers=headers,
-                                         method="POST" if data else "GET")
-        try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout_seconds) as response:
-                return _decode_payload(response.read())
-        except urllib.error.HTTPError as error:
-            body = _decode_payload(error.read())
-            if error.code == 503:
-                retry_after = body.get("retry_after_seconds")
-                header = error.headers.get("Retry-After")
-                if retry_after is None and header is not None:
-                    try:
-                        retry_after = float(header)
-                    except ValueError:
-                        retry_after = None
-                raise OverloadedError(
-                    f"{url}: {body.get('error', 'overloaded')}",
-                    retry_after_seconds=(float(retry_after)
-                                         if retry_after is not None
-                                         else 1.0)) from error
-            if error.code == 504:
-                raise DeadlineExceededError(
-                    f"{url}: server exceeded the request deadline",
-                    budget_seconds=float(body.get("budget_seconds", 0.0)),
-                    elapsed_seconds=float(body.get("elapsed_seconds", 0.0)),
-                    context=str(body.get("context", ""))) from error
-            raise RequestFailed(
-                f"{url} returned {error.code}: "
-                f"{body.get('detail', body.get('error', 'error'))}",
-                status=error.code, payload=body) from error
+        status, reply_headers, blob = self._exchange(
+            "POST" if data else "GET", self._prefix + path, data, headers)
+        body = _decode_payload(blob)
+        if status < 400:
+            return body
+        if status == 503:
+            retry_after = body.get("retry_after_seconds")
+            header = reply_headers.get("Retry-After")
+            if retry_after is None and header is not None:
+                try:
+                    retry_after = float(header)
+                except ValueError:
+                    retry_after = None
+            raise OverloadedError(
+                f"{url}: {body.get('error', 'overloaded')}",
+                retry_after_seconds=(float(retry_after)
+                                     if retry_after is not None
+                                     else 1.0))
+        if status == 504:
+            raise DeadlineExceededError(
+                f"{url}: server exceeded the request deadline",
+                budget_seconds=float(body.get("budget_seconds", 0.0)),
+                elapsed_seconds=float(body.get("elapsed_seconds", 0.0)),
+                context=str(body.get("context", "")))
+        raise RequestFailed(
+            f"{url} returned {status}: "
+            f"{body.get('detail', body.get('error', 'error'))}",
+            status=status, payload=body)
 
     def request(self, path: str,
                 payload: dict[str, Any] | None = None, *,
@@ -214,8 +281,8 @@ class WalrusClient:
                 except OverloadedError as error:
                     last_error = str(error)
                     retry_after = error.retry_after_seconds
-                except urllib.error.URLError as error:
-                    last_error = f"connection failed: {error.reason}"
+                except (OSError, http.client.HTTPException) as error:
+                    last_error = f"connection failed: {error}"
                 if span.recording:
                     span.add_event("retry", attempt=attempt,
                                    detail=last_error)

@@ -86,6 +86,41 @@ class TestPnm:
         with pytest.raises(CodecError):
             write_pnm(image, tmp_path / "x.ppm")
 
+    @pytest.mark.parametrize("magic", [b"P5", b"P6", b"P2", b"P3"])
+    @pytest.mark.parametrize("maxval", [255, 100, 65535])
+    def test_pixels_are_samples_over_maxval_bit_for_bit(self, rng, magic,
+                                                        maxval):
+        channels = 3 if magic in (b"P3", b"P6") else 1
+        samples = rng.integers(0, maxval + 1, size=(5, 7, channels))
+        samples[0, 0, 0], samples[-1, -1, -1] = 0, maxval
+        dtype = ">u2" if maxval > 255 else np.uint8
+        raw = samples.astype(dtype).tobytes()
+        if magic in (b"P2", b"P3"):
+            payload = " ".join(str(v) for v in samples.ravel()).encode()
+        else:
+            payload = raw
+        blob = magic + b"\n7 5\n" + str(maxval).encode() + b"\n" + payload
+        loaded = read_pnm(io.BytesIO(blob))
+        expected = (np.frombuffer(raw, dtype=dtype).astype(np.float64)
+                    / maxval).reshape(5, 7, channels)
+        assert loaded.pixels.dtype == np.float64
+        assert loaded.pixels.tobytes() == expected.tobytes()
+        assert not loaded.pixels.flags.writeable
+        assert loaded.color_space == ("rgb" if channels == 3 else "gray")
+        assert loaded == Image(expected, loaded.color_space)
+
+    @pytest.mark.parametrize("blob", [
+        b"P6\n2 1\n100\n" + bytes([255, 0, 0, 10, 10, 10]),
+        b"P5\n2 1\n1000\n" + np.array([1001, 0], dtype=">u2").tobytes(),
+        b"P3\n2 1\n100\n255 0 0 10 10 10\n",
+        b"P2\n2 1\n1000\n0 1001\n",
+        b"P2\n2 1\n255\n0 -1\n",
+        b"P2\n2 1\n255\n0 x\n",
+    ], ids=["p6", "p5-16bit", "p3", "p2-16bit", "negative", "not-a-number"])
+    def test_rejects_samples_outside_zero_to_maxval(self, blob):
+        with pytest.raises(CodecError):
+            read_pnm(io.BytesIO(blob))
+
     @given(height=st.integers(1, 12), width=st.integers(1, 12),
            seed=st.integers(0, 999))
     @settings(max_examples=20, deadline=None)

@@ -205,6 +205,29 @@ class TestErrors:
         # The body was never framed, so the connection cannot go on.
         assert response.getheader("Connection") == "close"
 
+    def test_sample_above_maxval_is_400(self, db_dir):
+        # 255 > maxval 100: decoded as-is it would be a pixel of 2.55.
+        blob = b"P6\n2 1\n100\n" + bytes([255, 0, 0, 10, 10, 10])
+        bad = {"image": base64.b64encode(blob).decode("ascii"),
+               "format": ".ppm"}
+        with WalrusServer(db_dir, port=0) as server:
+            status, body, _ = self._status_and_body(
+                lambda: _post(server.url("/query"), bad))
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert "maxval" in body["detail"]
+
+    def test_batch_answers_the_sibling_of_an_out_of_range_image(
+            self, db_dir, query_body):
+        blob = b"P6\n2 1\n100\n" + bytes([255, 0, 0, 10, 10, 10])
+        bad = dict(query_body, image=base64.b64encode(blob).decode("ascii"))
+        with WalrusServer(db_dir, port=0) as server:
+            payload = _post(server.url("/query/batch"),
+                            {"queries": [bad, query_body]})
+        bad_result, good_result = payload["results"]
+        assert bad_result["error"] == "bad_request"
+        assert "matches" in good_result
+
     def test_unclassified_failure_is_500_internal(self, db_dir, query_body,
                                                   monkeypatch):
         def boom(timeout: float) -> None:
@@ -246,6 +269,26 @@ class TestLifecycle:
         assert not server.running
         with pytest.raises(urllib.error.URLError):
             _post(url, query_body, timeout=0.5)
+
+    def test_stop_does_not_wait_on_an_idle_kept_alive_connection(
+            self, db_dir, query_body):
+        server = WalrusServer(db_dir, port=0).start()
+        connection = http.client.HTTPConnection(*server.address,
+                                                timeout=10.0)
+        try:
+            connection.request("POST", "/query",
+                               json.dumps(query_body).encode("utf-8"),
+                               {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            assert response.getheader("Connection") is None  # kept alive
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 1.0
+        finally:
+            connection.close()
+            server.stop()
 
     def test_degraded_queries_marked(self, db_dir, query_body):
         # One session, default degrade_at=1.0: a request is capped when

@@ -67,8 +67,8 @@ def one_trace(tracer: Tracer) -> dict:
 class TestEndToEnd:
     def test_client_and_server_spans_share_one_trace(self, db_dir,
                                                      query_body, tracing):
-        with WalrusServer(db_dir, port=0) as server:
-            client = WalrusClient(server.url(""))
+        with WalrusServer(db_dir, port=0) as server, \
+                WalrusClient(server.url("")) as client:
             payload = client.query_body(query_body)
         assert payload["matches"]
 
@@ -110,8 +110,8 @@ class TestEndToEnd:
 
     def test_debug_traces_endpoint_serves_the_recorder(self, db_dir,
                                                        query_body, tracing):
-        with WalrusServer(db_dir, port=0) as server:
-            client = WalrusClient(server.url(""))
+        with WalrusServer(db_dir, port=0) as server, \
+                WalrusClient(server.url("")) as client:
             client.query_body(query_body)
             with urllib.request.urlopen(server.url("/debug/traces"),
                                         timeout=10) as response:
@@ -129,8 +129,8 @@ class TestEndToEnd:
                                                 slow_seconds=60.0))
         previous = set_tracer(tracer)
         try:
-            with WalrusServer(db_dir, port=0) as server:
-                client = WalrusClient(server.url(""))
+            with WalrusServer(db_dir, port=0) as server, \
+                    WalrusClient(server.url("")) as client:
                 with pytest.raises(DeadlineExceededError):
                     client.query_body(dict(query_body,
                                            budget_seconds=1e-6))
@@ -148,8 +148,8 @@ class TestEndToEnd:
                                             tracing, tmp_path):
         target = str(tmp_path / "traces.json")
         with WalrusServer(db_dir, port=0,
-                          trace_dump_path=target) as server:
-            client = WalrusClient(server.url(""))
+                          trace_dump_path=target) as server, \
+                WalrusClient(server.url("")) as client:
             client.query_body(query_body)
             assert server.write_trace_dump() == target
         with open(target, encoding="utf-8") as stream:
@@ -174,8 +174,9 @@ class TestExplainParity:
         body = dict(query_body, explain=True)
 
         def run() -> dict:
-            with WalrusServer(db_dir, port=0) as server:
-                return WalrusClient(server.url("")).query_body(body)
+            with WalrusServer(db_dir, port=0) as server, \
+                    WalrusClient(server.url("")) as client:
+                return client.query_body(body)
 
         assert not get_tracer().enabled
         baseline = run()
@@ -208,8 +209,9 @@ class TestExplainParity:
 
         def run() -> dict:
             if surface == "POST /query":
-                with WalrusServer(db_dir, port=0) as server:
-                    return WalrusClient(server.url("")).query_body(
+                with WalrusServer(db_dir, port=0) as server, \
+                        WalrusClient(server.url("")) as client:
+                    return client.query_body(
                         dict(query_body, explain=True))["report"]
             with WalrusDatabase.open(db_dir, readonly=True) as database:
                 if surface == "query":
