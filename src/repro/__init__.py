@@ -50,7 +50,7 @@ from repro.observability import (MetricsRegistry, ProbeCounts, QueryReport,
                                  Stopwatch, disable_metrics, enable_metrics,
                                  get_metrics)
 
-__version__ = "2.9.0"
+__version__ = "2.10.0"
 
 __all__ = [
     "CacheStats",

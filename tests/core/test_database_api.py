@@ -40,7 +40,7 @@ from repro.index.storage import (MmapPageStore, create_page_store,
 from repro.observability.events import EventLog, parse_event_line, set_events
 from tests import oracle
 from tests.conftest import corrupt_catalog_record
-from tests.nodepages import node_contents
+from tests.nodepages import node_contents, record_sizes, second_copy_bytes
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
 FIXTURE_2_2 = pathlib.Path(__file__).parent.parent / "fixtures/db_2_2"
@@ -160,6 +160,30 @@ class TestDirectoryWrittenBy22:
                     == expected["ranked"]
         with open_page_store(page_path, readonly=True) as store:
             assert b"repro.core.database" not in store.metadata
+
+    def test_compaction_stores_each_point_key_once(self, tmp_path):
+        # 2.2 wrote both key matrices of a centroid leaf; the first
+        # compaction re-encodes every live page, 8·d bytes a leaf entry
+        # lighter, and no answer changes.
+        directory = str(tmp_path / "db")
+        shutil.copytree(FIXTURE_2_2, directory)
+        query = render_scene("flowers", seed=7, size=(64, 64))
+        qp = QueryParameters(epsilon=0.085)
+        with WalrusDatabase.open(directory) as database:
+            before = database.query(query, qp).matches
+            store = database.index.store
+            sizes, saved = record_sizes(store), second_copy_bytes(store)
+            leaves = {page_id: 8 * 12 * len(store.read(page_id))
+                      for page_id in sizes if store.read(page_id).is_leaf}
+            store.compact()
+            assert {page_id: sizes[page_id] - size for page_id, size
+                    in record_sizes(store).items()} == saved
+            assert database.query(query, qp).matches == before
+        assert leaves and {page_id: saved[page_id]
+                           for page_id in leaves} == leaves
+        assert fsck_database(directory)["ok"]
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            assert database.query(query, qp).matches == before
 
 
 class SpyStore:

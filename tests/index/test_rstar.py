@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -15,8 +16,13 @@ from repro.index.geometry import Rect
 from repro.index.rstar import RStarTree
 from repro.index.storage import MmapPageStore
 from tests import oracle
+from tests.nodepages import record_sizes, second_copy_bytes
 
-GOLDEN_TREE = pathlib.Path(__file__).parent.parent / "fixtures/golden_rstar.pages"
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+GOLDEN_TREE = FIXTURES / "golden_rstar.pages"
+#: The same script's file as 2.9 wrote it: every node page stores both
+#: key matrices.
+GOLDEN_TREE_2_9 = FIXTURES / "golden_rstar_2_9.pages"
 
 #: ``IndexCounters`` after :func:`write_golden_tree`, taken together
 #: with ``tests/fixtures/golden_rstar.pages``.
@@ -428,3 +434,57 @@ class TestGoldenTree:
             tree = RStarTree.from_state(json.loads(store.metadata), store)
             assert tree.verify() == []
             assert len(tree) == 75
+
+
+def golden_searches(path) -> list:
+    """Every answer the tree in ``path`` gives to a fixed set of probes:
+    its items, then ε-probes (both metrics), k-NN and box searches
+    around a sample of its keys and of random points."""
+    with MmapPageStore(path, readonly=True) as store:
+        tree = RStarTree.from_state(json.loads(store.metadata), store)
+        items = sorted((rect.lower.tobytes(), rect.upper.tobytes(), item)
+                       for rect, item in tree.items())
+        rng = np.random.default_rng(7)
+        probes = [np.frombuffer(lower) for lower, _, _ in items[::5]]
+        probes += list(rng.uniform(size=(10, tree.dimensions)))
+        answers: list = [items]
+        for point in probes:
+            for metric in ("l2", "linf"):
+                answers.append(tree.search_within(point, 0.9,
+                                                  metric=metric))
+            answers.append(tree.nearest(point, k=5))
+            answers.append(sorted(tree.search(Rect(point - 0.3,
+                                                   point + 0.3))))
+        return answers
+
+
+class TestTreeWrittenBy29:
+    """2.9 stored every key twice; its files open unchanged and answer
+    every search as the current layout does, before and after their
+    first compaction."""
+
+    def test_opens_healthy_and_checks_clean(self):
+        with MmapPageStore(GOLDEN_TREE_2_9, readonly=True) as store:
+            assert store.scan().ok
+            tree = RStarTree.from_state(json.loads(store.metadata), store)
+            assert tree.verify() == []
+            assert len(tree) == 75
+
+    def test_searches_equal_the_current_golden(self):
+        assert golden_searches(GOLDEN_TREE_2_9) \
+            == golden_searches(GOLDEN_TREE)
+
+    def test_compaction_keeps_box_pages_and_answers(self, tmp_path):
+        # Every live leaf of this tree holds a box key, so compaction
+        # drops dead versions but re-encodes each live page at its
+        # size (tests/core/test_database_api.py shows point leaves
+        # shrinking).
+        path = tmp_path / "regions.pages"
+        shutil.copy(GOLDEN_TREE_2_9, path)
+        with MmapPageStore(path) as store:
+            sizes, saved = record_sizes(store), second_copy_bytes(store)
+            store.compact()
+            assert {page_id: sizes[page_id] - size for page_id, size
+                    in record_sizes(store).items()} == saved
+        assert set(saved.values()) == {0}
+        assert golden_searches(path) == golden_searches(GOLDEN_TREE)

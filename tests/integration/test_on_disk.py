@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pathlib
 
@@ -11,8 +12,9 @@ from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.datasets.generator import render_scene
 from repro.exceptions import DatabaseError
-from repro.index.storage import (_META_ID, _TABLE_ID, committed_generation,
-                                 create_page_store)
+from repro.index.storage import (_META_ID, _RECORD, _TABLE_ID,
+                                 committed_generation, create_page_store,
+                                 open_page_store)
 from tests.conftest import heap_record_ids, record_writes
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
@@ -206,6 +208,26 @@ class TestLifecycle:
         assert heap_record_ids(page_path)[len(before):] \
             == sorted(written & store.page_ids()) + [_TABLE_ID, _META_ID]
         database.close()
+
+    @pytest.mark.parametrize("mode, matrices", [("centroid", 1),
+                                                ("bbox", 2)])
+    def test_leaf_pages_store_a_point_key_once(self, tmp_path, mode,
+                                               matrices):
+        """Work gate: a centroid leaf stores each key once, 8·d + 16
+        bytes an entry; a bbox leaf keeps both bounds, 16·d + 16."""
+        directory = str(tmp_path / "db")
+        params = dataclasses.replace(PARAMS, signature_mode=mode)
+        with WalrusDatabase.create(directory, params=params) as database:
+            database.add_images(scenes())
+        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+        with open_page_store(page_path, readonly=True) as store:
+            leaves = [(store.read(info.page_id), info.size - _RECORD.size)
+                      for info in store.scan().pages
+                      if store.read(info.page_id).is_leaf]
+        assert sum(len(leaf) for leaf, _ in leaves) > 50
+        assert [payload for _, payload in leaves] \
+            == [16 + len(leaf) * (matrices * 8 * leaf.lower.shape[1] + 16)
+                for leaf, _ in leaves]
 
     def test_close_whose_checkpoint_fails_releases_the_store(
             self, tmp_path, monkeypatch):

@@ -63,6 +63,34 @@ def test_code_drift_is_caught(tmp_path):
                for f in findings)
 
 
+def test_node_header_drift_is_caught(tmp_path):
+    text = read_doc()
+    assert "node header `<iIII`" in text
+    assert "flags bit 0 is **point keys**" in text
+    tampered = tmp_path / "FORMAT.md"
+    tampered.write_text(text.replace("node header `<iIII`",
+                                     "node header `<iII4x`")
+                            .replace("flags bit 0 is **point keys**",
+                                     "flags bit 1 is **point keys**"))
+    findings = run_against_doc(str(tampered))
+    assert len(findings) == 2, "\n".join(f.render() for f in findings)
+    assert all(f.path.endswith("nodecodec.py") for f in findings)
+    messages = " | ".join(f.message for f in findings)
+    assert "_NODE_HEADER" in messages and "'<iII4x'" in messages
+    assert "_POINT_KEYS = 1" in messages and "as 2" in messages
+
+
+def test_point_keys_anchor_is_required(tmp_path):
+    text = read_doc()
+    tampered = tmp_path / "FORMAT.md"
+    tampered.write_text(text.replace("flags bit 0 is **point keys**",
+                                     "flags bit 0 marks point keys"))
+    findings = run_against_doc(str(tampered))
+    assert len(findings) == 1, "\n".join(f.render() for f in findings)
+    assert "_POINT_KEYS" in findings[0].message
+    assert "was not found" in findings[0].message
+
+
 def test_catalog_drift_is_caught(tmp_path):
     text = read_doc()
     assert "(`<4sIqqIIqq>`), magic `WCAT`, record version 1" in text

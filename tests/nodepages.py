@@ -32,3 +32,20 @@ def node_contents(node: Node) -> tuple:
     nodes exactly when they encode to the same page."""
     return (node.level, node.lower.tobytes(), node.upper.tobytes(),
             node.refs)
+
+
+def record_sizes(store) -> dict[int, int]:
+    """Each live page's record size in ``store``'s file."""
+    return {info.page_id: info.size for info in store.scan().pages}
+
+
+def second_copy_bytes(store) -> dict[int, int]:
+    """Per live page, the bytes a two-matrix record spends on its second
+    key matrix when the keys are points (bytewise equal matrices):
+    ``8·d`` per entry, and 0 for every other page."""
+    saved = {}
+    for page_id in store.page_ids():
+        node = store.read(page_id)
+        points = node.refs and node.lower.tobytes() == node.upper.tobytes()
+        saved[page_id] = node.lower.nbytes if points else 0
+    return saved

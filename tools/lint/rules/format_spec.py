@@ -8,8 +8,8 @@ change that forgets the doc (or a doc edit that forgets the code) ships
 a spec that lies.  This project rule closes the loop: during the
 per-file pass it collects the module-level struct constants from the
 storage modules (``struct.Struct`` format strings, magic byte
-literals, derived offsets like ``_DATA_START = _SUPER.size + 2 *
-_SLOT.size`` via a tiny constant evaluator); in the
+literals, flag bits, derived offsets like ``_DATA_START =
+_SUPER.size + 2 * _SLOT.size`` via a tiny constant evaluator); in the
 finish pass it parses the layout anchors out of docs/FORMAT.md and
 cross-checks every pair.  A mismatch is a finding on the constant's
 line; a *missing* anchor is also a finding, so rewording the doc out
@@ -84,6 +84,7 @@ class _DocSpec:
     stamp_magic: str | None = None
     node_size: int | None = None
     node_fmt: str | None = None
+    point_keys: int | None = None
     count_fmt: str | None = None
     entry_fmt: str | None = None
     align: int | None = None
@@ -130,6 +131,9 @@ class _DocSpec:
         if match:
             spec.node_size = int(match.group(1))
             spec.node_fmt = _norm(match.group(2))
+        match = re.search(r"flags bit (\d+) is \*\*point keys\*\*", text)
+        if match:
+            spec.point_keys = 1 << int(match.group(1))
         match = re.search(r"^(<\w+>)\s+entry count", text, re.MULTILINE)
         if match:
             spec.count_fmt = _norm(match.group(1))
@@ -305,6 +309,7 @@ class FormatSpecRule(Rule):
         yield "nodecodec.py", [
             ("fmt", "_NODE_HEADER", spec.node_fmt, "node-header layout"),
             ("size", "_NODE_HEADER", spec.node_size, "node-header size"),
+            ("int", "_POINT_KEYS", spec.point_keys, "point-keys flag"),
         ]
         yield "catalog.py", [
             ("fmt", "_HEADER", spec.catalog_fmt, "catalog-header layout"),
