@@ -1,0 +1,807 @@
+"""The paper's Section 6, regenerated: every experiment in one module.
+
+Usage::
+
+    PYTHONPATH=src python -m benchmarks.experiments [--quick]
+        [--json PATH] [--figures-dir DIR] [ids ...]
+
+Each experiment is one function keyed by its DESIGN.md id (``fig6a``,
+``fig6b``, ``fig7/fig8``, ``table1``, ``sec6.6``, ``robustness``,
+``region-quality``, ``abl-match``, ``abl-sig``, ``abl-window``,
+``abl-color``, ``abl-ext``); with no ids, all of them run.  A function
+returns an :class:`Outcome`: the table the paper prints (in the
+paper's own row/column format, so EXPERIMENTS.md can be checked line
+against line) plus named shape checks.  Every cell, fact and check is
+deterministic under the fixed seeds except those an outcome names in
+``timing``: wall-clock columns and the checks that read them.
+
+There are two scales and no other knobs: the full one behind
+EXPERIMENTS.md and ``--quick`` (small collections, short sweeps),
+which ``tests/test_experiments.py`` runs against the committed payload
+``tests/fixtures/experiments_quick.json``.  Regenerate that file with
+``--quick --json tests/fixtures/experiments_quick.json``.
+
+A collection and its WALRUS database are built once per (size,
+extraction parameters) and shared by every experiment in the process.
+The run exits 1 if a deterministic shape check fails; timing checks
+are printed only, since they depend on the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Any, Callable
+
+import numpy as np
+
+from benchmarks.harness_common import RETRIEVAL_PARAMS, print_table, timed
+from repro.baselines.histogram import HistogramRetriever
+from repro.baselines.jacobs import JacobsRetriever
+from repro.baselines.wbiis import WbiisRetriever
+from repro.core.database import WalrusDatabase
+from repro.core.extraction import RegionExtractor
+from repro.core.matching import exact_match, greedy_match, quick_match
+from repro.core.parameters import ExtractionParameters, QueryParameters
+from repro.core.regions import Region
+from repro.core.signatures import compute_window_set
+from repro.datasets.collage import (CollageImage, generate_collages,
+                                    window_texture)
+from repro.datasets.generator import (DatasetSpec, SyntheticDataset,
+                                      generate_dataset, render_scene)
+from repro.evaluation.harness import (RetrieverEvaluation, baseline_ranker,
+                                      evaluate_retriever, make_queries,
+                                      walrus_ranker)
+from repro.evaluation.metrics import precision_at_k
+from repro.imaging import transforms
+from repro.imaging.codecs import write_image
+from repro.imaging.image import Image
+from repro.imaging.montage import result_sheet
+from repro.wavelets.sliding import (dp_sliding_signatures,
+                                    naive_window_signatures)
+
+SEED = 1999
+#: Querying epsilon of the retrieval experiments (Section 6.4's range).
+EPSILON = 0.085
+
+
+@dataclass(frozen=True)
+class Scale:
+    """Sizes and sweep lengths; :data:`FULL` and :data:`QUICK` only."""
+
+    max_window: int          # fig6a: windows 2, 4, ... up to this
+    max_signature: int       # fig6b: signature sides 2, 4, ... up to this
+    fig7_images: int         # fig7/fig8: images per class
+    fig7_queries: int        # fig7/fig8: held-out queries per class
+    fig7_k: int              # fig7/fig8: precision cut-off
+    table1_images: int
+    table1_repeats: int      # queries per epsilon; the median is timed
+    robustness_images: int
+    ablation_images: int     # abl-match, abl-sig, abl-window, abl-color, abl-ext
+    k: int                   # precision cut-off of robustness and abl-*
+    collages: int            # region-quality
+
+
+FULL = Scale(max_window=128, max_signature=32, fig7_images=14,
+             fig7_queries=2, fig7_k=14, table1_images=12, table1_repeats=3,
+             robustness_images=6, ablation_images=8, k=10, collages=40)
+QUICK = Scale(max_window=32, max_signature=8, fig7_images=4, fig7_queries=1,
+              fig7_k=4, table1_images=3, table1_repeats=1,
+              robustness_images=3, ablation_images=3, k=3, collages=12)
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One experiment's table, facts and named shape checks.
+
+    ``timing`` names the headers, facts and checks that depend on the
+    wall clock; everything else is deterministic.
+    """
+
+    title: str
+    headers: list[str]
+    rows: list[list[Any]]
+    checks: dict[str, bool] = field(default_factory=dict)
+    facts: dict[str, Any] = field(default_factory=dict)
+    timing: frozenset[str] = frozenset()
+
+    def to_json(self) -> dict[str, Any]:
+        return {"title": self.title, "headers": self.headers,
+                "rows": self.rows, "checks": self.checks,
+                "facts": self.facts, "timing": sorted(self.timing)}
+
+    def report(self, experiment_id: str) -> None:
+        print_table(self.headers, self.rows,
+                    title=f"{experiment_id}: {self.title}")
+        for name, value in self.facts.items():
+            print(f"{name}: {value}")
+        for name, ok in self.checks.items():
+            clock = " (timing)" if name in self.timing else ""
+            print(f"  shape check{clock}: {name}: "
+                  f"{'OK' if ok else 'MISMATCH'}")
+
+
+def deterministic(payload: dict[str, Any]) -> dict[str, Any]:
+    """An :meth:`Outcome.to_json` payload without its timing entries."""
+    timing = set(payload["timing"])
+    keep = [i for i, header in enumerate(payload["headers"])
+            if header not in timing]
+    return {
+        "title": payload["title"],
+        "headers": [payload["headers"][i] for i in keep],
+        "rows": [[row[i] for i in keep] for row in payload["rows"]],
+        "checks": {name: ok for name, ok in payload["checks"].items()
+                   if name not in timing},
+        "facts": {name: value for name, value in payload["facts"].items()
+                  if name not in timing},
+    }
+
+
+class Lab:
+    """Collections and databases, built once per process and shared."""
+
+    def __init__(self, figures_dir: str | None = None) -> None:
+        #: fig7/fig8 also renders the paper's contact sheets here.
+        self.figures_dir = figures_dir
+        self._collections: dict[int, SyntheticDataset] = {}
+        self._databases: dict[tuple[int, ExtractionParameters],
+                              tuple[WalrusDatabase, float]] = {}
+
+    def collection(self, images_per_class: int) -> SyntheticDataset:
+        """The misc-style synthetic collection: 10 classes, seed 1999."""
+        if images_per_class not in self._collections:
+            print(f"# rendering collection: {images_per_class} images x "
+                  f"10 classes, seed {SEED}")
+            self._collections[images_per_class] = generate_dataset(
+                DatasetSpec(images_per_class=images_per_class, seed=SEED))
+        return self._collections[images_per_class]
+
+    def database(self, images_per_class: int,
+                 params: ExtractionParameters = RETRIEVAL_PARAMS
+                 ) -> tuple[WalrusDatabase, float]:
+        """The collection indexed under ``params`` (STR bulk load), and
+        the seconds the build took."""
+        key = (images_per_class, params)
+        if key not in self._databases:
+            database = WalrusDatabase(params)
+            elapsed, _ = timed(database.add_images,
+                               self.collection(images_per_class).images,
+                               bulk=True)
+            print(f"# indexed {len(database)} images -> "
+                  f"{database.region_count} regions in {elapsed:.1f}s")
+            self._databases[key] = (database, elapsed)
+        return self._databases[key]
+
+
+def flower_query() -> Image:
+    """A held-out flower query: the role of the paper's image 866."""
+    return render_scene("flowers", seed=866_866, name="query-866")
+
+
+#: The timing columns both Figure 6 panels print.
+_NAIVE_VS_DP = ["naive (s)", "dynamic programming (s)", "naive/DP"]
+
+
+def _naive_vs_dp(window: int, s: int) -> list[str]:
+    """Both signature algorithms, timed once on the Section 6.3 workload:
+    one 256x256 channel, stride 1, ``window`` x ``window`` windows and
+    ``s`` x ``s`` signatures."""
+    channel = np.random.default_rng(SEED).uniform(size=(256, 256))
+    naive, _ = timed(naive_window_signatures, channel, w=window, s=s,
+                     stride=1)
+    dp, _ = timed(dp_sliding_signatures, channel, s=s, w_max=window,
+                  stride=1)
+    return [f"{naive:.3f}", f"{dp:.3f}", f"{naive / dp:.1f}x"]
+
+
+def _doublings(largest: int) -> list[int]:
+    """2, 4, 8, ... up to ``largest``."""
+    return [2 ** i for i in range(1, largest.bit_length())]
+
+
+def fig6a(lab: Lab, scale: Scale) -> Outcome:
+    """Figure 6(a): signature computation time vs. sliding-window size.
+
+    Paper: 256x256 image, 2x2 signatures, stride 1, windows 2..128;
+    naive grows ~quadratically in the window side, DP ~logarithmically,
+    naive/DP ~= 17x at window 128 (Sun Ultra-2; our ratio is larger
+    because the DP vectorizes better in numpy than the naive loop did
+    in C, but the *shape* -- who wins and how each curve grows -- is
+    the claim under test).
+    """
+    rows = [[window, *_naive_vs_dp(window, 2)]
+            for window in _doublings(scale.max_window)]
+    check = f"naive/DP > 10x at window {rows[-1][0]} (paper: ~17x)"
+    return Outcome(
+        "Figure 6(a): wavelet signature time vs. window size "
+        "(256x256, s=2, stride 1)", ["window", *_NAIVE_VS_DP], rows,
+        checks={check: float(rows[-1][3].rstrip("x")) > 10},
+        timing=frozenset([*_NAIVE_VS_DP, check]))
+
+
+def fig6b(lab: Lab, scale: Scale) -> Outcome:
+    """Figure 6(b): signature computation time vs. signature size.
+
+    Paper: 256x256 image, fixed 128x128 windows, stride 1, signature
+    sizes 2..32; naive is ~flat (~25s on their hardware), DP grows with
+    ``s^2`` but remains ~5x faster even at s = 32.
+    """
+    rows = [[s, *_naive_vs_dp(128, s)]
+            for s in _doublings(scale.max_signature)]
+    naive_times = [float(row[1]) for row in rows]
+    # "Flat" means no systematic growth with s; allow generous slack for
+    # scheduler noise (each point is a single multi-second measurement).
+    checks = {
+        "naive flat in s":
+            max(naive_times) / max(min(naive_times), 1e-9) < 2.5,
+        f"DP still faster at s={rows[-1][0]} (paper: ~5x)":
+            float(rows[-1][3].rstrip("x")) > 1,
+    }
+    return Outcome(
+        "Figure 6(b): wavelet signature time vs. signature size "
+        "(window 128, stride 1)", ["signature", *_NAIVE_VS_DP], rows,
+        checks=checks, timing=frozenset([*_NAIVE_VS_DP, *checks]))
+
+
+def fig7_fig8(lab: Lab, scale: Scale) -> Outcome:
+    """Figures 7/8: retrieval quality, WALRUS vs. single-signature systems.
+
+    Paper: for the flower query (image 866), WBIIS returns 7/14
+    semantically related images (Figure 7) while WALRUS returns
+    13-14/14 (Figure 8).  With the synthetic collection's class labels,
+    "related" is exact, so the figures become precision@14 numbers.
+    Queries are held-out renders (never pixel-identical to database
+    images), with the object translated/rescaled -- the variation the
+    paper's similarity model targets.
+    """
+    dataset = lab.collection(scale.fig7_images)
+    database, _ = lab.database(scale.fig7_images)
+    baselines = {"WBIIS (fig 7)": WbiisRetriever(),
+                 "Jacobs-Haar [JFS95]": JacobsRetriever(),
+                 "Color histogram [Nib93]": HistogramRetriever()}
+    rankers = {"WALRUS (fig 8)": walrus_ranker(
+        database, QueryParameters(epsilon=EPSILON))}
+    for name, retriever in baselines.items():
+        retriever.add_images(dataset.images)
+        rankers[name] = baseline_ranker(retriever)
+
+    queries = make_queries(dataset, per_class=scale.fig7_queries)
+    evaluations = {
+        name: evaluate_retriever(name, rank, dataset, queries,
+                                 k=scale.fig7_k)
+        for name, rank in rankers.items()
+    }
+    rows = [[name, f"{evaluation.mean_precision:.3f}",
+             f"{evaluation.by_label().get('flowers', 0.0):.3f}",
+             f"{evaluation.mean_ap:.3f}", f"{evaluation.mean_seconds:.2f}"]
+            for name, evaluation in evaluations.items()]
+
+    if lab.figures_dir:
+        _write_figures(dataset, database, baselines["WBIIS (fig 7)"],
+                       lab.figures_dir)
+
+    walrus = evaluations["WALRUS (fig 8)"].by_label()["flowers"]
+    wbiis = evaluations["WBIIS (fig 7)"].by_label()["flowers"]
+    k = scale.fig7_k
+    return Outcome(
+        "Figures 7/8 quantified: precision at the paper's top-14",
+        ["retriever", f"P@{k} (all)", f"P@{k} (flowers)", "mAP",
+         "s/query"], rows,
+        checks={f"WALRUS P@{k} on flowers > WBIIS (paper: 0.93 vs 0.50)":
+                walrus > wbiis},
+        timing=frozenset(["s/query"]))
+
+
+def _write_figures(dataset: SyntheticDataset, database: WalrusDatabase,
+                   wbiis: WbiisRetriever, directory: str) -> None:
+    """Render fig7_wbiis.ppm / fig8_walrus.ppm, the paper's artifacts."""
+    os.makedirs(directory, exist_ok=True)
+    by_name = {image.name: image for image in dataset.images}
+    query = flower_query()
+    wbiis_names = [name for name, _ in wbiis.rank(query, k=14)]
+    write_image(result_sheet(query, [by_name[n] for n in wbiis_names]),
+                os.path.join(directory, "fig7_wbiis.ppm"))
+    walrus_names = database.query(
+        query, QueryParameters(epsilon=EPSILON, max_results=14)).names()
+    write_image(result_sheet(query, [by_name[n] for n in walrus_names]),
+                os.path.join(directory, "fig8_walrus.ppm"))
+    print(f"# wrote fig7_wbiis.ppm / fig8_walrus.ppm to {directory}")
+
+
+def table1(lab: Lab, scale: Scale) -> Outcome:
+    """Table 1: query response time and selectivity vs. querying epsilon.
+
+    Paper: flower query (image 866) against the 10000-image misc
+    collection; eps_c = 0.05, YCC, 64x64 windows, 2x2 signatures,
+    centroid region signatures, quick matching.  As eps grows 0.05 ->
+    0.09: response time 5.19s -> 19.86s, average matching regions per
+    query region 15 -> 890.7, distinct candidate images 65 -> 1287 --
+    all three columns monotonically increasing.  Our collection is
+    synthetic and smaller, so absolute values differ; the monotone
+    shape is the claim under test.
+    """
+    database, _ = lab.database(scale.table1_images)
+    query = flower_query()
+    rows = []
+    for epsilon in (0.05, 0.06, 0.07, 0.08, 0.09):
+        samples = [database.query(query, QueryParameters(epsilon=epsilon))
+                   for _ in range(scale.table1_repeats)]
+        elapsed = sorted(result.stats.elapsed_seconds
+                         for result in samples)[scale.table1_repeats // 2]
+        stats = samples[-1].stats
+        rows.append([f"{epsilon:.2f}", f"{elapsed:.3f}",
+                     f"{stats.mean_regions_per_query_region:.1f}",
+                     stats.candidate_images])
+    times = [float(row[1]) for row in rows]
+    regions = [float(row[2]) for row in rows]
+    images = [row[3] for row in rows]
+    return Outcome(
+        "Table 1: query response time / selectivity vs. eps",
+        ["eps", "response time (s)", "avg regions retrieved",
+         "distinct images"], rows,
+        checks={"regions monotone": regions == sorted(regions),
+                "images monotone": images == sorted(images),
+                "time trend upward": times[-1] >= times[0]},
+        timing=frozenset(["response time (s)", "time trend upward"]))
+
+
+def regions_vs_epsilon(lab: Lab, scale: Scale) -> Outcome:
+    """Section 6.6: number of regions per image vs. clustering epsilon.
+
+    Paper: on the flower query image, the number of regions (clusters)
+    decreases as eps_c grows from 0.025 to 0.1, and RGB typically
+    yields ~4x the clusters of YCC at equal eps_c.
+    """
+    image = flower_query()
+    rows = []
+    counts: dict[str, list[int]] = {"ycc": [], "rgb": []}
+    for epsilon_c in (0.025, 0.05, 0.075, 0.1):
+        row: list[Any] = [f"{epsilon_c:.3f}"]
+        for space in ("ycc", "rgb"):
+            extractor = RegionExtractor(RETRIEVAL_PARAMS.with_(
+                cluster_threshold=epsilon_c, color_space=space))
+            elapsed, regions = timed(extractor.extract, image)
+            counts[space].append(len(regions))
+            row.extend([len(regions), f"{elapsed:.2f}"])
+        row.append(f"{counts['rgb'][-1] / max(counts['ycc'][-1], 1):.1f}x")
+        rows.append(row)
+    return Outcome(
+        "Section 6.6: regions per image vs. cluster epsilon",
+        ["eps_c", "YCC regions", "YCC s", "RGB regions", "RGB s",
+         "RGB/YCC"], rows,
+        checks={
+            "regions decrease with eps_c (YCC)":
+                counts["ycc"] == sorted(counts["ycc"], reverse=True),
+            "regions decrease with eps_c (RGB)":
+                counts["rgb"] == sorted(counts["rgb"], reverse=True),
+            "RGB >= YCC region count (paper: ~4x)":
+                all(r >= y for r, y in zip(counts["rgb"], counts["ycc"])),
+        },
+        timing=frozenset(["YCC s", "RGB s"]))
+
+
+def _perturbations() -> list[tuple[str, Callable[[Image], Image]]]:
+    rng = np.random.default_rng(7)
+    return [
+        ("identity", lambda image: image),
+        ("rescale 75%", lambda image: transforms.rescale(image, 0.75)),
+        ("rescale 125%", lambda image: transforms.rescale(image, 1.25)),
+        ("color shift +0.05R",
+         lambda image: transforms.color_shift(image, (0.05, 0.0, 0.0))),
+        ("brightness 90%",
+         lambda image: transforms.brightness(image, 0.9)),
+        ("dither noise",
+         lambda image: transforms.dither_noise(image, rng, 2.0 / 255.0)),
+        ("translate (16, 24)",
+         lambda image: transforms.translate_content(
+             image, 16, 24, fill=(0.5, 0.5, 0.5))),
+        ("flip horizontal", transforms.flip_horizontal),
+        ("quantize 16 levels", lambda image: transforms.quantize(image, 16)),
+    ]
+
+
+def robustness(lab: Lab, scale: Scale) -> Outcome:
+    """Robustness: retrieval stability under image perturbations.
+
+    Section 1 claims robustness "with respect to resolution changes,
+    dithering effects, color shifts, orientation, size, and location".
+    Perturbed copies of held-out queries are scored by precision@k,
+    for WALRUS and for WBIIS (whose tolerance Jacobs et al. and the
+    paper describe as small).
+    """
+    dataset = lab.collection(scale.robustness_images)
+    database, _ = lab.database(scale.robustness_images)
+    wbiis = WbiisRetriever()
+    wbiis.add_images(dataset.images)
+    queries = [(label, render_scene(label, seed=SEED + 50_000,
+                                    name=f"rq-{label}-0"))
+               for label in dataset.spec.classes]
+
+    k = scale.k
+    rows = []
+    for name, transform in _perturbations():
+        walrus_scores = []
+        wbiis_scores = []
+        for label, query in queries:
+            perturbed = transform(query)
+            relevant = dataset.relevant_names(label)
+            ranked = database.query(
+                perturbed, QueryParameters(epsilon=EPSILON)).names()
+            walrus_scores.append(precision_at_k(ranked, relevant, k))
+            baseline = [n for n, _ in wbiis.rank(perturbed)]
+            wbiis_scores.append(precision_at_k(baseline, relevant, k))
+        rows.append([name,
+                     f"{sum(walrus_scores) / len(walrus_scores):.3f}",
+                     f"{sum(wbiis_scores) / len(wbiis_scores):.3f}"])
+
+    clean = float(rows[0][1])
+    worst = min(float(row[1]) for row in rows[:6])  # photometric rows
+    return Outcome(
+        "Robustness: precision under query perturbations",
+        ["perturbation", f"WALRUS P@{k}", f"WBIIS P@{k}"], rows,
+        checks={"WALRUS keeps >= 70% of its clean precision under "
+                "photometric perturbations": worst >= 0.7 * clean})
+
+
+def _blocks(start: int, size: int, extent: int, grid: int) -> slice:
+    """The bitmap blocks a ``size``-pixel span from ``start`` touches."""
+    return slice(start * grid // extent,
+                 min(grid - 1, (start + size - 1) * grid // extent) + 1)
+
+
+def _dominant_texture(collage: CollageImage, region: Region,
+                      window_geometry: np.ndarray) -> str | None:
+    """The texture most of a region's windows lie on (None if mixed).
+
+    Region objects don't retain member window ids (only bitmaps), so
+    approximate: a window belongs to the region if its rect is fully
+    covered by the region's bitmap blocks.
+    """
+    bitmap = region.bitmap
+    votes: dict[str, int] = {}
+    for row, col, size in window_geometry.tolist():
+        block = bitmap.blocks[
+            _blocks(row, size, bitmap.height, bitmap.grid),
+            _blocks(col, size, bitmap.width, bitmap.grid)]
+        if not (block.size and block.all()):
+            continue
+        texture = window_texture(collage, row, col, size)
+        if texture is not None:
+            votes[texture] = votes.get(texture, 0) + 1
+    if not votes:
+        return None
+    best = max(votes, key=lambda texture: votes[texture])
+    if votes[best] < 0.6 * sum(votes.values()):
+        return None  # no dominant texture: skip from judging
+    return best
+
+
+def region_quality(lab: Lab, scale: Scale) -> Outcome:
+    """Region-level matching quality on annotated texture collages.
+
+    The scene experiments validate WALRUS end to end; this one
+    validates the *middle* of the pipeline: are the region pairs that
+    the epsilon-probe returns actually pairs of the same texture?
+    Collages carry exact patch annotations, so every matched pair
+    ``(Q_i, T_j)`` can be judged: correct iff the two regions'
+    dominant patches carry the same texture id.  Reported per epsilon:
+    pair precision (correct pairs / judged pairs) and image-level
+    ranking quality (does similarity order track the number of shared
+    textures?).
+    """
+    dataset = generate_collages(scale.collages, seed=SEED)
+    database = WalrusDatabase(RETRIEVAL_PARAMS)
+    elapsed, _ = timed(database.add_images, dataset.images, bulk=True)
+    print(f"# indexed {scale.collages} collages "
+          f"({database.region_count} regions) in {elapsed:.1f}s")
+
+    queries = dataset.collages[: max(5, scale.collages // 8)]
+    rows: list[list[Any]] = []
+    for epsilon in (0.05, 0.07, 0.09):
+        judged = correct = agreements = comparisons = 0
+        for query_collage in queries:
+            query_image = query_collage.image
+            query_regions = database.extractor.extract(query_image)
+            geometry = compute_window_set(query_image,
+                                          database.params).geometry
+            pairs_by_image, _ = database._probe(
+                query_regions, QueryParameters(epsilon=epsilon))
+            for image_id, region_pairs in pairs_by_image.items():
+                target_record = database.images[image_id]
+                target_collage = dataset.by_name(target_record.name)
+                target_geometry = compute_window_set(
+                    target_collage.image, database.params).geometry
+                for q_index, t_index in region_pairs:
+                    query_texture = _dominant_texture(
+                        query_collage, query_regions[q_index], geometry)
+                    target_texture = _dominant_texture(
+                        target_collage, target_record.regions[t_index],
+                        target_geometry)
+                    if query_texture is None or target_texture is None:
+                        continue
+                    judged += 1
+                    correct += query_texture == target_texture
+            # Image-level: similarity order should follow shared-texture
+            # counts.
+            result = database.query(query_image,
+                                    QueryParameters(epsilon=epsilon))
+            scored = [(match.similarity,
+                       dataset.shared_count(query_image.name, match.name))
+                      for match in result
+                      if match.name != query_image.name]
+            for (first, first_shared), (second, second_shared) \
+                    in combinations(scored, 2):
+                if first_shared != second_shared:
+                    comparisons += 1
+                    agreements += (first >= second) == (
+                        first_shared > second_shared)
+        rows.append([f"{epsilon:.2f}", judged,
+                     f"{correct / judged:.3f}" if judged else "-",
+                     f"{agreements / comparisons:.3f}"
+                     if comparisons else "-"])
+    return Outcome(
+        "Region-level matching quality on texture collages",
+        ["eps", "judged pairs", "pair precision", "rank agreement"], rows,
+        checks={"pair precision >= 0.8 at eps 0.05":
+                rows[0][2] != "-" and float(rows[0][2]) >= 0.8})
+
+
+def ablation_matching(lab: Lab, scale: Scale) -> Outcome:
+    """Ablation: quick union vs. greedy one-to-one vs. exact matching.
+
+    Section 5.5 motivates the greedy heuristic (the quick metric can
+    inflate similarity when one query region matches many target
+    regions) and proves the exact problem NP-hard.  On real
+    query/target pairs this measures (a) how much similarity the
+    one-to-one constraint removes, (b) how close greedy gets to exact
+    on instances small enough to solve (at most 12 distinct pairs),
+    and (c) the cost of each matcher.  The paper's order, greedy <=
+    exact <= quick, is checked on every candidate it applies to.
+    """
+    database, _ = lab.database(scale.ablation_images)
+    query_regions = database.extractor.extract(flower_query())
+    pairs_by_image, _ = database._probe(query_regions,
+                                        QueryParameters(epsilon=EPSILON))
+
+    rows = []
+    ratios = []
+    seconds = {"quick": 0.0, "greedy": 0.0, "exact": 0.0}
+    greedy_below_quick = True
+    exact_between = True
+    for image_id, pairs in sorted(pairs_by_image.items()):
+        target = database.images[image_id]
+        elapsed, quick = timed(quick_match, query_regions, target.regions,
+                               pairs)
+        seconds["quick"] += elapsed
+        elapsed, greedy = timed(greedy_match, query_regions,
+                                target.regions, pairs)
+        seconds["greedy"] += elapsed
+        greedy_below_quick &= greedy.similarity <= quick.similarity
+        exact_cell = "-"
+        if len(set(pairs)) <= 12:
+            elapsed, exact = timed(exact_match, query_regions,
+                                   target.regions, pairs)
+            seconds["exact"] += elapsed
+            exact_cell = f"{exact.similarity:.3f}"
+            exact_between &= (greedy.similarity <= exact.similarity
+                              <= quick.similarity)
+            if exact.similarity > 0:
+                ratios.append(greedy.similarity / exact.similarity)
+        rows.append([target.name, len(pairs), f"{quick.similarity:.3f}",
+                     f"{greedy.similarity:.3f}", exact_cell])
+
+    facts: dict[str, Any] = {
+        "candidates": len(rows),
+        "solved exactly": sum(row[4] != "-" for row in rows),
+    }
+    if ratios:
+        facts["greedy/exact worst"] = f"{min(ratios):.3f}"
+        facts["greedy/exact mean"] = f"{sum(ratios) / len(ratios):.3f}"
+    facts["matcher seconds"] = ", ".join(
+        f"{name} {elapsed:.3f}" for name, elapsed in seconds.items())
+    return Outcome(
+        "Ablation: matching algorithm per candidate image",
+        ["target", "pairs", "quick", "greedy", "exact"], rows,
+        checks={"greedy <= quick on every candidate": greedy_below_quick,
+                "greedy <= exact <= quick on every candidate solved "
+                "exactly": exact_between},
+        facts=facts, timing=frozenset(["matcher seconds"]))
+
+
+def _evaluate(lab: Lab, scale: Scale, params: ExtractionParameters,
+              query_params: QueryParameters | None = None
+              ) -> tuple[WalrusDatabase, float, RetrieverEvaluation]:
+    """One ablation variant: its database, build seconds and scores
+    over one held-out query per class."""
+    dataset = lab.collection(scale.ablation_images)
+    database, build_seconds = lab.database(scale.ablation_images, params)
+    evaluation = evaluate_retriever(
+        "", walrus_ranker(database,
+                          query_params or QueryParameters(epsilon=EPSILON)),
+        dataset, make_queries(dataset, per_class=1), k=scale.k)
+    return database, build_seconds, evaluation
+
+
+def ablation_signature(lab: Lab, scale: Scale) -> Outcome:
+    """Ablation: centroid vs. bounding-box region signatures.
+
+    Definition 4.1 allows either the cluster centroid (a point) or the
+    bounding box of member window signatures as the region signature;
+    the paper's experiments use centroids.  Bounding boxes match more
+    generously (a box's epsilon-envelope is wider than its centroid's),
+    trading selectivity for recall.
+    """
+    rows = []
+    for mode in ("centroid", "bbox"):
+        _, _, evaluation = _evaluate(
+            lab, scale, RETRIEVAL_PARAMS.with_(signature_mode=mode))
+        rows.append([mode, f"{evaluation.mean_precision:.3f}",
+                     f"{evaluation.mean_recall:.3f}",
+                     f"{evaluation.mean_ap:.3f}",
+                     f"{evaluation.mean_seconds:.2f}"])
+    return Outcome(
+        "Ablation: centroid vs. bounding-box region signatures",
+        ["signature mode", f"P@{scale.k}", "recall", "mAP", "s/query"],
+        rows, timing=frozenset(["s/query"]))
+
+
+def ablation_windows(lab: Lab, scale: Scale) -> Outcome:
+    """Ablation: fixed 64x64 windows vs. multi-scale window ranges.
+
+    Section 6.4 fixes the sliding-window size to 64x64 (their query's
+    flower bunch was large); Section 5.1's general algorithm slides
+    windows of every dyadic size in a range.  This measures what the
+    window range buys on a collection whose objects vary in size --
+    quality up, indexing cost up.
+    """
+    rows = []
+    for label, window_min in (("64 fixed (paper 6.4)", 64),
+                              ("32..64", 32), ("16..64 (default)", 16),
+                              ("8..64", 8)):
+        database, build_seconds, evaluation = _evaluate(
+            lab, scale, RETRIEVAL_PARAMS.with_(window_min=window_min,
+                                               window_max=64))
+        rows.append([label, database.region_count, f"{build_seconds:.1f}",
+                     f"{evaluation.mean_precision:.3f}",
+                     f"{evaluation.by_label().get('flowers', 0.0):.3f}",
+                     f"{evaluation.mean_seconds:.2f}"])
+    k = scale.k
+    return Outcome(
+        "Ablation: sliding-window size range",
+        ["windows", "regions", "index (s)", f"P@{k}", f"P@{k} flowers",
+         "s/query"], rows, timing=frozenset(["index (s)", "s/query"]))
+
+
+def ablation_color(lab: Lab, scale: Scale) -> Outcome:
+    """Ablation: working color space (YCC vs RGB vs YIQ vs HSV).
+
+    The paper presents YCC results "due to the lack of space" and
+    defers other color spaces to the technical report [NRS98]; Section
+    6.6 notes RGB produces ~4x the regions of YCC.  This completes the
+    picture: retrieval quality, index size and query cost per space on
+    the same collection.
+    """
+    rows = []
+    regions = {}
+    for space in ("ycc", "rgb", "yiq", "hsv"):
+        database, _, evaluation = _evaluate(
+            lab, scale, RETRIEVAL_PARAMS.with_(color_space=space))
+        regions[space] = database.region_count
+        rows.append([space, database.region_count,
+                     f"{evaluation.mean_precision:.3f}",
+                     f"{evaluation.mean_ap:.3f}",
+                     f"{evaluation.mean_seconds:.2f}"])
+    return Outcome(
+        "Ablation: working color space",
+        ["color space", "regions", f"P@{scale.k}", "mAP", "s/query"], rows,
+        checks={"RGB >= YCC regions (Section 6.6: RGB more fragmented)":
+                regions["rgb"] >= regions["ycc"]},
+        timing=frozenset(["s/query"]))
+
+
+def ablation_extensions(lab: Lab, scale: Scale) -> Outcome:
+    """Ablation: the optional extension knobs (merge factor, refined phase).
+
+    * ``merge_factor`` -- BIRCH phase-3-style agglomeration of
+      fragmented subclusters; fewer, larger regions -> smaller index
+      and faster queries, at some risk of blending adjacent textures.
+    * ``refine_signature_size`` + ``refine_epsilon`` -- Section 5.5's
+      refined matching phase; detailed 8x8 signatures re-check the
+      coarse candidate pairs, trading a little query time for
+      selectivity.
+    """
+    rows = []
+    for label, extraction, query in (
+            ("baseline", {}, {}),
+            ("merge x1.5", {"merge_factor": 1.5}, {}),
+            ("merge x2.5", {"merge_factor": 2.5}, {}),
+            ("refined 8x8, eps_r=0.25",
+             {"refine_signature_size": 8}, {"refine_epsilon": 0.25}),
+            ("refined 8x8, eps_r=0.15",
+             {"refine_signature_size": 8}, {"refine_epsilon": 0.15})):
+        database, _, evaluation = _evaluate(
+            lab, scale, RETRIEVAL_PARAMS.with_(**extraction),
+            QueryParameters(epsilon=EPSILON, **query))
+        rows.append([label, database.region_count,
+                     f"{evaluation.mean_precision:.3f}",
+                     f"{evaluation.mean_ap:.3f}",
+                     f"{evaluation.mean_seconds:.2f}"])
+    return Outcome(
+        "Ablation: merge factor and refined matching phase",
+        ["variant", "regions", f"P@{scale.k}", "mAP", "s/query"], rows,
+        timing=frozenset(["s/query"]))
+
+
+#: Every experiment, keyed by its DESIGN.md id, in DESIGN.md order.
+EXPERIMENTS: dict[str, Callable[[Lab, Scale], Outcome]] = {
+    "fig6a": fig6a,
+    "fig6b": fig6b,
+    "fig7/fig8": fig7_fig8,
+    "table1": table1,
+    "sec6.6": regions_vs_epsilon,
+    "robustness": robustness,
+    "region-quality": region_quality,
+    "abl-match": ablation_matching,
+    "abl-sig": ablation_signature,
+    "abl-window": ablation_windows,
+    "abl-color": ablation_color,
+    "abl-ext": ablation_extensions,
+}
+_ALIASES = {"fig7": "fig7/fig8", "fig8": "fig7/fig8"}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Regenerate the paper's Section 6 experiments.")
+    parser.add_argument("ids", nargs="*", metavar="id",
+                        help="experiments to run (default: all): "
+                             + ", ".join(EXPERIMENTS))
+    parser.add_argument("--quick", action="store_true",
+                        help="small collections and short sweeps")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write every outcome to PATH as JSON")
+    parser.add_argument("--figures-dir", metavar="DIR",
+                        help="fig7/fig8 also renders its contact sheets "
+                             "(PPM) into DIR")
+    args = parser.parse_args(argv)
+    ids = list(dict.fromkeys(_ALIASES.get(experiment_id, experiment_id)
+                             for experiment_id in args.ids)) \
+        or list(EXPERIMENTS)
+    unknown = [experiment_id for experiment_id in ids
+               if experiment_id not in EXPERIMENTS]
+    if unknown:
+        parser.error(f"unknown experiment ids {unknown}; choose from "
+                     + ", ".join(EXPERIMENTS))
+    scale = QUICK if args.quick else FULL
+    lab = Lab(args.figures_dir)
+    outcomes = {}
+    for experiment_id in ids:
+        outcomes[experiment_id] = EXPERIMENTS[experiment_id](lab, scale)
+        outcomes[experiment_id].report(experiment_id)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump({"scale": "quick" if args.quick else "full",
+                       "experiments": {experiment_id: outcome.to_json()
+                                       for experiment_id, outcome
+                                       in outcomes.items()}},
+                      handle, indent=1)
+            handle.write("\n")
+    failed = [f"{experiment_id}: {name}"
+              for experiment_id, outcome in outcomes.items()
+              for name, ok in outcome.checks.items()
+              if not ok and name not in outcome.timing]
+    if failed:
+        print("\nMISMATCH in deterministic shape checks:\n  "
+              + "\n  ".join(failed))
+        return 1
+    print(f"\nall deterministic shape checks hold ({len(outcomes)} "
+          "experiments)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

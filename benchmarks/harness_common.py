@@ -1,20 +1,14 @@
-"""Shared plumbing for the ``run_*.py`` experiment harnesses.
-
-Each harness regenerates one table or figure of the paper and prints it
-in the paper's own row/column format, so EXPERIMENTS.md can be checked
-line against line.  Scale knobs (collection size, sweep points) are
-argparse options with defaults sized for a laptop-minute run.
+"""Shared plumbing for ``experiments.py`` and ``run_scaling.py``:
+the retrieval extraction settings, a one-shot timer and the plain
+fixed-width table printer the paper's tables are reproduced in.
 """
 
 from __future__ import annotations
 
-import argparse
 import time
 from typing import Callable
 
-from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters
-from repro.datasets.generator import DatasetSpec, SyntheticDataset, generate_dataset
 
 #: Retrieval-experiment extraction parameters: Section 6.4's settings
 #: with multi-scale 16..64 windows (see DESIGN.md, substitution notes).
@@ -29,32 +23,6 @@ def timed(function: Callable, *args: object,
     started = time.perf_counter()
     result = function(*args, **kwargs)
     return time.perf_counter() - started, result
-
-
-def standard_parser(description: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--images-per-class", type=int, default=12,
-                        help="synthetic collection size per class")
-    parser.add_argument("--seed", type=int, default=1999)
-    return parser
-
-
-def build_collection(args: argparse.Namespace) -> SyntheticDataset:
-    print(f"# rendering collection: {args.images_per_class} images x 10 "
-          f"classes, seed {args.seed}")
-    return generate_dataset(DatasetSpec(
-        images_per_class=args.images_per_class, seed=args.seed))
-
-
-def build_database(dataset: SyntheticDataset,
-                   params: ExtractionParameters = RETRIEVAL_PARAMS
-                   ) -> WalrusDatabase:
-    database = WalrusDatabase(params)
-    elapsed, _ = timed(database.add_images, dataset.images, bulk=True)
-    print(f"# indexed {len(database)} images -> "
-          f"{database.region_count} regions in {elapsed:.1f}s "
-          f"(STR bulk load)")
-    return database
 
 
 def print_table(headers: list[str], rows: list[list], *,

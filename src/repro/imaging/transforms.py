@@ -3,8 +3,8 @@
 Section 1 claims WALRUS is "robust with respect to resolution changes,
 dithering effects, color shifts, orientation, size, and location".
 These transforms produce perturbed copies of an image so the
-robustness harness (``benchmarks/run_robustness.py``) can measure how
-retrieval degrades under each.  All are pure functions of the input
+``robustness`` experiment (``benchmarks/experiments.py``) can measure
+how retrieval degrades under each.  All are pure functions of the input
 (plus an explicit RNG for the stochastic ones).
 """
 
