@@ -24,7 +24,6 @@ from repro.core.cache import CacheStats
 from repro.core.database import WalrusDatabase
 from repro.core.extraction import RegionExtractor, extract_regions
 from repro.core.parameters import ExtractionParameters, QueryParameters
-from repro.core.pipeline import ExtractionPipeline, extract_regions_many
 from repro.core.regions import Region, RegionSignature
 from repro.core.results import (ImageMatch, QueryResult, QueryStats,
                                 RegionMatch)
@@ -39,7 +38,6 @@ from repro.exceptions import (
     ObservabilityError,
     PageCorruptionError,
     ParameterError,
-    PipelineError,
     SpatialIndexError,
     StorageError,
     WalrusError,
@@ -50,7 +48,7 @@ from repro.observability import (MetricsRegistry, ProbeCounts, QueryReport,
                                  Stopwatch, disable_metrics, enable_metrics,
                                  get_metrics)
 
-__version__ = "2.10.0"
+__version__ = "2.11.0"
 
 __all__ = [
     "CacheStats",
@@ -60,7 +58,6 @@ __all__ = [
     "DatabaseError",
     "DatasetError",
     "ExtractionParameters",
-    "ExtractionPipeline",
     "Image",
     "ImageFormatError",
     "ImageMatch",
@@ -69,7 +66,6 @@ __all__ = [
     "ObservabilityError",
     "PageCorruptionError",
     "ParameterError",
-    "PipelineError",
     "ProbeCounts",
     "QueryParameters",
     "QueryReport",
@@ -88,7 +84,6 @@ __all__ = [
     "disable_metrics",
     "enable_metrics",
     "extract_regions",
-    "extract_regions_many",
     "get_metrics",
     "__version__",
 ]

@@ -24,10 +24,6 @@ Commands
     flags turn on distributed tracing with head sampling plus the
     always-on flight recorder (dump on SIGUSR2 and at shutdown with
     ``--trace-dump``).
-``serve-metrics``
-    Expose the metrics registry over HTTP (``/metrics`` in Prometheus
-    text format 0.0.4 plus a ``/healthz`` liveness probe) from a
-    daemon thread until interrupted (or ``--duration`` elapses).
 ``evaluate``
     Compare WALRUS against the baselines on a synthetic collection.
 ``fsck``
@@ -84,10 +80,9 @@ from repro.evaluation import (
 )
 from repro.exceptions import ServerError, WalrusError
 from repro.imaging.codecs import read_image, write_image
-from repro.observability import (HistogramSummary, MetricsServer,
-                                 disable_metrics, disable_tracing,
-                                 enable_metrics, enable_tracing,
-                                 find_traces, get_metrics,
+from repro.observability import (HistogramSummary, disable_metrics,
+                                 disable_tracing, enable_metrics,
+                                 enable_tracing, find_traces, get_metrics,
                                  parse_prometheus_text,
                                  render_chrome_trace, render_prometheus,
                                  render_span_tree, render_top,
@@ -334,39 +329,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"admitted={snapshot['admitted_total']} "
           f"rejected={snapshot['rejected_total']} "
           f"refreshes={server.pool.refreshes}", flush=True)
-    return 0
-
-
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    if (args.database is None) != (args.image is None):
-        print("serve-metrics: --database and --image must be given "
-              "together", file=sys.stderr)
-        return 2
-    was_enabled = get_metrics().enabled
-    registry = enable_metrics()
-    if args.database is not None and args.image is not None:
-        # Warm the registry with one real query so the endpoint shows
-        # every instrumented name immediately.
-        with WalrusDatabase.open(args.database,
-                                 readonly=True) as database:
-            database.query(read_image(args.image),
-                           QueryParameters(epsilon=args.epsilon))
-    server = MetricsServer(registry, host=args.host, port=args.port)
-    server.start()
-    host, port = server.address
-    print(f"serving metrics on http://{host}:{port}/metrics "
-          f"(liveness on /healthz)", flush=True)
-    try:
-        if args.duration is not None:
-            threading.Event().wait(args.duration)
-        else:  # pragma: no cover - interactive mode
-            threading.Event().wait()
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
-    finally:
-        server.stop()
-        if not was_enabled:
-            disable_metrics()
     return 0
 
 
@@ -686,25 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the flight-recorder dump to FILE on "
                              "SIGUSR2 and at shutdown (implies --trace)")
     daemon.set_defaults(handler=_cmd_serve)
-
-    serve = commands.add_parser(
-        "serve-metrics",
-        help="expose the metrics registry over HTTP "
-             "(/metrics + /healthz)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=9463,
-                       help="bind port (0 asks the kernel for a free "
-                            "one; the chosen port is printed)")
-    serve.add_argument("--duration", type=float, default=None,
-                       help="serve for this many seconds then exit "
-                            "(default: until interrupted)")
-    serve.add_argument("--database", default=None,
-                       help="optional database directory to warm the "
-                            "registry with one query (requires --image)")
-    serve.add_argument("--image", default=None,
-                       help="query image for the warm-up query")
-    serve.add_argument("--epsilon", type=float, default=0.085)
-    serve.set_defaults(handler=_cmd_serve_metrics)
 
     evaluate = commands.add_parser(
         "evaluate", help="compare WALRUS and baselines on synthetic data")

@@ -3,7 +3,7 @@
 Ties the whole system together (Section 5.1's overview):
 
 * :meth:`WalrusDatabase.add_images` extracts regions — optionally in
-  parallel via :class:`~repro.core.pipeline.ExtractionPipeline` — and
+  parallel, one image per task of a ``multiprocessing`` pool — and
   indexes their signatures in an R*-tree, keyed by centroid point or
   bounding box, with ``(image_id, region_index)`` as the payload.  On a
   fresh database the tree is packed bottom-up with one
@@ -35,6 +35,7 @@ mutates).  ``cache_stats()`` exposes their hit rates.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 from typing import Any, Iterable, Sequence, cast
 
@@ -46,7 +47,6 @@ from repro.core.catalog import Catalog, IndexedImage
 from repro.core.extraction import RegionExtractor
 from repro.core.matching import MATCHERS
 from repro.core.parameters import ExtractionParameters, QueryParameters
-from repro.core.pipeline import ExtractionPipeline
 from repro.core.regions import Region
 from repro.core.results import (ImageMatch, QueryResult, QueryStats,
                                 RegionMatch)
@@ -62,6 +62,19 @@ from repro.observability import (Deadline, ProbeCounts, QueryReport,
                                  StageTiming, Stopwatch, current_span,
                                  get_events, get_metrics, get_tracer)
 from repro.observability.report import CANONICAL_STAGES
+
+#: The extractor of an ``add_images`` pool worker, built once per
+#: worker process by :func:`_start_worker`.
+_WORKER_EXTRACTOR: RegionExtractor | None = None
+
+
+def _start_worker(params: ExtractionParameters) -> None:
+    global _WORKER_EXTRACTOR
+    _WORKER_EXTRACTOR = RegionExtractor(params)
+
+
+def _extract_in_worker(image: Image) -> list[Region]:
+    return cast(RegionExtractor, _WORKER_EXTRACTOR).extract(image)
 
 
 class WalrusDatabase:
@@ -278,14 +291,17 @@ class WalrusDatabase:
 
     def add_images(self, images: Iterable[Image], *,
                    bulk: bool | None = None,
-                   workers: int | None = None,
-                   chunk_size: int | None = None) -> list[int]:
+                   workers: int | None = None) -> list[int]:
         """Index a batch of images; returns their ids in order.
 
-        ``workers`` fans region extraction across a process pool
-        (:class:`ExtractionPipeline`); ``None`` or ``1`` extracts
-        in-process.  Results are identical either way — parallel
-        extraction is deterministic and order-preserving.
+        ``workers`` (``None`` or an ``int`` >= 1) is the number of
+        processes that extract regions.  ``None`` or ``1`` extracts
+        in-process; more maps the batch over a ``multiprocessing``
+        pool (``fork`` where available) that lives for this call only.
+        Results are identical either way: extraction is deterministic
+        and the map keeps input order.  The workers' ``extraction.*``,
+        ``birch.*`` and ``wavelets.*`` instruments stay in the workers;
+        the ``ingest`` event still records the batch.
 
         ``bulk`` controls how the R*-tree is built.  ``None`` (the
         default) packs the tree with one Sort-Tile-Recursive pass when
@@ -295,6 +311,11 @@ class WalrusDatabase:
         trees are better packed and much faster to construct.
         """
         self._check_open()
+        if workers is not None and (isinstance(workers, bool)
+                                    or not isinstance(workers, int)
+                                    or workers < 1):
+            raise InvalidParameterError(
+                f"workers must be None or an int >= 1, got {workers!r}")
         events = get_events()
         watch = Stopwatch() if events.enabled else None
         batch = list(images)
@@ -312,9 +333,13 @@ class WalrusDatabase:
             regions_per_image = [self.extractor.extract(image)
                                  for image in batch]
         else:
-            with ExtractionPipeline(self.params, workers=workers,
-                                    chunk_size=chunk_size) as pipeline:
-                regions_per_image = pipeline.extract_many(batch)
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                "fork" if "fork" in methods else None)
+            with context.Pool(workers, initializer=_start_worker,
+                              initargs=(self.params,)) as pool:
+                regions_per_image = pool.map(_extract_in_worker, batch)
+            pool.join()
 
         ids: list[int] = []
         items: list[tuple[Rect, tuple[int, int]]] = []

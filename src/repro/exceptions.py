@@ -88,11 +88,6 @@ class DatabaseClosedError(DatabaseError):
     """
 
 
-class PipelineError(WalrusError):
-    """The parallel extraction pipeline was misconfigured or a worker
-    failed irrecoverably."""
-
-
 class DatasetError(WalrusError):
     """Synthetic dataset generation was given inconsistent parameters."""
 

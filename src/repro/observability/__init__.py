@@ -36,9 +36,9 @@ its time and I/O go.  It is dependency-free:
 * :mod:`repro.observability.export` /
   :mod:`repro.observability.server` — external telemetry surfaces:
   Prometheus text-format 0.0.4 rendering, JSON snapshots, and the
-  one HTTP listener: :class:`MetricsServer` behind ``walrus
-  serve-metrics`` (``/metrics``, ``/healthz``, ``/debug/traces``),
-  which the query daemon extends with its own routes.
+  one HTTP listener (``/metrics`` over the process registry,
+  ``/debug/traces``), which the query daemon behind ``walrus serve``
+  extends with its own routes.
 
 Every *count* the layer emits is deterministic under fixed seeds (the
 paper's own evaluation tables are built on these observables); only
@@ -77,7 +77,6 @@ from repro.observability.registry import (
 )
 from repro.observability.report import (ProbeCounts, QueryReport,
                                         StageTiming)
-from repro.observability.server import MetricsServer
 from repro.observability.spans import (
     NULL_SPAN,
     Span,
@@ -113,7 +112,6 @@ __all__ = [
     "Histogram",
     "HistogramSummary",
     "MetricsRegistry",
-    "MetricsServer",
     "NULL_SPAN",
     "ProbeCounts",
     "QueryReport",

@@ -17,8 +17,6 @@ schema table):
 
 * ``ingest`` — one ``add_image``/``add_images`` batch: image and
   region counts, bulk/worker configuration, wall seconds.
-* ``extract_batch`` — one :class:`ExtractionPipeline` batch: chunk
-  fan-out and worker busy time.
 * ``query`` — one query with the full EXPLAIN funnel (the
   :meth:`QueryReport.to_dict` payload: probes → candidates → matched
   → returned, node reads, cache hits, per-stage timings).
@@ -68,7 +66,7 @@ from repro.exceptions import ObservabilityError
 
 #: Every event type the library emits, for schema validation.
 EVENT_TYPES = frozenset({
-    "ingest", "extract_batch", "query", "slow_query",
+    "ingest", "query", "slow_query",
     "verify", "fsck", "fault",
     "server_start", "server_stop", "server_request",
     "trace",

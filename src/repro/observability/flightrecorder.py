@@ -16,9 +16,9 @@ sampling rate.
 segments that share a ``trace_id`` (the client's and the server's
 halves of one request reunite when both processes share a recorder —
 the in-process test topology — or when dumps are combined offline).
-The payload backs ``GET /debug/traces`` on both
-:class:`~repro.server.app.WalrusServer` and
-:class:`~repro.observability.server.MetricsServer`, the SIGUSR2
+The payload backs ``GET /debug/traces`` on every
+:class:`~repro.observability.server.Listener` (the query daemon,
+:class:`~repro.server.app.WalrusServer`, is one), the SIGUSR2
 handler, the ``walrus serve`` shutdown dump, and the ``walrus trace``
 CLI.
 """

@@ -6,10 +6,9 @@ timeout, keep-alive with ``TCP_NODELAY``, counting accepted
 connections as ``server.connections``), "send these bytes with a type
 and a length", bind failure → :class:`~repro.exceptions.ServerError`,
 the serve thread and its lifecycle (a stop that closes idle
-connections rather than wait on them), and the two routes both
-surfaces serve:
+connections rather than wait on them), and two routes:
 
-* ``GET /metrics`` — a registry rendered by
+* ``GET /metrics`` — the process-wide registry rendered by
   :func:`~repro.observability.export.render_prometheus`, served as
   ``text/plain; version=0.0.4`` (the exposition-format content type).
 * ``GET /debug/traces`` — the process tracer's flight-recorder dump
@@ -17,9 +16,8 @@ surfaces serve:
   dump`) as JSON: recently retained traces, including force-retained
   slow / deadline-exceeded / errored ones.
 
-:class:`MetricsServer` adds a registry of its own and a text
-``GET /healthz``; the query daemon
-(:class:`~repro.server.app.WalrusServer`) is the other subclass.
+The query daemon (:class:`~repro.server.app.WalrusServer`) is its one
+subclass.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, TypeVar
 
 from repro.exceptions import ServerError
 from repro.observability.export import render_prometheus
-from repro.observability.registry import MetricsRegistry, get_metrics
+from repro.observability.registry import get_metrics
 from repro.observability.spans import get_tracer
 
 #: The Prometheus text exposition format content type.
@@ -146,7 +144,8 @@ class Listener:
     Subclasses add entries to :attr:`get_routes` (``path → () →
     Reply``) and :attr:`post_routes` (``path → (headers, body stream)
     → Reply``) and may override :meth:`not_found`.  Usable as a
-    context manager (``with MetricsServer(port=0) as server: ...``).
+    context manager (``with Listener("127.0.0.1", 0) as listener:
+    ...``).
     The serve thread is a daemon, so a process that exits without
     calling :meth:`stop` is not held open by the listener.
     """
@@ -154,10 +153,6 @@ class Listener:
     #: Whether :meth:`stop` joins the in-flight handler threads (a
     #: drain) instead of leaving daemonic ones to die with the process.
     joins_requests = False
-
-    #: The registry ``/metrics`` renders; ``None`` is the process-wide
-    #: one, looked up on every scrape.
-    registry: MetricsRegistry | None = None
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
@@ -178,9 +173,7 @@ class Listener:
 
     # -- routes ----------------------------------------------------------
     def _metrics(self) -> Reply:
-        registry = (self.registry if self.registry is not None
-                    else get_metrics())
-        return Reply(200, render_prometheus(registry).encode("utf-8"),
+        return Reply(200, render_prometheus(get_metrics()).encode("utf-8"),
                      CONTENT_TYPE)
 
     def debug_traces(self) -> dict[str, Any]:
@@ -282,29 +275,3 @@ class Listener:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-
-class MetricsServer(Listener):
-    """A daemon-threaded ``/metrics`` endpoint over a registry.
-
-    Parameters
-    ----------
-    registry:
-        The registry to expose; defaults to the process-wide one
-        (sampled live on every scrape — no caching).
-    host, port:
-        Bind address (see :class:`Listener`).
-
-    Adds ``GET /healthz`` — ``200 ok`` while the server is running; a
-    load-balancer/liveness probe target.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None, *,
-                 host: str = "127.0.0.1", port: int = 9463) -> None:
-        super().__init__(host, port)
-        self.registry = registry if registry is not None else get_metrics()
-        self.get_routes["/healthz"] = lambda: Reply(200, b"ok\n")
-
-    def url(self, path: str = "/metrics") -> str:
-        """The scrape URL for ``path`` on the bound address."""
-        return super().url(path)

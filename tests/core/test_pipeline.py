@@ -1,23 +1,23 @@
-"""The parallel extraction pipeline and batched/bulk ingest.
+"""Batched ingest: pooled extraction and STR bulk loading.
 
-The load-bearing guarantees: parallel extraction is byte-identical to
-serial, STR-bulk-built databases equal incrementally-built ones on
-``verify()`` and on query results, and the pipeline's lifecycle and
-parameter validation behave.
+The load-bearing guarantees: ``add_images(workers=N)`` is byte-identical
+to serial extraction, starts a process pool only for ``N > 1`` and a
+non-empty batch, rejects a bad ``workers`` before any work, and
+STR-bulk-built databases equal incrementally-built ones on ``verify()``
+and on query results.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
 from repro.core.database import WalrusDatabase
 from repro.core.extraction import RegionExtractor
 from repro.core.parameters import ExtractionParameters, QueryParameters
-from repro.core.pipeline import (ExtractionPipeline, extract_regions_many,
-                                 resolve_chunk_size)
 from repro.datasets.generator import render_scene
-from repro.exceptions import (DatabaseError, InvalidParameterError,
-                              PipelineError)
+from repro.exceptions import DatabaseError, InvalidParameterError
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
 
@@ -34,6 +34,14 @@ def query_image():
     return render_scene("flowers", seed=977, name="query")
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make starting a process pool an error."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+
+
 def region_fingerprints(regions):
     return [(region.signature.lower.tobytes(),
              region.signature.upper.tobytes(),
@@ -43,52 +51,40 @@ def region_fingerprints(regions):
 
 class TestExtractionPipeline:
     def test_parallel_matches_serial_exactly(self, scenes):
+        """The pooled fan-out in ``add_images`` yields, per image, the
+        regions of a serial ``RegionExtractor.extract``, byte for byte."""
         serial = [RegionExtractor(PARAMS).extract(image)
                   for image in scenes]
-        parallel = extract_regions_many(scenes, PARAMS, workers=2,
-                                        chunk_size=2)
+        database = WalrusDatabase.create(params=PARAMS)
+        image_ids = database.add_images(scenes, bulk=False, workers=2)
+        parallel = [database.images[image_id].regions
+                    for image_id in image_ids]
         assert len(parallel) == len(serial)
         for expected, actual in zip(serial, parallel):
             assert region_fingerprints(actual) == region_fingerprints(
                 expected)
 
-    def test_single_worker_runs_in_process(self, scenes):
-        with ExtractionPipeline(PARAMS, workers=1) as pipeline:
-            results = pipeline.extract_many(scenes[:2])
-        assert len(results) == 2
-        assert pipeline._pool is None  # never forked
 
-    def test_pool_is_reused_across_batches(self, scenes):
-        with ExtractionPipeline(PARAMS, workers=2) as pipeline:
-            first = pipeline.extract_many(scenes[:2])
-            pool = pipeline._pool
-            second = pipeline.extract_many(scenes[2:])
-            assert pipeline._pool is pool
-        assert len(first) == 2 and len(second) == 3
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_serial_workers_start_no_pool(self, scenes, no_pool, workers):
+        database = WalrusDatabase.create(params=PARAMS)
+        assert database.add_images(scenes[:2], workers=workers) == [0, 1]
+        assert len(database) == 2
 
-    def test_empty_batch(self):
-        with ExtractionPipeline(PARAMS, workers=2) as pipeline:
-            assert pipeline.extract_many([]) == []
+    def test_empty_batch_starts_no_pool(self, no_pool):
+        database = WalrusDatabase.create(params=PARAMS)
+        assert database.add_images([], workers=2) == []
 
-    def test_closed_pipeline_raises(self, scenes):
-        pipeline = ExtractionPipeline(PARAMS, workers=1)
-        pipeline.close()
-        with pytest.raises(PipelineError):
-            pipeline.extract_many(scenes[:1])
-
-    def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            ExtractionPipeline(PARAMS, workers=0)
-        with pytest.raises(InvalidParameterError):
-            ExtractionPipeline(PARAMS, chunk_size=0)
-        with pytest.raises(InvalidParameterError):
-            resolve_chunk_size(10, 2, chunk_size=-1)
-
-    def test_chunk_size_heuristic(self):
-        assert resolve_chunk_size(0, 4) == 1
-        assert resolve_chunk_size(100, 4) == 100 // 16 + 1
-        assert resolve_chunk_size(10_000, 4) == 32  # capped
-        assert resolve_chunk_size(100, 4, chunk_size=7) == 7
+    @pytest.mark.parametrize("batch", ["empty", "one"])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_invalid_workers_rejected_before_any_work(
+            self, scenes, no_pool, workers, batch):
+        database = WalrusDatabase.create(params=PARAMS)
+        images = [] if batch == "empty" else scenes[:1]
+        with pytest.raises(InvalidParameterError, match="workers"):
+            database.add_images(images, workers=workers)
+        assert len(database) == 0
 
 
 class TestBatchedIngest:
@@ -97,7 +93,7 @@ class TestBatchedIngest:
         serial = WalrusDatabase.create(params=PARAMS)
         serial.add_images(scenes, bulk=False)
         pooled = WalrusDatabase.create(params=PARAMS)
-        pooled.add_images(scenes, bulk=False, workers=2, chunk_size=2)
+        pooled.add_images(scenes, bulk=False, workers=2)
 
         assert len(pooled) == len(serial)
         assert pooled.region_count == serial.region_count

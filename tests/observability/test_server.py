@@ -1,8 +1,9 @@
-"""The metrics HTTP endpoint, end to end over a real socket.
+"""The listener's ``/metrics`` endpoint, end to end over a real socket.
 
-``MetricsServer`` binds ``port=0`` (kernel-assigned) so the tests
+A bare ``Listener`` binds ``port=0`` (kernel-assigned) so the tests
 exercise the genuine scrape path — connect, GET, parse — without port
-conflicts, then diff the scraped text against the registry snapshot.
+conflicts, then diff the scraped text against the process registry,
+which the fixture installs through ``set_metrics``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import urllib.request
 
 import pytest
 
-from repro.observability import MetricsRegistry
+from repro.observability import MetricsRegistry, set_metrics
 from repro.observability.export import render_prometheus, sanitize_metric_name
-from repro.observability.server import CONTENT_TYPE, MetricsServer
+from repro.observability.server import CONTENT_TYPE, Listener
 
 
 def make_registry() -> MetricsRegistry:
@@ -26,9 +27,16 @@ def make_registry() -> MetricsRegistry:
 
 
 @pytest.fixture
-def server():
-    registry = make_registry()
-    with MetricsServer(registry, port=0) as running:
+def registry():
+    installed = make_registry()
+    previous = set_metrics(installed)
+    yield installed
+    set_metrics(previous)
+
+
+@pytest.fixture
+def server(registry):
+    with Listener("127.0.0.1", 0) as running:
         yield running, registry
 
 
@@ -70,12 +78,6 @@ class TestScrape:
         _, _, body = fetch(running.url("/metrics"))
         assert f"{sanitize_metric_name('query.count')} 15" in body
 
-    def test_healthz(self, server):
-        running, _ = server
-        status, _, body = fetch(running.url("/healthz"))
-        assert status == 200
-        assert body == "ok\n"
-
     def test_unknown_path_is_404(self, server):
         running, _ = server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -90,10 +92,10 @@ class TestLifecycle:
         assert host == "127.0.0.1"
         assert port > 0
 
-    def test_stop_is_idempotent_and_closes_socket(self):
-        server = MetricsServer(make_registry(), port=0)
+    def test_stop_is_idempotent_and_closes_socket(self, registry):
+        server = Listener("127.0.0.1", 0)
         server.start()
-        url = server.url("/healthz")
+        url = server.url("/metrics")
         assert fetch(url)[0] == 200
         server.stop()
         server.stop()
@@ -101,9 +103,9 @@ class TestLifecycle:
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
             fetch(url)
 
-    def test_context_manager_stops_on_exit(self):
-        with MetricsServer(make_registry(), port=0) as running:
-            url = running.url("/healthz")
+    def test_context_manager_stops_on_exit(self, registry):
+        with Listener("127.0.0.1", 0) as running:
+            url = running.url("/metrics")
             assert running.running
         assert not running.running
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):

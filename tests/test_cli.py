@@ -199,54 +199,3 @@ class TestFsck:
             stream.truncate(_os.path.getsize(page_path) * 2 // 3)
         assert main(["fsck", on_disk_db]) == 1
         assert "problem(s) found" in capsys.readouterr().out
-
-
-class TestServeMetrics:
-    def test_serves_and_exits_after_duration(self, capsys):
-        import re
-        import threading
-        import urllib.request
-
-        results: dict[str, object] = {}
-
-        def scrape() -> None:
-            # Wait for the startup line, then scrape the live endpoint.
-            for _ in range(100):
-                output = results.get("announce")
-                if output:
-                    break
-                threading.Event().wait(0.01)
-            match = re.search(r"http://[\d.]+:\d+", str(output))
-            assert match is not None
-            with urllib.request.urlopen(match.group(0) + "/metrics",
-                                        timeout=5) as response:
-                results["status"] = response.status
-                results["type"] = response.headers.get("Content-Type")
-                results["body"] = response.read().decode("utf-8")
-
-        worker = threading.Thread(target=scrape)
-
-        def run() -> int:
-            code = main(["serve-metrics", "--port", "0",
-                         "--duration", "1.0"])
-            return code
-
-        runner = threading.Thread(
-            target=lambda: results.__setitem__("exit", run()))
-        runner.start()
-        for _ in range(200):
-            captured = capsys.readouterr().out
-            if captured:
-                results["announce"] = captured
-                break
-            threading.Event().wait(0.01)
-        worker.start()
-        worker.join(timeout=10)
-        runner.join(timeout=10)
-        assert results["exit"] == 0
-        assert results["status"] == 200
-        assert "version=0.0.4" in str(results["type"])
-
-    def test_database_without_image_is_usage_error(self, capsys):
-        assert main(["serve-metrics", "--database", "somewhere"]) == 2
-        assert "together" in capsys.readouterr().err

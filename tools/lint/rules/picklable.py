@@ -1,12 +1,13 @@
 """R004 — work submitted to process pools must be picklable.
 
-:class:`repro.core.pipeline.ExtractionPipeline` (and any direct
-``multiprocessing.Pool`` use) ships the callable to worker processes
-by pickling.  Lambdas, closures (functions defined inside another
+A ``multiprocessing.Pool`` (such as the one
+:meth:`repro.core.database.WalrusDatabase.add_images` maps a batch
+over when ``workers > 1``) ships the callable to worker processes by
+pickling.  Lambdas, closures (functions defined inside another
 function) and bound methods of arbitrary objects either fail to pickle
 outright or silently drag an entire object graph across the fork
 boundary.  Submit module-level functions; thread per-worker state
-through an initializer, as the pipeline does.
+through an initializer, as ``add_images`` does.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def _imported_modules(tree: ast.Module) -> frozenset[str]:
 class PicklableSubmissionRule(Rule):
     code = "R004"
     name = "picklable-pool-submissions"
-    rationale = ("callables handed to Pool/ExtractionPipeline methods "
-                 "must be module-level functions (lambdas, closures and "
-                 "bound methods do not pickle)")
+    rationale = ("callables handed to process-pool methods must be "
+                 "module-level functions (lambdas, closures and bound "
+                 "methods do not pickle)")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         nested = _nested_function_names(source.tree)
