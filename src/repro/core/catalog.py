@@ -2,9 +2,10 @@
 is and of what its catalog record says.
 
 A database directory holds ``PAGE_FILE`` (the page store: R*-tree
-nodes plus one commit-coupled catalog record) beside ``META_FILE`` (a
-constant marker).  :func:`database_page_file` is the one "is this
-directory a database" rule — :meth:`WalrusDatabase.open
+nodes, one commit-coupled catalog record and one row record per image)
+beside ``META_FILE`` (a constant marker).  :func:`database_page_file`
+is the one "is this directory a database" rule —
+:meth:`WalrusDatabase.open
 <repro.core.database.WalrusDatabase.open>`, ``fsck``, ``migrate`` and
 the server's reader sessions all ask it.
 
@@ -12,25 +13,31 @@ The catalog record is a :class:`Catalog` — extraction parameters, the
 :class:`IndexedImage` table, the next image id and the index root
 state — laid out as fixed-width little-endian columns
 (``docs/FORMAT.md``, "Catalog record"): a header, the parameters and
-index state as one small JSON object, an image table, and a region
-table whose row *i* is one region's signature bounds, window count,
-cluster radius, packed coverage bitmap and optional refined signature.
-:meth:`Catalog.encode` and :meth:`Catalog.decode` are the only code
-that knows that layout.
+index state as one small JSON object and an image table.  Each image's
+regions are a *row record*, a blob of the page store under the image's
+id: columns whose row *i* is one region's signature bounds, window
+count, cluster radius, packed coverage bitmap and optional refined
+signature.  An image never changes once added, so its row record is
+written once, by the first checkpoint that sees the image, and dropped
+by the first one after it is removed.  :meth:`Catalog.encode`,
+:meth:`Catalog.row_record` and :meth:`Catalog.decode` are the only code
+that knows these layouts.
 
-Decoding views the record's bytes with ``np.frombuffer`` and checks
-every column whole (section lengths against the record's, counts,
-``lower <= upper`` with no NaN); it builds no :class:`Region`.  A
-decoded image's ``regions`` is a :class:`RegionRows`, a read-only
-sequence over its rows that builds row *i*'s region the first time it
-is indexed and keeps it.  Images added since the decode hold plain
-lists; :meth:`Catalog.encode` takes both, slicing decoded rows straight
-from their columns.
+Decoding checks the record's sections against its length and each
+other and reads no row record.  A decoded image's ``regions`` is a
+:class:`RegionRows`, a read-only sequence whose first indexing reads
+the image's row record, views it with ``np.frombuffer`` and checks its
+columns whole (exact length, ``lower <= upper`` with no NaN); row *i*
+becomes a :class:`Region` the first time it is indexed and is kept.
+Images added since the decode hold plain lists.
 
-A 2.x record is a pickle (its first byte is the pickle protocol
-opcode).  :func:`repro.core.migrate.upgrade_catalog_record` unpickles it
-through an allow-list and re-encodes it; the result is decoded like any
-other record, and the next writable checkpoint commits it.
+Record version 1 (2.6–2.11) carried every image's rows in the record
+itself, as one region table; it is decoded as it always was, and the
+first checkpoint that changes the catalog writes version 2.  A 2.x
+record is a pickle (its first byte is the pickle protocol opcode).
+:func:`repro.core.migrate.upgrade_catalog_record` unpickles it through
+an allow-list and re-encodes it as version 1; the next writable
+checkpoint commits it as version 2.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ import math
 import os
 import struct
 import typing
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import NoReturn, overload
 
 import numpy as np
@@ -50,6 +58,7 @@ from repro.core.bitmap import CoverageBitmap
 from repro.core.parameters import ExtractionParameters
 from repro.core.regions import Region, RegionSignature
 from repro.exceptions import DatabaseError
+from repro.index.pagestore import PageStore
 
 #: File names of the directory-based on-disk layout.
 PAGE_FILE = "regions.pages"
@@ -65,7 +74,12 @@ META_MARKER = (b"walrus database directory: the catalog is a record "
 #: lengths of the JSON section and of the image names.
 _HEADER = struct.Struct("<4sIqqIIqq")
 _MAGIC = b"WCAT"
-_VERSION = 1
+#: The record version :meth:`Catalog.encode` writes.
+_VERSION = 2
+#: The version whose record holds the region table itself (2.6–2.11).
+_ROWS_INLINE = 1
+#: The image table's column type, by record version.
+_IMAGE_TABLE_DTYPE = {_ROWS_INLINE: "<i8", _VERSION: "<i4"}
 #: Every section starts at a multiple of this; zero bytes pad the gaps.
 _ALIGN = 8
 #: The first byte of a pickle of protocol 2 or later: a 2.x record.
@@ -198,32 +212,40 @@ class RegionTable:
 
 
 class RegionRows(Sequence[Region]):
-    """One decoded image's regions: a read-only sequence over rows
-    ``start:stop`` of a :class:`RegionTable`.
+    """One decoded image's regions: a read-only sequence over the rows
+    of its :class:`RegionTable`, which ``load`` returns.
 
-    ``len()`` builds nothing.  Indexing row *i* builds its
-    :class:`Region` once and keeps it; the first build unpacks the
-    whole image's bitmaps in one ``np.unpackbits``.  The columns were
-    checked when the record was decoded, so the region's signature and
-    bitmap are not checked again.
+    ``len()`` reads and builds nothing.  The first indexing loads the
+    table (reading and checking the image's row record); row *i*
+    becomes a :class:`Region` the first time it is indexed and is
+    kept, and the first build unpacks the whole image's bitmaps in one
+    ``np.unpackbits``.  The columns were checked when they were
+    loaded, so the region's signature and bitmap are not checked
+    again.
     """
 
-    __slots__ = ("table", "start", "stop", "height", "width", "grid",
-                 "_built", "_blocks")
+    __slots__ = ("_load", "_table", "height", "width", "grid", "_built",
+                 "_blocks")
 
-    def __init__(self, table: RegionTable, start: int, stop: int,
+    def __init__(self, load: Callable[[], RegionTable], count: int,
                  height: int, width: int, grid: int) -> None:
-        self.table = table
-        self.start = start
-        self.stop = stop
+        self._load = load
+        self._table: RegionTable | None = None
         self.height = height
         self.width = width
         self.grid = grid
-        self._built: list[Region | None] = [None] * (stop - start)
+        self._built: list[Region | None] = [None] * count
         self._blocks: np.ndarray | None = None
 
+    @property
+    def table(self) -> RegionTable:
+        """The image's rows, loaded on first use."""
+        if self._table is None:
+            self._table = self._load()
+        return self._table
+
     def __len__(self) -> int:
-        return self.stop - self.start
+        return len(self._built)
 
     @overload
     def __getitem__(self, index: int) -> Region: ...
@@ -241,18 +263,17 @@ class RegionRows(Sequence[Region]):
         return region
 
     def _build(self, row: int) -> Region:
-        table, at = self.table, self.start + row
+        table = self.table
         if self._blocks is None:
-            bits = np.unpackbits(table.bitmaps[self.start:self.stop],
-                                 axis=1, count=self.grid ** 2)
+            bits = np.unpackbits(table.bitmaps, axis=1, count=self.grid ** 2)
             self._blocks = bits.reshape(-1, self.grid, self.grid).view(bool)
             self._blocks.setflags(write=False)
         return Region(
-            RegionSignature._trusted(table.lower[at], table.upper[at]),
+            RegionSignature._trusted(table.lower[row], table.upper[row]),
             CoverageBitmap._trusted(self.height, self.width, self.grid,
                                     self._blocks[row]),
-            int(table.window_count[at]), float(table.cluster_radius[at]),
-            None if table.refined is None else table.refined[at])
+            int(table.window_count[row]), float(table.cluster_radius[row]),
+            None if table.refined is None else table.refined[row])
 
 
 class IndexedImage:
@@ -281,15 +302,18 @@ class IndexedImage:
 class _Reader:
     """The sections of one record, in order: each is checked against
     the record's length before it is read, and the padding after it
-    must be zero."""
+    must be zero.  ``what`` names the record in errors."""
 
-    def __init__(self, blob: bytes, source: str) -> None:
+    def __init__(self, blob: bytes, source: str,
+                 what: str = "metadata") -> None:
         self.blob = blob
         self.source = source
+        self.what = what
         self.offset = 0
 
     def fail(self, reason: str) -> NoReturn:
-        raise DatabaseError(f"{self.source}: metadata is corrupt: {reason}")
+        raise DatabaseError(
+            f"{self.source}: {self.what} is corrupt: {reason}")
 
     def section(self, size: int, what: str) -> int:
         """Claim the next ``size`` bytes (and their padding); returns
@@ -310,6 +334,41 @@ class _Reader:
         count = math.prod(shape)
         start = self.section(count * np.dtype(dtype).itemsize, what)
         return np.frombuffer(self.blob, dtype, count, start).reshape(shape)
+
+
+def _padded(sections: Iterable[bytes]) -> bytes:
+    """``sections`` laid end to end, each zero-padded to ``_ALIGN``."""
+    return b"".join(section + bytes(-len(section) % _ALIGN)
+                    for section in sections)
+
+
+def _read_table(reader: _Reader, params: ExtractionParameters,
+                count: int) -> RegionTable:
+    """The next sections as a ``count``-row region table, checked whole:
+    ``lower <= upper`` with no NaN."""
+    columns = {name: reader.array(dtype, (count, width) if width
+                                  else (count,), name)
+               for name, dtype, width in _region_columns(params)}
+    lower = columns["lower"]
+    upper = columns.get("upper", lower)
+    if not (lower <= upper).all():
+        reader.fail("a signature has lower > upper or a NaN bound")
+    return RegionTable(lower, upper, columns["window_count"],
+                       columns["cluster_radius"], columns["bitmaps"],
+                       columns.get("refined"))
+
+
+def _read_row_record(store: PageStore, image_id: int,
+                     params: ExtractionParameters, count: int,
+                     source: str) -> RegionTable:
+    """Image ``image_id``'s ``count`` rows, from its row record in
+    ``store``: the record must be exactly those columns."""
+    blob = store.read_blob(image_id)
+    reader = _Reader(blob, source, f"row record of image {image_id}")
+    table = _read_table(reader, params, count)
+    if reader.offset != len(blob):
+        reader.fail(f"{len(blob) - reader.offset} trailing bytes")
+    return table
 
 
 def _json_type_ok(value: object, kinds: tuple[type, ...]) -> bool:
@@ -367,56 +426,96 @@ class Catalog:
     next_id: int
     #: :meth:`RStarTree.state() <repro.index.rstar.RStarTree.state>`.
     index_state: dict[str, int]
+    #: The record version decoded: 2 keeps the rows in row records,
+    #: 1 in the record itself, and 0 is a 2.x pickle (read as 1).
+    version: int = _VERSION
 
     def _records(self) -> list[IndexedImage]:
         """The image table's rows: images by id."""
         return sorted(self.images.values(),
                       key=lambda record: record.image_id)
 
-    def region_table(self) -> RegionTable:
-        """Every image's regions as one table, images by id; decoded
-        rows are sliced from their columns, not rebuilt."""
-        parts = [record.regions.table.rows(record.regions.start,
-                                           record.regions.stop)
-                 if isinstance(record.regions, RegionRows)
-                 else RegionTable.from_regions(record.regions, self.params,
-                                               record.height, record.width)
-                 for record in self._records()]
-        return RegionTable.concat(
-            parts or [RegionTable.from_regions([], self.params, 1, 1)])
+    def _table(self, record: IndexedImage) -> RegionTable:
+        """One image's regions as columns; decoded rows are not
+        rebuilt."""
+        if isinstance(record.regions, RegionRows):
+            return record.regions.table
+        return RegionTable.from_regions(record.regions, self.params,
+                                        record.height, record.width)
 
-    def encode(self) -> bytes:
-        """The record's bytes, as handed to ``store.set_metadata``."""
+    def region_table(self) -> RegionTable:
+        """Every image's regions as one table, images by id (reads
+        every row record)."""
+        return RegionTable.concat(
+            [self._table(record) for record in self._records()]
+            or [RegionTable.from_regions([], self.params, 1, 1)])
+
+    def row_record(self, image_id: int) -> bytes:
+        """Image ``image_id``'s row record, as handed to
+        ``store.put_blob``."""
+        table = self._table(self.images[image_id])
+        return _padded(getattr(table, name).astype(dtype, copy=False)
+                       .tobytes()
+                       for name, dtype, _ in _region_columns(self.params))
+
+    def encode(self, version: int = _VERSION) -> bytes:
+        """The record's bytes, as handed to ``store.set_metadata``.
+
+        ``version=1`` appends the region table: only
+        :func:`~repro.core.migrate.upgrade_catalog_record` writes it,
+        so that a 2.x record is checked like any other.
+        """
         params = self.params
         records = self._records()
-        table = self.region_table()
         names = [record.name.encode("utf-8") for record in records]
         settings = json.dumps(
             {"params": asdict(params), "next_id": self.next_id,
              "index_state": self.index_state},
             sort_keys=True, separators=(",", ":")).encode("utf-8")
+        counts = [len(record.regions) for record in records]
         sections = [
-            _HEADER.pack(_MAGIC, _VERSION, len(records), len(table),
+            _HEADER.pack(_MAGIC, version, len(records), sum(counts),
                          params.feature_dimensions, _bitmap_bytes(params),
                          len(settings), sum(map(len, names))),
             settings,
             np.array([[record.image_id for record in records],
                       [record.height for record in records],
                       [record.width for record in records],
-                      [len(record.regions) for record in records],
-                      [len(name) for name in names]],
-                     dtype="<i8").tobytes(),
+                      counts, [len(name) for name in names]],
+                     dtype=_IMAGE_TABLE_DTYPE[version]).tobytes(),
             b"".join(names),
-        ] + [getattr(table, name).astype(dtype, copy=False).tobytes()
-             for name, dtype, _ in _region_columns(params)]
-        return b"".join(section + bytes(-len(section) % _ALIGN)
-                        for section in sections)
+        ]
+        if version == _ROWS_INLINE:
+            table = self.region_table()
+            sections += [getattr(table, name).astype(dtype, copy=False)
+                         .tobytes()
+                         for name, dtype, _ in _region_columns(params)]
+        return _padded(sections)
+
+    @property
+    def rows_in_store(self) -> bool:
+        """Whether each image's rows are a row record in the store
+        (version 2), not part of the record."""
+        return self.version == _VERSION
+
+    def baseline(self, blob: bytes) -> bytes | None:
+        """What a checkpoint compares its record with, for this
+        catalog decoded from ``blob``: ``blob`` itself when it is
+        current; this catalog's current encoding for a version-1
+        record, which stays as it is until the catalog changes; and
+        ``None`` for a 2.x pickle, which the first checkpoint
+        rewrites."""
+        if self.version == _VERSION:
+            return blob
+        return self.encode() if self.version else None
 
     @classmethod
-    def decode(cls, blob: bytes | None, source: str) -> "Catalog":
+    def decode(cls, blob: bytes | None, source: str,
+               store: PageStore) -> "Catalog":
         """Decode and check a checkpoint's catalog record (``source``
         names the page file in error messages); any record that fails
-        a check is a :class:`DatabaseError`."""
+        a check is a :class:`DatabaseError`.  A version-2 image's rows
+        are read from ``store`` when first indexed, not here."""
         if blob is None:
             raise DatabaseError(
                 f"{source}: page file carries no catalog record "
@@ -424,16 +523,19 @@ class Catalog:
         if blob[:1] == _PICKLE_PROTO:
             # Imported here: repro.core.migrate imports this module.
             from repro.core.migrate import upgrade_catalog_record
-            blob = upgrade_catalog_record(blob, source)
+            catalog = cls.decode(upgrade_catalog_record(blob, source),
+                                 source, store)
+            catalog.version = 0
+            return catalog
         reader = _Reader(blob, source)
         if blob[:len(_MAGIC)] != _MAGIC or len(blob) < _HEADER.size:
             reader.fail("not a catalog record")
         (_, version, image_count, region_count, dimensions, bitmap_bytes,
          settings_size, names_size) = _HEADER.unpack_from(blob)
         reader.section(_HEADER.size, "header")
-        if version != _VERSION:
+        if version not in (_ROWS_INLINE, _VERSION):
             reader.fail(f"record version {version}, this build reads "
-                        f"version {_VERSION}")
+                        f"versions {_ROWS_INLINE} and {_VERSION}")
         if image_count < 0 or region_count < 0:
             reader.fail(f"negative counts ({image_count} images, "
                         f"{region_count} regions)")
@@ -453,7 +555,7 @@ class Catalog:
                         f"{region_count} {dimensions}-d regions")
 
         ids, heights, widths, counts, name_sizes = reader.array(
-            "<i8", (5, image_count), "image table")
+            _IMAGE_TABLE_DTYPE[version], (5, image_count), "image table")
         if not ((ids >= 0).all() and (ids < next_id).all()
                 and (ids[1:] > ids[:-1]).all()):
             reader.fail(f"image ids are not increasing ids below next_id "
@@ -469,16 +571,10 @@ class Catalog:
                         f"{int(name_sizes.sum())} name bytes, the header "
                         f"says {region_count} and {names_size}")
         names_at = reader.section(names_size, "image names")
-        region_columns = {
-            name: reader.array(dtype, (region_count, width)
-                               if width else (region_count,), name)
-            for name, dtype, width in _region_columns(params)}
+        table = (_read_table(reader, params, region_count)
+                 if version == _ROWS_INLINE else None)
         if reader.offset != len(blob):
             reader.fail(f"{len(blob) - reader.offset} trailing bytes")
-        lower = region_columns["lower"]
-        upper = region_columns.get("upper", lower)
-        if not (lower <= upper).all():
-            reader.fail("a signature has lower > upper or a NaN bound")
         ends = np.cumsum(name_sizes).tolist()
         try:
             names = [blob[names_at + begin:names_at + end].decode("utf-8")
@@ -486,17 +582,16 @@ class Catalog:
         except UnicodeDecodeError as error:
             reader.fail(f"an image name is not UTF-8: {error}")
 
-        table = RegionTable(lower, upper, region_columns["window_count"],
-                            region_columns["cluster_radius"],
-                            region_columns["bitmaps"],
-                            region_columns.get("refined"))
         images: dict[int, IndexedImage] = {}
         stop, grid = 0, params.bitmap_grid
         for image_id, name, height, width, count in zip(
                 ids.tolist(), names, heights.tolist(), widths.tolist(),
                 counts.tolist()):
             start, stop = stop, stop + count
+            load = (partial(table.rows, start, stop) if table is not None
+                    else partial(_read_row_record, store, image_id, params,
+                                 count, source))
             images[image_id] = IndexedImage(
                 image_id, name, height, width,
-                RegionRows(table, start, stop, height, width, grid))
-        return cls(params, images, next_id, state)
+                RegionRows(load, count, height, width, grid))
+        return cls(params, images, next_id, state, version)

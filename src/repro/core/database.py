@@ -18,7 +18,8 @@ Ties the whole system together (Section 5.1's overview):
 
 Lifecycle: :meth:`WalrusDatabase.create` builds a database — in memory
 with ``path=None``, or over a durable checkpoint directory (v3 index
-pages plus one commit-coupled catalog record) — and
+pages, one commit-coupled catalog record and a row record per image)
+— and
 :meth:`WalrusDatabase.open` reattaches to such a directory.  What a
 database directory is and what its catalog record says belong to
 :mod:`repro.core.catalog`; this module only asks it.  The database is
@@ -138,6 +139,9 @@ class WalrusDatabase:
             self.PROBE_CACHE_SIZE if probe_cache is None else probe_cache,
             metrics_name="probes")
         self._generation = 0
+        #: The catalog record as committed, or ``None`` when the next
+        #: checkpoint must write one (see :meth:`checkpoint`).
+        self._record: bytes | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -221,8 +225,10 @@ class WalrusDatabase:
             page_path = catalog.database_page_file(path)
             if store is None:
                 store = open_page_store(page_path, readonly=readonly)
-            database = cls(store=store, _catalog=Catalog.decode(
-                store.metadata, page_path))
+            record = store.metadata
+            decoded = Catalog.decode(record, page_path, store)
+            database = cls(store=store, _catalog=decoded)
+            database._record = decoded.baseline(cast(bytes, record))
         except Exception:
             if store is not None:
                 store.abandon()
@@ -278,6 +284,11 @@ class WalrusDatabase:
             raise DatabaseClosedError(
                 "operation on a closed WalrusDatabase")
 
+    def _check_writable(self, operation: str) -> None:
+        self._check_open()
+        if self._readonly:
+            raise DatabaseError(f"{operation} on a readonly database handle")
+
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
@@ -310,7 +321,7 @@ class WalrusDatabase:
         non-empty database); ``False`` forces insertion.  Bulk-built
         trees are better packed and much faster to construct.
         """
-        self._check_open()
+        self._check_writable("add_images")
         if workers is not None and (isinstance(workers, bool)
                                     or not isinstance(workers, int)
                                     or workers < 1):
@@ -378,7 +389,7 @@ class WalrusDatabase:
 
     def remove_image(self, image_id: int) -> None:
         """Remove an image and all its regions from the index."""
-        self._check_open()
+        self._check_writable("remove_image")
         record = self.images.pop(image_id, None)
         if record is None:
             raise DatabaseError(f"no image with id {image_id}")
@@ -870,22 +881,28 @@ class WalrusDatabase:
         the page store and committed by the store's single atomic
         header flip *together with* the pages — a crash at any byte
         boundary reopens to the previous checkpoint, and the catalog
-        can never disagree with the page table it describes.  A
-        catalog whose record is byte-identical to the committed one is
-        not appended again.  Nothing else in the directory is written.
+        can never disagree with the page table it describes.  When the
+        catalog changed, each live image without a committed row
+        record gets one, the row records of removed images are
+        dropped, and the catalog record is appended; otherwise none of
+        them is.  Nothing else in the directory is written.
         """
-        self._check_open()
-        if self._readonly:
-            raise DatabaseError(
-                "checkpoint on a readonly database handle")
+        self._check_writable("checkpoint")
         if self._directory is None:
             raise DatabaseError(
                 "checkpoint requires a database created with "
                 "WalrusDatabase.create(path=...)"
             )
         store = self.index.store
-        record = Catalog(self.params, self.images, self._next_id,
-                         self.index.state()).encode()
-        if record != store.metadata:
+        current = Catalog(self.params, self.images, self._next_id,
+                          self.index.state())
+        record = current.encode()
+        if record != self._record:
+            committed = store.blob_keys()
+            for image_id in sorted(self.images.keys() - committed):
+                store.put_blob(image_id, current.row_record(image_id))
+            for image_id in sorted(committed - self.images.keys()):
+                store.drop_blob(image_id)
             store.set_metadata(record)
         store.sync()
+        self._record = record

@@ -4,7 +4,8 @@
 checksums and page-table health via
 :meth:`~repro.index.pagestore.PageStore.scan` (the store is opened
 through :func:`~repro.index.storage.open_page_store`), the catalog
-record's integrity, R*-tree structure via
+record's integrity, that the row records are exactly one per image and
+each decodes, R*-tree structure via
 :meth:`~repro.index.rstar.RStarTree.verify_summary`, and that the
 catalog's region rows are exactly the tree's leaf items, each keyed by
 its row's signature — and returns a
@@ -38,12 +39,13 @@ Summary keys
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.catalog import Catalog, database_page_file
+from repro.core.catalog import Catalog, RegionRows, database_page_file
 from repro.exceptions import DatabaseError, StorageError, WalrusError
+from repro.index.pagestore import PageStore
 from repro.index.rstar import RStarTree
 from repro.index.storage import (FORMAT_VERSION, open_page_store,
                                  page_file_version)
@@ -88,18 +90,20 @@ def fsck_database(directory: str) -> dict[str, Any]:
             issues.extend(f"page file: {issue}" for issue in report.issues)
             catalog = None
             try:
-                catalog = Catalog.decode(store.metadata, page_path)
+                catalog = Catalog.decode(store.metadata, page_path, store)
             except StorageError as error:
                 if not any("metadata record" in issue for issue in issues):
                     issues.append(f"page file: {error}")
             except WalrusError as error:
                 issues.append(str(error))
             if catalog is not None:
+                rows = _row_record_issues(catalog, store)
+                issues.extend(f"catalog: {issue}" for issue in rows)
                 tree = RStarTree.from_state(catalog.index_state, store)
                 index_summary = tree.verify_summary()
                 issues.extend(f"index: {issue}"
                               for issue in index_summary["issues"])
-                if not index_summary["issues"]:
+                if not index_summary["issues"] and not rows:
                     issues.extend(f"catalog: {issue}" for issue
                                   in _catalog_disagreements(catalog, tree))
         finally:
@@ -120,13 +124,32 @@ def fsck_database(directory: str) -> dict[str, Any]:
     return summary
 
 
-def _listed(what: str, items: list[tuple[int, ...]]) -> list[str]:
+def _listed(what: str, items: Sequence[object]) -> list[str]:
     """One issue naming the first few of ``items``, or none."""
     if not items:
         return []
     shown = ", ".join(map(str, items[:5])) + (", ..." if len(items) > 5
                                                else "")
     return [f"{len(items)} {what}: {shown}"]
+
+
+def _row_record_issues(catalog: Catalog, store: PageStore) -> list[str]:
+    """What is wrong with the row records: one per image of a version-2
+    catalog (none for an older record), each decoding to its image's
+    rows."""
+    expected = set(catalog.images) if catalog.rows_in_store else set()
+    keys = store.blob_keys()
+    issues = (_listed("images have no row record", sorted(expected - keys))
+              + _listed("row records belong to no image",
+                        sorted(keys - expected)))
+    for image_id in sorted(expected & keys):
+        regions = catalog.images[image_id].regions
+        assert isinstance(regions, RegionRows)
+        try:
+            regions.table
+        except WalrusError as error:
+            issues.append(str(error))
+    return issues
 
 
 def _catalog_disagreements(catalog: Catalog, tree: RStarTree) -> list[str]:

@@ -105,8 +105,9 @@ class _Unpickler2x(pickle.Unpickler):
 
 
 def upgrade_catalog_record(blob: bytes, source: str) -> bytes:
-    """The 2.x catalog record ``blob`` (a pickle) in the current
-    layout; ``source`` names the page file in error messages.
+    """The 2.x catalog record ``blob`` (a pickle) as a version-1
+    record, which carries its regions; ``source`` names the page file
+    in error messages.
 
     Any record that does not unpickle with the allow-list, or does not
     hold a 2.x catalog, is a :class:`DatabaseError`.
@@ -124,7 +125,7 @@ def upgrade_catalog_record(blob: bytes, source: str) -> bytes:
         images = {image_id: IndexedImage(*record.state)
                   for image_id, record in meta["images"].items()}
         return Catalog(meta["params"], images, meta["next_id"],
-                       meta["index_state"]).encode()
+                       meta["index_state"]).encode(version=1)
     except (AttributeError, KeyError, TypeError, ValueError,
             RecursionError, DatabaseError) as error:
         raise DatabaseError(f"{source}: metadata is not a WALRUS "

@@ -28,6 +28,12 @@ covers the whole storage lifecycle so callers never need
 * :meth:`PageStore.set_metadata` / :attr:`PageStore.metadata` — an
   opaque application blob that commits atomically with the page table
   (the database keeps its image catalog here).
+* :meth:`PageStore.put_blob` / :meth:`PageStore.read_blob` /
+  :meth:`PageStore.drop_blob` / :meth:`PageStore.blob_keys` — opaque
+  byte records under integer keys that commit with the pages (the
+  database keeps each image's region rows in one).  They are not
+  pages: ``page_ids()``, ``len()`` and :meth:`PageStore.scan`'s page
+  list count tree nodes only.
 * :attr:`PageStore.generation` — the commit generation currently
   visible, the snapshot identity the query server reports.
 """
@@ -37,6 +43,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro.exceptions import StorageError
+
+#: Blob keys are ``range(BLOB_KEYS)``.
+BLOB_KEYS = 2 ** 62
 
 
 class PageInfo:
@@ -166,6 +175,26 @@ class PageStore:
         """The committed (or staged) metadata blob, or ``None``."""
         return self._app_metadata
 
+    # -- keyed blob records ----------------------------------------------
+    def put_blob(self, key: int, payload: bytes) -> None:
+        """Stage ``payload`` as the blob under ``key`` (in
+        ``range(BLOB_KEYS)``), replacing any, to commit with the next
+        :meth:`sync`."""
+        raise NotImplementedError
+
+    def read_blob(self, key: int) -> bytes:
+        """The staged or committed blob under ``key``; a
+        :class:`StorageError` when there is none."""
+        raise NotImplementedError
+
+    def drop_blob(self, key: int) -> None:
+        """Remove the blob under ``key`` from the next commit."""
+        raise NotImplementedError
+
+    def blob_keys(self) -> set[int]:
+        """Keys of every staged or committed blob."""
+        raise NotImplementedError
+
     # -- integrity ------------------------------------------------------
     def scan(self) -> StoreReport:
         """Verify every live page; memory stores have nothing to check."""
@@ -181,6 +210,7 @@ class MemoryPageStore(PageStore):
 
     def __init__(self) -> None:
         self._pages: dict[int, Any] = {}
+        self._blobs: dict[int, bytes] = {}
         self._next_id = 0
 
     def allocate(self) -> int:
@@ -209,3 +239,30 @@ class MemoryPageStore(PageStore):
     def __len__(self) -> int:
         return len(self._pages)
 
+    def put_blob(self, key: int, payload: bytes) -> None:
+        self._blobs[check_blob(key, payload)] = payload
+
+    def read_blob(self, key: int) -> bytes:
+        try:
+            return self._blobs[key]
+        except KeyError:
+            raise StorageError(f"blob {key} does not exist") from None
+
+    def drop_blob(self, key: int) -> None:
+        if self._blobs.pop(key, None) is None:
+            raise StorageError(f"blob {key} does not exist")
+
+    def blob_keys(self) -> set[int]:
+        return set(self._blobs)
+
+
+def check_blob(key: int, payload: bytes) -> int:
+    """``key``, once it and ``payload`` are fit for
+    :meth:`PageStore.put_blob`; a :class:`StorageError` otherwise."""
+    if isinstance(key, bool) or not isinstance(key, int) \
+            or not 0 <= key < BLOB_KEYS:
+        raise StorageError(f"blob key {key!r} is not in range(2**62)")
+    if not isinstance(payload, bytes):
+        raise StorageError(
+            f"a blob must be bytes, got {type(payload).__name__}")
+    return key

@@ -46,8 +46,13 @@ The file is crash-safe and self-verifying (byte-level spec:
   referenced from the header slot, so it commits atomically with the
   page table — the database keeps its image catalog here, eliminating
   the torn-commit window between two separate files.
+* **Blob records** (:meth:`MmapPageStore.put_blob`) are opaque
+  payloads filed in the page table under ids ``2**63 + key``, above
+  every page id, so they commit with the pages too — the database
+  keeps each image's region rows in one.
 * ``sync()`` is an atomic commit: append each page written since the
-  last one once, the page table record and any staged metadata,
+  last one once, each staged blob, the page table record and any
+  staged metadata,
   ``fsync``, then write the *inactive* header slot and ``fsync``
   again.  A crash at any byte boundary reopens to the previous commit.
 * ``compact()`` rewrites into a side file and ``os.replace``\\ s it into
@@ -77,9 +82,12 @@ import struct
 import zlib
 from typing import Any, Iterable, TypeVar
 
+import numpy as np
+
 from repro.exceptions import PageCorruptionError, StorageError
 from repro.index.nodecodec import decode_node, encode_node
-from repro.index.pagestore import PageInfo, PageStore, StoreReport
+from repro.index.pagestore import (PageInfo, PageStore, StoreReport,
+                                   check_blob)
 
 _MAGIC_V1 = b"WALRUSPG"
 _MAGIC_V2 = b"WALRUSP2"
@@ -116,6 +124,8 @@ _DATA_START = _SUPER.size + 2 * _SLOT.size
 _TABLE_ID = 2 ** 64 - 1
 #: Reserved page id marking an application-metadata record.
 _META_ID = 2 ** 64 - 2
+#: Blob ``key`` is filed under page id ``_BLOB_BASE + key``.
+_BLOB_BASE = 2 ** 63
 #: Attempts for transient-IO-error read retries.
 _READ_RETRIES = 3
 
@@ -219,7 +229,7 @@ def _verify_record(spath: str, blob: bytes | memoryview, page_id: int,
     """Check the ``size`` bytes ``blob`` read at ``offset`` as the
     record of ``page_id`` (truncation, id/size header, CRC); return
     the payload."""
-    corrupt_id = None if page_id in (_TABLE_ID, _META_ID) else page_id
+    corrupt_id = page_id if page_id < _BLOB_BASE else None
     if len(blob) < size:
         raise PageCorruptionError(
             f"{spath}: {what} at offset {offset} is truncated "
@@ -319,7 +329,8 @@ class MmapPageStore(PageStore):
 
     The page map keeps every page read or written since open (or the
     last :meth:`compact`) and evicts nothing: one object per page id,
-    as :class:`~repro.index.pagestore.PageStore` requires.
+    as :class:`~repro.index.pagestore.PageStore` requires.  Blobs are
+    read afresh (and verified) on every :meth:`read_blob`.
 
     Parameters
     ----------
@@ -341,6 +352,8 @@ class MmapPageStore(PageStore):
         self._pages: dict[int, Any] = {}
         self._dirty: set[int] = set()
         self._offsets: dict[int, tuple[int, int]] = {}  # id -> (offset, size)
+        self._blobs: dict[int, tuple[int, int]] = {}  # key -> (offset, size)
+        self._staged_blobs: dict[int, bytes] = {}
         self._next_id = 0
         self._generation = 0
         self._closed = False
@@ -412,10 +425,10 @@ class MmapPageStore(PageStore):
         self._meta_location = (meta_offset, meta_size) if meta_offset else None
         self._meta_blob = None
         self._meta_dirty = False
-        self._offsets = (self._decode_table(
+        self._offsets, self._blobs = (self._decode_table(
             self._read_record(_TABLE_ID, table_offset, table_size,
                               what="page table"), table_offset)
-            if table_offset else {})
+            if table_offset else ({}, {}))
 
     # -- mmap lifecycle -------------------------------------------------
     def _remap(self) -> None:
@@ -477,7 +490,8 @@ class MmapPageStore(PageStore):
         return _verify_record(self.path, self._read_at(offset, size, what),
                               page_id, offset, size, what)
 
-    def _append_record(self, page_id: int, payload: bytes) -> tuple[int, int]:
+    def _append_record(self, page_id: int,
+                       payload: bytes | memoryview) -> tuple[int, int]:
         """Append one checksummed record at the next ``_RECORD_ALIGN``
         boundary; return ``(offset, size)``.
 
@@ -500,15 +514,19 @@ class MmapPageStore(PageStore):
 
     def _encode_table(self) -> bytes:
         parts = [_TABLE_STAMP.pack(_TABLE_MAGIC, FORMAT_VERSION),
-                 _TABLE_COUNT.pack(len(self._offsets))]
-        for page_id in sorted(self._offsets):
-            record_offset, record_size = self._offsets[page_id]
-            parts.append(_TABLE_ENTRY.pack(page_id, record_offset,
-                                           record_size))
+                 _TABLE_COUNT.pack(len(self._offsets) + len(self._blobs))]
+        for base, table in ((0, self._offsets), (_BLOB_BASE, self._blobs)):
+            for key in sorted(table):
+                record_offset, record_size = table[key]
+                parts.append(_TABLE_ENTRY.pack(base + key, record_offset,
+                                               record_size))
         return b"".join(parts)
 
-    def _decode_table(self, payload: bytes | memoryview,
-                      offset: int) -> dict[int, tuple[int, int]]:
+    def _decode_table(self, payload: bytes | memoryview, offset: int
+                      ) -> tuple[dict[int, tuple[int, int]],
+                                 dict[int, tuple[int, int]]]:
+        """The table's ``page id -> (offset, size)`` and ``blob key ->
+        (offset, size)`` maps."""
         body = _unstamp_table(self.path, payload, offset, FORMAT_VERSION)
         if body is None:
             raise StorageError(
@@ -528,14 +546,16 @@ class MmapPageStore(PageStore):
                 f"{len(body)} bytes, expected {expected} for {count} "
                 "entries"
             )
-        table: dict[int, tuple[int, int]] = {}
-        position = _TABLE_COUNT.size
-        for _ in range(count):
-            page_id, record_offset, record_size = _TABLE_ENTRY.unpack_from(
-                body, position)
-            table[page_id] = (record_offset, record_size)
-            position += _TABLE_ENTRY.size
-        return table
+        pages: dict[int, tuple[int, int]] = {}
+        blobs: dict[int, tuple[int, int]] = {}
+        for page_id, record_offset, record_size in np.frombuffer(
+                body, "<u8", 3 * count, _TABLE_COUNT.size
+        ).reshape(count, 3).tolist():
+            if page_id < _BLOB_BASE:
+                pages[page_id] = (record_offset, record_size)
+            else:
+                blobs[page_id - _BLOB_BASE] = (record_offset, record_size)
+        return pages, blobs
 
     def _check_open(self) -> None:
         if self._closed or self._file.closed:
@@ -602,6 +622,51 @@ class MmapPageStore(PageStore):
         """
         return self._generation
 
+    # -- keyed blob records ---------------------------------------------
+    def put_blob(self, key: int, payload: bytes) -> None:
+        self._check_writable()
+        self._staged_blobs[check_blob(key, payload)] = payload
+
+    def read_blob(self, key: int) -> bytes:
+        """The blob under ``key``, its record verified.
+
+        Works on a closed store too, reading the record straight from
+        the page file: a key names the same bytes for as long as it is
+        live, so rows a reader decoded lazily stay readable after the
+        handle is released.  (A file compacted since fails the record
+        check: a structured :class:`StorageError`, never other bytes.)
+        """
+        staged = self._staged_blobs.get(key)
+        if staged is not None:
+            return staged
+        location = self._blobs.get(key)
+        if location is None:
+            raise StorageError(f"{self.path}: blob {key} does not exist")
+        offset, size = location
+        what = f"blob {key}"
+        if self._closed:
+            try:
+                with open(self.path, "rb") as stream:
+                    stream.seek(offset)
+                    raw: bytes | memoryview = stream.read(size)
+            except OSError as error:
+                raise StorageError(
+                    f"{self.path}: reading {what} failed: {error}"
+                ) from error
+        else:
+            raw = self._read_at(offset, size, what)
+        return bytes(_verify_record(self.path, raw, _BLOB_BASE + key,
+                                    offset, size, what))
+
+    def drop_blob(self, key: int) -> None:
+        self._check_writable()
+        staged = self._staged_blobs.pop(key, None)
+        if self._blobs.pop(key, None) is None and staged is None:
+            raise StorageError(f"{self.path}: blob {key} does not exist")
+
+    def blob_keys(self) -> set[int]:
+        return self._blobs.keys() | self._staged_blobs.keys()
+
     # -- commit-coupled application metadata ----------------------------
     def set_metadata(self, blob: bytes) -> None:
         """Stage an opaque metadata blob to commit with the next
@@ -635,7 +700,8 @@ class MmapPageStore(PageStore):
         """Atomically commit all pages, the page table, and metadata.
 
         Order matters: append each page written since the last commit
-        once (in id order), the table record and any staged metadata,
+        once (in id order), each staged blob (in key order), the table
+        record and any staged metadata,
         fsync so the data is durable, then flip the header (write the
         inactive slot, fsync).  A crash before the flip reopens to the
         previous generation; the flip itself is protected by the dual
@@ -645,6 +711,10 @@ class MmapPageStore(PageStore):
         for page_id in sorted(self._dirty):
             self._append_page(page_id, self._pages[page_id])
         self._dirty.clear()
+        for key in sorted(self._staged_blobs):
+            self._blobs[key] = self._append_record(
+                _BLOB_BASE + key, self._staged_blobs[key])
+        self._staged_blobs.clear()
         table_offset, table_size = self._append_record(
             _TABLE_ID, self._encode_table())
         if self._meta_dirty:
@@ -710,7 +780,10 @@ class MmapPageStore(PageStore):
             ((page_id, self.read(page_id))
              for page_id in sorted(self._offsets)),
             next_id=self._next_id, generation=self._generation + 1,
-            metadata=self.metadata)
+            metadata=self.metadata,
+            blobs=((key, self._read_record(_BLOB_BASE + key, *location,
+                                           what=f"blob {key}"))
+                   for key, location in sorted(self._blobs.items())))
         self._retire_map()
         self._file.close()
         os.replace(side_path, self.path)
@@ -718,6 +791,7 @@ class MmapPageStore(PageStore):
         self._pages.clear()
         self._dirty.clear()
         self._offsets.clear()
+        self._blobs.clear()
         self._file = self._wrap_file(open(self.path, "r+b"))
         self._load_header()
 
@@ -728,7 +802,9 @@ class MmapPageStore(PageStore):
         Returns a :class:`StoreReport`; issues include checksum
         failures, truncated records, and table entries pointing past
         the end of the file.  Pages written since the last :meth:`sync`
-        are skipped (they have no on-disk record yet).
+        are skipped (they have no on-disk record yet).  Committed blob
+        records and the metadata record are verified too; their
+        failures are issues, but only pages are listed.
         """
         self._check_open()
         self._file.seek(0, os.SEEK_END)
@@ -750,6 +826,12 @@ class MmapPageStore(PageStore):
             if info.error is not None:
                 issues.append(info.error)
             pages.append(info)
+        for key, (offset, size) in sorted(self._blobs.items()):
+            try:
+                self._read_record(_BLOB_BASE + key, offset, size,
+                                  what=f"blob {key}")
+            except StorageError as error:
+                issues.append(str(error))
         if self._meta_location is not None:
             offset, size = self._meta_location
             try:
@@ -769,9 +851,12 @@ PageFileBase = MmapPageStore
 
 def write_page_file(path: str, pages: Iterable[tuple[int, Any]], *,
                     next_id: int, generation: int,
-                    metadata: bytes | None) -> None:
+                    metadata: bytes | None,
+                    blobs: Iterable[tuple[int, bytes | memoryview]] = ()
+                    ) -> None:
     """Build a complete page file at ``path`` holding ``pages`` (as
-    ``(page_id, node)`` pairs), committed exactly once.
+    ``(page_id, node)`` pairs) and ``blobs`` (``(key, payload)``,
+    copied as they are), committed exactly once.
 
     What :meth:`MmapPageStore.compact` and ``walrus migrate`` fill
     their side files with.  That one commit is numbered ``generation``
@@ -790,6 +875,9 @@ def write_page_file(path: str, pages: Iterable[tuple[int, Any]], *,
             store.set_metadata(metadata)
         for page_id, page in pages:
             store._append_page(page_id, page)
+        for key, payload in blobs:
+            store._blobs[key] = store._append_record(_BLOB_BASE + key,
+                                                     payload)
         store.close()
     except BaseException:
         store.abandon()

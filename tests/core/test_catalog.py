@@ -1,12 +1,14 @@
-"""The columnar catalog record: layout, lazy regions, checkpoints,
-2.x records and fsck's catalog-versus-index check.
+"""The columnar catalog record and the per-image row records: layout,
+lazy regions, checkpoints, 2.x records and fsck's catalog-versus-index
+check.
 
-The record is decoded with ``np.frombuffer`` views and no region is
-built until a caller indexes it, so these tests pin what that must not
-change — every decoded field equals what was encoded, a re-encode is
-byte-identical — and the work it must not do: an open builds no
-``Region``, an unchanged checkpoint appends no catalog record, and a
-2.x pickle record runs no global it names.
+An image's rows are read from its row record and viewed with
+``np.frombuffer`` the first time a caller indexes them, so these tests
+pin what that must not change — every decoded field equals what was
+encoded, a re-encode is byte-identical — and the work it must not do:
+an open reads no row record and builds no ``Region``, the catalog
+record does not grow with the regions, an unchanged checkpoint appends
+no record, and a 2.x pickle record runs no global it names.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from repro.core.fsck import fsck_database
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.core.regions import Region, RegionSignature
 from repro.datasets.generator import render_scene
-from repro.exceptions import DatabaseError
-from repro.index.storage import _META_ID, _TABLE_ID, open_page_store
+from repro.exceptions import DatabaseError, PageCorruptionError, StorageError
+from repro.index.pagestore import MemoryPageStore
+from repro.index.storage import (_META_ID, _TABLE_ID, MmapPageStore,
+                                 open_page_store)
 from tests import catalogrecord
 from tests.conftest import heap_record_ids
 
@@ -79,13 +83,23 @@ def build(directory, params, scenes):
         database.add_images(scenes)
 
 
+def encoded(database):
+    """``(catalog record, store holding its row records)`` of an
+    in-memory database."""
+    catalog = catalog_of(database)
+    store = MemoryPageStore()
+    for image_id in database.images:
+        store.put_blob(image_id, catalog.row_record(image_id))
+    return catalog.encode(), store
+
+
 class TestRecordLayout:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_decode_returns_what_was_encoded(self, variant, scenes):
         database = WalrusDatabase.create(params=VARIANTS[variant])
         database.add_images(scenes)
-        blob = catalog_of(database).encode()
-        decoded = Catalog.decode(blob, "test")
+        blob, store = encoded(database)
+        decoded = Catalog.decode(blob, "test", store)
         assert (decoded.params, decoded.next_id, decoded.index_state) \
             == (database.params, 3, database.index.state())
         assert list(decoded.images) == [0, 1, 2]
@@ -95,36 +109,61 @@ class TestRecordLayout:
                 == (record.name, record.height, record.width)
             assert isinstance(mine.regions, RegionRows)
             assert_same_regions(mine.regions, record.regions)
-        # Decoded rows re-encode byte for byte (and unbuilt).
+        # Decoded rows re-encode byte for byte.
         assert decoded.encode() == blob
-        # The sections lie where docs/FORMAT.md puts them.
-        found = catalogrecord.sections(blob)
-        offset, size = found["lower"]
-        lower = np.frombuffer(blob, "<f8", size // 8, offset)
-        assert np.array_equal(lower, np.concatenate([
-            region.signature.lower for record in database.images.values()
-            for region in record.regions]))
-        assert ("upper" in found) == (variant == "bbox")
-        assert ("refined" in found) == (variant == "refined")
+        assert [decoded.row_record(image_id) for image_id in range(3)] \
+            == [store.read_blob(image_id) for image_id in range(3)]
+        # The sections lie where docs/FORMAT.md puts them: the record
+        # holds no region, each row record exactly its image's columns.
+        assert list(catalogrecord.sections(blob)) \
+            == ["header", "settings", "image table", "names"]
         assert catalogrecord.image_column(blob, "region_count") == tuple(
             len(record.regions) for record in database.images.values())
+        for image_id, record in database.images.items():
+            rows = store.read_blob(image_id)
+            found = catalogrecord.row_sections(blob, len(record.regions))
+            offset, size = found["lower"]
+            lower = np.frombuffer(rows, "<f8", size // 8, offset)
+            assert np.array_equal(lower, np.concatenate([
+                region.signature.lower for region in record.regions]))
+            assert ("upper" in found) == (variant == "bbox")
+            assert ("refined" in found) == (variant == "refined")
+            last, size = list(found.values())[-1]
+            assert len(rows) == catalogrecord.padded(last + size)
 
     def test_bytes_per_region(self, scenes):
         """A 12-d point signature, a count, a radius and the paper's
-        32-byte bitmap: 144 bytes a region, names and ids aside."""
+        32-byte bitmap: 144 bytes a region in its row record; the
+        catalog record holds the ids, sizes and names only."""
         database = WalrusDatabase.create(params=PARAMS)
         database.add_images(scenes)
-        blob = catalog_of(database).encode()
-        found = catalogrecord.sections(blob)
-        regions = database.region_count
-        per_region = sum(found[name][1] for name in (
-            "lower", "window_count", "cluster_radius", "bitmaps")) / regions
-        assert per_region == 12 * 8 + 8 + 8 + 32
+        blob, store = encoded(database)
+        for image_id, record in database.images.items():
+            assert len(store.read_blob(image_id)) \
+                == (12 * 8 + 8 + 8 + 32) * len(record.regions)
         names = sum(len(scene.name) for scene in scenes)
+        found = catalogrecord.sections(blob)
         assert len(blob) == (catalogrecord.HEADER.size
                              + catalogrecord.padded(found["settings"][1])
-                             + 5 * 8 * 3 + catalogrecord.padded(names)
-                             + 144 * regions)
+                             + catalogrecord.padded(5 * 4 * 3)
+                             + catalogrecord.padded(names))
+
+    def test_catalog_record_does_not_grow_with_regions(self):
+        """Work gate: one image of 4 regions or of 40, the same
+        catalog record but for the digits of the index's size."""
+        sizes = []
+        for stride in (16, 4):
+            database = WalrusDatabase.create(params=PARAMS.with_(
+                stride=stride))
+            database.add_image(render_scene("flowers", seed=3,
+                                            size=(64, 64), name="x"))
+            blob, _ = encoded(database)
+            settings = catalogrecord.sections(blob)["settings"][1]
+            sizes.append((database.region_count,
+                          len(blob) - catalogrecord.padded(settings)))
+        (few, small), (many, large) = sizes
+        assert many >= 4 * few
+        assert small == large == catalogrecord.HEADER.size + 24 + 8
 
     def test_decoded_and_added_images_encode_together(self, tmp_path,
                                                       scenes):
@@ -143,6 +182,46 @@ class TestRecordLayout:
 
 
 class TestLazyRegions:
+    def test_open_reads_no_row_record(self, tmp_path, scenes, monkeypatch):
+        directory = str(tmp_path / "db")
+        build(directory, PARAMS, scenes)
+        reads = []
+        read_blob = MmapPageStore.read_blob
+
+        def counting(self, key):
+            reads.append(key)
+            return read_blob(self, key)
+
+        monkeypatch.setattr(MmapPageStore, "read_blob", counting)
+        for readonly in (True, False):
+            with WalrusDatabase.open(directory,
+                                     readonly=readonly) as database:
+                database.describe()
+                assert reads == []
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            query = render_scene("flowers", seed=7, size=(64, 64))
+            result = database.query(query, QueryParameters(epsilon=0.3))
+            assert result.matches
+            # One read per candidate image, once.
+            assert sorted(reads) == sorted(set(reads))
+            assert set(reads) <= set(database.images)
+            database.query(query, QueryParameters(epsilon=0.3, tau=0.01))
+            assert len(reads) == len(set(reads))
+
+    def test_pinned_reader_reads_rows_the_writer_compacted_away(
+            self, tmp_path, scenes):
+        directory = str(tmp_path / "db")
+        build(directory, PARAMS, scenes)
+        with WalrusDatabase.open(directory, readonly=True) as reader:
+            with WalrusDatabase.open(directory) as writer:
+                writer.remove_image(0)
+                writer.checkpoint()
+                writer.index.store.compact()
+                assert writer.index.store.blob_keys() == {1, 2}
+            # Untouched until now: read from the snapshot's own file.
+            assert_same_regions(reader.images[0].regions,
+                                reader.extractor.extract(scenes[0]))
+
     def test_open_builds_no_region(self, tmp_path, scenes, monkeypatch):
         directory = str(tmp_path / "db")
         build(directory, PARAMS, scenes)
@@ -269,10 +348,15 @@ class TestLegacyRecords:
 
 
 def commit_edited_catalog(directory, edit):
-    """Commit the directory's catalog after ``edit(catalog)``."""
+    """Commit the directory's catalog and row records after
+    ``edit(catalog)``."""
     with open_page_store(page_path(directory)) as store:
-        catalog = Catalog.decode(store.metadata, directory)
+        catalog = Catalog.decode(store.metadata, directory, store)
         edit(catalog)
+        rows = {image_id: catalog.row_record(image_id)
+                for image_id in catalog.images}
+        for image_id, payload in rows.items():
+            store.put_blob(image_id, payload)
         store.set_metadata(catalog.encode())
 
 
@@ -356,3 +440,67 @@ class TestFsckChecksCatalogAgainstIndex:
         assert summary["issues"] == [
             "catalog: 1 index keys are not their catalog row's "
             "signature: (2, 0)"]
+
+
+class TestFsckChecksRowRecords:
+    """One row record per image, each decoding to its image's rows."""
+
+    @pytest.fixture
+    def directory(self, tmp_path, scenes):
+        directory = str(tmp_path / "db")
+        build(directory, PARAMS, scenes)
+        return directory
+
+    def test_row_records_are_not_orphan_pages(self, directory):
+        summary = fsck_database(directory)
+        assert summary["ok"], summary["issues"]
+        with open_page_store(page_path(directory), readonly=True) as store:
+            assert store.blob_keys() == {0, 1, 2}
+            assert summary["pages_checked"] == len(store) \
+                == len(store.page_ids()) == summary["index"]["nodes_walked"]
+
+    def test_missing_row_record(self, directory):
+        with open_page_store(page_path(directory)) as store:
+            store.drop_blob(1)
+        assert fsck_database(directory)["issues"] == [
+            "catalog: 1 images have no row record: 1"]
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            with pytest.raises(StorageError, match="blob 1 does not exist"):
+                database.images[1].regions[0]
+
+    def test_extra_row_record(self, directory):
+        with open_page_store(page_path(directory)) as store:
+            store.put_blob(7, store.read_blob(0))
+        assert fsck_database(directory)["issues"] == [
+            "catalog: 1 row records belong to no image: 7"]
+
+    def test_corrupt_row_record(self, directory):
+        with open_page_store(page_path(directory)) as store:
+            store.put_blob(2, store.read_blob(2)[:-8])
+        issues = fsck_database(directory)["issues"]
+        assert len(issues) == 1
+        assert "row record of image 2 is corrupt" in issues[0]
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            with pytest.raises(DatabaseError,
+                               match="row record of image 2 is corrupt"):
+                database.query(render_scene("flowers", seed=7,
+                                            size=(64, 64)),
+                               QueryParameters(epsilon=1.0))
+
+    def test_row_record_failing_its_checksum(self, directory):
+        with open_page_store(page_path(directory), readonly=True) as store:
+            offset, size = store._blobs[0]
+        with open(page_path(directory), "r+b") as stream:
+            stream.seek(offset + size - 1)
+            byte = stream.read(1)[0]
+            stream.seek(offset + size - 1)
+            stream.write(bytes([byte ^ 1]))
+        # The store's scan finds it, and so does the catalog's check.
+        issues = fsck_database(directory)["issues"]
+        assert [issue.split(":")[0] for issue in issues] \
+            == ["page file", "catalog"]
+        assert all("blob 0" in issue and "checksum" in issue
+                   for issue in issues)
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            with pytest.raises(PageCorruptionError, match="checksum"):
+                list(database.images[0].regions)

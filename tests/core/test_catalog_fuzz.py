@@ -1,20 +1,26 @@
-"""Decoder fuzzing for the catalog record (docs/FORMAT.md, "Catalog
-record").
+"""Decoder fuzzing for the catalog record and the row records
+(docs/FORMAT.md, "Catalog record").
 
 Hypothesis mutates a valid record, commits it as the catalog of a real
 database directory and then opens and fscks that directory.  Each
 targeted mutation — truncation, trailing bytes, impossible or
-inconsistent counts, ``lower > upper`` and NaN bounds, a bitmap column
-of the wrong length, a name that is not UTF-8, a missing or unknown
+inconsistent counts, a name that is not UTF-8, a missing or unknown
 setting — must make ``open()`` raise a ``DatabaseError`` and ``fsck``
 report an issue, at once: no other exception type, no allocation sized
 by a count, no hang.
 
 A random bit flip may also land where the record has no redundancy (a
-bitmap bit, a pixel size, a setting that stays valid).  Then the
-record is a different, valid catalog: it must still be refused, be
-flagged by ``fsck``'s check against the index, or answer queries
-exactly as the oracle does over what it decoded.
+pixel size, a setting that stays valid).  Then the record is a
+different, valid catalog: it must still be refused, be flagged by
+``fsck``'s check against the index, or answer queries exactly as the
+oracle does over what it decoded.
+
+``open()`` reads no row record, so a mutated one — truncated, with
+trailing bytes, ``lower > upper`` or a NaN bound, a bitmap column of
+the wrong length — must instead fail the first touch of its image's
+rows with a ``DatabaseError``, and ``fsck`` must flag it.  A bit
+flipped in the page file under a row record fails its checksum: a
+``StorageError`` at first touch, never a wrong region.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from repro.core.database import WalrusDatabase
 from repro.core.fsck import fsck_database
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.datasets.generator import render_scene
-from repro.exceptions import DatabaseError
+from repro.exceptions import DatabaseError, StorageError
 from repro.index.storage import open_page_store
 from tests import catalogrecord, oracle
 
@@ -45,8 +51,10 @@ QUERY = render_scene("flowers", seed=7, size=(48, 64))
 QP = QueryParameters(epsilon=0.3)
 FUZZ = settings(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
-#: Count-like values: impossible, huge, and near the real one.
+#: Count-like values: impossible, huge, and near the real one; the
+#: header's counts are int64, the image table's int32.
 EXTREMES = [-1, -2 ** 63, 2 ** 62, 2 ** 63 - 1]
+CELL_EXTREMES = [-1, -2 ** 31, 2 ** 30, 2 ** 31 - 1]
 
 
 class Fixture(tuple):
@@ -95,8 +103,8 @@ def assert_refused(directory, record):
     assert issues
 
 
-def count_near(original):
-    return st.one_of(st.sampled_from(EXTREMES),
+def count_near(original, extremes=EXTREMES):
+    return st.one_of(st.sampled_from(extremes),
                      st.integers(-3, 3).map(lambda delta: original + delta))
 
 
@@ -145,43 +153,12 @@ def test_image_table_counts(database, data):
                                         "name_length"]))
     image = data.draw(st.integers(0, 2))
     original = catalogrecord.image_column(record, column)[image]
-    value = data.draw(count_near(original))
+    value = data.draw(count_near(original, CELL_EXTREMES))
     assume(value != original)
     offset = (catalogrecord.sections(record)["image table"][0]
-              + 8 * (3 * catalogrecord.IMAGE_COLUMNS.index(column) + image))
-    assert_refused(directory, splice(record, offset, 8,
-                                     struct.pack("<q", value)))
-
-
-@FUZZ
-@given(data=st.data())
-def test_bad_bound(database, data):
-    """A NaN in either bound matrix, or (box signatures) a lower bound
-    above its upper bound."""
-    directory, record = database
-    found = catalogrecord.sections(record)
-    columns = [name for name in ("lower", "upper") if name in found]
-    column = data.draw(st.sampled_from(columns))
-    cell = 8 * data.draw(st.integers(0, found["lower"][1] // 8 - 1))
-    at = found[column][0] + cell
-    bad = float("nan")
-    if len(columns) == 2 and data.draw(st.booleans()):
-        other = found["upper" if column == "lower" else "lower"][0] + cell
-        (bound,) = struct.unpack_from("<d", record, other)
-        bad = bound + 1 if column == "lower" else bound - 1
-    assert_refused(directory, splice(record, at, 8, struct.pack("<d", bad)))
-
-
-@FUZZ
-@given(data=st.data())
-def test_bitmap_column_of_wrong_length(database, data):
-    directory, record = database
-    offset, size = catalogrecord.sections(record)["bitmaps"]
-    delta = data.draw(st.integers(-16, 16).filter(bool))
-    at = offset + data.draw(st.integers(0, size - 16))
-    record = (splice(record, at, -delta) if delta < 0
-              else splice(record, at, 0, b"\x01" * delta))
-    assert_refused(directory, record)
+              + 4 * (3 * catalogrecord.IMAGE_COLUMNS.index(column) + image))
+    assert_refused(directory, splice(record, offset, 4,
+                                     struct.pack("<i", value)))
 
 
 @FUZZ
@@ -242,3 +219,115 @@ def test_valid_record_still_opens(database):
     still opens, checks clean and answers."""
     directory, record = database
     assert outcome(directory, record) == (True, [])
+
+
+# -- row records ---------------------------------------------------------
+def row_refused(directory, image_id, mutate):
+    """Commit ``mutate(row record)`` as image ``image_id``'s row
+    record: ``open()`` accepts it, the first touch of the image's rows
+    is a ``DatabaseError`` and ``fsck`` flags it.  The valid record is
+    put back afterwards."""
+    with open_page_store(page_path(directory)) as store:
+        original = store.read_blob(image_id)
+        store.put_blob(image_id, mutate(original))
+    try:
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            regions = database.images[image_id].regions
+            with pytest.raises(DatabaseError,
+                               match=f"row record of image {image_id} "
+                                     "is corrupt"):
+                regions[0]
+        assert fsck_database(directory)["issues"]
+    finally:
+        with open_page_store(page_path(directory)) as store:
+            store.put_blob(image_id, original)
+
+
+def row_layout(directory, image_id):
+    """``(row record sections, the record's length)`` of one image."""
+    with open_page_store(page_path(directory), readonly=True) as store:
+        record = store.metadata
+        length = len(store.read_blob(image_id))
+    rows = catalogrecord.image_column(record, "region_count")[image_id]
+    return catalogrecord.row_sections(record, rows), length
+
+
+IMAGES = st.integers(0, 2)
+
+
+@FUZZ
+@given(image_id=IMAGES, data=st.data())
+def test_row_record_truncated(database, image_id, data):
+    directory, _ = database
+    _, length = row_layout(directory, image_id)
+    cut = data.draw(st.integers(0, length - 1))
+    row_refused(directory, image_id, lambda rows: rows[:cut])
+
+
+@FUZZ
+@given(image_id=IMAGES, extra=st.binary(min_size=1, max_size=24))
+def test_row_record_trailing_bytes(database, image_id, extra):
+    directory, _ = database
+    row_refused(directory, image_id, lambda rows: rows + extra)
+
+
+@FUZZ
+@given(image_id=IMAGES, data=st.data())
+def test_bad_bound(database, image_id, data):
+    """A NaN in either bound matrix of a row record, or (box
+    signatures) a lower bound above its upper bound."""
+    directory, _ = database
+    found, _ = row_layout(directory, image_id)
+    columns = [name for name in ("lower", "upper") if name in found]
+    column = data.draw(st.sampled_from(columns))
+    cell = 8 * data.draw(st.integers(0, found["lower"][1] // 8 - 1))
+    at = found[column][0] + cell
+    swap = len(columns) == 2 and data.draw(st.booleans())
+
+    def mutate(rows):
+        bad = float("nan")
+        if swap:
+            other = found["upper" if column == "lower" else "lower"][0]
+            (bound,) = struct.unpack_from("<d", rows, other + cell)
+            bad = bound + 1 if column == "lower" else bound - 1
+        return splice(rows, at, 8, struct.pack("<d", bad))
+
+    row_refused(directory, image_id, mutate)
+
+
+@FUZZ
+@given(image_id=IMAGES, data=st.data())
+def test_bitmap_column_of_wrong_length(database, image_id, data):
+    directory, _ = database
+    found, _ = row_layout(directory, image_id)
+    offset, size = found["bitmaps"]
+    delta = data.draw(st.integers(-16, 16).filter(bool))
+    at = offset + data.draw(st.integers(0, size - 16))
+    row_refused(directory, image_id,
+                lambda rows: (splice(rows, at, -delta) if delta < 0
+                              else splice(rows, at, 0, b"\x01" * delta)))
+
+
+@FUZZ
+@given(image_id=IMAGES, data=st.data())
+def test_row_record_bit_flip_on_disk(database, image_id, data):
+    directory, _ = database
+    with open_page_store(page_path(directory), readonly=True) as store:
+        offset, size = store._blobs[image_id]
+    at = offset + data.draw(st.integers(0, size - 1))
+    bit = 1 << data.draw(st.integers(0, 7))
+    path = page_path(directory)
+    with open(path, "r+b") as stream:
+        stream.seek(at)
+        byte = stream.read(1)[0]
+        stream.seek(at)
+        stream.write(bytes([byte ^ bit]))
+    try:
+        with WalrusDatabase.open(directory, readonly=True) as database_:
+            with pytest.raises(StorageError):
+                list(database_.images[image_id].regions)
+        assert fsck_database(directory)["issues"]
+    finally:
+        with open(path, "r+b") as stream:
+            stream.seek(at)
+            stream.write(bytes([byte]))

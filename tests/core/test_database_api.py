@@ -44,6 +44,7 @@ from tests.nodepages import node_contents, record_sizes, second_copy_bytes
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
 FIXTURE_2_2 = pathlib.Path(__file__).parent.parent / "fixtures/db_2_2"
+FIXTURE_2_11 = pathlib.Path(__file__).parent.parent / "fixtures/db_2_11"
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +185,97 @@ class TestDirectoryWrittenBy22:
         assert fsck_database(directory)["ok"]
         with WalrusDatabase.open(directory, readonly=True) as database:
             assert database.query(query, qp).matches == before
+
+
+class TestDirectoryWrittenBy211:
+    """``tests/fixtures/db_2_11`` was written by 2.11.0 (four 64x64
+    scenes, ``max_entries=8``: a bulk load of three, a checkpoint, an
+    insert of the fourth, a removal of image 1, a close): its catalog
+    record is version 1, every region's row inline, and the page file
+    holds no row record."""
+
+    QUERY = render_scene("flowers", seed=7, size=(64, 64))
+    QP = QueryParameters(epsilon=0.085)
+
+    @pytest.fixture
+    def directory(self, tmp_path):
+        directory = str(tmp_path / "db")
+        shutil.copytree(FIXTURE_2_11, directory)
+        return directory
+
+    @staticmethod
+    def record(directory):
+        """``(catalog record version, row record keys)``."""
+        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+        with open_page_store(page_path, readonly=True) as store:
+            return (int.from_bytes(store.metadata[4:8], "little"),
+                    store.blob_keys())
+
+    def ranking(self, database):
+        return [(match.image_id, match.similarity)
+                for match in database.query(self.QUERY, self.QP).matches]
+
+    def answer(self, database):
+        """The whole answer, scores and contributing pairs, as text."""
+        return repr(database.query(self.QUERY, self.QP,
+                                   explain=True).matches)
+
+    def test_opens_and_answers_as_the_oracle(self, directory):
+        assert self.record(directory) == (1, set())
+        assert fsck_database(directory)["ok"]
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            assert sorted(database.images) == [0, 2, 3]
+            expected = oracle.answer(
+                {image_id: record.regions
+                 for image_id, record in database.images.items()},
+                database.extractor.extract(self.QUERY), self.QP)
+            assert expected["ranked"]
+            assert self.ranking(database) == expected["ranked"]
+
+    def test_unchanged_checkpoint_leaves_version_1(self, directory):
+        before = self.record(directory)
+        with WalrusDatabase.open(directory) as database:
+            database.checkpoint()
+        assert self.record(directory) == before == (1, set())
+        assert fsck_database(directory)["ok"]
+
+    def test_first_changing_checkpoint_converts(self, directory):
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            before = self.answer(database)
+        late = render_scene("desert", seed=9, size=(64, 64), name="late")
+        with WalrusDatabase.open(directory) as database:
+            late_id = database.add_image(late)
+            database.checkpoint()
+            assert self.record(directory) == (2, {0, 2, 3, late_id})
+            database.remove_image(late_id)
+        assert self.record(directory) == (2, {0, 2, 3})
+        assert fsck_database(directory)["ok"]
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            assert self.answer(database) == before
+
+
+class TestReadonlyHandleRefusesMutation:
+    """A readonly handle owns a snapshot: a mutation must be refused
+    before it touches the catalog or the tree."""
+
+    def test_add_and_remove_change_nothing(self, tmp_path, scenes):
+        directory = str(tmp_path / "db")
+        with WalrusDatabase.create(directory, params=PARAMS) as database:
+            database.add_images(scenes)
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            images, regions = dict(database.images), database.region_count
+            for mutate in (lambda: database.add_image(scenes[0]),
+                           lambda: database.add_images(scenes[:2]),
+                           lambda: database.add_images([], workers=2),
+                           lambda: database.remove_image(0),
+                           lambda: database.remove_image(99),
+                           database.checkpoint):
+                with pytest.raises(DatabaseError, match="readonly"):
+                    mutate()
+                assert database.images == images
+                assert database.region_count == regions
+            assert database._next_id == len(scenes)
+        assert fsck_database(directory)["ok"]
 
 
 class SpyStore:

@@ -16,6 +16,7 @@ from repro.index.geometry import Rect
 from repro.index.node import Node
 from repro.index.migrate import read_v2_page_file
 from repro.index.nodecodec import encode_node
+from repro.index.pagestore import MemoryPageStore
 from repro.index.rstar import RStarTree
 from repro.index.storage import (_MAGIC_V3, _RECORD, _SUPER, _TABLE_COUNT,
                                  _TABLE_ENTRY, _TABLE_ID, _TABLE_STAMP,
@@ -248,6 +249,114 @@ class TestMmapPageStore:
         for page_id, (offset, _size) in store._offsets.items():
             assert offset % 8 == 0, f"page {page_id} at {offset}"
         store.close()
+
+
+class TestBlobRecords:
+    """Keyed blob records: opaque bytes that commit with the pages and
+    are not pages."""
+
+    @pytest.mark.parametrize("kind", ["memory", "mmap"])
+    def test_put_read_drop(self, tmp_path, kind):
+        store = (MemoryPageStore() if kind == "memory"
+                 else MmapPageStore(tmp_path / "pages.db"))
+        store.put_blob(3, b"three")
+        store.put_blob(2 ** 62 - 1, b"")
+        assert store.read_blob(3) == b"three"
+        assert store.blob_keys() == {3, 2 ** 62 - 1}
+        store.put_blob(3, b"again")
+        store.sync()
+        assert store.read_blob(3) == b"again"
+        store.drop_blob(2 ** 62 - 1)
+        assert store.blob_keys() == {3}
+        assert (store.page_ids(), len(store)) == (set(), 0)
+        for key in (2 ** 62 - 1, 4):
+            with pytest.raises(StorageError, match="does not exist"):
+                store.read_blob(key)
+            with pytest.raises(StorageError, match="does not exist"):
+                store.drop_blob(key)
+        for key, payload in ((-1, b""), (2 ** 62, b""), (True, b""),
+                             (1.0, b""), (1, "text"), (1, bytearray())):
+            with pytest.raises(StorageError):
+                store.put_blob(key, payload)
+        store.close()
+
+    def test_commit_with_the_pages(self, tmp_path):
+        path = tmp_path / "pages.db"
+        store = populated(path)
+        store.put_blob(7, b"seven")
+        store.put_blob(1, b"one")
+        page_id = store.allocate()
+        store.write(page_id, make_node(page_id))
+        before = heap_record_ids(path)
+        store.sync()
+        # Pages, then blobs in key order, then the table.
+        assert heap_record_ids(path)[len(before):] \
+            == [page_id, 2 ** 63 + 1, 2 ** 63 + 7, _TABLE_ID]
+        store.drop_blob(7)
+        with MmapPageStore(path, readonly=True) as reader:
+            assert reader.blob_keys() == {1, 7}  # the last commit's
+            assert reader.read_blob(7) == b"seven"
+            assert len(reader) == 6 and reader.page_ids() == set(range(6))
+            with pytest.raises(StorageError, match="readonly"):
+                reader.put_blob(2, b"")
+            with pytest.raises(StorageError, match="readonly"):
+                reader.drop_blob(1)
+            assert [info.page_id for info in reader.scan().pages] \
+                == list(range(6))
+        store.close()
+        with MmapPageStore(path, readonly=True) as reader:
+            assert reader.blob_keys() == {1}
+
+    def test_compaction_copies_the_payload(self, tmp_path, monkeypatch):
+        path = tmp_path / "pages.db"
+        store = populated(path)
+        store.put_blob(5, b"\x00five\xff" * 100)
+        store.sync()
+        store.put_blob(5, b"replaced")
+        store.put_blob(6, b"six")
+        store.drop_blob(6)
+        store.sync()
+        dead = path.stat().st_size
+        store.compact()
+        assert path.stat().st_size < dead
+        assert store.blob_keys() == {5}
+        assert store.read_blob(5) == b"replaced"
+        assert store.scan().issues == []
+        store.close()
+        with MmapPageStore(path, readonly=True) as reader:
+            assert reader.read_blob(5) == b"replaced"
+
+    def test_closed_store_reads_from_its_file(self, tmp_path):
+        path = tmp_path / "pages.db"
+        store = populated(path)
+        store.put_blob(2, b"two")
+        store.close()
+        reader = MmapPageStore(path, readonly=True)
+        reader.close()
+        assert reader.read_blob(2) == b"two"
+        with MmapPageStore(path) as writer:
+            writer.drop_blob(2)
+            writer.compact()
+        # Compacted away: the record check says so.
+        with pytest.raises(StorageError):
+            reader.read_blob(2)
+
+    def test_scan_reports_a_damaged_blob(self, tmp_path):
+        path = tmp_path / "pages.db"
+        store = populated(path)
+        store.put_blob(9, b"nine" * 10)
+        store.close()
+        with MmapPageStore(path, readonly=True) as reader:
+            offset, size = reader._blobs[9]
+        with open(path, "r+b") as stream:
+            stream.seek(offset + size - 1)
+            stream.write(b"X")
+        with MmapPageStore(path, readonly=True) as reader:
+            report = reader.scan()
+            assert len(report.pages) == 5
+            assert len(report.issues) == 1 and "blob 9" in report.issues[0]
+            with pytest.raises(PageCorruptionError, match="checksum"):
+                reader.read_blob(9)
 
 
 class TestCrossVersionOpens:

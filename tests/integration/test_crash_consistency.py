@@ -56,12 +56,15 @@ def run_workload(directory, plan, query_image):
     database = WalrusDatabase.create(directory, params=PARAMS, store=store)
     database.add_images(scenes())
     database.checkpoint()
+    assert store.blob_keys() == {0, 1, 2, 3}
     baseline_ops = plan.mutation_ops
     baseline_names = database.query(query_image, QP).names()
 
     database.remove_image(0)
     database.add_image(render_scene("desert", seed=9, name="late"))
     database.checkpoint()
+    # The faulted checkpoint both drops a row record and writes one.
+    assert store.blob_keys() == set(database.images) == {1, 2, 3, 4}
     final_names = database.query(query_image, QP).names()
     total_ops = plan.mutation_ops
     database.close()
@@ -94,6 +97,7 @@ class TestCheckpointCrashes:
                 assert answered == baseline_names
                 assert "flowers-0" in names
                 outcomes["baseline"] += 1
+            assert reopened.index.store.blob_keys() == set(reopened.images)
             reopened.index.check_invariants()
             reopened.close()
         # The sweep must observe recovery to the *old* state at least

@@ -12,7 +12,7 @@ from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.datasets.generator import render_scene
 from repro.exceptions import DatabaseError
-from repro.index.storage import (_META_ID, _RECORD, _TABLE_ID,
+from repro.index.storage import (_BLOB_BASE, _META_ID, _RECORD, _TABLE_ID,
                                  committed_generation, create_page_store,
                                  open_page_store)
 from tests.conftest import heap_record_ids, record_writes
@@ -190,7 +190,7 @@ class TestLifecycle:
             self, tmp_path, monkeypatch):
         """Work gate: an unchanged checkpoint appends the table record
         only; a changed one, each page written since the last commit
-        once, the table and the catalog."""
+        once, the new image's row record, the table and the catalog."""
         directory = str(tmp_path / "db")
         page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
         database = WalrusDatabase.create(directory, params=PARAMS)
@@ -202,11 +202,14 @@ class TestLifecycle:
         store = database.index.store
         written = record_writes(store, monkeypatch)
         database.remove_image(0)
-        database.add_image(render_scene("desert", seed=9, name="late"))
+        late = database.add_image(render_scene("desert", seed=9,
+                                               name="late"))
         before = heap_record_ids(page_path)
         database.checkpoint()
         assert heap_record_ids(page_path)[len(before):] \
-            == sorted(written & store.page_ids()) + [_TABLE_ID, _META_ID]
+            == sorted(written & store.page_ids()) + [_BLOB_BASE + late,
+                                                     _TABLE_ID, _META_ID]
+        assert store.blob_keys() == set(database.images)
         database.close()
 
     @pytest.mark.parametrize("mode, matrices", [("centroid", 1),

@@ -93,10 +93,10 @@ def test_point_keys_anchor_is_required(tmp_path):
 
 def test_catalog_drift_is_caught(tmp_path):
     text = read_doc()
-    assert "(`<4sIqqIIqq>`), magic `WCAT`, record version 1" in text
+    assert "(`<4sIqqIIqq>`), magic `WCAT`, record version 2" in text
     tampered = tmp_path / "FORMAT.md"
     tampered.write_text(text.replace("`<4sIqqIIqq>`", "`<4sIqqIIq>`")
-                            .replace("record version 1", "record version 2"))
+                            .replace("record version 2", "record version 3"))
     findings = run_against_doc(str(tampered), paths=[CATALOG])
     assert len(findings) == 2, "\n".join(f.render() for f in findings)
     assert all(f.path.endswith("catalog.py") for f in findings)

@@ -24,6 +24,7 @@ import os
 import pickle
 from typing import Any, Iterator
 
+from repro.core.catalog import Catalog
 from repro.index import node as node_module
 from repro.index.geometry import Rect
 from repro.index.node import Node
@@ -123,12 +124,17 @@ def write_v2_page_file(path, pages, *, metadata=None, next_id=None,
 
 def rewrite_as_v2(path):
     """Replace the v3 page file at ``path`` with the v2 file 1.x would
-    hold for the same commit: same pages, metadata, allocation cursor
-    and generation."""
+    hold for the same commit: same pages, allocation cursor and
+    generation.  A v2 file has no blob records, so a database's catalog
+    goes in with its rows inline (a version-1 catalog record)."""
     with MmapPageStore(path, readonly=True) as store:
         pages = {page_id: store.read(page_id)
                  for page_id in store.page_ids()}
-        state = dict(metadata=store.metadata, next_id=store._next_id,
+        metadata = store.metadata
+        if metadata is not None and metadata.startswith(b"WCAT"):
+            metadata = Catalog.decode(metadata, os.fspath(path),
+                                      store).encode(version=1)
+        state = dict(metadata=metadata, next_id=store._next_id,
                      generation=store.generation)
     side = os.fspath(path) + ".v2"
     write_v2_page_file(side, pages, **state)
