@@ -46,7 +46,7 @@ def _block_edges(extent: int, grid: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _block_sizes(height: int, width: int, grid: int) -> np.ndarray:
+def block_sizes(height: int, width: int, grid: int) -> np.ndarray:
     """Read-only pixel count of each block of a ``height x width``
     image's ``grid x grid`` bitmap.  Kept per geometry: matching asks
     it for every union it measures, over a handful of image sizes."""
@@ -165,11 +165,11 @@ class CoverageBitmap:
         # as rows @ cells @ cols.T (exact: integer sums far below 2**53).
         covered = _cell_extents(ys, row_edges) @ cells \
             @ _cell_extents(xs, col_edges).T
-        block_sizes = _block_sizes(height, width, grid)
-        nonempty = block_sizes > 0
+        block_pixels = block_sizes(height, width, grid)
+        nonempty = block_pixels > 0
         blocks = np.zeros((len(groups), grid, grid), dtype=bool)
         blocks[:, nonempty] = covered[:, nonempty] \
-            >= threshold * block_sizes[nonempty]
+            >= threshold * block_pixels[nonempty]
         return [cls(height, width, grid, block) for block in blocks]
 
     @classmethod
@@ -227,7 +227,7 @@ class CoverageBitmap:
     def block_pixel_counts(self) -> np.ndarray:
         """Pixel count of each block (edge blocks may be smaller), as a
         read-only array."""
-        return _block_sizes(self.height, self.width, self.grid)
+        return block_sizes(self.height, self.width, self.grid)
 
     @property
     def covered_pixels(self) -> int:

@@ -218,9 +218,10 @@ class RegionRows(Sequence[Region]):
     ``len()`` reads and builds nothing.  The first indexing loads the
     table (reading and checking the image's row record); row *i*
     becomes a :class:`Region` the first time it is indexed and is
-    kept, and the first build unpacks the whole image's bitmaps in one
-    ``np.unpackbits``.  The columns were checked when they were
-    loaded, so the region's signature and bitmap are not checked
+    kept.  :attr:`blocks` unpacks the whole image's bitmaps in one
+    ``np.unpackbits``, once; quick matching reads them there and
+    builds no :class:`Region`.  The columns were checked when they
+    were loaded, so the region's signature and bitmap are not checked
     again.
     """
 
@@ -262,16 +263,23 @@ class RegionRows(Sequence[Region]):
             region = self._built[row] = self._build(row)
         return region
 
-    def _build(self, row: int) -> Region:
-        table = self.table
+    @property
+    def blocks(self) -> np.ndarray:
+        """Every row's coverage blocks, as one read-only ``(n, grid,
+        grid)`` bool array (loads the table on first use)."""
         if self._blocks is None:
-            bits = np.unpackbits(table.bitmaps, axis=1, count=self.grid ** 2)
+            bits = np.unpackbits(self.table.bitmaps, axis=1,
+                                 count=self.grid ** 2)
             self._blocks = bits.reshape(-1, self.grid, self.grid).view(bool)
             self._blocks.setflags(write=False)
+        return self._blocks
+
+    def _build(self, row: int) -> Region:
+        table = self.table
         return Region(
             RegionSignature._trusted(table.lower[row], table.upper[row]),
             CoverageBitmap._trusted(self.height, self.width, self.grid,
-                                    self._blocks[row]),
+                                    self.blocks[row]),
             int(table.window_count[row]), float(table.cluster_radius[row]),
             None if table.refined is None else table.refined[row])
 

@@ -46,7 +46,7 @@ from repro.core import catalog
 from repro.core.cache import CacheStats, LRUCache
 from repro.core.catalog import Catalog, IndexedImage
 from repro.core.extraction import RegionExtractor
-from repro.core.matching import MATCHERS
+from repro.core.matching import match_candidates
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.core.regions import Region
 from repro.core.results import (ImageMatch, QueryResult, QueryStats,
@@ -423,11 +423,18 @@ class WalrusDatabase:
 
     @staticmethod
     def _image_fingerprint(image: Image) -> bytes:
-        digest = hashlib.sha1()
-        digest.update(image.color_space.encode())
-        digest.update(repr(image.shape).encode())
-        digest.update(image.pixels.tobytes())
-        return digest.digest()
+        """The signature-cache key of ``image``'s content: its domain
+        (``uint8`` samples when it keeps them, else ``float64``
+        pixels), color space and shape, then a SHA-1 of that array —
+        the samples are an eighth of the pixels' bytes.  The samples
+        determine the pixels, so equal keys mean equal pixels either
+        way."""
+        samples = image._samples
+        domain, data = ((b"float64", image.pixels) if samples is None
+                        else (b"uint8", samples))
+        return b"/".join([domain, image.color_space.encode(),
+                          repr(image.shape).encode(),
+                          hashlib.sha1(np.ascontiguousarray(data)).digest()])
 
     def _query_regions(self, image: Image, *,
                        deadline: Deadline | None = None
@@ -650,17 +657,17 @@ class WalrusDatabase:
             marks.append(watch.elapsed)
         retrieved = sum(len(pairs) for pairs in pairs_by_image.values())
 
-        matcher = MATCHERS[qp.matching]
         matches: list[ImageMatch] = []
         with tracer.span("match"):
-            for image_id, pairs in pairs_by_image.items():
-                if deadline is not None:
-                    deadline.check("query.match")
-                record = self.images[image_id]
-                outcome = matcher(query_regions, record.regions, pairs,
-                                  area_mode=qp.area_mode, deadline=deadline)
+            records = [self.images[image_id] for image_id in pairs_by_image]
+            outcomes = match_candidates(
+                qp.matching, query_regions,
+                [record.regions for record in records],
+                list(pairs_by_image.values()), area_mode=qp.area_mode,
+                deadline=deadline)
+            for record, outcome in zip(records, outcomes):
                 if outcome.similarity >= qp.tau and outcome.similarity > 0:
-                    matches.append(ImageMatch(image_id, record.name,
+                    matches.append(ImageMatch(record.image_id, record.name,
                                               outcome.similarity, outcome))
         if want_report:
             marks.append(watch.elapsed)

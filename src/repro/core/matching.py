@@ -8,7 +8,11 @@ three ways to score Definition 4.3's similarity:
   each side and measure the covered area.  Linear in the number of
   pairs; a region may participate in any number of pairs (the relaxed
   reading of Definition 4.2).  This is what the paper's retrieval
-  experiments use.
+  experiments use.  :func:`quick_match_many` scores every candidate
+  image of a query in one numpy pass over the regions' block matrices
+  (a decoded image's :attr:`RegionRows.blocks
+  <repro.core.catalog.RegionRows.blocks>`, so no target
+  :class:`Region` is built); :func:`quick_match` is its batch of one.
 * :func:`greedy_match` — enforce the one-to-one similar-region-pair-set
   of Definition 4.2 by repeatedly taking the pair with the largest
   marginal covered area (the paper's ``O(n^2)`` heuristic for the
@@ -19,15 +23,20 @@ three ways to score Definition 4.3's similarity:
 
 All three return a :class:`MatchOutcome` whose ``similarity`` follows
 the configured ``area_mode`` denominator (Section 4 lists the
-variations).
+variations).  :func:`match_candidates` scores all of a query's
+candidate images with the named algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Sequence
 
-from repro.core.bitmap import CoverageBitmap
+import numpy as np
+
+from repro.core.bitmap import CoverageBitmap, block_sizes
+from repro.core.catalog import RegionRows
 from repro.core.regions import Region
 from repro.exceptions import ParameterError
 from repro.observability import Deadline, get_metrics
@@ -70,30 +79,102 @@ def _empty_like(regions: Sequence[Region]) -> CoverageBitmap:
     return CoverageBitmap(bitmap.height, bitmap.width, bitmap.grid)
 
 
-def quick_match(query_regions: list[Region],
+def _block_rows(regions: Sequence[Region], rows: np.ndarray | None = None
+                ) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """The coverage blocks of ``regions[r]`` for each ``r`` in ``rows``
+    (every region when ``None``) as a ``(len(rows), G * G)`` bool
+    matrix, and the ``(height, width, grid)`` of the image they cover.
+    A :class:`RegionRows` hands out its unpacked column (no
+    :class:`Region` built); a list is read at those rows only."""
+    if isinstance(regions, RegionRows):
+        blocks = regions.blocks.reshape(len(regions), -1)
+        return (blocks if rows is None else blocks[rows],
+                (regions.height, regions.width, regions.grid))
+    bitmaps = [region.bitmap for region in
+               (regions if rows is None else
+                [regions[r] for r in rows.tolist()])]
+    geometries = {(bitmap.height, bitmap.width, bitmap.grid)
+                  for bitmap in bitmaps}
+    if len(geometries) > 1:
+        raise ParameterError("the regions' bitmaps cover different images")
+    return (np.array([bitmap.blocks for bitmap in bitmaps])
+            .reshape(len(bitmaps), -1), geometries.pop())
+
+
+def _segment_covered(rows: np.ndarray, starts: list[int],
+                     sizes: np.ndarray) -> list[int]:
+    """Pixels covered by the OR of each run of bool ``rows`` from one
+    of ``starts`` to the next (``sizes``: each block's pixels, one row
+    or one per run).  Bools are the bytes 0 and 1, so OR-ing them eight
+    to a ``uint64`` word is exact; over 350 rows of 256 blocks that
+    ``reduceat`` takes ~21 us against ~330 us for
+    ``np.logical_or.reduceat`` over the bools themselves (numpy 2.4,
+    one Xeon core)."""
+    word = np.uint64 if rows.shape[1] % 8 == 0 else np.uint8
+    unions = np.bitwise_or.reduceat(rows.view(word), starts,
+                                    axis=0).view(bool)
+    return (unions * sizes).sum(axis=1).tolist()
+
+
+def quick_match_many(query_regions: Sequence[Region],
+                     targets: Sequence[Sequence[Region]],
+                     pair_lists: Sequence[list[tuple[int, int]]], *,
+                     area_mode: str = "both",
+                     deadline: Deadline | None = None
+                     ) -> list[MatchOutcome]:
+    """Bitmap-union similarity of the query against every candidate
+    ``targets[c]`` by its ``pair_lists[c]``, in one pass.
+
+    Each pair's query and target rows are gathered from the two sides'
+    block matrices, OR-ed per candidate in one ``reduceat``, and each
+    union's covered pixels are counted against its image's block sizes
+    (targets may differ in size, not in grid).
+    """
+    get_metrics().counter("matching.quick_calls").inc(len(pair_lists))
+    outcomes = [MatchOutcome(0.0, (), 0, 0)] * len(pair_lists)
+    live = [c for c, pairs in enumerate(pair_lists) if pairs]
+    if not live:
+        return outcomes
+    query_blocks, (height, width, grid) = _block_rows(query_regions)
+    counts = [len(pair_lists[c]) for c in live]
+    indices = np.fromiter(
+        chain.from_iterable(chain.from_iterable(pair_lists[c] for c in live)),
+        dtype=np.intp, count=2 * sum(counts)).reshape(-1, 2)
+    starts = list(accumulate(counts[:-1], initial=0))
+    target_rows, geometries = [], []
+    for c, start, count in zip(live, starts, counts):
+        if deadline is not None:
+            deadline.check("matching.quick_match")
+        rows, geometry = _block_rows(targets[c],
+                                     indices[start:start + count, 1])
+        target_rows.append(rows)
+        geometries.append(geometry)
+    if len({t_grid for _, _, t_grid in geometries}) > 1:
+        raise ParameterError("the candidates' bitmaps use different grids")
+    query_covered = _segment_covered(
+        query_blocks[indices[:, 0]], starts,
+        block_sizes(height, width, grid).ravel())
+    target_covered = _segment_covered(
+        np.concatenate(target_rows), starts,
+        np.array([block_sizes(*geometry).ravel() for geometry in geometries]))
+    for c, q_covered, t_covered, (t_height, t_width, _) in zip(
+            live, query_covered, target_covered, geometries):
+        outcomes[c] = MatchOutcome(
+            _similarity(q_covered, t_covered, height * width,
+                        t_height * t_width, area_mode),
+            tuple(pair_lists[c]), q_covered, t_covered)
+    return outcomes
+
+
+def quick_match(query_regions: Sequence[Region],
                 target_regions: Sequence[Region],
                 pairs: list[tuple[int, int]], *,
                 area_mode: str = "both",
                 deadline: Deadline | None = None) -> MatchOutcome:
-    """Bitmap-union similarity (regions may repeat across pairs)."""
-    get_metrics().counter("matching.quick_calls").inc()
-    if not pairs:
-        return MatchOutcome(0.0, (), 0, 0)
-    query_union = _empty_like(query_regions)
-    target_union = _empty_like(target_regions)
-    for q_index, t_index in pairs:
-        if deadline is not None:
-            deadline.check("matching.quick_match")
-        query_union.union_update(query_regions[q_index].bitmap)
-        target_union.union_update(target_regions[t_index].bitmap)
-    query_covered = query_union.covered_pixels
-    target_covered = target_union.covered_pixels
-    return MatchOutcome(
-        _similarity(query_covered, target_covered,
-                    query_union.height * query_union.width,
-                    target_union.height * target_union.width, area_mode),
-        tuple(pairs), query_covered, target_covered,
-    )
+    """Bitmap-union similarity (regions may repeat across pairs): the
+    batch of one of :func:`quick_match_many`."""
+    return quick_match_many(query_regions, [target_regions], [pairs],
+                            area_mode=area_mode, deadline=deadline)[0]
 
 
 def greedy_match(query_regions: list[Region],
@@ -217,6 +298,28 @@ def exact_match(query_regions: list[Region],
     )
 
 
-#: Dispatch used by the database layer.
+#: The per-candidate matchers, by ``QueryParameters.matching`` name.
 MATCHERS = {"quick": quick_match, "greedy": greedy_match,
             "exact": exact_match}
+
+
+def match_candidates(matching: str, query_regions: Sequence[Region],
+                     targets: Sequence[Sequence[Region]],
+                     pair_lists: Sequence[list[tuple[int, int]]], *,
+                     area_mode: str = "both",
+                     deadline: Deadline | None = None
+                     ) -> list[MatchOutcome]:
+    """Score every candidate ``targets[c]`` by its ``pair_lists[c]``
+    with the ``matching`` algorithm: one :func:`quick_match_many` pass
+    for ``"quick"``, a ``MATCHERS`` call per candidate otherwise."""
+    if matching == "quick":
+        return quick_match_many(query_regions, targets, pair_lists,
+                                area_mode=area_mode, deadline=deadline)
+    matcher = MATCHERS[matching]
+    outcomes = []
+    for target_regions, pairs in zip(targets, pair_lists):
+        if deadline is not None:
+            deadline.check("query.match")
+        outcomes.append(matcher(query_regions, target_regions, pairs,
+                                area_mode=area_mode, deadline=deadline))
+    return outcomes

@@ -108,8 +108,13 @@ def read_pnm(source: Source) -> Image:
         raise CodecError(f"PNM sample {samples.max()} exceeds maxval {maxval}")
     # Every sample in [0, maxval] puts every pixel in [0, 1], all that
     # Image() would check, so the quotient is the image as it stands.
+    color_space = "gray" if channels == 1 else "rgb"
+    if maxval == 255:
+        return Image._decoded(
+            samples.astype(np.uint8).reshape(height, width, channels),
+            color_space, name)
     pixels = (samples / maxval).reshape(height, width, channels)
-    return Image._trusted(pixels, "gray" if channels == 1 else "rgb", name)
+    return Image._trusted(pixels, color_space, name)
 
 
 def write_pnm(image: Image, path: str | os.PathLike, *,
@@ -174,7 +179,7 @@ def read_bmp(source: Source) -> Image:
     rgb = bgr[:, :, ::-1]
     if flipped:
         rgb = rgb[::-1]
-    return Image(np.ascontiguousarray(rgb), "rgb", name)
+    return Image._decoded(np.ascontiguousarray(rgb), "rgb", name)
 
 
 def write_bmp(image: Image, path: str | os.PathLike) -> None:

@@ -14,11 +14,16 @@ Design notes
   {1, 3}.  Coordinates in the public API follow numpy order: ``[row,
   column]`` a.k.a. ``[y, x]``.
 * Images are immutable by convention: operations return new instances.
+* An image decoded from 8-bit data (``read_pnm`` at ``maxval`` 255,
+  ``read_bmp``, ``Image(uint8 array)``) also keeps those ``uint8``
+  samples, with ``samples / 255.0 == pixels`` bytewise: an eighth of
+  the bytes to fingerprint.  Flips, rotations, crops and renames carry
+  them; every other derivation computes new values and drops them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,6 +51,11 @@ def _validate_pixels(pixels: np.ndarray) -> np.ndarray:
     return pixels.astype(np.float64, copy=False)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class Image:
     """An immutable image: float pixels in ``[0, 1]``, tagged color space.
 
@@ -62,7 +72,7 @@ class Image:
         pipeline and reported in query results.
     """
 
-    __slots__ = ("pixels", "color_space", "name")
+    __slots__ = ("pixels", "color_space", "name", "_samples")
 
     def __init__(self, pixels: np.ndarray, color_space: str = "rgb",
                  name: str = "") -> None:
@@ -93,6 +103,11 @@ class Image:
         self.pixels = pixels
         self.color_space = color_space
         self.name = name
+        #: The ``uint8`` samples ``pixels`` is the ``/ 255.0`` of, or
+        #: ``None``; a copy, so the caller's array may change.
+        self._samples = (_frozen(np.array(raw, dtype=np.uint8)
+                                 .reshape(pixels.shape))
+                         if raw.dtype == np.uint8 else None)
 
     @classmethod
     def _trusted(cls, pixels: np.ndarray, color_space: str,
@@ -101,11 +116,33 @@ class Image:
         lie in ``[0, 1]`` with the channels ``color_space`` needs (a
         codec checks its samples against ``maxval``), without
         re-checking it."""
-        pixels.setflags(write=False)
         image = object.__new__(cls)
-        image.pixels = pixels
+        image.pixels = _frozen(pixels)
         image.color_space = color_space
         image.name = name
+        image._samples = None
+        return image
+
+    @classmethod
+    def _decoded(cls, samples: np.ndarray, color_space: str,
+                 name: str = "") -> "Image":
+        """An image over a fresh ``(H, W, C)`` ``uint8`` array of
+        samples (a codec's, whose channels suit ``color_space``),
+        which it keeps."""
+        image = cls._trusted(samples / 255.0, color_space, name)
+        image._samples = _frozen(samples)
+        return image
+
+    def _rearranged(self, arrange: Callable[[np.ndarray], np.ndarray]
+                    ) -> "Image":
+        """This image with ``arrange`` — a flip, rotation or crop, which
+        moves values and computes none — applied to its pixels and to
+        its samples alike."""
+        image = Image._trusted(np.ascontiguousarray(arrange(self.pixels)),
+                               self.color_space, self.name)
+        if self._samples is not None:
+            image._samples = _frozen(
+                np.ascontiguousarray(arrange(self._samples)))
         return image
 
     # ------------------------------------------------------------------
@@ -140,8 +177,11 @@ class Image:
     # Derivation
     # ------------------------------------------------------------------
     def with_name(self, name: str) -> "Image":
-        """Return the same image carrying a different ``name``."""
-        return Image(self.pixels, self.color_space, name)
+        """Return the same image carrying a different ``name``; it
+        shares this one's (read-only) arrays."""
+        image = Image._trusted(self.pixels, self.color_space, name)
+        image._samples = self._samples
+        return image
 
     def crop(self, top: int, left: int, height: int, width: int) -> "Image":
         """Return the ``height x width`` sub-image rooted at ``(top, left)``."""
@@ -152,8 +192,8 @@ class Image:
                 f"crop {height}x{width}@({top},{left}) exceeds "
                 f"image {self.height}x{self.width}"
             )
-        return Image(self.pixels[top:top + height, left:left + width],
-                     self.color_space, self.name)
+        return self._rearranged(
+            lambda array: array[top:top + height, left:left + width])
 
     def resize(self, height: int, width: int) -> "Image":
         """Resize with bilinear interpolation (pure numpy).

@@ -62,21 +62,18 @@ def rescale(image: Image, factor: float) -> Image:
 
 def flip_horizontal(image: Image) -> Image:
     """Mirror left-right (an orientation change)."""
-    return Image(np.ascontiguousarray(image.pixels[:, ::-1]),
-                 image.color_space, image.name)
+    return image._rearranged(lambda array: array[:, ::-1])
 
 
 def flip_vertical(image: Image) -> Image:
     """Mirror top-bottom."""
-    return Image(np.ascontiguousarray(image.pixels[::-1]),
-                 image.color_space, image.name)
+    return image._rearranged(lambda array: array[::-1])
 
 
 def rotate90(image: Image, turns: int = 1) -> Image:
     """Rotate by multiples of 90 degrees counter-clockwise."""
-    rotated = np.rot90(image.pixels, k=turns % 4, axes=(0, 1))
-    return Image(np.ascontiguousarray(rotated), image.color_space,
-                 image.name)
+    return image._rearranged(
+        lambda array: np.rot90(array, k=turns % 4, axes=(0, 1)))
 
 
 def translate_content(image: Image, dy: int, dx: int,

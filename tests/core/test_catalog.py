@@ -242,11 +242,17 @@ class TestLazyRegions:
             del built[:]
             result = database.query(query, QueryParameters(epsilon=0.3))
             assert result.matches
-            # The query's own regions, then only rows the matcher read.
-            touched = len(built) - extracted
+            # The query's own regions only: quick matching reads the
+            # candidates' block matrices and builds none of theirs.
+            assert len(built) - extracted == 0
+            del built[:]
+            greedy = QueryParameters(epsilon=0.3, matching="greedy")
+            database.query(query, greedy)
+            # Cached query regions, then only rows the matcher read.
+            touched = len(built)
             assert 0 < touched <= database.region_count
-            database.query(query, QueryParameters(epsilon=0.3, tau=0.01))
-            assert len(built) == extracted + touched  # memoized
+            database.query(query, greedy.with_(tau=0.01))
+            assert len(built) == touched  # memoized
 
     def test_rows_are_a_read_only_sequence(self, tmp_path, scenes):
         directory = str(tmp_path / "db")

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitmap import CoverageBitmap
-from repro.core.matching import exact_match, greedy_match, quick_match
+from repro.core.matching import (exact_match, greedy_match, quick_match,
+                                 quick_match_many)
 from repro.core.regions import Region, RegionSignature
-from repro.exceptions import ParameterError
+from repro.exceptions import DeadlineExceededError, ParameterError
+from repro.observability import MetricsRegistry, set_metrics
+from tests.conftest import ticking_deadline
 
 SIZE = 64
 GRID = 8
@@ -73,6 +76,68 @@ class TestQuickMatch:
         with pytest.raises(ParameterError):
             quick_match(quadrant_regions(), quadrant_regions(), [(0, 0)],
                         area_mode="weird")
+
+    def test_batch_counts_and_budgets_each_candidate(self):
+        """``matching.quick_calls`` counts candidates, an empty pair
+        list too, and the deadline is checked once per candidate that
+        has pairs."""
+        targets = [quadrant_regions()] * 3
+        pair_lists = [[(0, 0)], [], [(1, 1), (2, 2)]]
+        registry = MetricsRegistry(enabled=True)
+        previous = set_metrics(registry)
+        try:
+            outcomes = quick_match_many(quadrant_regions(), targets,
+                                        pair_lists)
+        finally:
+            set_metrics(previous)
+        assert registry.counter("matching.quick_calls").value == 3
+        assert [outcome.similarity for outcome in outcomes] \
+            == [0.25, 0.0, 0.5]
+        quick_match_many(quadrant_regions(), targets, pair_lists,
+                         deadline=ticking_deadline(2))
+        with pytest.raises(DeadlineExceededError):
+            quick_match_many(quadrant_regions(), targets, pair_lists,
+                             deadline=ticking_deadline(1))
+
+    def test_one_image_per_side(self):
+        other = Region(
+            signature=RegionSignature.from_centroid(np.zeros(2)),
+            bitmap=CoverageBitmap.from_windows(SIZE, 2 * SIZE, GRID,
+                                               [(0, 0, 8)]),
+            window_count=1, cluster_radius=0.0)
+        with pytest.raises(ParameterError, match="different images"):
+            quick_match(quadrant_regions() + [other], quadrant_regions(),
+                        [(0, 0), (4, 1)])
+        coarse = Region(
+            signature=RegionSignature.from_centroid(np.zeros(2)),
+            bitmap=CoverageBitmap.from_windows(SIZE, SIZE, GRID // 2,
+                                               [(0, 0, 8)]),
+            window_count=1, cluster_radius=0.0)
+        with pytest.raises(ParameterError, match="different grids"):
+            quick_match_many(quadrant_regions(),
+                             [quadrant_regions(), [coarse]],
+                             [[(0, 0)], [(0, 0)]])
+
+    def test_target_list_read_only_at_paired_rows(self):
+        """A target held as a list is gathered at its paired rows only:
+        an unpaired region is never read, a paired misfit still
+        raises."""
+        class Unread:
+            @property
+            def bitmap(self):
+                raise AssertionError("an unpaired target region was read")
+
+        targets = quadrant_regions() + [Unread()]
+        assert quick_match(quadrant_regions(), targets,
+                           [(0, 0), (1, 3)]).similarity == pytest.approx(0.5)
+        misfit = Region(
+            signature=RegionSignature.from_centroid(np.zeros(2)),
+            bitmap=CoverageBitmap.from_windows(SIZE, 2 * SIZE, GRID,
+                                               [(0, 0, 8)]),
+            window_count=1, cluster_radius=0.0)
+        with pytest.raises(ParameterError, match="different images"):
+            quick_match(quadrant_regions(), quadrant_regions() + [misfit],
+                        [(0, 0), (1, 4)])
 
 
 class TestGreedyMatch:

@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitmap import CoverageBitmap
-from repro.core.matching import greedy_match, quick_match
+from repro.core.catalog import RegionRows, RegionTable
+from repro.core.matching import (exact_match, greedy_match, quick_match,
+                                 quick_match_many)
+from repro.core.parameters import AREA_MODES
 from repro.core.regions import Region, RegionSignature
+from tests.oracle import quick_outcome
 
 SIZE = 64
 GRID = 8
@@ -98,3 +102,103 @@ class TestMatchingInvariants:
         shuffled = list(reversed(pairs))
         assert quick_match(query, target, pairs).similarity == \
             quick_match(query, target, shuffled).similarity
+
+
+#: Target geometries of the batched kernel's instances: the paper's
+#: landscape and portrait 85 x 128 and a third size, on one grid.
+GEOMETRIES = [(85, 128), (128, 85), (96, 128)]
+
+
+def block_regions(rng: np.random.Generator, count: int, height: int,
+                  width: int, grid: int = 16) -> list[Region]:
+    """``count`` regions of a ``height x width`` image with random
+    ``grid x grid`` block grids of random density."""
+    return [Region(
+        signature=RegionSignature.from_centroid(np.zeros(2)),
+        bitmap=CoverageBitmap(height, width, grid,
+                              rng.random((grid, grid)) < rng.random()),
+        window_count=1, cluster_radius=0.0) for _ in range(count)]
+
+
+def as_rows(regions: list[Region]) -> RegionRows:
+    """The same regions as a decoded image holds them."""
+    bitmap = regions[0].bitmap
+    count = len(regions)
+    blocks = np.array([region.bitmap.blocks for region in regions])
+    lower = np.zeros((count, 2))
+    table = RegionTable(lower, lower, np.ones(count, dtype=np.int64),
+                        np.zeros(count),
+                        np.packbits(blocks.reshape(count, -1), axis=1), None)
+    return RegionRows(lambda: table, count, bitmap.height, bitmap.width,
+                      bitmap.grid)
+
+
+class TestBatchedQuickMatch:
+    """:func:`quick_match_many` against :func:`tests.oracle.quick_outcome`
+    applied to each candidate by itself."""
+
+    @given(seed=st.integers(0, 50_000),
+           area_mode=st.sampled_from(AREA_MODES),
+           rows=st.sampled_from(["lists", "rows", "mixed"]),
+           grid=st.sampled_from([16, 10]))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_per_candidate_reference(self, seed, area_mode,
+                                                  rows, grid):
+        """Grid 16's rows are OR-ed as 64-bit words, grid 10's (100
+        blocks) byte by byte."""
+        rng = np.random.default_rng(seed)
+        query = block_regions(rng, int(rng.integers(1, 8)), 85, 128, grid)
+        targets, pair_lists = [], []
+        for _ in range(int(rng.integers(1, 7))):
+            height, width = GEOMETRIES[int(rng.integers(len(GEOMETRIES)))]
+            target = block_regions(rng, int(rng.integers(1, 8)), height,
+                                   width, grid)
+            # Pairs drawn with replacement (repeated regions, duplicate
+            # pairs); one candidate in five has none.
+            count = 0 if rng.random() < 0.2 else int(rng.integers(1, 12))
+            pairs = [(int(rng.integers(len(query))),
+                      int(rng.integers(len(target))))
+                     for _ in range(count)]
+            if pairs and rng.random() < 0.3:
+                pairs += pairs[:2]
+            targets.append(target)
+            pair_lists.append(pairs)
+        held = [as_rows(target) if rows == "rows"
+                or (rows == "mixed" and index % 2) else target
+                for index, target in enumerate(targets)]
+        batch = quick_match_many(query, held, pair_lists,
+                                 area_mode=area_mode)
+        expected = [quick_outcome(query, target, pairs, area_mode)
+                    for target, pairs in zip(targets, pair_lists)]
+        assert batch == expected
+        assert [quick_match(query, target, pairs, area_mode=area_mode)
+                for target, pairs in zip(held, pair_lists)] == expected
+
+    def test_rows_build_no_region(self):
+        rng = np.random.default_rng(5)
+        query = block_regions(rng, 3, 85, 128)
+        rows = as_rows(block_regions(rng, 4, 128, 85))
+        quick_match_many(query, [rows], [[(0, 1), (2, 3)]])
+        assert rows._built == [None] * 4
+
+
+class TestSymmetry:
+    """Definition 4.3 under ``area_mode="both"`` does not depend on
+    which image is the query."""
+
+    @given(seed=st.integers(0, 50_000))
+    @settings(max_examples=60, deadline=None)
+    def test_both_is_symmetric(self, seed):
+        rng = np.random.default_rng(seed)
+        first = block_regions(rng, int(rng.integers(1, 5)), 85, 128)
+        second = block_regions(rng, int(rng.integers(1, 5)), 128, 85)
+        pairs = [(int(rng.integers(len(first))),
+                  int(rng.integers(len(second))))
+                 for _ in range(int(rng.integers(0, 8)))]
+        swapped = [(t, q) for q, t in pairs]
+        for matcher in (quick_match, greedy_match, exact_match):
+            forward = matcher(first, second, pairs, area_mode="both")
+            backward = matcher(second, first, swapped, area_mode="both")
+            assert forward.similarity == backward.similarity
+            assert (forward.query_covered, forward.target_covered) \
+                == (backward.target_covered, backward.query_covered)
