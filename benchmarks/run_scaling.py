@@ -4,12 +4,15 @@ The paper argues WALRUS "is practical to use even though it uses a
 very general similarity model" (query times 5-20 s against 10000
 images on 1997 hardware).  This harness measures three things:
 
-1. **Ingest throughput** — the legacy serial path (per-image extract +
-   per-region R*-tree insert) against the batched path
+1. **Ingest throughput** — the in-process path with per-region
+   R*-tree insertion against the batched path
    (``add_images(workers=N)``: pooled extraction + one STR bulk-load
    pass).  Both paths must produce identical query results; the
    speedup is hardware-dependent (the pooled path degrades gracefully
-   to serial extraction + bulk load on a single-CPU host).
+   to serial extraction + bulk load on a single-CPU host).  Then the
+   in-process ``add_images(workers=1)``, whose CF-trees advance in
+   lockstep, against one ``RegionExtractor.extract`` per image: every
+   region must be the same bytes (the speedup is printed, not gated).
 2. **Bulk vs. incremental index build** — STR packing against repeated
    insertion over the *same* pre-extracted regions, with
    ``verify()`` run on both trees and query-result equality checked.
@@ -26,6 +29,8 @@ Usage::
                                                # when batched ingest is
                                                # slower than serial,
                                                # results diverge, the
+                                               # lockstep regions differ
+                                               # from per-image ones, the
                                                # EXPLAIN report is
                                                # inconsistent, or disabled
                                                # tracing costs >1% of a
@@ -41,6 +46,7 @@ from typing import Any
 
 from harness_common import RETRIEVAL_PARAMS, print_table, timed
 from repro.core.database import WalrusDatabase
+from repro.core.extraction import RegionExtractor
 from repro.core.parameters import QueryParameters
 from repro.datasets.generator import DatasetSpec, generate_dataset, render_scene
 from repro.imaging.image import Image
@@ -144,6 +150,33 @@ def compare_ingest(
                  and ranked_names(serial, query, epsilon)
                  == ranked_names(batched, query, epsilon))
     return serial_s, batched_s, identical, issues, batched
+
+
+def region_bytes(regions: list[Any]) -> list[tuple[Any, ...]]:
+    return [(region.signature.lower.tobytes(),
+             region.signature.upper.tobytes(),
+             region.bitmap.blocks.tobytes(), region.window_count,
+             float(region.cluster_radius).hex()) for region in regions]
+
+
+def compare_lockstep(images: list[Image]) -> tuple[float, float, list[str]]:
+    """One ``RegionExtractor.extract`` per image vs. the in-process
+    ``add_images(workers=1)``, which clusters the batch in lockstep.
+
+    Returns ``(per_image_s, lockstep_s, names)``: ``names`` lists the
+    images whose regions differ in any byte (the ingest time also
+    includes the STR bulk load).
+    """
+    extractor = RegionExtractor(RETRIEVAL_PARAMS)
+    per_image_s, expected = timed(
+        lambda: [extractor.extract(image) for image in images])
+    database = WalrusDatabase(RETRIEVAL_PARAMS)
+    lockstep_s, image_ids = timed(database.add_images, images, workers=1)
+    names = [image.name for image, image_id, regions
+             in zip(images, image_ids, expected)
+             if region_bytes(list(database.images[image_id].regions))
+             != region_bytes(regions)]
+    return per_image_s, lockstep_s, names
 
 
 def compare_tree_build(images: list[Image], query: Image,
@@ -268,6 +301,22 @@ def main() -> int:
         failures.append(
             f"batched ingest slower than serial: {batched_s:.2f}s vs "
             f"{serial_s:.2f}s")
+
+    per_image_s, lockstep_s, differing = compare_lockstep(
+        interleaved[:size])
+    print_table(
+        ["path", "images", "time (s)"],
+        [
+            ["extract() per image", size, f"{per_image_s:.2f}"],
+            ["add_images(workers=1), lockstep", size, f"{lockstep_s:.2f}"],
+        ],
+        title="Lockstep extraction",
+    )
+    print(f"speedup: {per_image_s / lockstep_s:.2f}x   identical regions: "
+          f"{'yes' if not differing else 'NO: ' + ', '.join(differing)}")
+    if differing:
+        failures.append(
+            f"lockstep regions differ from extract() for {differing}")
 
     # ------------------------------------------------------------------
     # 2. Bulk vs. incremental R*-tree construction (same regions).

@@ -5,6 +5,7 @@ from repro.clustering.birch import (
     assign_to_clusters,
     merge_clusters,
     precluster,
+    precluster_many,
     refine_clusters,
 )
 from repro.clustering.cftree import CFNode, CFTree
@@ -19,4 +20,5 @@ __all__ = [
     "merge_clusters",
     "refine_clusters",
     "precluster",
+    "precluster_many",
 ]

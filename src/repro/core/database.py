@@ -2,10 +2,11 @@
 
 Ties the whole system together (Section 5.1's overview):
 
-* :meth:`WalrusDatabase.add_images` extracts regions — optionally in
-  parallel, one image per task of a ``multiprocessing`` pool — and
-  indexes their signatures in an R*-tree, keyed by centroid point or
-  bounding box, with ``(image_id, region_index)`` as the payload.  On a
+* :meth:`WalrusDatabase.add_images` extracts regions — in process with
+  the batch's CF-trees in lockstep, or one image per task of a
+  ``multiprocessing`` pool — and indexes their signatures in an
+  R*-tree, keyed by centroid point or bounding box, with
+  ``(image_id, region_index)`` as the payload.  On a
   fresh database the tree is packed bottom-up with one
   Sort-Tile-Recursive pass instead of repeated insertion.  It is the
   one ingest path: :meth:`WalrusDatabase.add_image` is a batch of one.
@@ -307,12 +308,14 @@ class WalrusDatabase:
 
         ``workers`` (``None`` or an ``int`` >= 1) is the number of
         processes that extract regions.  ``None`` or ``1`` extracts
-        in-process; more maps the batch over a ``multiprocessing``
-        pool (``fork`` where available) that lives for this call only.
-        Results are identical either way: extraction is deterministic
-        and the map keeps input order.  The workers' ``extraction.*``,
-        ``birch.*`` and ``wavelets.*`` instruments stay in the workers;
-        the ``ingest`` event still records the batch.
+        in-process, through :meth:`RegionExtractor.extract_many` (the
+        images' CF-trees advance in lockstep); more maps the batch over
+        a ``multiprocessing`` pool (``fork`` where available) that
+        lives for this call only.  Results are identical either way:
+        extraction is deterministic and the map keeps input order.
+        The workers' ``extraction.*``, ``birch.*`` and ``wavelets.*``
+        instruments stay in the workers; the ``ingest`` event still
+        records the batch.
 
         ``bulk`` controls how the R*-tree is built.  ``None`` (the
         default) packs the tree with one Sort-Tile-Recursive pass when
@@ -341,8 +344,7 @@ class WalrusDatabase:
             return []
 
         if workers is None or workers == 1:
-            regions_per_image = [self.extractor.extract(image)
-                                 for image in batch]
+            regions_per_image = self.extractor.extract_many(batch)
         else:
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(

@@ -12,18 +12,25 @@ every region ``extract()`` returns.
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.extraction as extraction
-from repro.clustering.birch import precluster
-from repro.clustering.cftree import CFTree
+from repro.clustering.birch import precluster, precluster_many
+from repro.clustering.cftree import RADIUS_SLACK, CFTree
 from repro.core.bitmap import CoverageBitmap
+from repro.core.database import WalrusDatabase
 from repro.core.extraction import RegionExtractor
 from repro.core.parameters import ExtractionParameters
+from repro.core.signatures import WindowSet
 from repro.datasets.generator import DatasetSpec, generate_dataset
+from repro.exceptions import ClusteringError
+from repro.observability import MetricsRegistry, set_metrics
 from tests.extraction_reference import (
     reference_bitmaps,
     reference_clusters,
@@ -93,6 +100,84 @@ class TestCFTree:
         assert tree_dump(mine.root) == tree_dump(tree.root)
 
 
+class TestPreclusterMany:
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           lengths=st.lists(st.integers(1, 150), min_size=1, max_size=9),
+           d=st.integers(1, 12), duplicates=st.booleans(),
+           threshold=st.sampled_from([0.0, 0.005, 0.02, 0.08, 0.3]),
+           branching=st.integers(2, 12),
+           max_leaf=st.sampled_from([None, 3, 8, 25]))
+    @settings(max_examples=60, deadline=None)
+    def test_each_set_equals_reference(self, seed, lengths, d, duplicates,
+                                       threshold, branching, max_leaf):
+        """Ragged sets of one batch; small branching factors and leaf
+        caps make some trees leave the lockstep mid-batch, split and
+        rebuild."""
+        point_sets = [draw_points(seed + k, n, d, duplicates)
+                      for k, n in enumerate(lengths)]
+        got = precluster_many(point_sets, threshold,
+                              branching_factor=branching,
+                              max_leaf_entries=max_leaf)
+        assert len(got) == len(point_sets)
+        for points, clusters in zip(point_sets, got):
+            reference = reference_tree(points, threshold,
+                                       branching_factor=branching,
+                                       max_leaf_entries=max_leaf)
+            assert cluster_bytes(clusters) \
+                == cluster_bytes(reference_clusters(points, reference))
+
+    def test_radius_on_the_bound_is_decided_as_the_tree_does(self):
+        """Two points whose merged radius is exactly the bound
+        ``threshold + RADIUS_SLACK``, computed as the tree computes it:
+        the lockstep radius test must round the same way (the tree
+        absorbs).  A dot taken another way, such as an einsum row sum,
+        moves the radius by an ulp in a fair share of these."""
+        rng = np.random.default_rng(3)
+        for trial in range(240):
+            pair = rng.normal(size=(2, trial % 12 + 1))
+            linear = pair + 0.0
+            merged = linear[0] + linear[1]
+            centroid = merged / 2
+            square = float(pair[0] @ pair[0]) + float(pair[1] @ pair[1])
+            radius = math.sqrt(max(square / 2 - centroid.dot(centroid), 0.0))
+            threshold = radius - RADIUS_SLACK
+            while threshold + RADIUS_SLACK > radius:
+                threshold = math.nextafter(threshold, -math.inf)
+            while threshold + RADIUS_SLACK < radius:
+                threshold = math.nextafter(threshold, math.inf)
+            if threshold + RADIUS_SLACK != radius:
+                continue
+            got = precluster_many([pair, pair[::-1]], threshold)
+            assert [cluster_bytes(clusters) for clusters in got] == [
+                cluster_bytes(precluster(points, threshold))
+                for points in (pair, pair[::-1])]
+            assert [len(clusters) for clusters in got] == [1, 1]
+
+    def test_non_finite_set_takes_the_tree(self):
+        """A NaN or inf could tie with the padded rows, so its set runs
+        through a tree from its first point, as ``precluster`` does."""
+        point_sets = [draw_points(k, 40, 3, False) for k in range(5)]
+        point_sets[1][7, 2] = np.nan
+        point_sets[3][5, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = precluster_many(point_sets, 0.02)
+            expected = [precluster(points, 0.02) for points in point_sets]
+        assert [cluster_bytes(clusters) for clusters in got] \
+            == [cluster_bytes(clusters) for clusters in expected]
+
+    @pytest.mark.parametrize("point_sets, message", [
+        ([np.zeros((3, 2)), np.zeros((0, 2))], "empty point set"),
+        ([np.zeros((3, 2)), np.zeros(3)], "expected (n, d) points"),
+        ([np.zeros((3, 2)), np.zeros((3, 4))], "different dimensions"),
+    ])
+    def test_rejects_a_bad_set(self, point_sets, message):
+        with pytest.raises(ClusteringError, match=re.escape(message)):
+            precluster_many(point_sets, 0.05)
+
+    def test_empty_batch(self):
+        assert precluster_many([], 0.05) == []
+
+
 def draw_groups(rng: np.random.Generator, height: int, width: int
                 ) -> list[list[tuple[int, int, int]]]:
     """Overlapping, duplicate and empty window groups inside the image."""
@@ -150,19 +235,24 @@ def region_bytes(region) -> tuple:
             region.window_count, float(region.cluster_radius).hex())
 
 
+#: The two extraction settings the corpus tests run: the ledger's, and
+#: a small tree with bounding-box signatures that splits and rebuilds.
+CORPUS_PARAMS = pytest.mark.parametrize("params, count", [
+    (ExtractionParameters(window_min=16, window_max=64, stride=8,
+                          cluster_threshold=0.05, color_space="ycc"), 30),
+    (ExtractionParameters(window_min=16, window_max=32, stride=8,
+                          cluster_threshold=0.02, signature_mode="bbox",
+                          branching_factor=4, max_leaf_entries=40), 10),
+], ids=["ledger", "small-tree-bbox"])
+
+
 class TestExtractCorpus:
     @pytest.fixture(scope="class")
     def images(self):
         return generate_dataset(DatasetSpec(images_per_class=3,
                                             seed=1999)).images
 
-    @pytest.mark.parametrize("params, count", [
-        (ExtractionParameters(window_min=16, window_max=64, stride=8,
-                              cluster_threshold=0.05, color_space="ycc"), 30),
-        (ExtractionParameters(window_min=16, window_max=32, stride=8,
-                              cluster_threshold=0.02, signature_mode="bbox",
-                              branching_factor=4, max_leaf_entries=40), 10),
-    ], ids=["ledger", "small-tree-bbox"])
+    @CORPUS_PARAMS
     def test_extract_equals_reference_pipeline(self, images, params, count,
                                                monkeypatch):
         images = images[::len(images) // count]
@@ -176,3 +266,94 @@ class TestExtractCorpus:
         for mine, theirs in zip(got, expected):
             assert [region_bytes(region) for region in mine] \
                 == [region_bytes(region) for region in theirs]
+
+    @CORPUS_PARAMS
+    def test_extract_many_equals_extract(self, images, params, count):
+        images = images[::len(images) // count]
+        extractor = RegionExtractor(params)
+        got = extractor.extract_many(images)
+        assert len(got) == count >= extraction.LOCKSTEP_MIN_IMAGES
+        for mine, image in zip(got, images):
+            assert [region_bytes(region) for region in mine] \
+                == [region_bytes(region) for region in
+                    extractor.extract(image)]
+
+
+class TestExtractMany:
+    PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8,
+                                  cluster_threshold=0.02,
+                                  branching_factor=4)
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        return generate_dataset(DatasetSpec(images_per_class=1,
+                                            seed=7)).images[:6]
+
+    @staticmethod
+    def counters(run) -> dict[str, int]:
+        registry = MetricsRegistry(enabled=True)
+        previous = set_metrics(registry)
+        try:
+            run()
+        finally:
+            set_metrics(previous)
+        return {name: value for name, value in registry.snapshot().items()
+                if name.startswith(("birch.", "extraction."))
+                and isinstance(value, int)}
+
+    def test_counters_add_up_as_per_image_runs(self, images):
+        extractor = RegionExtractor(self.PARAMS)
+        batch = self.counters(lambda: extractor.extract_many(images))
+        single = self.counters(
+            lambda: [extractor.extract(image) for image in images])
+        assert batch == single
+        assert batch["extraction.images"] == len(images)
+        assert batch["birch.cf_splits"] > 0
+
+    def test_groups_cover_the_batch_in_order(self, images, monkeypatch):
+        """A batch larger than a group is split into near-equal groups;
+        a group below the crossover clusters image by image."""
+        monkeypatch.setattr(extraction, "LOCKSTEP_MAX_IMAGES", 8)
+        calls = []
+        real = extraction.precluster_many
+
+        def spy(point_sets, *args, **kwargs):
+            calls.append(len(point_sets))
+            return real(point_sets, *args, **kwargs)
+
+        monkeypatch.setattr(extraction, "precluster_many", spy)
+        extractor = RegionExtractor(self.PARAMS)
+        batch = images * 3
+        got = extractor.extract_many(batch)
+        assert calls == [6, 6, 6]
+        assert [[region_bytes(region) for region in regions]
+                for regions in got] \
+            == [[region_bytes(region) for region in extractor.extract(image)]
+                for image in batch]
+        calls.clear()
+        extractor.extract_many(images[:extraction.LOCKSTEP_MIN_IMAGES - 1])
+        assert calls == []
+
+    def test_an_image_without_windows_fails_as_extract_does(self, images,
+                                                             monkeypatch):
+        real = extraction.compute_window_set
+
+        def no_windows_for_the_third(image, params, **kwargs):
+            window_set = real(image, params, **kwargs)
+            if image is images[2]:
+                return WindowSet(window_set.features[:0],
+                                 window_set.geometry[:0])
+            return window_set
+
+        monkeypatch.setattr(extraction, "compute_window_set",
+                            no_windows_for_the_third)
+        extractor = RegionExtractor(self.PARAMS)
+        with pytest.raises(ClusteringError) as single:
+            extractor.extract(images[2])
+        with pytest.raises(ClusteringError) as batch:
+            extractor.extract_many(images)
+        assert str(batch.value) == str(single.value)
+        database = WalrusDatabase.create(params=self.PARAMS)
+        with pytest.raises(ClusteringError):
+            database.add_images(images)
+        assert len(database) == 0 and database.region_count == 0

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitmap import CoverageBitmap
 from repro.core.catalog import RegionRows, RegionTable
-from repro.core.matching import (exact_match, greedy_match, quick_match,
-                                 quick_match_many)
-from repro.core.parameters import AREA_MODES
+from repro.core.database import WalrusDatabase
+from repro.core.matching import (MATCHERS, exact_match, greedy_match,
+                                 quick_match, quick_match_many)
+from repro.core.parameters import (AREA_MODES, ExtractionParameters,
+                                   QueryParameters)
 from repro.core.regions import Region, RegionSignature
+from repro.datasets.generator import render_scene
 from tests.oracle import quick_outcome
 
 SIZE = 64
@@ -202,3 +206,61 @@ class TestSymmetry:
             assert forward.similarity == backward.similarity
             assert (forward.query_covered, forward.target_covered) \
                 == (backward.target_covered, backward.query_covered)
+
+
+class TestPaperOrder:
+    """The orders the paper's Section 5.5 and Table 1 rest on."""
+
+    @given(seed=st.integers(0, 50_000),
+           area_mode=st.sampled_from(["both", "smaller"]))
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_exact_quick_order(self, seed, area_mode):
+        """greedy <= exact <= quick.  exact maximizes the covered pixels
+        summed over both images among one-to-one pair sets (greedy's
+        is one of them); quick unions every pair's regions, a superset
+        of any pair set's.  Under ``both`` and ``smaller`` the
+        similarity grows with that sum."""
+        rng = np.random.default_rng(seed)
+        query = block_regions(rng, int(rng.integers(1, 6)), 85, 128)
+        target = block_regions(rng, int(rng.integers(1, 6)), 128, 85)
+        pairs = [(int(rng.integers(len(query))),
+                  int(rng.integers(len(target))))
+                 for _ in range(int(rng.integers(0, 10)))]
+        greedy, exact, quick = (
+            MATCHERS[name](query, target, pairs, area_mode=area_mode)
+            for name in ("greedy", "exact", "quick"))
+        assert greedy.query_covered + greedy.target_covered \
+            <= exact.query_covered + exact.target_covered
+        assert exact.query_covered <= quick.query_covered
+        assert exact.target_covered <= quick.target_covered
+        assert greedy.similarity <= exact.similarity <= quick.similarity
+
+
+class TestCandidatesMonotoneInEpsilon:
+    """Table 1's shape: a wider epsilon only adds candidate images."""
+
+    EPSILONS = (0.0, 0.02, 0.05, 0.085, 0.15, 0.3, 1.0)
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        database = WalrusDatabase.create(params=ExtractionParameters(
+            window_min=16, window_max=32, stride=8))
+        database.add_images([
+            render_scene(label, seed=seed, name=f"{label}-{seed}")
+            for seed, label in enumerate(
+                ["flowers", "ocean", "sunset", "forest", "night_sky"] * 2)])
+        return database
+
+    @pytest.mark.parametrize("label", ["flowers", "sunset"])
+    def test_candidate_set_grows_with_epsilon(self, database, label):
+        query = render_scene(label, seed=977, name="query")
+        counts, matched = [], []
+        for epsilon in self.EPSILONS:
+            result = database.query(query, QueryParameters(epsilon=epsilon))
+            counts.append(result.stats.candidate_images)
+            matched.append({match.image_id for match in result})
+        assert counts == sorted(counts)
+        assert counts[0] < counts[-1] == len(database)
+        # quick with tau = 0 returns every candidate with a covered pixel
+        for smaller, larger in zip(matched, matched[1:]):
+            assert smaller <= larger

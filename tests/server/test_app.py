@@ -159,34 +159,24 @@ class TestErrors:
         assert payload["context"]
 
     def test_overload_is_503_with_retry_after(self, db_dir, query_body):
+        """The only slot is held while a request arrives: it is shed
+        with a 503 and ``Retry-After``; once the slot is back the next
+        request is served."""
         with WalrusServer(db_dir, port=0, sessions=1, max_queue=0,
                           queue_timeout_seconds=0.1,
                           retry_after_seconds=0.2) as server:
             url = server.url("/query")
-            outcomes: list[object] = []
-
-            def fire() -> None:
-                try:
-                    outcomes.append(_post(url, query_body))
-                except urllib.error.HTTPError as error:
-                    outcomes.append((error.code,
-                                     json.loads(error.read()),
-                                     error.headers.get("Retry-After")))
-
-            threads = [threading.Thread(target=fire) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-        oks = [o for o in outcomes if isinstance(o, dict)]
-        rejections = [o for o in outcomes if isinstance(o, tuple)]
-        assert oks, "at least one request must be served"
-        assert rejections, "saturation must shed something"
-        for status, body, retry_after in rejections:
-            assert status == 503
-            assert body["error"] == "overloaded"
-            assert retry_after is not None
-            assert float(retry_after) == pytest.approx(0.2)
+            server.admission.try_acquire()
+            try:
+                with pytest.raises(urllib.error.HTTPError) as shed:
+                    _post(url, query_body)
+            finally:
+                server.admission.release()
+            assert shed.value.code == 503
+            assert json.loads(shed.value.read())["error"] == "overloaded"
+            assert float(shed.value.headers.get("Retry-After")) \
+                == pytest.approx(0.2)
+            assert "matches" in _post(url, query_body)
 
 
     def test_bad_content_length_is_400_not_a_dropped_socket(self, db_dir):
