@@ -8,12 +8,13 @@ Usage::
 Each experiment is one function keyed by its DESIGN.md id (``fig6a``,
 ``fig6b``, ``fig7/fig8``, ``table1``, ``sec6.6``, ``robustness``,
 ``region-quality``, ``abl-match``, ``abl-sig``, ``abl-window``,
-``abl-color``, ``abl-ext``); with no ids, all of them run.  A function
-returns an :class:`Outcome`: the table the paper prints (in the
-paper's own row/column format, so EXPERIMENTS.md can be checked line
-against line) plus named shape checks.  Every cell, fact and check is
-deterministic under the fixed seeds except those an outcome names in
-``timing``: wall-clock columns and the checks that read them.
+``abl-color``, ``abl-ext``, ``scaling``); with no ids, all of them
+run.  A function returns an :class:`Outcome`: the table the paper
+prints (in the paper's own row/column format, so EXPERIMENTS.md can be
+checked line against line) plus named shape checks.  Every cell, fact
+and check is deterministic under the fixed seeds except those an
+outcome names in ``timing``: wall-clock columns and the checks that
+read them.
 
 There are two scales and no other knobs: the full one behind
 EXPERIMENTS.md and ``--quick`` (small collections, short sweeps),
@@ -739,6 +740,43 @@ def ablation_extensions(lab: Lab, scale: Scale) -> Outcome:
         timing=frozenset(["s/query"]))
 
 
+def scaling(lab: Lab, scale: Scale) -> Outcome:
+    """Scalability: indexing and query cost vs. collection size.
+
+    The paper argues WALRUS "is practical to use even though it uses a
+    very general similarity model" (query times 5-20 s against 10000
+    images on 1997 hardware).  Collections of 10 classes x 2, 4, 8, ...
+    images up to fig7/fig8's size are each indexed with one STR bulk
+    load, then asked the flower query once (the lab's databases keep no
+    query caches, so it is a first query).  Extraction dominates
+    indexing, so its cost per image should stay about constant as the
+    collection grows.
+    """
+    query = flower_query()
+    rows = []
+    for images_per_class in _doublings(scale.fig7_images):
+        database, seconds = lab.database(images_per_class)
+        result = database.query(query, QueryParameters(epsilon=EPSILON),
+                                explain=True)
+        rows.append([len(database), database.region_count, f"{seconds:.2f}",
+                     f"{seconds / len(database):.3f}",
+                     f"{result.stats.elapsed_seconds:.3f}",
+                     result.stats.candidate_images,
+                     result.report.probe.node_reads])
+    per_image = [float(row[3]) for row in rows]
+    regions = [row[1] for row in rows]
+    constant = "indexing s/image ~constant (max <= 3x min)"
+    return Outcome(
+        "Scalability: indexing and query cost vs. collection size",
+        ["images", "regions", "index (s)", "index s/image", "query (s)",
+         "candidates", "node reads"], rows,
+        checks={"regions grow with the collection":
+                regions == sorted(set(regions)),
+                constant: max(per_image) <= 3 * max(min(per_image), 1e-3)},
+        timing=frozenset(["index (s)", "index s/image", "query (s)",
+                          constant]))
+
+
 #: Every experiment, keyed by its DESIGN.md id, in DESIGN.md order.
 EXPERIMENTS: dict[str, Callable[[Lab, Scale], Outcome]] = {
     "fig6a": fig6a,
@@ -753,6 +791,7 @@ EXPERIMENTS: dict[str, Callable[[Lab, Scale], Outcome]] = {
     "abl-window": ablation_windows,
     "abl-color": ablation_color,
     "abl-ext": ablation_extensions,
+    "scaling": scaling,
 }
 _ALIASES = {"fig7": "fig7/fig8", "fig8": "fig7/fig8"}
 

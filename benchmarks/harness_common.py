@@ -1,5 +1,5 @@
-"""Shared plumbing for ``experiments.py`` and ``run_scaling.py``:
-the retrieval extraction settings, a one-shot timer and the plain
+"""Shared plumbing for ``experiments.py`` and the ledger: the
+retrieval extraction settings, a one-shot timer and the plain
 fixed-width table printer the paper's tables are reproduced in.
 """
 

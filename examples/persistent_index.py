@@ -44,7 +44,7 @@ def main() -> None:
     print(f"creating a durable database in {db_dir}")
     with WalrusDatabase.create(db_dir, params=PARAMS) as database:
         # A fresh database packs the R*-tree with one STR bulk-load
-        # pass; pass workers=N to extract regions in parallel.
+        # pass.
         database.add_images(scenes)
         database.checkpoint()
         before = database.query(query, EPSILON).names()

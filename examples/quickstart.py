@@ -7,9 +7,9 @@ Demonstrates the three core calls of the public API:
    threshold).  ``create()`` with no path keeps the index in memory;
    ``create("some/dir")`` makes it durable.
 2. ``database.add_images([...])`` — decompose each image into regions
-   and index their wavelet signatures in the R*-tree (packed in one
-   STR bulk-load pass on a fresh database; pass ``workers=N`` to fan
-   extraction across processes).
+   and index their wavelet signatures in the R*-tree (the batch's
+   images are clustered in lockstep, and a fresh database is packed in
+   one STR bulk-load pass).
 3. ``database.query(image, QueryParameters(...))`` — decompose the
    query the same way and rank database images by the fraction of area
    covered by matching regions (the paper's Definition 4.3).

@@ -148,8 +148,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
               for entry in names)
     with WalrusDatabase.create(
             args.output, params=_extraction_params(args)) as database:
-        database.add_images(images, bulk=args.bulk or None,
-                            workers=args.workers)
+        database.add_images(images, bulk=args.bulk or None)
         print(f"indexed {len(database)} images "
               f"({database.region_count} regions) -> {args.output}")
     return 0
@@ -531,9 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_true",
                        help="build the R*-tree with STR bulk loading "
                             "(default: automatic on a fresh database)")
-    index.add_argument("--workers", type=int, default=None,
-                       help="extraction worker processes "
-                            "(default: in-process)")
     _add_extraction_options(index)
     index.set_defaults(handler=_cmd_index)
 

@@ -56,7 +56,7 @@ def precluster(points: np.ndarray, threshold: float, *,
     Parameters
     ----------
     points:
-        ``(n, d)`` array of feature vectors.
+        ``(n, d)`` array of finite feature vectors.
     threshold:
         Cluster radius threshold (the paper's ``eps_c``).
     branching_factor:
@@ -102,9 +102,10 @@ def precluster_many(point_sets: Sequence[np.ndarray], threshold: float, *,
     ``[precluster(p, ...) for p in point_sets]``, and so are the
     ``birch.*`` counters.  A set whose next append would split the
     root or exceed ``max_leaf_entries`` continues in a ``CFTree``
-    whose root holds its rows.  Every set must be a non-empty ``(n, d)``
-    array of one ``d``; nothing is clustered otherwise.  No deadline:
-    this is the ingest path; budgeted callers use :func:`precluster`.
+    whose root holds its rows.  Every set must be a non-empty, finite
+    ``(n, d)`` array of one ``d``; nothing is clustered otherwise.  No
+    deadline: this is the ingest path; budgeted callers use
+    :func:`precluster`.
     """
     sets = [_point_set(points) for points in point_sets]
     if not sets:
@@ -129,8 +130,7 @@ class _Lockstep:
     as two more columns) and of ``centroids``; its member ids are
     ``members[owner[s]][k]``.  Rows from ``sizes[s]`` on are unused and
     their centroids ``+inf``, so that no argmin picks them over a used
-    row (one can tie or win, as NaN, only for a point with an infinite
-    coordinate, which no row absorbs: it is appended either way).  A set
+    row (every point is finite: :func:`_point_set` checks).  A set
     leaves its slot when it has no point left or when its tree must
     outgrow a lone leaf root (:meth:`hand_off`); the next step compacts
     the slots.
@@ -267,6 +267,8 @@ def _point_set(points: np.ndarray) -> np.ndarray:
         raise ClusteringError(f"expected (n, d) points, got shape {points.shape}")
     if points.shape[0] == 0:
         raise ClusteringError("cannot cluster an empty point set")
+    if not np.isfinite(points).all():
+        raise ClusteringError("cannot cluster a non-finite point")
     return points
 
 

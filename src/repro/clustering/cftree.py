@@ -190,6 +190,8 @@ class CFTree:
                 f"expected point of dimension {self.dimensions}, "
                 f"got shape {point.shape}"
             )
+        if not np.isfinite(point).all():
+            raise ClusteringError("cannot cluster a non-finite point")
         members = None
         if self.track_members:
             members = [] if point_id is None else [point_id]

@@ -2,10 +2,9 @@
 
 Ties the whole system together (Section 5.1's overview):
 
-* :meth:`WalrusDatabase.add_images` extracts regions — in process with
-  the batch's CF-trees in lockstep, or one image per task of a
-  ``multiprocessing`` pool — and indexes their signatures in an
-  R*-tree, keyed by centroid point or bounding box, with
+* :meth:`WalrusDatabase.add_images` extracts regions — in process, the
+  batch's CF-trees advancing in lockstep — and indexes their signatures
+  in an R*-tree, keyed by centroid point or bounding box, with
   ``(image_id, region_index)`` as the payload.  On a
   fresh database the tree is packed bottom-up with one
   Sort-Tile-Recursive pass instead of repeated insertion.  It is the
@@ -37,7 +36,6 @@ mutates).  ``cache_stats()`` exposes their hit rates.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 from typing import Any, Iterable, Sequence, cast
 
@@ -65,18 +63,15 @@ from repro.observability import (Deadline, ProbeCounts, QueryReport,
                                  get_events, get_metrics, get_tracer)
 from repro.observability.report import CANONICAL_STAGES
 
-#: The extractor of an ``add_images`` pool worker, built once per
-#: worker process by :func:`_start_worker`.
-_WORKER_EXTRACTOR: RegionExtractor | None = None
 
-
-def _start_worker(params: ExtractionParameters) -> None:
-    global _WORKER_EXTRACTOR
-    _WORKER_EXTRACTOR = RegionExtractor(params)
-
-
-def _extract_in_worker(image: Image) -> list[Region]:
-    return cast(RegionExtractor, _WORKER_EXTRACTOR).extract(image)
+def _checked_int(name: str, value: Any, minimum: int = 1) -> int:
+    """``value`` as an ``int`` if it is an integer >= ``minimum`` (a
+    ``bool`` is not); else :class:`InvalidParameterError`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise InvalidParameterError(
+            f"{name} must be an int >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class WalrusDatabase:
@@ -306,16 +301,11 @@ class WalrusDatabase:
                    workers: int | None = None) -> list[int]:
         """Index a batch of images; returns their ids in order.
 
-        ``workers`` (``None`` or an ``int`` >= 1) is the number of
-        processes that extract regions.  ``None`` or ``1`` extracts
-        in-process, through :meth:`RegionExtractor.extract_many` (the
-        images' CF-trees advance in lockstep); more maps the batch over
-        a ``multiprocessing`` pool (``fork`` where available) that
-        lives for this call only.  Results are identical either way:
-        extraction is deterministic and the map keeps input order.
-        The workers' ``extraction.*``, ``birch.*`` and ``wavelets.*``
-        instruments stay in the workers; the ``ingest`` event still
-        records the batch.
+        Regions are extracted in process by
+        :meth:`RegionExtractor.extract_many`: the images' CF-trees
+        advance in lockstep.  ``workers`` has no effect; it must be
+        ``None`` or an ``int`` >= 1, and goes away once no caller
+        passes it.
 
         ``bulk`` controls how the R*-tree is built.  ``None`` (the
         default) packs the tree with one Sort-Tile-Recursive pass when
@@ -325,11 +315,8 @@ class WalrusDatabase:
         trees are better packed and much faster to construct.
         """
         self._check_writable("add_images")
-        if workers is not None and (isinstance(workers, bool)
-                                    or not isinstance(workers, int)
-                                    or workers < 1):
-            raise InvalidParameterError(
-                f"workers must be None or an int >= 1, got {workers!r}")
+        if workers is not None:
+            _checked_int("workers", workers)
         events = get_events()
         watch = Stopwatch() if events.enabled else None
         batch = list(images)
@@ -343,17 +330,7 @@ class WalrusDatabase:
         if not batch:
             return []
 
-        if workers is None or workers == 1:
-            regions_per_image = self.extractor.extract_many(batch)
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None)
-            with context.Pool(workers, initializer=_start_worker,
-                              initargs=(self.params,)) as pool:
-                regions_per_image = pool.map(_extract_in_worker, batch)
-            pool.join()
-
+        regions_per_image = self.extractor.extract_many(batch)
         ids: list[int] = []
         items: list[tuple[Rect, tuple[int, int]]] = []
         for image, regions in zip(batch, regions_per_image):
@@ -374,7 +351,6 @@ class WalrusDatabase:
                 "images": len(batch),
                 "regions": len(items),
                 "bulk": bool(bulk),
-                "workers": workers if workers is not None else 1,
                 "seconds": watch.elapsed,
                 "total_images": len(self.images),
                 "total_regions": self.region_count,
@@ -392,6 +368,7 @@ class WalrusDatabase:
     def remove_image(self, image_id: int) -> None:
         """Remove an image and all its regions from the index."""
         self._check_writable("remove_image")
+        image_id = _checked_int("image_id", image_id, minimum=0)
         record = self.images.pop(image_id, None)
         if record is None:
             raise DatabaseError(f"no image with id {image_id}")
@@ -476,8 +453,7 @@ class WalrusDatabase:
         self._check_open()
         if not self.images:
             raise DatabaseError("nearest_regions on an empty database")
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
+        k = _checked_int("k", k)
         results: list[RegionMatch] = []
         query_regions, _ = self._query_regions(image)
         for q_index, region in enumerate(query_regions):
@@ -626,9 +602,8 @@ class WalrusDatabase:
         self._check_open()
         if not self.images:
             raise DatabaseError("query on an empty database")
-        if max_regions is not None and max_regions < 1:
-            raise InvalidParameterError(
-                f"max_regions must be >= 1, got {max_regions}")
+        if max_regions is not None:
+            _checked_int("max_regions", max_regions)
         qp = query_params if query_params is not None else QueryParameters()
         events = get_events()
         tracer = get_tracer()
@@ -738,7 +713,10 @@ class WalrusDatabase:
         regardless of what else it contains.
         """
         self._check_open()
-        scene = image.crop(top, left, height, width)
+        scene = image.crop(_checked_int("top", top, minimum=0),
+                           _checked_int("left", left, minimum=0),
+                           _checked_int("height", height),
+                           _checked_int("width", width))
         if query_params is None:
             query_params = QueryParameters(area_mode="query")
         return self.query(scene, query_params, explain=explain)

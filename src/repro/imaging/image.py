@@ -94,7 +94,7 @@ class Image:
                 f"got {pixels.shape[2]}"
             )
         lo, hi = float(pixels.min()), float(pixels.max())
-        if lo < -1e-9 or hi > 1.0 + 1e-9:
+        if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):  # NaN fails too
             raise ImageFormatError(
                 f"float pixels must lie in [0, 1]; got range [{lo}, {hi}]"
             )

@@ -15,13 +15,7 @@ Design constraints (they shape every class here):
 
 The process-wide default registry (:func:`get_metrics`) starts
 disabled; :func:`enable_metrics` / :func:`disable_metrics` toggle it.
-Registries are per process and nothing merges them.  The worker
-processes of ``WalrusDatabase.add_images(workers=N)`` with ``N > 1``
-record into their own copy (a fork-time copy, or a fresh disabled one
-where processes are spawned), and it dies with them: for a pooled
-batch the parent's ``extraction.*``, ``birch.*`` and ``wavelets.*``
-instruments stay where they were.  The ``ingest`` event still records
-the batch.
+Registries are per process and nothing merges them.
 """
 
 from __future__ import annotations

@@ -55,6 +55,15 @@ class TestPrecluster:
         with pytest.raises(ClusteringError):
             precluster(rng.uniform(size=10), 0.1)
 
+    def test_rejects_a_nan_point(self, rng):
+        """Unchecked, a NaN makes every distance of a node NaN, so a
+        split sends all of its entries to one half, and the next insert
+        there overruns the node's arrays (a raw ``IndexError``)."""
+        points = rng.uniform(size=(40, 3))
+        points[17, 1] = np.nan
+        with pytest.raises(ClusteringError, match="non-finite"):
+            precluster(points, 0.02, branching_factor=4)
+
     def test_single_point(self):
         clusters = precluster(np.array([[0.5, 0.5]]), 0.1)
         assert len(clusters) == 1

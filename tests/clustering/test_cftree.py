@@ -38,6 +38,13 @@ class TestValidation:
         with pytest.raises(ClusteringError):
             tree.insert(np.zeros(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_point(self, value):
+        tree = CFTree(3, 0.1)
+        with pytest.raises(ClusteringError, match="non-finite"):
+            tree.insert(np.array([0.5, value, 0.5]))
+        assert tree.leaf_entry_count == 0
+
 
 class TestInvariants:
     def test_no_point_lost(self, rng):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
-from repro.exceptions import DatabaseError
+from repro.exceptions import DatabaseError, InvalidParameterError
 from repro.imaging.image import Image
 from repro.index.storage import MmapPageStore
 
@@ -39,6 +39,69 @@ def small_db(params, flower_factory) -> WalrusDatabase:
     database = WalrusDatabase(params)
     database.add_images(small_images(flower_factory))
     return database
+
+
+#: Not an int >= 1: zero and negatives, a float, a bool, a string.
+NOT_COUNTS = [0, -1, 2.5, True, "3"]
+
+
+class TestIntegerArguments:
+    """The integer arguments of the query surface and ``remove_image``
+    are ints (never bools) in range, or an ``InvalidParameterError``
+    before any work: no extraction, no removal."""
+
+    @staticmethod
+    def extractions(database):
+        return database.cache_stats()["signatures"].misses
+
+    @pytest.mark.parametrize("k", NOT_COUNTS)
+    def test_nearest_regions_k(self, small_db, flower_factory, k):
+        with pytest.raises(InvalidParameterError, match="k must be"):
+            small_db.nearest_regions(flower_factory(name="q"), k=k)
+        assert self.extractions(small_db) == 0
+
+    @pytest.mark.parametrize("max_regions", NOT_COUNTS)
+    def test_query_max_regions(self, small_db, flower_factory, max_regions):
+        with pytest.raises(InvalidParameterError, match="max_regions"):
+            small_db.query(flower_factory(name="q"), max_regions=max_regions)
+        assert self.extractions(small_db) == 0
+
+    @pytest.mark.parametrize("max_regions", NOT_COUNTS)
+    def test_query_batch_max_regions_per_item(self, small_db, flower_factory,
+                                              max_regions):
+        query = flower_factory(name="q")
+        with pytest.raises(InvalidParameterError, match="max_regions"):
+            small_db.query_batch([query], max_regions=[max_regions])
+        assert self.extractions(small_db) == 0
+        good, bad = small_db.query_batch([query, query],
+                                         max_regions=[2, max_regions],
+                                         return_exceptions=True)
+        assert good.stats.query_regions <= 2
+        assert isinstance(bad, InvalidParameterError)
+
+    @pytest.mark.parametrize("window", [
+        (-1, 0, 16, 16), (0, 2.5, 16, 16), (0, 0, True, 16),
+        (0, 0, 16, "16"), (0, 0, 0, 16)],
+        ids=["top", "left", "height", "width", "empty"])
+    def test_query_scene_window(self, small_db, flower_factory, window):
+        with pytest.raises(InvalidParameterError, match="must be an int"):
+            small_db.query_scene(flower_factory(name="q"), *window)
+        assert self.extractions(small_db) == 0
+
+    @pytest.mark.parametrize("image_id", [-1, 1.0, True, "1", None])
+    def test_remove_image_id(self, small_db, image_id):
+        regions = small_db.region_count
+        with pytest.raises(InvalidParameterError, match="image_id"):
+            small_db.remove_image(image_id)
+        assert sorted(small_db.images) == [0, 1, 2, 3]
+        assert small_db.region_count == regions
+
+    def test_numpy_integers_are_ints(self, small_db, flower_factory):
+        query = flower_factory(name="q")
+        assert small_db.nearest_regions(query, k=np.int64(2)) \
+            == small_db.nearest_regions(query, k=2)
+        small_db.remove_image(np.int64(1))
+        assert sorted(small_db.images) == [0, 2, 3]
 
 
 class TestIndexing:

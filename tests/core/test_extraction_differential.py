@@ -153,17 +153,16 @@ class TestPreclusterMany:
                 for points in (pair, pair[::-1])]
             assert [len(clusters) for clusters in got] == [1, 1]
 
-    def test_non_finite_set_takes_the_tree(self):
-        """A NaN or inf could tie with the padded rows, so its set runs
-        through a tree from its first point, as ``precluster`` does."""
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_set_is_rejected(self, value):
+        """One non-finite point fails the whole batch before anything
+        is clustered, as it fails ``precluster``."""
         point_sets = [draw_points(k, 40, 3, False) for k in range(5)]
-        point_sets[1][7, 2] = np.nan
-        point_sets[3][5, 0] = np.inf
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = precluster_many(point_sets, 0.02)
-            expected = [precluster(points, 0.02) for points in point_sets]
-        assert [cluster_bytes(clusters) for clusters in got] \
-            == [cluster_bytes(clusters) for clusters in expected]
+        point_sets[3][5, 0] = value
+        with pytest.raises(ClusteringError, match="non-finite"):
+            precluster_many(point_sets, 0.02, branching_factor=4)
+        with pytest.raises(ClusteringError, match="non-finite"):
+            precluster(point_sets[3], 0.02, branching_factor=4)
 
     @pytest.mark.parametrize("point_sets, message", [
         ([np.zeros((3, 2)), np.zeros((0, 2))], "empty point set"),

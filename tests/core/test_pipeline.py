@@ -1,8 +1,7 @@
-"""Batched ingest: pooled extraction and STR bulk loading.
+"""Batched ingest: one in-process extraction path and STR bulk loading.
 
-The load-bearing guarantees: ``add_images(workers=N)`` is byte-identical
-to serial extraction, starts a process pool only for ``N > 1`` and a
-non-empty batch, rejects a bad ``workers`` before any work, and
+The load-bearing guarantees: ``add_images`` starts no process whatever
+its ``workers``, rejects a bad ``workers`` before any work, and
 STR-bulk-built databases equal incrementally-built ones on ``verify()``
 and on query results.
 """
@@ -14,7 +13,6 @@ import multiprocessing
 import pytest
 
 from repro.core.database import WalrusDatabase
-from repro.core.extraction import RegionExtractor
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.datasets.generator import render_scene
 from repro.exceptions import DatabaseError, InvalidParameterError
@@ -36,10 +34,12 @@ def query_image():
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Make starting a process pool an error."""
+    """Make starting a process, or a pool of them, an error."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+        raise AssertionError("a process was started")
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        refuse)
 
 
 def region_fingerprints(regions):
@@ -49,32 +49,20 @@ def region_fingerprints(regions):
              region.window_count) for region in regions]
 
 
-class TestExtractionPipeline:
-    def test_parallel_matches_serial_exactly(self, scenes):
-        """The pooled fan-out in ``add_images`` yields, per image, the
-        regions of a serial ``RegionExtractor.extract``, byte for byte."""
-        serial = [RegionExtractor(PARAMS).extract(image)
-                  for image in scenes]
-        database = WalrusDatabase.create(params=PARAMS)
-        image_ids = database.add_images(scenes, bulk=False, workers=2)
-        parallel = [database.images[image_id].regions
-                    for image_id in image_ids]
-        assert len(parallel) == len(serial)
-        for expected, actual in zip(serial, parallel):
-            assert region_fingerprints(actual) == region_fingerprints(
-                expected)
-
-
 class TestWorkers:
-    @pytest.mark.parametrize("workers", [None, 1])
-    def test_serial_workers_start_no_pool(self, scenes, no_pool, workers):
+    def test_workers_start_no_process_and_change_no_byte(self, scenes,
+                                                         no_pool):
+        """``workers`` has no effect: every batch is extracted in
+        process, and the regions are those of ``workers=None``."""
+        expected = WalrusDatabase.create(params=PARAMS)
+        expected.add_images(scenes)
         database = WalrusDatabase.create(params=PARAMS)
-        assert database.add_images(scenes[:2], workers=workers) == [0, 1]
-        assert len(database) == 2
-
-    def test_empty_batch_starts_no_pool(self, no_pool):
-        database = WalrusDatabase.create(params=PARAMS)
-        assert database.add_images([], workers=2) == []
+        assert database.add_images(scenes, workers=4) == list(
+            range(len(scenes)))
+        for image_id, record in expected.images.items():
+            assert region_fingerprints(
+                database.images[image_id].regions) == region_fingerprints(
+                record.regions)
 
     @pytest.mark.parametrize("batch", ["empty", "one"])
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
@@ -88,25 +76,6 @@ class TestWorkers:
 
 
 class TestBatchedIngest:
-    def test_parallel_ingest_identical_to_serial(self, scenes,
-                                                 query_image):
-        serial = WalrusDatabase.create(params=PARAMS)
-        serial.add_images(scenes, bulk=False)
-        pooled = WalrusDatabase.create(params=PARAMS)
-        pooled.add_images(scenes, bulk=False, workers=2)
-
-        assert len(pooled) == len(serial)
-        assert pooled.region_count == serial.region_count
-        for image_id in serial.images:
-            assert region_fingerprints(
-                pooled.images[image_id].regions) == region_fingerprints(
-                serial.images[image_id].regions)
-        qp = QueryParameters(epsilon=0.085)
-        assert ([(m.name, m.similarity) for m in pooled.query(
-            query_image, qp)]
-            == [(m.name, m.similarity) for m in serial.query(
-                query_image, qp)])
-
     def test_bulk_equals_incremental(self, scenes, query_image):
         incremental = WalrusDatabase.create(params=PARAMS)
         incremental.add_images(scenes, bulk=False)

@@ -27,6 +27,13 @@ class TestConstruction:
         with pytest.raises(ImageFormatError):
             Image(np.full((2, 2, 3), 2.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_pixel(self, rng, value):
+        pixels = rng.uniform(size=(8, 8, 3))
+        pixels[3, 5, 1] = value
+        with pytest.raises(ImageFormatError):
+            Image(pixels)
+
     def test_rejects_unknown_color_space(self, rng):
         with pytest.raises(ImageFormatError):
             Image(rng.uniform(size=(2, 2, 3)), "cmyk")

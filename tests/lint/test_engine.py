@@ -129,7 +129,7 @@ class TestRunner:
     def test_list_rules_mentions_all_codes(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("R001", "R002", "R003", "R004", "R005", "R009",
+        for code in ("R001", "R002", "R003", "R005", "R009",
                      "R010", "R011", "R012", "R013"):
             assert code in out
 
@@ -162,7 +162,7 @@ class TestRuleApi:
     def test_default_rules_are_sorted_and_complete(self):
         codes = [rule.code for rule in default_rules()]
         assert codes == sorted(codes)
-        assert {"R001", "R002", "R003", "R004", "R005"} <= set(codes)
+        assert {"R001", "R002", "R003", "R005"} <= set(codes)
 
     def test_rules_skip_files_outside_their_jurisdiction(self):
         source = SourceFile.parse("tests/unit/test_x.py",

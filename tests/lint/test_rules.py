@@ -8,7 +8,6 @@ from tools.lint.rules import (BareExceptionRule, BlockingTimeoutRule,
                               DirectTimingRule,
                               FloatEqualityRule,
                               LoggingHandlerIsolationRule,
-                              PicklableSubmissionRule,
                               PublicAnnotationsRule,
                               UnseededRandomnessRule)
 
@@ -133,57 +132,6 @@ class TestR003FloatEquality:
     def test_allow_comment_suppresses(self):
         assert check(FloatEqualityRule(),
                      "exact = x == 0.0  # lint: allow[R003]\n") == []
-
-
-class TestR004PicklableSubmissions:
-    def test_flags_lambda(self):
-        findings = check(PicklableSubmissionRule(), """\
-            def run(pool, items):
-                return pool.map(lambda x: x + 1, items)
-            """)
-        assert [f.code for f in findings] == ["R004"]
-        assert "lambda" in findings[0].message
-
-    def test_flags_closure(self):
-        findings = check(PicklableSubmissionRule(), """\
-            def run(pool, items):
-                def helper(x):
-                    return x + 1
-                return pool.imap_unordered(helper, items)
-            """)
-        assert [f.code for f in findings] == ["R004"]
-        assert "closure" in findings[0].message
-
-    def test_flags_bound_method(self):
-        findings = check(PicklableSubmissionRule(), """\
-            def run(pool, worker, items):
-                return pool.map_async(worker.process, items)
-            """)
-        assert [f.code for f in findings] == ["R004"]
-        assert "bound method" in findings[0].message
-
-    def test_passes_module_level_function(self):
-        assert check(PicklableSubmissionRule(), """\
-            def extract(x):
-                return x + 1
-
-            def run(pool, items):
-                return pool.map(extract, items)
-            """) == []
-
-    def test_passes_imported_module_attribute(self):
-        assert check(PicklableSubmissionRule(), """\
-            import os.path
-
-            def run(pool, items):
-                return pool.map(os.path.basename, items)
-            """) == []
-
-    def test_allow_comment_suppresses(self):
-        assert check(PicklableSubmissionRule(), """\
-            def run(pool, items):
-                return pool.map(lambda x: x, items)  # lint: allow[R004]
-            """) == []
 
 
 class TestR005PublicAnnotations:

@@ -2,9 +2,8 @@
 
 This is the always-on replacement for the old CI grep job: if any
 subpackage reintroduces a bare ``ValueError``, unseeded randomness, an
-exact float comparison in a hot path, an unpicklable pool submission,
-or an unannotated public function, this test fails locally before CI
-does.
+exact float comparison in a hot path or an unannotated public
+function, this test fails locally before CI does.
 """
 
 import os

@@ -4,16 +4,32 @@ and the disabled-path overhead guarantee."""
 from __future__ import annotations
 
 import sys
+import time
 from itertools import repeat
 
 import pytest
 
+from repro.core.database import WalrusDatabase
+from repro.core.parameters import ExtractionParameters
 from repro.exceptions import DeadlineExceededError, ObservabilityError
 from repro.observability import (FlightRecorder, Span, Tracer, current_span,
                                  current_traceparent, disable_tracing,
                                  enable_tracing, format_traceparent,
                                  get_tracer, parse_traceparent, set_tracer)
 from repro.observability import spans as spans_module
+from tests.conftest import make_flower_image
+
+#: Span sites a single traced query passes through (client.request,
+#: server.request, admission and session acquires, query and its four
+#: stages), rounded up.
+SPAN_SITES_PER_QUERY = 16
+
+
+def timed(function, *args) -> float:
+    """Seconds one call of ``function(*args)`` takes."""
+    started = time.perf_counter()
+    function(*args)
+    return time.perf_counter() - started
 
 
 @pytest.fixture
@@ -240,6 +256,30 @@ class TestDisabledOverhead:
         # Zero per-span allocations: any constant jitter comes from
         # the measurement itself, never scales with the 1000 spans.
         assert after - before < 50
+
+    def test_disabled_spans_of_a_query_cost_under_one_percent_of_it(self):
+        """A disabled span site, times the span sites one traced query
+        passes through, costs at most 1 % of one uncached query (each
+        side timed at its best of five)."""
+        database = WalrusDatabase(
+            ExtractionParameters(window_min=16, window_max=32, stride=8),
+            signature_cache=0, probe_cache=0)
+        database.add_images([make_flower_image(name=f"flower-{radius}",
+                                               radius=radius)
+                             for radius in (12, 16, 20)])
+        query = make_flower_image(name="query", radius=14)
+        query_seconds = min(timed(database.query, query)
+                            for _ in range(5))
+        handle = Tracer(enabled=False).span
+
+        def spin(count: int) -> None:
+            for _ in repeat(None, count):
+                with handle("bench"):
+                    pass
+
+        spin(1000)  # warm-up
+        per_span = min(timed(spin, 20_000) for _ in range(5)) / 20_000
+        assert per_span * SPAN_SITES_PER_QUERY <= 0.01 * query_seconds
 
     def test_disabled_leaves_no_current_span(self):
         tracer = Tracer(enabled=False)

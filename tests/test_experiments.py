@@ -86,4 +86,4 @@ def test_every_design_id_is_registered():
     assert list(EXPERIMENTS) == [
         "fig6a", "fig6b", "fig7/fig8", "table1", "sec6.6", "robustness",
         "region-quality", "abl-match", "abl-sig", "abl-window",
-        "abl-color", "abl-ext"]
+        "abl-color", "abl-ext", "scaling"]

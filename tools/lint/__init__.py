@@ -14,7 +14,6 @@ suppression syntax ``# lint: allow[CODE]``):
 R001   no bare ``ValueError``/``RuntimeError``/``Exception`` raises
 R002   no unseeded module-level randomness (``np.random.*`` draws)
 R003   no exact float ``==``/``!=`` in ``core``/``index``/``wavelets``
-R004   pool submissions must be picklable module-level functions
 R005   public functions must carry complete type annotations
 =====  ==============================================================
 """

@@ -5,7 +5,7 @@ registry.  Each rule lives in its own module so the framework stays a
 plugin API: drop a new module here, decorate the class with
 ``@register``, import it below, and it runs.
 
-R001–R008 and R014 are per-node rules; R009–R013 are built on the
+R001–R003, R005–R008 and R014 are per-node rules; R009–R013 are built on the
 dataflow layer in ``tools/lint/dataflow.py`` (see
 ``docs/DEVELOPING.md``).
 """
@@ -21,7 +21,6 @@ from tools.lint.rules.format_spec import FormatSpecRule
 from tools.lint.rules.lock_discipline import LockDisciplineRule
 from tools.lint.rules.lock_ordering import LockOrderingRule
 from tools.lint.rules.logging_handlers import LoggingHandlerIsolationRule
-from tools.lint.rules.picklable import PicklableSubmissionRule
 from tools.lint.rules.randomness import UnseededRandomnessRule
 from tools.lint.rules.span_lifecycle import SpanLifecycleRule
 from tools.lint.rules.timing import DirectTimingRule
@@ -36,7 +35,6 @@ __all__ = [
     "LockDisciplineRule",
     "LockOrderingRule",
     "LoggingHandlerIsolationRule",
-    "PicklableSubmissionRule",
     "PublicAnnotationsRule",
     "SpanLifecycleRule",
     "UnseededRandomnessRule",
