@@ -30,10 +30,6 @@ Commands
     Verify an on-disk database directory: page checksums, page-table
     health, and R*-tree structural integrity.  Exits non-zero when
     damage is found.
-``migrate``
-    Upgrade a database directory written by 1.x (v2 pickled pages) to
-    the v3 zero-copy page format, atomically, preserving pages,
-    catalog and commit generation; re-verifies with fsck afterwards.
 ``trace``
     Inspect flight-recorder traces from a running daemon
     (``--server``) or a saved dump file (``--input``): ``list`` the
@@ -383,30 +379,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.core.migrate import migrate_database
-    summary = migrate_database(args.directory,
-                               keep_backup=args.keep_backup,
-                               check=not args.no_check)
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if summary["ok"] else 1
-    print(f"migrate: {args.directory}: "
-          f"v{summary['source_format']} -> v{summary['target_format']}, "
-          f"{summary['pages']} pages, generation {summary['generation']}"
-          + (f", backup {summary['backup_path']}"
-             if summary["backup_path"] else ""))
-    if not summary["ok"]:
-        for issue in summary.get("fsck_issues", []):
-            print(f"migrate: fsck: {issue}", file=sys.stderr)
-        print(f"migrate: {args.directory}: post-migration fsck FAILED",
-              file=sys.stderr)
-        return 1
-    if summary["checked"]:
-        print(f"migrate: {args.directory}: post-migration fsck clean")
-    return 0
-
-
 def _fetch_text(url: str, timeout: float = 10.0) -> str:
     """GET ``url`` as text; connection failures become WalrusError."""
     try:
@@ -664,20 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the machine-readable summary dict "
                            "instead of per-issue lines")
     fsck.set_defaults(handler=_cmd_fsck)
-
-    migrate = commands.add_parser(
-        "migrate",
-        help="upgrade a database directory written by 1.x (v2 pickled "
-             "pages) to the v3 page format")
-    migrate.add_argument("directory", help="database directory to upgrade")
-    migrate.add_argument("--keep-backup", action="store_true",
-                         help="keep the original next to the migrated "
-                              "file as <page-file>.v2.bak")
-    migrate.add_argument("--no-check", action="store_true",
-                         help="skip the post-migration fsck pass")
-    migrate.add_argument("--json", action="store_true",
-                         help="print the machine-readable summary dict")
-    migrate.set_defaults(handler=_cmd_migrate)
 
     trace = commands.add_parser(
         "trace", help="inspect flight-recorder traces (list / show / "

@@ -11,7 +11,6 @@ from repro.core.matching import (
     greedy_match,
     quick_match,
 )
-from repro.core.migrate import migrate_database
 from repro.core.parameters import (
     AREA_MODES,
     MATCHING_MODES,
@@ -54,6 +53,5 @@ __all__ = [
     "exact_match",
     "extract_regions",
     "greedy_match",
-    "migrate_database",
     "quick_match",
 ]

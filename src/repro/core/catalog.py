@@ -6,8 +6,8 @@ nodes, one commit-coupled catalog record and one row record per image)
 beside ``META_FILE`` (a constant marker).  :func:`database_page_file`
 is the one "is this directory a database" rule —
 :meth:`WalrusDatabase.open
-<repro.core.database.WalrusDatabase.open>`, ``fsck``, ``migrate`` and
-the server's reader sessions all ask it.
+<repro.core.database.WalrusDatabase.open>`, ``fsck`` and the server's
+reader sessions all ask it.
 
 The catalog record is a :class:`Catalog` — extraction parameters, the
 :class:`IndexedImage` table, the next image id and the index root
@@ -33,11 +33,10 @@ Images added since the decode hold plain lists.
 
 Record version 1 (2.6–2.11) carried every image's rows in the record
 itself, as one region table; it is decoded as it always was, and the
-first checkpoint that changes the catalog writes version 2.  A 2.x
-record is a pickle (its first byte is the pickle protocol opcode).
-:func:`repro.core.migrate.upgrade_catalog_record` unpickles it through
-an allow-list and re-encodes it as version 1; the next writable
-checkpoint commits it as version 2.
+first checkpoint that changes the catalog writes version 2.  A 2.0–2.5
+record is a pickle (its first byte is the pickle protocol opcode); it
+is refused before any byte of it is read, with an error naming WALRUS
+2.15, the last release that upgrades it.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ _ROWS_INLINE = 1
 _IMAGE_TABLE_DTYPE = {_ROWS_INLINE: "<i8", _VERSION: "<i4"}
 #: Every section starts at a multiple of this; zero bytes pad the gaps.
 _ALIGN = 8
-#: The first byte of a pickle of protocol 2 or later: a 2.x record.
+#: The first byte of a pickle of protocol 2 or later: a 2.0–2.5 record.
 _PICKLE_PROTO = b"\x80"
 #: The keys of :meth:`RStarTree.state()
 #: <repro.index.rstar.RStarTree.state>`.
@@ -435,7 +434,7 @@ class Catalog:
     #: :meth:`RStarTree.state() <repro.index.rstar.RStarTree.state>`.
     index_state: dict[str, int]
     #: The record version decoded: 2 keeps the rows in row records,
-    #: 1 in the record itself, and 0 is a 2.x pickle (read as 1).
+    #: 1 in the record itself.
     version: int = _VERSION
 
     def _records(self) -> list[IndexedImage]:
@@ -466,13 +465,8 @@ class Catalog:
                        .tobytes()
                        for name, dtype, _ in _region_columns(self.params))
 
-    def encode(self, version: int = _VERSION) -> bytes:
-        """The record's bytes, as handed to ``store.set_metadata``.
-
-        ``version=1`` appends the region table: only
-        :func:`~repro.core.migrate.upgrade_catalog_record` writes it,
-        so that a 2.x record is checked like any other.
-        """
+    def encode(self) -> bytes:
+        """The record's bytes, as handed to ``store.set_metadata``."""
         params = self.params
         records = self._records()
         names = [record.name.encode("utf-8") for record in records]
@@ -482,7 +476,7 @@ class Catalog:
             sort_keys=True, separators=(",", ":")).encode("utf-8")
         counts = [len(record.regions) for record in records]
         sections = [
-            _HEADER.pack(_MAGIC, version, len(records), sum(counts),
+            _HEADER.pack(_MAGIC, _VERSION, len(records), sum(counts),
                          params.feature_dimensions, _bitmap_bytes(params),
                          len(settings), sum(map(len, names))),
             settings,
@@ -490,14 +484,9 @@ class Catalog:
                       [record.height for record in records],
                       [record.width for record in records],
                       counts, [len(name) for name in names]],
-                     dtype=_IMAGE_TABLE_DTYPE[version]).tobytes(),
+                     dtype=_IMAGE_TABLE_DTYPE[_VERSION]).tobytes(),
             b"".join(names),
         ]
-        if version == _ROWS_INLINE:
-            table = self.region_table()
-            sections += [getattr(table, name).astype(dtype, copy=False)
-                         .tobytes()
-                         for name, dtype, _ in _region_columns(params)]
         return _padded(sections)
 
     @property
@@ -506,16 +495,12 @@ class Catalog:
         (version 2), not part of the record."""
         return self.version == _VERSION
 
-    def baseline(self, blob: bytes) -> bytes | None:
+    def baseline(self, blob: bytes) -> bytes:
         """What a checkpoint compares its record with, for this
         catalog decoded from ``blob``: ``blob`` itself when it is
-        current; this catalog's current encoding for a version-1
-        record, which stays as it is until the catalog changes; and
-        ``None`` for a 2.x pickle, which the first checkpoint
-        rewrites."""
-        if self.version == _VERSION:
-            return blob
-        return self.encode() if self.version else None
+        current, and this catalog's current encoding for a version-1
+        record, which stays as it is until the catalog changes."""
+        return blob if self.version == _VERSION else self.encode()
 
     @classmethod
     def decode(cls, blob: bytes | None, source: str,
@@ -529,12 +514,10 @@ class Catalog:
                 f"{source}: page file carries no catalog record "
                 "(no checkpoint was ever committed)")
         if blob[:1] == _PICKLE_PROTO:
-            # Imported here: repro.core.migrate imports this module.
-            from repro.core.migrate import upgrade_catalog_record
-            catalog = cls.decode(upgrade_catalog_record(blob, source),
-                                 source, store)
-            catalog.version = 0
-            return catalog
+            raise DatabaseError(
+                f"{source}: metadata is a 2.0–2.5 pickled catalog record; "
+                "open the directory writable once with WALRUS 2.15, or "
+                "re-index")
         reader = _Reader(blob, source)
         if blob[:len(_MAGIC)] != _MAGIC or len(blob) < _HEADER.size:
             reader.fail("not a catalog record")

@@ -59,8 +59,8 @@ def fsck_database(directory: str) -> dict[str, Any]:
     checksum failures, a corrupt catalog record and structural index
     damage all land in ``issues``.  An intact v2 (1.x) page file is not
     damage but a database this build cannot check at all: that raises
-    :func:`open_page_store`'s ``StorageError`` naming ``walrus
-    migrate``.
+    :func:`open_page_store`'s ``StorageError`` naming WALRUS 2.15, the
+    last release that upgrades it.
     """
     issues: list[str] = []
     index_summary: dict[str, Any] | None = None

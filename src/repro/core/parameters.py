@@ -12,6 +12,7 @@ algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 from repro.exceptions import ParameterError
 from repro.wavelets.haar import is_power_of_two
@@ -165,7 +166,8 @@ class QueryParameters:
         "query" only, or twice the "smaller" image (Section 4's
         variations).
     max_results:
-        Cap on returned matches (None = no cap).
+        Cap on returned matches: an int >= 1 (not a bool), or None for
+        no cap.
     metric:
         "l2" euclidean probe (the paper's experiments) or "linf"
         envelope.
@@ -201,8 +203,12 @@ class QueryParameters:
                 f"area_mode must be one of {AREA_MODES}, "
                 f"got {self.area_mode!r}"
             )
-        if self.max_results is not None and self.max_results < 1:
-            raise ParameterError("max_results must be >= 1 or None")
+        if self.max_results is not None and (
+                isinstance(self.max_results, bool)
+                or not isinstance(self.max_results, Integral)
+                or self.max_results < 1):
+            raise ParameterError(f"max_results must be an int >= 1 or "
+                                 f"None, got {self.max_results!r}")
         if self.metric not in ("l2", "linf"):
             raise ParameterError(f"metric must be l2 or linf, got {self.metric!r}")
         if self.refine_epsilon is not None and not self.refine_epsilon >= 0:

@@ -7,7 +7,6 @@ from repro.index.faults import (
     corrupt_page,
 )
 from repro.index.geometry import Rect
-from repro.index.migrate import MigrationReport, migrate_page_file
 from repro.index.node import Node
 from repro.index.pagestore import (
     MemoryPageStore,
@@ -28,7 +27,6 @@ from repro.index.storage import (
 __all__ = [
     "FaultInjectingMmapPageStore",
     "FaultPlan",
-    "MigrationReport",
     "MmapPageStore",
     "MemoryPageStore",
     "Node",
@@ -42,7 +40,6 @@ __all__ = [
     "corrupt_page",
     "create_page_store",
     "fsync_directory",
-    "migrate_page_file",
     "open_page_store",
     "page_file_version",
 ]

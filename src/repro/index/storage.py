@@ -4,12 +4,10 @@ The protocol the R*-tree programs against lives in
 :mod:`repro.index.pagestore` (:class:`PageStore`,
 :class:`MemoryPageStore`).  This module is everything that touches the
 page *file*: :class:`MmapPageStore`, the one on-disk store (format v3,
-the only format read or written by a live database), the
-:func:`open_page_store` / :func:`create_page_store` factories every
-"open what is on disk" path goes through, and the module-level framing
-helpers (superblock, header slots, record verification, table stamp)
-that :mod:`repro.index.migrate` reuses to decode a legacy v2 file once.
-Nothing here unpickles file bytes.
+the only format read or written), the :func:`open_page_store` /
+:func:`create_page_store` factories every "open what is on disk" path
+goes through, and the module-level framing helpers (superblock, header
+slots, record verification).  Nothing here unpickles file bytes.
 
 On-disk format
 --------------
@@ -60,9 +58,9 @@ The file is crash-safe and self-verifying (byte-level spec:
   Space from rewritten pages is reclaimed only there.
 
 The legacy v2 format (1.x: same framing, pickled payloads, no
-alignment) is recognised by its superblock and turned away with an
-error naming ``walrus migrate``; version 1 files (no checksums, single
-header) are rejected as "old format".
+alignment) is recognised by its superblock and refused, unread, with an
+error naming WALRUS 2.15, the last release that upgrades it; version 1
+files (no checksums, single header) are rejected as "old format".
 
 Mapping lifecycle
 -----------------
@@ -162,7 +160,7 @@ def _fsync_stream(stream: Any) -> None:
     os.fsync(stream.fileno())
 
 
-# -- framing shared with the v2 reader in repro.index.migrate -----------
+# -- framing -----------------------------------------------------------
 def _superblock_version(raw: bytes | memoryview, spath: str) -> int:
     """The format version (2 or 3) the superblock bytes ``raw`` declare.
 
@@ -248,31 +246,6 @@ def _verify_record(spath: str, blob: bytes | memoryview, page_id: int,
             f"{spath}: {what} at offset {offset} failed its "
             "checksum", page_id=corrupt_id, offset=offset)
     return payload
-
-
-def _unstamp_table(spath: str, payload: bytes | memoryview, offset: int,
-                   format_version: int) -> bytes | memoryview | None:
-    """Split the version stamp off a table payload.
-
-    Returns the table body, or ``None`` when the payload carries no
-    stamp (a v2 file written before stamping existed; v3 tables must
-    have one).  Raises :class:`StorageError` when the stamp names a
-    format other than ``format_version``: that means the superblock
-    and the committed table disagree, i.e. the file was stitched
-    together or rewritten by the wrong tool.
-    """
-    if len(payload) >= _TABLE_STAMP.size:
-        magic, version = _TABLE_STAMP.unpack_from(payload)
-        if magic == _TABLE_MAGIC:
-            if version != format_version:
-                raise StorageError(
-                    f"{spath}: page table at offset {offset} was "
-                    f"written by format v{version} but this is a "
-                    f"v{format_version} store; run 'walrus "
-                    "migrate' instead of mixing formats"
-                )
-            return payload[_TABLE_STAMP.size:]
-    return None
 
 
 def page_file_version(path: str | os.PathLike[str]) -> int:
@@ -412,9 +385,9 @@ class MmapPageStore(PageStore):
             self._read_at(0, _SUPER.size, "superblock"), self.path)
         if version != FORMAT_VERSION:
             raise StorageError(
-                f"{self.path}: this is a v{version} WALRUS page file, not "
-                f"v{FORMAT_VERSION}; v2 database directories are "
-                "upgraded to v3 with 'walrus migrate'")
+                f"{self.path}: a v{version} (1.x) page file; run 'walrus "
+                "migrate' with WALRUS 2.15, then open it writable once "
+                "with 2.15")
         (generation, table_offset, table_size,
          meta_offset, meta_size, next_id) = _newest_slot(
             (self._read_at(_SUPER.size + index * _SLOT.size, _SLOT.size,
@@ -526,13 +499,27 @@ class MmapPageStore(PageStore):
                       ) -> tuple[dict[int, tuple[int, int]],
                                  dict[int, tuple[int, int]]]:
         """The table's ``page id -> (offset, size)`` and ``blob key ->
-        (offset, size)`` maps."""
-        body = _unstamp_table(self.path, payload, offset, FORMAT_VERSION)
-        if body is None:
+        (offset, size)`` maps.
+
+        A stamp naming another format means the superblock and the
+        committed table disagree: the file was stitched together or
+        rewritten by the wrong tool.
+        """
+        magic, version = (_TABLE_STAMP.unpack_from(payload)
+                          if len(payload) >= _TABLE_STAMP.size
+                          else (None, None))
+        if magic != _TABLE_MAGIC:
             raise StorageError(
                 f"{self.path}: page table at offset {offset} has no "
                 "format-version stamp"
             )
+        if version != FORMAT_VERSION:
+            raise StorageError(
+                f"{self.path}: page table at offset {offset} was written "
+                f"by format v{version} but this is a v{FORMAT_VERSION} "
+                "store; the file mixes two formats"
+            )
+        body = payload[_TABLE_STAMP.size:]
         if len(body) < _TABLE_COUNT.size:
             raise StorageError(
                 f"{self.path}: page table at offset {offset} is shorter "
@@ -775,7 +762,7 @@ class MmapPageStore(PageStore):
         self._check_writable()
         self.sync()
         side_path = self.path + ".compact"
-        write_page_file(
+        _write_page_file(
             side_path,
             ((page_id, self.read(page_id))
              for page_id in sorted(self._offsets)),
@@ -849,21 +836,20 @@ class MmapPageStore(PageStore):
 PageFileBase = MmapPageStore
 
 
-def write_page_file(path: str, pages: Iterable[tuple[int, Any]], *,
-                    next_id: int, generation: int,
-                    metadata: bytes | None,
-                    blobs: Iterable[tuple[int, bytes | memoryview]] = ()
-                    ) -> None:
+def _write_page_file(path: str, pages: Iterable[tuple[int, Any]], *,
+                     next_id: int, generation: int,
+                     metadata: bytes | None,
+                     blobs: Iterable[tuple[int, bytes | memoryview]]
+                     ) -> None:
     """Build a complete page file at ``path`` holding ``pages`` (as
     ``(page_id, node)`` pairs) and ``blobs`` (``(key, payload)``,
-    copied as they are), committed exactly once.
+    copied as they are), committed exactly once: what
+    :meth:`MmapPageStore.compact` fills its side file with.
 
-    What :meth:`MmapPageStore.compact` and ``walrus migrate`` fill
-    their side files with.  That one commit is numbered ``generation``
-    — the caller picks it so the counter snapshot readers compare
-    against never moves backwards across the ``os.replace`` that
-    follows.  Nothing is left at ``path`` when a page fails to encode
-    or the write fails.
+    That one commit is numbered ``generation`` — the caller picks it so
+    the counter snapshot readers compare against never moves backwards
+    across the ``os.replace`` that follows.  Nothing is left at
+    ``path`` when a page fails to encode or the write fails.
     """
     if os.path.exists(path):
         os.unlink(path)
@@ -892,8 +878,8 @@ def open_page_store(path: str | os.PathLike[str], *,
 
     This is how every "open what is on disk" path — database open,
     fsck, snapshot readers — reaches the store.  A v2 file (written by
-    1.x) raises a :class:`StorageError` naming ``walrus migrate``, the
-    one tool that still reads that format.
+    1.x) raises a :class:`StorageError` naming WALRUS 2.15, whose
+    ``walrus migrate`` is the last tool that reads that format.
     """
     spath = os.fspath(path)
     if not os.path.exists(spath) or os.path.getsize(spath) == 0:

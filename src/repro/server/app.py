@@ -361,7 +361,7 @@ class WalrusServer(Listener):
         if raw is None:
             return None
         if not isinstance(raw, (int, float)) or isinstance(raw, bool) \
-                or raw <= 0:
+                or not raw > 0:  # NaN too
             raise _BadRequest(
                 f"budget_seconds must be a positive number, got {raw!r}")
         return min(float(raw), self.max_budget_seconds)

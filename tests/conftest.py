@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import os
 import pathlib
+import shutil
 from typing import Any
 
 import numpy as np
 import pytest
 
+from repro.core.catalog import META_FILE, META_MARKER, PAGE_FILE
 from repro.core.parameters import ExtractionParameters
 from repro.imaging.draw import Canvas, draw_flower
 from repro.imaging.image import Image
@@ -63,6 +65,22 @@ def ticking_deadline(checks: int) -> Deadline:
     deadline = Deadline(checks + 0.5)
     deadline._watch = TickingWatch()
     return deadline
+
+
+#: The committed fixture files.
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+#: A v2 page file as 1.x wrote it (pickled pages): an R*-tree of 90
+#: 12-d point and box keys, laid down in 2.4.  2.16 refuses it.
+V2_PAGE_FILE = FIXTURES / "v2_tree.pages"
+
+
+def v2_directory(directory: str | os.PathLike[str]) -> str:
+    """Make ``directory`` a database directory whose page file is a
+    copy of :data:`V2_PAGE_FILE`; returns its path."""
+    os.makedirs(directory)
+    shutil.copy(V2_PAGE_FILE, os.path.join(directory, PAGE_FILE))
+    pathlib.Path(directory, META_FILE).write_bytes(META_MARKER)
+    return os.fspath(directory)
 
 
 def corrupt_catalog_record(page_path: str | os.PathLike[str]) -> None:

@@ -1,6 +1,6 @@
 """The columnar catalog record and the per-image row records: layout,
-lazy regions, checkpoints, 2.x records and fsck's catalog-versus-index
-check.
+lazy regions, checkpoints, refused 2.x records and fsck's
+catalog-versus-index check.
 
 An image's rows are read from its row record and viewed with
 ``np.frombuffer`` the first time a caller indexes them, so these tests
@@ -8,15 +8,13 @@ pin what that must not change — every decoded field equals what was
 encoded, a re-encode is byte-identical — and the work it must not do:
 an open reads no row record and builds no ``Region``, the catalog
 record does not grow with the regions, an unchanged checkpoint appends
-no record, and a 2.x pickle record runs no global it names.
+no record, and a 2.0–2.5 pickle record is refused unread.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
-import struct
 from collections.abc import Sequence
 
 import numpy as np
@@ -300,7 +298,24 @@ class TestCheckpoint:
 
 
 class TestLegacyRecords:
-    """2.x catalog records are pickles: read through an allow-list."""
+    """A 2.0–2.5 catalog record is a pickle: it is refused by its first
+    byte, naming the release that upgrades it, and never unpickled."""
+
+    ADVICE = "pickled catalog record; open the directory writable once " \
+             "with WALRUS 2.15"
+
+    def refused(self, directory, record):
+        """Commit ``record`` as the catalog record, then check that
+        every open and fsck refuse it; returns fsck's summary."""
+        with open_page_store(page_path(directory)) as store:
+            store.set_metadata(record)
+        for readonly in (True, False):
+            with pytest.raises(DatabaseError, match=self.ADVICE):
+                WalrusDatabase.open(directory, readonly=readonly)
+        summary = fsck_database(directory)
+        assert not summary["ok"]
+        assert any(self.ADVICE in issue for issue in summary["issues"])
+        return summary
 
     def test_record_naming_another_global_is_refused_uncalled(
             self, tmp_path, scenes, monkeypatch):
@@ -308,49 +323,26 @@ class TestLegacyRecords:
         monkeypatch.setattr(os, "system", lambda *args: calls.append(args))
         directory = str(tmp_path / "db")
         build(directory, PARAMS, scenes[:1])
-        with open_page_store(page_path(directory)) as store:
-            store.set_metadata(SYSTEM_PICKLE)
-        for readonly in (True, False):
-            with pytest.raises(DatabaseError, match="global os.system"):
-                WalrusDatabase.open(directory, readonly=readonly)
-        summary = fsck_database(directory)
-        assert not summary["ok"]
-        assert any("os.system" in issue for issue in summary["issues"])
+        self.refused(directory, SYSTEM_PICKLE)
         assert calls == []
 
     def test_unreadable_pickle_is_a_corrupt_record(self, tmp_path, scenes):
+        # The first byte decides: nothing after it is read.
         directory = str(tmp_path / "db")
         build(directory, PARAMS, scenes[:1])
-        with open_page_store(page_path(directory)) as store:
-            store.set_metadata(b"\x80\x05 not a pickle")
-        with pytest.raises(DatabaseError, match="metadata is corrupt"):
-            WalrusDatabase.open(directory, readonly=True)
+        self.refused(directory, b"\x80\x05 not a pickle")
 
     def test_too_deeply_nested_field_is_a_database_error(self, tmp_path,
                                                          scenes):
-        """Unpickling restores a dataclass without running its checks,
-        so an unused field can hold a list nested past the recursion
-        limit; re-encoding it must fail as a bad record."""
+        """A record nesting a list past the recursion limit, which a
+        reader that unpickled it would have had to survive, costs
+        nothing: it is refused before it is read."""
         directory = str(tmp_path / "db")
         build(directory, PARAMS, scenes[:1])
-        placeholder = 1234.5678
-        record = pickle.dumps(
-            {"params": PARAMS.with_(merge_factor=placeholder), "images": {},
-             "next_id": 0, "index_state": WalrusDatabase.create(
-                 params=PARAMS).index.state()},
-            protocol=2)
-        float_op = b"G" + struct.pack(">d", placeholder)
-        assert record.count(float_op) == 1
-        # EMPTY_LIST n times, then APPEND n - 1 times: n nested lists.
         depth = 100_000
-        record = record.replace(float_op,
-                                b"]" * depth + b"a" * (depth - 1))
-        with open_page_store(page_path(directory)) as store:
-            store.set_metadata(record)
-        with pytest.raises(DatabaseError, match="not a WALRUS checkpoint"):
-            WalrusDatabase.open(directory, readonly=True)
-        summary = fsck_database(directory)
-        assert not summary["ok"]
+        # PROTO 2, EMPTY_LIST n times, APPEND n - 1 times, STOP.
+        self.refused(directory,
+                     b"\x80\x02" + b"]" * depth + b"a" * (depth - 1) + b".")
 
 
 def commit_edited_catalog(directory, edit):

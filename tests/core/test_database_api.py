@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import gc
 import importlib.util
+import inspect
 import logging
 import os
 import pathlib
@@ -24,7 +25,7 @@ import repro
 import repro.observability
 from repro.clustering.cftree import CFNode
 from repro.core.bitmap import CoverageBitmap
-from repro.core.catalog import IndexedImage
+from repro.core.catalog import Catalog, IndexedImage
 from repro.core.database import WalrusDatabase
 from repro.core.fsck import fsck_database
 from repro.core.parameters import ExtractionParameters, QueryParameters
@@ -39,11 +40,11 @@ from repro.index.storage import (MmapPageStore, create_page_store,
                                  open_page_store)
 from repro.observability.events import EventLog, parse_event_line, set_events
 from tests import oracle
-from tests.conftest import corrupt_catalog_record
+from tests.conftest import FIXTURES, corrupt_catalog_record
 from tests.nodepages import node_contents, record_sizes, second_copy_bytes
 
 PARAMS = ExtractionParameters(window_min=16, window_max=32, stride=8)
-FIXTURE_2_2 = pathlib.Path(__file__).parent.parent / "fixtures/db_2_2"
+FIXTURE_2_2_UPGRADED = FIXTURES / "db_2_2_upgraded"
 FIXTURE_2_11 = pathlib.Path(__file__).parent.parent / "fixtures/db_2_11"
 
 
@@ -130,21 +131,24 @@ class TestCreate:
 
 
 class TestDirectoryWrittenBy22:
-    """``tests/fixtures/db_2_2`` was written by 2.2.0 (three 64x64
-    scenes, ``max_entries=8``, a bulk load, a checkpoint, an insert, a
-    close): its catalog record pickles ``IndexedImage`` under its old
-    module, ``repro.core.database``."""
+    """``tests/fixtures/db_2_2_upgraded`` is ``db_2_2`` — written by
+    2.2.0 (three 64x64 scenes, ``max_entries=8``, a bulk load, a
+    checkpoint, an insert, a close) with a pickled catalog record —
+    after the documented upgrade: one writable open and close under
+    2.15.  Its catalog record is now version 2; its tree pages are
+    still 2.2's.  ``db_2_2`` itself is refused
+    (``tests/core/test_legacy_formats.py``)."""
 
     def test_opens_checks_and_answers(self, tmp_path):
         directory = str(tmp_path / "db")
-        shutil.copytree(FIXTURE_2_2, directory)
+        shutil.copytree(FIXTURE_2_2_UPGRADED, directory)
         page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
         with open_page_store(page_path, readonly=True) as store:
-            assert b"repro.core.database" in store.metadata
+            assert store.metadata[:8] == b"WCAT\x02\x00\x00\x00"
         query = render_scene("flowers", seed=7, size=(64, 64))
         qp = QueryParameters(epsilon=0.085)
-        # Readonly first; the writable handle's close then commits the
-        # record again as 2.3 encodes it, and that reopens the same.
+        # Readonly first; the writable handle's close commits nothing
+        # new to the catalog, and that reopens the same.
         for readonly in (True, False, True):
             assert fsck_database(directory)["ok"]
             with WalrusDatabase.open(directory,
@@ -159,15 +163,14 @@ class TestDirectoryWrittenBy22:
                 assert [(match.image_id, match.similarity)
                         for match in database.query(query, qp).matches] \
                     == expected["ranked"]
-        with open_page_store(page_path, readonly=True) as store:
-            assert b"repro.core.database" not in store.metadata
 
     def test_compaction_stores_each_point_key_once(self, tmp_path):
-        # 2.2 wrote both key matrices of a centroid leaf; the first
-        # compaction re-encodes every live page, 8·d bytes a leaf entry
+        # 2.2 wrote both key matrices of a centroid leaf, and 2.15's
+        # upgrade rewrote only the catalog; the first compaction
+        # re-encodes every live page, 8·d bytes a leaf entry
         # lighter, and no answer changes.
         directory = str(tmp_path / "db")
-        shutil.copytree(FIXTURE_2_2, directory)
+        shutil.copytree(FIXTURE_2_2_UPGRADED, directory)
         query = render_scene("flowers", seed=7, size=(64, 64))
         qp = QueryParameters(epsilon=0.085)
         with WalrusDatabase.open(directory) as database:
@@ -431,10 +434,7 @@ class TestDeprecatedShims:
             f"{verb}_on_disk" for verb in ("create", "open")]
         assert [name for name in removed
                 if name in vars(WalrusDatabase)] == []
-        # The allow-listed readers of 2.x catalog records
-        # (core/migrate.py) and of v2 pages (index/migrate.py) are the
-        # only users of pickle; the catalog and the module that opens
-        # live page files are not.
+        # 2.16: nothing in the package imports pickle.
         package = pathlib.Path(repro.__file__).parent
         importers, store_subclasses = set(), []
         for path in package.rglob("*.py"):
@@ -452,7 +452,16 @@ class TestDeprecatedShims:
                     continue
                 if "pickle" in modules:
                     importers.add(path.relative_to(package).as_posix())
-        assert importers == {"core/migrate.py", "index/migrate.py"}
+        assert importers == set()
+        for module in ("repro.index.migrate", "repro.core.migrate"):
+            assert importlib.util.find_spec(module) is None
+        assert [name for name in ("migrate_page_file", "MigrationReport",
+                                  "read_v2_page_file", "migrate_database",
+                                  "upgrade_catalog_record")
+                if any(hasattr(module, name) for module
+                       in (repro, repro.core, repro.index, storage))] == []
+        assert "version" not in inspect.signature(
+            Catalog.encode).parameters
         # 2.3: the catalog record and the directory layout have one
         # owner, and each scalar twin is the batch form's one-item case.
         sources = {path.relative_to(package).as_posix():
@@ -460,8 +469,7 @@ class TestDeprecatedShims:
         assert sorted(name for name, text in sources.items()
                       if re.search("PAGE_FILE|META_FILE", text)) \
             == ["core/catalog.py", "core/database.py"]
-        assert [name for name in ("core/fsck.py", "core/migrate.py")
-                if "WalrusDatabase" in sources[name]] == []
+        assert "WalrusDatabase" not in sources["core/fsck.py"]
         database_source = sources["core/database.py"]
         assert "__new__" not in database_source
         assert database_source.count("self.index.insert(") == 1

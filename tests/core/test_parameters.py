@@ -102,6 +102,11 @@ class TestQueryParameters:
         with pytest.raises(ParameterError):
             QueryParameters(max_results=0)
 
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, "3"])
+    def test_max_results_must_be_an_int(self, value):
+        with pytest.raises(ParameterError, match="max_results"):
+            QueryParameters(max_results=value)
+
     def test_rejects_bad_metric(self):
         with pytest.raises(ParameterError):
             QueryParameters(metric="cosine")

@@ -1,11 +1,12 @@
 """The page file format (v3): the mmap store's byte-level behaviour,
-the factories, and how every open of a legacy v2 file is turned away.
+the factories, and how every open of a legacy v2 file is refused.
 (Kept under its old file name so the test ids stay put.)"""
 
 from __future__ import annotations
 
 import pathlib
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from repro.exceptions import PageCorruptionError, StorageError
 from repro.index.faults import corrupt_page
 from repro.index.geometry import Rect
 from repro.index.node import Node
-from repro.index.migrate import read_v2_page_file
 from repro.index.nodecodec import encode_node
 from repro.index.pagestore import MemoryPageStore
 from repro.index.rstar import RStarTree
@@ -23,11 +23,12 @@ from repro.index.storage import (_MAGIC_V3, _RECORD, _SUPER, _TABLE_COUNT,
                                  MmapPageStore, committed_generation,
                                  create_page_store, open_page_store,
                                  page_file_version)
-from tests.conftest import heap_record_ids, record_writes
+from tests.conftest import V2_PAGE_FILE, heap_record_ids, record_writes
 from tests.nodepages import node_contents, node_page
-from tests.v2store import write_v2_page_file
 
 GOLDEN = pathlib.Path(__file__).parent.parent / "fixtures/golden_v3.pages"
+#: What every open of a v2 (1.x) page file says to run.
+V2_ADVICE = "run 'walrus migrate' with WALRUS 2.15"
 
 
 def make_node(page_id, level=0, count=4, dims=4):
@@ -361,35 +362,27 @@ class TestBlobRecords:
 
 class TestCrossVersionOpens:
     def test_v3_class_refuses_v2_file(self, tmp_path):
-        path = tmp_path / "pages.db"
-        write_v2_page_file(path, {0: "any pickle"})
-        with pytest.raises(StorageError, match="walrus migrate"):
-            MmapPageStore(path)
+        path = shutil.copy(V2_PAGE_FILE, tmp_path / "pages.db")
+        for readonly in (True, False):
+            with pytest.raises(StorageError, match=V2_ADVICE):
+                MmapPageStore(path, readonly=readonly)
+        assert path.read_bytes() == V2_PAGE_FILE.read_bytes()
 
     def test_table_stamp_mismatch_is_structured(self, tmp_path):
         # Stitch a v3 superblock onto a file whose committed table is
         # stamped v2: the two disagree and the open must say so.
-        path = tmp_path / "pages.db"
-        write_v2_page_file(path, {0: "payload"})
+        path = shutil.copy(V2_PAGE_FILE, tmp_path / "pages.db")
         with open(path, "r+b") as stream:
             stream.write(_SUPER.pack(_MAGIC_V3, 3))
         with pytest.raises(StorageError, match="written by format v2"):
             MmapPageStore(path)
 
-    def test_legacy_unstamped_v2_table_still_opens(self, tmp_path):
-        # A v2 file written before table stamping carries a bare
-        # pickled table; the v2 reader must fall back to it.
-        path = tmp_path / "pages.db"
-        write_v2_page_file(path, {0: {"legacy": True}}, stamped=False)
-        assert read_v2_page_file(path).pages == {0: {"legacy": True}}
-
 
 class TestFactories:
     def test_sniff_both_formats(self, tmp_path):
-        v2, v3 = tmp_path / "v2.db", tmp_path / "v3.db"
-        write_v2_page_file(v2, {0: "x"})
+        v3 = tmp_path / "v3.db"
         populated(v3, pages=1).close()
-        assert page_file_version(v2) == 2
+        assert page_file_version(V2_PAGE_FILE) == 2
         assert page_file_version(v3) == 3
 
     def test_sniff_rejects_junk_and_mismatch(self, tmp_path):
@@ -403,14 +396,14 @@ class TestFactories:
             page_file_version(lying)
 
     def test_open_dispatches_on_magic(self, tmp_path):
-        v2, v3 = tmp_path / "v2.db", tmp_path / "v3.db"
-        write_v2_page_file(v2, {0: "x"})
+        v2 = shutil.copy(V2_PAGE_FILE, tmp_path / "v2.db")
+        v3 = tmp_path / "v3.db"
         populated(v3, pages=1).close()
         with open_page_store(v3, readonly=True) as opened_v3:
             assert type(opened_v3) is MmapPageStore
         before = v2.read_bytes()
         for readonly in (True, False):
-            with pytest.raises(StorageError, match="walrus migrate"):
+            with pytest.raises(StorageError, match=V2_ADVICE):
                 open_page_store(v2, readonly=readonly)
         assert v2.read_bytes() == before
 

@@ -179,3 +179,40 @@ class TestCheckpointCrashes:
             store = WalrusDatabase.open(directory)
             # Truncation may only bite when pages are faulted in.
             list(store.index.items())
+
+
+class TestReadFaults:
+    def test_query_survives_read_fault_sweep(self, tmp_path, query_image):
+        directory = str(tmp_path / "db")
+        with WalrusDatabase.create(directory, params=PARAMS) as database:
+            database.add_images(scenes())
+        page_path = os.path.join(directory, WalrusDatabase.PAGE_FILE)
+
+        def answer(database):
+            return [(match.image_id, match.similarity)
+                    for match in database.query(query_image, QP).matches]
+
+        with WalrusDatabase.open(directory, readonly=True) as database:
+            expected = answer(database)
+        assert expected  # a vacuous answer proves nothing
+        # Transient mapped-read errors must be retried away ...
+        plan = FaultPlan(read_error_schedule=(1, 3))
+        store = FaultInjectingMmapPageStore(page_path, plan=plan,
+                                            readonly=True)
+        with WalrusDatabase.open(directory, store=store,
+                                 readonly=True) as database:
+            assert answer(database) == expected
+            assert plan.read_ops >= max(plan.read_error_schedule)
+        # ... while a crash mid-read surfaces as the simulated crash,
+        # never as silent wrong answers.
+        crash_plan = FaultPlan()
+        store = FaultInjectingMmapPageStore(page_path, plan=crash_plan,
+                                            readonly=True)
+        database = WalrusDatabase.open(directory, store=store, readonly=True)
+        try:
+            crash_plan.crashed = True
+            with pytest.raises(SimulatedCrash):
+                answer(database)
+        finally:
+            crash_plan.crashed = False
+            database.close()

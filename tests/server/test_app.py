@@ -133,6 +133,27 @@ class TestErrors:
         assert status == 400
         assert body["error"] == "bad_request"
 
+    def test_fractional_max_results_is_400(self, db_dir, query_body):
+        bad = dict(query_body, params={"max_results": 2.5})
+        with WalrusServer(db_dir, port=0) as server:
+            status, body, _ = self._status_and_body(
+                lambda: _post(server.url("/query"), bad))
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert "max_results" in body["detail"]
+
+    @pytest.mark.parametrize("endpoint", ["/query", "/query/batch"])
+    def test_nan_budget_is_400(self, db_dir, query_body, endpoint):
+        bad = ({"queries": [query_body]} if endpoint == "/query/batch"
+               else dict(query_body))
+        bad["budget_seconds"] = float("nan")
+        with WalrusServer(db_dir, port=0) as server:
+            status, body, _ = self._status_and_body(
+                lambda: _post(server.url(endpoint), bad))
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert "budget_seconds" in body["detail"]
+
     def test_bad_format_is_400(self, db_dir, query_body):
         bad = dict(query_body, format=".exe")
         with WalrusServer(db_dir, port=0) as server:

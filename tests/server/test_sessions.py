@@ -12,8 +12,8 @@ from repro.exceptions import (DatabaseError, PageCorruptionError,
 from repro.index.storage import committed_generation
 from repro.observability import disable_tracing, enable_tracing
 from repro.server import ReaderSession, SessionPool
-from tests.conftest import corrupt_catalog_record, make_flower_image
-from tests.v2store import rewrite_as_v2
+from tests.conftest import (corrupt_catalog_record, make_flower_image,
+                            v2_directory)
 
 
 @pytest.fixture
@@ -125,11 +125,10 @@ class TestReaderSession:
         finally:
             session.close()
 
-    def test_v2_directory_names_walrus_migrate(self, tmp_path, fast_params):
-        directory = str(tmp_path / "v2")
-        WalrusDatabase.create(directory, params=fast_params).close()
-        rewrite_as_v2(os.path.join(directory, WalrusDatabase.PAGE_FILE))
-        with pytest.raises(StorageError, match="walrus migrate"):
+    def test_v2_directory_names_walrus_migrate(self, tmp_path):
+        directory = v2_directory(tmp_path / "v2")
+        with pytest.raises(StorageError,
+                           match="run 'walrus migrate' with WALRUS 2.15"):
             ReaderSession(directory)
 
 
