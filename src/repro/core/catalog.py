@@ -24,12 +24,16 @@ by the first one after it is removed.  :meth:`Catalog.encode`,
 that knows these layouts.
 
 Decoding checks the record's sections against its length and each
-other and reads no row record.  A decoded image's ``regions`` is a
-:class:`RegionRows`, a read-only sequence whose first indexing reads
-the image's row record, views it with ``np.frombuffer`` and checks its
-columns whole (exact length, ``lower <= upper`` with no NaN); row *i*
-becomes a :class:`Region` the first time it is indexed and is kept.
-Images added since the decode hold plain lists.
+other, reads no row record and builds no object per image: the image
+table stays its columns, and :class:`CatalogImages` is the read-only
+mapping over them (plus the images added since, minus the ones
+removed) that builds an :class:`IndexedImage` the first time an id is
+looked up.  A decoded image's ``regions`` is a :class:`RegionRows`, a
+read-only sequence whose first indexing reads the image's row record,
+views it with ``np.frombuffer`` and checks its columns whole (exact
+length, ``lower <= upper`` with no NaN); row *i* becomes a
+:class:`Region` the first time it is indexed and is kept.  Images
+added since the decode hold plain lists.
 
 Record version 1 (2.6–2.11) carried every image's rows in the record
 itself, as one region table; it is decoded as it always was, and the
@@ -41,12 +45,12 @@ is refused before any byte of it is read, with an error naming WALRUS
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import struct
-import typing
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NoReturn, overload
@@ -87,11 +91,9 @@ _PICKLE_PROTO = b"\x80"
 #: <repro.index.rstar.RStarTree.state>`.
 _INDEX_STATE_KEYS = frozenset({"dimensions", "max_entries", "min_entries",
                                "reinsert_count", "size", "root_id"})
-#: ``ExtractionParameters``' fields, each with the types its value may
-#: have (``int | None`` is ``(int, NoneType)``).
-_PARAM_KINDS = {name: typing.get_args(annotation) or (annotation,)
-                for name, annotation
-                in typing.get_type_hints(ExtractionParameters).items()}
+#: ``ExtractionParameters``' field names.
+_PARAM_NAMES = frozenset(field.name
+                         for field in dataclasses.fields(ExtractionParameters))
 
 
 def directory_files(directory: str) -> tuple[str, str]:
@@ -105,12 +107,13 @@ def database_page_file(directory: str) -> str:
     """The page-file path of the database directory ``directory``;
     a :class:`DatabaseError` saying what is missing when it is not
     one."""
-    if not os.path.isdir(directory):
-        raise DatabaseError(
-            f"{directory} is not a WALRUS database: not a directory")
     files = directory_files(directory)
     for path, label in zip(files, ("page file", "metadata file")):
         if not os.path.exists(path):
+            if not os.path.isdir(directory):
+                raise DatabaseError(
+                    f"{directory} is not a WALRUS database: not a "
+                    "directory")
             raise DatabaseError(
                 f"{directory} is not a WALRUS database: missing {label} "
                 f"{os.path.basename(path)}")
@@ -306,6 +309,198 @@ class IndexedImage:
         return self.height * self.width
 
 
+@dataclass(frozen=True, eq=False)
+class ImageColumns:
+    """The image table as columns: row *i* of each array is one image,
+    ids strictly increasing; ``names`` is every name's UTF-8 bytes end
+    to end."""
+
+    ids: np.ndarray
+    heights: np.ndarray
+    widths: np.ndarray
+    counts: np.ndarray
+    name_sizes: np.ndarray
+    names: bytes
+
+    @classmethod
+    def of(cls, records: Iterable[IndexedImage]) -> "ImageColumns":
+        """The columns of ``records``, in the order given."""
+        rows = [(record.image_id, record.height, record.width,
+                 len(record.regions), record.name.encode("utf-8"))
+                for record in records]
+        names = [name for *_, name in rows]
+        table = np.array([row[:4] + (len(row[4]),) for row in rows],
+                         dtype=np.int64).reshape(-1, 5).T
+        return cls(*table, b"".join(names))
+
+    @classmethod
+    def concat(cls, parts: Sequence["ImageColumns"]) -> "ImageColumns":
+        return cls(*(np.concatenate([getattr(part, name) for part in parts])
+                     for name in ("ids", "heights", "widths", "counts",
+                                  "name_sizes")),
+                   b"".join(part.names for part in parts))
+
+    def without(self, ids: Iterable[int]) -> "ImageColumns":
+        """These columns less the rows of ``ids``."""
+        keep = ~np.isin(self.ids, np.fromiter(ids, np.int64))
+        names = np.frombuffer(self.names, np.uint8)[
+            np.repeat(keep, self.name_sizes)].tobytes()
+        return ImageColumns(self.ids[keep], self.heights[keep],
+                            self.widths[keep], self.counts[keep],
+                            self.name_sizes[keep], names)
+
+
+class CatalogImages(Mapping[int, IndexedImage]):
+    """A database's images, by id: a read-only mapping over the image
+    table's columns, plus the images added since the columns were set,
+    minus the ones removed.
+
+    ``len``, ``in`` and iteration (ids in increasing order) build no
+    object per image.  The first lookup of a column's id builds its
+    :class:`IndexedImage` (name, :class:`RegionRows`) and keeps it, so
+    ``images[i] is images[i]``; ``values()`` and ``items()`` look every
+    id up.  Only the database changes it, through ``_add`` and
+    ``_pop``; ``_commit`` folds the changes into the columns once a
+    checkpoint has staged them.
+    """
+
+    def __init__(self, columns: ImageColumns, params: ExtractionParameters,
+                 store: PageStore, source: str,
+                 inline: RegionTable | None = None) -> None:
+        self._columns = columns
+        self._params = params
+        self._store = store
+        self._source = source
+        #: A version-1 record's region table: the columns' rows, images
+        #: by id; ``None`` once each image's rows are a row record.
+        self._inline = inline
+        self._row_starts: np.ndarray | None = None
+        self._name_ends: np.ndarray | None = None
+        self._built: dict[int, IndexedImage] = {}
+        self._added: dict[int, IndexedImage] = {}
+        self._removed: set[int] = set()
+
+    @classmethod
+    def of(cls, records: Iterable[IndexedImage],
+           params: ExtractionParameters,
+           store: PageStore) -> "CatalogImages":
+        """A mapping holding ``records``, all of them added."""
+        images = cls(ImageColumns.of([]), params, store, "memory")
+        for record in sorted(records, key=lambda record: record.image_id):
+            images._add(record)
+        return images
+
+    def _row(self, image_id: object) -> int | None:
+        """The column row of a live ``image_id``, if it has one."""
+        if not isinstance(image_id, (int, np.integer)) \
+                or image_id in self._removed:
+            return None
+        ids = self._columns.ids
+        row = int(ids.searchsorted(image_id))
+        return row if row < len(ids) and ids[row] == image_id else None
+
+    def _build(self, row: int) -> IndexedImage:
+        columns, params = self._columns, self._params
+        if self._name_ends is None:
+            self._name_ends = np.cumsum(columns.name_sizes)
+        image_id, height, width, count, end = (
+            int(column[row]) for column in (
+                columns.ids, columns.heights, columns.widths,
+                columns.counts, self._name_ends))
+        name = columns.names[end - int(columns.name_sizes[row]):end]
+        if self._inline is None:
+            load: Callable[[], RegionTable] = partial(
+                _read_row_record, self._store, image_id, params, count,
+                self._source)
+        else:
+            if self._row_starts is None:
+                self._row_starts = np.cumsum(columns.counts) - columns.counts
+            start = int(self._row_starts[row])
+            load = partial(self._inline.rows, start, start + count)
+        return IndexedImage(image_id, name.decode("utf-8"), height, width,
+                            RegionRows(load, count, height, width,
+                                       params.bitmap_grid))
+
+    def __getitem__(self, image_id: int) -> IndexedImage:
+        record = self._built.get(image_id)
+        if record is None:
+            record = self._added.get(image_id)
+            if record is None:
+                row = self._row(image_id)
+                if row is None:
+                    raise KeyError(image_id)
+                record = self._built[image_id] = self._build(row)
+        return record
+
+    def __contains__(self, image_id: object) -> bool:
+        return image_id in self._added or self._row(image_id) is not None
+
+    def __len__(self) -> int:
+        return (len(self._columns.ids) - len(self._removed)
+                + len(self._added))
+
+    def __iter__(self) -> Iterator[int]:
+        ids = self._columns.ids.tolist()
+        if self._removed:
+            ids = [image_id for image_id in ids
+                   if image_id not in self._removed]
+        return iter(ids + list(self._added))
+
+    def _add(self, record: IndexedImage) -> None:
+        """Add an image whose id is above every id held."""
+        self._added[record.image_id] = record
+
+    def _pop(self, image_id: int) -> IndexedImage | None:
+        """Remove ``image_id``; its record, or ``None`` if not held."""
+        record = self._added.pop(image_id, None)
+        if record is None and image_id in self:
+            record = self[image_id]
+            del self._built[image_id]
+            self._removed.add(image_id)
+        return record
+
+    @property
+    def rows_inline(self) -> bool:
+        """Whether the columns' rows are still a version-1 record's
+        region table (no image has a row record yet)."""
+        return self._inline is not None
+
+    @property
+    def added(self) -> list[int]:
+        """The ids added since the columns were set, in order."""
+        return list(self._added)
+
+    @property
+    def removed(self) -> list[int]:
+        """The column ids removed since, in order."""
+        return sorted(self._removed)
+
+    def columns(self) -> ImageColumns:
+        """The live images' columns, ids increasing."""
+        columns = self._columns
+        if self._removed:
+            columns = columns.without(self._removed)
+        if self._added:
+            columns = ImageColumns.concat(
+                [columns, ImageColumns.of(self._added.values())])
+        return columns
+
+    def region_counts(self) -> list[int]:
+        """Each live image's region count, ids increasing."""
+        return self.columns().counts.tolist()
+
+    def _commit(self) -> None:
+        """Fold the images added and removed into the columns: a
+        checkpoint has staged their row records (every image's, for a
+        version-1 table), so unbuilt rows now load from those."""
+        self._columns = self.columns()
+        self._built.update(self._added)
+        self._added.clear()
+        self._removed.clear()
+        self._inline = None
+        self._row_starts = self._name_ends = None
+
+
 class _Reader:
     """The sections of one record, in order: each is checked against
     the record's length before it is read, and the padding after it
@@ -378,16 +573,6 @@ def _read_row_record(store: PageStore, image_id: int,
     return table
 
 
-def _json_type_ok(value: object, kinds: tuple[type, ...]) -> bool:
-    """Whether a JSON value may stand for a field of one of the types
-    ``kinds``: a bool is no int, an int may stand for a float."""
-    if isinstance(value, bool):
-        return bool in kinds
-    if isinstance(value, int):
-        return int in kinds or float in kinds
-    return isinstance(value, tuple(kinds))
-
-
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -404,15 +589,12 @@ def _decode_settings(raw: bytes, reader: _Reader
         reader.fail("settings are not params, next_id and index_state")
     fields, next_id, state = (settings["params"], settings["next_id"],
                               settings["index_state"])
-    if not isinstance(fields, dict) \
-            or fields.keys() != _PARAM_KINDS.keys():
+    if not isinstance(fields, dict) or fields.keys() != _PARAM_NAMES:
         reader.fail("params do not name exactly ExtractionParameters' "
                     "fields")
-    mistyped = sorted(name for name, value in fields.items()
-                      if not _json_type_ok(value, _PARAM_KINDS[name]))
-    if mistyped:
-        reader.fail(f"params {mistyped} have the wrong type")
     try:
+        # Checks each value's type too: a bool is no int, an int may
+        # stand for a float.
         params = ExtractionParameters(**fields)
     except ValueError as error:
         reader.fail(f"invalid params: {error}")
@@ -429,18 +611,13 @@ class Catalog:
     """One checkpoint's catalog record, decoded."""
 
     params: ExtractionParameters
-    images: dict[int, IndexedImage]
+    images: CatalogImages
     next_id: int
     #: :meth:`RStarTree.state() <repro.index.rstar.RStarTree.state>`.
     index_state: dict[str, int]
     #: The record version decoded: 2 keeps the rows in row records,
     #: 1 in the record itself.
     version: int = _VERSION
-
-    def _records(self) -> list[IndexedImage]:
-        """The image table's rows: images by id."""
-        return sorted(self.images.values(),
-                      key=lambda record: record.image_id)
 
     def _table(self, record: IndexedImage) -> RegionTable:
         """One image's regions as columns; decoded rows are not
@@ -454,7 +631,7 @@ class Catalog:
         """Every image's regions as one table, images by id (reads
         every row record)."""
         return RegionTable.concat(
-            [self._table(record) for record in self._records()]
+            [self._table(record) for record in self.images.values()]
             or [RegionTable.from_regions([], self.params, 1, 1)])
 
     def row_record(self, image_id: int) -> bytes:
@@ -466,26 +643,27 @@ class Catalog:
                        for name, dtype, _ in _region_columns(self.params))
 
     def encode(self) -> bytes:
-        """The record's bytes, as handed to ``store.set_metadata``."""
+        """The record's bytes, as handed to ``store.set_metadata``: the
+        image table is :meth:`CatalogImages.columns`."""
         params = self.params
-        records = self._records()
-        names = [record.name.encode("utf-8") for record in records]
+        columns = self.images.columns()
         settings = json.dumps(
             {"params": asdict(params), "next_id": self.next_id,
              "index_state": self.index_state},
             sort_keys=True, separators=(",", ":")).encode("utf-8")
-        counts = [len(record.regions) for record in records]
+        table = np.stack([columns.ids, columns.heights, columns.widths,
+                          columns.counts, columns.name_sizes])
+        if table.size and int(table.max()) > np.iinfo(np.int32).max:
+            raise DatabaseError("an image id or size does not fit the "
+                                "image table's int32 columns")
         sections = [
-            _HEADER.pack(_MAGIC, _VERSION, len(records), sum(counts),
+            _HEADER.pack(_MAGIC, _VERSION, len(columns.ids),
+                         int(columns.counts.sum()),
                          params.feature_dimensions, _bitmap_bytes(params),
-                         len(settings), sum(map(len, names))),
+                         len(settings), len(columns.names)),
             settings,
-            np.array([[record.image_id for record in records],
-                      [record.height for record in records],
-                      [record.width for record in records],
-                      counts, [len(name) for name in names]],
-                     dtype=_IMAGE_TABLE_DTYPE[_VERSION]).tobytes(),
-            b"".join(names),
+            table.astype(_IMAGE_TABLE_DTYPE[_VERSION]).tobytes(),
+            columns.names,
         ]
         return _padded(sections)
 
@@ -545,44 +723,47 @@ class Catalog:
                         f"{state['dimensions']}-d keys, the catalog "
                         f"{region_count} {dimensions}-d regions")
 
-        ids, heights, widths, counts, name_sizes = reader.array(
-            _IMAGE_TABLE_DTYPE[version], (5, image_count), "image table")
-        if not ((ids >= 0).all() and (ids < next_id).all()
-                and (ids[1:] > ids[:-1]).all()):
+        table = reader.array(_IMAGE_TABLE_DTYPE[version], (5, image_count),
+                             "image table")
+        ids, heights, widths, counts, name_sizes = table
+        if image_count and not (ids[0] >= 0 and ids[-1] < next_id
+                                and (ids[1:] > ids[:-1]).all()):
             reader.fail(f"image ids are not increasing ids below next_id "
                         f"{next_id}")
-        if not ((heights >= 1).all() and (widths >= 1).all()
-                and (counts >= 0).all() and (counts <= region_count).all()
-                and (name_sizes >= 0).all()
-                and (name_sizes <= len(blob)).all()):
+        # Heights and widths >= 1, counts and name sizes >= 0 and each
+        # at most the total it is summed into (so the sums cannot wrap).
+        lowest, highest, total = ((table[1:].min(axis=1).tolist(),
+                                   table[3:].max(axis=1).tolist(),
+                                   table[3:].sum(axis=1).tolist())
+                                  if image_count else ([1] * 4, [0] * 2,
+                                                       [0] * 2))
+        if any(low < bound for low, bound in zip(lowest, (1, 1, 0, 0))) \
+                or highest[0] > region_count or highest[1] > len(blob):
             reader.fail("image table holds an impossible size or count")
-        if (int(counts.sum()), int(name_sizes.sum())) != (region_count,
-                                                          names_size):
-            reader.fail(f"images hold {int(counts.sum())} regions and "
-                        f"{int(name_sizes.sum())} name bytes, the header "
-                        f"says {region_count} and {names_size}")
+        if total != [region_count, names_size]:
+            reader.fail(f"images hold {total[0]} regions and {total[1]} "
+                        f"name bytes, the header says {region_count} and "
+                        f"{names_size}")
         names_at = reader.section(names_size, "image names")
-        table = (_read_table(reader, params, region_count)
-                 if version == _ROWS_INLINE else None)
+        inline = (_read_table(reader, params, region_count)
+                  if version == _ROWS_INLINE else None)
         if reader.offset != len(blob):
             reader.fail(f"{len(blob) - reader.offset} trailing bytes")
-        ends = np.cumsum(name_sizes).tolist()
-        try:
-            names = [blob[names_at + begin:names_at + end].decode("utf-8")
-                     for begin, end in zip([0] + ends[:-1], ends)]
-        except UnicodeDecodeError as error:
-            reader.fail(f"an image name is not UTF-8: {error}")
-
-        images: dict[int, IndexedImage] = {}
-        stop, grid = 0, params.bitmap_grid
-        for image_id, name, height, width, count in zip(
-                ids.tolist(), names, heights.tolist(), widths.tolist(),
-                counts.tolist()):
-            start, stop = stop, stop + count
-            load = (partial(table.rows, start, stop) if table is not None
-                    else partial(_read_row_record, store, image_id, params,
-                                 count, source))
-            images[image_id] = IndexedImage(
-                image_id, name, height, width,
-                RegionRows(load, count, height, width, grid))
-        return cls(params, images, next_id, state, version)
+        names = blob[names_at:names_at + names_size]
+        if not names.isascii():
+            # The section decodes whole and no name starts inside a
+            # character: then every name decodes by itself.
+            try:
+                names.decode("utf-8")
+            except UnicodeDecodeError as error:
+                reader.fail(f"an image name is not UTF-8: {error}")
+            starts = np.cumsum(name_sizes)[:-1]
+            starts = starts[starts < names_size]
+            if (np.frombuffer(names, np.uint8)[starts] & 0xC0 == 0x80).any():
+                reader.fail("an image name is not UTF-8: it starts inside "
+                            "a character")
+        columns = ImageColumns(ids, heights, widths, counts, name_sizes,
+                               names)
+        return cls(params, CatalogImages(columns, params, store, source,
+                                         inline),
+                   next_id, state, version)

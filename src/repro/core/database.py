@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.core import catalog
 from repro.core.cache import CacheStats, LRUCache
-from repro.core.catalog import Catalog, IndexedImage
+from repro.core.catalog import Catalog, CatalogImages, IndexedImage
 from repro.core.extraction import RegionExtractor
 from repro.core.matching import match_candidates
 from repro.core.parameters import ExtractionParameters, QueryParameters
@@ -72,6 +72,16 @@ def _checked_int(name: str, value: Any, minimum: int = 1) -> int:
         raise InvalidParameterError(
             f"{name} must be an int >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _checked_type(name: str, value: Any, kind: type) -> Any:
+    """``value`` if it is a ``kind``; else
+    :class:`InvalidParameterError`."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(
+            f"{name} must be a {kind.__name__}, got "
+            f"{type(value).__name__}")
+    return value
 
 
 class WalrusDatabase:
@@ -115,7 +125,8 @@ class WalrusDatabase:
                            else ExtractionParameters())
             self.index = RStarTree(self.params.feature_dimensions,
                                    store=store, max_entries=max_entries)
-            self.images: dict[int, IndexedImage] = {}
+            #: The images by id: a read-only mapping.
+            self.images = CatalogImages.of([], self.params, self.index.store)
             self._next_id = 0
         else:
             # open(): the tree ``store`` already holds, as catalogued.
@@ -319,7 +330,7 @@ class WalrusDatabase:
             _checked_int("workers", workers)
         events = get_events()
         watch = Stopwatch() if events.enabled else None
-        batch = list(images)
+        batch = [_checked_type("image", image, Image) for image in images]
         if bulk is None:
             bulk = not self.images
         elif bulk and self.images:
@@ -360,16 +371,16 @@ class WalrusDatabase:
     def _register(self, image: Image, regions: list[Region]) -> int:
         image_id = self._next_id
         self._next_id += 1
-        self.images[image_id] = IndexedImage(
+        self.images._add(IndexedImage(
             image_id, image.name or f"image-{image_id}",
-            image.height, image.width, regions)
+            image.height, image.width, regions))
         return image_id
 
     def remove_image(self, image_id: int) -> None:
         """Remove an image and all its regions from the index."""
         self._check_writable("remove_image")
         image_id = _checked_int("image_id", image_id, minimum=0)
-        record = self.images.pop(image_id, None)
+        record = self.images._pop(image_id)
         if record is None:
             raise DatabaseError(f"no image with id {image_id}")
         for region_index, region in enumerate(record.regions):
@@ -451,6 +462,7 @@ class WalrusDatabase:
         :meth:`query` (useful for picking an ``epsilon``).
         """
         self._check_open()
+        _checked_type("image", image, Image)
         if not self.images:
             raise DatabaseError("nearest_regions on an empty database")
         k = _checked_int("k", k)
@@ -600,11 +612,13 @@ class WalrusDatabase:
         :meth:`query_batch` (which adds the batch-scoped
         ``shared_probes`` table)."""
         self._check_open()
+        _checked_type("image", image, Image)
+        qp = (QueryParameters() if query_params is None else
+              _checked_type("query_params", query_params, QueryParameters))
         if not self.images:
             raise DatabaseError("query on an empty database")
         if max_regions is not None:
             _checked_int("max_regions", max_regions)
-        qp = query_params if query_params is not None else QueryParameters()
         events = get_events()
         tracer = get_tracer()
         # The event log wants the same funnel the EXPLAIN report
@@ -713,10 +727,10 @@ class WalrusDatabase:
         regardless of what else it contains.
         """
         self._check_open()
-        scene = image.crop(_checked_int("top", top, minimum=0),
-                           _checked_int("left", left, minimum=0),
-                           _checked_int("height", height),
-                           _checked_int("width", width))
+        scene = _checked_type("image", image, Image).crop(
+            _checked_int("top", top, minimum=0),
+            _checked_int("left", left, minimum=0),
+            _checked_int("height", height), _checked_int("width", width))
         if query_params is None:
             query_params = QueryParameters(area_mode="query")
         return self.query(scene, query_params, explain=explain)
@@ -724,8 +738,7 @@ class WalrusDatabase:
     def describe(self) -> dict[str, Any]:
         """Summary statistics of the database and its index."""
         self._check_open()
-        region_counts = [len(record.regions)
-                         for record in self.images.values()]
+        region_counts = self.images.region_counts()
         return {
             "images": len(self.images),
             "regions": self.region_count,
@@ -869,10 +882,11 @@ class WalrusDatabase:
         header flip *together with* the pages — a crash at any byte
         boundary reopens to the previous checkpoint, and the catalog
         can never disagree with the page table it describes.  When the
-        catalog changed, each live image without a committed row
-        record gets one, the row records of removed images are
-        dropped, and the catalog record is appended; otherwise none of
-        them is.  Nothing else in the directory is written.
+        catalog changed, each image added since the last commit gets a
+        row record (every image, when a version-1 record changes for
+        the first time), the row records of the images removed since
+        are dropped, and the catalog record is appended; otherwise
+        none of them is.  Nothing else in the directory is written.
         """
         self._check_writable("checkpoint")
         if self._directory is None:
@@ -881,15 +895,18 @@ class WalrusDatabase:
                 "WalrusDatabase.create(path=...)"
             )
         store = self.index.store
-        current = Catalog(self.params, self.images, self._next_id,
+        images = self.images
+        current = Catalog(self.params, images, self._next_id,
                           self.index.state())
         record = current.encode()
         if record != self._record:
-            committed = store.blob_keys()
-            for image_id in sorted(self.images.keys() - committed):
+            for image_id in list(images) if images.rows_inline \
+                    else images.added:
                 store.put_blob(image_id, current.row_record(image_id))
-            for image_id in sorted(committed - self.images.keys()):
-                store.drop_blob(image_id)
+            if not images.rows_inline:
+                for image_id in images.removed:
+                    store.drop_blob(image_id)
             store.set_metadata(record)
+            images._commit()
         store.sync()
         self._record = record

@@ -11,8 +11,10 @@ algorithm.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, replace
-from numbers import Integral
+from functools import cache
+from numbers import Integral, Real
 
 from repro.exceptions import ParameterError
 from repro.wavelets.haar import is_power_of_two
@@ -23,6 +25,37 @@ SIGNATURE_MODES = ("centroid", "bbox")
 MATCHING_MODES = ("quick", "greedy", "exact")
 #: Similarity denominators (Section 4 discusses these variations).
 AREA_MODES = ("both", "query", "smaller")
+
+
+@cache
+def _field_kinds(record_type: type) -> dict[str, tuple[type, ...]]:
+    """Each field of ``record_type`` with the types its value may have
+    (``int | None`` is ``(int, NoneType)``)."""
+    return {name: typing.get_args(hint) or (hint,)
+            for name, hint in typing.get_type_hints(record_type).items()}
+
+
+def _check_types(record: object) -> None:
+    """A :class:`ParameterError` unless every field of ``record`` holds
+    its annotated type: a float field a real number, an int field an
+    integer, neither a bool; a bool field a bool, a str field a str;
+    ``None`` only where the annotation allows it."""
+    for name, kinds in _field_kinds(type(record)).items():
+        value = getattr(record, name)
+        if type(value) in kinds:
+            continue
+        if value is None or isinstance(value, bool):
+            fits = False
+        elif float in kinds:
+            fits = isinstance(value, Real)
+        elif int in kinds:
+            fits = isinstance(value, Integral)
+        else:
+            fits = isinstance(value, kinds)
+        if not fits:
+            allowed = " or ".join("None" if kind is type(None)
+                                  else kind.__name__ for kind in kinds)
+            raise ParameterError(f"{name} must be {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +119,7 @@ class ExtractionParameters:
     merge_factor: float | None = None
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.color_space not in ("ycc", "rgb", "yiq", "hsv", "gray"):
             raise ParameterError(f"unknown color space {self.color_space!r}")
         for name in ("signature_size", "window_min", "window_max", "stride"):
@@ -189,6 +223,7 @@ class QueryParameters:
     refine_epsilon: float | None = None
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if not self.epsilon >= 0:  # NaN too
             raise ParameterError("epsilon must be >= 0")
         if not 0.0 <= self.tau <= 1.0:
@@ -203,10 +238,7 @@ class QueryParameters:
                 f"area_mode must be one of {AREA_MODES}, "
                 f"got {self.area_mode!r}"
             )
-        if self.max_results is not None and (
-                isinstance(self.max_results, bool)
-                or not isinstance(self.max_results, Integral)
-                or self.max_results < 1):
+        if self.max_results is not None and self.max_results < 1:
             raise ParameterError(f"max_results must be an int >= 1 or "
                                  f"None, got {self.max_results!r}")
         if self.metric not in ("l2", "linf"):

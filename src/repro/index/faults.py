@@ -292,7 +292,7 @@ def corrupt_page(path: str | os.PathLike, page_id: int, *,
     """
     store = open_page_store(path, readonly=True)
     try:
-        location = store._offsets.get(page_id)
+        location = store._page_location(page_id)
     finally:
         store.close()
     if location is None:

@@ -127,6 +127,10 @@ _BLOB_BASE = 2 ** 63
 #: Attempts for transient-IO-error read retries.
 _READ_RETRIES = 3
 
+#: The table of a file that has none yet (never written to).
+_NO_IDS = np.zeros(0, np.uint64)
+_NO_SPANS = np.zeros((0, 2), np.uint64)
+
 _SelfT = TypeVar("_SelfT", bound="MmapPageStore")
 
 
@@ -144,6 +148,14 @@ def fsync_directory(directory: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _file_size(path: str) -> int:
+    """The size of the file at ``path``; 0 when there is none."""
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0
 
 
 def _fsync_stream(stream: Any) -> None:
@@ -207,7 +219,7 @@ def _newest_slot(blobs: Iterable[bytes | memoryview],
         if len(blob) < _SLOT.size:
             continue
         fields = _SLOT.unpack(blob)
-        if fields[-1] != zlib.crc32(_SLOT_BODY.pack(*fields[:-1])):
+        if fields[-1] != zlib.crc32(blob[:_SLOT_BODY.size]):
             continue  # torn/corrupt slot; the other one commits
         slots.append(fields[:-1])
     if not slots:
@@ -305,6 +317,13 @@ class MmapPageStore(PageStore):
     as :class:`~repro.index.pagestore.PageStore` requires.  Blobs are
     read afresh (and verified) on every :meth:`read_blob`.
 
+    The committed page table stays the sorted id column and the
+    ``(offset, size)`` rows it was read as (or last written as); a page
+    or blob is found with ``np.searchsorted``.  What changed since the
+    last commit lives beside it: pages written (``_dirty``), blobs
+    staged, and the table ids freed or dropped.  :meth:`sync` merges
+    them into the next table.
+
     Parameters
     ----------
     path:
@@ -324,8 +343,11 @@ class MmapPageStore(PageStore):
         self.readonly = readonly
         self._pages: dict[int, Any] = {}
         self._dirty: set[int] = set()
-        self._offsets: dict[int, tuple[int, int]] = {}  # id -> (offset, size)
-        self._blobs: dict[int, tuple[int, int]] = {}  # key -> (offset, size)
+        #: The committed table: ids (page ids, then ``_BLOB_BASE +
+        #: key``), strictly increasing, and each one's (offset, size).
+        self._ids, self._spans = _NO_IDS, _NO_SPANS
+        #: Table ids freed or dropped since the last commit.
+        self._freed: set[int] = set()
         self._staged_blobs: dict[int, bytes] = {}
         self._next_id = 0
         self._generation = 0
@@ -335,7 +357,7 @@ class MmapPageStore(PageStore):
         self._meta_dirty = False
         self._map: mmap.mmap | None = None
         self._retired_maps: list[mmap.mmap] = []
-        exists = os.path.exists(self.path) and os.path.getsize(self.path) > 0
+        exists = _file_size(self.path) > 0
         if readonly and not exists:
             raise StorageError(f"{self.path}: no page file to open readonly")
         try:
@@ -398,10 +420,11 @@ class MmapPageStore(PageStore):
         self._meta_location = (meta_offset, meta_size) if meta_offset else None
         self._meta_blob = None
         self._meta_dirty = False
-        self._offsets, self._blobs = (self._decode_table(
-            self._read_record(_TABLE_ID, table_offset, table_size,
-                              what="page table"), table_offset)
-            if table_offset else ({}, {}))
+        self._freed = set()
+        if table_offset:
+            self._ids, self._spans = self._decode_table(
+                self._read_record(_TABLE_ID, table_offset, table_size,
+                                  what="page table"), table_offset)
 
     # -- mmap lifecycle -------------------------------------------------
     def _remap(self) -> None:
@@ -481,29 +504,72 @@ class MmapPageStore(PageStore):
         self._file.write(b"\0" * padding + header + payload)
         return end + padding, _RECORD.size + len(payload)
 
-    def _append_page(self, page_id: int, page: Any) -> None:
-        self._offsets[page_id] = self._append_record(page_id,
-                                                     encode_node(page))
+    def _append_page(self, page_id: int, page: Any) -> tuple[int, int]:
+        return self._append_record(page_id, encode_node(page))
+
+    def _location(self, table_id: int) -> tuple[int, int] | None:
+        """The committed ``(offset, size)`` of table id ``table_id``,
+        or ``None`` when it has none or was freed since."""
+        ids = self._ids
+        if not 0 <= table_id < _META_ID or table_id in self._freed:
+            return None
+        row = int(ids.searchsorted(table_id))
+        if row == len(ids) or ids[row] != table_id:
+            return None
+        offset, size = self._spans[row].tolist()
+        return offset, size
+
+    def _page_location(self, page_id: int) -> tuple[int, int] | None:
+        return self._location(page_id) if page_id < _BLOB_BASE else None
+
+    def _blob_location(self, key: int) -> tuple[int, int] | None:
+        return self._location(_BLOB_BASE + key) if key >= 0 else None
+
+    def _entries(self, blobs: bool) -> list[tuple[int, int, int]]:
+        """``(page id or blob key, offset, size)`` of every committed
+        page (or blob) not freed since, in order."""
+        split = int(self._ids.searchsorted(_BLOB_BASE))
+        rows = slice(split, None) if blobs else slice(split)
+        base = _BLOB_BASE if blobs else 0
+        return [(table_id - base, offset, size) for table_id, (offset, size)
+                in zip(self._ids[rows].tolist(), self._spans[rows].tolist())
+                if table_id not in self._freed]
+
+    def _commit_table(self, written: dict[int, tuple[int, int]]) -> None:
+        """Make the committed table this one, with ``written`` (table
+        id -> the record just appended) in and the freed ids out."""
+        gone = self._freed | written.keys()
+        ids, spans = self._ids, self._spans
+        if gone:
+            keep = ~np.isin(ids, np.fromiter(gone, np.uint64, len(gone)))
+            ids, spans = ids[keep], spans[keep]
+        if written:
+            new_ids = np.fromiter(written, np.uint64, len(written))
+            new_spans = np.array(list(written.values()),
+                                 np.uint64).reshape(-1, 2)
+            ids = np.concatenate([ids, new_ids])
+            order = np.argsort(ids)
+            ids = ids[order]
+            spans = np.concatenate([spans, new_spans])[order]
+        self._ids, self._spans = ids, spans
+        self._freed = set()
 
     def _encode_table(self) -> bytes:
-        parts = [_TABLE_STAMP.pack(_TABLE_MAGIC, FORMAT_VERSION),
-                 _TABLE_COUNT.pack(len(self._offsets) + len(self._blobs))]
-        for base, table in ((0, self._offsets), (_BLOB_BASE, self._blobs)):
-            for key in sorted(table):
-                record_offset, record_size = table[key]
-                parts.append(_TABLE_ENTRY.pack(base + key, record_offset,
-                                               record_size))
-        return b"".join(parts)
+        return b"".join([
+            _TABLE_STAMP.pack(_TABLE_MAGIC, FORMAT_VERSION),
+            _TABLE_COUNT.pack(len(self._ids)),
+            np.column_stack((self._ids, self._spans)).astype(
+                "<u8", copy=False).tobytes()])
 
     def _decode_table(self, payload: bytes | memoryview, offset: int
-                      ) -> tuple[dict[int, tuple[int, int]],
-                                 dict[int, tuple[int, int]]]:
-        """The table's ``page id -> (offset, size)`` and ``blob key ->
-        (offset, size)`` maps.
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """The table's id column and ``(offset, size)`` rows, copied
+        out of the mapping.
 
         A stamp naming another format means the superblock and the
         committed table disagree: the file was stitched together or
-        rewritten by the wrong tool.
+        rewritten by the wrong tool.  Ids must be strictly increasing:
+        each page or blob has one record.
         """
         magic, version = (_TABLE_STAMP.unpack_from(payload)
                           if len(payload) >= _TABLE_STAMP.size
@@ -533,16 +599,15 @@ class MmapPageStore(PageStore):
                 f"{len(body)} bytes, expected {expected} for {count} "
                 "entries"
             )
-        pages: dict[int, tuple[int, int]] = {}
-        blobs: dict[int, tuple[int, int]] = {}
-        for page_id, record_offset, record_size in np.frombuffer(
-                body, "<u8", 3 * count, _TABLE_COUNT.size
-        ).reshape(count, 3).tolist():
-            if page_id < _BLOB_BASE:
-                pages[page_id] = (record_offset, record_size)
-            else:
-                blobs[page_id - _BLOB_BASE] = (record_offset, record_size)
-        return pages, blobs
+        table = np.frombuffer(body, "<u8", 3 * count,
+                              _TABLE_COUNT.size).reshape(count, 3)
+        ids = table[:, 0].astype(np.uint64)
+        if not (ids[1:] > ids[:-1]).all():
+            raise StorageError(
+                f"{self.path}: page table at offset {offset} lists a "
+                "page or blob id twice or out of order"
+            )
+        return ids, table[:, 1:].astype(np.uint64)
 
     def _check_open(self) -> None:
         if self._closed or self._file.closed:
@@ -565,7 +630,7 @@ class MmapPageStore(PageStore):
         page = self._pages.get(page_id)
         if page is not None:
             return page
-        location = self._offsets.get(page_id)
+        location = self._page_location(page_id)
         if location is None:
             raise StorageError(f"page {page_id} does not exist")
         offset, size = location
@@ -591,12 +656,15 @@ class MmapPageStore(PageStore):
         self._check_writable()
         in_memory = self._pages.pop(page_id, None) is not None
         self._dirty.discard(page_id)
-        on_disk = self._offsets.pop(page_id, None) is not None
+        on_disk = self._page_location(page_id) is not None
+        if on_disk:
+            self._freed.add(page_id)
         if not in_memory and not on_disk:
             raise StorageError(f"page {page_id} does not exist")
 
     def page_ids(self) -> set[int]:
-        return self._offsets.keys() | self._dirty
+        return {page_id for page_id, _, _ in self._entries(False)} \
+            | self._dirty
 
     @property
     def generation(self) -> int:
@@ -626,7 +694,7 @@ class MmapPageStore(PageStore):
         staged = self._staged_blobs.get(key)
         if staged is not None:
             return staged
-        location = self._blobs.get(key)
+        location = self._blob_location(key)
         if location is None:
             raise StorageError(f"{self.path}: blob {key} does not exist")
         offset, size = location
@@ -648,11 +716,15 @@ class MmapPageStore(PageStore):
     def drop_blob(self, key: int) -> None:
         self._check_writable()
         staged = self._staged_blobs.pop(key, None)
-        if self._blobs.pop(key, None) is None and staged is None:
+        committed = self._blob_location(key) is not None
+        if committed:
+            self._freed.add(_BLOB_BASE + key)
+        if not committed and staged is None:
             raise StorageError(f"{self.path}: blob {key} does not exist")
 
     def blob_keys(self) -> set[int]:
-        return self._blobs.keys() | self._staged_blobs.keys()
+        return ({key for key, _, _ in self._entries(True)}
+                | self._staged_blobs.keys())
 
     # -- commit-coupled application metadata ----------------------------
     def set_metadata(self, blob: bytes) -> None:
@@ -695,12 +767,13 @@ class MmapPageStore(PageStore):
         slots' generation + CRC scheme.
         """
         self._check_writable()
-        for page_id in sorted(self._dirty):
-            self._append_page(page_id, self._pages[page_id])
-        self._dirty.clear()
+        written = {page_id: self._append_page(page_id, self._pages[page_id])
+                   for page_id in sorted(self._dirty)}
         for key in sorted(self._staged_blobs):
-            self._blobs[key] = self._append_record(
+            written[_BLOB_BASE + key] = self._append_record(
                 _BLOB_BASE + key, self._staged_blobs[key])
+        self._commit_table(written)
+        self._dirty.clear()
         self._staged_blobs.clear()
         table_offset, table_size = self._append_record(
             _TABLE_ID, self._encode_table())
@@ -765,20 +838,18 @@ class MmapPageStore(PageStore):
         _write_page_file(
             side_path,
             ((page_id, self.read(page_id))
-             for page_id in sorted(self._offsets)),
+             for page_id, _, _ in self._entries(False)),
             next_id=self._next_id, generation=self._generation + 1,
             metadata=self.metadata,
-            blobs=((key, self._read_record(_BLOB_BASE + key, *location,
+            blobs=((key, self._read_record(_BLOB_BASE + key, offset, size,
                                            what=f"blob {key}"))
-                   for key, location in sorted(self._blobs.items())))
+                   for key, offset, size in self._entries(True)))
         self._retire_map()
         self._file.close()
         os.replace(side_path, self.path)
         fsync_directory(os.path.dirname(os.path.abspath(self.path)))
         self._pages.clear()
         self._dirty.clear()
-        self._offsets.clear()
-        self._blobs.clear()
         self._file = self._wrap_file(open(self.path, "r+b"))
         self._load_header()
 
@@ -798,8 +869,7 @@ class MmapPageStore(PageStore):
         file_size = self._file.tell()
         pages: list[PageInfo] = []
         issues: list[str] = []
-        for page_id in sorted(self._offsets):
-            offset, size = self._offsets[page_id]
+        for page_id, offset, size in self._entries(False):
             info = PageInfo(page_id, offset, size)
             if offset + size > file_size:
                 info.error = (f"page {page_id} record at offset {offset} "
@@ -813,7 +883,7 @@ class MmapPageStore(PageStore):
             if info.error is not None:
                 issues.append(info.error)
             pages.append(info)
-        for key, (offset, size) in sorted(self._blobs.items()):
+        for key, offset, size in self._entries(True):
             try:
                 self._read_record(_BLOB_BASE + key, offset, size,
                                   what=f"blob {key}")
@@ -859,11 +929,12 @@ def _write_page_file(path: str, pages: Iterable[tuple[int, Any]], *,
         store._generation = generation - 1  # close() is the one commit
         if metadata is not None:
             store.set_metadata(metadata)
-        for page_id, page in pages:
-            store._append_page(page_id, page)
+        written = {page_id: store._append_page(page_id, page)
+                   for page_id, page in pages}
         for key, payload in blobs:
-            store._blobs[key] = store._append_record(_BLOB_BASE + key,
-                                                     payload)
+            written[_BLOB_BASE + key] = store._append_record(
+                _BLOB_BASE + key, payload)
+        store._commit_table(written)
         store.close()
     except BaseException:
         store.abandon()
@@ -882,7 +953,7 @@ def open_page_store(path: str | os.PathLike[str], *,
     ``walrus migrate`` is the last tool that reads that format.
     """
     spath = os.fspath(path)
-    if not os.path.exists(spath) or os.path.getsize(spath) == 0:
+    if not _file_size(spath):
         raise StorageError(
             f"{spath}: no page file to open; create one with "
             "create_page_store()")
@@ -896,7 +967,7 @@ def create_page_store(path: str | os.PathLike[str]) -> MmapPageStore:
     through :func:`open_page_store`.
     """
     spath = os.fspath(path)
-    if os.path.exists(spath) and os.path.getsize(spath) > 0:
+    if _file_size(spath):
         raise StorageError(
             f"{spath}: page file already exists; open it with "
             "open_page_store()"

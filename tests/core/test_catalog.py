@@ -20,7 +20,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from repro.core.catalog import Catalog, RegionRows
+from repro.core.catalog import Catalog, CatalogImages, RegionRows
 from repro.core.database import WalrusDatabase
 from repro.core.fsck import fsck_database
 from repro.core.parameters import ExtractionParameters, QueryParameters
@@ -349,7 +349,12 @@ def commit_edited_catalog(directory, edit):
     """Commit the directory's catalog and row records after
     ``edit(catalog)``."""
     with open_page_store(page_path(directory)) as store:
-        catalog = Catalog.decode(store.metadata, directory, store)
+        decoded = Catalog.decode(store.metadata, directory, store)
+        # The records as added images, so that encode() reads the
+        # edits below.
+        catalog = Catalog(decoded.params, CatalogImages.of(
+            decoded.images.values(), decoded.params, store),
+            decoded.next_id, decoded.index_state)
         edit(catalog)
         rows = {image_id: catalog.row_record(image_id)
                 for image_id in catalog.images}
@@ -487,7 +492,7 @@ class TestFsckChecksRowRecords:
 
     def test_row_record_failing_its_checksum(self, directory):
         with open_page_store(page_path(directory), readonly=True) as store:
-            offset, size = store._blobs[0]
+            offset, size = store._blob_location(0)
         with open(page_path(directory), "r+b") as stream:
             stream.seek(offset + size - 1)
             byte = stream.read(1)[0]

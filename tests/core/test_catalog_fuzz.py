@@ -313,7 +313,7 @@ def test_bitmap_column_of_wrong_length(database, image_id, data):
 def test_row_record_bit_flip_on_disk(database, image_id, data):
     directory, _ = database
     with open_page_store(page_path(directory), readonly=True) as store:
-        offset, size = store._blobs[image_id]
+        offset, size = store._blob_location(image_id)
     at = offset + data.draw(st.integers(0, size - 1))
     bit = 1 << data.draw(st.integers(0, 7))
     path = page_path(directory)

@@ -104,6 +104,68 @@ class TestIntegerArguments:
         assert sorted(small_db.images) == [0, 2, 3]
 
 
+class TestImageArguments:
+    """An image argument that is not an ``Image`` (and query parameters
+    that are not a ``QueryParameters``) is an ``InvalidParameterError``
+    before any work: no extraction, no id spent."""
+
+    NOT_IMAGES = ["x", np.zeros((8, 8, 3)), None]
+
+    @staticmethod
+    def extractions(database):
+        return database.cache_stats()["signatures"].misses
+
+    @pytest.mark.parametrize("image", NOT_IMAGES)
+    def test_query(self, small_db, image):
+        with pytest.raises(InvalidParameterError, match="image"):
+            small_db.query(image)
+        assert self.extractions(small_db) == 0
+
+    def test_query_params_dict(self, small_db, flower_factory):
+        with pytest.raises(InvalidParameterError, match="query_params"):
+            small_db.query(flower_factory(name="q"), {"epsilon": 0.1})
+        assert self.extractions(small_db) == 0
+
+    @pytest.mark.parametrize("image", NOT_IMAGES)
+    def test_nearest_regions(self, small_db, image):
+        with pytest.raises(InvalidParameterError, match="image"):
+            small_db.nearest_regions(image)
+        assert self.extractions(small_db) == 0
+
+    @pytest.mark.parametrize("image", NOT_IMAGES)
+    def test_query_scene(self, small_db, image):
+        with pytest.raises(InvalidParameterError, match="image"):
+            small_db.query_scene(image, 0, 0, 4, 4)
+        assert self.extractions(small_db) == 0
+
+    @pytest.mark.parametrize("image", NOT_IMAGES)
+    def test_add_image(self, small_db, image):
+        with pytest.raises(InvalidParameterError, match="image"):
+            small_db.add_image(image)
+        assert sorted(small_db.images) == [0, 1, 2, 3]
+
+    def test_add_images_checks_every_item_first(self, small_db,
+                                                flower_factory):
+        regions = small_db.region_count
+        with pytest.raises(InvalidParameterError, match="image"):
+            small_db.add_images([flower_factory(name="new"), None])
+        assert sorted(small_db.images) == [0, 1, 2, 3]
+        assert small_db.region_count == regions
+        assert small_db.add_image(flower_factory(name="new")) == 4
+
+    def test_query_batch_fails_only_the_bad_item(self, small_db,
+                                                 flower_factory):
+        query = flower_factory(name="q")
+        good, bad, dict_params = small_db.query_batch(
+            [query, "x", query], [None, None, {"epsilon": 0.1}],
+            return_exceptions=True)
+        assert good.matches == small_db.query(query).matches
+        assert isinstance(bad, InvalidParameterError)
+        assert isinstance(dict_params, InvalidParameterError)
+        with pytest.raises(InvalidParameterError, match="image"):
+            small_db.query_batch([query, "x"])
+
+
 class TestIndexing:
     def test_ids_sequential(self, params):
         database = WalrusDatabase(params)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.parameters import (
@@ -115,3 +116,38 @@ class TestQueryParameters:
         updated = PAPER_QUERY.with_(epsilon=0.05, matching="greedy")
         assert updated.epsilon == 0.05
         assert updated.matching == "greedy"
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (QueryParameters, "epsilon", True),
+    (QueryParameters, "tau", True),
+    (QueryParameters, "epsilon", "0.1"),
+    (QueryParameters, "refine_epsilon", False),
+    (QueryParameters, "matching", 1),
+    (QueryParameters, "max_results", "3"),
+    (ExtractionParameters, "stride", True),
+    (ExtractionParameters, "cluster_threshold", True),
+    (ExtractionParameters, "cluster_threshold", "0.05"),
+    (ExtractionParameters, "window_min", 64.0),
+    (ExtractionParameters, "max_leaf_entries", True),
+    (ExtractionParameters, "normalize_signatures", 1),
+    (ExtractionParameters, "color_space", None),
+])
+def test_field_of_the_wrong_type_is_a_parameter_error(record, field, value):
+    """A float field takes a real number, an int field an integer,
+    neither a bool; anything else is a ParameterError naming the
+    field, never a TypeError or a silent 1."""
+    with pytest.raises(ParameterError, match=field):
+        record(**{field: value})
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (QueryParameters, "epsilon", 0),
+    (QueryParameters, "epsilon", np.float32(0.1)),
+    (QueryParameters, "max_results", np.int64(3)),
+    (ExtractionParameters, "stride", np.int64(8)),
+    (ExtractionParameters, "cluster_threshold", 1),
+    (ExtractionParameters, "merge_factor", None),
+])
+def test_numbers_of_the_right_kind_are_accepted(record, field, value):
+    assert getattr(record(**{field: value}), field) == value

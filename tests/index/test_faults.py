@@ -213,7 +213,7 @@ class TestStructuredLoadErrors:
     def test_truncated_table_is_storage_error(self, tmp_path):
         path = tmp_path / "pages.db"
         store = populated(path)
-        table_offset = store._offsets[0][0]  # truncate before any record
+        table_offset = store._page_location(0)[0]  # truncate before any record
         store.close()
         with open(path, "r+b") as stream:
             stream.truncate(table_offset + 4)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.database import WalrusDatabase
+from repro.core.fsck import fsck_database
+from repro.core.parameters import ExtractionParameters
 from repro.exceptions import StorageError
 from repro.index.pagestore import MemoryPageStore
-from repro.index.storage import MmapPageStore
+from repro.index.storage import (_DATA_START, _RECORD, _TABLE_COUNT,
+                                 _TABLE_ENTRY, _TABLE_ID, _TABLE_STAMP,
+                                 MmapPageStore, _record_crc)
 from tests.nodepages import node_contents, node_page, page_value
 
 
@@ -134,3 +139,55 @@ class TestFilePageStore:
         store.close()
         store.close()
 
+
+
+def repeat_a_table_id(path, entry):
+    """Give entry ``entry`` of the committed page table (the last table
+    record) the id of entry ``entry - 1``, its checksum recomputed."""
+    data = bytearray(path.read_bytes())
+    position, table = _DATA_START, None
+    while position < len(data):
+        record_id, size, _ = _RECORD.unpack_from(data, position)
+        if record_id == _TABLE_ID:
+            table = position, size
+        position += _RECORD.size + size
+        position += -position % 8
+    start, size = table
+    body = start + _RECORD.size + _TABLE_STAMP.size + _TABLE_COUNT.size
+    previous = body + (entry - 1) * _TABLE_ENTRY.size
+    data[previous + _TABLE_ENTRY.size:previous + _TABLE_ENTRY.size + 8] \
+        = data[previous:previous + 8]
+    payload = bytes(data[start + _RECORD.size:start + _RECORD.size + size])
+    _RECORD.pack_into(data, start, _TABLE_ID, size,
+                      _record_crc(_TABLE_ID, payload))
+    path.write_bytes(bytes(data))
+
+
+class TestCommittedTable:
+    """Each id of a committed page table names one record: a table
+    listing an id twice is refused at open, never read with one of the
+    two entries silently winning."""
+
+    def test_repeated_page_id_is_refused(self, tmp_path):
+        path = tmp_path / "pages.db"
+        with MmapPageStore(path) as store:
+            for _ in range(3):
+                page_id = store.allocate()
+                store.write(page_id, node_page(page_id, page_id))
+        repeat_a_table_id(path, 2)
+        for readonly in (True, False):
+            with pytest.raises(StorageError,
+                               match="page table .* lists a page or blob "
+                                     "id twice"):
+                MmapPageStore(path, readonly=readonly)
+
+    def test_fsck_reports_a_repeated_id_once(self, tmp_path, flower_factory):
+        directory = tmp_path / "db"
+        params = ExtractionParameters(window_min=16, window_max=32, stride=8)
+        with WalrusDatabase.create(str(directory), params=params) as database:
+            database.add_image(flower_factory(name="flower"))
+        repeat_a_table_id(directory / WalrusDatabase.PAGE_FILE, 1)
+        summary = fsck_database(str(directory))
+        assert not summary["ok"]
+        assert len(summary["issues"]) == 1
+        assert "lists a page or blob id twice" in summary["issues"][0]

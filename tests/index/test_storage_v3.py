@@ -247,7 +247,8 @@ class TestMmapPageStore:
     def test_records_are_aligned(self, tmp_path):
         path = tmp_path / "pages.db"
         store = populated(path, pages=8)
-        for page_id, (offset, _size) in store._offsets.items():
+        for page_id in store.page_ids():
+            offset, _size = store._page_location(page_id)
             assert offset % 8 == 0, f"page {page_id} at {offset}"
         store.close()
 
@@ -348,7 +349,7 @@ class TestBlobRecords:
         store.put_blob(9, b"nine" * 10)
         store.close()
         with MmapPageStore(path, readonly=True) as reader:
-            offset, size = reader._blobs[9]
+            offset, size = reader._blob_location(9)
         with open(path, "r+b") as stream:
             stream.seek(offset + size - 1)
             stream.write(b"X")

@@ -133,6 +133,18 @@ class TestErrors:
         assert status == 400
         assert body["error"] == "bad_request"
 
+    @pytest.mark.parametrize("params", [{"epsilon": True}, {"tau": True},
+                                        {"epsilon": "0.1"}])
+    def test_bool_or_string_parameter_is_400(self, db_dir, query_body,
+                                             params):
+        bad = dict(query_body, params=params)
+        with WalrusServer(db_dir, port=0) as server:
+            status, body, _ = self._status_and_body(
+                lambda: _post(server.url("/query"), bad))
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert next(iter(params)) in body["detail"]
+
     def test_fractional_max_results_is_400(self, db_dir, query_body):
         bad = dict(query_body, params={"max_results": 2.5})
         with WalrusServer(db_dir, port=0) as server:
