@@ -34,9 +34,10 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Callable
+from typing import Any, Callable, cast
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from repro.imaging import transforms
 from repro.imaging.codecs import write_image
 from repro.imaging.image import Image
 from repro.imaging.montage import result_sheet
+from repro.observability import QueryReport
 from repro.wavelets.sliding import (dp_sliding_signatures,
                                     naive_window_signatures)
 
@@ -751,6 +753,12 @@ def scaling(lab: Lab, scale: Scale) -> Outcome:
     query caches, so it is a first query).  Extraction dominates
     indexing, so its cost per image should stay about constant as the
     collection grows.
+
+    The same collection is also checkpointed to a directory and opened
+    readonly: ``match ms`` is the match stage of the flower query there,
+    first (each candidate's row record read and decoded) and then
+    repeated (all of them held), and ``records_read`` the row records
+    the first query read.
     """
     query = flower_query()
     rows = []
@@ -758,23 +766,45 @@ def scaling(lab: Lab, scale: Scale) -> Outcome:
         database, seconds = lab.database(images_per_class)
         result = database.query(query, QueryParameters(epsilon=EPSILON),
                                 explain=True)
+        first, repeated = _reopened_match(
+            lab.collection(images_per_class).images, query)
         rows.append([len(database), database.region_count, f"{seconds:.2f}",
                      f"{seconds / len(database):.3f}",
                      f"{result.stats.elapsed_seconds:.3f}",
                      result.stats.candidate_images,
-                     result.report.probe.node_reads])
+                     result.report.probe.node_reads,
+                     f"{first.stage_seconds('match') * 1e3:.2f} / "
+                     f"{repeated.stage_seconds('match') * 1e3:.2f}",
+                     first.records_read])
     per_image = [float(row[3]) for row in rows]
     regions = [row[1] for row in rows]
     constant = "indexing s/image ~constant (max <= 3x min)"
     return Outcome(
         "Scalability: indexing and query cost vs. collection size",
         ["images", "regions", "index (s)", "index s/image", "query (s)",
-         "candidates", "node reads"], rows,
+         "candidates", "node reads", "match ms", "records_read"], rows,
         checks={"regions grow with the collection":
                 regions == sorted(set(regions)),
                 constant: max(per_image) <= 3 * max(min(per_image), 1e-3)},
         timing=frozenset(["index (s)", "index s/image", "query (s)",
-                          constant]))
+                          "match ms", constant]))
+
+
+def _reopened_match(images: list[Image], query: Image
+                    ) -> tuple[QueryReport, QueryReport]:
+    """EXPLAIN reports of ``query`` on ``images`` indexed to a
+    directory and opened readonly: the first query, then the same
+    query again."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "db")
+        with WalrusDatabase.create(path, params=RETRIEVAL_PARAMS) as built:
+            built.add_images(images, bulk=True)
+        with WalrusDatabase.open(path, readonly=True) as database:
+            reports = [database.query(query,
+                                      QueryParameters(epsilon=EPSILON),
+                                      explain=True).report
+                       for _ in range(2)]
+    return cast(QueryReport, reports[0]), cast(QueryReport, reports[1])
 
 
 #: Every experiment, keyed by its DESIGN.md id, in DESIGN.md order.

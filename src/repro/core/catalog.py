@@ -33,7 +33,10 @@ read-only sequence whose first indexing reads the image's row record,
 views it with ``np.frombuffer`` and checks its columns whole (exact
 length, ``lower <= upper`` with no NaN); row *i* becomes a
 :class:`Region` the first time it is indexed and is kept.  Images
-added since the decode hold plain lists.
+added since the decode hold plain lists.  Quick matching builds none of
+these: :meth:`CatalogImages.rows` hands it the candidates' packed
+bitmap rows (:class:`CandidateRows`), each image's row record read and
+checked once while the image lives.
 
 Record version 1 (2.6–2.11) carried every image's rows in the record
 itself, as one region table; it is decoded as it always was, and the
@@ -46,22 +49,23 @@ is refused before any byte of it is read, with an error naming WALRUS
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import math
 import os
 import struct
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import NoReturn, overload
+from typing import NoReturn, cast, overload
 
 import numpy as np
 
-from repro.core.bitmap import CoverageBitmap
+from repro.core.bitmap import CoverageBitmap, block_sizes
 from repro.core.parameters import ExtractionParameters
 from repro.core.regions import Region, RegionSignature
 from repro.exceptions import DatabaseError
 from repro.index.pagestore import PageStore
+from repro.observability import Deadline
 
 #: File names of the directory-based on-disk layout.
 PAGE_FILE = "regions.pages"
@@ -83,6 +87,8 @@ _VERSION = 2
 _ROWS_INLINE = 1
 #: The image table's column type, by record version.
 _IMAGE_TABLE_DTYPE = {_ROWS_INLINE: "<i8", _VERSION: "<i4"}
+#: Bytes per value of the records' column types.
+_ITEM_BYTES = {"<f8": 8, "<i8": 8, "<i4": 4, "u1": 1}
 #: Every section starts at a multiple of this; zero bytes pad the gaps.
 _ALIGN = 8
 #: The first byte of a pickle of protocol 2 or later: a 2.0–2.5 record.
@@ -125,6 +131,7 @@ def _bitmap_bytes(params: ExtractionParameters) -> int:
     return (params.bitmap_grid ** 2 + 7) // 8
 
 
+@functools.lru_cache(maxsize=16)
 def _region_columns(params: ExtractionParameters
                     ) -> list[tuple[str, str, int]]:
     """``(RegionTable field, dtype, values per row)`` of the region
@@ -220,15 +227,13 @@ class RegionRows(Sequence[Region]):
     ``len()`` reads and builds nothing.  The first indexing loads the
     table (reading and checking the image's row record); row *i*
     becomes a :class:`Region` the first time it is indexed and is
-    kept.  :attr:`blocks` unpacks the whole image's bitmaps in one
-    ``np.unpackbits``, once; quick matching reads them there and
-    builds no :class:`Region`.  The columns were checked when they
-    were loaded, so the region's signature and bitmap are not checked
-    again.
+    kept, its bitmap unpacked from that one packed row.  Quick
+    matching reads :attr:`table`'s packed rows and builds no
+    :class:`Region`.  The columns were checked when they were loaded,
+    so the region's signature and bitmap are not checked again.
     """
 
-    __slots__ = ("_load", "_table", "height", "width", "grid", "_built",
-                 "_blocks")
+    __slots__ = ("_load", "_table", "height", "width", "grid", "_built")
 
     def __init__(self, load: Callable[[], RegionTable], count: int,
                  height: int, width: int, grid: int) -> None:
@@ -238,7 +243,6 @@ class RegionRows(Sequence[Region]):
         self.width = width
         self.grid = grid
         self._built: list[Region | None] = [None] * count
-        self._blocks: np.ndarray | None = None
 
     @property
     def table(self) -> RegionTable:
@@ -265,23 +269,14 @@ class RegionRows(Sequence[Region]):
             region = self._built[row] = self._build(row)
         return region
 
-    @property
-    def blocks(self) -> np.ndarray:
-        """Every row's coverage blocks, as one read-only ``(n, grid,
-        grid)`` bool array (loads the table on first use)."""
-        if self._blocks is None:
-            bits = np.unpackbits(self.table.bitmaps, axis=1,
-                                 count=self.grid ** 2)
-            self._blocks = bits.reshape(-1, self.grid, self.grid).view(bool)
-            self._blocks.setflags(write=False)
-        return self._blocks
-
     def _build(self, row: int) -> Region:
-        table = self.table
+        table, grid = self.table, self.grid
+        blocks = np.unpackbits(table.bitmaps[row], count=grid * grid)
+        blocks = blocks.reshape(grid, grid).view(bool)
+        blocks.setflags(write=False)
         return Region(
             RegionSignature._trusted(table.lower[row], table.upper[row]),
-            CoverageBitmap._trusted(self.height, self.width, self.grid,
-                                    self.blocks[row]),
+            CoverageBitmap._trusted(self.height, self.width, grid, blocks),
             int(table.window_count[row]), float(table.cluster_radius[row]),
             None if table.refined is None else table.refined[row])
 
@@ -350,6 +345,89 @@ class ImageColumns:
                             self.name_sizes[keep], names)
 
 
+@dataclass(eq=False)
+class CandidateRows:
+    """The packed coverage rows of a set of images: image ``ids[c]``'s
+    region *i* is row ``offsets[c] + i`` of ``bitmaps``
+    (:meth:`CoverageBitmap.pack` rows on a ``grid x grid`` grid; other
+    images' rows may lie between), and its image's block sizes are row
+    ``shape[c]`` of ``sizes`` (:func:`block_sizes`, flattened)."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+    bitmaps: np.ndarray
+    shape: np.ndarray
+    sizes: np.ndarray
+    #: Each image's pixels.
+    areas: np.ndarray
+    grid: int
+
+
+class _HeldRows:
+    """The packed bitmaps of the images a :class:`CatalogImages` has
+    handed out rows of, end to end, each image's rows appended once.
+    Row ``image_id`` of ``_first`` is that image's first row in
+    ``_pool`` (-1: not held) and of ``_shape`` its geometry's row in
+    ``_sizes`` and ``_areas``."""
+
+    def __init__(self, grid: int) -> None:
+        self._grid = grid
+        self._pool = np.zeros((0, (grid * grid + 7) // 8), np.uint8)
+        self._used = 0
+        self._first = np.full(0, -1, np.int64)
+        self._shape = np.zeros(0, np.int64)
+        self._shapes: dict[tuple[int, int], int] = {}
+        self._sizes = np.zeros((0, grid * grid), np.int64)
+        self._areas = np.zeros(0, np.int64)
+
+    def missing(self, image_ids: np.ndarray) -> np.ndarray:
+        """Those of ``image_ids`` (increasing) not held."""
+        if len(image_ids) and image_ids[-1] >= len(self._first):
+            size = 2 * int(image_ids[-1]) + 2
+            self._first = np.concatenate(
+                [self._first, np.full(size - len(self._first), -1)])
+            self._shape = np.concatenate(
+                [self._shape, np.zeros(size - len(self._shape), np.int64)])
+        return image_ids[self._first[image_ids] < 0]
+
+    def append(self, image_ids: np.ndarray, tables: list[RegionTable],
+               geometries: list[tuple[int, int]]) -> None:
+        """Hold each ``tables[i]``'s bitmaps as image ``image_ids[i]``'s,
+        over a ``geometries[i]`` image."""
+        bitmaps = np.concatenate([table.bitmaps for table in tables])
+        start, self._used = self._used, self._used + len(bitmaps)
+        if self._used > len(self._pool):
+            # Capacity doubles: appending stays linear overall.
+            pool = np.zeros((2 * self._used, self._pool.shape[1]), np.uint8)
+            pool[:start] = self._pool[:start]
+            self._pool = pool
+        self._pool[start:self._used] = bitmaps
+        counts = np.fromiter(map(len, tables), np.int64, len(tables))
+        self._first[image_ids] = start + counts.cumsum() - counts
+        self._shape[image_ids] = [self._shape_of(geometry)
+                                  for geometry in geometries]
+
+    def _shape_of(self, geometry: tuple[int, int]) -> int:
+        shape = self._shapes.setdefault(geometry, len(self._shapes))
+        if shape == len(self._sizes):
+            self._sizes = np.vstack([self._sizes, block_sizes(
+                *geometry, self._grid).reshape(1, -1)])
+            self._areas = self._sizes.sum(axis=1)
+        return shape
+
+    def drop(self, image_id: int) -> None:
+        """Forget a removed image's rows."""
+        if image_id < len(self._first):
+            self._first[image_id] = -1
+
+    def rows(self, image_ids: np.ndarray) -> CandidateRows:
+        """The held images ``image_ids``' rows."""
+        shape = self._shape[image_ids]
+        return CandidateRows(image_ids, self._first[image_ids], self._pool,
+                             shape, self._sizes, self._areas[shape],
+                             self._grid)
+
+
 class CatalogImages(Mapping[int, IndexedImage]):
     """A database's images, by id: a read-only mapping over the image
     table's columns, plus the images added since the columns were set,
@@ -362,6 +440,14 @@ class CatalogImages(Mapping[int, IndexedImage]):
     id up.  Only the database changes it, through ``_add`` and
     ``_pop``; ``_commit`` folds the changes into the columns once a
     checkpoint has staged them.
+
+    The query path reads images without building any of that:
+    :meth:`table` hands out an image's rows as its :class:`RegionTable`
+    (read from its row record once and kept, or built from an added
+    image's regions on first use), :meth:`rows` the packed bitmaps of a
+    set of images and :meth:`names` their names from the columns.
+    ``records_read`` and ``bytes_decoded`` count the row records read
+    so far.
     """
 
     def __init__(self, columns: ImageColumns, params: ExtractionParameters,
@@ -379,6 +465,14 @@ class CatalogImages(Mapping[int, IndexedImage]):
         self._built: dict[int, IndexedImage] = {}
         self._added: dict[int, IndexedImage] = {}
         self._removed: set[int] = set()
+        #: Each live image's rows once read, packed, by id.
+        self._tables: dict[int, RegionTable] = {}
+        #: The packed bitmaps :meth:`rows` has handed out (made then).
+        self._held: _HeldRows | None = None
+        #: The names looked up so far, by id.
+        self._names: dict[int, str] = {}
+        self.records_read = 0
+        self.bytes_decoded = 0
 
     @classmethod
     def of(cls, records: Iterable[IndexedImage],
@@ -399,27 +493,121 @@ class CatalogImages(Mapping[int, IndexedImage]):
         row = int(ids.searchsorted(image_id))
         return row if row < len(ids) and ids[row] == image_id else None
 
-    def _build(self, row: int) -> IndexedImage:
-        columns, params = self._columns, self._params
+    def _loader(self, row: int) -> Callable[[], RegionTable]:
+        """What loads the rows of the columns' ``row``, whatever the
+        columns become by then."""
+        columns = self._columns
+        image_id, count = int(columns.ids[row]), int(columns.counts[row])
+        if self._inline is None:
+            return partial(self._read, image_id, count)
+        if self._row_starts is None:
+            self._row_starts = np.cumsum(columns.counts) - columns.counts
+        start = int(self._row_starts[row])
+        return partial(self._inline.rows, start, start + count)
+
+    def _read(self, image_id: int, count: int) -> RegionTable:
+        """Image ``image_id``'s ``count`` rows, from its row record
+        (once while the image is live)."""
+        table = self._tables.get(image_id)
+        if table is None:
+            blob = self._store.read_blob(image_id)
+            self.records_read += 1
+            self.bytes_decoded += len(blob)
+            table = _decode_row_record(blob, image_id, self._params, count,
+                                       self._source)
+            if image_id not in self._removed:
+                self._tables[image_id] = table
+        return table
+
+    def table(self, image_id: int) -> RegionTable:
+        """A live image's rows, as packed columns: kept once read.  An
+        added image's are built from its regions on first use."""
+        table = self._tables.get(image_id)
+        if table is None:
+            record = self._added.get(image_id)
+            if record is not None:
+                table = RegionTable.from_regions(
+                    record.regions, self._params, record.height,
+                    record.width)
+            else:
+                row = self._row(image_id)
+                if row is None:
+                    raise KeyError(image_id)
+                table = self._loader(row)()
+            self._tables[image_id] = table
+        return table
+
+    def rows(self, image_ids: np.ndarray, *,
+             deadline: Deadline | None = None) -> CandidateRows:
+        """The packed coverage rows of the live images ``image_ids``
+        (increasing), with their geometry.  Builds no record; the
+        images not held yet are read (a row record once while the image
+        lives) and their bitmaps appended to the rows held, so a query
+        whose candidates are all held runs no loop per image."""
+        held = self._held
+        if held is None:
+            held = self._held = _HeldRows(self._params.bitmap_grid)
+        missing = held.missing(image_ids)
+        if len(missing):
+            held.append(missing, *self._read_all(missing, deadline))
+        return held.rows(image_ids)
+
+    def _read_all(self, image_ids: np.ndarray, deadline: Deadline | None
+                  ) -> tuple[list[RegionTable], list[tuple[int, int]]]:
+        """The rows and the ``(height, width)`` of the live images
+        ``image_ids``."""
+        columns = self._columns
+        tables, geometries = [], []
+        for image_id, row in zip(image_ids.tolist(),
+                                 columns.ids.searchsorted(image_ids).tolist()):
+            if deadline is not None:
+                deadline.check("catalog.rows")
+            record = self._added.get(image_id)
+            if record is not None:
+                tables.append(self.table(image_id))
+                geometries.append((record.height, record.width))
+                continue
+            table = self._tables.get(image_id)
+            if table is None:
+                table = self._tables[image_id] = self._loader(row)()
+            tables.append(table)
+            geometries.append((int(columns.heights[row]),
+                               int(columns.widths[row])))
+        return tables, geometries
+
+    def names(self, image_ids: Iterable[int]) -> list[str]:
+        """The names of the live images ``image_ids``, read from the
+        columns (an added image's from its record) and kept."""
+        names = []
+        for image_id in image_ids:
+            name = self._names.get(image_id)
+            if name is None:
+                name = self._names[image_id] = self._name(image_id)
+            names.append(name)
+        return names
+
+    def _name(self, image_id: int) -> str:
+        record = self._added.get(image_id)
+        if record is not None:
+            return record.name
+        columns = self._columns
         if self._name_ends is None:
             self._name_ends = np.cumsum(columns.name_sizes)
-        image_id, height, width, count, end = (
+        row = cast(int, self._row(image_id))
+        end = int(self._name_ends[row])
+        return columns.names[end - int(columns.name_sizes[row]):
+                             end].decode("utf-8")
+
+    def _build(self, row: int) -> IndexedImage:
+        columns = self._columns
+        image_id, height, width, count = (
             int(column[row]) for column in (
                 columns.ids, columns.heights, columns.widths,
-                columns.counts, self._name_ends))
-        name = columns.names[end - int(columns.name_sizes[row]):end]
-        if self._inline is None:
-            load: Callable[[], RegionTable] = partial(
-                _read_row_record, self._store, image_id, params, count,
-                self._source)
-        else:
-            if self._row_starts is None:
-                self._row_starts = np.cumsum(columns.counts) - columns.counts
-            start = int(self._row_starts[row])
-            load = partial(self._inline.rows, start, start + count)
-        return IndexedImage(image_id, name.decode("utf-8"), height, width,
-                            RegionRows(load, count, height, width,
-                                       params.bitmap_grid))
+                columns.counts))
+        return IndexedImage(image_id, self.names([image_id])[0], height,
+                            width,
+                            RegionRows(self._loader(row), count, height,
+                                       width, self._params.bitmap_grid))
 
     def __getitem__(self, image_id: int) -> IndexedImage:
         record = self._built.get(image_id)
@@ -452,13 +640,16 @@ class CatalogImages(Mapping[int, IndexedImage]):
 
     def _pop(self, image_id: int) -> IndexedImage | None:
         """Remove ``image_id``; its record, or ``None`` if not held."""
+        self._tables.pop(image_id, None)
+        self._names.pop(image_id, None)
+        if self._held is not None:
+            self._held.drop(image_id)
         record = self._added.pop(image_id, None)
         if record is None and image_id in self:
             record = self[image_id]
             del self._built[image_id]
             self._removed.add(image_id)
         return record
-
     @property
     def rows_inline(self) -> bool:
         """Whether the columns' rows are still a version-1 record's
@@ -532,10 +723,12 @@ class _Reader:
 
     def array(self, dtype: str, shape: tuple[int, ...],
               what: str) -> np.ndarray:
-        """The next section as a read-only ``shape`` array."""
-        count = math.prod(shape)
-        start = self.section(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(self.blob, dtype, count, start).reshape(shape)
+        """The next section as a read-only ``shape`` array (1-D or
+        2-D)."""
+        count = shape[0] if len(shape) == 1 else shape[0] * shape[1]
+        start = self.section(count * _ITEM_BYTES[dtype], what)
+        values = np.frombuffer(self.blob, dtype, count, start)
+        return values if len(shape) == 1 else values.reshape(shape)
 
 
 def _padded(sections: Iterable[bytes]) -> bytes:
@@ -560,12 +753,11 @@ def _read_table(reader: _Reader, params: ExtractionParameters,
                        columns.get("refined"))
 
 
-def _read_row_record(store: PageStore, image_id: int,
-                     params: ExtractionParameters, count: int,
-                     source: str) -> RegionTable:
-    """Image ``image_id``'s ``count`` rows, from its row record in
-    ``store``: the record must be exactly those columns."""
-    blob = store.read_blob(image_id)
+def _decode_row_record(blob: bytes, image_id: int,
+                       params: ExtractionParameters, count: int,
+                       source: str) -> RegionTable:
+    """Image ``image_id``'s ``count`` rows, from its row record
+    ``blob``: the record must be exactly those columns."""
     reader = _Reader(blob, source, f"row record of image {image_id}")
     table = _read_table(reader, params, count)
     if reader.offset != len(blob):

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Iterable, Sequence, cast
 
 import numpy as np
@@ -45,7 +47,8 @@ from repro.core import catalog
 from repro.core.cache import CacheStats, LRUCache
 from repro.core.catalog import Catalog, CatalogImages, IndexedImage
 from repro.core.extraction import RegionExtractor
-from repro.core.matching import match_candidates
+from repro.core.matching import (MATCHERS, CandidatePairs, MatchOutcome,
+                                 pack_regions, quick_cover, similarity)
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.core.regions import Region
 from repro.core.results import (ImageMatch, QueryResult, QueryStats,
@@ -82,6 +85,22 @@ def _checked_type(name: str, value: Any, kind: type) -> Any:
             f"{name} must be a {kind.__name__}, got "
             f"{type(value).__name__}")
     return value
+
+
+def _hit_array(items: Iterable[tuple[int, int]], count: int) -> np.ndarray:
+    """``count`` probe hits ``(image_id, region_index)`` as a read-only
+    ``(count, 2)`` int array: a probe-cache entry."""
+    hits = np.fromiter(chain.from_iterable(items), np.int64,
+                       2 * count).reshape(count, 2)
+    hits.setflags(write=False)
+    return hits
+
+
+class _Pending:
+    """A probe-cache placeholder for a point probe that waits for the
+    query's walk of the tree; ``hits`` is its entry once it has run."""
+
+    __slots__ = ("hits",)
 
 
 class WalrusDatabase:
@@ -435,13 +454,22 @@ class WalrusDatabase:
         mutations: extraction depends only on the pixels and the
         database's fixed parameters.
         """
+        regions, _, hit = self._extract(image, deadline=deadline)
+        return regions, hit
+
+    def _extract(self, image: Image, *, deadline: Deadline | None = None
+                 ) -> tuple[list[Region], np.ndarray, bool]:
+        """:meth:`_query_regions`, with the regions' bitmaps as packed
+        rows (kept beside them in the signature cache)."""
         key = self._image_fingerprint(image)
-        regions = self._signature_cache.get(key)
-        if regions is None:
+        cached = self._signature_cache.get(key)
+        if cached is None:
             regions = self.extractor.extract(image, deadline=deadline)
-            self._signature_cache.put(key, regions)
-            return regions, False
-        return regions, True
+            bitmaps = pack_regions(regions)[0] if regions else np.zeros(
+                (0, (self.params.bitmap_grid ** 2 + 7) // 8), np.uint8)
+            self._signature_cache.put(key, (regions, bitmaps))
+            return regions, bitmaps, False
+        return (*cached, True)
 
     def cache_stats(self) -> dict[str, CacheStats]:
         """Hit/miss counters of the query-path caches."""
@@ -466,18 +494,17 @@ class WalrusDatabase:
         if not self.images:
             raise DatabaseError("nearest_regions on an empty database")
         k = _checked_int("k", k)
-        results: list[RegionMatch] = []
         query_regions, _ = self._query_regions(image)
-        for q_index, region in enumerate(query_regions):
-            for distance, (image_id, t_index) in self.index.nearest(
-                    region.signature.centroid, k):
-                results.append(RegionMatch(
-                    image_id=image_id,
-                    name=self.images[image_id].name,
-                    distance=distance,
-                    query_region=q_index,
-                    target_region=t_index,
-                ))
+        hits = [(q_index, distance, image_id, t_index)
+                for q_index, region in enumerate(query_regions)
+                for distance, (image_id, t_index) in self.index.nearest(
+                    region.signature.centroid, k)]
+        ids = sorted({image_id for _, _, image_id, _ in hits})
+        names = dict(zip(ids, self.images.names(ids)))
+        results = [RegionMatch(image_id=image_id, name=names[image_id],
+                               distance=distance, query_region=q_index,
+                               target_region=t_index)
+                   for q_index, distance, image_id, t_index in hits]
         results.sort(key=lambda match: (match.distance, match.query_region,
                                         match.image_id, match.target_region))
         return results
@@ -567,7 +594,7 @@ class WalrusDatabase:
                                              "query_params")
         explain_list = self._broadcast_option(explain, len(batch), "explain")
         caps = self._broadcast_option(max_regions, len(batch), "max_regions")
-        shared_probes: dict[Any, list[tuple[int, int]]] = {}
+        shared_probes: dict[Any, Any] = {}
         results: list[QueryResult | WalrusError] = []
         tracer = get_tracer()
         with tracer.span("query_batch") as batch_span:
@@ -606,7 +633,7 @@ class WalrusDatabase:
                        explain: bool,
                        deadline: Deadline | None,
                        max_regions: int | None,
-                       shared_probes: dict[Any, list[tuple[int, int]]] | None
+                       shared_probes: dict[Any, Any] | None
                        ) -> QueryResult:
         """The query pipeline behind :meth:`query` and
         :meth:`query_batch` (which adds the batch-scoped
@@ -627,8 +654,10 @@ class WalrusDatabase:
         want_report = explain or events.enabled
         marks = [0.0]
         watch = Stopwatch()
+        images = self.images
+        read_before = (images.records_read, images.bytes_decoded)
         with tracer.span("extract"):
-            query_regions, signature_hit = self._query_regions(
+            query_regions, query_bitmaps, signature_hit = self._extract(
                 image, deadline=deadline)
         if want_report:
             marks.append(watch.elapsed)
@@ -638,28 +667,28 @@ class WalrusDatabase:
                                            i))
             keep = sorted(ranked[:max_regions])
             query_regions = [query_regions[i] for i in keep]
+            query_bitmaps = query_bitmaps[keep]
         if deadline is not None:
             deadline.check("query.extract")
         with tracer.span("probe"):
-            pairs_by_image, probe_counts = self._probe(
+            pairs, probe_counts = self._probe(
                 query_regions, qp, deadline=deadline,
                 shared=shared_probes)
         if want_report:
             marks.append(watch.elapsed)
-        retrieved = sum(len(pairs) for pairs in pairs_by_image.values())
+        retrieved = len(pairs.query_index)
 
-        matches: list[ImageMatch] = []
         with tracer.span("match"):
-            records = [self.images[image_id] for image_id in pairs_by_image]
-            outcomes = match_candidates(
-                qp.matching, query_regions,
-                [record.regions for record in records],
-                list(pairs_by_image.values()), area_mode=qp.area_mode,
-                deadline=deadline)
-            for record, outcome in zip(records, outcomes):
-                if outcome.similarity >= qp.tau and outcome.similarity > 0:
-                    matches.append(ImageMatch(record.image_id, record.name,
-                                              outcome.similarity, outcome))
+            if not len(pairs):
+                matches: list[ImageMatch] = []
+            elif qp.matching == "quick":
+                bitmap = query_regions[0].bitmap
+                matches = self._match_quick(
+                    query_bitmaps, (bitmap.height, bitmap.width), pairs, qp,
+                    deadline=deadline)
+            else:
+                matches = self._match_each(query_regions, pairs, qp,
+                                           deadline=deadline)
         if want_report:
             marks.append(watch.elapsed)
         with tracer.span("rank"):
@@ -672,8 +701,7 @@ class WalrusDatabase:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("query.count").inc()
-            metrics.counter("query.candidate_images").inc(
-                len(pairs_by_image))
+            metrics.counter("query.candidate_images").inc(len(pairs))
             metrics.counter("query.matched_images").inc(matched)
             metrics.histogram("query.seconds").observe(elapsed)
         stats = QueryStats(
@@ -681,7 +709,7 @@ class WalrusDatabase:
             regions_retrieved=retrieved,
             mean_regions_per_query_region=(
                 retrieved / len(query_regions) if query_regions else 0.0),
-            candidate_images=len(pairs_by_image),
+            candidate_images=len(pairs),
             elapsed_seconds=elapsed,
         )
         report = None
@@ -690,9 +718,11 @@ class WalrusDatabase:
                 query_regions=len(query_regions),
                 signature_cache_hit=signature_hit,
                 probe=probe_counts,
-                candidate_images=len(pairs_by_image),
+                candidate_images=len(pairs),
                 matched_images=matched,
                 returned_images=len(matches),
+                records_read=images.records_read - read_before[0],
+                bytes_decoded=images.bytes_decoded - read_before[1],
                 stages=tuple(
                     StageTiming(name, end - start) for name, start, end
                     in zip(CANONICAL_STAGES, marks, marks[1:] + [elapsed])),
@@ -712,6 +742,51 @@ class WalrusDatabase:
                     events.emit("slow_query", slow)
         return QueryResult(tuple(matches), stats,
                            report if explain else None)
+
+    def _match_quick(self, query: np.ndarray, query_shape: tuple[int, int],
+                     pairs: CandidatePairs, qp: QueryParameters, *,
+                     deadline: Deadline | None) -> list[ImageMatch]:
+        """Section 5.5's quick matching of every candidate in one
+        :func:`quick_cover` pass over the catalog's packed rows; an
+        :class:`ImageMatch` is built for each image over ``tau``
+        only."""
+        get_metrics().counter("matching.quick_calls").inc(len(pairs))
+        targets = self.images.rows(pairs.image_ids, deadline=deadline)
+        query_covered, target_covered = quick_cover(query, query_shape,
+                                                    targets, pairs)
+        values = similarity(query_covered, target_covered,
+                            query_shape[0] * query_shape[1], targets.areas,
+                            qp.area_mode)
+        # Over tau, and above 0 when tau is not.
+        kept = (values >= qp.tau if qp.tau > 0 else values > 0).nonzero()[0]
+        ids = pairs.image_ids[kept].tolist()
+        return [ImageMatch(image_id, name, value,
+                           MatchOutcome(value, pairs.pairs(candidate),
+                                        q_covered, t_covered))
+                for candidate, image_id, name, value, q_covered, t_covered
+                in zip(kept.tolist(), ids, self.images.names(ids),
+                       values[kept].tolist(),
+                       query_covered[kept].tolist(),
+                       target_covered[kept].tolist())]
+
+    def _match_each(self, query_regions: list[Region],
+                    pairs: CandidatePairs, qp: QueryParameters, *,
+                    deadline: Deadline | None) -> list[ImageMatch]:
+        """Greedy or exact matching: a ``MATCHERS`` call per candidate,
+        over its image's regions."""
+        matcher = MATCHERS[qp.matching]
+        matches = []
+        for candidate, image_id in enumerate(pairs.image_ids.tolist()):
+            if deadline is not None:
+                deadline.check("query.match")
+            record = self.images[image_id]
+            outcome = matcher(query_regions, record.regions,
+                              list(pairs.pairs(candidate)),
+                              area_mode=qp.area_mode, deadline=deadline)
+            if outcome.similarity >= qp.tau and outcome.similarity > 0:
+                matches.append(ImageMatch(image_id, record.name,
+                                          outcome.similarity, outcome))
+        return matches
 
     def query_scene(self, image: Image, top: int, left: int, height: int,
                     width: int,
@@ -756,8 +831,8 @@ class WalrusDatabase:
     def _probe(self, query_regions: Sequence[Region],
                qp: QueryParameters, *,
                deadline: Deadline | None = None,
-               shared: dict[Any, list[tuple[int, int]]] | None = None
-               ) -> tuple[dict[int, list[tuple[int, int]]], ProbeCounts]:
+               shared: dict[Any, Any] | None = None
+               ) -> tuple[CandidatePairs, ProbeCounts]:
         """Section 5.4's region-matching step: for each query region,
         all database regions within ``epsilon``; grouped per image.
         Returns the grouped pairs plus exact :class:`ProbeCounts`.
@@ -765,7 +840,9 @@ class WalrusDatabase:
         Per-region probe results are memoized in an LRU keyed by
         ``(signature, epsilon, metric)`` plus the index generation, so
         re-running a query (or sweeping ``tau``/``refine_epsilon``,
-        which act downstream of the probe) skips the tree.
+        which act downstream of the probe) skips the tree.  An entry is
+        the region's hits as an ``(n, 2)`` int array of image ids and
+        region indexes, built once, when the probe runs.
 
         ``shared`` is :meth:`query_batch`'s batch-scoped probe table,
         keyed identically; it is consulted before the LRU and filled
@@ -793,12 +870,12 @@ class WalrusDatabase:
         cache_hits = 0
         cache_misses = 0
         shared_hits = 0
-        resolved: list[list[tuple[int, int]]] = []
-        # Point signatures that missed, each with the (still empty)
-        # list already filed under its key: a signature repeated later
-        # in this query finds that list, as it found the finished one
+        resolved: list[Any] = []
+        # Point signatures that missed, each with the placeholder filed
+        # under its key until the walk returns: a signature repeated
+        # later in this query finds it, as it found the finished entry
         # when every region walked the tree by itself.
-        pending: list[tuple[np.ndarray, list[tuple[int, int]]]] = []
+        pending: list[tuple[np.ndarray, Any, _Pending]] = []
         try:
             for region in query_regions:
                 if deadline is not None:
@@ -815,12 +892,14 @@ class WalrusDatabase:
                     if found is None:
                         cache_misses += 1
                         if signature.is_point:
-                            found = []
-                            pending.append((signature.centroid, found))
+                            found = _Pending()
+                            pending.append((signature.centroid, cache_key,
+                                            found))
                         else:
-                            probe = signature.to_rect().expand(qp.epsilon)
-                            found = self.index.search(probe,
-                                                      deadline=deadline)
+                            items = self.index.search(
+                                signature.to_rect().expand(qp.epsilon),
+                                deadline=deadline)
+                            found = _hit_array(items, len(items))
                         self._probe_cache.put(cache_key, found)
                     else:
                         cache_hits += 1
@@ -830,30 +909,36 @@ class WalrusDatabase:
             if pending:
                 # A matrix in, one hit list per row out.
                 batches = cast("list[Hits]", self.index.search_within(
-                    np.stack([point for point, _ in pending]), qp.epsilon,
-                    metric=qp.metric, deadline=deadline))
-                for (_, found), hits in zip(pending, batches):
-                    found.extend(item for _, item in hits)
+                    np.stack([point for point, _, _ in pending]),
+                    qp.epsilon, metric=qp.metric, deadline=deadline))
+                for (_, cache_key, slot), hits in zip(pending, batches):
+                    slot.hits = _hit_array(map(itemgetter(1), hits),
+                                           len(hits))
+                    self._probe_cache.replace(cache_key, slot.hits)
+                    if shared is not None:
+                        shared[cache_key] = slot.hits
+                resolved = [found.hits if isinstance(found, _Pending)
+                            else found for found in resolved]
         except BaseException:
             if pending:
-                # The lists filed above were never filled; retire them
-                # (and ``shared``'s copies, through the generation).
+                # The placeholders filed above were never filled; retire
+                # them (and ``shared``'s copies, through the generation).
                 self._invalidate_probes()
             raise
-        pairs_probed = 0
+        hits = (resolved[0] if len(resolved) == 1 else
+                np.concatenate(resolved) if resolved
+                else np.empty((0, 2), np.int64))
+        query_index = np.arange(len(resolved)).repeat(
+            [len(found) for found in resolved])
+        image_ids, target_index = hits.T
+        pairs_probed = len(hits)
         refined_out = 0
-        pairs_by_image: dict[int, list[tuple[int, int]]] = {}
-        for q_index, (region, found) in enumerate(
-                zip(query_regions, resolved)):
-            pairs_probed += len(found)
-            for image_id, t_index in found:
-                if qp.refine_epsilon is not None:
-                    target = self.images[image_id].regions[t_index]
-                    if region.refined_distance(target) > qp.refine_epsilon:
-                        refined_out += 1
-                        continue
-                pairs_by_image.setdefault(image_id, []).append(
-                    (q_index, t_index))
+        if qp.refine_epsilon is not None and pairs_probed:
+            keep = self._refined(query_regions, query_index, image_ids,
+                                 target_index, qp.refine_epsilon)
+            refined_out = pairs_probed - int(np.count_nonzero(keep))
+            query_index, image_ids, target_index = (
+                query_index[keep], image_ids[keep], target_index[keep])
         delta = self.index.counters.delta(before)
         metrics = get_metrics()
         if metrics.enabled:
@@ -869,7 +954,37 @@ class WalrusDatabase:
             pairs_refined_out=refined_out,
             probes_shared=shared_hits,
         )
-        return pairs_by_image, counts
+        return (CandidatePairs.group(image_ids, query_index, target_index),
+                counts)
+
+    def _refined(self, query_regions: Sequence[Region],
+                 query_index: np.ndarray, image_ids: np.ndarray,
+                 target_index: np.ndarray, epsilon: float) -> np.ndarray:
+        """Which pairs pass Section 5.5's refined check: their regions'
+        refined signatures within ``epsilon``, every pair's rows read
+        at once.
+
+        ``Region.refined_distance`` takes the 1-D norm, whose sum runs
+        in another order than the row sums here: the two differ by a
+        few ulps at most, so a distance within 1e-9 of ``epsilon``
+        (relative; 1e-150 absolute, for an ``epsilon`` of 0) is taken
+        again the way ``refined_distance`` takes it, and every decision
+        is the same as pair by pair.
+        """
+        ids, image = np.unique(image_ids, return_inverse=True)
+        tables = [self.images.table(image_id) for image_id in ids.tolist()]
+        counts = np.fromiter(map(len, tables), np.int64, len(tables))
+        refined = np.concatenate([cast(np.ndarray, table.refined)
+                                  for table in tables])
+        diff = (np.array([region.refined for region in query_regions])
+                [query_index]
+                - refined[(np.cumsum(counts) - counts)[image] + target_index])
+        distance = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        for row in np.flatnonzero(np.abs(distance - epsilon)
+                                  <= 1e-9 * (distance + epsilon)
+                                  + 1e-150).tolist():
+            distance[row] = np.linalg.norm(diff[row])
+        return distance <= epsilon
 
     # ------------------------------------------------------------------
     # Persistence

@@ -8,11 +8,12 @@ three ways to score Definition 4.3's similarity:
   each side and measure the covered area.  Linear in the number of
   pairs; a region may participate in any number of pairs (the relaxed
   reading of Definition 4.2).  This is what the paper's retrieval
-  experiments use.  :func:`quick_match_many` scores every candidate
-  image of a query in one numpy pass over the regions' block matrices
-  (a decoded image's :attr:`RegionRows.blocks
-  <repro.core.catalog.RegionRows.blocks>`, so no target
-  :class:`Region` is built); :func:`quick_match` is its batch of one.
+  experiments use.  :func:`quick_cover` is its one kernel: every
+  candidate of a query in one numpy pass over packed bitmap rows (the
+  catalog's :class:`~repro.core.catalog.CandidateRows`, so no
+  candidate object is built), the pairs grouped by image as
+  :class:`CandidatePairs`.  :func:`quick_match_many` packs regions for
+  it; :func:`quick_match` is a batch of one.
 * :func:`greedy_match` — enforce the one-to-one similar-region-pair-set
   of Definition 4.2 by repeatedly taking the pair with the largest
   marginal covered area (the paper's ``O(n^2)`` heuristic for the
@@ -23,26 +24,25 @@ three ways to score Definition 4.3's similarity:
 
 All three return a :class:`MatchOutcome` whose ``similarity`` follows
 the configured ``area_mode`` denominator (Section 4 lists the
-variations).  :func:`match_candidates` scores all of a query's
-candidate images with the named algorithm.
+variations); :data:`MATCHERS` names them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Sequence
+from functools import cached_property
+from typing import Any, Iterator, Sequence, cast
 
 import numpy as np
 
 from repro.core.bitmap import CoverageBitmap, block_sizes
-from repro.core.catalog import RegionRows
+from repro.core.catalog import CandidateRows, RegionRows
 from repro.core.regions import Region
 from repro.exceptions import ParameterError
 from repro.observability import Deadline, get_metrics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchOutcome:
     """Result of scoring one query/target image pair.
 
@@ -62,15 +62,18 @@ class MatchOutcome:
     target_covered: int
 
 
-def _similarity(query_covered: int, target_covered: int, query_area: int,
-                target_area: int, area_mode: str) -> float:
+def similarity(query_covered: Any, target_covered: Any, query_area: Any,
+               target_area: Any, area_mode: str) -> Any:
+    """Definition 4.3's ratio under ``area_mode``, of integer pixel
+    counts or of arrays of them (float64 quotients of exact integers:
+    the same bits either way)."""
     if area_mode == "both":
         return (query_covered + target_covered) / (query_area + target_area)
     if area_mode == "query":
         return query_covered / query_area
     if area_mode == "smaller":
         return (query_covered + target_covered) / (
-            2 * min(query_area, target_area))
+            2 * np.minimum(query_area, target_area))
     raise ParameterError(f"unknown area_mode {area_mode!r}")
 
 
@@ -79,41 +82,130 @@ def _empty_like(regions: Sequence[Region]) -> CoverageBitmap:
     return CoverageBitmap(bitmap.height, bitmap.width, bitmap.grid)
 
 
-def _block_rows(regions: Sequence[Region], rows: np.ndarray | None = None
-                ) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """The coverage blocks of ``regions[r]`` for each ``r`` in ``rows``
-    (every region when ``None``) as a ``(len(rows), G * G)`` bool
-    matrix, and the ``(height, width, grid)`` of the image they cover.
-    A :class:`RegionRows` hands out its unpacked column (no
-    :class:`Region` built); a list is read at those rows only."""
-    if isinstance(regions, RegionRows):
-        blocks = regions.blocks.reshape(len(regions), -1)
-        return (blocks if rows is None else blocks[rows],
-                (regions.height, regions.width, regions.grid))
-    bitmaps = [region.bitmap for region in
-               (regions if rows is None else
-                [regions[r] for r in rows.tolist()])]
+#: Below this many pairs numpy's stable ``argsort`` (timsort) groups
+#: them fastest; above it, a sort of distinct keys (4x faster at 2,000
+#: pairs, 7x at 10,000; numpy 2.4, one core).
+_STABLE_SORT_MAX = 512
+
+
+@dataclass(eq=False)
+class CandidatePairs:
+    """A query's matched region pairs, grouped by candidate image.
+
+    Candidate ``c`` is image ``image_ids[c]``; its pairs are entries
+    ``starts[c]`` up to ``starts[c + 1]`` of ``query_index`` /
+    ``target_index`` (its query and target region indexes), in the
+    order the probe found them, and ``candidate`` names each entry's
+    candidate.  Every candidate has a pair.
+    """
+
+    image_ids: np.ndarray
+    starts: np.ndarray
+    candidate: np.ndarray
+    query_index: np.ndarray
+    target_index: np.ndarray
+
+    @classmethod
+    def group(cls, image_ids: np.ndarray, query_index: np.ndarray,
+              target_index: np.ndarray) -> "CandidatePairs":
+        """Pairs ``(query_index[k], target_index[k])`` of image
+        ``image_ids[k]``, grouped by image, ids increasing, each
+        image's pairs in their order (a stable sort of the ids)."""
+        count = len(image_ids)
+        if count < _STABLE_SORT_MAX:
+            order = image_ids.argsort(kind="stable")
+        else:
+            # The keys id * n + k are distinct, so any sort of them is
+            # the stable sort of the ids.
+            key = image_ids * count
+            key += np.arange(count)
+            key.sort()
+            order = key % count
+        ids = image_ids[order]
+        first = np.empty(count, dtype=bool)
+        first[:1] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        candidate = np.add.accumulate(first, dtype=np.intp)
+        candidate -= 1
+        return cls(ids[starts], starts, candidate, query_index[order],
+                   target_index[order])
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    @cached_property
+    def _pairs(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Where each candidate's pairs start and end, and every pair
+        as a tuple."""
+        return (self.starts.tolist() + [len(self.query_index)],
+                list(zip(self.query_index.tolist(),
+                         self.target_index.tolist())))
+
+    def pairs(self, candidate: int) -> tuple[tuple[int, int], ...]:
+        """Candidate ``candidate``'s ``(query, target)`` index pairs."""
+        bounds, pairs = self._pairs
+        return tuple(pairs[bounds[candidate]:bounds[candidate + 1]])
+
+    def items(self) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+        """``(image_id, pairs)`` per candidate, ids increasing."""
+        for candidate, image_id in enumerate(self.image_ids.tolist()):
+            yield image_id, list(self.pairs(candidate))
+
+
+def pack_regions(regions: Sequence[Region]
+                 ) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """``regions``' bitmaps as :meth:`CoverageBitmap.pack` rows, and
+    the ``(height, width, grid)`` of the image they cover."""
+    bitmaps = [region.bitmap for region in regions]
     geometries = {(bitmap.height, bitmap.width, bitmap.grid)
                   for bitmap in bitmaps}
     if len(geometries) > 1:
         raise ParameterError("the regions' bitmaps cover different images")
-    return (np.array([bitmap.blocks for bitmap in bitmaps])
-            .reshape(len(bitmaps), -1), geometries.pop())
+    blocks = np.array([bitmap.blocks for bitmap in bitmaps], dtype=bool)
+    return (np.packbits(blocks.reshape(len(bitmaps), -1), axis=1),
+            geometries.pop())
 
 
-def _segment_covered(rows: np.ndarray, starts: list[int],
-                     sizes: np.ndarray) -> list[int]:
-    """Pixels covered by the OR of each run of bool ``rows`` from one
-    of ``starts`` to the next (``sizes``: each block's pixels, one row
-    or one per run).  Bools are the bytes 0 and 1, so OR-ing them eight
-    to a ``uint64`` word is exact; over 350 rows of 256 blocks that
-    ``reduceat`` takes ~21 us against ~330 us for
-    ``np.logical_or.reduceat`` over the bools themselves (numpy 2.4,
-    one Xeon core)."""
+def _union_pixels(rows: np.ndarray, starts: np.ndarray, grid: int,
+                  sizes: np.ndarray, shape: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Pixels covered by the OR of each run of packed ``rows`` from one
+    of ``starts`` to the next, run ``c`` weighed by row ``shape[c]`` of
+    ``sizes`` (each block's pixels; ``shape`` may be left out when
+    ``sizes`` is one row).  The packed words are OR-ed eight
+    bytes at a time when the rows allow; only the unions are
+    unpacked."""
     word = np.uint64 if rows.shape[1] % 8 == 0 else np.uint8
-    unions = np.bitwise_or.reduceat(rows.view(word), starts,
-                                    axis=0).view(bool)
-    return (unions * sizes).sum(axis=1).tolist()
+    unions = np.bitwise_or.reduceat(rows.view(word), starts, axis=0)
+    bits = np.unpackbits(unions.view(np.uint8), axis=1, count=grid * grid)
+    if len(sizes) == 1:
+        return bits @ sizes[0]
+    return np.einsum("ij,ij->i", bits,
+                     sizes.take(cast(np.ndarray, shape), axis=0))
+
+
+def quick_cover(query: np.ndarray, query_shape: tuple[int, int],
+                targets: CandidateRows, pairs: CandidatePairs
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Section 5.5's quick matching as one array pass: the pixels each
+    candidate's matched regions cover, in the query (packed rows
+    ``query`` over a ``query_shape`` image) and in the candidate
+    (``targets``, the candidates' rows in ``pairs``' order).
+
+    Each pair's two packed rows are gathered — the target's at its
+    candidate's offset plus its region index — and OR-ed per candidate
+    in one ``reduceat``; each union is unpacked and weighed by its
+    image's block sizes.
+    """
+    grid = targets.grid
+    target_rows = targets.bitmaps.take(
+        targets.offsets[pairs.candidate] + pairs.target_index, axis=0)
+    query_sizes = block_sizes(*query_shape, grid).reshape(1, -1)
+    return (_union_pixels(query.take(pairs.query_index, axis=0),
+                          pairs.starts, grid, query_sizes),
+            _union_pixels(target_rows, pairs.starts, grid, targets.sizes,
+                          targets.shape))
 
 
 def quick_match_many(query_regions: Sequence[Region],
@@ -123,46 +215,59 @@ def quick_match_many(query_regions: Sequence[Region],
                      deadline: Deadline | None = None
                      ) -> list[MatchOutcome]:
     """Bitmap-union similarity of the query against every candidate
-    ``targets[c]`` by its ``pair_lists[c]``, in one pass.
+    ``targets[c]`` by its ``pair_lists[c]``: :func:`quick_cover` over
+    the regions' packed bitmaps.
 
-    Each pair's query and target rows are gathered from the two sides'
-    block matrices, OR-ed per candidate in one ``reduceat``, and each
-    union's covered pixels are counted against its image's block sizes
-    (targets may differ in size, not in grid).
+    A :class:`RegionRows` target hands over its table's packed rows
+    (no :class:`Region` built); a list is packed at its paired rows
+    only.  Targets may differ in size, not in grid.
     """
     get_metrics().counter("matching.quick_calls").inc(len(pair_lists))
     outcomes = [MatchOutcome(0.0, (), 0, 0)] * len(pair_lists)
     live = [c for c, pairs in enumerate(pair_lists) if pairs]
     if not live:
         return outcomes
-    query_blocks, (height, width, grid) = _block_rows(query_regions)
-    counts = [len(pair_lists[c]) for c in live]
-    indices = np.fromiter(
-        chain.from_iterable(chain.from_iterable(pair_lists[c] for c in live)),
-        dtype=np.intp, count=2 * sum(counts)).reshape(-1, 2)
-    starts = list(accumulate(counts[:-1], initial=0))
-    target_rows, geometries = [], []
-    for c, start, count in zip(live, starts, counts):
+    query, (height, width, grid) = pack_regions(query_regions)
+    rows, geometries, target_index = [], [], []
+    for c in live:
         if deadline is not None:
             deadline.check("matching.quick_match")
-        rows, geometry = _block_rows(targets[c],
-                                     indices[start:start + count, 1])
-        target_rows.append(rows)
-        geometries.append(geometry)
-    if len({t_grid for _, _, t_grid in geometries}) > 1:
+        paired = [t_index for _, t_index in pair_lists[c]]
+        target = targets[c]
+        if isinstance(target, RegionRows):
+            rows.append(target.table.bitmaps)
+            geometries.append((target.height, target.width, target.grid))
+            target_index += np.arange(len(target))[paired].tolist()
+        else:
+            packed, geometry = pack_regions(
+                [target[t_index] for t_index in paired])
+            rows.append(packed)
+            geometries.append(geometry)
+            target_index += range(len(paired))
+    if len({t_grid for _, _, t_grid in geometries} | {grid}) > 1:
         raise ParameterError("the candidates' bitmaps use different grids")
-    query_covered = _segment_covered(
-        query_blocks[indices[:, 0]], starts,
-        block_sizes(height, width, grid).ravel())
-    target_covered = _segment_covered(
-        np.concatenate(target_rows), starts,
-        np.array([block_sizes(*geometry).ravel() for geometry in geometries]))
-    for c, q_covered, t_covered, (t_height, t_width, _) in zip(
-            live, query_covered, target_covered, geometries):
-        outcomes[c] = MatchOutcome(
-            _similarity(q_covered, t_covered, height * width,
-                        t_height * t_width, area_mode),
-            tuple(pair_lists[c]), q_covered, t_covered)
+    shapes = list(dict.fromkeys(geometries))
+    shape = np.array([shapes.index(geometry) for geometry in geometries])
+    counts = [len(pair_lists[c]) for c in live]
+    row_counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    pairs = CandidatePairs(
+        np.array(live), np.cumsum(counts) - counts,
+        np.repeat(np.arange(len(live)), counts),
+        np.array([q for c in live for q, _ in pair_lists[c]], dtype=np.intp),
+        np.array(target_index, dtype=np.intp))
+    sizes = np.array([block_sizes(*geometry).ravel() for geometry in shapes])
+    targets_rows = CandidateRows(
+        pairs.image_ids, np.cumsum(row_counts) - row_counts,
+        np.concatenate(rows), shape, sizes, sizes.sum(axis=1)[shape], grid)
+    query_covered, target_covered = quick_cover(query, (height, width),
+                                                targets_rows, pairs)
+    values = similarity(query_covered, target_covered, height * width,
+                        targets_rows.areas, area_mode)
+    for c, value, q_covered, t_covered in zip(
+            live, values.tolist(), query_covered.tolist(),
+            target_covered.tolist()):
+        outcomes[c] = MatchOutcome(value, tuple(pair_lists[c]), q_covered,
+                                   t_covered)
     return outcomes
 
 
@@ -223,9 +328,10 @@ def greedy_match(query_regions: list[Region],
     query_covered = query_union.covered_pixels
     target_covered = target_union.covered_pixels
     return MatchOutcome(
-        _similarity(query_covered, target_covered,
-                    query_union.height * query_union.width,
-                    target_union.height * target_union.width, area_mode),
+        float(similarity(query_covered, target_covered,
+                         query_union.height * query_union.width,
+                         target_union.height * target_union.width,
+                         area_mode)),
         tuple(chosen), query_covered, target_covered,
     )
 
@@ -291,9 +397,10 @@ def exact_match(query_regions: list[Region],
 
     recurse(0, set(), set(), query_union, target_union, [])
     return MatchOutcome(
-        _similarity(best["q"], best["t"],
-                    query_union.height * query_union.width,
-                    target_union.height * target_union.width, area_mode),
+        float(similarity(best["q"], best["t"],
+                         query_union.height * query_union.width,
+                         target_union.height * target_union.width,
+                         area_mode)),
         best["chosen"], best["q"], best["t"],
     )
 
@@ -301,25 +408,3 @@ def exact_match(query_regions: list[Region],
 #: The per-candidate matchers, by ``QueryParameters.matching`` name.
 MATCHERS = {"quick": quick_match, "greedy": greedy_match,
             "exact": exact_match}
-
-
-def match_candidates(matching: str, query_regions: Sequence[Region],
-                     targets: Sequence[Sequence[Region]],
-                     pair_lists: Sequence[list[tuple[int, int]]], *,
-                     area_mode: str = "both",
-                     deadline: Deadline | None = None
-                     ) -> list[MatchOutcome]:
-    """Score every candidate ``targets[c]`` by its ``pair_lists[c]``
-    with the ``matching`` algorithm: one :func:`quick_match_many` pass
-    for ``"quick"``, a ``MATCHERS`` call per candidate otherwise."""
-    if matching == "quick":
-        return quick_match_many(query_regions, targets, pair_lists,
-                                area_mode=area_mode, deadline=deadline)
-    matcher = MATCHERS[matching]
-    outcomes = []
-    for target_regions, pairs in zip(targets, pair_lists):
-        if deadline is not None:
-            deadline.check("query.match")
-        outcomes.append(matcher(query_regions, target_regions, pairs,
-                                area_mode=area_mode, deadline=deadline))
-    return outcomes

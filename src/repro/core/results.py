@@ -47,7 +47,7 @@ class RegionMatch:
         return self.distance < other.distance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageMatch:
     """One target image that matched the query.
 

@@ -129,6 +129,10 @@ class QueryReport:
         (``extract``, ``probe``, ``match``, ``rank``).
     total_seconds:
         Wall-clock time of the whole query.
+    records_read, bytes_decoded:
+        Image row records the query read from the page store (each
+        read once while its image lives, so 0 once every candidate's
+        rows are held) and their bytes.
     """
 
     query_regions: int
@@ -139,6 +143,8 @@ class QueryReport:
     returned_images: int
     stages: tuple[StageTiming, ...] = field(default=())
     total_seconds: float = 0.0
+    records_read: int = 0
+    bytes_decoded: int = 0
 
     def stage_seconds(self, name: str) -> float:
         """Total seconds across stages called ``name`` (0.0 if absent)."""
@@ -164,6 +170,8 @@ class QueryReport:
             "candidate_images": self.candidate_images,
             "matched_images": self.matched_images,
             "returned_images": self.returned_images,
+            "records_read": self.records_read,
+            "bytes_decoded": self.bytes_decoded,
         }
 
     def to_dict(self) -> dict[str, Any]:
@@ -181,6 +189,8 @@ class QueryReport:
             "candidate_images": self.candidate_images,
             "matched_images": self.matched_images,
             "returned_images": self.returned_images,
+            "records_read": self.records_read,
+            "bytes_decoded": self.bytes_decoded,
             "stages": [{"name": timing.name, "seconds": timing.seconds}
                        for timing in self.stages],
             "total_seconds": self.total_seconds,
@@ -192,13 +202,17 @@ class QueryReport:
 
         Accepts payloads with missing or partial ``stages`` (an event
         row written by an older version, or a query traced without
-        timings); raises :class:`ObservabilityError` on malformed
+        timings) and without ``records_read`` / ``bytes_decoded``
+        (read as 0); raises :class:`ObservabilityError` on malformed
         count fields.
         """
         counts: dict[str, int] = {}
         for name in ("query_regions", "candidate_images",
-                     "matched_images", "returned_images"):
-            value = payload.get(name)
+                     "matched_images", "returned_images", "records_read",
+                     "bytes_decoded"):
+            value = payload.get(name, 0 if name in ("records_read",
+                                                    "bytes_decoded")
+                                else None)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ObservabilityError(
                     f"QueryReport payload field {name!r} must be an "
@@ -223,6 +237,8 @@ class QueryReport:
             candidate_images=counts["candidate_images"],
             matched_images=counts["matched_images"],
             returned_images=counts["returned_images"],
+            records_read=counts["records_read"],
+            bytes_decoded=counts["bytes_decoded"],
             stages=tuple(stages),
             total_seconds=float(payload.get("total_seconds", 0.0)),
         )
@@ -252,6 +268,8 @@ class QueryReport:
             f"  match:   {self.candidate_images} candidate images -> "
             f"{self.matched_images} over tau -> "
             f"{self.returned_images} returned",
+            f"           {self.records_read} row records read "
+            f"({self.bytes_decoded} bytes)",
         ]
         recorded = [timing.name for timing in self.stages]
         if recorded:

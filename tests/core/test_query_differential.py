@@ -80,6 +80,22 @@ def test_queries_equal_scan_across_database_life(mode, metric, probe_cache,
     database.close()
     with WalrusDatabase.open(path, readonly=True) as reopened:
         assert_equals_oracle(reopened, queries, metric)
+    # One query sees rows decoded from row records, rows of images added
+    # since the checkpoint and the gap of a removed decoded image.
+    with WalrusDatabase.open(path) as writable:
+        regions, _ = writable._query_regions(queries[-1])
+
+        def candidates() -> set[int]:
+            pairs, _ = writable._probe(regions, QueryParameters(metric=metric))
+            return set(pairs.image_ids.tolist())
+
+        assert 11 in candidates()
+        for image in (images[0], images[16]):
+            writable.add_image(image)
+        writable.remove_image(11)
+        assert_equals_oracle(writable, queries, metric)
+        added = set(writable.images.added)
+        assert candidates() & added and candidates() - added
 
 
 def test_probe_cut_short_by_a_deadline_leaves_no_half_answer(images):
