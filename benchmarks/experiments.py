@@ -514,14 +514,14 @@ def region_quality(lab: Lab, scale: Scale) -> Outcome:
             query_regions = database.extractor.extract(query_image)
             geometry = compute_window_set(query_image,
                                           database.params).geometry
-            pairs_by_image, _ = database._probe(
+            pairs, _ = database._probe(
                 query_regions, QueryParameters(epsilon=epsilon))
-            for image_id, region_pairs in pairs_by_image.items():
+            for candidate, image_id in enumerate(pairs.image_ids.tolist()):
                 target_record = database.images[image_id]
                 target_collage = dataset.by_name(target_record.name)
                 target_geometry = compute_window_set(
                     target_collage.image, database.params).geometry
-                for q_index, t_index in region_pairs:
+                for q_index, t_index in pairs.pairs(candidate):
                     query_texture = _dominant_texture(
                         query_collage, query_regions[q_index], geometry)
                     target_texture = _dominant_texture(
@@ -570,15 +570,16 @@ def ablation_matching(lab: Lab, scale: Scale) -> Outcome:
     """
     database, _ = lab.database(scale.ablation_images)
     query_regions = database.extractor.extract(flower_query())
-    pairs_by_image, _ = database._probe(query_regions,
-                                        QueryParameters(epsilon=EPSILON))
+    candidates, _ = database._probe(query_regions,
+                                    QueryParameters(epsilon=EPSILON))
 
     rows = []
     ratios = []
     seconds = {"quick": 0.0, "greedy": 0.0, "exact": 0.0}
     greedy_below_quick = True
     exact_between = True
-    for image_id, pairs in sorted(pairs_by_image.items()):
+    for candidate, image_id in enumerate(candidates.image_ids.tolist()):
+        pairs = list(candidates.pairs(candidate))
         target = database.images[image_id]
         elapsed, quick = timed(quick_match, query_regions, target.regions,
                                pairs)

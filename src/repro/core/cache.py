@@ -108,12 +108,6 @@ class LRUCache:
             self._data.popitem(last=False)
             self._mirror("evictions")
 
-    def replace(self, key: Hashable, value: Any) -> None:
-        """Swap the value of a held ``key``, keeping its recency; a
-        no-op when ``key`` is not held."""
-        if key in self._data:
-            self._data[key] = value
-
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         self._data.clear()

@@ -349,9 +349,9 @@ class ImageColumns:
 class CandidateRows:
     """The packed coverage rows of a set of images: image ``ids[c]``'s
     region *i* is row ``offsets[c] + i`` of ``bitmaps``
-    (:meth:`CoverageBitmap.pack` rows on a ``grid x grid`` grid; other
-    images' rows may lie between), and its image's block sizes are row
-    ``shape[c]`` of ``sizes`` (:func:`block_sizes`, flattened)."""
+    (:meth:`CoverageBitmap.pack` rows on a ``grid x grid`` grid), and
+    its image's block sizes are row ``shape[c]`` of ``sizes``
+    (:func:`block_sizes`, flattened)."""
 
     ids: np.ndarray
     offsets: np.ndarray
@@ -361,71 +361,6 @@ class CandidateRows:
     #: Each image's pixels.
     areas: np.ndarray
     grid: int
-
-
-class _HeldRows:
-    """The packed bitmaps of the images a :class:`CatalogImages` has
-    handed out rows of, end to end, each image's rows appended once.
-    Row ``image_id`` of ``_first`` is that image's first row in
-    ``_pool`` (-1: not held) and of ``_shape`` its geometry's row in
-    ``_sizes`` and ``_areas``."""
-
-    def __init__(self, grid: int) -> None:
-        self._grid = grid
-        self._pool = np.zeros((0, (grid * grid + 7) // 8), np.uint8)
-        self._used = 0
-        self._first = np.full(0, -1, np.int64)
-        self._shape = np.zeros(0, np.int64)
-        self._shapes: dict[tuple[int, int], int] = {}
-        self._sizes = np.zeros((0, grid * grid), np.int64)
-        self._areas = np.zeros(0, np.int64)
-
-    def missing(self, image_ids: np.ndarray) -> np.ndarray:
-        """Those of ``image_ids`` (increasing) not held."""
-        if len(image_ids) and image_ids[-1] >= len(self._first):
-            size = 2 * int(image_ids[-1]) + 2
-            self._first = np.concatenate(
-                [self._first, np.full(size - len(self._first), -1)])
-            self._shape = np.concatenate(
-                [self._shape, np.zeros(size - len(self._shape), np.int64)])
-        return image_ids[self._first[image_ids] < 0]
-
-    def append(self, image_ids: np.ndarray, tables: list[RegionTable],
-               geometries: list[tuple[int, int]]) -> None:
-        """Hold each ``tables[i]``'s bitmaps as image ``image_ids[i]``'s,
-        over a ``geometries[i]`` image."""
-        bitmaps = np.concatenate([table.bitmaps for table in tables])
-        start, self._used = self._used, self._used + len(bitmaps)
-        if self._used > len(self._pool):
-            # Capacity doubles: appending stays linear overall.
-            pool = np.zeros((2 * self._used, self._pool.shape[1]), np.uint8)
-            pool[:start] = self._pool[:start]
-            self._pool = pool
-        self._pool[start:self._used] = bitmaps
-        counts = np.fromiter(map(len, tables), np.int64, len(tables))
-        self._first[image_ids] = start + counts.cumsum() - counts
-        self._shape[image_ids] = [self._shape_of(geometry)
-                                  for geometry in geometries]
-
-    def _shape_of(self, geometry: tuple[int, int]) -> int:
-        shape = self._shapes.setdefault(geometry, len(self._shapes))
-        if shape == len(self._sizes):
-            self._sizes = np.vstack([self._sizes, block_sizes(
-                *geometry, self._grid).reshape(1, -1)])
-            self._areas = self._sizes.sum(axis=1)
-        return shape
-
-    def drop(self, image_id: int) -> None:
-        """Forget a removed image's rows."""
-        if image_id < len(self._first):
-            self._first[image_id] = -1
-
-    def rows(self, image_ids: np.ndarray) -> CandidateRows:
-        """The held images ``image_ids``' rows."""
-        shape = self._shape[image_ids]
-        return CandidateRows(image_ids, self._first[image_ids], self._pool,
-                             shape, self._sizes, self._areas[shape],
-                             self._grid)
 
 
 class CatalogImages(Mapping[int, IndexedImage]):
@@ -465,10 +400,15 @@ class CatalogImages(Mapping[int, IndexedImage]):
         self._built: dict[int, IndexedImage] = {}
         self._added: dict[int, IndexedImage] = {}
         self._removed: set[int] = set()
-        #: Each live image's rows once read, packed, by id.
-        self._tables: dict[int, RegionTable] = {}
-        #: The packed bitmaps :meth:`rows` has handed out (made then).
-        self._held: _HeldRows | None = None
+        #: Each live image's rows once read, packed, and its geometry's
+        #: row of ``_sizes``, by id.
+        self._tables: dict[int, tuple[RegionTable, int]] = {}
+        #: The block sizes (flattened) and pixels of each image geometry
+        #: met, its row by ``(height, width)`` in ``_geometries``.
+        self._geometries: dict[tuple[int, int], int] = {}
+        grid = params.bitmap_grid
+        self._sizes = np.zeros((0, grid * grid), np.int64)
+        self._areas = np.zeros(0, np.int64)
         #: The names looked up so far, by id.
         self._names: dict[int, str] = {}
         self.records_read = 0
@@ -499,81 +439,88 @@ class CatalogImages(Mapping[int, IndexedImage]):
         columns = self._columns
         image_id, count = int(columns.ids[row]), int(columns.counts[row])
         if self._inline is None:
-            return partial(self._read, image_id, count)
+            return partial(self._read, image_id, count,
+                           (int(columns.heights[row]),
+                            int(columns.widths[row])))
         if self._row_starts is None:
             self._row_starts = np.cumsum(columns.counts) - columns.counts
         start = int(self._row_starts[row])
         return partial(self._inline.rows, start, start + count)
 
-    def _read(self, image_id: int, count: int) -> RegionTable:
+    def _read(self, image_id: int, count: int,
+              geometry: tuple[int, int]) -> RegionTable:
         """Image ``image_id``'s ``count`` rows, from its row record
-        (once while the image is live)."""
-        table = self._tables.get(image_id)
-        if table is None:
+        (once while the image is live); ``geometry`` is its ``(height,
+        width)``."""
+        entry = self._tables.get(image_id)
+        if entry is None:
             blob = self._store.read_blob(image_id)
             self.records_read += 1
             self.bytes_decoded += len(blob)
-            table = _decode_row_record(blob, image_id, self._params, count,
-                                       self._source)
-            if image_id not in self._removed:
-                self._tables[image_id] = table
-        return table
+            entry = (_decode_row_record(blob, image_id, self._params, count,
+                                        self._source),
+                     self._geometry(geometry))
+            if image_id in self:
+                self._tables[image_id] = entry
+        return entry[0]
 
-    def table(self, image_id: int) -> RegionTable:
-        """A live image's rows, as packed columns: kept once read.  An
-        added image's are built from its regions on first use."""
-        table = self._tables.get(image_id)
-        if table is None:
+    def _geometry(self, geometry: tuple[int, int]) -> int:
+        """The row of ``_sizes`` of a ``(height, width)`` image."""
+        shape = self._geometries.setdefault(geometry, len(self._geometries))
+        if shape == len(self._sizes):
+            sizes = block_sizes(*geometry, self._params.bitmap_grid)
+            self._sizes = np.vstack([self._sizes, sizes.reshape(1, -1)])
+            self._areas = self._sizes.sum(axis=1)
+        return shape
+
+    def _entry(self, image_id: int) -> tuple[RegionTable, int]:
+        """A live image's rows and its geometry's row of ``_sizes``:
+        kept once read.  An added image's rows are built from its
+        regions on first use."""
+        entry = self._tables.get(image_id)
+        if entry is None:
             record = self._added.get(image_id)
-            if record is not None:
-                table = RegionTable.from_regions(
-                    record.regions, self._params, record.height,
-                    record.width)
-            else:
+            if record is None:
                 row = self._row(image_id)
                 if row is None:
                     raise KeyError(image_id)
                 table = self._loader(row)()
-            self._tables[image_id] = table
-        return table
+                geometry = (int(self._columns.heights[row]),
+                            int(self._columns.widths[row]))
+            else:
+                table = RegionTable.from_regions(
+                    record.regions, self._params, record.height,
+                    record.width)
+                geometry = (record.height, record.width)
+            entry = self._tables[image_id] = (table,
+                                              self._geometry(geometry))
+        return entry
+
+    def table(self, image_id: int) -> RegionTable:
+        """A live image's rows, as packed columns: kept once read.  An
+        added image's are built from its regions on first use."""
+        return self._entry(image_id)[0]
 
     def rows(self, image_ids: np.ndarray, *,
              deadline: Deadline | None = None) -> CandidateRows:
         """The packed coverage rows of the live images ``image_ids``
-        (increasing), with their geometry.  Builds no record; the
-        images not held yet are read (a row record once while the image
-        lives) and their bitmaps appended to the rows held, so a query
-        whose candidates are all held runs no loop per image."""
-        held = self._held
-        if held is None:
-            held = self._held = _HeldRows(self._params.bitmap_grid)
-        missing = held.missing(image_ids)
-        if len(missing):
-            held.append(missing, *self._read_all(missing, deadline))
-        return held.rows(image_ids)
-
-    def _read_all(self, image_ids: np.ndarray, deadline: Deadline | None
-                  ) -> tuple[list[RegionTable], list[tuple[int, int]]]:
-        """The rows and the ``(height, width)`` of the live images
-        ``image_ids``."""
-        columns = self._columns
-        tables, geometries = [], []
-        for image_id, row in zip(image_ids.tolist(),
-                                 columns.ids.searchsorted(image_ids).tolist()):
-            if deadline is not None:
-                deadline.check("catalog.rows")
-            record = self._added.get(image_id)
-            if record is not None:
-                tables.append(self.table(image_id))
-                geometries.append((record.height, record.width))
-                continue
-            table = self._tables.get(image_id)
-            if table is None:
-                table = self._tables[image_id] = self._loader(row)()
-            tables.append(table)
-            geometries.append((int(columns.heights[row]),
-                               int(columns.widths[row])))
-        return tables, geometries
+        (increasing), with their geometry: each image's :meth:`table`
+        bitmaps, end to end.  Builds no record; an image's row record
+        is read once while the image lives."""
+        bitmaps, shapes = [], []
+        for image_id in image_ids.tolist():
+            entry = self._tables.get(image_id)
+            if entry is None:
+                if deadline is not None:
+                    deadline.check("catalog.rows")
+                entry = self._entry(image_id)
+            bitmaps.append(entry[0].bitmaps)
+            shapes.append(entry[1])
+        counts = np.fromiter(map(len, bitmaps), np.int64, len(bitmaps))
+        shape = np.array(shapes, dtype=np.intp)
+        return CandidateRows(image_ids, counts.cumsum() - counts,
+                             np.concatenate(bitmaps), shape, self._sizes,
+                             self._areas[shape], self._params.bitmap_grid)
 
     def names(self, image_ids: Iterable[int]) -> list[str]:
         """The names of the live images ``image_ids``, read from the
@@ -590,10 +537,12 @@ class CatalogImages(Mapping[int, IndexedImage]):
         record = self._added.get(image_id)
         if record is not None:
             return record.name
+        return self._column_name(cast(int, self._row(image_id)))
+
+    def _column_name(self, row: int) -> str:
         columns = self._columns
         if self._name_ends is None:
             self._name_ends = np.cumsum(columns.name_sizes)
-        row = cast(int, self._row(image_id))
         end = int(self._name_ends[row])
         return columns.names[end - int(columns.name_sizes[row]):
                              end].decode("utf-8")
@@ -604,8 +553,7 @@ class CatalogImages(Mapping[int, IndexedImage]):
             int(column[row]) for column in (
                 columns.ids, columns.heights, columns.widths,
                 columns.counts))
-        return IndexedImage(image_id, self.names([image_id])[0], height,
-                            width,
+        return IndexedImage(image_id, self._column_name(row), height, width,
                             RegionRows(self._loader(row), count, height,
                                        width, self._params.bitmap_grid))
 
@@ -640,16 +588,15 @@ class CatalogImages(Mapping[int, IndexedImage]):
 
     def _pop(self, image_id: int) -> IndexedImage | None:
         """Remove ``image_id``; its record, or ``None`` if not held."""
-        self._tables.pop(image_id, None)
-        self._names.pop(image_id, None)
-        if self._held is not None:
-            self._held.drop(image_id)
         record = self._added.pop(image_id, None)
         if record is None and image_id in self:
             record = self[image_id]
             del self._built[image_id]
             self._removed.add(image_id)
+        self._tables.pop(image_id, None)
+        self._names.pop(image_id, None)
         return record
+
     @property
     def rows_inline(self) -> bool:
         """Whether the columns' rows are still a version-1 record's

@@ -89,18 +89,34 @@ def _checked_type(name: str, value: Any, kind: type) -> Any:
 
 def _hit_array(items: Iterable[tuple[int, int]], count: int) -> np.ndarray:
     """``count`` probe hits ``(image_id, region_index)`` as a read-only
-    ``(count, 2)`` int array: a probe-cache entry."""
+    ``(2, count)`` int array, the image ids in row 0 and the region
+    indexes in row 1."""
     hits = np.fromiter(chain.from_iterable(items), np.int64,
-                       2 * count).reshape(count, 2)
+                       2 * count).reshape(count, 2).T.copy()
     hits.setflags(write=False)
     return hits
 
 
-class _Pending:
-    """A probe-cache placeholder for a point probe that waits for the
-    query's walk of the tree; ``hits`` is its entry once it has run."""
+class _ProbeEntry:
+    """A probe-cache entry: one region's hits (a :func:`_hit_array`;
+    ``None`` while a point probe waits for the query's walk of the
+    tree) and, made on first use, the pairs of a query of that region
+    alone."""
 
-    __slots__ = ("hits",)
+    __slots__ = ("hits", "_alone")
+
+    def __init__(self, hits: np.ndarray | None = None) -> None:
+        self.hits = hits
+        self._alone: CandidatePairs | None = None
+
+    def alone(self) -> CandidatePairs:
+        """The hits grouped by image as query region 0's pairs (kept:
+        every query of this one region shares them)."""
+        if self._alone is None:
+            image_ids, target_index = cast(np.ndarray, self.hits)
+            self._alone = CandidatePairs.group(
+                image_ids, np.zeros(len(image_ids), np.intp), target_index)
+        return self._alone
 
 
 class WalrusDatabase:
@@ -840,9 +856,13 @@ class WalrusDatabase:
         Per-region probe results are memoized in an LRU keyed by
         ``(signature, epsilon, metric)`` plus the index generation, so
         re-running a query (or sweeping ``tau``/``refine_epsilon``,
-        which act downstream of the probe) skips the tree.  An entry is
-        the region's hits as an ``(n, 2)`` int array of image ids and
-        region indexes, built once, when the probe runs.
+        which act downstream of the probe) skips the tree.  An entry
+        (:class:`_ProbeEntry`) holds the region's hits as a ``(2, n)``
+        int array, a row of image ids over a row of region indexes,
+        built once, when the probe runs.  A query of one region and no
+        refined check takes the entry's own grouping of them, made
+        once; any other query concatenates its entries' hits and groups
+        them.
 
         ``shared`` is :meth:`query_batch`'s batch-scoped probe table,
         keyed identically; it is consulted before the LRU and filled
@@ -870,12 +890,12 @@ class WalrusDatabase:
         cache_hits = 0
         cache_misses = 0
         shared_hits = 0
-        resolved: list[Any] = []
-        # Point signatures that missed, each with the placeholder filed
-        # under its key until the walk returns: a signature repeated
-        # later in this query finds it, as it found the finished entry
-        # when every region walked the tree by itself.
-        pending: list[tuple[np.ndarray, Any, _Pending]] = []
+        resolved: list[_ProbeEntry] = []
+        # Point signatures that missed, each with the entry filed under
+        # its key before the walk fills it: a signature repeated later
+        # in this query finds it, as it found the finished entry when
+        # every region walked the tree by itself.
+        pending: list[tuple[np.ndarray, _ProbeEntry]] = []
         try:
             for region in query_regions:
                 if deadline is not None:
@@ -892,14 +912,14 @@ class WalrusDatabase:
                     if found is None:
                         cache_misses += 1
                         if signature.is_point:
-                            found = _Pending()
-                            pending.append((signature.centroid, cache_key,
-                                            found))
+                            found = _ProbeEntry()
+                            pending.append((signature.centroid, found))
                         else:
                             items = self.index.search(
                                 signature.to_rect().expand(qp.epsilon),
                                 deadline=deadline)
-                            found = _hit_array(items, len(items))
+                            found = _ProbeEntry(_hit_array(items,
+                                                           len(items)))
                         self._probe_cache.put(cache_key, found)
                     else:
                         cache_hits += 1
@@ -909,36 +929,37 @@ class WalrusDatabase:
             if pending:
                 # A matrix in, one hit list per row out.
                 batches = cast("list[Hits]", self.index.search_within(
-                    np.stack([point for point, _, _ in pending]),
+                    np.stack([point for point, _ in pending]),
                     qp.epsilon, metric=qp.metric, deadline=deadline))
-                for (_, cache_key, slot), hits in zip(pending, batches):
-                    slot.hits = _hit_array(map(itemgetter(1), hits),
-                                           len(hits))
-                    self._probe_cache.replace(cache_key, slot.hits)
-                    if shared is not None:
-                        shared[cache_key] = slot.hits
-                resolved = [found.hits if isinstance(found, _Pending)
-                            else found for found in resolved]
+                for (_, entry), hits in zip(pending, batches):
+                    entry.hits = _hit_array(map(itemgetter(1), hits),
+                                            len(hits))
         except BaseException:
             if pending:
-                # The placeholders filed above were never filled; retire
-                # them (and ``shared``'s copies, through the generation).
+                # The entries filed above were never filled; retire them
+                # (and ``shared``'s copies, through the generation).
                 self._invalidate_probes()
             raise
-        hits = (resolved[0] if len(resolved) == 1 else
-                np.concatenate(resolved) if resolved
-                else np.empty((0, 2), np.int64))
-        query_index = np.arange(len(resolved)).repeat(
-            [len(found) for found in resolved])
-        image_ids, target_index = hits.T
-        pairs_probed = len(hits)
         refined_out = 0
-        if qp.refine_epsilon is not None and pairs_probed:
-            keep = self._refined(query_regions, query_index, image_ids,
-                                 target_index, qp.refine_epsilon)
-            refined_out = pairs_probed - int(np.count_nonzero(keep))
-            query_index, image_ids, target_index = (
-                query_index[keep], image_ids[keep], target_index[keep])
+        if len(resolved) == 1 and qp.refine_epsilon is None:
+            pairs = resolved[0].alone()
+            pairs_probed = len(pairs.query_index)
+        else:
+            hits = (np.concatenate([entry.hits for entry in resolved],
+                                   axis=1) if resolved
+                    else np.empty((2, 0), np.int64))
+            query_index = np.arange(len(resolved)).repeat(
+                [entry.hits.shape[1] for entry in resolved])
+            image_ids, target_index = hits[0], hits[1]
+            pairs_probed = len(image_ids)
+            if qp.refine_epsilon is not None and pairs_probed:
+                keep = self._refined(query_regions, query_index, image_ids,
+                                     target_index, qp.refine_epsilon)
+                refined_out = pairs_probed - int(np.count_nonzero(keep))
+                query_index, image_ids, target_index = (
+                    query_index[keep], image_ids[keep], target_index[keep])
+            pairs = CandidatePairs.group(image_ids, query_index,
+                                         target_index)
         delta = self.index.counters.delta(before)
         metrics = get_metrics()
         if metrics.enabled:
@@ -954,8 +975,7 @@ class WalrusDatabase:
             pairs_refined_out=refined_out,
             probes_shared=shared_hits,
         )
-        return (CandidatePairs.group(image_ids, query_index, target_index),
-                counts)
+        return pairs, counts
 
     def _refined(self, query_regions: Sequence[Region],
                  query_index: np.ndarray, image_ids: np.ndarray,

@@ -28,6 +28,14 @@ def ranking(result) -> list[tuple[int, float]]:
     return [(match.image_id, match.similarity) for match in result.matches]
 
 
+def triples(pairs) -> list[tuple[int, int, int]]:
+    """A probe's pairs as sorted ``(q_index, image_id, t_index)``."""
+    return sorted((q_index, image_id, t_index)
+                  for candidate, image_id
+                  in enumerate(pairs.image_ids.tolist())
+                  for q_index, t_index in pairs.pairs(candidate))
+
+
 def assert_equals_oracle(database: WalrusDatabase, queries, metric) -> None:
     catalog = {image_id: record.regions
                for image_id, record in database.images.items()}
@@ -39,10 +47,7 @@ def assert_equals_oracle(database: WalrusDatabase, queries, metric) -> None:
             regions, _ = database._query_regions(image)
             expected.append(oracle.answer(catalog, regions, qp))
             pairs, counts = database._probe(regions, qp)
-            assert sorted((q_index, image_id, t_index)
-                          for image_id, found in pairs.items()
-                          for q_index, t_index in found) \
-                == expected[-1]["pairs"]
+            assert triples(pairs) == expected[-1]["pairs"]
             assert counts.pairs_probed - counts.pairs_refined_out \
                 == len(expected[-1]["pairs"])
             assert ranking(database.query(image, qp)) \
@@ -96,6 +101,40 @@ def test_queries_equal_scan_across_database_life(mode, metric, probe_cache,
         assert_equals_oracle(writable, queries, metric)
         added = set(writable.images.added)
         assert candidates() & added and candidates() - added
+
+
+@pytest.mark.parametrize("probe_cache", [None, 0], ids=["cache", "nocache"])
+def test_one_region_queries_equal_scan(probe_cache, images):
+    """A query of one region takes its probe entry's own grouping of
+    the hits, kept for the next such query: cold, warm and after the
+    index changes, it pairs and ranks as the scan does."""
+    params = ExtractionParameters(window_min=16, window_max=32, stride=8,
+                                  refine_signature_size=4)
+    database = WalrusDatabase.create(params=params, max_entries=8,
+                                     probe_cache=probe_cache)
+    database.add_images(images[:12])
+    for first_round in (True, False):
+        catalog = {image_id: record.regions
+                   for image_id, record in database.images.items()}
+        # Image 11's region loses a pair to the refined check; image 3
+        # has one region, and is removed after the first round.
+        for image in (images[11], images[8], images[3]):
+            regions, _ = database._query_regions(image)
+            # The region ``max_regions=1`` keeps.
+            region = regions[min(range(len(regions)), key=lambda i: (
+                -regions[i].covered_pixels, i))]
+            for refine_epsilon in (None, 0.3):
+                qp = QueryParameters(refine_epsilon=refine_epsilon)
+                expected = oracle.answer(catalog, [region], qp)
+                for _ in range(2):
+                    pairs, _ = database._probe([region], qp)
+                    assert triples(pairs) == expected["pairs"]
+                    assert ranking(database.query(image, qp, max_regions=1)) \
+                        == expected["ranked"]
+                assert expected["ranked"]
+        if first_round:
+            database.remove_image(3)
+            database.add_image(images[12])
 
 
 def test_probe_cut_short_by_a_deadline_leaves_no_half_answer(images):

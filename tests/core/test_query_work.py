@@ -6,11 +6,13 @@ database image, cold or warm, at any collection size: the probe's hits
 stay int arrays and the match stage ORs the catalog's packed bitmap
 rows.  The first query that touches a candidate reads its row record,
 once; EXPLAIN counts those reads.  ``nearest_regions`` reads names from
-the image columns and builds none of those objects either.
+the image columns and builds none of those objects either.  What the
+query path keeps per image is dropped with the image.
 """
 
 from __future__ import annotations
 
+import shutil
 from collections import Counter
 
 import pytest
@@ -62,3 +64,26 @@ def test_nearest_regions_builds_no_record(directories, monkeypatch, size):
         assert rows
         assert all(row.name == f"scene-{row.image_id}" for row in rows)
         assert database.images.records_read == 0
+
+
+def test_removed_images_leave_no_rows_held(directories, tmp_path):
+    """A writable handle that keeps adding, querying and removing
+    images holds the rows and names of its live images only."""
+    directory = str(tmp_path / "db")
+    shutil.copytree(directories[20], directory)
+    with WalrusDatabase.open(directory) as database:
+        images = database.images
+        for index in range(100, 130):
+            image_id = database.add_image(scene(index))
+            result = database.query(scene(index), QueryParameters())
+            assert image_id in images._tables
+            assert image_id in {match.image_id for match in result}
+            if index % 5 == 0:
+                # A decoded image goes too, and the changes reach disk.
+                decoded = min(set(images._tables) - {image_id})
+                database.remove_image(decoded)
+                database.checkpoint()
+            database.remove_image(image_id)
+            assert set(images._tables) <= set(images)
+            assert set(images._names) <= set(images)
+        assert len(images) == 14
