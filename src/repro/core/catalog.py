@@ -26,17 +26,18 @@ that knows these layouts.
 Decoding checks the record's sections against its length and each
 other, reads no row record and builds no object per image: the image
 table stays its columns, and :class:`CatalogImages` is the read-only
-mapping over them (plus the images added since, minus the ones
-removed) that builds an :class:`IndexedImage` the first time an id is
-looked up.  A decoded image's ``regions`` is a :class:`RegionRows`, a
-read-only sequence whose first indexing reads the image's row record,
-views it with ``np.frombuffer`` and checks its columns whole (exact
-length, ``lower <= upper`` with no NaN); row *i* becomes a
-:class:`Region` the first time it is indexed and is kept.  Images
-added since the decode hold plain lists.  Quick matching builds none of
-these: :meth:`CatalogImages.rows` hands it the candidates' packed
-bitmap rows (:class:`CandidateRows`), each image's row record read and
-checked once while the image lives.
+mapping over them that builds an :class:`IndexedImage` the first time
+an id is looked up.  The columns always hold exactly the live images:
+adding folds a batch in, removing takes a row out, and a checkpoint
+encodes them as they are.  :meth:`CatalogImages.table` is the one
+source of an image's rows: a row record is viewed with
+``np.frombuffer`` and its columns checked whole (exact length,
+``lower <= upper`` with no NaN), once while the image lives.  An
+image's ``regions`` is a :class:`RegionRows`, a read-only sequence
+over that table; row *i* becomes a :class:`Region` the first time it
+is indexed and is kept.  Quick matching builds none of these:
+:meth:`CatalogImages.rows` hands it the candidates' packed bitmap
+rows (:class:`CandidateRows`).
 
 Record version 1 (2.6–2.11) carried every image's rows in the record
 itself, as one region table; it is decoded as it always was, and the
@@ -281,23 +282,20 @@ class RegionRows(Sequence[Region]):
             None if table.refined is None else table.refined[row])
 
 
+@dataclass(frozen=True, eq=False)
 class IndexedImage:
-    """Book-keeping for one database image.
-
-    ``regions`` is a list for an image added since the catalog was
-    last decoded and a :class:`RegionRows` for one decoded from it;
-    either is read by index, ``len()`` and iteration only.
-    """
+    """One database image, read-only.  ``regions`` is read by index,
+    ``len()`` and iteration only: a :class:`RegionRows` over the image's
+    table when looked up in :class:`CatalogImages`, the extracted
+    regions in a record being added."""
 
     __slots__ = ("image_id", "name", "height", "width", "regions")
 
-    def __init__(self, image_id: int, name: str, height: int, width: int,
-                 regions: Sequence[Region]) -> None:
-        self.image_id = image_id
-        self.name = name
-        self.height = height
-        self.width = width
-        self.regions = regions
+    image_id: int
+    name: str
+    height: int
+    width: int
+    regions: Sequence[Region]
 
     @property
     def area(self) -> int:
@@ -335,14 +333,13 @@ class ImageColumns:
                                   "name_sizes")),
                    b"".join(part.names for part in parts))
 
-    def without(self, ids: Iterable[int]) -> "ImageColumns":
-        """These columns less the rows of ``ids``."""
-        keep = ~np.isin(self.ids, np.fromiter(ids, np.int64))
-        names = np.frombuffer(self.names, np.uint8)[
-            np.repeat(keep, self.name_sizes)].tobytes()
-        return ImageColumns(self.ids[keep], self.heights[keep],
-                            self.widths[keep], self.counts[keep],
-                            self.name_sizes[keep], names)
+    def without(self, row: int) -> "ImageColumns":
+        """These columns less ``row``."""
+        end = int(self.name_sizes[:row + 1].sum())
+        start = end - int(self.name_sizes[row])
+        return ImageColumns(*(np.delete(column, row) for column in (
+            self.ids, self.heights, self.widths, self.counts,
+            self.name_sizes)), self.names[:start] + self.names[end:])
 
 
 @dataclass(eq=False)
@@ -364,25 +361,26 @@ class CandidateRows:
 
 
 class CatalogImages(Mapping[int, IndexedImage]):
-    """A database's images, by id: a read-only mapping over the image
-    table's columns, plus the images added since the columns were set,
-    minus the ones removed.
+    """A database's images, by id: a read-only mapping over one set of
+    :class:`ImageColumns` that always holds exactly the live images.
 
     ``len``, ``in`` and iteration (ids in increasing order) build no
-    object per image.  The first lookup of a column's id builds its
-    :class:`IndexedImage` (name, :class:`RegionRows`) and keeps it, so
-    ``images[i] is images[i]``; ``values()`` and ``items()`` look every
-    id up.  Only the database changes it, through ``_add`` and
-    ``_pop``; ``_commit`` folds the changes into the columns once a
-    checkpoint has staged them.
+    object per image; an id is an ``int`` (not a ``bool``).  The first
+    lookup of an id builds its :class:`IndexedImage` (name,
+    :class:`RegionRows`) and keeps it, so ``images[i] is images[i]``;
+    ``values()`` and ``items()`` look every id up.  Only the database
+    changes it: ``_add`` folds a batch of new images into the columns
+    and ``_pop`` takes one out.  :attr:`added` and :attr:`removed` are
+    the ids that the next checkpoint writes and drops row records for;
+    ``_commit`` clears them once it has staged them.
 
-    The query path reads images without building any of that:
-    :meth:`table` hands out an image's rows as its :class:`RegionTable`
-    (read from its row record once and kept, or built from an added
-    image's regions on first use), :meth:`rows` the packed bitmaps of a
-    set of images and :meth:`names` their names from the columns.
-    ``records_read`` and ``bytes_decoded`` count the row records read
-    so far.
+    :meth:`table` is the one source of an image's rows, for the query
+    path, checkpoints, ``fsck``, removal and :class:`RegionRows` alike:
+    kept once read, from an added image's extracted regions, its row
+    record or a version-1 record's region table.  :meth:`rows` hands
+    the query path the packed bitmaps of a set of images and
+    :meth:`names` their names from the columns.  ``records_read`` and
+    ``bytes_decoded`` count the row records read so far.
     """
 
     def __init__(self, columns: ImageColumns, params: ExtractionParameters,
@@ -392,13 +390,17 @@ class CatalogImages(Mapping[int, IndexedImage]):
         self._params = params
         self._store = store
         self._source = source
-        #: A version-1 record's region table: the columns' rows, images
-        #: by id; ``None`` once each image's rows are a row record.
-        self._inline = inline
-        self._row_starts: np.ndarray | None = None
+        #: A version-1 record's region table (images by id) after the
+        #: ids decoded and each one's first row there, fixed at decode
+        #: because the columns move; ``None`` once each image's rows are
+        #: a row record.
+        self._inline = None if inline is None else (
+            columns.ids, np.cumsum(columns.counts) - columns.counts, inline)
         self._name_ends: np.ndarray | None = None
         self._built: dict[int, IndexedImage] = {}
-        self._added: dict[int, IndexedImage] = {}
+        #: The extracted regions of each image added since the last
+        #: commit, and the ids removed since, for the next checkpoint.
+        self._added: dict[int, Sequence[Region]] = {}
         self._removed: set[int] = set()
         #: Each live image's rows once read, packed, and its geometry's
         #: row of ``_sizes``, by id.
@@ -420,49 +422,17 @@ class CatalogImages(Mapping[int, IndexedImage]):
            store: PageStore) -> "CatalogImages":
         """A mapping holding ``records``, all of them added."""
         images = cls(ImageColumns.of([]), params, store, "memory")
-        for record in sorted(records, key=lambda record: record.image_id):
-            images._add(record)
+        images._add(sorted(records, key=lambda record: record.image_id))
         return images
 
     def _row(self, image_id: object) -> int | None:
         """The column row of a live ``image_id``, if it has one."""
         if not isinstance(image_id, (int, np.integer)) \
-                or image_id in self._removed:
+                or isinstance(image_id, bool):
             return None
         ids = self._columns.ids
         row = int(ids.searchsorted(image_id))
         return row if row < len(ids) and ids[row] == image_id else None
-
-    def _loader(self, row: int) -> Callable[[], RegionTable]:
-        """What loads the rows of the columns' ``row``, whatever the
-        columns become by then."""
-        columns = self._columns
-        image_id, count = int(columns.ids[row]), int(columns.counts[row])
-        if self._inline is None:
-            return partial(self._read, image_id, count,
-                           (int(columns.heights[row]),
-                            int(columns.widths[row])))
-        if self._row_starts is None:
-            self._row_starts = np.cumsum(columns.counts) - columns.counts
-        start = int(self._row_starts[row])
-        return partial(self._inline.rows, start, start + count)
-
-    def _read(self, image_id: int, count: int,
-              geometry: tuple[int, int]) -> RegionTable:
-        """Image ``image_id``'s ``count`` rows, from its row record
-        (once while the image is live); ``geometry`` is its ``(height,
-        width)``."""
-        entry = self._tables.get(image_id)
-        if entry is None:
-            blob = self._store.read_blob(image_id)
-            self.records_read += 1
-            self.bytes_decoded += len(blob)
-            entry = (_decode_row_record(blob, image_id, self._params, count,
-                                        self._source),
-                     self._geometry(geometry))
-            if image_id in self:
-                self._tables[image_id] = entry
-        return entry[0]
 
     def _geometry(self, geometry: tuple[int, int]) -> int:
         """The row of ``_sizes`` of a ``(height, width)`` image."""
@@ -474,31 +444,38 @@ class CatalogImages(Mapping[int, IndexedImage]):
         return shape
 
     def _entry(self, image_id: int) -> tuple[RegionTable, int]:
-        """A live image's rows and its geometry's row of ``_sizes``:
-        kept once read.  An added image's rows are built from its
-        regions on first use."""
+        """A live image's rows and its geometry's row of ``_sizes``,
+        kept once read: from its extracted regions when it was added
+        since the last commit, else from its row record, else from a
+        version-1 record's region table."""
         entry = self._tables.get(image_id)
         if entry is None:
-            record = self._added.get(image_id)
-            if record is None:
-                row = self._row(image_id)
-                if row is None:
-                    raise KeyError(image_id)
-                table = self._loader(row)()
-                geometry = (int(self._columns.heights[row]),
-                            int(self._columns.widths[row]))
+            row = self._row(image_id)
+            if row is None:
+                raise KeyError(image_id)
+            columns = self._columns
+            count = int(columns.counts[row])
+            geometry = (int(columns.heights[row]), int(columns.widths[row]))
+            regions = self._added.get(image_id)
+            if regions is not None:
+                table = RegionTable.from_regions(regions, self._params,
+                                                 *geometry)
+            elif self._inline is None:
+                blob = self._store.read_blob(image_id)
+                self.records_read += 1
+                self.bytes_decoded += len(blob)
+                table = _decode_row_record(blob, image_id, self._params,
+                                           count, self._source)
             else:
-                table = RegionTable.from_regions(
-                    record.regions, self._params, record.height,
-                    record.width)
-                geometry = (record.height, record.width)
+                ids, starts, inline = self._inline
+                start = int(starts[ids.searchsorted(image_id)])
+                table = inline.rows(start, start + count)
             entry = self._tables[image_id] = (table,
                                               self._geometry(geometry))
         return entry
 
     def table(self, image_id: int) -> RegionTable:
-        """A live image's rows, as packed columns: kept once read.  An
-        added image's are built from its regions on first use."""
+        """A live image's rows, as packed columns: kept once read."""
         return self._entry(image_id)[0]
 
     def rows(self, image_ids: np.ndarray, *,
@@ -524,20 +501,15 @@ class CatalogImages(Mapping[int, IndexedImage]):
 
     def names(self, image_ids: Iterable[int]) -> list[str]:
         """The names of the live images ``image_ids``, read from the
-        columns (an added image's from its record) and kept."""
+        columns and kept."""
         names = []
         for image_id in image_ids:
             name = self._names.get(image_id)
             if name is None:
-                name = self._names[image_id] = self._name(image_id)
+                name = self._names[image_id] = self._column_name(
+                    cast(int, self._row(image_id)))
             names.append(name)
         return names
-
-    def _name(self, image_id: int) -> str:
-        record = self._added.get(image_id)
-        if record is not None:
-            return record.name
-        return self._column_name(cast(int, self._row(image_id)))
 
     def _column_name(self, row: int) -> str:
         columns = self._columns
@@ -554,48 +526,54 @@ class CatalogImages(Mapping[int, IndexedImage]):
                 columns.ids, columns.heights, columns.widths,
                 columns.counts))
         return IndexedImage(image_id, self._column_name(row), height, width,
-                            RegionRows(self._loader(row), count, height,
-                                       width, self._params.bitmap_grid))
+                            RegionRows(partial(self.table, image_id), count,
+                                       height, width,
+                                       self._params.bitmap_grid))
 
     def __getitem__(self, image_id: int) -> IndexedImage:
+        row = self._row(image_id)
+        if row is None:
+            raise KeyError(image_id)
         record = self._built.get(image_id)
         if record is None:
-            record = self._added.get(image_id)
-            if record is None:
-                row = self._row(image_id)
-                if row is None:
-                    raise KeyError(image_id)
-                record = self._built[image_id] = self._build(row)
+            record = self._built[image_id] = self._build(row)
         return record
 
     def __contains__(self, image_id: object) -> bool:
-        return image_id in self._added or self._row(image_id) is not None
+        return self._row(image_id) is not None
 
     def __len__(self) -> int:
-        return (len(self._columns.ids) - len(self._removed)
-                + len(self._added))
+        return len(self._columns.ids)
 
     def __iter__(self) -> Iterator[int]:
-        ids = self._columns.ids.tolist()
-        if self._removed:
-            ids = [image_id for image_id in ids
-                   if image_id not in self._removed]
-        return iter(ids + list(self._added))
+        return iter(self._columns.ids.tolist())
 
-    def _add(self, record: IndexedImage) -> None:
-        """Add an image whose id is above every id held."""
-        self._added[record.image_id] = record
+    def _fold(self, columns: ImageColumns) -> None:
+        self._columns = columns
+        self._name_ends = None
 
-    def _pop(self, image_id: int) -> IndexedImage | None:
-        """Remove ``image_id``; its record, or ``None`` if not held."""
-        record = self._added.pop(image_id, None)
-        if record is None and image_id in self:
-            record = self[image_id]
-            del self._built[image_id]
-            self._removed.add(image_id)
+    def _add(self, records: Sequence[IndexedImage]) -> None:
+        """Add images whose ids increase from above every id held."""
+        self._fold(ImageColumns.concat([self._columns,
+                                        ImageColumns.of(records)]))
+        self._added.update((record.image_id, record.regions)
+                           for record in records)
+
+    def _pop(self, image_id: int) -> None:
+        """Remove the live ``image_id``.  A record of it handed out
+        earlier keeps its rows."""
+        row = self._row(image_id)
+        if row is None:
+            raise KeyError(image_id)
+        record = self._built.pop(image_id, None)
+        if record is not None:
+            # Its rows load while the id is live.
+            cast(RegionRows, record.regions).table
+        self._fold(self._columns.without(row))
         self._tables.pop(image_id, None)
         self._names.pop(image_id, None)
-        return record
+        if self._added.pop(image_id, None) is None:
+            self._removed.add(image_id)
 
     @property
     def rows_inline(self) -> bool:
@@ -605,38 +583,30 @@ class CatalogImages(Mapping[int, IndexedImage]):
 
     @property
     def added(self) -> list[int]:
-        """The ids added since the columns were set, in order."""
+        """The live ids added since the last commit, in order."""
         return list(self._added)
 
     @property
     def removed(self) -> list[int]:
-        """The column ids removed since, in order."""
+        """The committed ids removed since, in order."""
         return sorted(self._removed)
 
     def columns(self) -> ImageColumns:
         """The live images' columns, ids increasing."""
-        columns = self._columns
-        if self._removed:
-            columns = columns.without(self._removed)
-        if self._added:
-            columns = ImageColumns.concat(
-                [columns, ImageColumns.of(self._added.values())])
-        return columns
+        return self._columns
 
     def region_counts(self) -> list[int]:
         """Each live image's region count, ids increasing."""
-        return self.columns().counts.tolist()
+        return self._columns.counts.tolist()
 
     def _commit(self) -> None:
-        """Fold the images added and removed into the columns: a
-        checkpoint has staged their row records (every image's, for a
-        version-1 table), so unbuilt rows now load from those."""
-        self._columns = self.columns()
-        self._built.update(self._added)
+        """A checkpoint has staged the row records of :attr:`added`
+        (every image's, for a version-1 table) and dropped those of
+        :attr:`removed`: from now on rows not yet read load from row
+        records."""
         self._added.clear()
         self._removed.clear()
         self._inline = None
-        self._row_starts = self._name_ends = None
 
 
 class _Reader:
@@ -758,32 +728,24 @@ class Catalog:
     #: 1 in the record itself.
     version: int = _VERSION
 
-    def _table(self, record: IndexedImage) -> RegionTable:
-        """One image's regions as columns; decoded rows are not
-        rebuilt."""
-        if isinstance(record.regions, RegionRows):
-            return record.regions.table
-        return RegionTable.from_regions(record.regions, self.params,
-                                        record.height, record.width)
-
     def region_table(self) -> RegionTable:
         """Every image's regions as one table, images by id (reads
         every row record)."""
         return RegionTable.concat(
-            [self._table(record) for record in self.images.values()]
+            [self.images.table(image_id) for image_id in self.images]
             or [RegionTable.from_regions([], self.params, 1, 1)])
 
     def row_record(self, image_id: int) -> bytes:
         """Image ``image_id``'s row record, as handed to
         ``store.put_blob``."""
-        table = self._table(self.images[image_id])
+        table = self.images.table(image_id)
         return _padded(getattr(table, name).astype(dtype, copy=False)
                        .tobytes()
                        for name, dtype, _ in _region_columns(self.params))
 
     def encode(self) -> bytes:
         """The record's bytes, as handed to ``store.set_metadata``: the
-        image table is :meth:`CatalogImages.columns`."""
+        image table is :meth:`CatalogImages.columns` as they are."""
         params = self.params
         columns = self.images.columns()
         settings = json.dumps(

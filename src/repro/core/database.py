@@ -377,15 +377,19 @@ class WalrusDatabase:
             return []
 
         regions_per_image = self.extractor.extract_many(batch)
-        ids: list[int] = []
+        records: list[IndexedImage] = []
         items: list[tuple[Rect, tuple[int, int]]] = []
         for image, regions in zip(batch, regions_per_image):
-            image_id = self._register(image, regions)
-            ids.append(image_id)
+            image_id = self._next_id + len(records)
+            records.append(IndexedImage(
+                image_id, image.name or f"image-{image_id}", image.height,
+                image.width, regions))
             items.extend(
                 (region.signature.to_rect(), (image_id, region_index))
                 for region_index, region in enumerate(regions)
             )
+        self._next_id += len(records)
+        self.images._add(records)
         if bulk:
             self.index.rebuild_bulk(items)
         else:
@@ -401,26 +405,19 @@ class WalrusDatabase:
                 "total_images": len(self.images),
                 "total_regions": self.region_count,
             })
-        return ids
-
-    def _register(self, image: Image, regions: list[Region]) -> int:
-        image_id = self._next_id
-        self._next_id += 1
-        self.images._add(IndexedImage(
-            image_id, image.name or f"image-{image_id}",
-            image.height, image.width, regions))
-        return image_id
+        return [record.image_id for record in records]
 
     def remove_image(self, image_id: int) -> None:
         """Remove an image and all its regions from the index."""
         self._check_writable("remove_image")
         image_id = _checked_int("image_id", image_id, minimum=0)
-        record = self.images._pop(image_id)
-        if record is None:
+        if image_id not in self.images:
             raise DatabaseError(f"no image with id {image_id}")
-        for region_index, region in enumerate(record.regions):
+        table = self.images.table(image_id)
+        self.images._pop(image_id)
+        for region_index, bounds in enumerate(zip(table.lower, table.upper)):
             removed = self.index.delete(
-                region.signature.to_rect(),
+                Rect(*bounds),
                 lambda item, key=(image_id, region_index): item == key,
             )
             if removed != 1:

@@ -43,7 +43,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.catalog import Catalog, RegionRows, database_page_file
+from repro.core.catalog import Catalog, database_page_file
 from repro.exceptions import DatabaseError, StorageError, WalrusError
 from repro.index.pagestore import PageStore
 from repro.index.rstar import RStarTree
@@ -143,10 +143,8 @@ def _row_record_issues(catalog: Catalog, store: PageStore) -> list[str]:
               + _listed("row records belong to no image",
                         sorted(keys - expected)))
     for image_id in sorted(expected & keys):
-        regions = catalog.images[image_id].regions
-        assert isinstance(regions, RegionRows)
         try:
-            regions.table
+            catalog.images.table(image_id)
         except WalrusError as error:
             issues.append(str(error))
     return issues
@@ -165,9 +163,9 @@ def _catalog_disagreements(catalog: Catalog, tree: RStarTree) -> list[str]:
     table = catalog.region_table()
     # Row r of the table is (image_id, region_index): images by id,
     # each image's regions in order.
-    ids = np.array(sorted(catalog.images), dtype=np.int64)
-    counts = np.array([len(catalog.images[image_id].regions)
-                       for image_id in ids.tolist()], dtype=np.int64)
+    columns = catalog.images.columns()
+    ids = columns.ids.astype(np.int64)
+    counts = columns.counts.astype(np.int64)
     firsts = np.repeat(np.cumsum(counts) - counts, counts)
     rows = np.column_stack((np.repeat(ids, counts),
                             np.arange(len(firsts), dtype=np.int64) - firsts))

@@ -413,7 +413,10 @@ class WalrusServer(Listener):
         :class:`_BadRequest` on any malformed field."""
         blob, suffix = self._decode_image(body)
         query_params = self._query_parameters(body)
-        explain = bool(body.get("explain", False))
+        explain = body.get("explain", False)
+        if not isinstance(explain, bool):
+            raise _BadRequest(
+                f"explain must be a JSON boolean, got {explain!r}")
         requested_cap = self._requested_max_regions(body)
         cap = min((value for value in (requested_cap, load_cap)
                    if value is not None), default=None)

@@ -347,15 +347,18 @@ class TestLegacyRecords:
 
 def commit_edited_catalog(directory, edit):
     """Commit the directory's catalog and row records after
-    ``edit(catalog)``."""
+    ``edit(regions)`` edits each image's region list (by id)."""
     with open_page_store(page_path(directory)) as store:
         decoded = Catalog.decode(store.metadata, directory, store)
-        # The records as added images, so that encode() reads the
-        # edits below.
+        regions = {image_id: list(record.regions)
+                   for image_id, record in decoded.images.items()}
+        edit(regions)
+        # The edited records as added images, so that encode() and
+        # row_record() read their regions.
         catalog = Catalog(decoded.params, CatalogImages.of(
-            decoded.images.values(), decoded.params, store),
-            decoded.next_id, decoded.index_state)
-        edit(catalog)
+            [dataclasses.replace(record, regions=regions[image_id])
+             for image_id, record in decoded.images.items()],
+            decoded.params, store), decoded.next_id, decoded.index_state)
         rows = {image_id: catalog.row_record(image_id)
                 for image_id in catalog.images}
         for image_id, payload in rows.items():
@@ -373,10 +376,6 @@ class TestFsckChecksCatalogAgainstIndex:
         build(directory, PARAMS, scenes)
         assert fsck_database(directory)["ok"]
         return directory
-
-    @staticmethod
-    def regions(catalog, image_id):
-        return list(catalog.images[image_id].regions)
 
     def assert_refused(self, directory):
         summary = fsck_database(directory)
@@ -400,16 +399,15 @@ class TestFsckChecksCatalogAgainstIndex:
         assert summary["ok"], summary["issues"]
 
     def test_missing_row(self, directory):
-        def drop_last(catalog):
-            catalog.images[0].regions = self.regions(catalog, 0)[:-1]
+        def drop_last(regions):
+            del regions[0][-1]
 
         commit_edited_catalog(directory, drop_last)
         assert self.assert_refused(directory)
 
     def test_extra_row(self, directory):
-        def duplicate_first(catalog):
-            regions = self.regions(catalog, 0)
-            catalog.images[0].regions = regions + regions[:1]
+        def duplicate_first(regions):
+            regions[0].append(regions[0][0])
 
         commit_edited_catalog(directory, duplicate_first)
         assert self.assert_refused(directory)
@@ -417,11 +415,10 @@ class TestFsckChecksCatalogAgainstIndex:
     def test_row_of_another_image(self, directory):
         moved = []
 
-        def move_last(catalog):
-            first, second = self.regions(catalog, 0), self.regions(catalog, 1)
-            catalog.images[0].regions = first[:-1]
-            catalog.images[1].regions = second + first[-1:]
+        def move_last(regions):
+            first, second = regions[0], regions[1]
             moved[:] = [(0, len(first) - 1), (1, len(second))]
+            second.append(first.pop())
 
         commit_edited_catalog(directory, move_last)
         summary = fsck_database(directory)
@@ -430,13 +427,11 @@ class TestFsckChecksCatalogAgainstIndex:
             f"catalog: 1 index items have no catalog row: {moved[0]}"]
 
     def test_moved_key(self, directory):
-        def shift_first(catalog):
-            regions = self.regions(catalog, 2)
-            region = regions[0]
-            regions[0] = dataclasses.replace(
+        def shift_first(regions):
+            region = regions[2][0]
+            regions[2][0] = dataclasses.replace(
                 region, signature=RegionSignature.from_centroid(
                     region.signature.centroid + 0.25))
-            catalog.images[2].regions = regions
 
         commit_edited_catalog(directory, shift_first)
         summary = fsck_database(directory)

@@ -5,16 +5,22 @@ reopens, crashes (the store abandoned without a commit) and a readonly
 session pinned before later removes, checkpoints and compactions.
 After every step the database must hold what a dict model of the live
 images holds and answer a query as ``tests/oracle.py`` does over that
-model; after every commit, the page file's row records must be exactly
-the committed images; and a pinned reader must still build any of its
-snapshot's images — removed and compacted away since, or not — from
-its own snapshot, row record by row record.
+model; a record taken before its image is removed must still read its
+regions; after every commit, the page file's row records must be
+exactly the committed images and ``fsck`` must find nothing; and a
+pinned reader must still build any of its snapshot's images — removed
+and compacted away since, or not — from its own snapshot, row record
+by row record.  A second machine starts from a copy of a 2.11
+directory, whose catalog record holds every image's rows itself until
+the first checkpoint that changes it.
 """
 
 from __future__ import annotations
 
+import pathlib
 import shutil
 import tempfile
+from collections.abc import Sequence
 
 import numpy as np
 from hypothesis import settings
@@ -24,6 +30,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from repro.core.database import WalrusDatabase
 from repro.core.extraction import RegionExtractor
+from repro.core.fsck import fsck_database
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.core.regions import Region
 from repro.datasets.generator import render_scene
@@ -40,12 +47,13 @@ _extractor = RegionExtractor(PARAMS)
 REGIONS = [_extractor.extract(scene) for scene in SCENES]
 QUERY_REGIONS = _extractor.extract(QUERY)
 PICKS = st.integers(0, 1 << 16)
+FIXTURE_2_11 = pathlib.Path(__file__).parent.parent / "fixtures/db_2_11"
 
-#: A model of the database: image id -> index into ``SCENES``.
-Model = dict[int, int]
+#: A model of the database: image id -> (name, regions).
+Model = dict[int, tuple[str, Sequence[Region]]]
 
 
-def assert_same_regions(got, want: list[Region]) -> None:
+def assert_same_regions(got, want: Sequence[Region]) -> None:
     assert len(got) == len(want)
     for mine, theirs in zip(got, want):
         assert np.array_equal(mine.signature.lower, theirs.signature.lower)
@@ -60,13 +68,13 @@ def assert_answers(database: WalrusDatabase, model: Model) -> None:
     as the oracle does over them."""
     assert sorted(database.images) == sorted(model)
     assert [database.images[image_id].name for image_id in sorted(model)] \
-        == [SCENES[model[image_id]].name for image_id in sorted(model)]
-    assert database.region_count == sum(len(REGIONS[scene])
-                                        for scene in model.values())
+        == [model[image_id][0] for image_id in sorted(model)]
+    assert database.region_count == sum(len(regions)
+                                        for _, regions in model.values())
     if not model:
         return
-    expected = oracle.answer({image_id: REGIONS[scene]
-                              for image_id, scene in model.items()},
+    expected = oracle.answer({image_id: regions
+                              for image_id, (_, regions) in model.items()},
                              QUERY_REGIONS, QP)
     assert [(match.image_id, match.similarity)
             for match in database.query(QUERY, QP).matches] \
@@ -77,18 +85,28 @@ class DatabaseOnDisk(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.directory = tempfile.mkdtemp(prefix="walrus-db-")
-        self.database = WalrusDatabase.create(self.directory, params=PARAMS,
-                                              max_entries=4)
-        self.model: Model = {}
-        self.next_id = 0
-        self.committed: tuple[Model, int] = ({}, 0)
+        self.database, self.model = self.start()
+        self.next_id = self.database._next_id
+        self.committed: tuple[Model, int] = (dict(self.model), self.next_id)
         self.reader: WalrusDatabase | None = None
         self.reader_model: Model = {}
+
+    def start(self) -> tuple[WalrusDatabase, Model]:
+        """The database the machine starts from, and its model."""
+        return (WalrusDatabase.create(self.directory, params=PARAMS,
+                                      max_entries=4), {})
+
+    def assert_row_records(self) -> None:
+        """One row record per committed image; none while a 2.11
+        record still holds the rows."""
+        assert self.database.index.store.blob_keys() == (
+            set() if self.database.images.rows_inline else set(self.model))
 
     def commit(self) -> None:
         """The model is now what the page file holds."""
         self.committed = dict(self.model), self.next_id
-        assert self.database.index.store.blob_keys() == set(self.model)
+        self.assert_row_records()
+        assert fsck_database(self.directory)["issues"] == []
 
     # -- rules ----------------------------------------------------------
     @rule(scenes=st.lists(st.integers(0, len(SCENES) - 1), min_size=1,
@@ -96,7 +114,8 @@ class DatabaseOnDisk(RuleBasedStateMachine):
     def add(self, scenes: list[int]) -> None:
         ids = self.database.add_images([SCENES[scene] for scene in scenes])
         assert ids == list(range(self.next_id, self.next_id + len(scenes)))
-        self.model.update(zip(ids, scenes))
+        self.model.update(zip(ids, ((SCENES[scene].name, REGIONS[scene])
+                                    for scene in scenes)))
         self.next_id += len(scenes)
 
     @precondition(lambda self: self.model)
@@ -105,6 +124,18 @@ class DatabaseOnDisk(RuleBasedStateMachine):
         image_id = sorted(self.model)[pick % len(self.model)]
         self.database.remove_image(image_id)
         del self.model[image_id]
+
+    @precondition(lambda self: self.model)
+    @rule(pick=PICKS)
+    def remove_held(self, pick: int) -> None:
+        """A record taken before its image is removed keeps its
+        regions, until the next checkpoint and after it."""
+        image_id = sorted(self.model)[pick % len(self.model)]
+        record = self.database.images[image_id]
+        _, regions = self.model[image_id]
+        self.remove(pick)
+        assert image_id not in self.database.images
+        assert_same_regions(record.regions, regions)
 
     @rule()
     def checkpoint(self) -> None:
@@ -132,7 +163,7 @@ class DatabaseOnDisk(RuleBasedStateMachine):
         self.database = WalrusDatabase.open(self.directory)
         model, self.next_id = self.committed
         self.model = dict(model)
-        assert self.database.index.store.blob_keys() == set(self.model)
+        self.assert_row_records()
 
     @precondition(lambda self: self.reader is None)
     @rule()
@@ -149,9 +180,9 @@ class DatabaseOnDisk(RuleBasedStateMachine):
         self.remove(pick)
         self.checkpoint()
         self.compact()
-        for image_id, scene in self.reader_model.items():
+        for image_id, (_, regions) in self.reader_model.items():
             assert_same_regions(self.reader.images[image_id].regions,
-                                REGIONS[scene])
+                                regions)
 
     @precondition(lambda self: self.reader is not None)
     @rule(pick=PICKS)
@@ -161,7 +192,7 @@ class DatabaseOnDisk(RuleBasedStateMachine):
             ids = sorted(self.reader_model)
             image_id = ids[pick % len(ids)]
             assert_same_regions(self.reader.images[image_id].regions,
-                                REGIONS[self.reader_model[image_id]])
+                                self.reader_model[image_id][1])
         assert_answers(self.reader, self.reader_model)
 
     @precondition(lambda self: self.reader is not None)
@@ -185,7 +216,28 @@ class DatabaseOnDisk(RuleBasedStateMachine):
             shutil.rmtree(self.directory, ignore_errors=True)
 
 
+class DirectoryWrittenBy211(DatabaseOnDisk):
+    """The same machine from a copy of ``tests/fixtures/db_2_11``: a
+    version-1 record (three images, ids 0, 2 and 3), its model read
+    from the directory at the start."""
+
+    def start(self) -> tuple[WalrusDatabase, Model]:
+        shutil.copytree(FIXTURE_2_11, self.directory, dirs_exist_ok=True)
+        with WalrusDatabase.open(self.directory, readonly=True) as reader:
+            model = {image_id: (record.name, list(record.regions))
+                     for image_id, record in reader.images.items()}
+        # A fresh handle: none of its rows has been read yet.
+        database = WalrusDatabase.open(self.directory)
+        assert database.params == PARAMS
+        assert database.images.rows_inline and len(model) == 3
+        return database, model
+
+
 TestDatabaseOnDisk = DatabaseOnDisk.TestCase
 TestDatabaseOnDisk.settings = settings(max_examples=30,
                                        stateful_step_count=20,
                                        deadline=None)
+TestDirectoryWrittenBy211 = DirectoryWrittenBy211.TestCase
+TestDirectoryWrittenBy211.settings = settings(max_examples=10,
+                                              stateful_step_count=20,
+                                              deadline=None)

@@ -109,8 +109,10 @@ def test_open_builds_nothing_per_image_or_page(directories, built):
 def test_len_in_and_sorted_build_nothing(directories, built):
     with WalrusDatabase.open(directories[20], readonly=True) as database:
         images = database.images
-        assert (len(images), 3 in images, 20 in images, "3" in images) \
-            == (20, True, False, False)
+        assert (len(images), 3 in images, 20 in images, "3" in images,
+                True in images) == (20, True, False, False, False)
+        with pytest.raises(KeyError):
+            images[True]
         assert sorted(images) == list(images) == list(range(20))
         assert database.describe()["images"] == 20
         assert built == Counter()

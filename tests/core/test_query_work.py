@@ -8,6 +8,10 @@ rows.  The first query that touches a candidate reads its row record,
 once; EXPLAIN counts those reads.  ``nearest_regions`` reads names from
 the image columns and builds none of those objects either.  What the
 query path keeps per image is dropped with the image.
+
+Removal, checkpoints and ``fsck`` read an image's rows as one table too:
+removing an image builds none of those objects, an added image's table
+is built from its regions once, and ``fsck`` builds no record.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from collections import Counter
 
 import pytest
 
+from repro.core.catalog import RegionTable
 from repro.core.database import WalrusDatabase
+from repro.core.fsck import fsck_database
 from repro.core.parameters import QueryParameters
 from repro.imaging.transforms import flip_horizontal
 # ``directories`` is the open-work tests' module fixture: the same
@@ -87,3 +93,50 @@ def test_removed_images_leave_no_rows_held(directories, tmp_path):
             assert set(images._tables) <= set(images)
             assert set(images._names) <= set(images)
         assert len(images) == 14
+
+
+def test_remove_image_builds_no_record(directories, tmp_path, monkeypatch):
+    """The tree keys come from the image's table, read once."""
+    directory = str(tmp_path / "db")
+    shutil.copytree(directories[20], directory)
+    with WalrusDatabase.open(directory) as database:
+        regions = database.region_count
+        count = database.images.region_counts()[3]
+        with monkeypatch.context() as patch:
+            built = count_constructions(patch)
+            database.remove_image(3)
+            assert built == Counter()
+        assert database.region_count == regions - count
+        assert database.images.records_read == 1
+
+
+def test_added_images_tables_are_built_once(directories, tmp_path,
+                                            monkeypatch):
+    """An added image's table serves the query that touches it and the
+    checkpoint that writes its row record."""
+    directory = str(tmp_path / "db")
+    shutil.copytree(directories[20], directory)
+    calls = []
+    from_regions = RegionTable.from_regions
+
+    def counting(regions, *args, **kwargs):
+        calls.append(len(regions))
+        return from_regions(regions, *args, **kwargs)
+
+    with WalrusDatabase.open(directory) as database:
+        monkeypatch.setattr(RegionTable, "from_regions", counting)
+        added = database.add_images([scene(index) for index in (100, 101,
+                                                                102)])
+        result = database.query(scene(100), QueryParameters())
+        assert added[0] in {match.image_id for match in result}
+        database.checkpoint()
+        assert len(calls) == len(added)
+        assert database.index.store.blob_keys() >= set(added)
+
+
+def test_fsck_builds_no_record(directories, monkeypatch):
+    with monkeypatch.context() as patch:
+        built = count_constructions(patch)
+        summary = fsck_database(directories[20])
+        assert built == Counter()
+    assert summary["ok"], summary["issues"]

@@ -145,6 +145,23 @@ class TestErrors:
         assert body["error"] == "bad_request"
         assert next(iter(params)) in body["detail"]
 
+    @pytest.mark.parametrize("explain", ["false", 0, 1, None])
+    def test_explain_that_is_not_a_boolean_is_400(self, db_dir, query_body,
+                                                  explain):
+        bad = dict(query_body, explain=explain)
+        with WalrusServer(db_dir, port=0) as server:
+            status, body, _ = self._status_and_body(
+                lambda: _post(server.url("/query"), bad))
+            payload = _post(server.url("/query/batch"),
+                            {"queries": [bad, query_body]})
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert "explain" in body["detail"]
+        bad_result, good_result = payload["results"]
+        assert bad_result["error"] == "bad_request"
+        assert "explain" in bad_result["detail"]
+        assert "matches" in good_result and "report" not in good_result
+
     def test_fractional_max_results_is_400(self, db_dir, query_body):
         bad = dict(query_body, params={"max_results": 2.5})
         with WalrusServer(db_dir, port=0) as server:
