@@ -48,7 +48,7 @@ from repro.observability import (MetricsRegistry, ProbeCounts, QueryReport,
                                  Stopwatch, disable_metrics, enable_metrics,
                                  get_metrics)
 
-__version__ = "2.19.0"
+__version__ = "2.20.0"
 
 __all__ = [
     "CacheStats",

@@ -116,9 +116,10 @@ def rgb_to_hsv(image: Image) -> Image:
 def hsv_to_rgb(image: Image) -> Image:
     """Invert :func:`rgb_to_hsv`."""
     _require_space(image, "hsv", "hsv_to_rgb")
-    h = image.pixels[:, :, 0] * 6.0
-    s = image.pixels[:, :, 1]
-    v = image.pixels[:, :, 2]
+    hsv = image.pixels
+    h = hsv[:, :, 0] * 6.0
+    s = hsv[:, :, 1]
+    v = hsv[:, :, 2]
     i = np.floor(h).astype(int) % 6
     f = h - np.floor(h)
     p = v * (1 - s)

@@ -35,7 +35,6 @@ mutates).  ``cache_stats()`` exposes their hit rates.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from itertools import chain
 from operator import itemgetter
@@ -445,18 +444,9 @@ class WalrusDatabase:
 
     @staticmethod
     def _image_fingerprint(image: Image) -> bytes:
-        """The signature-cache key of ``image``'s content: its domain
-        (``uint8`` samples when it keeps them, else ``float64``
-        pixels), color space and shape, then a SHA-1 of that array —
-        the samples are an eighth of the pixels' bytes.  The samples
-        determine the pixels, so equal keys mean equal pixels either
-        way."""
-        samples = image._samples
-        domain, data = ((b"float64", image.pixels) if samples is None
-                        else (b"uint8", samples))
-        return b"/".join([domain, image.color_space.encode(),
-                          repr(image.shape).encode(),
-                          hashlib.sha1(np.ascontiguousarray(data)).digest()])
+        """The signature-cache key of ``image``'s content (see
+        ``Image._content_key``: hashed once per image object)."""
+        return image._content_key()
 
     def _query_regions(self, image: Image, *,
                        deadline: Deadline | None = None
@@ -694,20 +684,21 @@ class WalrusDatabase:
         with tracer.span("match"):
             if not len(pairs):
                 matches: list[ImageMatch] = []
+                matched = 0
             elif qp.matching == "quick":
                 bitmap = query_regions[0].bitmap
-                matches = self._match_quick(
+                matches, matched = self._match_quick(
                     query_bitmaps, (bitmap.height, bitmap.width), pairs, qp,
                     deadline=deadline)
             else:
                 matches = self._match_each(query_regions, pairs, qp,
                                            deadline=deadline)
+                matched = len(matches)
         if want_report:
             marks.append(watch.elapsed)
         with tracer.span("rank"):
             matches.sort(
                 key=lambda match: (-match.similarity, match.image_id))
-            matched = len(matches)
             if qp.max_results is not None:
                 matches = matches[: qp.max_results]
         elapsed = watch.elapsed
@@ -758,11 +749,14 @@ class WalrusDatabase:
 
     def _match_quick(self, query: np.ndarray, query_shape: tuple[int, int],
                      pairs: CandidatePairs, qp: QueryParameters, *,
-                     deadline: Deadline | None) -> list[ImageMatch]:
+                     deadline: Deadline | None
+                     ) -> tuple[list[ImageMatch], int]:
         """Section 5.5's quick matching of every candidate in one
-        :func:`quick_cover` pass over the catalog's packed rows; an
-        :class:`ImageMatch` is built for each image over ``tau``
-        only."""
+        :func:`quick_cover` pass over the catalog's packed rows.  The
+        images over ``tau`` are ranked on the arrays as the rank stage
+        ranks matches (similarity down, then image id) and cut to
+        ``max_results``; an :class:`ImageMatch` is built for those
+        only.  Returns them and the count over ``tau``."""
         get_metrics().counter("matching.quick_calls").inc(len(pairs))
         targets = self.images.rows(pairs.image_ids, deadline=deadline)
         query_covered, target_covered = quick_cover(query, query_shape,
@@ -772,15 +766,17 @@ class WalrusDatabase:
                             qp.area_mode)
         # Over tau, and above 0 when tau is not.
         kept = (values >= qp.tau if qp.tau > 0 else values > 0).nonzero()[0]
-        ids = pairs.image_ids[kept].tolist()
+        ranked = kept[np.lexsort((pairs.image_ids[kept], -values[kept]))]
+        returned = ranked[:qp.max_results]
+        ids = pairs.image_ids[returned].tolist()
         return [ImageMatch(image_id, name, value,
                            MatchOutcome(value, pairs.pairs(candidate),
                                         q_covered, t_covered))
                 for candidate, image_id, name, value, q_covered, t_covered
-                in zip(kept.tolist(), ids, self.images.names(ids),
-                       values[kept].tolist(),
-                       query_covered[kept].tolist(),
-                       target_covered[kept].tolist())]
+                in zip(returned.tolist(), ids, self.images.names(ids),
+                       values[returned].tolist(),
+                       query_covered[returned].tolist(),
+                       target_covered[returned].tolist())], len(kept)
 
     def _match_each(self, query_regions: list[Region],
                     pairs: CandidatePairs, qp: QueryParameters, *,

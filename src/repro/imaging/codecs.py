@@ -107,14 +107,20 @@ def read_pnm(source: Source) -> Image:
     if samples.max() > maxval:
         raise CodecError(f"PNM sample {samples.max()} exceeds maxval {maxval}")
     # Every sample in [0, maxval] puts every pixel in [0, 1], all that
-    # Image() would check, so the quotient is the image as it stands.
-    color_space = "gray" if channels == 1 else "rgb"
-    if maxval == 255:
-        return Image._decoded(
-            samples.astype(np.uint8).reshape(height, width, channels),
-            color_space, name)
-    pixels = (samples / maxval).reshape(height, width, channels)
-    return Image._trusted(pixels, color_space, name)
+    # Image() would check: 8-bit samples are the image as they stand,
+    # and so is any other depth's quotient.
+    array = samples.astype(np.uint8) if maxval == 255 else samples / maxval
+    return Image._trusted(array.reshape(height, width, channels),
+                          "gray" if channels == 1 else "rgb", name)
+
+
+def _samples(image: Image) -> np.ndarray:
+    """``image`` as 8-bit samples: the ones it keeps, else its pixels
+    rounded (the same bytes for a kept sample ``s``, since
+    ``rint(s / 255.0 * 255) == s``)."""
+    if image._samples is not None:
+        return image._samples
+    return np.rint(image.pixels * 255).astype(np.uint8)
 
 
 def write_pnm(image: Image, path: str | os.PathLike, *,
@@ -128,7 +134,7 @@ def write_pnm(image: Image, path: str | os.PathLike, *,
     channels = image.channels
     magic = {(1, True): b"P5", (3, True): b"P6",
              (1, False): b"P2", (3, False): b"P3"}[(channels, binary)]
-    data = np.rint(image.pixels * 255).astype(np.uint8)
+    data = _samples(image)
     with open(path, "wb") as stream:
         stream.write(magic + b"\n")
         stream.write(f"{image.width} {image.height}\n255\n".encode())
@@ -179,15 +185,14 @@ def read_bmp(source: Source) -> Image:
     rgb = bgr[:, :, ::-1]
     if flipped:
         rgb = rgb[::-1]
-    return Image._decoded(np.ascontiguousarray(rgb), "rgb", name)
+    return Image._trusted(np.ascontiguousarray(rgb), "rgb", name)
 
 
 def write_bmp(image: Image, path: str | os.PathLike) -> None:
     """Write an RGB image as uncompressed 24-bit BMP."""
     if image.color_space != "rgb":
         raise CodecError(f"can only write rgb images, not {image.color_space}")
-    data = np.rint(image.pixels * 255).astype(np.uint8)
-    bgr = data[::-1, :, ::-1]  # bottom-up rows, BGR order
+    bgr = _samples(image)[::-1, :, ::-1]  # bottom-up rows, BGR order
     row_bytes = (image.width * 3 + 3) & ~3
     pad = row_bytes - image.width * 3
     payload = bytearray()

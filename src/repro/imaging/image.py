@@ -7,23 +7,26 @@ numpy array in the range ``[0, 1]`` with explicit color-space tagging.
 
 Design notes
 ------------
-* Pixel values are stored as floats in ``[0, 1]``.  The paper's epsilon
-  values (0.05-0.09) only make sense against normalized intensities, so
-  normalization happens at construction time, not inside the algorithms.
+* Pixel values are floats in ``[0, 1]``.  The paper's epsilon values
+  (0.05-0.09) only make sense against normalized intensities, so
+  normalization happens in the image, not inside the algorithms.
 * The array layout is ``(height, width, channels)`` with ``channels`` in
   {1, 3}.  Coordinates in the public API follow numpy order: ``[row,
   column]`` a.k.a. ``[y, x]``.
 * Images are immutable by convention: operations return new instances.
 * An image decoded from 8-bit data (``read_pnm`` at ``maxval`` 255,
-  ``read_bmp``, ``Image(uint8 array)``) also keeps those ``uint8``
-  samples, with ``samples / 255.0 == pixels`` bytewise: an eighth of
-  the bytes to fingerprint.  Flips, rotations, crops and renames carry
-  them; every other derivation computes new values and drops them.
+  ``read_bmp``, ``Image(uint8 array)``) keeps only those ``uint8``
+  samples, an eighth of the bytes of float pixels.  Its ``pixels`` is
+  ``samples / 255.0``, computed on each read and not kept, so read it
+  once per operation.  Flips, rotations, crops and renames carry the
+  samples; every other derivation computes float values and keeps
+  those.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import hashlib
+from typing import Callable, Iterable, cast
 
 import numpy as np
 
@@ -35,20 +38,21 @@ from repro.exceptions import ImageFormatError
 COLOR_SPACES = ("rgb", "ycc", "yiq", "hsv", "gray")
 
 
-def _validate_pixels(pixels: np.ndarray) -> np.ndarray:
-    if not isinstance(pixels, np.ndarray):
-        raise ImageFormatError(f"expected ndarray, got {type(pixels).__name__}")
-    if pixels.ndim == 2:
-        pixels = pixels[:, :, np.newaxis]
-    if pixels.ndim != 3:
-        raise ImageFormatError(f"expected 2-D or 3-D array, got {pixels.ndim}-D")
-    if pixels.shape[2] not in (1, 3):
+def _validate_shape(array: np.ndarray) -> np.ndarray:
+    """``array`` as ``(H, W, C)``, checked for its shape alone."""
+    if not isinstance(array, np.ndarray):
+        raise ImageFormatError(f"expected ndarray, got {type(array).__name__}")
+    if array.ndim == 2:
+        array = array[:, :, np.newaxis]
+    if array.ndim != 3:
+        raise ImageFormatError(f"expected 2-D or 3-D array, got {array.ndim}-D")
+    if array.shape[2] not in (1, 3):
         raise ImageFormatError(
-            f"expected 1 or 3 channels, got {pixels.shape[2]}"
+            f"expected 1 or 3 channels, got {array.shape[2]}"
         )
-    if pixels.shape[0] == 0 or pixels.shape[1] == 0:
+    if array.shape[0] == 0 or array.shape[1] == 0:
         raise ImageFormatError("image has zero height or width")
-    return pixels.astype(np.float64, copy=False)
+    return array
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -63,7 +67,8 @@ class Image:
     ----------
     pixels:
         ``(H, W, C)`` or ``(H, W)`` array.  Integer arrays are assumed to
-        be 8-bit and divided by 255; float arrays must already lie in
+        be 8-bit and divided by 255 (a ``uint8`` array is kept as
+        samples; see the module notes); float arrays must already lie in
         ``[0, 1]``.
     color_space:
         One of :data:`COLOR_SPACES`.  Gray images must use ``"gray"``.
@@ -72,78 +77,98 @@ class Image:
         pipeline and reported in query results.
     """
 
-    __slots__ = ("pixels", "color_space", "name", "_samples")
+    __slots__ = ("_pixels", "_samples", "_key", "color_space", "name")
 
     def __init__(self, pixels: np.ndarray, color_space: str = "rgb",
                  name: str = "") -> None:
         raw = np.asarray(pixels)
-        is_integer = np.issubdtype(raw.dtype, np.integer)
-        pixels = _validate_pixels(raw)
-        if is_integer:
-            pixels = pixels / 255.0
+        array = _validate_shape(raw)
         if color_space not in COLOR_SPACES:
             raise ImageFormatError(
                 f"unknown color space {color_space!r}; "
                 f"expected one of {COLOR_SPACES}"
             )
-        if color_space == "gray" and pixels.shape[2] != 1:
+        if color_space == "gray" and array.shape[2] != 1:
             raise ImageFormatError("gray images must have a single channel")
-        if color_space != "gray" and pixels.shape[2] != 3:
+        if color_space != "gray" and array.shape[2] != 3:
             raise ImageFormatError(
                 f"{color_space} images must have 3 channels, "
-                f"got {pixels.shape[2]}"
+                f"got {array.shape[2]}"
             )
-        lo, hi = float(pixels.min()), float(pixels.max())
+        if raw.dtype == np.uint8:
+            # Every uint8 lies in [0, 255]: nothing to check.  A copy,
+            # so the caller's array may change.
+            self._init(np.array(array), color_space, name)
+            return
+        array = array.astype(np.float64, copy=False)
+        if np.issubdtype(raw.dtype, np.integer):
+            array = array / 255.0
+        lo, hi = float(array.min()), float(array.max())
         if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):  # NaN fails too
             raise ImageFormatError(
                 f"float pixels must lie in [0, 1]; got range [{lo}, {hi}]"
             )
-        pixels = np.clip(pixels, 0.0, 1.0)
-        pixels.setflags(write=False)
-        self.pixels = pixels
+        self._init(np.clip(array, 0.0, 1.0), color_space, name)
+
+    def _init(self, array: np.ndarray, color_space: str, name: str,
+              key: bytes | None = None) -> None:
+        """Keep ``array``, made read-only: ``uint8`` samples, else
+        float64 pixels."""
+        samples = array.dtype == np.uint8
+        self._samples = _frozen(array) if samples else None
+        self._pixels = None if samples else _frozen(array)
+        self._key = key
         self.color_space = color_space
         self.name = name
-        #: The ``uint8`` samples ``pixels`` is the ``/ 255.0`` of, or
-        #: ``None``; a copy, so the caller's array may change.
-        self._samples = (_frozen(np.array(raw, dtype=np.uint8)
-                                 .reshape(pixels.shape))
-                         if raw.dtype == np.uint8 else None)
 
     @classmethod
-    def _trusted(cls, pixels: np.ndarray, color_space: str,
-                 name: str = "") -> "Image":
-        """An image over an ``(H, W, C)`` float64 array already known to
-        lie in ``[0, 1]`` with the channels ``color_space`` needs (a
-        codec checks its samples against ``maxval``), without
-        re-checking it."""
+    def _trusted(cls, array: np.ndarray, color_space: str,
+                 name: str = "", key: bytes | None = None) -> "Image":
+        """An image over an ``(H, W, C)`` array with the channels
+        ``color_space`` needs, without re-checking it: ``uint8``
+        samples (a codec's, fresh), kept as they are, or float64
+        pixels already known to lie in ``[0, 1]`` (a codec checks its
+        samples against ``maxval``)."""
         image = object.__new__(cls)
-        image.pixels = _frozen(pixels)
-        image.color_space = color_space
-        image.name = name
-        image._samples = None
+        image._init(array, color_space, name, key)
         return image
 
-    @classmethod
-    def _decoded(cls, samples: np.ndarray, color_space: str,
-                 name: str = "") -> "Image":
-        """An image over a fresh ``(H, W, C)`` ``uint8`` array of
-        samples (a codec's, whose channels suit ``color_space``),
-        which it keeps."""
-        image = cls._trusted(samples / 255.0, color_space, name)
-        image._samples = _frozen(samples)
-        return image
+    @property
+    def pixels(self) -> np.ndarray:
+        """The ``(H, W, C)`` float64 pixels in ``[0, 1]``, read-only.
+        An 8-bit image computes ``samples / 255.0`` on each read and
+        keeps none of it."""
+        if self._pixels is not None:
+            return self._pixels
+        return _frozen(cast(np.ndarray, self._samples) / 255.0)
+
+    @property
+    def _kept(self) -> np.ndarray:
+        """The one array this image holds: its samples or its pixels."""
+        return cast(np.ndarray, self._pixels if self._samples is None
+                    else self._samples)
 
     def _rearranged(self, arrange: Callable[[np.ndarray], np.ndarray]
                     ) -> "Image":
         """This image with ``arrange`` — a flip, rotation or crop, which
-        moves values and computes none — applied to its pixels and to
-        its samples alike."""
-        image = Image._trusted(np.ascontiguousarray(arrange(self.pixels)),
-                               self.color_space, self.name)
-        if self._samples is not None:
-            image._samples = _frozen(
-                np.ascontiguousarray(arrange(self._samples)))
-        return image
+        moves values and computes none — applied to its kept array."""
+        return Image._trusted(np.ascontiguousarray(arrange(self._kept)),
+                              self.color_space, self.name)
+
+    def _content_key(self) -> bytes:
+        """The signature-cache key of this image's content: its domain
+        (``uint8`` samples when it keeps them, else ``float64``
+        pixels), color space and shape, then a SHA-1 of that array.
+        The samples determine the pixels, so equal keys mean equal
+        pixels either way.  Computed once per object and kept: an
+        image is immutable by contract, so its content cannot change
+        under the key."""
+        if self._key is None:
+            domain = b"float64" if self._samples is None else b"uint8"
+            self._key = b"/".join([
+                domain, self.color_space.encode(), repr(self.shape).encode(),
+                hashlib.sha1(np.ascontiguousarray(self._kept)).digest()])
+        return self._key
 
     # ------------------------------------------------------------------
     # Basic geometry
@@ -151,17 +176,17 @@ class Image:
     @property
     def height(self) -> int:
         """Number of pixel rows."""
-        return int(self.pixels.shape[0])
+        return int(self._kept.shape[0])
 
     @property
     def width(self) -> int:
         """Number of pixel columns."""
-        return int(self.pixels.shape[1])
+        return int(self._kept.shape[1])
 
     @property
     def channels(self) -> int:
         """Number of color channels (1 or 3)."""
-        return int(self.pixels.shape[2])
+        return int(self._kept.shape[2])
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -178,10 +203,8 @@ class Image:
     # ------------------------------------------------------------------
     def with_name(self, name: str) -> "Image":
         """Return the same image carrying a different ``name``; it
-        shares this one's (read-only) arrays."""
-        image = Image._trusted(self.pixels, self.color_space, name)
-        image._samples = self._samples
-        return image
+        shares this one's (read-only) array and content key."""
+        return Image._trusted(self._kept, self.color_space, name, self._key)
 
     def crop(self, top: int, left: int, height: int, width: int) -> "Image":
         """Return the ``height x width`` sub-image rooted at ``(top, left)``."""
@@ -253,8 +276,9 @@ class Image:
 
     def channels_iter(self) -> Iterable[np.ndarray]:
         """Yield each channel as a 2-D array, in order."""
-        for c in range(self.channels):
-            yield self.pixels[:, :, c]
+        pixels = self.pixels
+        for c in range(pixels.shape[2]):
+            yield pixels[:, :, c]
 
     # ------------------------------------------------------------------
     # Equality helpers (numpy arrays defeat dataclass __eq__)
@@ -262,14 +286,17 @@ class Image:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Image):
             return NotImplemented
-        return (
-            self.color_space == other.color_space
-            and self.shape == other.shape
-            and bool(np.array_equal(self.pixels, other.pixels))
-        )
+        if self.color_space != other.color_space or self.shape != other.shape:
+            return False
+        if self._samples is not None and other._samples is not None:
+            # Equal samples, equal pixels: ``/ 255.0`` is one-to-one.
+            return bool(np.array_equal(self._samples, other._samples))
+        return bool(np.array_equal(self.pixels, other.pixels))
 
     def __hash__(self) -> int:
-        return hash((self.color_space, self.shape, self.pixels.tobytes()))
+        # ``+ 0.0`` makes every -0.0 a 0.0, which ``__eq__`` equates.
+        return hash((self.color_space, self.shape,
+                     (self.pixels + 0.0).tobytes()))
 
     def allclose(self, other: "Image", atol: float = 1e-9) -> bool:
         """Approximate pixel equality, ignoring names."""

@@ -46,7 +46,7 @@ def dither_noise(image: Image, rng: np.random.Generator,
                  amplitude: float = 1.0 / 255.0) -> Image:
     """Uniform noise at quantization scale — a dithering stand-in."""
     _require_rgb(image, "dither_noise")
-    noise = rng.uniform(-amplitude, amplitude, image.pixels.shape)
+    noise = rng.uniform(-amplitude, amplitude, image.shape)
     return Image(np.clip(image.pixels + noise, 0.0, 1.0), "rgb",
                  image.name)
 
@@ -83,14 +83,15 @@ def translate_content(image: Image, dy: int, dx: int,
     Unlike ``np.roll`` this does not wrap around — content leaving the
     frame is lost, as with a real camera pan.
     """
-    out = np.empty_like(image.pixels)
+    pixels = image.pixels
+    out = np.empty_like(pixels)
     out[:] = fill
     h, w = image.height, image.width
     src_rows = slice(max(0, -dy), min(h, h - dy))
     src_cols = slice(max(0, -dx), min(w, w - dx))
     dst_rows = slice(max(0, dy), min(h, h + dy))
     dst_cols = slice(max(0, dx), min(w, w + dx))
-    out[dst_rows, dst_cols] = image.pixels[src_rows, src_cols]
+    out[dst_rows, dst_cols] = pixels[src_rows, src_cols]
     return Image(np.clip(out, 0.0, 1.0), image.color_space, image.name)
 
 

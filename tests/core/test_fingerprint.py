@@ -10,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-import repro.core.database
+import repro.imaging.image
 from repro.core.database import WalrusDatabase
 from repro.core.parameters import ExtractionParameters, QueryParameters
 from repro.datasets import DatasetSpec, generate_dataset
@@ -48,8 +48,10 @@ class HashSpy:
 
     def __init__(self) -> None:
         self.bytes = 0
+        self.calls = 0
 
     def sha1(self, data: bytes = b"") -> "HashSpy._Digest":
+        self.calls += 1
         return HashSpy._Digest(self, data)
 
     class _Digest:
@@ -117,18 +119,32 @@ class TestQueries:
 
     def test_warm_query_hashes_the_samples(self, database, images, tmp_path,
                                            monkeypatch):
-        decoded = flip_horizontal(decode(images[5], tmp_path))
+        path = tmp_path / "mirrored.ppm"
+        write_pnm(flip_horizontal(decode(images[5], tmp_path)), path)
+        decoded = read_pnm(path)
         twin = Image(decoded.pixels.copy(), decoded.color_space)
         for image in (decoded, twin):
             database.query(image)  # prime the caches
         spy = HashSpy()
-        monkeypatch.setattr(repro.core.database, "hashlib",
+        monkeypatch.setattr(repro.imaging.image, "hashlib",
                             types.SimpleNamespace(sha1=spy.sha1))
-        before = database.cache_stats()["signatures"].hits
+        hits = database.cache_stats()["signatures"].hits
+        # The same object again: its key is kept, nothing is hashed.
         database.query(decoded)
-        assert database.cache_stats()["signatures"].hits == before + 1
-        assert 0 < spy.bytes <= decoded.height * decoded.width \
-            * decoded.channels
-        spy.bytes = 0
-        database.query(twin)
-        assert spy.bytes >= twin.pixels.nbytes
+        assert database.cache_stats()["signatures"].hits == hits + 1
+        assert (spy.calls, spy.bytes) == (0, 0)
+        # A fresh decode of the file hashes its samples, once.
+        fresh = read_pnm(path)
+        for _ in range(3):
+            database.query(fresh)
+        assert database.cache_stats()["signatures"].hits == hits + 4
+        assert spy.calls == 1
+        assert 0 < spy.bytes <= fresh.height * fresh.width * fresh.channels
+        # A fresh float twin hashes its pixels, once.
+        spy.calls = spy.bytes = 0
+        fresh_twin = Image(twin.pixels.copy(), twin.color_space)
+        for _ in range(3):
+            database.query(fresh_twin)
+        assert database.cache_stats()["signatures"].hits == hits + 7
+        assert spy.calls == 1
+        assert spy.bytes >= fresh_twin.pixels.nbytes

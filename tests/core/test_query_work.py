@@ -12,24 +12,60 @@ query path keeps per image is dropped with the image.
 Removal, checkpoints and ``fsck`` read an image's rows as one table too:
 removing an image builds none of those objects, an added image's table
 is built from its regions once, and ``fsck`` builds no record.
+
+A capped quick query builds an :class:`ImageMatch` for each match it
+returns, no more.  An 8-bit query image keeps only its samples: its
+extraction computes its float pixels once, and a query whose signature
+lookup hits computes them not at all.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import shutil
 from collections import Counter
+from typing import Any
 
 import pytest
 
 from repro.core.catalog import RegionTable
 from repro.core.database import WalrusDatabase
+from repro.core.extraction import RegionExtractor
 from repro.core.fsck import fsck_database
+from repro.core.matching import MatchOutcome
 from repro.core.parameters import QueryParameters
+from repro.core.results import ImageMatch
+from repro.imaging.codecs import read_pnm, write_pnm
+from repro.imaging.image import Image
 from repro.imaging.transforms import flip_horizontal
 # ``directories`` is the open-work tests' module fixture: the same
 # 20- and 80-image databases.
-from tests.core.test_open_work import (SIZES, count_constructions,
+from tests.core.test_open_work import (PARAMS, SIZES, count_constructions,
                                        directories, scene)
+
+
+def count_computed_pixels(patch: Any) -> list[int]:
+    """``[n]``: how many times an image computes float pixels from its
+    samples (a read of ``pixels`` on an image that keeps none) from
+    now on."""
+    computed = [0]
+    read = Image.pixels.fget
+
+    def pixels(image: Image) -> Any:
+        if image._pixels is None:
+            computed[0] += 1
+        return read(image)
+    patch.setattr(Image, "pixels", property(pixels))
+    return computed
+
+
+def decoded_scene(index: int, directory: Any) -> Image:
+    """``scene(index)`` as a PPM decodes it: 8-bit samples."""
+    path = directory / f"scene-{index}.ppm"
+    write_pnm(scene(index), path)
+    image = read_pnm(path)
+    assert image._samples is not None
+    return image
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -140,3 +176,52 @@ def test_fsck_builds_no_record(directories, monkeypatch):
         summary = fsck_database(directories[20])
         assert built == Counter()
     assert summary["ok"], summary["issues"]
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_capped_quick_query_builds_the_matches_it_returns(
+        directories, monkeypatch, size):
+    query = flip_horizontal(scene(3))
+    qp = QueryParameters(epsilon=0.2)
+    with WalrusDatabase.open(directories[size], readonly=True) as database:
+        full = database.query(query, qp, explain=True)
+        assert full.report.matched_images > 3
+        for cap in (1, 3):
+            with monkeypatch.context() as patch:
+                built = count_constructions(patch, (ImageMatch,
+                                                    MatchOutcome))
+                capped = database.query(
+                    query, dataclasses.replace(qp, max_results=cap),
+                    explain=True)
+                assert built == Counter(ImageMatch=cap, MatchOutcome=cap)
+            assert capped.matches == full.matches[:cap]
+            assert capped.report.matched_images \
+                == full.report.matched_images
+            assert capped.report.returned_images == cap
+
+
+@pytest.mark.parametrize("color_space", ["ycc", "rgb"])
+def test_extraction_computes_the_pixels_once(tmp_path, monkeypatch,
+                                             color_space):
+    image = decoded_scene(7, tmp_path)
+    extractor = RegionExtractor(dataclasses.replace(
+        PARAMS, color_space=color_space))
+    computed = count_computed_pixels(monkeypatch)
+    regions = extractor.extract(image)
+    assert regions
+    assert computed == [1]
+
+
+def test_warm_query_computes_no_pixels(directories, tmp_path, monkeypatch):
+    """A signature-cache hit needs the samples' key alone, for the same
+    image object and for a fresh decode of the same file alike."""
+    image = decoded_scene(3, tmp_path)
+    with WalrusDatabase.open(directories[20], readonly=True) as database:
+        cold = database.query(image, explain=True)
+        assert not cold.report.signature_cache_hit
+        computed = count_computed_pixels(monkeypatch)
+        for query in (image, read_pnm(tmp_path / "scene-3.ppm")):
+            warm = database.query(query, explain=True)
+            assert warm.report.signature_cache_hit
+            assert warm.matches == cold.matches
+        assert computed == [0]

@@ -163,3 +163,18 @@ class TestEquality:
         renamed = rgb_image.with_name("other")
         assert renamed.name == "other"
         assert renamed == rgb_image
+
+    def test_negative_zero_hashes_like_zero(self):
+        negative = Image(np.array([[-0.0, 0.5]]), "gray")
+        positive = Image(np.array([[0.0, 0.5]]), "gray")
+        assert np.signbit(negative.pixels[0, 0, 0])
+        assert negative == positive
+        assert hash(negative) == hash(positive)
+        assert len({negative, positive}) == 1
+
+    def test_decoded_hashes_like_its_float_twin(self, rng):
+        decoded = Image(rng.integers(0, 256, size=(5, 4, 3),
+                                     dtype=np.uint8))
+        twin = Image(decoded.pixels.copy())
+        assert decoded == twin and twin == decoded
+        assert hash(decoded) == hash(twin)
